@@ -189,9 +189,6 @@ class Multivector:
     def scalar_part(self) -> Scalar:
         return self.terms.get(0, 0)
 
-    def grades(self):
-        return sorted({mask.bit_count() for mask in self.terms})
-
     def max_abs(self) -> float:
         if not self.terms:
             return 0.0

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraContext, Multivector, witt_basis
 from .harmonics import HarmonicPoly, MonogenicPoly
-from .poly import CliffordPoly, rho_squared, vector_variable
+from .poly import CliffordPoly, rho_powers, vector_variable
 from .timefn import SpaceTimeFunction, TimeFunction, apply_0F1, assemble_split
 from .zeta import NotInvertibleError, ZetaElement
 
@@ -58,7 +58,7 @@ def _as_list(heads, kind) -> list:
         if not isinstance(h, kind):
             raise TypeError(f"expected {kind.__name__}, got {type(h).__name__}")
     ctx = items[0].poly.ctx
-    if any(h.poly.ctx is not ctx for h in items):
+    if any(h.poly.ctx != ctx for h in items):
         raise ValueError("all heads must share one algebra context")
     return items
 
@@ -118,7 +118,7 @@ def build_parabolic_recurrence(M: MonogenicPoly,
         tf = seeds.get(name)
         if tf is None:
             return zero_tf
-        if tf.ctx is not ctx:
+        if tf.ctx != ctx:
             raise ValueError("seed profile context mismatch")
         return tf
 
@@ -130,12 +130,10 @@ def build_parabolic_recurrence(M: MonogenicPoly,
     else:
         stop = L
 
-    rho2 = rho_squared(ctx)
     x = vector_variable(ctx)
-    P = M.poly
-    Q = x * M.poly
-    F0 = F1 = F2 = F3 = SpaceTimeFunction(ctx, {})
-    for l in range(stop + 1):
+    F0 = F1 = F2 = F3 = SpaceTimeFunction.zero(ctx)
+    for l, P, Q in zip(range(stop + 1), rho_powers(M.poly),
+                       rho_powers(x * M.poly)):
         two_lg = 2 * l + 2 * k + ctx.m          # 2(l + g), an integer
         div_a = 4 * (l + 1) * (gamma + l)
         div_b = 4 * (l + 1) * (gamma + 1 + l)
@@ -156,8 +154,6 @@ def build_parabolic_recurrence(M: MonogenicPoly,
         a0, a2 = a0_next, a2_next
         b0 = b0.d_dt().scale(1 / div_b) if not b0.is_zero() else zero_tf
         b2 = b2.d_dt().scale(1 / div_b) if not b2.is_zero() else zero_tf
-        P = rho2 * P
-        Q = rho2 * Q
 
     body = assemble_split(F0, F1, F2, F3)
     exact = polynomial and M.poly.is_exact() and all(
@@ -166,17 +162,22 @@ def build_parabolic_recurrence(M: MonogenicPoly,
                           k=k, L=stop, exact=exact)
 
 
+def _weight_recurrence(s: ZetaElement, gamma: Fraction,
+                       L: int) -> List[ZetaElement]:
+    """Exact Cl(1,1) weights w_n = (-s/4)^n / (n! (gamma)_n) for n = 0..L."""
+    w = ZetaElement.identity()
+    out = [w]
+    for n in range(L):
+        w = (w * s).scale(Fraction(-1, 4) / ((n + 1) * (gamma + n)))
+        out.append(w)
+    return out
+
+
 def _radial_weights(z: ZetaElement, gamma: Fraction, L: int,
                     radial: str) -> List[ZetaElement]:
     """Cl(1,1) coefficients w_n = (-1/4 zeta* zeta)^n / (n! (gamma)_n)."""
     if radial == "direct":
-        w = ZetaElement.identity()
-        out = [w]
-        sz = z.star_zeta()
-        for n in range(L):
-            w = (w * sz).scale(Fraction(-1, 4) / ((n + 1) * (gamma + n)))
-            out.append(w)
-        return out
+        return _weight_recurrence(z.star_zeta(), gamma, L)
     if radial == "sylvester":
         from .zeta import PowerSeries, sylvester_eval
 
@@ -191,6 +192,18 @@ def _radial_weights(z: ZetaElement, gamma: Fraction, L: int,
     raise ValueError(f"unknown radial evaluation {radial!r}")
 
 
+def _radial_series(P: CliffordPoly, weights: Sequence[ZetaElement],
+                   total: Optional[CliffordPoly] = None) -> CliffordPoly:
+    """total + sum_n w_n rho^{2n} P; total defaults to zero."""
+    ctx = P.ctx
+    if total is None:
+        total = CliffordPoly.zero(ctx)
+    for w, P_n in zip(weights, rho_powers(P)):
+        if not w.is_zero():
+            total = total + P_n.lmul(w.to_multivector(ctx))
+    return total
+
+
 def build_helmholtz(H, z: ZetaElement, L: int = 12,
                     radial: str = "direct") -> SeriesSolution:
     """g = sum_{n<=L} (-1/4 zeta* zeta)^n rho^{2n} H_k / (n! (g)_n) per head.
@@ -202,18 +215,11 @@ def build_helmholtz(H, z: ZetaElement, L: int = 12,
     """
     heads = _as_list(H, HarmonicPoly)
     ctx = heads[0].poly.ctx
-    rho2 = rho_squared(ctx)
     total = CliffordPoly.zero(ctx)
     for h in heads:
         gamma = Fraction(2 * h.degree + ctx.m, 2)
-        weights = _radial_weights(z, gamma, L, radial)
-        P = h.poly
-        for n in range(L + 1):
-            w = weights[n]
-            if not w.is_zero():
-                total = total + P.lmul(w.to_multivector(ctx))
-            if n < L:
-                P = rho2 * P
+        total = _radial_series(h.poly, _radial_weights(z, gamma, L, radial),
+                               total)
     degrees = tuple(h.degree for h in heads)
     body = SpaceTimeFunction.from_poly(total)
     return SeriesSolution(body=body, mode="helmholtz", m=ctx.m,
@@ -221,44 +227,14 @@ def build_helmholtz(H, z: ZetaElement, L: int = 12,
                           L=L, exact=False, zeta=z, extra={"radial": radial})
 
 
-def _gen_blocks(M: MonogenicPoly, z: ZetaElement,
-                L: int) -> Tuple[CliffordPoly, CliffordPoly]:
-    """The two series blocks of the generalized solution for one head.
-
-    A-block: sum_n (-1/4 zeta* zeta)^n rho^{2n} M / (n! (g)_n)
-    B-block: sum_n (-1/4 zeta* zeta)^n rho^{2n} x zeta M / (n! (g+1)_n (m+2k))
-    """
-    ctx = M.poly.ctx
-    k = M.degree
-    gamma = Fraction(2 * k + ctx.m, 2)
-    rho2 = rho_squared(ctx)
-    x = vector_variable(ctx)
-    sz = z.star_zeta()
-
-    a_total = CliffordPoly.zero(ctx)
-    P = M.poly
-    w = ZetaElement.identity()
-    for n in range(L + 1):
-        a_total = a_total + P.lmul(w.to_multivector(ctx))
-        if n < L:
-            w = (w * sz).scale(Fraction(-1, 4) / ((n + 1) * (gamma + n)))
-            P = rho2 * P
-
-    b_total = CliffordPoly.zero(ctx)
-    Q = (x * M.poly.lmul(z.to_multivector(ctx))).scale(
-        Fraction(1, 2 * k + ctx.m))
-    v = ZetaElement.identity()
-    for n in range(L + 1):
-        b_total = b_total + Q.lmul(v.to_multivector(ctx))
-        if n < L:
-            v = (v * sz).scale(Fraction(-1, 4) / ((n + 1) * (gamma + 1 + n)))
-            Q = rho2 * Q
-    return a_total, b_total
-
-
 def build_generalized(M, z: ZetaElement, L: int = 12,
                       form: str = "monogenic") -> SeriesSolution:
     """Null-solution of d_x + zeta from monogenic heads, three equivalent forms.
+
+    With g = k + m/2 and B_head = x zeta M / (m+2k) the two blocks are
+
+        A-block: sum_n (-1/4 zeta* zeta)^n rho^{2n} M / (n! (g)_n)
+        B-block: sum_n (-1/4 zeta* zeta)^n rho^{2n} B_head / (n! (g+1)_n)
 
     monogenic   A-block + B-block summed directly.
     factored    (zeta* - d_x) applied to the B-side series built from
@@ -273,42 +249,31 @@ def build_generalized(M, z: ZetaElement, L: int = 12,
     heads = _as_list(M, MonogenicPoly)
     if form not in ("monogenic", "factored", "invertible"):
         raise ValueError(f"unknown generalized form {form!r}")
+    if form == "invertible" and not z.is_invertible():
+        raise NotInvertibleError("invertible form needs det(zeta) != 0")
     ctx = heads[0].poly.ctx
+    x = vector_variable(ctx)
     total = CliffordPoly.zero(ctx)
     for head in heads:
         k = head.degree
         gamma = Fraction(2 * k + ctx.m, 2)
         if form == "monogenic":
-            a_blk, b_blk = _gen_blocks(head, z, L)
-            g = a_blk + b_blk
+            sz = z.star_zeta()
+            a_blk = _radial_series(head.poly, _weight_recurrence(sz, gamma, L))
+            b_head = (x * head.poly.lmul(z.to_multivector(ctx))).scale(
+                Fraction(1, 2 * k + ctx.m))
+            g = a_blk + _radial_series(b_head,
+                                       _weight_recurrence(sz, gamma + 1, L))
         elif form == "factored":
-            rho2 = rho_squared(ctx)
-            x = vector_variable(ctx)
-            zs = z.zeta_star()          # starred radial weights here
-            inner = CliffordPoly.zero(ctx)
-            Q = (x * head.poly).scale(Fraction(1, 2 * k + ctx.m))
-            v = ZetaElement.identity()
-            for n in range(L + 1):
-                inner = inner + Q.lmul(v.to_multivector(ctx))
-                if n < L:
-                    v = (v * zs).scale(
-                        Fraction(-1, 4) / ((n + 1) * (gamma + 1 + n)))
-                    Q = rho2 * Q
+            # starred radial weights here
+            inner = _radial_series(
+                (x * head.poly).scale(Fraction(1, 2 * k + ctx.m)),
+                _weight_recurrence(z.zeta_star(), gamma + 1, L))
             g = inner.lmul(z.involution().to_multivector(ctx)) - inner.dirac()
         else:
-            if not z.is_invertible():
-                raise NotInvertibleError(
-                    "invertible form needs det(zeta) != 0")
-            rho2 = rho_squared(ctx)
-            inner = CliffordPoly.zero(ctx)
-            P = head.poly
-            w = ZetaElement.identity()
-            for n in range(L + 2):      # one extra order, trimmed below
-                inner = inner + P.lmul(w.to_multivector(ctx))
-                if n < L + 1:
-                    w = (w * z.star_zeta()).scale(
-                        Fraction(-1, 4) / ((n + 1) * (gamma + n)))
-                    P = rho2 * P
+            # one extra order, trimmed below
+            inner = _radial_series(
+                head.poly, _weight_recurrence(z.star_zeta(), gamma, L + 1))
             zinv = z.invert().to_multivector(ctx)
             g = inner - inner.dirac().lmul(zinv)
             g = g.truncate_degree(2 * L + k + 1)

@@ -114,6 +114,8 @@ def parse_profile(text: str, ctx: AlgebraContext, backend: str) -> TimeFunction:
 def _profile_from_json(rows, ctx: AlgebraContext, backend: str) -> TimeFunction:
     if isinstance(rows, dict):
         rows = [rows]
+    if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
+        raise ValueError("a JSON profile is a term object or a list of them")
     total = TimeFunction.zero(ctx)
     conv = _to_float if backend == "float" else (lambda v: v)
     for row in rows:
@@ -124,7 +126,10 @@ def _profile_from_json(rows, ctx: AlgebraContext, backend: str) -> TimeFunction:
         else:
             mv = ctx.scalar(conv(decode_scalar(coeff)))
         lam = conv(decode_scalar(row.get("lambda", [0, 0])))
-        total = total + TimeFunction.term(ctx, mv, n=int(row.get("n", 0)), lam=lam)
+        n = row.get("n", 0)
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"profile term exponent n must be an integer, got {n!r}")
+        total = total + TimeFunction.term(ctx, mv, n=n, lam=lam)
     return total
 
 
@@ -168,6 +173,8 @@ def _build_from_args(args) -> SeriesSolution:
             return build_parabolic_closed(head, profile, L=L)
         if args.seeds:
             seed_map = json.loads(args.seeds)
+            if not isinstance(seed_map, dict):
+                raise ValueError("--seeds must be a JSON object of profiles")
             seeds = {name: parse_profile(val, ctx, args.backend)
                      if isinstance(val, str)
                      else _profile_from_json(val, ctx, args.backend)
@@ -243,17 +250,7 @@ def cmd_eval(args) -> int:
     points = read_points_csv(args.points, sol.m)
     out = args.out or "-"
     if out == "-":
-        import os
-        import tempfile
-
-        fd, path = tempfile.mkstemp(suffix=".csv")
-        os.close(fd)
-        try:
-            write_eval_csv(sol, points, path)
-            with open(path) as fh:
-                sys.stdout.write(fh.read())
-        finally:
-            os.unlink(path)
+        write_eval_csv(sol, points, sys.stdout)
     else:
         write_eval_csv(sol, points, out)
         print(f"evaluated {len(points)} points -> {out}")

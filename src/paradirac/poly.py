@@ -1,7 +1,13 @@
-"""Clifford-valued polynomials in x_1..x_m with exact operator calculus.
+"""The sparse term engine and Clifford-valued polynomials in x_1..x_m.
 
-A CliffordPoly stores terms as {exponent tuple -> Multivector}; the
-Multivector coefficient sits to the LEFT of the (commuting, scalar)
+SparseTerms stores a sum as {key -> Multivector}, zero coefficients never
+stored, and owns the whole linear structure and the one coefficient
+product; a subclass fixes only what a key is and how two keys combine in
+a product. CliffordPoly is keyed by exponent tuples and carries the
+spatial operators; the space-time container in timefn reuses them on
+each fixed time slice.
+
+The Multivector coefficient sits to the LEFT of the (commuting, scalar)
 monomial. All noncommutativity therefore lives inside coefficient
 products: the Dirac operator acts by left multiplication with e_i, so
 identities like x c = c* x for Cl(1,1)-valued c come out of the blade
@@ -10,43 +16,60 @@ product itself and never need a separate rewriting pass.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from operator import add
+from typing import Dict, Hashable, Iterator, Sequence, Tuple
 
 from .algebra import AlgebraContext, AlgebraMismatchError, Multivector
-from .scalars import Scalar
+from .scalars import Scalar, is_exact
 
 Exponents = Tuple[int, ...]
 
 
-class CliffordPoly:
-    """Polynomial with left Multivector coefficients, value semantics."""
+class SparseTerms:
+    """Finite sum of key -> nonzero left Multivector coefficient, value semantics."""
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: AlgebraContext, terms: Dict[Exponents, Multivector]):
+    def __init__(self, ctx: AlgebraContext, terms: Dict[Hashable, Multivector]):
         self.ctx = ctx
         self.terms = terms
 
-    # -- constructors ---------------------------------------------------------
+    # -- what a subclass fixes -------------------------------------------------
+
+    @staticmethod
+    def _key_mul(a, b):
+        """Key of the product of two terms."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _split_key(key) -> Tuple[Exponents, int, Scalar]:
+        """(exponents, n, lambda) of the term c x^exps t^n e^{lambda t}."""
+        raise NotImplementedError
+
+    # -- construction --------------------------------------------------------
 
     @classmethod
-    def zero(cls, ctx: AlgebraContext) -> "CliffordPoly":
+    def zero(cls, ctx: AlgebraContext):
         return cls(ctx, {})
 
     @classmethod
-    def constant(cls, ctx: AlgebraContext, coeff) -> "CliffordPoly":
-        """Constant polynomial from a Multivector or plain scalar."""
+    def _single(cls, ctx: AlgebraContext, key, coeff):
+        """One term from a Multivector or plain scalar coefficient."""
         mv = coeff if isinstance(coeff, Multivector) else ctx.scalar(coeff)
-        zero_exps = (0,) * ctx.m
-        return cls(ctx, {zero_exps: mv} if not mv.is_zero() else {})
+        return cls(ctx, {} if mv.is_zero() else {key: mv})
 
-    @classmethod
-    def monomial(cls, ctx: AlgebraContext, exps: Sequence[int], coeff) -> "CliffordPoly":
-        exps = tuple(exps)
-        if len(exps) != ctx.m or any(e < 0 for e in exps):
-            raise ValueError(f"bad exponent tuple {exps!r} for m={ctx.m}")
-        mv = coeff if isinstance(coeff, Multivector) else ctx.scalar(coeff)
-        return cls(ctx, {exps: mv} if not mv.is_zero() else {})
+    def _new(self, terms):
+        return type(self)(self.ctx, terms)
+
+    @staticmethod
+    def _acc(out: dict, key, mv: Multivector) -> None:
+        """out[key] += mv, dropping the key when the sum vanishes."""
+        s = out.get(key)
+        s = mv if s is None else s + mv
+        if s.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = s
 
     # -- inspection -----------------------------------------------------------
 
@@ -54,64 +77,77 @@ class CliffordPoly:
         return not self.terms
 
     def is_exact(self) -> bool:
-        return all(mv.is_exact() for mv in self.terms.values())
-
-    def degree(self) -> int:
-        """Total spatial degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return all(mv.is_exact() and is_exact(self._split_key(key)[2])
+                   for key, mv in self.terms.items())
 
     def max_abs(self) -> float:
         return max((mv.max_abs() for mv in self.terms.values()), default=0.0)
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.ctx == other.ctx and self.terms == other.terms
+        return NotImplemented
 
     def __repr__(self):
         if not self.terms:
             return "0"
         bits = []
-        for exps in sorted(self.terms):
-            mono = "*".join(
-                f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
-                for i, e in enumerate(exps) if e
-            )
-            c = repr(self.terms[exps])
-            bits.append(f"({c})*{mono}" if mono else f"({c})")
+        for exps, n, lam, c in sorted(
+                ((*self._split_key(key), c) for key, c in self.terms.items()),
+                key=lambda row: (row[0], row[1], repr(row[2]))):
+            piece = f"({c!r})" + "".join(
+                f"*x{i + 1}^{e}" if e > 1 else f"*x{i + 1}"
+                for i, e in enumerate(exps) if e)
+            if n:
+                piece += f"*t^{n}"
+            if lam != 0:
+                piece += f"*exp({lam!r}*t)"
+            bits.append(piece)
         return " + ".join(bits)
-
-    def __eq__(self, other):
-        if isinstance(other, CliffordPoly):
-            return self.ctx == other.ctx and self.terms == other.terms
-        return NotImplemented
 
     # -- linear structure -------------------------------------------------------
 
-    def _check(self, other: "CliffordPoly"):
+    def _check(self, other: "SparseTerms"):
         if self.ctx != other.ctx:
-            raise AlgebraMismatchError("polynomials over different algebra contexts")
+            raise AlgebraMismatchError("sums over different algebra contexts")
 
     def __add__(self, other):
-        if not isinstance(other, CliffordPoly):
+        if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
-        for exps, mv in other.terms.items():
-            s = out.get(exps)
-            s = mv if s is None else s + mv
-            if s.is_zero():
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return CliffordPoly(self.ctx, out)
+        for key, mv in other.terms.items():
+            self._acc(out, key, mv)
+        return self._new(out)
+
+    def _map(self, fn):
+        """Apply fn to every coefficient, dropping the ones that vanish."""
+        out = {}
+        for key, c in self.terms.items():
+            s = fn(c)
+            if not s.is_zero():
+                out[key] = s
+        return self._new(out)
 
     def __neg__(self):
-        return CliffordPoly(self.ctx, {e: -mv for e, mv in self.terms.items()})
+        return self._map(lambda c: -c)
 
     def __sub__(self, other):
         return self + (-other)
+
+    def scale(self, value: Scalar):
+        return self._map(lambda c: c * value)
+
+    def lmul(self, mv: Multivector):
+        """Left multiplication by a constant Multivector."""
+        return self._map(lambda c: mv * c)
+
+    def rmul(self, mv: Multivector):
+        """Right multiplication by a constant Multivector."""
+        return self._map(lambda c: c * mv)
+
+    def __truediv__(self, value: Scalar):
+        return self._map(lambda c: c / value)
 
     def __mul__(self, other):
         """Product; scalars and Multivectors multiply every coefficient.
@@ -119,18 +155,21 @@ class CliffordPoly:
         For a Multivector right operand the product is p * const(mv);
         use lmul for mv * p since Python routes that through __rmul__.
         """
-        if isinstance(other, CliffordPoly):
+        if isinstance(other, SparseTerms):
+            if not isinstance(other, type(self)):
+                return NotImplemented
             self._check(other)
             ctx = self.ctx
             mul_row = ctx.mul_row
-            acc: Dict[Exponents, Dict[int, Scalar]] = {}
-            for ea, ca in self.terms.items():
+            key_mul = self._key_mul
+            acc: Dict[Hashable, Dict[int, Scalar]] = {}
+            for ka, ca in self.terms.items():
                 ta = ca.terms
-                for eb, cb in other.terms.items():
-                    exps = tuple(a + b for a, b in zip(ea, eb))
-                    tgt = acc.get(exps)
+                for kb, cb in other.terms.items():
+                    key = key_mul(ka, kb)
+                    tgt = acc.get(key)
                     if tgt is None:
-                        tgt = acc[exps] = {}
+                        tgt = acc[key] = {}
                     for ma, va in ta.items():
                         if ma:
                             row = mul_row(ma)
@@ -149,8 +188,8 @@ class CliffordPoly:
                                     tgt[mb] = s
                                 else:
                                     tgt.pop(mb, None)
-            out = {exps: Multivector(ctx, t) for exps, t in acc.items() if t}
-            return CliffordPoly(ctx, out)
+            return self._new({key: Multivector(ctx, t)
+                              for key, t in acc.items() if t})
         if isinstance(other, Multivector):
             return self.rmul(other)
         return self.scale(other)
@@ -160,39 +199,45 @@ class CliffordPoly:
             return self.lmul(other)
         return self.scale(other)
 
-    def scale(self, value: Scalar) -> "CliffordPoly":
-        out = {}
-        for exps, mv in self.terms.items():
-            s = mv * value
-            if not s.is_zero():
-                out[exps] = s
-        return CliffordPoly(self.ctx, out)
 
-    def lmul(self, mv: Multivector) -> "CliffordPoly":
-        """Left multiplication by a constant Multivector."""
-        out = {}
-        for exps, c in self.terms.items():
-            s = mv * c
-            if not s.is_zero():
-                out[exps] = s
-        return CliffordPoly(self.ctx, out)
+class CliffordPoly(SparseTerms):
+    """Polynomial with left Multivector coefficients, keyed by exponent tuples."""
 
-    def rmul(self, mv: Multivector) -> "CliffordPoly":
-        """Right multiplication by a constant Multivector."""
-        out = {}
-        for exps, c in self.terms.items():
-            s = c * mv
-            if not s.is_zero():
-                out[exps] = s
-        return CliffordPoly(self.ctx, out)
+    __slots__ = ()
 
-    def __truediv__(self, value: Scalar) -> "CliffordPoly":
-        out = {}
-        for exps, mv in self.terms.items():
-            s = mv / value
-            if not s.is_zero():
-                out[exps] = s
-        return CliffordPoly(self.ctx, out)
+    @staticmethod
+    def _key_mul(a: Exponents, b: Exponents) -> Exponents:
+        return tuple(map(add, a, b))
+
+    @staticmethod
+    def _split_key(key: Exponents):
+        return key, 0, 0
+
+    # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def constant(cls, ctx: AlgebraContext, coeff) -> "CliffordPoly":
+        """Constant polynomial from a Multivector or plain scalar."""
+        return cls._single(ctx, (0,) * ctx.m, coeff)
+
+    @classmethod
+    def monomial(cls, ctx: AlgebraContext, exps: Sequence[int], coeff) -> "CliffordPoly":
+        exps = tuple(exps)
+        if len(exps) != ctx.m or any(e < 0 for e in exps):
+            raise ValueError(f"bad exponent tuple {exps!r} for m={ctx.m}")
+        return cls._single(ctx, exps, coeff)
+
+    # -- inspection -----------------------------------------------------------
+
+    def degree(self) -> int:
+        """Total spatial degree; -1 for the zero polynomial."""
+        if not self.terms:
+            return -1
+        return max(sum(e) for e in self.terms)
+
+    def is_homogeneous(self) -> bool:
+        degs = {sum(e) for e in self.terms}
+        return len(degs) <= 1
 
     # -- operators ---------------------------------------------------------------
 
@@ -201,16 +246,8 @@ class CliffordPoly:
         out: Dict[Exponents, Multivector] = {}
         for exps, mv in self.terms.items():
             n = exps[i]
-            if not n:
-                continue
-            new = exps[:i] + (n - 1,) + exps[i + 1:]
-            s = mv * n
-            prev = out.get(new)
-            s = s if prev is None else prev + s
-            if s.is_zero():
-                out.pop(new, None)
-            else:
-                out[new] = s
+            if n:
+                self._acc(out, exps[:i] + (n - 1,) + exps[i + 1:], mv * n)
         return CliffordPoly(self.ctx, out)
 
     def dirac(self) -> "CliffordPoly":
@@ -242,16 +279,9 @@ class CliffordPoly:
         out: Dict[Exponents, Multivector] = {}
         for exps, mv in self.terms.items():
             for i, n in enumerate(exps):
-                if n < 2:
-                    continue
-                new = exps[:i] + (n - 2,) + exps[i + 1:]
-                s = mv * (n * (n - 1))
-                prev = out.get(new)
-                s = s if prev is None else prev + s
-                if s.is_zero():
-                    out.pop(new, None)
-                else:
-                    out[new] = s
+                if n > 1:
+                    self._acc(out, exps[:i] + (n - 2,) + exps[i + 1:],
+                              mv * (n * (n - 1)))
         return CliffordPoly(self.ctx, out)
 
     def euler(self) -> "CliffordPoly":
@@ -298,3 +328,11 @@ def rho_squared(ctx: AlgebraContext) -> CliffordPoly:
         exps = tuple(2 if j == i else 0 for j in range(ctx.m))
         terms[exps] = ctx.one()
     return CliffordPoly(ctx, terms)
+
+
+def rho_powers(p: CliffordPoly) -> Iterator[CliffordPoly]:
+    """p, rho^2 p, rho^4 p, ...; each power is computed only when asked for."""
+    rho2 = rho_squared(p.ctx)
+    while True:
+        yield p
+        p = rho2 * p

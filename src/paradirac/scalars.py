@@ -8,6 +8,7 @@ for floating sweeps. GaussianRational supplies the exact complex domain
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -38,17 +39,25 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def __hash__(self):
+        # equal int, Fraction, float and complex values hash alike: the real
+        # case is Fraction's hash, the complex case CPython's complex hash
+        # built from the exact hashes of the two parts
         if not self.im:
             return hash(self.re)
-        return hash((self.re, self.im))
+        width = sys.hash_info.width
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) % (1 << width)
+        if h >= 1 << (width - 1):
+            h -= 1 << width
+        return -2 if h == -1 else h
 
     def __eq__(self, other):
+        # exact comparison, as Fraction compares with float
         if isinstance(other, GaussianRational):
             return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, float)):
             return self.im == 0 and self.re == other
-        if isinstance(other, (float, complex)):
-            return complex(self) == complex(other)
+        if isinstance(other, complex):
+            return self.re == other.real and self.im == other.imag
         return NotImplemented
 
     def __complex__(self):
@@ -128,19 +137,3 @@ def is_exact(value: Scalar) -> bool:
     """True when the scalar lives in an exact domain (no rounding)."""
     return isinstance(value, (int, Fraction, GaussianRational))
 
-
-def to_complex(value: Scalar) -> complex:
-    return complex(value)
-
-
-def scalar_abs(value: Scalar) -> float:
-    return abs(complex(value))
-
-
-def conj_scalar(value: Scalar) -> Scalar:
-    """Complex conjugate staying inside the operand's domain."""
-    if isinstance(value, (int, Fraction, float)):
-        return value
-    if isinstance(value, GaussianRational):
-        return value.conjugate()
-    return value.conjugate()

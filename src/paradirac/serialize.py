@@ -11,10 +11,11 @@ pair per blade appearing in the solution.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .algebra import AlgebraContext, Multivector
 from .builders import SeriesSolution
@@ -24,6 +25,9 @@ from .verify import CheckReport, ResidualReport
 from .zeta import ZetaElement
 
 SCHEMA_VERSION = 1
+# largest spatial dimension a solution file may declare; it is checked
+# before an algebra context is built for it
+MAX_M = 64
 
 
 # -- scalar encoding ----------------------------------------------------------
@@ -52,7 +56,10 @@ def encode_scalar(v: Scalar) -> List[Union[int, float, str]]:
 
 def _decode_part(raw) -> Scalar:
     if isinstance(raw, str):
-        return Fraction(raw)
+        try:
+            return Fraction(raw)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar part {raw!r}") from None
     if isinstance(raw, (int, float)):
         return raw
     raise ValueError(f"bad scalar part {raw!r}")
@@ -85,8 +92,8 @@ def _encode_zeta(z: Optional[ZetaElement]):
 def _decode_zeta(raw) -> Optional[ZetaElement]:
     if raw is None:
         return None
-    return ZetaElement(decode_scalar(raw["a"]), decode_scalar(raw["b"]),
-                       decode_scalar(raw["c"]), decode_scalar(raw["d"]))
+    return ZetaElement(*(decode_scalar(_get(raw, part, (list,), "zeta"))
+                         for part in "abcd"))
 
 
 def _lambda_sort_key(lam) -> Tuple[float, float]:
@@ -124,32 +131,70 @@ def solution_to_dict(sol: SeriesSolution) -> dict:
     }
 
 
+def _get(data: dict, key: str, kinds, where: str = "solution"):
+    """data[key], which must exist and be an instance of kinds (never bool)."""
+    if key not in data:
+        raise ValueError(f"{where} has no {key!r}")
+    val = data[key]
+    if isinstance(val, bool) and bool not in kinds or not isinstance(val, kinds):
+        raise ValueError(f"{where} field {key!r} has the wrong type: {val!r}")
+    return val
+
+
+def _int_list(raw, what: str) -> Tuple[int, ...]:
+    if not isinstance(raw, list) or any(
+            isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in raw):
+        raise ValueError(f"{what} must be a list of nonnegative integers")
+    return tuple(raw)
+
+
 def solution_from_dict(data: dict) -> SeriesSolution:
+    if not isinstance(data, dict):
+        raise ValueError("a solution file holds one JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {data.get('schema_version')!r}")
     if data.get("kind") != "solution":
         raise ValueError(f"not a solution file (kind={data.get('kind')!r})")
-    ctx = AlgebraContext(int(data["m"]))
+    m = _get(data, "m", (int,))
+    if not 1 <= m <= MAX_M:
+        raise ValueError(f"spatial dimension m={m} outside 1..{MAX_M}")
+    ctx = AlgebraContext(m)
     terms: Dict[tuple, Multivector] = {}
-    for row in data["terms"]:
-        exps = tuple(int(e) for e in row["exponents"])
+    for row in _get(data, "terms", (list,)):
+        if not isinstance(row, dict):
+            raise ValueError(f"term row must be an object, got {row!r}")
+        exps = _int_list(_get(row, "exponents", (list,), "term row"), "exponents")
         if len(exps) != ctx.m:
             raise ValueError("exponent tuple length does not match m")
-        lam = decode_scalar(row["lambda"])
-        key = (exps, int(row["n"]), lam)
-        coeffs = {ctx.blade_from_label(label): decode_scalar(pair)
-                  for label, pair in row["blades"]}
+        n = _get(row, "n", (int,), "term row")
+        if n < 0:
+            raise ValueError(f"t exponent n={n} is negative")
+        lam = decode_scalar(_get(row, "lambda", (list,), "term row"))
+        coeffs = {}
+        for blade in _get(row, "blades", (list,), "term row"):
+            if not (isinstance(blade, list) and len(blade) == 2
+                    and isinstance(blade[0], str)):
+                raise ValueError(f"blade entry must be [label, [re, im]], got {blade!r}")
+            coeffs[ctx.blade_from_label(blade[0])] = decode_scalar(blade[1])
         mv = Multivector(ctx, {m_: v for m_, v in coeffs.items() if v != 0})
         if not mv.is_zero():
+            key = (exps, n, lam)
             prev = terms.get(key)
             terms[key] = mv if prev is None else prev + mv
     body = SpaceTimeFunction(ctx, terms)
-    k = data["k"]
-    k = tuple(int(v) for v in k) if isinstance(k, list) else int(k)
-    return SeriesSolution(body=body, mode=data["mode"], m=ctx.m, k=k,
-                          L=int(data["L"]), exact=bool(data["exact"]),
-                          zeta=_decode_zeta(data.get("zeta")),
-                          extra=dict(data.get("extra") or {}))
+    k = _get(data, "k", (int, list))
+    ks = _int_list(k if isinstance(k, list) else [k], "k")
+    k = ks if isinstance(k, list) else ks[0]
+    zeta = data.get("zeta")
+    if zeta is not None and not isinstance(zeta, dict):
+        raise ValueError("zeta must be an object or null")
+    extra = data.get("extra") or {}
+    if not isinstance(extra, dict):
+        raise ValueError("extra must be an object")
+    return SeriesSolution(body=body, mode=_get(data, "mode", (str,)), m=ctx.m,
+                          k=k, L=_get(data, "L", (int,)),
+                          exact=_get(data, "exact", (bool,)),
+                          zeta=_decode_zeta(zeta), extra=dict(extra))
 
 
 def save_solution(sol: SeriesSolution, path: str) -> None:
@@ -233,6 +278,9 @@ def read_points_csv(path: str, m: int) -> List[Tuple[Tuple[float, ...], float]]:
         for row in reader:
             if not row or all(not cell.strip() for cell in row):
                 continue
+            if len(row) < m:
+                raise ValueError(f"points row {reader.line_num} has {len(row)} "
+                                 f"cells, fewer than the {m} coordinates")
             xs = tuple(float(row[i]) for i in range(m))
             t = float(row[m]) if has_t and len(row) > m else 0.0
             points.append((xs, t))
@@ -241,9 +289,10 @@ def read_points_csv(path: str, m: int) -> List[Tuple[Tuple[float, ...], float]]:
 
 def write_eval_csv(sol: SeriesSolution,
                    points: Sequence[Tuple[Sequence[float], float]],
-                   path: str) -> List[str]:
+                   out: Union[str, TextIO]) -> List[str]:
     """Evaluate the solution at each point and write one row per point.
 
+    out is a file path or an open text stream such as sys.stdout.
     Columns: x1..xm, t, then <blade>_re,<blade>_im for every blade that
     appears in the solution body (sorted canonically).  Returns the header.
     """
@@ -256,8 +305,11 @@ def write_eval_csv(sol: SeriesSolution,
     header = [f"x{i}" for i in range(1, ctx.m + 1)] + ["t"]
     for lab in labels:
         header += [f"{lab}_re", f"{lab}_im"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    # rows end in "\n", which a file opened with newline="\r\n" turns into
+    # CSV's "\r\n" and a text stream into the platform line ending
+    with (open(out, "w", newline="\r\n") if isinstance(out, str)
+          else contextlib.nullcontext(out)) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for point, t in points:
             mv = sol.body.evaluate(tuple(point), t)

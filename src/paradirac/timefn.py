@@ -8,19 +8,22 @@ nonnegative powers of s to the profile.
 
 SpaceTimeFunction combines the spatial polynomial engine with that time
 class: terms are indexed by (exponents, n, lambda) with a left
-Multivector coefficient, and carry the Dirac, Laplace, and d/dt
-operators plus the parabolic operator D = d_x + f d_t + fdag.
+Multivector coefficient.  It applies the CliffordPoly Dirac, Laplace and
+partial operators to each fixed-(n, lambda) slice and owns d/dt; the
+parabolic operator D = d_x + f d_t + fdag is built from them.
+TimeFunction is its x-independent slice.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from operator import add
 from typing import Dict, Sequence, Tuple
 
-from .algebra import AlgebraContext, AlgebraMismatchError, Multivector, split, witt_basis
-from .poly import CliffordPoly, rho_squared
-from .scalars import Scalar, is_exact
+from .algebra import AlgebraContext, Multivector, split, witt_basis
+from .poly import CliffordPoly, SparseTerms, rho_powers
+from .scalars import Scalar
 
 TimeKey = Tuple[int, Scalar]          # (n, lambda)
 SpaceTimeKey = Tuple[Tuple[int, ...], int, Scalar]
@@ -41,360 +44,84 @@ def _norm_lambda(lam: Scalar) -> Scalar:
     return lam if lam else 0
 
 
-class TimeFunction:
-    """Finite sum of c * t^n * e^{lambda t} with Multivector coefficient c."""
-
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx: AlgebraContext, terms: Dict[TimeKey, Multivector]):
-        self.ctx = ctx
-        self.terms = terms
-
-    @classmethod
-    def zero(cls, ctx: AlgebraContext) -> "TimeFunction":
-        return cls(ctx, {})
-
-    @classmethod
-    def term(cls, ctx: AlgebraContext, coeff, n: int = 0, lam: Scalar = 0) -> "TimeFunction":
-        """Single term c*t^n*e^{lam t}; coeff may be a scalar or Multivector."""
-        if n < 0:
-            raise ValueError("t exponent must be >= 0")
-        mv = coeff if isinstance(coeff, Multivector) else ctx.scalar(coeff)
-        if mv.is_zero():
-            return cls(ctx, {})
-        return cls(ctx, {(n, _norm_lambda(lam)): mv})
-
-    @classmethod
-    def polynomial(cls, ctx: AlgebraContext, coeffs: Sequence[Scalar]) -> "TimeFunction":
-        """Polynomial sum coeffs[n] * t^n."""
-        out = {}
-        for n, c in enumerate(coeffs):
-            if c:
-                out[(n, 0)] = ctx.scalar(c)
-        return cls(ctx, out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_polynomial(self) -> bool:
-        return all(lam == 0 for _, lam in self.terms)
-
-    def is_exact(self) -> bool:
-        return all(
-            mv.is_exact() and is_exact(lam)
-            for (_, lam), mv in self.terms.items()
-        )
-
-    def max_n(self) -> int:
-        return max((n for n, _ in self.terms), default=0)
-
-    def __eq__(self, other):
-        if isinstance(other, TimeFunction):
-            return self.ctx == other.ctx and self.terms == other.terms
-        return NotImplemented
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (n, lam) in sorted(self.terms, key=lambda k: (k[0], repr(k[1]))):
-            c = self.terms[(n, lam)]
-            piece = f"({c!r})"
-            if n:
-                piece += f"*t^{n}"
-            if lam != 0:
-                piece += f"*exp({lam!r}*t)"
-            bits.append(piece)
-        return " + ".join(bits)
-
-    def __add__(self, other):
-        if not isinstance(other, TimeFunction):
-            return NotImplemented
-        if self.ctx != other.ctx:
-            raise AlgebraMismatchError("time functions over different contexts")
-        out = dict(self.terms)
-        for key, mv in other.terms.items():
-            s = out.get(key)
-            s = mv if s is None else s + mv
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return TimeFunction(self.ctx, out)
-
-    def __neg__(self):
-        return TimeFunction(self.ctx, {k: -mv for k, mv in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, value: Scalar) -> "TimeFunction":
-        out = {}
-        for key, mv in self.terms.items():
-            s = mv * value
-            if not s.is_zero():
-                out[key] = s
-        return TimeFunction(self.ctx, out)
-
-    def __mul__(self, other):
-        if isinstance(other, TimeFunction):
-            if self.ctx != other.ctx:
-                raise AlgebraMismatchError("time functions over different contexts")
-            out: Dict[TimeKey, Multivector] = {}
-            for (na, la), ca in self.terms.items():
-                for (nb, lb), cb in other.terms.items():
-                    key = (na + nb, _norm_lambda(la + lb))
-                    mv = ca * cb
-                    s = out.get(key)
-                    s = mv if s is None else s + mv
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-            return TimeFunction(self.ctx, out)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, value: Scalar) -> "TimeFunction":
-        out = {}
-        for key, mv in self.terms.items():
-            s = mv / value
-            if not s.is_zero():
-                out[key] = s
-        return TimeFunction(self.ctx, out)
-
-    def d_dt(self) -> "TimeFunction":
-        """Exact derivative: c t^n e^{lt} -> c n t^{n-1} e^{lt} + c l t^n e^{lt}."""
-        out: Dict[TimeKey, Multivector] = {}
-
-        def put(key, mv):
-            s = out.get(key)
-            s = mv if s is None else s + mv
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-
-        for (n, lam), mv in self.terms.items():
-            if n:
-                put((n - 1, lam), mv * n)
-            if lam != 0:
-                put((n, lam), mv * lam)
-        return TimeFunction(self.ctx, out)
-
-    def evaluate(self, t: Scalar) -> Multivector:
-        total = self.ctx.zero()
-        for (n, lam), mv in self.terms.items():
-            w = t ** n if n else 1
-            if lam != 0:
-                w = complex(w) * cmath.exp(complex(lam) * complex(t))
-            total = total + mv * w
-        return total
-
-
-class SpaceTimeFunction:
+class SpaceTimeFunction(SparseTerms):
     """Sum of c * x^alpha * t^n * e^{lambda t} with left Multivector c."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ()
 
-    def __init__(self, ctx: AlgebraContext, terms: Dict[SpaceTimeKey, Multivector]):
-        self.ctx = ctx
-        self.terms = terms
+    @staticmethod
+    def _key_mul(a: SpaceTimeKey, b: SpaceTimeKey) -> SpaceTimeKey:
+        return (tuple(map(add, a[0], b[0])), a[1] + b[1],
+                _norm_lambda(a[2] + b[2]))
 
-    # -- constructors -----------------------------------------------------
+    @staticmethod
+    def _split_key(key: SpaceTimeKey) -> SpaceTimeKey:
+        return key
 
     @classmethod
-    def zero(cls, ctx: AlgebraContext) -> "SpaceTimeFunction":
-        return cls(ctx, {})
-
-    @classmethod
-    def from_poly(cls, p: CliffordPoly, tf: TimeFunction | None = None) -> "SpaceTimeFunction":
+    def from_poly(cls, p: CliffordPoly,
+                  tf: "TimeFunction | None" = None) -> "SpaceTimeFunction":
         """p(x) * a(t); with tf omitted the profile is the constant 1."""
-        ctx = p.ctx
-        if tf is None:
-            return cls(ctx, {(exps, 0, 0): mv for exps, mv in p.terms.items()})
-        if tf.ctx != ctx:
-            raise AlgebraMismatchError("poly and time profile over different contexts")
-        out: Dict[SpaceTimeKey, Multivector] = {}
-        for exps, cp in p.terms.items():
-            for (n, lam), ct in tf.terms.items():
-                mv = cp * ct
-                key = (exps, n, lam)
-                s = out.get(key)
-                s = mv if s is None else s + mv
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return cls(ctx, out)
+        F = cls(p.ctx, {(exps, 0, 0): mv for exps, mv in p.terms.items()})
+        return F if tf is None else F * tf
+
+    def mul_time(self, tf: "TimeFunction") -> "SpaceTimeFunction":
+        """Right product with a time profile (time scalars commute)."""
+        return self * tf
 
     # -- inspection --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def is_polynomial(self) -> bool:
+        """No exponential factor e^{lambda t} with lambda != 0."""
+        return all(lam == 0 for _, _, lam in self.terms)
 
-    def is_exact(self) -> bool:
-        return all(
-            mv.is_exact() and is_exact(key[2])
-            for key, mv in self.terms.items()
-        )
-
-    def degree_space(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(key[0]) for key in self.terms)
+    def max_n(self) -> int:
+        return max((n for _, n, _ in self.terms), default=0)
 
     def spatial_degrees(self):
         return sorted({sum(key[0]) for key in self.terms})
 
-    def max_abs(self) -> float:
-        return max((mv.max_abs() for mv in self.terms.values()), default=0.0)
-
-    def __eq__(self, other):
-        if isinstance(other, SpaceTimeFunction):
-            return self.ctx == other.ctx and self.terms == other.terms
-        return NotImplemented
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for key in sorted(self.terms, key=lambda k: (k[0], k[1], repr(k[2]))):
-            exps, n, lam = key
-            c = self.terms[key]
-            mono = "*".join(
-                f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
-                for i, e in enumerate(exps) if e
-            )
-            piece = f"({c!r})"
-            if mono:
-                piece += "*" + mono
-            if n:
-                piece += f"*t^{n}"
-            if lam != 0:
-                piece += f"*exp({lam!r}*t)"
-            bits.append(piece)
-        return " + ".join(bits)
-
-    # -- linear structure ----------------------------------------------------
-
-    def _check(self, other: "SpaceTimeFunction"):
-        if self.ctx != other.ctx:
-            raise AlgebraMismatchError("space-time functions over different contexts")
-
-    def _put(self, out, key, mv):
-        s = out.get(key)
-        s = mv if s is None else s + mv
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-
-    def __add__(self, other):
-        if not isinstance(other, SpaceTimeFunction):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for key, mv in other.terms.items():
-            self._put(out, key, mv)
-        return SpaceTimeFunction(self.ctx, out)
-
-    def __neg__(self):
-        return SpaceTimeFunction(self.ctx, {k: -mv for k, mv in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, value: Scalar) -> "SpaceTimeFunction":
-        out = {}
-        for key, mv in self.terms.items():
-            s = mv * value
-            if not s.is_zero():
-                out[key] = s
-        return SpaceTimeFunction(self.ctx, out)
-
-    def lmul(self, mv: Multivector) -> "SpaceTimeFunction":
-        out = {}
-        for key, c in self.terms.items():
-            s = mv * c
-            if not s.is_zero():
-                out[key] = s
-        return SpaceTimeFunction(self.ctx, out)
-
-    def rmul(self, mv: Multivector) -> "SpaceTimeFunction":
-        out = {}
-        for key, c in self.terms.items():
-            s = c * mv
-            if not s.is_zero():
-                out[key] = s
-        return SpaceTimeFunction(self.ctx, out)
-
-    def mul_time(self, tf: TimeFunction) -> "SpaceTimeFunction":
-        """Right product with a time profile (time scalars commute)."""
-        out: Dict[SpaceTimeKey, Multivector] = {}
-        for (exps, n, lam), c in self.terms.items():
-            for (nb, lb), ct in tf.terms.items():
-                mv = c * ct
-                self._put(out, (exps, n + nb, _norm_lambda(lam + lb)), mv)
-        return SpaceTimeFunction(self.ctx, out)
-
     # -- operators ----------------------------------------------------------------
 
+    def _per_slice(self, op) -> "SpaceTimeFunction":
+        """Apply a CliffordPoly operator to every fixed-(n, lambda) slice."""
+        slices: Dict[TimeKey, dict] = {}
+        for (exps, n, lam), mv in self.terms.items():
+            slices.setdefault((n, lam), {})[exps] = mv
+        out = {}
+        for (n, lam), terms in slices.items():
+            for exps, mv in op(CliffordPoly(self.ctx, terms)).terms.items():
+                out[(exps, n, lam)] = mv
+        return self._new(out)
+
+    def partial(self, i: int) -> "SpaceTimeFunction":
+        return self._per_slice(lambda p: p.partial(i))
+
+    def dirac(self) -> "SpaceTimeFunction":
+        return self._per_slice(CliffordPoly.dirac)
+
+    def laplacian(self) -> "SpaceTimeFunction":
+        return self._per_slice(CliffordPoly.laplacian)
+
     def d_dt(self) -> "SpaceTimeFunction":
+        """Exact derivative: c t^n e^{lt} -> c n t^{n-1} e^{lt} + c l t^n e^{lt}."""
         out: Dict[SpaceTimeKey, Multivector] = {}
         for (exps, n, lam), mv in self.terms.items():
             if n:
-                self._put(out, (exps, n - 1, lam), mv * n)
+                self._acc(out, (exps, n - 1, lam), mv * n)
             if lam != 0:
-                self._put(out, (exps, n, lam), mv * lam)
-        return SpaceTimeFunction(self.ctx, out)
-
-    def partial(self, i: int) -> "SpaceTimeFunction":
-        out: Dict[SpaceTimeKey, Multivector] = {}
-        for (exps, n, lam), mv in self.terms.items():
-            d = exps[i]
-            if not d:
-                continue
-            new = exps[:i] + (d - 1,) + exps[i + 1:]
-            self._put(out, (new, n, lam), mv * d)
-        return SpaceTimeFunction(self.ctx, out)
-
-    def dirac(self) -> "SpaceTimeFunction":
-        ctx = self.ctx
-        out: Dict[SpaceTimeKey, Multivector] = {}
-        e_mvs = [ctx.e(i + 1) for i in range(ctx.m)]
-        for (exps, n, lam), mv in self.terms.items():
-            for i, d in enumerate(exps):
-                if not d:
-                    continue
-                new = exps[:i] + (d - 1,) + exps[i + 1:]
-                self._put(out, (new, n, lam), (e_mvs[i] * mv) * d)
-        return SpaceTimeFunction(ctx, out)
-
-    def laplacian(self) -> "SpaceTimeFunction":
-        out: Dict[SpaceTimeKey, Multivector] = {}
-        for (exps, n, lam), mv in self.terms.items():
-            for i, d in enumerate(exps):
-                if d < 2:
-                    continue
-                new = exps[:i] + (d - 2,) + exps[i + 1:]
-                self._put(out, (new, n, lam), mv * (d * (d - 1)))
-        return SpaceTimeFunction(self.ctx, out)
-
-    def truncate_space_degree(self, max_degree: int) -> "SpaceTimeFunction":
-        out = {k: mv for k, mv in self.terms.items() if sum(k[0]) <= max_degree}
-        return SpaceTimeFunction(self.ctx, out)
+                self._acc(out, (exps, n, lam), mv * lam)
+        return self._new(out)
 
     def split(self):
         """Four component functions (F0, F1, F2, F3), coefficients in Cl(0,m)."""
         outs = ({}, {}, {}, {})
         for key, mv in self.terms.items():
             parts = split(mv)
-            for which, comp in enumerate((parts.f0, parts.f1, parts.f2, parts.f3)):
+            for out, comp in zip(outs, (parts.f0, parts.f1, parts.f2, parts.f3)):
                 if not comp.is_zero():
-                    self._put(outs[which], key, comp)
-        return tuple(SpaceTimeFunction(self.ctx, d) for d in outs)
+                    out[key] = comp
+        return tuple(self._new(d) for d in outs)
 
     def evaluate(self, point: Sequence[Scalar], t: Scalar = 0) -> Multivector:
         if len(point) != self.ctx.m:
@@ -411,6 +138,29 @@ class SpaceTimeFunction:
                 w = complex(w) * cmath.exp(complex(lam) * complex(t))
             total = total + mv * w
         return total
+
+
+class TimeFunction(SpaceTimeFunction):
+    """The x-independent slice: a finite sum of c * t^n * e^{lambda t}."""
+
+    __slots__ = ()
+
+    @classmethod
+    def term(cls, ctx: AlgebraContext, coeff, n: int = 0, lam: Scalar = 0) -> "TimeFunction":
+        """Single term c*t^n*e^{lam t}; coeff may be a scalar or Multivector."""
+        if n < 0:
+            raise ValueError("t exponent must be >= 0")
+        return cls._single(ctx, ((0,) * ctx.m, n, _norm_lambda(lam)), coeff)
+
+    @classmethod
+    def polynomial(cls, ctx: AlgebraContext, coeffs: Sequence[Scalar]) -> "TimeFunction":
+        """Polynomial sum coeffs[n] * t^n."""
+        zero_exps = (0,) * ctx.m
+        return cls(ctx, {(zero_exps, n, 0): ctx.scalar(c)
+                         for n, c in enumerate(coeffs) if c})
+
+    def evaluate(self, t: Scalar) -> Multivector:
+        return super().evaluate((0,) * self.ctx.m, t)
 
 
 def assemble_split(f0, f1, f2, f3) -> SpaceTimeFunction:
@@ -442,20 +192,16 @@ def apply_0F1(gamma, base: CliffordPoly, a: TimeFunction, L: int) -> SpaceTimeFu
         raise ValueError(f"0F1 pole: gamma = {gamma} is a nonpositive integer")
     if L < 0:
         raise ValueError("truncation must be >= 0")
-    ctx = base.ctx
     last = a.max_n() if a.is_polynomial() else L
-    rho2 = rho_squared(ctx)
-
-    total = SpaceTimeFunction.zero(ctx)
-    spatial = base          # rho^{2l} * base
+    total = SpaceTimeFunction.zero(base.ctx)
     deriv = a               # a^{(l)}
     # integer gamma would otherwise fall into float division below
     weight: Scalar = Fraction(1) if isinstance(gamma, (int, Fraction)) else 1
-    for l in range(last + 1):
+    # spatial = rho^{2l} * base
+    for l, spatial in zip(range(last + 1), rho_powers(base)):
         if deriv.is_zero():
             break
         if l:
-            spatial = rho2 * spatial
             weight = weight / (4 * l * (gamma + l - 1))
         total = total + SpaceTimeFunction.from_poly(spatial, deriv).scale(weight)
         deriv = deriv.d_dt()

@@ -245,3 +245,45 @@ def test_parabolic_recovery_gaussian_rational():
     a = TimeFunction.term(ctx, 1, n=0, lam=lam)
     direct = build_parabolic_closed(M, a, L=7)
     assert via_gen.body == direct.body
+
+
+# -- algebra contexts compare by value -------------------------------------------
+# Heads and seeds built from equal but distinct AlgebraContext(m) objects must
+# be accepted, as everywhere else in the package.
+
+
+def test_closed_accepts_equal_context_profile():
+    M = const_head(AlgebraContext(2))
+    sol = build_parabolic_closed(M, t_profile(AlgebraContext(2)))
+    assert parabolic_dirac(sol.body).is_zero()
+
+
+def test_recurrence_accepts_equal_context_seed():
+    M = const_head(AlgebraContext(2))
+    a = t_profile(AlgebraContext(2))
+    sol = build_parabolic_recurrence(M, {"a0": a, "b2": a.scale(Fraction(-1, 2))})
+    assert sol.body == build_parabolic_closed(M, a).body
+
+
+def test_helmholtz_accepts_equal_context_heads():
+    z = ZetaElement(1, 0, 0, 1)
+    heads = (harmonic_basis(AlgebraContext(2), 0)
+             + harmonic_basis(AlgebraContext(2), 2))
+    sol = build_helmholtz(heads, z, L=3)
+    assert sol.k == tuple(h.degree for h in heads)
+
+
+def test_generalized_accepts_equal_context_heads():
+    z = ZetaElement(1, 0, 0, 1)
+    heads = [monogenic_basis(AlgebraContext(2), 0)[0],
+             monogenic_basis(AlgebraContext(2), 1)[0]]
+    for form in ("monogenic", "factored", "invertible"):
+        assert build_generalized(heads, z, L=3, form=form).k == (0, 1)
+
+
+def test_parabolic_from_generalized_accepts_equal_context_head():
+    M = const_head(AlgebraContext(2))
+    sol = parabolic_from_generalized(M, -1, L=5)
+    direct = build_parabolic_closed(
+        M, TimeFunction.term(AlgebraContext(2), 1, lam=-1), L=5)
+    assert sol.body == direct.body

@@ -129,3 +129,80 @@ def test_unknown_mode(capsys):
                        "--out", "/tmp/x.json")
     assert code == 2
     assert "error:" in err
+
+
+# -- malformed outside input exits 2 with a message ----------------------------------
+
+
+def _solution_dict(capsys, tmp_path):
+    sol_path = tmp_path / "sol.json"
+    run(capsys, "build", "--mode", "parabolic-closed", "--m", "2", "--k", "0",
+        "--profile", "t", "--out", str(sol_path))
+    return json.loads(sol_path.read_text())
+
+
+def _mangle_no_m(data):
+    del data["m"]
+    return data
+
+
+def _mangle_terms_int(data):
+    data["terms"] = 5
+    return data
+
+
+def _mangle_row_no_lambda(data):
+    del data["terms"][0]["lambda"]
+    return data
+
+
+def _mangle_top_level_list(data):
+    return [data]
+
+
+@pytest.mark.parametrize("mangle", [_mangle_no_m, _mangle_terms_int,
+                                    _mangle_row_no_lambda,
+                                    _mangle_top_level_list])
+def test_verify_rejects_malformed_solution(capsys, tmp_path, mangle):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mangle(_solution_dict(capsys, tmp_path))))
+    code, _, err = run(capsys, "verify", "--solution", str(bad))
+    assert code == 2
+    assert "error:" in err
+
+
+def test_eval_rejects_short_points_row(capsys, tmp_path):
+    sol_path = tmp_path / "sol.json"
+    run(capsys, "build", "--mode", "parabolic-closed", "--m", "2", "--k", "0",
+        "--profile", "t", "--out", str(sol_path))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,t\n0.5,0.5,1\n0.25\n")
+    code, _, err = run(capsys, "eval", "--solution", str(sol_path),
+                       "--points", str(pts))
+    assert code == 2
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "parabolic-closed", "--profile", "[1]"],
+    ["--mode", "parabolic-recurrence", "--seeds", "[1]"],
+])
+def test_build_rejects_malformed_profile_json(capsys, tmp_path, argv):
+    code, _, err = run(capsys, "build", "--m", "2", "--k", "0", *argv,
+                       "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert "error:" in err
+
+
+def test_eval_writes_stdout(capsys, tmp_path):
+    sol_path = tmp_path / "sol.json"
+    run(capsys, "build", "--mode", "parabolic-closed", "--m", "2", "--k", "0",
+        "--profile", "t", "--out", str(sol_path))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,t\n0,0,1.0\n0.5,0,2\n")
+    code, stdout, _ = run(capsys, "eval", "--solution", str(sol_path),
+                          "--points", str(pts))
+    assert code == 0
+    lines = stdout.split("\n")
+    assert lines[0].startswith("x1,x2,t,") and lines[-1] == ""
+    assert len(lines) == 4 and "\r" not in stdout

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paradirac.algebra import AlgebraContext, Multivector
 from paradirac.poly import CliffordPoly, rho_squared, vector_variable
+from paradirac.scalars import GaussianRational
 
 rng = random.Random(31415)
 
@@ -143,3 +146,71 @@ def test_division_and_exactness():
     assert (p / 3).is_exact()
     q = CliffordPoly.monomial(ctx, (1, 1), 3.0)
     assert not q.is_exact()
+
+
+# -- slow oracles for the sparse term engine -----------------------------------
+
+small = st.integers(-2, 2)
+exact_scalars = st.one_of(
+    small, st.builds(Fraction, small, st.integers(1, 3)),
+    st.builds(GaussianRational, small, small))
+
+
+@st.composite
+def polys(draw, m):
+    """CliffordPoly over a few blades and monomials, so terms cancel often."""
+    ctx = AlgebraContext(m)
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = tuple(draw(st.integers(0, 2)) for _ in range(m))
+        mv = Multivector(ctx, {draw(st.sampled_from((0, 1, 2, 6))): draw(exact_scalars)})
+        mv = Multivector(ctx, {k: v for k, v in mv.terms.items() if v})
+        terms[exps] = terms[exps] + mv if exps in terms else mv
+    return CliffordPoly(ctx, {e: mv for e, mv in terms.items() if not mv.is_zero()})
+
+
+def assert_clean(p):
+    """No stored coefficient is empty or carries a zero blade."""
+    for mv in p.terms.values():
+        assert mv.terms and all(v != 0 for v in mv.terms.values())
+
+
+def termwise(ctx, contributions):
+    """Sum (key, Multivector) pairs with plain Multivector additions."""
+    out = {}
+    for key, mv in contributions:
+        out[key] = out[key] + mv if key in out else mv
+    return {k: mv for k, mv in out.items() if not mv.is_zero()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dirac_matches_generator_times_partial_oracle(data):
+    m = data.draw(st.integers(1, 3))
+    p = data.draw(polys(m))
+    ctx = p.ctx
+    expect = termwise(ctx, (
+        (exps[:i] + (exps[i] - 1,) + exps[i + 1:], ctx.e(i + 1) * (mv * exps[i]))
+        for exps, mv in p.terms.items() for i in range(m) if exps[i]))
+    got = p.dirac()
+    assert got.terms == expect
+    assert_clean(got)
+    for i in range(m):
+        assert_clean(p.partial(i))
+    assert_clean(p.laplacian())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_product_matches_termwise_multivector_products(data):
+    m = data.draw(st.integers(1, 3))
+    a, b = data.draw(polys(m)), data.draw(polys(m))
+    expect = termwise(a.ctx, (
+        (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+        for ea, ca in a.terms.items() for eb, cb in b.terms.items()))
+    got = a * b
+    assert got.terms == expect
+    assert_clean(got)
+    for r in (a + b, a - b, a.scale(Fraction(1, 2)), a.lmul(a.ctx.e(1)),
+              a.rmul(a.ctx.eps()), -a, a / 3):
+        assert_clean(r)

@@ -2,10 +2,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from paradirac.algebra import AlgebraContext
-from paradirac.builders import (build_generalized, build_helmholtz,
-                                build_parabolic_closed)
+from paradirac.builders import (SeriesSolution, build_generalized,
+                                build_helmholtz, build_parabolic_closed)
 from paradirac.harmonics import harmonic_basis, monogenic_basis
 from paradirac.scalars import GaussianRational
 from paradirac.serialize import (SCHEMA_VERSION, decode_scalar, encode_scalar,
@@ -142,3 +144,55 @@ def test_eval_csv_output(tmp_path):
     for mask, coeff in val.terms.items():
         label = sol.ctx.blade_label(mask)
         assert abs(float(first[label + "_re"]) - complex(coeff).real) < 1e-12
+
+
+# -- malformed solution files ------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6) | st.sampled_from(["1/2", "1/0", "eps", "e1", "x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=12)
+
+
+def _valid_dict():
+    return solution_to_dict(build_samples()[1])
+
+
+@st.composite
+def damaged_solutions(draw):
+    """A valid solution dict with one field, top-level or in a term row,
+    replaced by an arbitrary JSON value (or removed)."""
+    data = _valid_dict()
+    target = data
+    if draw(st.booleans()) and data["terms"]:
+        target = data["terms"][draw(st.integers(0, len(data["terms"]) - 1))]
+    key = draw(st.sampled_from(sorted(target)))
+    if draw(st.integers(0, 4)) == 0:
+        del target[key]
+    else:
+        target[key] = draw(json_values)
+    return data
+
+
+def _loads_or_value_error(data):
+    try:
+        sol = solution_from_dict(data)
+    except ValueError:
+        return
+    assert isinstance(sol, SeriesSolution)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(json_values)
+def test_solution_from_dict_on_arbitrary_json(data):
+    _loads_or_value_error(data)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(damaged_solutions())
+def test_solution_from_dict_on_damaged_files(data):
+    _loads_or_value_error(data)

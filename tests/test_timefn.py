@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from paradirac.algebra import AlgebraContext, split, witt_basis
+from paradirac.algebra import AlgebraContext, Multivector, split, witt_basis
 from paradirac.poly import CliffordPoly, rho_squared
+from paradirac.scalars import GaussianRational
 from paradirac.timefn import (SpaceTimeFunction, TimeFunction, apply_0F1,
                               assemble_split, heat_residual, parabolic_dirac,
                               pochhammer)
@@ -136,3 +139,93 @@ def test_mul_time_distributes():
     G = F.mul_time(tf)
     pt, tv = [Fraction(1, 2), Fraction(1, 3)], Fraction(2)
     assert G.evaluate(pt, tv) == F.evaluate(pt, tv) * tf.evaluate(tv).scalar_part()
+
+# -- slow oracles for the space-time slice operators ----------------------------
+
+small = st.integers(-2, 2)
+exact_scalars = st.one_of(
+    small, st.builds(Fraction, small, st.integers(1, 3)),
+    st.builds(GaussianRational, small, small))
+# polynomial (lambda = 0) and exponential time keys, with pairs that cancel
+lambdas = st.sampled_from((0, 0, Fraction(1), Fraction(-1), Fraction(1, 2),
+                           GaussianRational(0, 1), GaussianRational(0, -1)))
+
+
+@st.composite
+def spacetime(draw, m):
+    ctx = AlgebraContext(m)
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        key = (tuple(draw(st.integers(0, 2)) for _ in range(m)),
+               draw(st.integers(0, 3)), draw(lambdas))
+        mv = Multivector(ctx, {draw(st.sampled_from((0, 1, 2, 6))): draw(exact_scalars)})
+        mv = Multivector(ctx, {k: v for k, v in mv.terms.items() if v})
+        terms[key] = terms[key] + mv if key in terms else mv
+    return SpaceTimeFunction(ctx, {k: mv for k, mv in terms.items() if not mv.is_zero()})
+
+
+def assert_clean(F):
+    for mv in F.terms.values():
+        assert mv.terms and all(v != 0 for v in mv.terms.values())
+
+
+def termwise(contributions):
+    out = {}
+    for key, mv in contributions:
+        out[key] = out[key] + mv if key in out else mv
+    return {k: mv for k, mv in out.items() if not mv.is_zero()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_spacetime_dirac_matches_oracle(data):
+    m = data.draw(st.integers(1, 3))
+    F = data.draw(spacetime(m))
+    ctx = F.ctx
+    expect = termwise(
+        ((exps[:i] + (exps[i] - 1,) + exps[i + 1:], n, lam),
+         ctx.e(i + 1) * (mv * exps[i]))
+        for (exps, n, lam), mv in F.terms.items() for i in range(m) if exps[i])
+    got = F.dirac()
+    assert got.terms == expect
+    for G in (got, F.laplacian(), F.partial(0), *F.split(), parabolic_dirac(F),
+              heat_residual(F)):
+        assert_clean(G)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_spacetime_product_matches_oracle(data):
+    m = data.draw(st.integers(1, 3))
+    F, G = data.draw(spacetime(m)), data.draw(spacetime(m))
+    expect = termwise(
+        ((tuple(x + y for x, y in zip(ea, eb)), na + nb, la + lb), ca * cb)
+        for (ea, na, la), ca in F.terms.items()
+        for (eb, nb, lb), cb in G.terms.items())
+    got = F * G
+    assert got.terms == expect
+    assert_clean(got)
+    # a zero exponent is always stored as the int 0, one key for e^{0 t}
+    assert all(lam != 0 or type(lam) is int for _, _, lam in got.terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_d_dt_follows_termwise_rule(data):
+    m = data.draw(st.integers(1, 3))
+    F = data.draw(spacetime(m))
+    contributions = []
+    for (exps, n, lam), mv in F.terms.items():
+        if n:
+            contributions.append(((exps, n - 1, lam), mv * n))
+        if lam != 0:
+            contributions.append(((exps, n, lam), mv * lam))
+    got = F.d_dt()
+    assert got.terms == termwise(contributions)
+    assert_clean(got)
+    # the x-independent slice shares the rule and stays a TimeFunction
+    tf = TimeFunction(F.ctx, {((0,) * m, n, lam): mv
+                              for (exps, n, lam), mv in F.terms.items()
+                              if not any(exps)})
+    assert isinstance(tf.d_dt(), TimeFunction)
+    assert isinstance(tf * tf, TimeFunction)
