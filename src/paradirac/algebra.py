@@ -27,12 +27,12 @@ class AlgebraMismatchError(ValueError):
 class AlgebraContext:
     """Cl(1, m+1) for spatial dimension m >= 1.
 
-    Holds the generator table and memoizes blade products. Instances are
-    immutable; two contexts are interchangeable iff their m agree.
+    Holds the generator table and the blade-product table, whose entries
+    are computed when first read. Instances are immutable; two contexts
+    are interchangeable iff their m agree.
     """
 
-    __slots__ = ("m", "n_gen", "_squares", "_mul_cache", "_mul_rows",
-                 "_f", "_fdag")
+    __slots__ = ("m", "n_gen", "_squares", "_mul_rows", "_f", "_fdag")
 
     def __init__(self, m: int):
         if not isinstance(m, int) or m < 1:
@@ -41,7 +41,6 @@ class AlgebraContext:
         self.n_gen = m + 2
         # index 0 is eps (+1), indices 1..m+1 are e_j (-1)
         self._squares = (1,) + (-1,) * (m + 1)
-        self._mul_cache: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self._mul_rows: Dict[int, Dict[int, Tuple[int, int]]] = {}
         self._f = None
         self._fdag = None
@@ -62,12 +61,9 @@ class AlgebraContext:
 
         Inserts the generators of b into a in ascending index order,
         counting anticommutations past higher generators and applying
-        the metric sign when indices collide.
+        the metric sign when indices collide. Uncached: it is the rule
+        that fills a mul_row row.
         """
-        key = (a, b)
-        hit = self._mul_cache.get(key)
-        if hit is not None:
-            return hit
         sign = 1
         cur = a
         rest = b
@@ -83,20 +79,18 @@ class AlgebraContext:
                 cur ^= low
             else:
                 cur |= low
-        self._mul_cache[key] = (cur, sign)
         return cur, sign
 
     def mul_row(self, left_mask: int) -> Dict[int, Tuple[int, int]]:
-        """Full left-multiplication row {b: blade_mul(left_mask, b)}.
+        """Left-multiplication row {b: blade_mul(left_mask, b)}.
 
-        Int-keyed lookup for inner loops; the table for one algebra tops
-        out at 2^{m+2} rows of 2^{m+2} entries.
+        Int-keyed lookup for inner loops. An entry is computed the first
+        time it is read: the full table has 4^{m+2} entries, far more than
+        the products in use once m grows.
         """
         row = self._mul_rows.get(left_mask)
         if row is None:
-            bm = self.blade_mul
-            row = {b: bm(left_mask, b) for b in range(1 << self.n_gen)}
-            self._mul_rows[left_mask] = row
+            row = self._mul_rows[left_mask] = _ProductRow(self, left_mask)
         return row
 
     def blade_label(self, mask: int) -> str:
@@ -157,6 +151,48 @@ class AlgebraContext:
                 raise ValueError(f"bad blade index sequence {list(indices)!r}")
             mask |= bit
         return Multivector(self, {mask: coeff} if coeff else {})
+
+
+class _ProductRow(dict):
+    """One row {b: (mask, sign)} of the blade-product table, filled on read."""
+
+    def __init__(self, ctx: AlgebraContext, left: int):
+        self.ctx, self.left = ctx, left
+
+    def __missing__(self, b: int) -> Tuple[int, int]:
+        entry = self[b] = self.ctx.blade_mul(self.left, b)
+        return entry
+
+
+def _mul_into(ctx: AlgebraContext, out: Dict[int, Scalar],
+             a: Dict[int, Scalar], b: Dict[int, Scalar]) -> Dict[int, Scalar]:
+    """out += a * b over {blade: scalar} dicts, dropping sums that vanish.
+
+    The one blade-product loop: Multivector and SparseTerms products, the
+    Dirac operator and evaluate all multiply through it. Returns out.
+    Scalars commute, and vb * va keeps Fraction on its fast forward path
+    when a holds the ints of dirac or the floats of evaluate.
+    """
+    rows = ctx._mul_rows
+    for ma, va in a.items():
+        if ma:
+            row = rows.get(ma) or ctx.mul_row(ma)
+            for mb, vb in b.items():
+                mask, sign = row[mb]
+                v = vb * va if sign > 0 else -(vb * va)
+                s = out.get(mask, 0) + v
+                if s:
+                    out[mask] = s
+                else:
+                    out.pop(mask, None)
+        else:   # scalar blade: no sign, no mask change
+            for mb, vb in b.items():
+                s = out.get(mb, 0) + vb * va
+                if s:
+                    out[mb] = s
+                else:
+                    out.pop(mb, None)
+    return out
 
 
 class Multivector:
@@ -244,18 +280,8 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._check(other)
-            blade_mul = self.ctx.blade_mul
-            out: Dict[int, Scalar] = {}
-            for ma, va in self.terms.items():
-                for mb, vb in other.terms.items():
-                    mask, sign = blade_mul(ma, mb)
-                    v = va * vb if sign > 0 else -(va * vb)
-                    s = out.get(mask, 0) + v
-                    if s:
-                        out[mask] = s
-                    else:
-                        out.pop(mask, None)
-            return Multivector(self.ctx, out)
+            return Multivector(self.ctx, _mul_into(self.ctx, {}, self.terms,
+                                                   other.terms))
         return self._scale(other)
 
     def __rmul__(self, other):

@@ -15,7 +15,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .algebra import AlgebraContext, Multivector, split, witt_basis
@@ -23,7 +22,7 @@ from .builders import (ALL_MODES, SeriesSolution, build_generalized,
                        build_helmholtz, build_parabolic_closed,
                        build_parabolic_recurrence)
 from .harmonics import harmonic_basis, monogenic_basis
-from .scalars import GaussianRational, Scalar
+from .scalars import GaussianRational, Scalar, parse_rational
 from .serialize import (check_report_to_dict, decode_scalar, load_solution,
                         read_points_csv, residual_report_to_dict, save_report,
                         save_solution, write_eval_csv)
@@ -42,27 +41,18 @@ def _parse_number(text: str) -> Scalar:
     try:
         return int(text)
     except ValueError:
-        pass
-    try:
-        return Fraction(text)      # handles "3/4" and decimal strings exactly
-    except ValueError:
-        raise ValueError(f"cannot parse number {text!r}")
+        return parse_rational(text)     # "3/4" and decimal strings, exactly
 
 
 def _to_float(v: Scalar) -> Scalar:
-    if isinstance(v, GaussianRational):
-        return complex(v)
-    if isinstance(v, complex):
-        return v
-    return float(v)
+    try:
+        return complex(v) if isinstance(v, (GaussianRational, complex)) else float(v)
+    except OverflowError:
+        raise ValueError(f"{v} is outside the float range") from None
 
 
 def _pair_to_scalar(re: Scalar, im: Scalar) -> Scalar:
-    if im == 0:
-        return re
-    if isinstance(re, float) or isinstance(im, float):
-        return complex(re, im)
-    return GaussianRational(re, im)
+    return re if im == 0 else GaussianRational(re, im)
 
 
 def parse_zeta(text: str, backend: str) -> ZetaElement:

@@ -129,14 +129,9 @@ def harmonic_basis(ctx: AlgebraContext, k: int) -> List[HarmonicPoly]:
             for exps in monos
         ]
     # rows: one equation per degree-(k-2) monomial, columns over degree-k monomials
-    lower = {exps: i for i, exps in enumerate(monomials_of_degree(ctx.m, k - 2))}
-    rows = [[Fraction(0)] * len(monos) for _ in lower]
-    for col, exps in enumerate(monos):
-        for i, e in enumerate(exps):
-            if e < 2:
-                continue
-            dropped = exps[:i] + (e - 2,) + exps[i + 1:]
-            rows[lower[dropped]][col] += e * (e - 1)
+    laps = [CliffordPoly.monomial(ctx, exps, 1).laplacian().terms for exps in monos]
+    rows = [[lap[low].scalar_part() if low in lap else 0 for lap in laps]
+            for low in monomials_of_degree(ctx.m, k - 2)]
     out = []
     for vec in rational_nullspace(rows, len(monos)):
         ints = _integerized(vec)

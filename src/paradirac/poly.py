@@ -1,11 +1,12 @@
 """The sparse term engine and Clifford-valued polynomials in x_1..x_m.
 
 SparseTerms stores a sum as {key -> Multivector}, zero coefficients never
-stored, and owns the whole linear structure and the one coefficient
-product; a subclass fixes only what a key is and how two keys combine in
-a product. CliffordPoly is keyed by exponent tuples and carries the
-spatial operators; the space-time container in timefn reuses them on
-each fixed time slice.
+stored, and owns the whole linear structure, the one coefficient product
+and the one set of spatial operators (partial, dirac, laplacian,
+evaluate); a subclass fixes only what a key is, how two keys combine in
+a product and how a key's spatial exponents are read and replaced.
+CliffordPoly is keyed by exponent tuples; the space-time container in
+timefn adds the time part of the key.
 
 The Multivector coefficient sits to the LEFT of the (commuting, scalar)
 monomial. All noncommutativity therefore lives inside coefficient
@@ -16,10 +17,13 @@ product itself and never need a separate rewriting pass.
 
 from __future__ import annotations
 
+import cmath
+from math import perm
 from operator import add
 from typing import Dict, Hashable, Iterator, Sequence, Tuple
 
-from .algebra import AlgebraContext, AlgebraMismatchError, Multivector
+from .algebra import (AlgebraContext, AlgebraMismatchError, Multivector,
+                      _mul_into)
 from .scalars import Scalar, is_exact
 
 Exponents = Tuple[int, ...]
@@ -44,6 +48,11 @@ class SparseTerms:
     @staticmethod
     def _split_key(key) -> Tuple[Exponents, int, Scalar]:
         """(exponents, n, lambda) of the term c x^exps t^n e^{lambda t}."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _with_exps(key, exps: Exponents):
+        """The key with its spatial exponents replaced by exps."""
         raise NotImplementedError
 
     # -- construction --------------------------------------------------------
@@ -160,34 +169,12 @@ class SparseTerms:
                 return NotImplemented
             self._check(other)
             ctx = self.ctx
-            mul_row = ctx.mul_row
             key_mul = self._key_mul
             acc: Dict[Hashable, Dict[int, Scalar]] = {}
             for ka, ca in self.terms.items():
                 ta = ca.terms
                 for kb, cb in other.terms.items():
-                    key = key_mul(ka, kb)
-                    tgt = acc.get(key)
-                    if tgt is None:
-                        tgt = acc[key] = {}
-                    for ma, va in ta.items():
-                        if ma:
-                            row = mul_row(ma)
-                            for mb, vb in cb.terms.items():
-                                mask, sign = row[mb]
-                                v = va * vb if sign > 0 else -(va * vb)
-                                s = tgt.get(mask, 0) + v
-                                if s:
-                                    tgt[mask] = s
-                                else:
-                                    tgt.pop(mask, None)
-                        else:   # scalar blade: no sign, no mask change
-                            for mb, vb in cb.terms.items():
-                                s = tgt.get(mb, 0) + va * vb
-                                if s:
-                                    tgt[mb] = s
-                                else:
-                                    tgt.pop(mb, None)
+                    _mul_into(ctx, acc.setdefault(key_mul(ka, kb), {}), ta, cb.terms)
             return self._new({key: Multivector(ctx, t)
                               for key, t in acc.items() if t})
         if isinstance(other, Multivector):
@@ -198,6 +185,59 @@ class SparseTerms:
         if isinstance(other, Multivector):
             return self.lmul(other)
         return self.scale(other)
+
+    # -- spatial operators ---------------------------------------------------
+
+    def _lowered(self, by: int, indices):
+        """Sum over i in indices of n!/(n-by)! c x^(exps - by e_i), n = exps[i]."""
+        out: Dict[Hashable, Multivector] = {}
+        for key, mv in self.terms.items():
+            exps = self._split_key(key)[0]
+            for i in indices:
+                n = exps[i]
+                if n >= by:
+                    new = self._with_exps(key, exps[:i] + (n - by,) + exps[i + 1:])
+                    self._acc(out, new, mv * perm(n, by))
+        return self._new(out)
+
+    def partial(self, i: int):
+        """Scalar derivative d/dx_{i+1} (0-based index)."""
+        return self._lowered(1, (i,))
+
+    def dirac(self):
+        """Left Dirac operator sum_i e_i d/dx_i; dirac(dirac(p)) = -laplacian(p)."""
+        ctx, split_key, with_exps = self.ctx, self._split_key, self._with_exps
+        acc: Dict[Hashable, Dict[int, Scalar]] = {}
+        for key, mv in self.terms.items():
+            exps = split_key(key)[0]
+            for i, n in enumerate(exps):
+                if n:   # blade 2 << i is e_{i+1}
+                    new = with_exps(key, exps[:i] + (n - 1,) + exps[i + 1:])
+                    _mul_into(ctx, acc.setdefault(new, {}), {2 << i: n}, mv.terms)
+        return self._new({key: Multivector(ctx, t) for key, t in acc.items() if t})
+
+    def laplacian(self):
+        return self._lowered(2, range(self.ctx.m))
+
+    def evaluate(self, point: Sequence[Scalar], t: Scalar = 0) -> Multivector:
+        """Value at x = point and time t (complex once some lambda != 0)."""
+        if len(point) != self.ctx.m:
+            raise ValueError(f"point has {len(point)} coordinates, expected {self.ctx.m}")
+        split_key = self._split_key
+        out: Dict[int, Scalar] = {}
+        for key, mv in self.terms.items():
+            exps, n, lam = split_key(key)
+            w: Scalar = 1
+            for x, d in zip(point, exps):
+                if d:
+                    w = w * x ** d
+            if n:
+                w = w * t ** n
+            if lam != 0:
+                w = complex(w) * cmath.exp(complex(lam) * complex(t))
+            if w != 0:      # a zero weight would only add zeros
+                _mul_into(self.ctx, out, {0: w}, mv.terms)
+        return Multivector(self.ctx, out)
 
 
 class CliffordPoly(SparseTerms):
@@ -212,6 +252,10 @@ class CliffordPoly(SparseTerms):
     @staticmethod
     def _split_key(key: Exponents):
         return key, 0, 0
+
+    @staticmethod
+    def _with_exps(key: Exponents, exps: Exponents) -> Exponents:
+        return exps
 
     # -- constructors ---------------------------------------------------------
 
@@ -241,49 +285,6 @@ class CliffordPoly(SparseTerms):
 
     # -- operators ---------------------------------------------------------------
 
-    def partial(self, i: int) -> "CliffordPoly":
-        """Scalar derivative d/dx_{i+1} (0-based index)."""
-        out: Dict[Exponents, Multivector] = {}
-        for exps, mv in self.terms.items():
-            n = exps[i]
-            if n:
-                self._acc(out, exps[:i] + (n - 1,) + exps[i + 1:], mv * n)
-        return CliffordPoly(self.ctx, out)
-
-    def dirac(self) -> "CliffordPoly":
-        """Left Dirac operator sum_i e_i d/dx_i; dirac(dirac(p)) = -laplacian(p)."""
-        ctx = self.ctx
-        rows = [ctx.mul_row(1 << (i + 1)) for i in range(ctx.m)]  # e_{i+1} rows
-        acc: Dict[Exponents, Dict[int, Scalar]] = {}
-        for exps, mv in self.terms.items():
-            for i, n in enumerate(exps):
-                if not n:
-                    continue
-                new = exps[:i] + (n - 1,) + exps[i + 1:]
-                tgt = acc.get(new)
-                if tgt is None:
-                    tgt = acc[new] = {}
-                row = rows[i]
-                for mask, v in mv.terms.items():
-                    pmask, sign = row[mask]
-                    w = v * n if sign > 0 else -(v * n)
-                    s = tgt.get(pmask, 0) + w
-                    if s:
-                        tgt[pmask] = s
-                    else:
-                        tgt.pop(pmask, None)
-        out = {e: Multivector(ctx, t) for e, t in acc.items() if t}
-        return CliffordPoly(ctx, out)
-
-    def laplacian(self) -> "CliffordPoly":
-        out: Dict[Exponents, Multivector] = {}
-        for exps, mv in self.terms.items():
-            for i, n in enumerate(exps):
-                if n > 1:
-                    self._acc(out, exps[:i] + (n - 2,) + exps[i + 1:],
-                              mv * (n * (n - 1)))
-        return CliffordPoly(self.ctx, out)
-
     def euler(self) -> "CliffordPoly":
         """Euler operator sum_i x_i d/dx_i; multiplies each term by its degree."""
         out = {}
@@ -298,18 +299,6 @@ class CliffordPoly(SparseTerms):
         """Drop every monomial of degree above max_degree."""
         return CliffordPoly(self.ctx, {exps: mv for exps, mv in self.terms.items()
                                        if sum(exps) <= max_degree})
-
-    def evaluate(self, point: Sequence[Scalar]) -> Multivector:
-        if len(point) != self.ctx.m:
-            raise ValueError(f"point has {len(point)} coordinates, expected {self.ctx.m}")
-        total = self.ctx.zero()
-        for exps, mv in self.terms.items():
-            w: Scalar = 1
-            for x, n in zip(point, exps):
-                if n:
-                    w = w * x ** n
-            total = total + mv * w
-        return total
 
 
 def vector_variable(ctx: AlgebraContext) -> CliffordPoly:

@@ -8,6 +8,7 @@ for floating sweeps. GaussianRational supplies the exact complex domain
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from typing import Union
@@ -137,3 +138,21 @@ def is_exact(value: Scalar) -> bool:
     """True when the scalar lives in an exact domain (no rounding)."""
     return isinstance(value, (int, Fraction, GaussianRational))
 
+
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Exact value of a "p/q" or decimal string such as "-1.5e3".
+
+    Fraction builds 10**exponent exactly, so an exponent beyond
+    sys.get_int_max_str_digits(), the digit limit of int(), is refused.
+    """
+    exp = _DECIMAL_EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    if exp and limit and abs(int(exp.group(1))) > limit:
+        raise ValueError(f"decimal exponent of {text!r} exceeds {limit}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse number {text!r}") from None

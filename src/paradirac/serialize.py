@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .algebra import AlgebraContext, Multivector
 from .builders import SeriesSolution
-from .scalars import GaussianRational, Scalar
+from .scalars import GaussianRational, Scalar, parse_rational
 from .timefn import SpaceTimeFunction
 from .verify import CheckReport, ResidualReport
 from .zeta import ZetaElement
@@ -56,10 +56,7 @@ def encode_scalar(v: Scalar) -> List[Union[int, float, str]]:
 
 def _decode_part(raw) -> Scalar:
     if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in scalar part {raw!r}") from None
+        return parse_rational(raw)
     if isinstance(raw, (int, float)):
         return raw
     raise ValueError(f"bad scalar part {raw!r}")
@@ -96,21 +93,22 @@ def _decode_zeta(raw) -> Optional[ZetaElement]:
                          for part in "abcd"))
 
 
-def _lambda_sort_key(lam) -> Tuple[float, float]:
+def _term_order(item) -> tuple:
+    (exps, n, lam), _ = item
     c = complex(lam)
-    return (c.real, c.imag)
+    return exps, n, c.real, c.imag
+
+
+def _term_rows(F: SpaceTimeFunction) -> List[dict]:
+    """One {exponents, n, lambda, blades} row per term, terms and blades sorted."""
+    label = F.ctx.blade_label
+    return [{"exponents": list(exps), "n": n, "lambda": encode_scalar(lam),
+             "blades": [[label(mask), encode_scalar(val)]
+                        for mask, val in sorted(mv.terms.items())]}
+            for (exps, n, lam), mv in sorted(F.terms.items(), key=_term_order)]
 
 
 def solution_to_dict(sol: SeriesSolution) -> dict:
-    body = sol.body
-    term_rows = []
-    for (exps, n, lam), mv in body.terms.items():
-        blades = [[body.ctx.blade_label(mask), encode_scalar(val)]
-                  for mask, val in sorted(mv.terms.items())]
-        term_rows.append({"exponents": list(exps), "n": n,
-                          "lambda": encode_scalar(lam), "blades": blades})
-    term_rows.sort(key=lambda row: (row["exponents"], row["n"],
-                                    _lambda_sort_key(decode_scalar(row["lambda"]))))
     extra = {}
     for key, val in sol.extra.items():
         if isinstance(val, (complex, GaussianRational, Fraction)):
@@ -127,7 +125,7 @@ def solution_to_dict(sol: SeriesSolution) -> dict:
         "exact": sol.exact,
         "zeta": _encode_zeta(sol.zeta),
         "extra": extra,
-        "terms": term_rows,
+        "terms": _term_rows(sol.body),
     }
 
 
@@ -218,16 +216,7 @@ def residual_report_to_dict(rep: ResidualReport,
         R = rep.residual_poly
         residual = {"is_zero": R.is_zero(), "n_terms": len(R.terms)}
         if 0 < len(R.terms) <= max_terms:
-            rows = []
-            for (exps, n, lam), mv in sorted(
-                    R.terms.items(),
-                    key=lambda kv: (kv[0][0], kv[0][1],
-                                    _lambda_sort_key(kv[0][2]))):
-                blades = [[R.ctx.blade_label(mask), encode_scalar(val)]
-                          for mask, val in sorted(mv.terms.items())]
-                rows.append({"exponents": list(exps), "n": n,
-                             "lambda": encode_scalar(lam), "blades": blades})
-            residual["terms"] = rows
+            residual["terms"] = _term_rows(R)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "residual_report",

@@ -8,15 +8,14 @@ nonnegative powers of s to the profile.
 
 SpaceTimeFunction combines the spatial polynomial engine with that time
 class: terms are indexed by (exponents, n, lambda) with a left
-Multivector coefficient.  It applies the CliffordPoly Dirac, Laplace and
-partial operators to each fixed-(n, lambda) slice and owns d/dt; the
-parabolic operator D = d_x + f d_t + fdag is built from them.
-TimeFunction is its x-independent slice.
+Multivector coefficient.  It shares the Dirac, Laplace and partial
+operators of the engine and owns d/dt; the parabolic operator
+D = d_x + f d_t + fdag is built from them.  TimeFunction is its
+x-independent slice.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from operator import add
 from typing import Dict, Sequence, Tuple
@@ -25,7 +24,6 @@ from .algebra import AlgebraContext, Multivector, split, witt_basis
 from .poly import CliffordPoly, SparseTerms, rho_powers
 from .scalars import Scalar
 
-TimeKey = Tuple[int, Scalar]          # (n, lambda)
 SpaceTimeKey = Tuple[Tuple[int, ...], int, Scalar]
 
 
@@ -58,6 +56,10 @@ class SpaceTimeFunction(SparseTerms):
     def _split_key(key: SpaceTimeKey) -> SpaceTimeKey:
         return key
 
+    @staticmethod
+    def _with_exps(key: SpaceTimeKey, exps) -> SpaceTimeKey:
+        return exps, key[1], key[2]
+
     @classmethod
     def from_poly(cls, p: CliffordPoly,
                   tf: "TimeFunction | None" = None) -> "SpaceTimeFunction":
@@ -83,26 +85,6 @@ class SpaceTimeFunction(SparseTerms):
 
     # -- operators ----------------------------------------------------------------
 
-    def _per_slice(self, op) -> "SpaceTimeFunction":
-        """Apply a CliffordPoly operator to every fixed-(n, lambda) slice."""
-        slices: Dict[TimeKey, dict] = {}
-        for (exps, n, lam), mv in self.terms.items():
-            slices.setdefault((n, lam), {})[exps] = mv
-        out = {}
-        for (n, lam), terms in slices.items():
-            for exps, mv in op(CliffordPoly(self.ctx, terms)).terms.items():
-                out[(exps, n, lam)] = mv
-        return self._new(out)
-
-    def partial(self, i: int) -> "SpaceTimeFunction":
-        return self._per_slice(lambda p: p.partial(i))
-
-    def dirac(self) -> "SpaceTimeFunction":
-        return self._per_slice(CliffordPoly.dirac)
-
-    def laplacian(self) -> "SpaceTimeFunction":
-        return self._per_slice(CliffordPoly.laplacian)
-
     def d_dt(self) -> "SpaceTimeFunction":
         """Exact derivative: c t^n e^{lt} -> c n t^{n-1} e^{lt} + c l t^n e^{lt}."""
         out: Dict[SpaceTimeKey, Multivector] = {}
@@ -122,22 +104,6 @@ class SpaceTimeFunction(SparseTerms):
                 if not comp.is_zero():
                     out[key] = comp
         return tuple(self._new(d) for d in outs)
-
-    def evaluate(self, point: Sequence[Scalar], t: Scalar = 0) -> Multivector:
-        if len(point) != self.ctx.m:
-            raise ValueError(f"point has {len(point)} coordinates, expected {self.ctx.m}")
-        total = self.ctx.zero()
-        for (exps, n, lam), mv in self.terms.items():
-            w: Scalar = 1
-            for x, d in zip(point, exps):
-                if d:
-                    w = w * x ** d
-            if n:
-                w = w * t ** n
-            if lam != 0:
-                w = complex(w) * cmath.exp(complex(lam) * complex(t))
-            total = total + mv * w
-        return total
 
 
 class TimeFunction(SpaceTimeFunction):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from paradirac.algebra import (AlgebraContext, AlgebraMismatchError,
                                Multivector, split, witt_basis)
+from paradirac.scalars import GaussianRational
 
 rng = random.Random(20815)
 
@@ -85,6 +86,55 @@ def test_involution_antihomomorphism(data):
                          st.integers(-4, 4).filter(bool), max_size=3)
     u, v = (Multivector(ctx, data.draw(mv)) for _ in range(2))
     assert ((u * v).involution() - u.involution() * v.involution()).is_zero()
+
+
+def textbook_product(ctx, a, b):
+    """a * b from generator words, without the package's blade tables.
+
+    Each blade is its ascending list of generator indices (0 = eps). The
+    concatenated word is bubble-sorted, one sign flip per swap of distinct
+    generators, and then each adjacent repeat cancels to its square:
+    eps^2 = +1, e_j^2 = -1.
+    """
+    out = {}
+    for ma, va in a.terms.items():
+        for mb, vb in b.terms.items():
+            word = [i for i in range(ctx.n_gen) if ma >> i & 1]
+            word += [i for i in range(ctx.n_gen) if mb >> i & 1]
+            sign = 1
+            for end in range(len(word) - 1, 0, -1):
+                for j in range(end):
+                    if word[j] > word[j + 1]:
+                        word[j], word[j + 1] = word[j + 1], word[j]
+                        sign = -sign
+            mask, j = 0, 0
+            while j < len(word):
+                if j + 1 < len(word) and word[j] == word[j + 1]:
+                    sign *= 1 if word[j] == 0 else -1
+                    j += 2
+                else:
+                    mask |= 1 << word[j]
+                    j += 1
+            out[mask] = out.get(mask, 0) + sign * (va * vb)
+    return {mask: v for mask, v in out.items() if v != 0}
+
+
+small = st.integers(-3, 3)
+exact_scalars = st.one_of(
+    small, st.builds(Fraction, small, st.integers(1, 4)),
+    st.builds(GaussianRational, st.builds(Fraction, small, st.integers(1, 3)),
+              small))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_product_matches_textbook_oracle(data):
+    ctx = AlgebraContext(data.draw(st.integers(1, 3)))
+    n = 1 << (ctx.m + 2)
+    mv = st.dictionaries(st.integers(0, n - 1), exact_scalars.filter(bool),
+                         max_size=4)
+    a, b = (Multivector(ctx, data.draw(mv)) for _ in range(2))
+    assert (a * b).terms == textbook_product(ctx, a, b)
 
 
 def test_involution_grade_signs():

@@ -206,3 +206,40 @@ def test_eval_writes_stdout(capsys, tmp_path):
     lines = stdout.split("\n")
     assert lines[0].startswith("x1,x2,t,") and lines[-1] == ""
     assert len(lines) == 4 and "\r" not in stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "parabolic-closed", "--profile", '[{"coeff": ["1e400", 0]}]'],
+    ["--mode", "gen-monogenic", "--zeta", "1e400,0,0,1"],
+])
+def test_float_overflow_exits_2(capsys, tmp_path, argv):
+    code, _, err = run(capsys, "build", "--backend", "float", *argv,
+                       "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert "1000000000" in err and "float range" in err
+
+
+# a decimal exponent is expanded exactly, so this one would never finish
+HUGE = "1e1000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "gen-monogenic", "--zeta", f"{HUGE},0,0,1"],
+    ["--mode", "parabolic-closed", "--profile", f"poly:1,{HUGE}"],
+    ["--mode", "parabolic-closed", "--profile", f'[{{"coeff": ["-{HUGE}", 0]}}]'],
+])
+def test_huge_decimal_exponent_in_flags_exits_2(capsys, tmp_path, argv):
+    code, _, err = run(capsys, "build", *argv, "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert "exponent" in err
+
+
+def test_huge_decimal_exponent_in_solution_file_exits_2(capsys, tmp_path):
+    data = _solution_dict(capsys, tmp_path)
+    data["terms"][0]["blades"][0][1] = [HUGE.replace("e", "e-"), 0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", "--solution", str(bad))
+    assert code == 2
+    assert "exponent" in err
+

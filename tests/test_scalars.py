@@ -1,10 +1,12 @@
 import math
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paradirac.scalars import GaussianRational
+from paradirac.scalars import GaussianRational, parse_rational
 
 small_fractions = st.builds(Fraction, st.integers(-8, 8), st.sampled_from((1, 2, 3, 4, 8)))
 gaussian = st.builds(GaussianRational, small_fractions, small_fractions)
@@ -52,3 +54,17 @@ def test_gaussian_rational_equality_is_exact():
 def test_equal_lambda_keys_merge():
     d = {GaussianRational(1, 1): "a", 1 + 1j: "b", GaussianRational(2): "c", 2.0: "d"}
     assert len(d) == 2
+
+
+def test_parse_rational_is_exact_and_bounds_exponents():
+    assert parse_rational("3/4") == Fraction(3, 4)
+    assert parse_rational("-1.5e-3") == Fraction(-3, 2000)
+    bad = ["1/0", "1e", "x"]
+    limit = sys.get_int_max_str_digits()
+    if limit:       # 0 would mean the interpreter sets no limit
+        assert parse_rational(f"1e{limit}") == 10 ** limit
+        bad += [f"1e{limit + 1}", f"2.5E-{limit + 1}"]
+    for text in bad:
+        with pytest.raises(ValueError):
+            parse_rational(text)
+

@@ -195,6 +195,32 @@ def test_spacetime_dirac_matches_oracle(data):
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
+def test_spacetime_partial_laplacian_evaluate_match_oracle(data):
+    m = data.draw(st.integers(1, 3))
+    F = data.draw(spacetime(m))
+    i = data.draw(st.integers(0, m - 1))
+
+    def lowered(exps, j, by):
+        return exps[:j] + (exps[j] - by,) + exps[j + 1:]
+
+    assert F.partial(i).terms == termwise(
+        ((lowered(exps, i, 1), n, lam), mv * exps[i])
+        for (exps, n, lam), mv in F.terms.items() if exps[i])
+    assert F.laplacian().terms == termwise(
+        ((lowered(exps, j, 2), n, lam), mv * (exps[j] * (exps[j] - 1)))
+        for (exps, n, lam), mv in F.terms.items()
+        for j in range(m) if exps[j] > 1)
+    # a polynomial evaluates the same on its own and as a space-time function
+    p = CliffordPoly(F.ctx, {exps: mv for (exps, n, lam), mv in F.terms.items()
+                             if n == 0 and lam == 0})
+    point = [data.draw(st.builds(Fraction, small, st.integers(1, 3)))
+             for _ in range(m)]
+    t = data.draw(st.one_of(small, st.builds(Fraction, small, st.integers(1, 3))))
+    assert p.evaluate(point) == SpaceTimeFunction.from_poly(p).evaluate(point, t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
 def test_spacetime_product_matches_oracle(data):
     m = data.draw(st.integers(1, 3))
     F, G = data.draw(spacetime(m)), data.draw(spacetime(m))
