@@ -168,10 +168,10 @@ def _mul_into(ctx: AlgebraContext, out: Dict[int, Scalar],
              a: Dict[int, Scalar], b: Dict[int, Scalar]) -> Dict[int, Scalar]:
     """out += a * b over {blade: scalar} dicts, dropping sums that vanish.
 
-    The one blade-product loop: Multivector and SparseTerms products, the
-    Dirac operator and evaluate all multiply through it. Returns out.
-    Scalars commute, and vb * va keeps Fraction on its fast forward path
-    when a holds the ints of dirac or the floats of evaluate.
+    The one blade-product loop: Multivector and SparseTerms products and
+    the Dirac operator all multiply through it. Returns out. Scalars
+    commute, and vb * va keeps Fraction on its fast forward path when a
+    holds the ints of dirac.
     """
     rows = ctx._mul_rows
     for ma, va in a.items():

@@ -24,7 +24,7 @@ from typing import Dict, Hashable, Iterator, Sequence, Tuple
 
 from .algebra import (AlgebraContext, AlgebraMismatchError, Multivector,
                       _mul_into)
-from .scalars import Scalar, is_exact
+from .scalars import GaussianRational, Scalar, is_exact
 
 Exponents = Tuple[int, ...]
 
@@ -221,23 +221,95 @@ class SparseTerms:
 
     def evaluate(self, point: Sequence[Scalar], t: Scalar = 0) -> Multivector:
         """Value at x = point and time t (complex once some lambda != 0)."""
-        if len(point) != self.ctx.m:
-            raise ValueError(f"point has {len(point)} coordinates, expected {self.ctx.m}")
-        split_key = self._split_key
-        out: Dict[int, Scalar] = {}
-        for key, mv in self.terms.items():
-            exps, n, lam = split_key(key)
-            w: Scalar = 1
-            for x, d in zip(point, exps):
-                if d:
-                    w = w * x ** d
-            if n:
-                w = w * t ** n
-            if lam != 0:
-                w = complex(w) * cmath.exp(complex(lam) * complex(t))
-            if w != 0:      # a zero weight would only add zeros
-                _mul_into(self.ctx, out, {0: w}, mv.terms)
-        return Multivector(self.ctx, out)
+        return next(self.evaluate_many(((point, t),)))
+
+    def evaluate_many(self, points: Sequence[Tuple[Sequence[Scalar], Scalar]]
+                      ) -> Iterator[Multivector]:
+        """Values at each (point, t) pair, yielded in order as evaluated.
+
+        The terms are prepared once per call: the distinct monomials as
+        nonzero (i, d) pairs, each term's monomial, n and complex(lambda),
+        and per blade a column of (term, coefficient) in term order.  Each
+        point computes every x_i**d, t**n and exp(lambda t) once, then the
+        weight w = x^exps * t^n * e^{lambda t} of every term, with the
+        same operations in the same order as a term-by-term loop, and sums
+        each column in term order, skipping zero weights.  So a value has
+        the same bits whichever batch it is computed in.
+
+        When every coordinate and t of the batch is a float, the exact
+        coefficient of each term whose weight varies is rounded once up
+        front: c * w with a float or complex w rounds c in just that way.
+        The constant term keeps its exact coefficient.  A value beyond the
+        float range raises ValueError naming the point.
+        """
+        ctx, m = self.ctx, self.ctx.m
+        points = list(points)   # read twice: the float scan, then the values
+        floats = all(isinstance(x, float) for point, t in points for x in (*point, t))
+        pairs: Dict[Tuple[int, int], int] = {}      # (i, d) -> slot
+        monos: Dict[Exponents, int] = {}
+        mono_slots = []         # per monomial: the slots of its (i, d) pairs
+        lams: Dict[complex, int] = {}
+        rows = []               # per term: (monomial, n, lambda index or -1)
+        cols: Dict[int, list] = {}      # blade -> [(term, coefficient)]
+        for ti, (key, mv) in enumerate(self.terms.items()):
+            exps, n, lam = self._split_key(key)
+            mi = monos.setdefault(exps, len(monos))
+            if mi == len(mono_slots):
+                mono_slots.append(tuple(pairs.setdefault((i, d), len(pairs))
+                                        for i, d in enumerate(exps) if d))
+            li = lams.setdefault(complex(lam), len(lams)) if lam != 0 else -1
+            rows.append((mi, n, li))
+            varies = mono_slots[mi] or n or li >= 0
+            for mask, c in mv.terms.items():
+                cols.setdefault(mask, []).append(
+                    (ti, _rounded(c) if floats and varies and is_exact(c) else c))
+        ns = {n for _, n, _ in rows if n}
+        for point, t in points:
+            if len(point) != m:
+                raise ValueError(f"point has {len(point)} coordinates, expected {m}")
+            try:
+                xd = [point[i] ** d for i, d in pairs]
+                mono_w = []
+                for slots in mono_slots:
+                    w: Scalar = 1
+                    for j in slots:
+                        w = w * xd[j]
+                    mono_w.append(w)
+                tn = {n: t ** n for n in ns}
+                if lams:
+                    tc = complex(t)
+                    ex = [cmath.exp(lam * tc) for lam in lams]
+                weights = []
+                for mi, n, li in rows:
+                    w = mono_w[mi]
+                    if n:
+                        w = w * tn[n]
+                    if li >= 0:
+                        w = complex(w) * ex[li]
+                    weights.append(w)
+                out: Dict[int, Scalar] = {}
+                for mask, col in cols.items():
+                    s: Scalar = 0
+                    for ti, c in col:
+                        w = weights[ti]
+                        if w:
+                            s = s + c * w
+                            if not s:   # a vanished sum restarts from int 0
+                                s = 0
+                    if s:
+                        out[mask] = s
+            except OverflowError:
+                raise ValueError(f"value at x = {tuple(point)}, t = {t} is "
+                                 "outside the float range") from None
+            yield Multivector(ctx, out)
+
+
+def _rounded(c: Scalar) -> Scalar:
+    """float(c), complex(c) for a GaussianRational; c itself beyond float range."""
+    try:
+        return complex(c) if isinstance(c, GaussianRational) else float(c)
+    except OverflowError:
+        return c
 
 
 class CliffordPoly(SparseTerms):

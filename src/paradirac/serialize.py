@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
@@ -272,6 +273,9 @@ def read_points_csv(path: str, m: int) -> List[Tuple[Tuple[float, ...], float]]:
                                  f"cells, fewer than the {m} coordinates")
             xs = tuple(float(row[i]) for i in range(m))
             t = float(row[m]) if has_t and len(row) > m else 0.0
+            if not all(map(math.isfinite, (*xs, t))):
+                raise ValueError(f"points row {reader.line_num} has a "
+                                 "non-finite value")
             points.append((xs, t))
     return points
 
@@ -280,6 +284,9 @@ def write_eval_csv(sol: SeriesSolution,
                    points: Sequence[Tuple[Sequence[float], float]],
                    out: Union[str, TextIO]) -> List[str]:
     """Evaluate the solution at each point and write one row per point.
+
+    The points are evaluated in one batch, and each row is written as soon
+    as its value is computed.
 
     out is a file path or an open text stream such as sys.stdout.
     Columns: x1..xm, t, then <blade>_re,<blade>_im for every blade that
@@ -300,8 +307,7 @@ def write_eval_csv(sol: SeriesSolution,
           else contextlib.nullcontext(out)) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for point, t in points:
-            mv = sol.body.evaluate(tuple(point), t)
+        for (point, t), mv in zip(points, sol.body.evaluate_many(points)):
             row = [repr(float(c)) for c in point] + [repr(float(t))]
             for mask in masks:
                 val = complex(mv.terms.get(mask, 0))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraContext, Multivector
@@ -247,8 +248,13 @@ def dirac_residual(F: SeriesSolution, operator: Optional[str] = None,
     Truncated builds: the residual must live only at the top spatial
     degrees, and the sup-norm order across radii must match the
     truncation order (2L+k for the Helmholtz side, 2L+k+1 for the
-    first-order operator) within order_tol.
+    first-order operator) within order_tol.  The radii must be finite,
+    positive and distinct, or ValueError is raised.
     """
+    if not (all(math.isfinite(r) and r > 0 for r in radii)
+            and len(set(radii)) == len(radii)):
+        raise ValueError(f"radii must be finite, positive and distinct, "
+                         f"got {list(radii)}")
     R = symbolic_residual(F, operator)
     report = ResidualReport(mode=F.mode, exact_zero=False, residual_poly=R,
                             seed=seed)
@@ -274,15 +280,15 @@ def dirac_residual(F: SeriesSolution, operator: Optional[str] = None,
         return report
 
     dirs = unit_directions(F.ctx.m, seed=seed)
+    values = R_sig.evaluate_many([(tuple(r * c for c in d), t) for r in radii
+                                  for d in dirs for t in T_SAMPLES])
     sups: List[Tuple[float, float]] = []
     for r in radii:
         sup = 0.0
-        for d in dirs:
-            point = tuple(r * c for c in d)
-            for t in T_SAMPLES:
-                val = R_sig.evaluate(point, t).max_abs()
-                if val > sup:
-                    sup = val
+        for mv in islice(values, len(dirs) * len(T_SAMPLES)):
+            val = mv.max_abs()
+            if val > sup:
+                sup = val
         sups.append((float(r), sup))
     report.sup_norm_by_radius = sups
     # the underflow guard protects against float noise, which lives at the
@@ -332,8 +338,8 @@ def cross_check(F_a: SeriesSolution, F_b: SeriesSolution,
         points = [(tuple(0.8 * c for c in d), t) for d in dirs
                   for t in T_SAMPLES]
     worst = 0.0
-    for point, t in points:
-        val = diff.evaluate(point, t).max_abs()
+    for mv in diff.evaluate_many(points):
+        val = mv.max_abs()
         if val > worst:
             worst = val
     return worst <= tol

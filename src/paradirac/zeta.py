@@ -24,8 +24,12 @@ from .scalars import Scalar, is_exact
 BRANCH_TOL = 1e-9
 
 
-class NotInvertibleError(ZeroDivisionError):
-    """zeta has zero determinant and cannot be inverted."""
+class NotInvertibleError(ZeroDivisionError, ValueError):
+    """zeta has zero determinant and cannot be inverted.
+
+    A ValueError too: asking for the inverse of such a zeta is a malformed
+    request, which the command line reports with exit code 2.
+    """
 
 
 @dataclass(frozen=True)

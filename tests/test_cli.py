@@ -243,3 +243,43 @@ def test_huge_decimal_exponent_in_solution_file_exits_2(capsys, tmp_path):
     assert code == 2
     assert "exponent" in err
 
+
+
+def test_gen_invertible_singular_zeta_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, "build", "--mode", "gen-invertible", "--m", "2",
+                       "--k", "0", "--zeta", "0,1,0,0",
+                       "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert "det" in err
+
+
+@pytest.mark.parametrize("build, row", [
+    # x1^2 of the rho^2 terms overflows in x ** d
+    (["--mode", "gen-monogenic", "--zeta", "1,0,0,1", "--trunc", "4"], "1e200,0.5,0"),
+    # e^{t} overflows in cmath.exp
+    (["--mode", "parabolic-closed", "--profile", "exp:1", "--trunc", "4"], "0.5,0.5,1000"),
+    # non-finite cells are refused when the points are read
+    (["--mode", "parabolic-closed", "--profile", "t"], "nan,0.5,inf"),
+    (["--mode", "parabolic-closed", "--profile", "t"], "0.5,1e400,0"),
+])
+def test_eval_rejects_point_it_cannot_evaluate(capsys, tmp_path, build, row):
+    sol_path = tmp_path / "sol.json"
+    code, _, _ = run(capsys, "build", "--m", "2", "--k", "0", *build,
+                     "--out", str(sol_path))
+    assert code == 0
+    pts = tmp_path / "pts.csv"
+    pts.write_text(f"x1,x2,t\n0.5,0.5,0.5\n{row}\n")
+    code, _, err = run(capsys, "eval", "--solution", str(sol_path),
+                       "--points", str(pts), "--out", str(tmp_path / "v.csv"))
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("radii", ["1,1", "1e200,1", "1,0", "nan,1", "1,-0.5",
+                                   "inf,1"])
+def test_verify_rejects_bad_radii(capsys, radii):
+    code, _, err = run(capsys, "verify", "--mode", "gen-monogenic", "--m", "2",
+                       "--k", "0", "--zeta", "1,0,0,1", "--trunc", "8",
+                       "--radii", radii)
+    assert code == 2
+    assert "error:" in err

@@ -1,3 +1,5 @@
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -255,3 +257,100 @@ def test_d_dt_follows_termwise_rule(data):
                               if not any(exps)})
     assert isinstance(tf.d_dt(), TimeFunction)
     assert isinstance(tf * tf, TimeFunction)
+
+
+# -- batch evaluation ------------------------------------------------------------
+
+
+def per_term_value(F, point, t):
+    """A term-by-term evaluation loop; evaluate_many must match its bits."""
+    out = {}
+    for (exps, n, lam), mv in F.terms.items():
+        w = 1
+        for x, d in zip(point, exps):
+            if d:
+                w = w * x ** d
+        if n:
+            w = w * t ** n
+        if lam != 0:
+            w = complex(w) * cmath.exp(complex(lam) * complex(t))
+        if w != 0:
+            for blade, c in mv.terms.items():
+                s = out.get(blade, 0) + c * w
+                if s:
+                    out[blade] = s
+                else:
+                    out.pop(blade, None)
+    return out
+
+
+def bits(values):
+    return {blade: (type(v).__name__, repr(v)) for blade, v in values.items()}
+
+
+# full mantissas, so that reordering a product or a sum changes the last bits
+floats = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)),
+                   st.floats(-2, 2, allow_nan=False, allow_infinity=False),
+                   st.integers(-10**6, 10**6).map(lambda k: k / 487013.7))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_evaluate_many_matches_oracles(data):
+    m = data.draw(st.integers(1, 3))
+    F = data.draw(spacetime(m))
+    ctx = F.ctx
+    # exact points on the polynomial slice: a textbook sum of Multivectors
+    poly = SpaceTimeFunction(ctx, {key: mv for key, mv in F.terms.items()
+                                   if key[2] == 0})
+    exact = st.one_of(small, st.builds(Fraction, small, st.integers(1, 3)))
+    batch = data.draw(st.lists(st.tuples(st.tuples(*[exact] * m), exact),
+                               max_size=4))
+    for (point, t), got in zip(batch, poly.evaluate_many(batch), strict=True):
+        expect = ctx.zero()
+        for (exps, n, _), mv in poly.terms.items():
+            expect = expect + mv * (math.prod(x ** a for x, a in zip(point, exps))
+                                    * t ** n)
+        assert got == expect
+        assert bits(got.terms) == bits(per_term_value(poly, point, t))
+    # float points, on exact, Gaussian, float and exponential bodies
+    body = data.draw(st.sampled_from((F, F.scale(0.7), F.scale(1 + 0.5j))))
+    batch = data.draw(st.lists(st.tuples(st.tuples(*[floats] * m), floats),
+                               max_size=4))
+    for (point, t), got in zip(batch, body.evaluate_many(batch), strict=True):
+        assert bits(got.terms) == bits(per_term_value(body, point, t))
+        assert bits(body.evaluate(point, t).terms) == bits(got.terms)
+
+
+def test_evaluate_many_edge_cases():
+    ctx = AlgebraContext(2)
+    # 1/3 + 2 x1 e1 + (1+i)/2 t x2^2
+    F = SpaceTimeFunction(ctx, {
+        ((0, 0), 0, 0): ctx.scalar(Fraction(1, 3)),
+        ((1, 0), 0, 0): ctx.e(1) * 2,
+        ((0, 2), 1, 0): ctx.scalar(GaussianRational(Fraction(1, 2), Fraction(1, 2)))})
+    batch = [((0.5, -0.25), 0.75), ((0.0, 0.0), 0.0)]
+    at_float, origin = F.evaluate_many(batch)
+    assert bits(at_float.terms) == bits(per_term_value(F, *batch[0]))
+    # the origin of a float batch keeps the exact constant coefficient
+    assert bits(origin.terms) == {0: ("Fraction", "Fraction(1, 3)")}
+    # a Fraction point in a float batch stays exact
+    q = ((Fraction(1, 2), Fraction(-1, 3)), Fraction(2))
+    *_, exact = F.evaluate_many(batch + [q])
+    assert exact.is_exact()
+    assert bits(exact.terms) == bits(per_term_value(F, *q))
+    assert list(F.evaluate_many([])) == []
+    assert list(F.evaluate_many(iter(batch))) == [at_float, origin]
+    # a sum that vanishes part way restarts from int 0, as a fresh sum would
+    G = SpaceTimeFunction(ctx, {((1, 0), 0, 0): ctx.scalar(Fraction(1, 2)),
+                                ((2, 0), 0, 0): ctx.scalar(Fraction(-1, 2)),
+                                ((3, 0), 0, 0): ctx.scalar(3)})
+    assert bits(G.evaluate((1, 0), 0).terms) == {0: ("int", "3")}
+    # the weight multiplies x_1^2, x_2 and x_3 in that order
+    ctx3 = AlgebraContext(3)
+    H = SpaceTimeFunction(ctx3, {((2, 1, 1), 0, 0): ctx3.one()})
+    assert H.evaluate((0.3, 0.7, 0.11), 0.0).terms == {0: 0.3 ** 2 * 0.7 * 0.11}
+    with pytest.raises(ValueError):
+        list(F.evaluate_many([((0.5,), 0.0)]))
+    with pytest.raises(ValueError):
+        F.evaluate((0.5, 0.5, 0.5), 0.0)
