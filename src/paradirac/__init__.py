@@ -15,8 +15,7 @@ from .scalars import GaussianRational
 from .serialize import (load_solution, residual_report_to_dict, save_report,
                         save_solution, solution_from_dict, solution_to_dict)
 from .timefn import (SpaceTimeFunction, TimeFunction, apply_0F1,
-                     assemble_split, heat_residual, parabolic_dirac,
-                     pochhammer)
+                     assemble_split, heat_residual, parabolic_dirac)
 from .verify import (CheckReport, ResidualReport, check_component_conditions,
                      check_factorization, cross_check, dirac_residual,
                      estimate_order, perturb_component, symbolic_residual)
@@ -31,7 +30,7 @@ __all__ = [
     "CliffordPoly", "rho_squared", "vector_variable",
     "GaussianRational",
     "TimeFunction", "SpaceTimeFunction", "apply_0F1", "assemble_split",
-    "heat_residual", "parabolic_dirac", "pochhammer",
+    "heat_residual", "parabolic_dirac",
     "HarmonicPoly", "MonogenicPoly", "harmonic_basis", "harmonic_dimension",
     "integer_rescale", "monogenic_basis", "monogenic_decompose",
     "ZetaElement", "PowerSeries", "NotInvertibleError", "series_eval",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import AlgebraContext, Multivector, witt_basis
+from .algebra import AlgebraContext, witt_basis
 from .harmonics import HarmonicPoly, MonogenicPoly
 from .poly import CliffordPoly, rho_powers, vector_variable
 from .timefn import SpaceTimeFunction, TimeFunction, apply_0F1, assemble_split
@@ -299,7 +299,7 @@ def parabolic_from_generalized(M: MonogenicPoly, lam: Union[int, float, complex]
     z = ZetaElement(0, lam, 1, 0)
     gen = build_generalized(M, z, L, form="monogenic")
     profile = TimeFunction.term(ctx, 1, n=0, lam=lam)
-    body = gen.body.mul_time(profile)
+    body = gen.body * profile
     exact = False
     return SeriesSolution(body=body, mode="parabolic-closed", m=ctx.m,
                           k=M.degree, L=L, exact=exact, zeta=z,

@@ -2,7 +2,7 @@
 
     paradirac algebra-check [--m 3] [--trials 500] [--seed 0] [--out report.json]
     paradirac build --mode parabolic-closed --m 2 --k 0 --profile t --out sol.json
-    paradirac verify --solution sol.json [--radii 1,0.5,0.25] [--out report.json]
+    paradirac verify --solution sol.json [--radii 1,0.5,0.25] [--seed 0] [--out report.json]
     paradirac eval --solution sol.json --points pts.csv [--out vals.csv]
 
 Exit code 0 means every requested check passed; 1 means a check failed;
@@ -360,7 +360,6 @@ def _add_build_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", choices=("exact", "float"), default="exact")
     p.add_argument("--radial", choices=("direct", "sylvester"), default="direct",
                    help="radial weight evaluation (helmholtz mode)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output path")
 
 
@@ -387,6 +386,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_build_flags(p_verify)
     p_verify.add_argument("--radii", default="1,0.5,0.25")
     p_verify.add_argument("--order-tol", type=float, default=0.2)
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate a solution on a CSV of points")

@@ -113,11 +113,6 @@ def rational_nullspace(rows: Sequence[Sequence[Fraction]], n_cols: int) -> List[
     return basis
 
 
-def _integerized(values: Sequence[Fraction]) -> List[int]:
-    denom = lcm(*(v.denominator for v in values)) if values else 1
-    return [int(v * denom) for v in values]
-
-
 def harmonic_basis(ctx: AlgebraContext, k: int) -> List[HarmonicPoly]:
     """Integer-coefficient basis of the degree-k scalar harmonics."""
     if k < 0:
@@ -134,12 +129,9 @@ def harmonic_basis(ctx: AlgebraContext, k: int) -> List[HarmonicPoly]:
             for low in monomials_of_degree(ctx.m, k - 2)]
     out = []
     for vec in rational_nullspace(rows, len(monos)):
-        ints = _integerized(vec)
-        terms = {
-            exps: ctx.scalar(c)
-            for exps, c in zip(monos, ints) if c
-        }
-        out.append(HarmonicPoly(CliffordPoly(ctx, terms), k))
+        # vec has a 1 in its free slot, so the rescale only clears denominators
+        terms = {exps: ctx.scalar(c) for exps, c in zip(monos, vec) if c}
+        out.append(HarmonicPoly(integer_rescale(CliffordPoly(ctx, terms)), k))
     return out
 
 
@@ -205,47 +197,16 @@ def integer_rescale(p: CliffordPoly) -> CliffordPoly:
     return CliffordPoly(p.ctx, out)
 
 
-def _coeff_vector(p: CliffordPoly, columns: List[Tuple[Tuple[int, ...], int]]) -> List[Fraction]:
-    index = {key: i for i, key in enumerate(columns)}
-    vec = [Fraction(0)] * len(columns)
-    for exps, mv in p.terms.items():
-        for mask, v in mv.terms.items():
-            vec[index[(exps, mask)]] = Fraction(v)
-    return vec
-
-
 def monogenic_basis(ctx: AlgebraContext, k: int) -> List[MonogenicPoly]:
-    """Linearly independent spanning set of degree-k spherical monogenics.
+    """Basis of the degree-k spherical monogenics: the nonzero heads M_k.
 
-    Decomposes every degree-k harmonic and keeps the monogenic heads that
-    are independent over the rationals (rank test by incremental
-    elimination on vectorized coefficients).
+    The head M_k of a degree-k harmonic h is h for k = 0 and has scalar
+    part (m + k - 2) / (m + 2k - 2) * h for k >= 1, so the nonzero heads
+    are independent as the harmonics are; they all vanish for m = 1, k = 1.
     """
-    if k == 0:
-        return [MonogenicPoly(CliffordPoly.constant(ctx, 1), 0)]
     heads = []
     for h in harmonic_basis(ctx, k):
         mk, _ = monogenic_decompose(h)
         if not mk.poly.is_zero():
-            heads.append(integer_rescale(mk.poly))
-    columns = sorted({
-        (exps, mask)
-        for p in heads
-        for exps, mv in p.terms.items()
-        for mask in mv.terms
-    })
-    kept: List[MonogenicPoly] = []
-    reduced: List[Tuple[int, List[Fraction]]] = []  # (pivot index, normalized row)
-    for p in heads:
-        vec = _coeff_vector(p, columns)
-        for piv, row in reduced:
-            if vec[piv]:
-                f = vec[piv]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        piv = next((i for i, v in enumerate(vec) if v), None)
-        if piv is None:
-            continue  # dependent on earlier heads
-        inv = 1 / vec[piv]
-        reduced.append((piv, [v * inv for v in vec]))
-        kept.append(MonogenicPoly(p, k))
-    return kept
+            heads.append(MonogenicPoly(integer_rescale(mk.poly), k))
+    return heads

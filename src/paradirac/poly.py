@@ -240,7 +240,7 @@ class SparseTerms:
         coefficient of each term whose weight varies is rounded once up
         front: c * w with a float or complex w rounds c in just that way.
         The constant term keeps its exact coefficient.  A value beyond the
-        float range raises ValueError naming the point.
+        float range, or not finite, raises ValueError naming the point.
         """
         ctx, m = self.ctx, self.ctx.m
         points = list(points)   # read twice: the float scan, then the values
@@ -298,6 +298,10 @@ class SparseTerms:
                                 s = 0
                     if s:
                         out[mask] = s
+                # a float product can leave the range without raising
+                if not all(cmath.isfinite(v) for v in out.values()
+                           if isinstance(v, (float, complex))):
+                    raise OverflowError
             except OverflowError:
                 raise ValueError(f"value at x = {tuple(point)}, t = {t} is "
                                  "outside the float range") from None

@@ -29,6 +29,8 @@ SCHEMA_VERSION = 1
 # largest spatial dimension a solution file may declare; it is checked
 # before an algebra context is built for it
 MAX_M = 64
+# a residual report lists the residual's terms only up to this many
+MAX_REPORT_TERMS = 500
 
 
 # -- scalar encoding ----------------------------------------------------------
@@ -197,9 +199,7 @@ def solution_from_dict(data: dict) -> SeriesSolution:
 
 
 def save_solution(sol: SeriesSolution, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(solution_to_dict(sol), fh, indent=1)
-        fh.write("\n")
+    save_report(solution_to_dict(sol), path)
 
 
 def load_solution(path: str) -> SeriesSolution:
@@ -210,13 +210,12 @@ def load_solution(path: str) -> SeriesSolution:
 # -- reports -------------------------------------------------------------
 
 
-def residual_report_to_dict(rep: ResidualReport,
-                            max_terms: int = 500) -> dict:
+def residual_report_to_dict(rep: ResidualReport) -> dict:
     residual = None
     if rep.residual_poly is not None:
         R = rep.residual_poly
         residual = {"is_zero": R.is_zero(), "n_terms": len(R.terms)}
-        if 0 < len(R.terms) <= max_terms:
+        if 0 < len(R.terms) <= MAX_REPORT_TERMS:
             residual["terms"] = _term_rows(R)
     return {
         "schema_version": SCHEMA_VERSION,

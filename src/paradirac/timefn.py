@@ -27,16 +27,6 @@ from .scalars import Scalar
 SpaceTimeKey = Tuple[Tuple[int, ...], int, Scalar]
 
 
-def pochhammer(a: Scalar, k: int):
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1."""
-    if k < 0:
-        raise ValueError("pochhammer needs k >= 0")
-    out = 1
-    for j in range(k):
-        out = out * (a + j)
-    return out
-
-
 def _norm_lambda(lam: Scalar) -> Scalar:
     # canonical zero so polynomial and exponential keys never alias
     return lam if lam else 0
@@ -66,10 +56,6 @@ class SpaceTimeFunction(SparseTerms):
         """p(x) * a(t); with tf omitted the profile is the constant 1."""
         F = cls(p.ctx, {(exps, 0, 0): mv for exps, mv in p.terms.items()})
         return F if tf is None else F * tf
-
-    def mul_time(self, tf: "TimeFunction") -> "SpaceTimeFunction":
-        """Right product with a time profile (time scalars commute)."""
-        return self * tf
 
     # -- inspection --------------------------------------------------------
 

@@ -32,6 +32,8 @@ JUNK_REL = 1e-12
 NOISE_REL = 1e-13
 
 T_SAMPLES = (0.0, 0.5)
+# seeded gaussian directions sampled beside the axes and the diagonal
+N_RANDOM = 6
 
 
 @dataclass
@@ -94,8 +96,8 @@ def random_spacetime_poly(ctx: AlgebraContext, rng: random.Random,
 # -- component conditions ------------------------------------------------------
 
 
-def check_component_conditions(F: Union[SeriesSolution, SpaceTimeFunction],
-                               tol: float = 0.0) -> CheckReport:
+def check_component_conditions(
+        F: Union[SeriesSolution, SpaceTimeFunction]) -> CheckReport:
     """Split-form conditions equivalent to D F = 0, tested both ways.
 
     cond_f1: F1 = -d_x F0;  cond_f3: F3 = d_x F2 - F0;
@@ -104,17 +106,13 @@ def check_component_conditions(F: Union[SeriesSolution, SpaceTimeFunction],
     equivalence held (it must, whichever side is true).
     """
     body = F.body if isinstance(F, SeriesSolution) else F
-
-    def negligible(G: SpaceTimeFunction) -> bool:
-        return G.is_zero() or (tol > 0 and G.max_abs() <= tol)
-
     f0, f1, f2, f3 = body.split()
-    cond_f1 = negligible(f1 + f0.dirac())
-    cond_f3 = negligible(f3 - f2.dirac() + f0)
-    heat_f0 = negligible(heat_residual(f0))
-    heat_f2 = negligible(heat_residual(f2))
+    cond_f1 = (f1 + f0.dirac()).is_zero()
+    cond_f3 = (f3 - f2.dirac() + f0).is_zero()
+    heat_f0 = heat_residual(f0).is_zero()
+    heat_f2 = heat_residual(f2).is_zero()
     conditions = cond_f1 and cond_f3 and heat_f0 and heat_f2
-    dirac_zero = negligible(parabolic_dirac(body))
+    dirac_zero = parabolic_dirac(body).is_zero()
     return CheckReport(
         name="component-conditions",
         passed=conditions and dirac_zero,
@@ -140,10 +138,9 @@ def perturb_component(F: SeriesSolution, slot: int, exps: Sequence[int],
 # -- residual machinery ----------------------------------------------------
 
 
-def symbolic_residual(F: SeriesSolution,
-                      operator: Optional[str] = None) -> SpaceTimeFunction:
-    """Apply the operator matching F.mode (or the override) to the body."""
-    op = operator or _infer_operator(F.mode)
+def symbolic_residual(F: SeriesSolution) -> SpaceTimeFunction:
+    """Apply the operator matching F.mode to the body."""
+    op = _infer_operator(F.mode)
     body = F.body
     if op == "parabolic":
         return parabolic_dirac(body)
@@ -151,12 +148,10 @@ def symbolic_residual(F: SeriesSolution,
         if F.zeta is None:
             raise ValueError("generalized residual needs zeta metadata")
         return body.dirac() + body.lmul(F.zeta.to_multivector(F.ctx))
-    if op == "helmholtz":
-        if F.zeta is None:
-            raise ValueError("helmholtz residual needs zeta metadata")
-        sz = F.zeta.star_zeta().to_multivector(F.ctx)
-        return body.laplacian() + body.lmul(sz)
-    raise ValueError(f"unknown operator {op!r}")
+    if F.zeta is None:
+        raise ValueError("helmholtz residual needs zeta metadata")
+    sz = F.zeta.star_zeta().to_multivector(F.ctx)
+    return body.laplacian() + body.lmul(sz)
 
 
 def _infer_operator(mode: str) -> str:
@@ -169,9 +164,8 @@ def _infer_operator(mode: str) -> str:
     raise ValueError(f"cannot infer operator for mode {mode!r}")
 
 
-def unit_directions(m: int, seed: int = 0,
-                    n_random: int = 6) -> List[Tuple[float, ...]]:
-    """Axis directions, the diagonal, and seeded gaussian directions."""
+def unit_directions(m: int, seed: int = 0) -> List[Tuple[float, ...]]:
+    """Axis directions, the diagonal, and N_RANDOM seeded gaussian directions."""
     dirs: List[Tuple[float, ...]] = []
     for i in range(m):
         axis = [0.0] * m
@@ -182,7 +176,7 @@ def unit_directions(m: int, seed: int = 0,
         dirs.append(tuple(axis))
     dirs.append(tuple(1.0 / math.sqrt(m) for _ in range(m)))
     rng = random.Random(seed)
-    while len(dirs) < 2 * m + 1 + n_random:
+    while len(dirs) < 2 * m + 1 + N_RANDOM:
         v = [rng.gauss(0.0, 1.0) for _ in range(m)]
         norm = math.sqrt(sum(c * c for c in v))
         if norm > 1e-6:
@@ -228,18 +222,7 @@ def _drop_junk(R: SpaceTimeFunction, noise_floor: float) -> SpaceTimeFunction:
                                      if mv.max_abs() > cut})
 
 
-def _expected_order(F: SeriesSolution) -> Optional[float]:
-    ks = F.k if isinstance(F.k, tuple) else (F.k,)
-    k_min = min(ks)
-    op = _infer_operator(F.mode)
-    if op == "helmholtz":
-        return float(2 * F.L + k_min)
-    if op == "generalized":
-        return float(2 * F.L + k_min + 1)
-    return None
-
-
-def dirac_residual(F: SeriesSolution, operator: Optional[str] = None,
+def dirac_residual(F: SeriesSolution,
                    radii: Sequence[float] = (1.0, 0.5, 0.25),
                    seed: int = 0, order_tol: float = 0.2) -> ResidualReport:
     """Residual of the mode's operator applied to F.
@@ -249,13 +232,17 @@ def dirac_residual(F: SeriesSolution, operator: Optional[str] = None,
     degrees, and the sup-norm order across radii must match the
     truncation order (2L+k for the Helmholtz side, 2L+k+1 for the
     first-order operator) within order_tol.  The radii must be finite,
-    positive and distinct, or ValueError is raised.
+    positive and distinct, and at least two for a truncated build, which
+    fits an order to them, or ValueError is raised.
     """
     if not (all(math.isfinite(r) and r > 0 for r in radii)
             and len(set(radii)) == len(radii)):
         raise ValueError(f"radii must be finite, positive and distinct, "
                          f"got {list(radii)}")
-    R = symbolic_residual(F, operator)
+    if not F.exact and len(radii) < 2:
+        raise ValueError(f"a truncated build needs at least two radii to "
+                         f"estimate its order, got {list(radii)}")
+    R = symbolic_residual(F)
     report = ResidualReport(mode=F.mode, exact_zero=False, residual_poly=R,
                             seed=seed)
     if F.exact:
@@ -295,12 +282,14 @@ def dirac_residual(F: SeriesSolution, operator: Optional[str] = None,
     # residual's own coefficient scale; fit slopes on the normalized values
     scale = R_sig.max_abs()
     scaled = [(r, s / scale) for r, s in sups] if scale > 0 else sups
-    if len(sups) >= 2:
-        report.estimated_order = estimate_order(scaled)
+    report.estimated_order = estimate_order(scaled)
 
     support = _significant_degrees(R, noise)
     report.support_degrees = support
-    expected = _expected_order(F)
+    ks = F.k if isinstance(F.k, tuple) else (F.k,)
+    op = _infer_operator(F.mode)
+    tops = {2 * F.L + kk + (op != "helmholtz") for kk in ks}
+    expected = None if op == "parabolic" else float(min(tops))
     report.expected_order = expected
 
     if all(s < UNDERFLOW_GUARD for _, s in sups):
@@ -308,10 +297,7 @@ def dirac_residual(F: SeriesSolution, operator: Optional[str] = None,
         report.passed = True
         return report
 
-    ks = F.k if isinstance(F.k, tuple) else (F.k,)
     if expected is not None:
-        tops = {2 * F.L + kk + (0 if _infer_operator(F.mode) == "helmholtz"
-                                else 1) for kk in ks}
         support_ok = bool(support) and set(support) <= tops
         order_ok = (report.estimated_order is not None
                     and abs(report.estimated_order - expected) <= order_tol)
@@ -323,23 +309,8 @@ def dirac_residual(F: SeriesSolution, operator: Optional[str] = None,
     return report
 
 
-def cross_check(F_a: SeriesSolution, F_b: SeriesSolution,
-                points: Optional[Sequence[Tuple[Sequence[float], float]]] = None,
-                tol: float = 0.0) -> bool:
-    """Symbolic equality when both sides are exact-coefficient, else
-    max pointwise difference <= tol over the given (point, t) samples."""
+def cross_check(F_a: SeriesSolution, F_b: SeriesSolution) -> bool:
+    """Symbolic equality of the two bodies."""
     if F_a.ctx.m != F_b.ctx.m:
         raise ValueError("solutions live in different dimensions")
-    diff = F_a.body - F_b.body
-    if tol == 0.0:
-        return diff.is_zero()
-    if points is None:
-        dirs = unit_directions(F_a.ctx.m, seed=1)
-        points = [(tuple(0.8 * c for c in d), t) for d in dirs
-                  for t in T_SAMPLES]
-    worst = 0.0
-    for mv in diff.evaluate_many(points):
-        val = mv.max_abs()
-        if val > worst:
-            worst = val
-    return worst <= tol
+    return (F_a.body - F_b.body).is_zero()

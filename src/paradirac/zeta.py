@@ -183,14 +183,6 @@ class PowerSeries:
             coeffs.append(coeffs[-1] / (n * (g + n - 1)))
         return cls(coeffs)
 
-    @classmethod
-    def cosh_sqrt(cls, n_terms: int = 60) -> "PowerSeries":
-        """cosh(sqrt(w)) = sum w^n / (2n)!; a cos-like entire series."""
-        coeffs: List[Scalar] = [Fraction(1)]
-        for n in range(1, n_terms + 1):
-            coeffs.append(coeffs[-1] / ((2 * n - 1) * (2 * n)))
-        return cls(coeffs)
-
 
 def series_eval(psi: PowerSeries, z: ZetaElement, L: int) -> ZetaElement:
     """sum_{n<=L} psi_n (zeta* zeta)^n by direct Cl(1,1) powers."""

@@ -261,6 +261,9 @@ def test_gen_invertible_singular_zeta_exits_2(capsys, tmp_path):
     # non-finite cells are refused when the points are read
     (["--mode", "parabolic-closed", "--profile", "t"], "nan,0.5,inf"),
     (["--mode", "parabolic-closed", "--profile", "t"], "0.5,1e400,0"),
+    # cmath.exp(709.7) is finite but complex(w) * exp is not
+    (["--mode", "parabolic-closed", "--profile", "exp:1", "--trunc", "4",
+      "--backend", "float"], "2,2,709.7"),
 ])
 def test_eval_rejects_point_it_cannot_evaluate(capsys, tmp_path, build, row):
     sol_path = tmp_path / "sol.json"
@@ -275,8 +278,16 @@ def test_eval_rejects_point_it_cannot_evaluate(capsys, tmp_path, build, row):
     assert "error:" in err and "Traceback" not in err
 
 
+def test_verify_exact_build_accepts_one_radius(capsys):
+    code, stdout, _ = run(capsys, "verify", "--mode", "parabolic-closed",
+                          "--m", "2", "--k", "0", "--profile", "t",
+                          "--radii", "1")
+    assert code == 0
+    assert "residual identically zero" in stdout
+
+
 @pytest.mark.parametrize("radii", ["1,1", "1e200,1", "1,0", "nan,1", "1,-0.5",
-                                   "inf,1"])
+                                   "inf,1", "1"])
 def test_verify_rejects_bad_radii(capsys, radii):
     code, _, err = run(capsys, "verify", "--mode", "gen-monogenic", "--m", "2",
                        "--k", "0", "--zeta", "1,0,0,1", "--trunc", "8",

@@ -82,6 +82,49 @@ def test_monogenic_basis_counts_and_coefficients():
                             and v.re.denominator == 1)
 
 
+def _rank(polys):
+    """Rank of the polynomials' coefficient vectors, by Fraction elimination."""
+    reduced = []                # (pivot, row with 1 at the pivot)
+    for p in polys:
+        row = {(exps, mask): Fraction(v) for exps, mv in p.terms.items()
+               for mask, v in mv.terms.items()}
+        # each earlier row is 0 at the pivots before its own, so one pass
+        # in order clears every pivot
+        for piv, base in reduced:
+            f = row.get(piv)
+            if f:
+                for key, v in base.items():
+                    row[key] = row.get(key, 0) - f * v
+                    if not row[key]:
+                        del row[key]
+        if row:
+            piv = min(row)
+            reduced.append((piv, {key: v / row[piv] for key, v in row.items()}))
+    return len(reduced)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_monogenic_heads_independent_over_harmonics(m):
+    # the head of a degree-k harmonic h has scalar part
+    # (m + k - 2) / (m + 2k - 2) * h, which vanishes only for m = 1, k = 1
+    ctx = AlgebraContext(m)
+    for k in range(5):
+        harmonics = harmonic_basis(ctx, k)
+        heads = monogenic_basis(ctx, k)
+        if (m, k) == (1, 1):
+            assert heads == []
+            continue
+        assert len(heads) == len(harmonics)
+        assert _rank([M.poly for M in heads]) == len(heads)
+        for h, M in zip(harmonics, heads):
+            scalar = {exps: Fraction(mv.terms[0])
+                      for exps, mv in M.poly.terms.items() if 0 in mv.terms}
+            assert scalar.keys() == h.poly.terms.keys()
+            ratios = {v / h.poly.terms[exps].terms[0]
+                      for exps, v in scalar.items()}
+            assert len(ratios) == 1 and 0 not in ratios
+
+
 def test_integer_rescale_is_canonical():
     ctx = AlgebraContext(2)
     p = (CliffordPoly.monomial(ctx, (1, 0), Fraction(2, 3))

@@ -10,15 +10,7 @@ from paradirac.algebra import AlgebraContext, Multivector, split, witt_basis
 from paradirac.poly import CliffordPoly, rho_squared
 from paradirac.scalars import GaussianRational
 from paradirac.timefn import (SpaceTimeFunction, TimeFunction, apply_0F1,
-                              assemble_split, heat_residual, parabolic_dirac,
-                              pochhammer)
-
-
-def test_pochhammer_values():
-    assert pochhammer(3, 0) == 1
-    assert pochhammer(1, 4) == 24
-    assert pochhammer(Fraction(1, 2), 2) == Fraction(3, 4)
-    assert pochhammer(5, 3) == 5 * 6 * 7
+                              assemble_split, heat_residual, parabolic_dirac)
 
 
 def test_time_polynomial_and_derivative():
@@ -138,7 +130,7 @@ def test_mul_time_distributes():
         CliffordPoly.monomial(ctx, (1, 0), 1),
         TimeFunction.polynomial(ctx, [1, 1]))
     tf = TimeFunction.polynomial(ctx, [0, 1])
-    G = F.mul_time(tf)
+    G = F * tf
     pt, tv = [Fraction(1, 2), Fraction(1, 3)], Fraction(2)
     assert G.evaluate(pt, tv) == F.evaluate(pt, tv) * tf.evaluate(tv).scalar_part()
 
