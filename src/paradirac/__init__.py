@@ -19,8 +19,7 @@ from .timefn import (SpaceTimeFunction, TimeFunction, apply_0F1,
 from .verify import (CheckReport, ResidualReport, check_component_conditions,
                      check_factorization, cross_check, dirac_residual,
                      estimate_order, perturb_component, symbolic_residual)
-from .zeta import (NotInvertibleError, PowerSeries, ZetaElement, series_eval,
-                   sylvester_eval)
+from .zeta import NotInvertibleError, PowerSeries, ZetaElement, sylvester_eval
 
 __version__ = "0.1.0"
 
@@ -33,8 +32,7 @@ __all__ = [
     "heat_residual", "parabolic_dirac",
     "HarmonicPoly", "MonogenicPoly", "harmonic_basis", "harmonic_dimension",
     "integer_rescale", "monogenic_basis", "monogenic_decompose",
-    "ZetaElement", "PowerSeries", "NotInvertibleError", "series_eval",
-    "sylvester_eval",
+    "ZetaElement", "PowerSeries", "NotInvertibleError", "sylvester_eval",
     "SeriesSolution", "ALL_MODES", "build_parabolic_closed",
     "build_parabolic_recurrence", "build_helmholtz", "build_generalized",
     "parabolic_from_generalized",

@@ -8,6 +8,12 @@ a product and how a key's spatial exponents are read and replaced.
 CliffordPoly is keyed by exponent tuples; the space-time container in
 timefn adds the time part of the key.
 
+Exact products (*, lmul, rmul, dirac) clear one common denominator per
+operand, run the blade-product kernel on int or Gaussian-integer
+numerators and divide once per result coefficient; the stored values
+stay int, Fraction and GaussianRational.  An operand holding any float
+or complex value makes both pass through unchanged.
+
 The Multivector coefficient sits to the LEFT of the (commuting, scalar)
 monomial. All noncommutativity therefore lives inside coefficient
 products: the Dirac operator acts by left multiplication with e_i, so
@@ -24,7 +30,8 @@ from typing import Dict, Hashable, Iterator, Sequence, Tuple
 
 from .algebra import (AlgebraContext, AlgebraMismatchError, Multivector,
                       _mul_into)
-from .scalars import GaussianRational, Scalar, is_exact
+from .scalars import (GaussianRational, Scalar, _denominators, _divided,
+                      _numerators, is_exact)
 
 Exponents = Tuple[int, ...]
 
@@ -149,11 +156,26 @@ class SparseTerms:
 
     def lmul(self, mv: Multivector):
         """Left multiplication by a constant Multivector."""
-        return self._map(lambda c: mv * c)
+        return self._const_mul(mv, left=True)
 
     def rmul(self, mv: Multivector):
         """Right multiplication by a constant Multivector."""
-        return self._map(lambda c: c * mv)
+        return self._const_mul(mv, left=False)
+
+    def _const_mul(self, mv: Multivector, left: bool):
+        """mv * c (left) or c * mv for every coefficient c, on numerators."""
+        mv._check(self)
+        ctx = self.ctx
+        d_mv, d_self = _denominators((mv.terms,), (c.terms for c in self.terms.values()))
+        D = None if d_mv is None else d_mv * d_self
+        k = _numerators(mv.terms, d_mv)
+        out = {}
+        for key, c in self.terms.items():
+            nums = _numerators(c.terms, d_self)
+            t = _mul_into(ctx, {}, k, nums) if left else _mul_into(ctx, {}, nums, k)
+            if t:
+                out[key] = Multivector(ctx, _divided(t, D))
+        return self._new(out)
 
     def __truediv__(self, value: Scalar):
         return self._map(lambda c: c / value)
@@ -170,12 +192,16 @@ class SparseTerms:
             self._check(other)
             ctx = self.ctx
             key_mul = self._key_mul
+            da, db = _denominators((c.terms for c in self.terms.values()),
+                                   (c.terms for c in other.terms.values()))
+            D = None if da is None else da * db
+            b_nums = [(kb, _numerators(cb.terms, db)) for kb, cb in other.terms.items()]
             acc: Dict[Hashable, Dict[int, Scalar]] = {}
             for ka, ca in self.terms.items():
-                ta = ca.terms
-                for kb, cb in other.terms.items():
-                    _mul_into(ctx, acc.setdefault(key_mul(ka, kb), {}), ta, cb.terms)
-            return self._new({key: Multivector(ctx, t)
+                ta = _numerators(ca.terms, da)
+                for kb, tb in b_nums:
+                    _mul_into(ctx, acc.setdefault(key_mul(ka, kb), {}), ta, tb)
+            return self._new({key: Multivector(ctx, _divided(t, D))
                               for key, t in acc.items() if t})
         if isinstance(other, Multivector):
             return self.rmul(other)
@@ -207,14 +233,17 @@ class SparseTerms:
     def dirac(self):
         """Left Dirac operator sum_i e_i d/dx_i; dirac(dirac(p)) = -laplacian(p)."""
         ctx, split_key, with_exps = self.ctx, self._split_key, self._with_exps
+        (D,) = _denominators(mv.terms for mv in self.terms.values())
         acc: Dict[Hashable, Dict[int, Scalar]] = {}
         for key, mv in self.terms.items():
             exps = split_key(key)[0]
+            nums = _numerators(mv.terms, D)
             for i, n in enumerate(exps):
                 if n:   # blade 2 << i is e_{i+1}
                     new = with_exps(key, exps[:i] + (n - 1,) + exps[i + 1:])
-                    _mul_into(ctx, acc.setdefault(new, {}), {2 << i: n}, mv.terms)
-        return self._new({key: Multivector(ctx, t) for key, t in acc.items() if t})
+                    _mul_into(ctx, acc.setdefault(new, {}), {2 << i: n}, nums)
+        return self._new({key: Multivector(ctx, _divided(t, D))
+                          for key, t in acc.items() if t})
 
     def laplacian(self):
         return self._lowered(2, range(self.ctx.m))
@@ -360,16 +389,6 @@ class CliffordPoly(SparseTerms):
         return len(degs) <= 1
 
     # -- operators ---------------------------------------------------------------
-
-    def euler(self) -> "CliffordPoly":
-        """Euler operator sum_i x_i d/dx_i; multiplies each term by its degree."""
-        out = {}
-        for exps, mv in self.terms.items():
-            d = sum(exps)
-            if not d:
-                continue
-            out[exps] = mv * d
-        return CliffordPoly(self.ctx, out)
 
     def truncate_degree(self, max_degree: int) -> "CliffordPoly":
         """Drop every monomial of degree above max_degree."""

@@ -11,7 +11,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 Exact = Union[int, Fraction, "GaussianRational"]
 Scalar = Union[int, float, complex, Fraction, "GaussianRational"]
@@ -132,6 +133,106 @@ class GaussianRational:
             base = base * base
             n >>= 1
         return out
+
+
+class _GaussInt:
+    """Gaussian-integer numerator re + i im of a GaussianRational.
+
+    Only what the blade-product kernel applies to its scalars: +, unary
+    -, * and truth, mixed with plain int numerators.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __neg__(self):
+        return _GaussInt(-self.re, -self.im)
+
+    def __add__(self, other):
+        if type(other) is _GaussInt:
+            return _GaussInt(self.re + other.re, self.im + other.im)
+        return _GaussInt(self.re + other, self.im)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if type(other) is _GaussInt:
+            return _GaussInt(self.re * other.re - self.im * other.im,
+                             self.re * other.im + self.im * other.re)
+        return _GaussInt(self.re * other, self.im * other)
+
+    __rmul__ = __mul__
+
+
+def _denominators(*operands: Iterable[Dict[int, Scalar]]
+                  ) -> Tuple[Optional[int], ...]:
+    """Per operand (an iterable of {blade: scalar} dicts), the lcm of the
+    denominators of its values.
+
+    All None, so that the values pass through unchanged, as soon as any
+    value of any operand is inexact (float, complex or anything else),
+    and when every value is a plain int, which leaves nothing to clear.
+    """
+    found = []
+    for coeff_dicts in operands:
+        dens = set()
+        for coeffs in coeff_dicts:
+            for v in coeffs.values():
+                t = type(v)
+                if t is Fraction:
+                    dens.add(v.denominator)
+                elif t is GaussianRational:
+                    dens.add(v.re.denominator)
+                    dens.add(v.im.denominator)
+                elif t is not int:
+                    return (None,) * len(operands)
+        found.append(dens)
+    if not any(found):
+        return (None,) * len(operands)
+    return tuple(lcm(*dens) for dens in found)
+
+
+def _numerators(coeffs: Dict[int, Scalar], D: Optional[int]) -> Dict[int, Scalar]:
+    """{blade: D * value} as int or _GaussInt numerators; coeffs itself for D None.
+
+    D must be a common multiple of the values' denominators (_denominators).
+    """
+    if D is None:
+        return coeffs
+    out: Dict[int, Scalar] = {}
+    for mask, v in coeffs.items():
+        t = type(v)
+        if t is int:
+            out[mask] = v * D
+        elif t is Fraction:
+            out[mask] = v.numerator * (D // v.denominator)
+        else:
+            re, im = v.re, v.im
+            out[mask] = _GaussInt(re.numerator * (D // re.denominator),
+                                  im.numerator * (D // im.denominator))
+    return out
+
+
+def _divided(nums: Dict[int, Scalar], D: Optional[int]) -> Dict[int, Scalar]:
+    """{blade: numerator / D}: int for D == 1, else Fraction, and a
+    GaussianRational for a _GaussInt; nums itself for D None.
+    """
+    if D is None:
+        return nums
+    out: Dict[int, Scalar] = {}
+    for mask, n in nums.items():
+        if type(n) is _GaussInt:
+            g = out[mask] = GaussianRational.__new__(GaussianRational)
+            g.re, g.im = Fraction(n.re, D), Fraction(n.im, D)
+        else:
+            out[mask] = n if D == 1 else Fraction(n, D)
+    return out
 
 
 def is_exact(value: Scalar) -> bool:

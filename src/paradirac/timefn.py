@@ -66,9 +66,6 @@ class SpaceTimeFunction(SparseTerms):
     def max_n(self) -> int:
         return max((n for _, n, _ in self.terms), default=0)
 
-    def spatial_degrees(self):
-        return sorted({sum(key[0]) for key in self.terms})
-
     # -- operators ----------------------------------------------------------------
 
     def d_dt(self) -> "SpaceTimeFunction":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .algebra import AlgebraContext, Multivector, witt_basis
 from .scalars import Scalar, is_exact
@@ -135,20 +135,6 @@ class ZetaElement:
         f, fdag = witt_basis(ctx)
         return (f * fdag) * self.a + f * self.b + fdag * self.c + (fdag * f) * self.d
 
-    @classmethod
-    def from_multivector(cls, mv: Multivector) -> "ZetaElement":
-        """Inverse of to_multivector; requires a pure Cl(1,1) element."""
-        from .algebra import split as split_mv
-
-        parts = split_mv(mv)
-        for comp in (parts.f0, parts.f1, parts.f2, parts.f3):
-            if any(mask for mask in comp.terms):
-                raise ValueError("multivector has components outside Cl(1,1)")
-        s0 = parts.f0.scalar_part()
-        s3 = parts.f3.scalar_part()
-        # u = s0 + f s1 + fdag s2 + f fdag s3 with 1 = f fdag + fdag f
-        return cls(s0 + s3, parts.f1.scalar_part(), parts.f2.scalar_part(), s0)
-
 
 class PowerSeries:
     """psi(w) = sum_n coeffs[n] w^n; carries its own derivative series."""
@@ -166,37 +152,6 @@ class PowerSeries:
 
     def derivative(self) -> "PowerSeries":
         return PowerSeries([n * c for n, c in enumerate(self.coeffs)][1:] or [0])
-
-    @classmethod
-    def exp(cls, n_terms: int = 60) -> "PowerSeries":
-        coeffs: List[Scalar] = [Fraction(1)]
-        for n in range(1, n_terms + 1):
-            coeffs.append(coeffs[-1] / n)
-        return cls(coeffs)
-
-    @classmethod
-    def hyp0f1(cls, gamma: Scalar, n_terms: int = 60) -> "PowerSeries":
-        """0F1(gamma; w) = sum w^n / (n! (gamma)_n)."""
-        coeffs: List[Scalar] = [Fraction(1)]
-        g = Fraction(gamma) if isinstance(gamma, int) else gamma
-        for n in range(1, n_terms + 1):
-            coeffs.append(coeffs[-1] / (n * (g + n - 1)))
-        return cls(coeffs)
-
-
-def series_eval(psi: PowerSeries, z: ZetaElement, L: int) -> ZetaElement:
-    """sum_{n<=L} psi_n (zeta* zeta)^n by direct Cl(1,1) powers."""
-    if L < 0:
-        raise ValueError("truncation must be >= 0")
-    w = z.star_zeta()
-    power = ZetaElement.identity()
-    total = ZetaElement.zero()
-    for n, cn in enumerate(psi.coeffs[: L + 1]):
-        if n:
-            power = power * w
-        if cn:
-            total = total + power.scale(cn)
-    return total
 
 
 def sylvester_eval(psi: PowerSeries, z: ZetaElement) -> ZetaElement:

@@ -1,4 +1,4 @@
-"""Pinned sha256 digests of solution JSON for a fixed grid of exact builds.
+"""Pinned sha256 digests of solution and report JSON for exact builds.
 
 Each key is the argument list of one `paradirac build` run (split on
 spaces); the value is the sha256 of the file it writes.  The grid covers
@@ -8,14 +8,25 @@ Gaussian-rational, defective (one repeated, non-diagonalizable
 eigenvalue of xi) and det = 0 (except for gen-invertible).  Any change
 to a builder, a basis, the term order or the JSON encoding shows here as
 a changed digest.
+
+REPORT_DIGESTS pins, for a second grid of exact-coefficient builds
+(gen-* and helmholtz on the same four kinds of zeta, closed and
+recurrence parabolic builds; m = 1..3 with k = m - 1 and the last basis
+head; L = 3 and 5), the sha256 of the residual report JSON (the symbolic
+residual's terms and the float sup-norms sampled from it) together with,
+for parabolic builds, the component-condition report JSON.  A change to
+how residuals are computed shows here.
 """
 
 import hashlib
+import json
 
 import pytest
 
 import paradirac
-from paradirac.cli import main
+from paradirac.cli import _build_from_args, main, make_parser
+from paradirac.serialize import check_report_to_dict, residual_report_to_dict
+from paradirac.verify import check_component_conditions, dirac_residual
 
 DIGESTS = {
     '--mode parabolic-closed --m 1 --k 0 --basis-index 0 --profile poly:1,-2,1/2 --trunc 3':
@@ -317,6 +328,226 @@ DIGESTS = {
 }
 
 
+REPORT_DIGESTS = {
+    '--mode helmholtz --m 1 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 3':
+        'b92d20b096265fbc94487b441c0e95aa1606d7ca44e126ff6f15a1837ad998f0',
+    '--mode helmholtz --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
+        'bc5a1694cf5fde59e419470f502d560d9b8254b47eec1013870e896d6897133f',
+    '--mode helmholtz --m 1 --k 0 --basis-index 0 --zeta 2,1,1,0 --trunc 3':
+        '0da4e1abbbc18e7a9e2693f6fb64ab3c5bbd61d0360dc474cce965fcab0f6871',
+    '--mode helmholtz --m 1 --k 0 --basis-index 0 --zeta 1,2,1/2,1 --trunc 3':
+        '0529fa9d1762c2aaefcbb291efa6fc539b105ac10034d8d986bef78a74f6a7b7',
+    '--mode gen-monogenic --m 1 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 3':
+        '69f8a48c99e1d615eec1315948ebcf2d713ed2893ae708e964dc51423ed5292f',
+    '--mode gen-monogenic --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
+        '4ccc70e35c7ce9c06b46cf08dbc5ef776854af0a4a8fb960c8f56bb3ea5651ba',
+    '--mode gen-monogenic --m 1 --k 0 --basis-index 0 --zeta 2,1,1,0 --trunc 3':
+        '42d2a343bcbf35c0934b08cfe47b88a2cdb8d4df0ce27aab158dccd06dd190d7',
+    '--mode gen-monogenic --m 1 --k 0 --basis-index 0 --zeta 1,2,1/2,1 --trunc 3':
+        '80cab7e84b62a7467af2dfbba08538e755446307e5139dd6a530742aa2a25a28',
+    '--mode gen-factored --m 1 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 3':
+        'c12fc69063a70b8e0442ec91a9a0b9a30e72b4a982542ea254afcd8031ac3e4c',
+    '--mode gen-factored --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
+        'ace9a5354e1b1fc425dd453aa14a848ba3b7a7dce0716eff2acc3d860586d5d3',
+    '--mode gen-factored --m 1 --k 0 --basis-index 0 --zeta 2,1,1,0 --trunc 3':
+        'fd9c979579108858a788bc040e9833891b58cdbcc2f0300a3e311ef396e29f7f',
+    '--mode gen-factored --m 1 --k 0 --basis-index 0 --zeta 1,2,1/2,1 --trunc 3':
+        '37a89373ce9b1e283bd37f582baedd1824cf443b03b670b9bfbab73136562205',
+    '--mode gen-invertible --m 1 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 3':
+        'f5e2b480176f3279aa610e7ae2c4d85e04bee109bb228c6f01419bc170bdb210',
+    '--mode gen-invertible --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
+        '9bf121eeb19b585c26a871f5fdbbe294abed11e5f4aa41381b1aa7909c9ef38b',
+    '--mode gen-invertible --m 1 --k 0 --basis-index 0 --zeta 2,1,1,0 --trunc 3':
+        'dcf66f90ee28861c87cb1e2750e415d56d75be8456ab2de24379279d3071afc5',
+    '--mode parabolic-closed --m 1 --k 0 --basis-index 0 --profile poly:1,-2,1/2 --trunc 3':
+        'c7894fac150ab6508f2a54a4a3afb5e7f4b8f3db8bc30239984caa6ed537edf3',
+    '--mode parabolic-closed --m 1 --k 0 --basis-index 0 --profile exp:-1/2 --trunc 3':
+        'f90e9c512418bccd8acce3fcc2945112e2bbab460dc9568feb71fa48f40af431',
+    '--mode parabolic-recurrence --m 1 --k 0 --basis-index 0 --seeds {"a0":"t^2","b0":"poly:1,1/3","a2":"1","b2":"exp:1/2"} --trunc 3':
+        '413359bd5cea2792732256ff2cf7720e5e1fe02025b9c0ed957aed635f6d3b1a',
+    '--mode helmholtz --m 1 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 5':
+        '5d617387cfb544a0b87c1d162f27c59fc04334b1168bd2bd258cd865db4cf464',
+    '--mode helmholtz --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
+        '14715466f7b99591c9ea65719fae529dff588634395d2f346cbba4d811054206',
+    '--mode helmholtz --m 1 --k 0 --basis-index 0 --zeta 2,1,1,0 --trunc 5':
+        '2a4efadcfb988d74bedf2640236cc1647008da8ef140be7b71bdbb360cab3013',
+    '--mode helmholtz --m 1 --k 0 --basis-index 0 --zeta 1,2,1/2,1 --trunc 5':
+        '0529fa9d1762c2aaefcbb291efa6fc539b105ac10034d8d986bef78a74f6a7b7',
+    '--mode gen-monogenic --m 1 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 5':
+        '3f9f68b1e6ec9416e6fae9342488aadb834d977c5be0845771705b05252cd37d',
+    '--mode gen-monogenic --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
+        '1547a83ba5254ab3d4bac513210aa3557596d0b3a7f8e8111fa3e11189fb891c',
+    '--mode gen-monogenic --m 1 --k 0 --basis-index 0 --zeta 2,1,1,0 --trunc 5':
+        '4fe9ecc9dbecf90bc28a84516dd42221a03e9c68ac84e51444ccdc0d77a8fdbc',
+    '--mode gen-monogenic --m 1 --k 0 --basis-index 0 --zeta 1,2,1/2,1 --trunc 5':
+        '80cab7e84b62a7467af2dfbba08538e755446307e5139dd6a530742aa2a25a28',
+    '--mode gen-factored --m 1 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 5':
+        '40ae34c2afd33793f961e945c119d5534db27616ee0c0262c80750149da2ce5f',
+    '--mode gen-factored --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
+        '7f0417a5f38c579c01ae668967ee67daa486a31453cf25e8b18b4f1d492e91e8',
+    '--mode gen-factored --m 1 --k 0 --basis-index 0 --zeta 2,1,1,0 --trunc 5':
+        'e80daf6562a56cca41faaaababde1a907183e6acc75cbb1d263a767bf534a407',
+    '--mode gen-factored --m 1 --k 0 --basis-index 0 --zeta 1,2,1/2,1 --trunc 5':
+        '37a89373ce9b1e283bd37f582baedd1824cf443b03b670b9bfbab73136562205',
+    '--mode gen-invertible --m 1 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 5':
+        '86f341ac88a6432887123dcaff557e68afb049316608b233e69404c706ee3187',
+    '--mode gen-invertible --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
+        '79b40c0631cd75a8abf2b3e641faec8a320e3eb21bfdc8b7225723b735529c42',
+    '--mode gen-invertible --m 1 --k 0 --basis-index 0 --zeta 2,1,1,0 --trunc 5':
+        '174ab5c5e98adc6c04b30cf77ad267a6a7eb9c783840f59bc076286bef73f6c6',
+    '--mode parabolic-closed --m 1 --k 0 --basis-index 0 --profile poly:1,-2,1/2 --trunc 5':
+        'c7894fac150ab6508f2a54a4a3afb5e7f4b8f3db8bc30239984caa6ed537edf3',
+    '--mode parabolic-closed --m 1 --k 0 --basis-index 0 --profile exp:-1/2 --trunc 5':
+        '8a80d12468aa4e467e5f27c16b580f59100b67a1a18b1fda6f1fbbc5f4050419',
+    '--mode parabolic-recurrence --m 1 --k 0 --basis-index 0 --seeds {"a0":"t^2","b0":"poly:1,1/3","a2":"1","b2":"exp:1/2"} --trunc 5':
+        '12c7e0c63cf766e66618458dbf2eccc91bd642a10870d75c96495760606c3b78',
+    '--mode helmholtz --m 2 --k 1 --basis-index 1 --zeta 1/2,-1,3/4,2 --trunc 3':
+        'bf4d5ce9125a6c67282574860522ee00bf36264aa1280a8ded5697994370a595',
+    '--mode helmholtz --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
+        'd2545ed4140af5b160b51cca92975dd851d332523bfb31f237fbf2e3859191ed',
+    '--mode helmholtz --m 2 --k 1 --basis-index 1 --zeta 2,1,1,0 --trunc 3':
+        'e53ecc48f75cd0b289af55304608881aa8e91af7dd45c898d99eadb190d42d6e',
+    '--mode helmholtz --m 2 --k 1 --basis-index 1 --zeta 1,2,1/2,1 --trunc 3':
+        '0529fa9d1762c2aaefcbb291efa6fc539b105ac10034d8d986bef78a74f6a7b7',
+    '--mode gen-monogenic --m 2 --k 1 --basis-index 1 --zeta 1/2,-1,3/4,2 --trunc 3':
+        '1bcabd4639b439210ff1595970fdb2c194bff719cd7bd29b97d34312f1e20272',
+    '--mode gen-monogenic --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
+        'c856834a92971d97cb89850e8c4ea09ce1f2297ce84585bd35dae621ab9a8135',
+    '--mode gen-monogenic --m 2 --k 1 --basis-index 1 --zeta 2,1,1,0 --trunc 3':
+        '3d3e5e76d4802c43b8b90ff29caa662214d6db8b35debaa5ab4fa3b6a1155ce7',
+    '--mode gen-monogenic --m 2 --k 1 --basis-index 1 --zeta 1,2,1/2,1 --trunc 3':
+        '80cab7e84b62a7467af2dfbba08538e755446307e5139dd6a530742aa2a25a28',
+    '--mode gen-factored --m 2 --k 1 --basis-index 1 --zeta 1/2,-1,3/4,2 --trunc 3':
+        'dc4fd9bd0ccd7a3983ecbd568c5405da0b98d2da2e4259569c3dda178ec96bf8',
+    '--mode gen-factored --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
+        '267a5b00d166962fea5b7548802b0357d667cc10e9759337b1c0f3e0b58d32b0',
+    '--mode gen-factored --m 2 --k 1 --basis-index 1 --zeta 2,1,1,0 --trunc 3':
+        'cd1ac6b014c369251a70a80936c0c5ffbb4c780debed922db69f03e2a45cf074',
+    '--mode gen-factored --m 2 --k 1 --basis-index 1 --zeta 1,2,1/2,1 --trunc 3':
+        '37a89373ce9b1e283bd37f582baedd1824cf443b03b670b9bfbab73136562205',
+    '--mode gen-invertible --m 2 --k 1 --basis-index 1 --zeta 1/2,-1,3/4,2 --trunc 3':
+        'd1528050f39e4b6ae4ade4724ec03cf5eaee9fe993a594fae395b5fcada4a611',
+    '--mode gen-invertible --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
+        '17b4157e7d691deda5c8d48f20712573c6d041455fac6ce1d2633b808259ef7c',
+    '--mode gen-invertible --m 2 --k 1 --basis-index 1 --zeta 2,1,1,0 --trunc 3':
+        '8964bba90bcb6f6f6e934a57ce2bd20a3d64c595f540fd77327329cf836bedfc',
+    '--mode parabolic-closed --m 2 --k 1 --basis-index 1 --profile poly:1,-2,1/2 --trunc 3':
+        'c7894fac150ab6508f2a54a4a3afb5e7f4b8f3db8bc30239984caa6ed537edf3',
+    '--mode parabolic-closed --m 2 --k 1 --basis-index 1 --profile exp:-1/2 --trunc 3':
+        'd86081929a9447c9a4ecd5f3b8387491a3e19e456fdd948426a6bda6a94a3b5f',
+    '--mode parabolic-recurrence --m 2 --k 1 --basis-index 1 --seeds {"a0":"t^2","b0":"poly:1,1/3","a2":"1","b2":"exp:1/2"} --trunc 3':
+        '806f00896e67c80e122bb8388b9d9cd90105655790f4f4cb38e412732d90d176',
+    '--mode helmholtz --m 2 --k 1 --basis-index 1 --zeta 1/2,-1,3/4,2 --trunc 5':
+        '01038e1b683861702e5a5b3d46b469a236a96d445a0fcc04f6197fb1c0476f41',
+    '--mode helmholtz --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
+        '4a82088948d61bc1e30360c077a87ce564eaf3f954113ac51934ee126ee5b5b0',
+    '--mode helmholtz --m 2 --k 1 --basis-index 1 --zeta 2,1,1,0 --trunc 5':
+        '798e804f7bcd5970ca86c6aece5eed3a4a1c5d1c992bf5ba7158707ab90e539c',
+    '--mode helmholtz --m 2 --k 1 --basis-index 1 --zeta 1,2,1/2,1 --trunc 5':
+        '0529fa9d1762c2aaefcbb291efa6fc539b105ac10034d8d986bef78a74f6a7b7',
+    '--mode gen-monogenic --m 2 --k 1 --basis-index 1 --zeta 1/2,-1,3/4,2 --trunc 5':
+        '7d16b1c5f67a8ede8241c1d76db4ff43ba964a3d1b5b9ffa5cb957179a6ec7b2',
+    '--mode gen-monogenic --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
+        'f520698fb01812a99cb8ed10eb1edc75d672c7c4c5b014691ac3a395ba1b3182',
+    '--mode gen-monogenic --m 2 --k 1 --basis-index 1 --zeta 2,1,1,0 --trunc 5':
+        '4da75c3c946f27660c3303be6e55967868162231841801f224e5e4d600994a9c',
+    '--mode gen-monogenic --m 2 --k 1 --basis-index 1 --zeta 1,2,1/2,1 --trunc 5':
+        '80cab7e84b62a7467af2dfbba08538e755446307e5139dd6a530742aa2a25a28',
+    '--mode gen-factored --m 2 --k 1 --basis-index 1 --zeta 1/2,-1,3/4,2 --trunc 5':
+        'a5c11d23591a82b964d034aa8f918b041e16b31a1bdc24a7bc403fe60e22f110',
+    '--mode gen-factored --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
+        '7816487e8c1f2b6c38ee305f8b2b4c5491a1d189997213d9bcf922fefeab28fe',
+    '--mode gen-factored --m 2 --k 1 --basis-index 1 --zeta 2,1,1,0 --trunc 5':
+        '09e0dbceae20956e37d161532e89e47cc1b580c8d3f0e17e3126ae79835523d3',
+    '--mode gen-factored --m 2 --k 1 --basis-index 1 --zeta 1,2,1/2,1 --trunc 5':
+        '37a89373ce9b1e283bd37f582baedd1824cf443b03b670b9bfbab73136562205',
+    '--mode gen-invertible --m 2 --k 1 --basis-index 1 --zeta 1/2,-1,3/4,2 --trunc 5':
+        '6cc3e33a2f5d3e29d3731d15f4e85cb1d22c920b542a1cf2c45fb8d68ef1ec1d',
+    '--mode gen-invertible --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
+        '11c135e50ed6768ad01ea1f28c0c1c9ead5de4f0c63b9e67fcdf158a8c89d235',
+    '--mode gen-invertible --m 2 --k 1 --basis-index 1 --zeta 2,1,1,0 --trunc 5':
+        'e1f473bd4ab1901e64cc5873f950cec7d38b84873b8f6675522e252934166d6e',
+    '--mode parabolic-closed --m 2 --k 1 --basis-index 1 --profile poly:1,-2,1/2 --trunc 5':
+        'c7894fac150ab6508f2a54a4a3afb5e7f4b8f3db8bc30239984caa6ed537edf3',
+    '--mode parabolic-closed --m 2 --k 1 --basis-index 1 --profile exp:-1/2 --trunc 5':
+        '5f75ec66d0dc335d04cbb8fee3afaffbad0c795b1e1d0f21247e2035ad1ed7e7',
+    '--mode parabolic-recurrence --m 2 --k 1 --basis-index 1 --seeds {"a0":"t^2","b0":"poly:1,1/3","a2":"1","b2":"exp:1/2"} --trunc 5':
+        '0403a49152d0bce813b3f7da15674b4971fe932fc886d510f2852c0ee39a95ee',
+    '--mode helmholtz --m 3 --k 2 --basis-index 4 --zeta 1/2,-1,3/4,2 --trunc 3':
+        '024d381e16b7b0ed4fdae3f539de0f6ad4e8d48ab3aee8c99b5741d14ea15968',
+    '--mode helmholtz --m 3 --k 2 --basis-index 4 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
+        '9e338fa25c38d1688a74a997daa4655c587a8b5d4c34f816435f61a8281aaa96',
+    '--mode helmholtz --m 3 --k 2 --basis-index 4 --zeta 2,1,1,0 --trunc 3':
+        'a7ef5d215fcb03274c36672d8da863f81d5fa56940e38f4d906a739a4fce6028',
+    '--mode helmholtz --m 3 --k 2 --basis-index 4 --zeta 1,2,1/2,1 --trunc 3':
+        '0529fa9d1762c2aaefcbb291efa6fc539b105ac10034d8d986bef78a74f6a7b7',
+    '--mode gen-monogenic --m 3 --k 2 --basis-index 4 --zeta 1/2,-1,3/4,2 --trunc 3':
+        'ffe6ed39d32cdd098f62c46a3dded70b7d368b7c7bf713cd22f54b80c8c64c11',
+    '--mode gen-monogenic --m 3 --k 2 --basis-index 4 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
+        '01e688bad3aef4ab82c5e32aeca19fecbce67d535cb5986ca8170a9fd3d17439',
+    '--mode gen-monogenic --m 3 --k 2 --basis-index 4 --zeta 2,1,1,0 --trunc 3':
+        '68ceb7b9263ad7ca7800f806bcbdf101820ff61a242fff043b61129df8adce30',
+    '--mode gen-monogenic --m 3 --k 2 --basis-index 4 --zeta 1,2,1/2,1 --trunc 3':
+        '80cab7e84b62a7467af2dfbba08538e755446307e5139dd6a530742aa2a25a28',
+    '--mode gen-factored --m 3 --k 2 --basis-index 4 --zeta 1/2,-1,3/4,2 --trunc 3':
+        'fa2f5e86e6ed45663967eb3b90c95e19d0d4b387e7f1f65bf60169c4c9f7f1fa',
+    '--mode gen-factored --m 3 --k 2 --basis-index 4 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
+        'b8cbec8cbfa0051f86fce354430fcb33bee440490d09081ffd772c5e67a11a8a',
+    '--mode gen-factored --m 3 --k 2 --basis-index 4 --zeta 2,1,1,0 --trunc 3':
+        'b351a390a987085b5a6eded7481074b51536537aa1db8368d06211bf54ac748f',
+    '--mode gen-factored --m 3 --k 2 --basis-index 4 --zeta 1,2,1/2,1 --trunc 3':
+        '37a89373ce9b1e283bd37f582baedd1824cf443b03b670b9bfbab73136562205',
+    '--mode gen-invertible --m 3 --k 2 --basis-index 4 --zeta 1/2,-1,3/4,2 --trunc 3':
+        '6a9ed1e367c012e9195cc1bae70053a663e44165f754080522aefdeff3ddbb80',
+    '--mode gen-invertible --m 3 --k 2 --basis-index 4 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
+        'c66ad6d66c25016c94dca729a1836fb2b0a442fd06c802abb1b8d275146596c6',
+    '--mode gen-invertible --m 3 --k 2 --basis-index 4 --zeta 2,1,1,0 --trunc 3':
+        'abe97c3731a51fb2bcda5b222fda545f52439dba2ebf2c970937152cb1aabcd5',
+    '--mode parabolic-closed --m 3 --k 2 --basis-index 4 --profile poly:1,-2,1/2 --trunc 3':
+        'c7894fac150ab6508f2a54a4a3afb5e7f4b8f3db8bc30239984caa6ed537edf3',
+    '--mode parabolic-closed --m 3 --k 2 --basis-index 4 --profile exp:-1/2 --trunc 3':
+        '76cf44bd18791b98c7ccd246563ecd73cec814e83cebcc3e0545d73a909d6c82',
+    '--mode parabolic-recurrence --m 3 --k 2 --basis-index 4 --seeds {"a0":"t^2","b0":"poly:1,1/3","a2":"1","b2":"exp:1/2"} --trunc 3':
+        '8271aedc0be4bd1e805844027908d42625bc17089d029971000ee0e277f4b068',
+    '--mode helmholtz --m 3 --k 2 --basis-index 4 --zeta 1/2,-1,3/4,2 --trunc 5':
+        '6e74355a9698dc5695c07acbfed3183b6fd03ab66242093d8cb21894a2051083',
+    '--mode helmholtz --m 3 --k 2 --basis-index 4 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
+        'c14e8e58ed616dc902325372d00a5d8aad9fc5f3ee596019e888e3f532083254',
+    '--mode helmholtz --m 3 --k 2 --basis-index 4 --zeta 2,1,1,0 --trunc 5':
+        'bc146e8a378dd30c2da98c1acf5a511e5cba61b164c13db67756473b24553fe9',
+    '--mode helmholtz --m 3 --k 2 --basis-index 4 --zeta 1,2,1/2,1 --trunc 5':
+        '0529fa9d1762c2aaefcbb291efa6fc539b105ac10034d8d986bef78a74f6a7b7',
+    '--mode gen-monogenic --m 3 --k 2 --basis-index 4 --zeta 1/2,-1,3/4,2 --trunc 5':
+        '5738b6e99524e602067e188aadf4a12ff2158ef1b77fb8989050e4682b6a9073',
+    '--mode gen-monogenic --m 3 --k 2 --basis-index 4 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
+        'c1ee7e159c6a0e72af843bbe9bd0e70d103cd27cd168dc3d164adf625ea2f7f6',
+    '--mode gen-monogenic --m 3 --k 2 --basis-index 4 --zeta 2,1,1,0 --trunc 5':
+        'a417567257de42210b15bff71535a8272d1601ced94d7a6b64f3b2264c7398fa',
+    '--mode gen-monogenic --m 3 --k 2 --basis-index 4 --zeta 1,2,1/2,1 --trunc 5':
+        '80cab7e84b62a7467af2dfbba08538e755446307e5139dd6a530742aa2a25a28',
+    '--mode gen-factored --m 3 --k 2 --basis-index 4 --zeta 1/2,-1,3/4,2 --trunc 5':
+        'd07943d2f0fe70c5c3f18245d6e1a69bf44607fa270e28614b73d307ab289df1',
+    '--mode gen-factored --m 3 --k 2 --basis-index 4 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
+        'a3447b6135ff32eec9187e6621ec885ffc8746cf1313fa918d3f08fac7bc6a9b',
+    '--mode gen-factored --m 3 --k 2 --basis-index 4 --zeta 2,1,1,0 --trunc 5':
+        '5d4b2eb5167b3ae58c68a4f1e6785621ab7fa2e211a1cbab4d9454e36df6bc70',
+    '--mode gen-factored --m 3 --k 2 --basis-index 4 --zeta 1,2,1/2,1 --trunc 5':
+        '37a89373ce9b1e283bd37f582baedd1824cf443b03b670b9bfbab73136562205',
+    '--mode gen-invertible --m 3 --k 2 --basis-index 4 --zeta 1/2,-1,3/4,2 --trunc 5':
+        'abd225f19c5d7c7a194f2319dcf570681d356cdaaf615a527760f5ee92a6b7e5',
+    '--mode gen-invertible --m 3 --k 2 --basis-index 4 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
+        '84553a50e3fad33e4ec347acbe281e736e6beb8aa25cf473d20ec435e3a2e55e',
+    '--mode gen-invertible --m 3 --k 2 --basis-index 4 --zeta 2,1,1,0 --trunc 5':
+        '628580d383a0a5f244ad9d4ac12b9304524b884aa033329161f21957c6b18e18',
+    '--mode parabolic-closed --m 3 --k 2 --basis-index 4 --profile poly:1,-2,1/2 --trunc 5':
+        'c7894fac150ab6508f2a54a4a3afb5e7f4b8f3db8bc30239984caa6ed537edf3',
+    '--mode parabolic-closed --m 3 --k 2 --basis-index 4 --profile exp:-1/2 --trunc 5':
+        'ebd32b0675500f198c6389a8e0946fbe51e464810b7dec765f40b9d7de79abc9',
+    '--mode parabolic-recurrence --m 3 --k 2 --basis-index 4 --seeds {"a0":"t^2","b0":"poly:1,1/3","a2":"1","b2":"exp:1/2"} --trunc 5':
+        'b6b92e52575380f6e30064fcd07c66d09cf335cb44b09ed646fd3e074558e790',
+}
+
+
 @pytest.mark.parametrize("argv", sorted(DIGESTS))
 def test_build_output_is_pinned(argv, tmp_path):
     path = tmp_path / "sol.json"
@@ -327,3 +558,13 @@ def test_build_output_is_pinned(argv, tmp_path):
 def test_public_names_resolve():
     missing = [name for name in paradirac.__all__ if not hasattr(paradirac, name)]
     assert not missing
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS))
+def test_report_output_is_pinned(argv):
+    sol = _build_from_args(make_parser().parse_args(["build", *argv.split(" ")]))
+    out = {"residual": residual_report_to_dict(dirac_residual(sol))}
+    if sol.mode.startswith("parabolic"):
+        out["components"] = check_report_to_dict(check_component_conditions(sol))
+    text = json.dumps(out, indent=1)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[argv]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paradirac.algebra import AlgebraContext, Multivector
+from paradirac.algebra import AlgebraContext, Multivector, _mul_into, witt_basis
 from paradirac.poly import CliffordPoly, rho_squared, vector_variable
 from paradirac.scalars import GaussianRational
 
@@ -66,10 +66,16 @@ def test_vector_variable_squares_to_minus_rho2():
         assert (x * x + rho_squared(ctx)).is_zero()
 
 
+def euler(p):
+    """Euler operator sum_i x_i d/dx_i; multiplies each term by its degree."""
+    return CliffordPoly(p.ctx, {exps: mv * sum(exps)
+                                for exps, mv in p.terms.items() if sum(exps)})
+
+
 def test_euler_counts_degree():
     ctx = AlgebraContext(3)
     p = CliffordPoly.monomial(ctx, (2, 0, 1), 1)
-    assert p.euler() == p.scale(3)
+    assert euler(p) == p.scale(3)
 
 
 def test_dirac_anticommutator_with_x():
@@ -80,7 +86,7 @@ def test_dirac_anticommutator_with_x():
         for _ in range(10):
             p = random_poly(ctx)
             lhs = (x * p).dirac() + x * p.dirac()
-            rhs = -(p.euler().scale(2) + p.scale(m))
+            rhs = -(euler(p).scale(2) + p.scale(m))
             assert (lhs - rhs).is_zero()
 
 
@@ -214,3 +220,137 @@ def test_product_matches_termwise_multivector_products(data):
     for r in (a + b, a - b, a.scale(Fraction(1, 2)), a.lmul(a.ctx.e(1)),
               a.rmul(a.ctx.eps()), -a, a / 3):
         assert_clean(r)
+
+
+# -- exact products on integer numerators against per-term oracles --------------
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+SCALARS = {
+    "int": small,
+    "fraction": fractions,
+    "gaussian": st.builds(GaussianRational, fractions, fractions),
+    "float": st.builds(lambda n, d: n / d, st.integers(-6, 6), st.integers(1, 7)),
+    "complex": st.builds(lambda a, b: complex(a / 3, b / 7),
+                         st.integers(-3, 3), st.integers(-3, 3)),
+}
+SCALARS["mixed"] = st.one_of(SCALARS["int"], SCALARS["fraction"], SCALARS["gaussian"])
+SCALARS["any"] = st.one_of(SCALARS["mixed"], SCALARS["float"], SCALARS["complex"])
+EXACT_KINDS = ("int", "fraction", "gaussian", "mixed")
+INEXACT_KINDS = ("float", "complex", "any")
+
+
+@st.composite
+def multivectors(draw, ctx, kind):
+    """A few blades from a small set, so products of terms cancel often."""
+    blades = (0, 1, 2, 3, 1 << (ctx.m + 1), (1 << (ctx.m + 1)) | 1)
+    terms = {draw(st.sampled_from(blades)): draw(SCALARS[kind])
+             for _ in range(draw(st.integers(1, 3)))}
+    return Multivector(ctx, {b: v for b, v in terms.items() if v})
+
+
+@st.composite
+def bodies(draw, ctx, kind):
+    """A CliffordPoly, sometimes of the form f * c, which f annihilates."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = tuple(draw(st.integers(0, 2)) for _ in range(ctx.m))
+        mv = draw(multivectors(ctx, kind))
+        terms[exps] = terms[exps] + mv if exps in terms else mv
+    if draw(st.booleans()):
+        f = witt_basis(ctx)[0]
+        terms = {e: f * mv for e, mv in terms.items()}
+    return CliffordPoly(ctx, {e: mv for e, mv in terms.items() if not mv.is_zero()})
+
+
+@st.composite
+def multipliers(draw, ctx, kind):
+    f, fdag = witt_basis(ctx)
+    if kind in EXACT_KINDS and draw(st.booleans()):
+        return draw(st.sampled_from((f, fdag, f * fdag, fdag * f)))
+    return draw(multivectors(ctx, kind))
+
+
+def old_const_mul(p, mv, left):
+    """The per-term loop products used before numerators: mv * c or c * mv."""
+    out = {}
+    for key, c in p.terms.items():
+        s = mv * c if left else c * mv
+        if not s.is_zero():
+            out[key] = s
+    return out
+
+
+def old_product(a, b):
+    ctx = a.ctx
+    acc = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            _mul_into(ctx, acc.setdefault(key, {}), ca.terms, cb.terms)
+    return {key: Multivector(ctx, t) for key, t in acc.items() if t}
+
+
+def old_dirac(p):
+    ctx = p.ctx
+    acc = {}
+    for exps, mv in p.terms.items():
+        for i, n in enumerate(exps):
+            if n:
+                new = exps[:i] + (n - 1,) + exps[i + 1:]
+                _mul_into(ctx, acc.setdefault(new, {}), {2 << i: n}, mv.terms)
+    return {key: Multivector(ctx, t) for key, t in acc.items() if t}
+
+
+def typed(terms):
+    """Per key and blade, (type name, repr) of the coefficient."""
+    return {key: {b: (type(v).__name__, repr(v)) for b, v in mv.terms.items()}
+            for key, mv in terms.items()}
+
+
+def assert_same_exact(got, expect):
+    """Equal values, no empty key or zero blade, Gaussian exactly where expected."""
+    assert got.terms == expect
+    assert_clean(got)
+    for key, mv in got.terms.items():
+        for b, v in mv.terms.items():
+            assert type(v) in (int, Fraction, GaussianRational)
+            assert isinstance(v, GaussianRational) == isinstance(
+                expect[key].terms[b], GaussianRational)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_products_match_per_term_multivector_oracle(data):
+    ctx = AlgebraContext(data.draw(st.integers(1, 3)))
+    a = data.draw(bodies(ctx, data.draw(st.sampled_from(EXACT_KINDS))))
+    b = data.draw(bodies(ctx, data.draw(st.sampled_from(EXACT_KINDS))))
+    mv = data.draw(multipliers(ctx, data.draw(st.sampled_from(EXACT_KINDS))))
+    assert_same_exact(a.lmul(mv), termwise(ctx, ((k, mv * c) for k, c in a.terms.items())))
+    assert_same_exact(a.rmul(mv), termwise(ctx, ((k, c * mv) for k, c in a.terms.items())))
+    assert_same_exact(a * b, termwise(ctx, (
+        (tuple(x + y for x, y in zip(ka, kb)), ca * cb)
+        for ka, ca in a.terms.items() for kb, cb in b.terms.items())))
+    assert_same_exact(a.dirac(), termwise(ctx, (
+        (exps[:i] + (exps[i] - 1,) + exps[i + 1:], ctx.e(i + 1) * (c * exps[i]))
+        for exps, c in a.terms.items() for i in range(ctx.m) if exps[i])))
+
+
+def holds_inexact(*mvs):
+    return any(isinstance(v, (float, complex)) for mv in mvs for v in mv.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_inexact_products_repeat_the_per_term_loop(data):
+    ctx = AlgebraContext(data.draw(st.integers(1, 3)))
+    kinds = [data.draw(st.sampled_from(EXACT_KINDS + INEXACT_KINDS)) for _ in range(3)]
+    kinds[data.draw(st.integers(0, 2))] = data.draw(st.sampled_from(INEXACT_KINDS))
+    a, b = data.draw(bodies(ctx, kinds[0])), data.draw(bodies(ctx, kinds[1]))
+    mv = data.draw(multipliers(ctx, kinds[2]))
+    if holds_inexact(mv, *a.terms.values()):
+        assert typed(a.lmul(mv).terms) == typed(old_const_mul(a, mv, left=True))
+        assert typed(a.rmul(mv).terms) == typed(old_const_mul(a, mv, left=False))
+    if holds_inexact(*a.terms.values(), *b.terms.values()):
+        assert typed((a * b).terms) == typed(old_product(a, b))
+    if holds_inexact(*a.terms.values()):
+        assert typed(a.dirac().terms) == typed(old_dirac(a))
