@@ -357,7 +357,17 @@ def split(u: Multivector) -> SplitForm:
 
         eps = -(f + fdag)    e_{m+1} = f - fdag    eps e_{m+1} = 2 f fdag - 1
     """
-    ctx = u.ctx
+    parts = _split_blades(u.ctx, u.terms)
+    return SplitForm(*(Multivector(u.ctx, d) for d in parts))
+
+
+def _split_blades(ctx: AlgebraContext, terms: Dict[int, Scalar]
+                  ) -> Tuple[Dict[int, Scalar], ...]:
+    """The four {blade: scalar} components of split over a coefficient dict.
+
+    Only negates, doubles and adds the scalars, so integer numerators over
+    a common denominator split into numerators over the same denominator.
+    """
     top_bit = 1 << (ctx.m + 1)
     parts: Tuple[Dict[int, Scalar], ...] = ({}, {}, {}, {})
 
@@ -369,7 +379,7 @@ def split(u: Multivector) -> SplitForm:
         else:
             d.pop(mask, None)
 
-    for mask, v in u.terms.items():
+    for mask, v in terms.items():
         has_eps = mask & 1
         has_top = mask & top_bit
         body = mask & ~(top_bit | 1)
@@ -389,5 +399,4 @@ def split(u: Multivector) -> SplitForm:
             # eps e_{m+1} = 2 f fdag - 1
             put(3, body, 2 * v)
             put(0, body, -v)
-
-    return SplitForm(*(Multivector(ctx, d) for d in parts))
+    return parts

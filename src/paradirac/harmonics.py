@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import List, Sequence, Tuple
 
-from .algebra import AlgebraContext, Multivector
+from .algebra import AlgebraContext
 from .poly import CliffordPoly, vector_variable
-from .scalars import GaussianRational
 
 
 @dataclass(frozen=True)
@@ -158,43 +157,20 @@ def monogenic_decompose(h: HarmonicPoly) -> Tuple[MonogenicPoly, MonogenicPoly]:
 def integer_rescale(p: CliffordPoly) -> CliffordPoly:
     """Smallest positive rational multiple of p with integer coefficients.
 
-    Emits plain int coefficients (int arithmetic is far cheaper than
-    Fraction in the verification sweeps).  Leaves float polynomials
-    untouched.
+    That is p's numerators divided by their common factor, as plain int
+    coefficients (int arithmetic is far cheaper than Fraction in the
+    verification sweeps).  Leaves float polynomials untouched.
     """
-    denoms = []
-    for mv in p.terms.values():
-        for v in mv.terms.values():
-            if isinstance(v, int):
-                denoms.append(1)
-            elif isinstance(v, Fraction):
-                denoms.append(v.denominator)
-            elif isinstance(v, GaussianRational):
-                denoms.append(lcm(v.re.denominator, v.im.denominator))
-            else:
-                return p
-    if not denoms:
+    if p._D is None:
         return p
-    scale = lcm(*denoms)
+    g = gcd(*(part for vals in p._nums.values() for n in vals.values()
+              for part in ((n,) if type(n) is int else (n.re, n.im)))) or 1
 
-    def as_parts(v):
-        if isinstance(v, GaussianRational):
-            return int(v.re * scale), int(v.im * scale)
-        return int(v * scale), 0
+    def as_int(n):
+        return n // g if type(n) is int or n.im else n.re // g
 
-    scaled = {exps: {mask: as_parts(v) for mask, v in mv.terms.items()}
-              for exps, mv in p.terms.items()}
-    g = gcd(*(part for row in scaled.values()
-              for pair in row.values() for part in pair))
-    g = g or 1
-
-    def as_int(re, im):
-        return int(re // g) if im == 0 else GaussianRational(re // g, im // g)
-
-    out = {exps: Multivector(p.ctx, {mask: as_int(re, im)
-                                     for mask, (re, im) in row.items()})
-           for exps, row in scaled.items()}
-    return CliffordPoly(p.ctx, out)
+    return CliffordPoly._make(p.ctx, {exps: {mask: as_int(n) for mask, n in vals.items()}
+                                      for exps, vals in p._nums.items()}, 1)
 
 
 def monogenic_basis(ctx: AlgebraContext, k: int) -> List[MonogenicPoly]:

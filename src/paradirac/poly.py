@@ -1,18 +1,28 @@
 """The sparse term engine and Clifford-valued polynomials in x_1..x_m.
 
-SparseTerms stores a sum as {key -> Multivector}, zero coefficients never
-stored, and owns the whole linear structure, the one coefficient product
-and the one set of spatial operators (partial, dirac, laplacian,
-evaluate); a subclass fixes only what a key is, how two keys combine in
-a product and how a key's spatial exponents are read and replaced.
-CliffordPoly is keyed by exponent tuples; the space-time container in
-timefn adds the time part of the key.
+SparseTerms stores a sum of terms key -> Multivector coefficient, zero
+coefficients never stored, and owns the whole linear structure, the one
+coefficient product and the one set of spatial operators (partial,
+dirac, laplacian, evaluate); a subclass fixes only what a key is, how two
+keys combine in a product and how a key's spatial exponents are read and
+replaced.  CliffordPoly is keyed by exponent tuples; the space-time
+container in timefn adds the time part of the key.
 
-Exact products (*, lmul, rmul, dirac) clear one common denominator per
-operand, run the blade-product kernel on int or Gaussian-integer
-numerators and divide once per result coefficient; the stored values
-stay int, Fraction and GaussianRational.  An operand holding any float
-or complex value makes both pass through unchanged.
+Storage rule.  An exact body (every coefficient an int, Fraction or
+GaussianRational) is stored as {key: {blade: numerator}} over one shared
+positive int denominator D: each numerator is an int, or a Gaussian
+integer where the value is a GaussianRational, and no numerator is zero.
+The operators work on numerators only: + and - rescale both sides to the
+lcm of their denominators, scaling and division change D and the
+numerators, and the products and derivatives run the blade-product
+kernel on the numerators directly.  The product of two bodies, scale
+and / divide out the factor D shares with every numerator; the other
+operators keep the D they produce.  An inexact body (some float or complex value) is
+stored as its raw values with D = None and runs the same loops on them,
+so it repeats exactly the operations of a per-term Multivector loop.
+The public mapping .terms, {key: Multivector} with int, Fraction and
+GaussianRational values for an exact body, is built from the numerators
+when first read.
 
 The Multivector coefficient sits to the LEFT of the (commuting, scalar)
 monomial. All noncommutativity therefore lives inside coefficient
@@ -24,26 +34,112 @@ product itself and never need a separate rewriting pass.
 from __future__ import annotations
 
 import cmath
-from math import perm
+from fractions import Fraction
+from math import lcm, perm
 from operator import add
-from typing import Dict, Hashable, Iterator, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
 from .algebra import (AlgebraContext, AlgebraMismatchError, Multivector,
                       _mul_into)
-from .scalars import (GaussianRational, Scalar, _denominators, _divided,
-                      _numerators, is_exact)
+from .scalars import (_EXACT_TYPES, GaussianRational, Scalar, _ratio,
+                      _reduced, _to_numerators, _value, is_exact)
 
 Exponents = Tuple[int, ...]
+# {key: {blade: numerator or raw value}}
+Rows = Dict[Hashable, Dict[int, Scalar]]
+
+
+def _times(vals: Dict[int, Scalar], factor) -> Dict[int, Scalar]:
+    """{blade: v * factor}, dropping products that vanish."""
+    out = {}
+    for mask, v in vals.items():
+        s = v * factor
+        if s:
+            out[mask] = s
+    return out
+
+
+def _rescaled(nums: Rows, factor: int) -> Rows:
+    """Every numerator times factor: nums over D as numerators over factor * D."""
+    if factor == 1:
+        return nums
+    return {key: _times(vals, factor) for key, vals in nums.items()}
+
+
+def _acc(out: Rows, key, vals: Dict[int, Scalar]) -> None:
+    """out[key] += vals, dropping blades and the key when the sum vanishes.
+
+    A stored row is never changed in place, so rows may be shared.
+    """
+    s = out.get(key)
+    if s is None:
+        s = vals
+    else:
+        s = dict(s)
+        for mask, v in vals.items():
+            t = s.get(mask, 0) + v
+            if t:
+                s[mask] = t
+            else:
+                s.pop(mask, None)
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
 
 
 class SparseTerms:
     """Finite sum of key -> nonzero left Multivector coefficient, value semantics."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "_nums", "_D", "_view")
 
     def __init__(self, ctx: AlgebraContext, terms: Dict[Hashable, Multivector]):
         self.ctx = ctx
-        self.terms = terms
+        rows = {}
+        for key, mv in terms.items():
+            vals = {mask: v for mask, v in mv.terms.items() if v}
+            if vals:
+                rows[key] = vals
+        self._nums, self._D = _to_numerators(rows)
+        self._view = None
+
+    @classmethod
+    def _make(cls, ctx: AlgebraContext, nums: Rows, D: Optional[int]):
+        """Body from numerators over D, or from raw values for D None."""
+        self = cls.__new__(cls)
+        self.ctx, self._nums, self._D, self._view = ctx, nums, D, None
+        return self
+
+    def _new(self, nums: Rows, D: Optional[int]):
+        """A body of this type from numerators over D, or from the raw
+        values an operation on an inexact body gives (D None)."""
+        return type(self)._make(self.ctx, nums, D)
+
+    @property
+    def terms(self) -> Dict[Hashable, Multivector]:
+        """{key: Multivector}, built once from the numerators when first read."""
+        view = self._view
+        if view is None:
+            ctx = self.ctx
+            view = self._view = {key: Multivector(ctx, self._coeffs(key))
+                                 for key in self._nums}
+        return view
+
+    def _coeffs(self, key) -> Dict[int, Scalar]:
+        """{blade: value} of one term: the view's once .terms is built,
+        else made afresh from the numerators (raw values as stored)."""
+        if self._view is not None:
+            return self._view[key].terms
+        D, vals = self._D, self._nums[key]
+        if D is None:
+            return vals
+        return {mask: _value(n, D) for mask, n in vals.items()}
+
+    def _values(self) -> Rows:
+        """{key: {blade: value}}: the raw values, or those of .terms for an exact body."""
+        if self._D is None:
+            return self._nums
+        return {key: self._coeffs(key) for key in self._nums}
 
     # -- what a subclass fixes -------------------------------------------------
 
@@ -66,46 +162,60 @@ class SparseTerms:
 
     @classmethod
     def zero(cls, ctx: AlgebraContext):
-        return cls(ctx, {})
+        return cls._make(ctx, {}, 1)
 
     @classmethod
     def _single(cls, ctx: AlgebraContext, key, coeff):
         """One term from a Multivector or plain scalar coefficient."""
         mv = coeff if isinstance(coeff, Multivector) else ctx.scalar(coeff)
-        return cls(ctx, {} if mv.is_zero() else {key: mv})
-
-    def _new(self, terms):
-        return type(self)(self.ctx, terms)
-
-    @staticmethod
-    def _acc(out: dict, key, mv: Multivector) -> None:
-        """out[key] += mv, dropping the key when the sum vanishes."""
-        s = out.get(key)
-        s = mv if s is None else s + mv
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+        return cls(ctx, {key: mv})
 
     # -- inspection -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def is_exact(self) -> bool:
-        return all(mv.is_exact() and is_exact(self._split_key(key)[2])
-                   for key, mv in self.terms.items())
+        # raw values left by an inexact operand may all be exact
+        if self._D is None and not all(is_exact(v) for vals in self._nums.values()
+                                       for v in vals.values()):
+            return False
+        return all(is_exact(self._split_key(key)[2]) for key in self._nums)
 
     def max_abs(self) -> float:
-        return max((mv.max_abs() for mv in self.terms.values()), default=0.0)
+        D = self._D
+        if D is None:
+            return max((abs(complex(v)) for vals in self._nums.values()
+                        for v in vals.values()), default=0.0)
+        # n / D rounds the value once, as float(Fraction) does
+        return max((abs(n) / D if type(n) is int
+                    else abs(complex(n.re / D, n.im / D))
+                    for vals in self._nums.values() for n in vals.values()),
+                   default=0.0)
 
     def __eq__(self, other):
-        if isinstance(other, type(self)):
-            return self.ctx == other.ctx and self.terms == other.terms
-        return NotImplemented
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.ctx != other.ctx:
+            return False
+        Da, Db = self._D, other._D
+        if Da is None or Db is None:
+            return self.terms == other.terms
+        a, b = self._nums, other._nums
+        if Da == Db:
+            return a == b
+        if a.keys() != b.keys():
+            return False
+        for key, ta in a.items():
+            tb = b[key]
+            # equal values a / Da == b / Db, compared by cross-multiplication
+            if ta.keys() != tb.keys() or any(
+                    v * Db != tb[mask] * Da for mask, v in ta.items()):
+                return False
+        return True
 
     def __repr__(self):
-        if not self.terms:
+        if not self._nums:
             return "0"
         bits = []
         for exps, n, lam, c in sorted(
@@ -128,31 +238,52 @@ class SparseTerms:
             raise AlgebraMismatchError("sums over different algebra contexts")
 
     def __add__(self, other):
+        """Sum; exact operands are rescaled to the lcm of their denominators."""
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for key, mv in other.terms.items():
-            self._acc(out, key, mv)
-        return self._new(out)
-
-    def _map(self, fn):
-        """Apply fn to every coefficient, dropping the ones that vanish."""
-        out = {}
-        for key, c in self.terms.items():
-            s = fn(c)
-            if not s.is_zero():
-                out[key] = s
-        return self._new(out)
+        Da, Db = self._D, other._D
+        if Da is None or Db is None:
+            a, b, D = self._values(), other._values(), None
+        else:
+            D = lcm(Da, Db)
+            a, b = _rescaled(self._nums, D // Da), _rescaled(other._nums, D // Db)
+        out = dict(a)
+        for key, vals in b.items():
+            _acc(out, key, vals)
+        return self._new(out, D)
 
     def __neg__(self):
-        return self._map(lambda c: -c)
+        return self._new({key: {mask: -v for mask, v in vals.items()}
+                          for key, vals in self._nums.items()}, self._D)
 
     def __sub__(self, other):
         return self + (-other)
 
+    def _times_exact(self, p, q: int) -> "SparseTerms":
+        """Exact body times p / q: the numerators times p, D times q > 0."""
+        return self._new(*_reduced(
+            {key: _times(vals, p) for key, vals in self._nums.items()}, self._D * q))
+
+    def _map(self, fn):
+        """Apply fn to every raw value, dropping the values that vanish."""
+        out = {}
+        for key, vals in self._values().items():
+            s = {}
+            for mask, v in vals.items():
+                r = fn(v)
+                if r:
+                    s[mask] = r
+            if s:
+                out[key] = s
+        return self._new(out, None)
+
     def scale(self, value: Scalar):
-        return self._map(lambda c: c * value)
+        if self._D is not None and type(value) in _EXACT_TYPES:
+            return self._times_exact(*_ratio(value))
+        if value == 0:
+            return self._new({}, 1)
+        return self._map(lambda v: v * value)
 
     def lmul(self, mv: Multivector):
         """Left multiplication by a constant Multivector."""
@@ -166,19 +297,22 @@ class SparseTerms:
         """mv * c (left) or c * mv for every coefficient c, on numerators."""
         mv._check(self)
         ctx = self.ctx
-        d_mv, d_self = _denominators((mv.terms,), (c.terms for c in self.terms.values()))
-        D = None if d_mv is None else d_mv * d_self
-        k = _numerators(mv.terms, d_mv)
-        out = {}
-        for key, c in self.terms.items():
-            nums = _numerators(c.terms, d_self)
-            t = _mul_into(ctx, {}, k, nums) if left else _mul_into(ctx, {}, nums, k)
+        rows, q = _to_numerators({0: mv.terms})
+        if self._D is not None and q is not None:
+            k, nums, D = rows[0], self._nums, self._D * q
+        else:
+            k, nums, D = mv.terms, self._values(), None
+        out: Rows = {}
+        for key, vals in nums.items():
+            t = _mul_into(ctx, {}, k, vals) if left else _mul_into(ctx, {}, vals, k)
             if t:
-                out[key] = Multivector(ctx, _divided(t, D))
-        return self._new(out)
+                out[key] = t
+        return self._new(out, D)
 
     def __truediv__(self, value: Scalar):
-        return self._map(lambda c: c / value)
+        if self._D is not None and type(value) in _EXACT_TYPES and value:
+            return self._times_exact(*_ratio(Fraction(1) / value))
+        return self._map(lambda v: v / value)
 
     def __mul__(self, other):
         """Product; scalars and Multivectors multiply every coefficient.
@@ -192,17 +326,17 @@ class SparseTerms:
             self._check(other)
             ctx = self.ctx
             key_mul = self._key_mul
-            da, db = _denominators((c.terms for c in self.terms.values()),
-                                   (c.terms for c in other.terms.values()))
-            D = None if da is None else da * db
-            b_nums = [(kb, _numerators(cb.terms, db)) for kb, cb in other.terms.items()]
-            acc: Dict[Hashable, Dict[int, Scalar]] = {}
-            for ka, ca in self.terms.items():
-                ta = _numerators(ca.terms, da)
-                for kb, tb in b_nums:
+            Da, Db = self._D, other._D
+            if Da is None or Db is None:
+                a, b, D = self._values(), other._values(), None
+            else:
+                a, b, D = self._nums, other._nums, Da * Db
+            b_rows = list(b.items())
+            acc: Rows = {}
+            for ka, ta in a.items():
+                for kb, tb in b_rows:
                     _mul_into(ctx, acc.setdefault(key_mul(ka, kb), {}), ta, tb)
-            return self._new({key: Multivector(ctx, _divided(t, D))
-                              for key, t in acc.items() if t})
+            return self._new(*_reduced({key: t for key, t in acc.items() if t}, D))
         if isinstance(other, Multivector):
             return self.rmul(other)
         return self.scale(other)
@@ -216,15 +350,16 @@ class SparseTerms:
 
     def _lowered(self, by: int, indices):
         """Sum over i in indices of n!/(n-by)! c x^(exps - by e_i), n = exps[i]."""
-        out: Dict[Hashable, Multivector] = {}
-        for key, mv in self.terms.items():
-            exps = self._split_key(key)[0]
+        split_key, with_exps = self._split_key, self._with_exps
+        out: Rows = {}
+        for key, vals in self._nums.items():
+            exps = split_key(key)[0]
             for i in indices:
                 n = exps[i]
                 if n >= by:
-                    new = self._with_exps(key, exps[:i] + (n - by,) + exps[i + 1:])
-                    self._acc(out, new, mv * perm(n, by))
-        return self._new(out)
+                    new = with_exps(key, exps[:i] + (n - by,) + exps[i + 1:])
+                    _acc(out, new, _times(vals, perm(n, by)))
+        return self._new(out, self._D)
 
     def partial(self, i: int):
         """Scalar derivative d/dx_{i+1} (0-based index)."""
@@ -233,17 +368,14 @@ class SparseTerms:
     def dirac(self):
         """Left Dirac operator sum_i e_i d/dx_i; dirac(dirac(p)) = -laplacian(p)."""
         ctx, split_key, with_exps = self.ctx, self._split_key, self._with_exps
-        (D,) = _denominators(mv.terms for mv in self.terms.values())
-        acc: Dict[Hashable, Dict[int, Scalar]] = {}
-        for key, mv in self.terms.items():
+        acc: Rows = {}
+        for key, vals in self._nums.items():
             exps = split_key(key)[0]
-            nums = _numerators(mv.terms, D)
             for i, n in enumerate(exps):
                 if n:   # blade 2 << i is e_{i+1}
                     new = with_exps(key, exps[:i] + (n - 1,) + exps[i + 1:])
-                    _mul_into(ctx, acc.setdefault(new, {}), {2 << i: n}, nums)
-        return self._new({key: Multivector(ctx, _divided(t, D))
-                          for key, t in acc.items() if t})
+                    _mul_into(ctx, acc.setdefault(new, {}), {2 << i: n}, vals)
+        return self._new({key: t for key, t in acc.items() if t}, self._D)
 
     def laplacian(self):
         return self._lowered(2, range(self.ctx.m))
@@ -380,20 +512,18 @@ class CliffordPoly(SparseTerms):
 
     def degree(self) -> int:
         """Total spatial degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max((sum(e) for e in self._nums), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
+        degs = {sum(e) for e in self._nums}
         return len(degs) <= 1
 
     # -- operators ---------------------------------------------------------------
 
     def truncate_degree(self, max_degree: int) -> "CliffordPoly":
         """Drop every monomial of degree above max_degree."""
-        return CliffordPoly(self.ctx, {exps: mv for exps, mv in self.terms.items()
-                                       if sum(exps) <= max_degree})
+        return self._new({exps: vals for exps, vals in self._nums.items()
+                          if sum(exps) <= max_degree}, self._D)
 
 
 def vector_variable(ctx: AlgebraContext) -> CliffordPoly:

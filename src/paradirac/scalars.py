@@ -11,8 +11,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import lcm
-from typing import Dict, Iterable, Optional, Tuple, Union
+from math import gcd, lcm
+from typing import Dict, Hashable, Optional, Tuple, Union
 
 Exact = Union[int, Fraction, "GaussianRational"]
 Scalar = Union[int, float, complex, Fraction, "GaussianRational"]
@@ -138,8 +138,10 @@ class GaussianRational:
 class _GaussInt:
     """Gaussian-integer numerator re + i im of a GaussianRational.
 
-    Only what the blade-product kernel applies to its scalars: +, unary
-    -, * and truth, mixed with plain int numerators.
+    Only what the sparse engine applies to its numerators: +, unary -, *,
+    exact division by an int (//), == and truth, mixed with plain int
+    numerators.  A value stays Gaussian as GaussianRational does, also
+    once its imaginary part cancels.
     """
 
     __slots__ = ("re", "im")
@@ -150,6 +152,13 @@ class _GaussInt:
 
     def __bool__(self):
         return bool(self.re or self.im)
+
+    def __eq__(self, other):
+        if type(other) is _GaussInt:
+            return self.re == other.re and self.im == other.im
+        if type(other) is int:
+            return not self.im and self.re == other
+        return NotImplemented
 
     def __neg__(self):
         return _GaussInt(-self.re, -self.im)
@@ -169,70 +178,92 @@ class _GaussInt:
 
     __rmul__ = __mul__
 
+    def __floordiv__(self, g: int):
+        return _GaussInt(self.re // g, self.im // g)
 
-def _denominators(*operands: Iterable[Dict[int, Scalar]]
-                  ) -> Tuple[Optional[int], ...]:
-    """Per operand (an iterable of {blade: scalar} dicts), the lcm of the
-    denominators of its values.
 
-    All None, so that the values pass through unchanged, as soon as any
-    value of any operand is inexact (float, complex or anything else),
-    and when every value is a plain int, which leaves nothing to clear.
+# -- integer numerators over one denominator ----------------------------------
+#
+# The sparse engine stores an exact body as {key: {blade: numerator}} over
+# one positive int denominator D, each numerator an int or a _GaussInt, and
+# an inexact body as its raw values with D = None.
+
+
+def _ratio(v: Exact) -> Tuple[Union[int, _GaussInt], int]:
+    """(numerator, denominator) of an exact scalar, the denominator > 0."""
+    t = type(v)
+    if t is int:
+        return v, 1
+    if t is Fraction:
+        return v.numerator, v.denominator
+    re, im = v.re, v.im
+    q = lcm(re.denominator, im.denominator)
+    return _GaussInt(re.numerator * (q // re.denominator),
+                     im.numerator * (q // im.denominator)), q
+
+
+def _to_numerators(values: Dict[Hashable, Dict[int, Scalar]]
+                   ) -> Tuple[Dict[Hashable, Dict[int, Scalar]], Optional[int]]:
+    """(numerators, D) of {key: {blade: value}} with no zero value stored.
+
+    D is the lcm of the denominators, so D and the numerators have no
+    common factor.  (values, None) as soon as some value is not an int,
+    Fraction or GaussianRational.
     """
-    found = []
-    for coeff_dicts in operands:
-        dens = set()
-        for coeffs in coeff_dicts:
-            for v in coeffs.values():
-                t = type(v)
-                if t is Fraction:
-                    dens.add(v.denominator)
-                elif t is GaussianRational:
-                    dens.add(v.re.denominator)
-                    dens.add(v.im.denominator)
-                elif t is not int:
-                    return (None,) * len(operands)
-        found.append(dens)
-    if not any(found):
-        return (None,) * len(operands)
-    return tuple(lcm(*dens) for dens in found)
+    dens = set()
+    for vals in values.values():
+        for v in vals.values():
+            t = type(v)
+            if t is Fraction:
+                dens.add(v.denominator)
+            elif t is GaussianRational:
+                dens.add(v.re.denominator)
+                dens.add(v.im.denominator)
+            elif t is not int:
+                return values, None
+    D = lcm(*dens)
+    out = {}
+    for key, vals in values.items():
+        row = out[key] = {}
+        for mask, v in vals.items():
+            n, q = _ratio(v)
+            row[mask] = n * (D // q) if q != D else n
+    return out, D
 
 
-def _numerators(coeffs: Dict[int, Scalar], D: Optional[int]) -> Dict[int, Scalar]:
-    """{blade: D * value} as int or _GaussInt numerators; coeffs itself for D None.
-
-    D must be a common multiple of the values' denominators (_denominators).
-    """
-    if D is None:
-        return coeffs
-    out: Dict[int, Scalar] = {}
-    for mask, v in coeffs.items():
-        t = type(v)
-        if t is int:
-            out[mask] = v * D
-        elif t is Fraction:
-            out[mask] = v.numerator * (D // v.denominator)
-        else:
-            re, im = v.re, v.im
-            out[mask] = _GaussInt(re.numerator * (D // re.denominator),
-                                  im.numerator * (D // im.denominator))
-    return out
+def _reduced(nums: Dict[Hashable, Dict[int, Scalar]], D: Optional[int]
+             ) -> Tuple[Dict[Hashable, Dict[int, Scalar]], Optional[int]]:
+    """nums and D with their common factor divided out; raw values (D None)
+    as they are."""
+    if D is None or D == 1:
+        return nums, D
+    g = D
+    for vals in nums.values():
+        for n in vals.values():
+            if type(n) is int:
+                g = gcd(g, n)
+            else:
+                g = gcd(g, n.re, n.im)
+            if g == 1:
+                return nums, D
+    return {key: {mask: n // g for mask, n in vals.items()}
+            for key, vals in nums.items()}, D // g
 
 
-def _divided(nums: Dict[int, Scalar], D: Optional[int]) -> Dict[int, Scalar]:
-    """{blade: numerator / D}: int for D == 1, else Fraction, and a
-    GaussianRational for a _GaussInt; nums itself for D None.
-    """
-    if D is None:
-        return nums
-    out: Dict[int, Scalar] = {}
-    for mask, n in nums.items():
-        if type(n) is _GaussInt:
-            g = out[mask] = GaussianRational.__new__(GaussianRational)
-            g.re, g.im = Fraction(n.re, D), Fraction(n.im, D)
-        else:
-            out[mask] = n if D == 1 else Fraction(n, D)
-    return out
+def _value(n: Union[int, _GaussInt], D: int) -> Exact:
+    """The value n / D: an int, a Fraction or, for a _GaussInt, a GaussianRational."""
+    if type(n) is _GaussInt:
+        g = GaussianRational.__new__(GaussianRational)
+        g.re, g.im = Fraction(n.re, D), Fraction(n.im, D)
+        return g
+    if D == 1:
+        return n
+    q, r = divmod(n, D)
+    return Fraction(n, D) if r else q
+
+
+# the types of exact values; a subclass such as bool is not one
+_EXACT_TYPES = (int, Fraction, GaussianRational)
 
 
 def is_exact(value: Scalar) -> bool:

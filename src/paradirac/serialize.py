@@ -96,19 +96,24 @@ def _decode_zeta(raw) -> Optional[ZetaElement]:
                          for part in "abcd"))
 
 
-def _term_order(item) -> tuple:
-    (exps, n, lam), _ = item
+def _term_order(key) -> tuple:
+    exps, n, lam = key
     c = complex(lam)
     return exps, n, c.real, c.imag
 
 
 def _term_rows(F: SpaceTimeFunction) -> List[dict]:
-    """One {exponents, n, lambda, blades} row per term, terms and blades sorted."""
+    """One {exponents, n, lambda, blades} row per term, terms and blades sorted.
+
+    Each term's values are made when its row is written, so the rows are
+    never held beside a second copy of the whole body.
+    """
     label = F.ctx.blade_label
-    return [{"exponents": list(exps), "n": n, "lambda": encode_scalar(lam),
+    return [{"exponents": list(key[0]), "n": key[1],
+             "lambda": encode_scalar(key[2]),
              "blades": [[label(mask), encode_scalar(val)]
-                        for mask, val in sorted(mv.terms.items())]}
-            for (exps, n, lam), mv in sorted(F.terms.items(), key=_term_order)]
+                        for mask, val in sorted(F._coeffs(key).items())]}
+            for key in sorted(F._nums, key=_term_order)]
 
 
 def solution_to_dict(sol: SeriesSolution) -> dict:
@@ -214,8 +219,8 @@ def residual_report_to_dict(rep: ResidualReport) -> dict:
     residual = None
     if rep.residual_poly is not None:
         R = rep.residual_poly
-        residual = {"is_zero": R.is_zero(), "n_terms": len(R.terms)}
-        if 0 < len(R.terms) <= MAX_REPORT_TERMS:
+        residual = {"is_zero": R.is_zero(), "n_terms": len(R._nums)}
+        if 0 < len(R._nums) <= MAX_REPORT_TERMS:
             residual["terms"] = _term_rows(R)
     return {
         "schema_version": SCHEMA_VERSION,

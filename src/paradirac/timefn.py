@@ -17,12 +17,13 @@ x-independent slice.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Dict, Sequence, Tuple
 
-from .algebra import AlgebraContext, Multivector, split, witt_basis
-from .poly import CliffordPoly, SparseTerms, rho_powers
-from .scalars import Scalar
+from .algebra import AlgebraContext, Multivector, _split_blades, witt_basis
+from .poly import CliffordPoly, SparseTerms, _acc, _times, rho_powers
+from .scalars import _EXACT_TYPES, Scalar, _ratio
 
 SpaceTimeKey = Tuple[Tuple[int, ...], int, Scalar]
 
@@ -54,39 +55,53 @@ class SpaceTimeFunction(SparseTerms):
     def from_poly(cls, p: CliffordPoly,
                   tf: "TimeFunction | None" = None) -> "SpaceTimeFunction":
         """p(x) * a(t); with tf omitted the profile is the constant 1."""
-        F = cls(p.ctx, {(exps, 0, 0): mv for exps, mv in p.terms.items()})
+        F = cls._make(p.ctx, {(exps, 0, 0): vals for exps, vals in p._nums.items()},
+                      p._D)
         return F if tf is None else F * tf
 
     # -- inspection --------------------------------------------------------
 
     def is_polynomial(self) -> bool:
         """No exponential factor e^{lambda t} with lambda != 0."""
-        return all(lam == 0 for _, _, lam in self.terms)
+        return all(lam == 0 for _, _, lam in self._nums)
 
     def max_n(self) -> int:
-        return max((n for _, n, _ in self.terms), default=0)
+        return max((n for _, n, _ in self._nums), default=0)
 
     # -- operators ----------------------------------------------------------------
 
     def d_dt(self) -> "SpaceTimeFunction":
-        """Exact derivative: c t^n e^{lt} -> c n t^{n-1} e^{lt} + c l t^n e^{lt}."""
-        out: Dict[SpaceTimeKey, Multivector] = {}
-        for (exps, n, lam), mv in self.terms.items():
+        """Exact derivative: c t^n e^{lt} -> c n t^{n-1} e^{lt} + c l t^n e^{lt}.
+
+        On numerators over D the derivative has denominator D * Q, Q the
+        lcm of the denominators of the lambdas, so n contributes n Q and
+        lambda = p / q contributes p Q / q.
+        """
+        lams = {lam for _, _, lam in self._nums if lam != 0}
+        if self._D is not None and all(type(lam) in _EXACT_TYPES for lam in lams):
+            ratios = {lam: _ratio(lam) for lam in lams}
+            Q = lcm(*(q for _, q in ratios.values()))
+            rows, D = self._nums, self._D * Q
+            lam_factor = {lam: p * (Q // q) for lam, (p, q) in ratios.items()}
+        else:
+            rows, D, Q = self._values(), None, 1
+            lam_factor = {lam: lam for lam in lams}
+        out: Dict[SpaceTimeKey, Dict[int, Scalar]] = {}
+        for (exps, n, lam), vals in rows.items():
             if n:
-                self._acc(out, (exps, n - 1, lam), mv * n)
+                _acc(out, (exps, n - 1, lam), _times(vals, n * Q))
             if lam != 0:
-                self._acc(out, (exps, n, lam), mv * lam)
-        return self._new(out)
+                _acc(out, (exps, n, lam), _times(vals, lam_factor[lam]))
+        return self._new(out, D)
 
     def split(self):
         """Four component functions (F0, F1, F2, F3), coefficients in Cl(0,m)."""
         outs = ({}, {}, {}, {})
-        for key, mv in self.terms.items():
-            parts = split(mv)
-            for out, comp in zip(outs, (parts.f0, parts.f1, parts.f2, parts.f3)):
-                if not comp.is_zero():
+        for key, vals in self._nums.items():
+            for out, comp in zip(outs, _split_blades(self.ctx, vals)):
+                if comp:
                     out[key] = comp
-        return tuple(self._new(d) for d in outs)
+        return tuple(self._new(d, self._D) for d in outs)
 
 
 class TimeFunction(SpaceTimeFunction):

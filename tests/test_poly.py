@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (as_spacetime, assert_matches, exact_values, o_add,
+                     o_dirac, o_div, o_evaluate, o_laplacian, o_lmul, o_mul,
+                     o_neg, o_partial, o_rmul, o_scale, typed)
 from paradirac.algebra import AlgebraContext, Multivector, _mul_into, witt_basis
 from paradirac.poly import CliffordPoly, rho_squared, vector_variable
 from paradirac.scalars import GaussianRational
@@ -301,12 +304,6 @@ def old_dirac(p):
     return {key: Multivector(ctx, t) for key, t in acc.items() if t}
 
 
-def typed(terms):
-    """Per key and blade, (type name, repr) of the coefficient."""
-    return {key: {b: (type(v).__name__, repr(v)) for b, v in mv.terms.items()}
-            for key, mv in terms.items()}
-
-
 def assert_same_exact(got, expect):
     """Equal values, no empty key or zero blade, Gaussian exactly where expected."""
     assert got.terms == expect
@@ -327,9 +324,10 @@ def test_exact_products_match_per_term_multivector_oracle(data):
     mv = data.draw(multipliers(ctx, data.draw(st.sampled_from(EXACT_KINDS))))
     assert_same_exact(a.lmul(mv), termwise(ctx, ((k, mv * c) for k, c in a.terms.items())))
     assert_same_exact(a.rmul(mv), termwise(ctx, ((k, c * mv) for k, c in a.terms.items())))
-    assert_same_exact(a * b, termwise(ctx, (
-        (tuple(x + y for x, y in zip(ka, kb)), ca * cb)
-        for ka, ca in a.terms.items() for kb, cb in b.terms.items())))
+    # blade products summed one at a time, as the kernel does: a Gaussian
+    # contribution that a per-pair product cancels still counts
+    assert_same_exact(a * b, {exps: mv for (exps, _, _), mv in o_mul(
+        ctx, as_spacetime(a.terms), as_spacetime(b.terms)).items()})
     assert_same_exact(a.dirac(), termwise(ctx, (
         (exps[:i] + (exps[i] - 1,) + exps[i + 1:], ctx.e(i + 1) * (c * exps[i]))
         for exps, c in a.terms.items() for i in range(ctx.m) if exps[i])))
@@ -354,3 +352,70 @@ def test_inexact_products_repeat_the_per_term_loop(data):
         assert typed((a * b).terms) == typed(old_product(a, b))
     if holds_inexact(*a.terms.values()):
         assert typed(a.dirac().terms) == typed(old_dirac(a))
+
+
+# -- stored numerators against per-term Multivector oracles -----------------------
+
+denominators = st.sampled_from((1, 2, 3, 4, 5, 6, 8, 9, 12))
+mixed = st.builds(Fraction, st.integers(-9, 9), denominators)
+STORED = {
+    "exact": st.one_of(small, mixed, st.builds(GaussianRational, mixed, mixed)),
+    "float": SCALARS["float"],
+    "complex": SCALARS["complex"],
+}
+
+
+@st.composite
+def stored_polys(draw, ctx, kind):
+    """A CliffordPoly, sometimes a sum that cancels part of another draw."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = tuple(draw(st.integers(0, 3)) for _ in range(ctx.m))
+        mv = Multivector(ctx, {draw(st.sampled_from((0, 1, 2, 6, 1 << (ctx.m + 1)))):
+                               draw(STORED[kind]) for _ in range(draw(st.integers(1, 3)))})
+        mv = Multivector(ctx, {b: v for b, v in mv.terms.items() if v})
+        terms[exps] = terms[exps] + mv if exps in terms else mv
+    return CliffordPoly(ctx, {e: mv for e, mv in terms.items() if not mv.is_zero()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_stored_polynomial_numerators_match_per_term_oracles(data):
+    ctx = AlgebraContext(data.draw(st.integers(1, 3)))
+    kinds = st.sampled_from(("exact", "exact", "exact", "float", "complex"))
+    p = data.draw(stored_polys(ctx, data.draw(kinds)))
+    q = data.draw(stored_polys(ctx, data.draw(kinds)))
+    if data.draw(st.booleans()):
+        q = q - p.scale(data.draw(st.sampled_from((1, Fraction(1, 2)))))
+    c = data.draw(STORED[data.draw(kinds)].filter(bool))
+    mv = data.draw(multivectors(ctx, data.draw(st.sampled_from(("int", "fraction", "gaussian", "float")))))
+    a, b = as_spacetime(p.terms), as_spacetime(q.terms)
+    ex_a, ex_ab = exact_values(a), exact_values(a, b)
+    ex_c = ex_a and exact_values({0: ctx.scalar(c)})
+    ex_mv = ex_a and exact_values({0: mv})
+
+    def check(got, want, exact):
+        assert_matches(as_spacetime(got.terms), want, exact)
+        assert isinstance(got, CliffordPoly)
+
+    check(p + q, o_add(a, b), ex_ab)
+    check(p - q, o_add(a, o_neg(b)), ex_ab)
+    check(-p, o_neg(a), ex_a)
+    check(p.scale(c), o_scale(a, c), ex_c)
+    check(p / c, o_div(a, Fraction(c) if ex_c and type(c) is int else c), ex_c)
+    check(p.lmul(mv), o_lmul(a, mv), ex_mv)
+    check(p.rmul(mv), o_rmul(a, mv), ex_mv)
+    check(p * q, o_mul(ctx, a, b), ex_ab)
+    i = data.draw(st.integers(0, ctx.m - 1))
+    check(p.partial(i), o_partial(a, i), ex_a)
+    check(p.dirac(), o_dirac(ctx, a), ex_a)
+    check(p.laplacian(), o_laplacian(ctx, a), ex_a)
+    if ex_a:
+        point = [data.draw(mixed) for _ in range(ctx.m)]
+        assert p.evaluate(point) == o_evaluate(ctx, a, point, 0)
+    if ex_ab:
+        assert (p + q) - q == p
+        assert (p.scale(2) + p) / 3 == p
+        assert p.is_exact() and (p * q).is_exact()
+        if ex_c:
+            assert (p * q).scale(c) == p * q.scale(c)

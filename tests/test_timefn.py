@@ -1,17 +1,24 @@
 import cmath
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import spatial_degrees
+from oracles import (as_spacetime, assert_matches, exact_values, o_add,
+                     o_d_dt, o_dirac, o_div, o_evaluate, o_laplacian, o_lmul,
+                     o_mul, o_neg, o_partial, o_rmul, o_scale, o_split,
+                     spatial_degrees, termwise)
 from paradirac.algebra import AlgebraContext, Multivector, witt_basis
+from paradirac.builders import build_parabolic_closed
+from paradirac.harmonics import monogenic_basis
 from paradirac.poly import CliffordPoly, rho_squared
 from paradirac.scalars import GaussianRational
 from paradirac.timefn import (SpaceTimeFunction, TimeFunction, apply_0F1,
                               assemble_split, heat_residual, parabolic_dirac)
+from paradirac.verify import check_component_conditions
 
 
 def test_time_polynomial_and_derivative():
@@ -162,13 +169,6 @@ def spacetime(draw, m):
 def assert_clean(F):
     for mv in F.terms.values():
         assert mv.terms and all(v != 0 for v in mv.terms.values())
-
-
-def termwise(contributions):
-    out = {}
-    for key, mv in contributions:
-        out[key] = out[key] + mv if key in out else mv
-    return {k: mv for k, mv in out.items() if not mv.is_zero()}
 
 
 @settings(max_examples=80, deadline=None)
@@ -347,3 +347,125 @@ def test_evaluate_many_edge_cases():
         list(F.evaluate_many([((0.5,), 0.0)]))
     with pytest.raises(ValueError):
         F.evaluate((0.5, 0.5, 0.5), 0.0)
+
+
+# -- stored numerators against per-term Multivector oracles -----------------------
+
+# mixed denominators, so that sums rescale to an lcm that neither side has
+mixed_fractions = st.builds(Fraction, st.integers(-6, 6),
+                            st.sampled_from((1, 2, 3, 4, 6, 9, 10, 12)))
+VALUES = {
+    "exact": st.one_of(st.integers(-3, 3), mixed_fractions,
+                       st.builds(GaussianRational, mixed_fractions, mixed_fractions)),
+    "float": st.builds(lambda n, d: n / d, st.integers(-6, 6), st.integers(1, 7)),
+    "complex": st.builds(lambda a, b: complex(a / 3, b / 7),
+                         st.integers(-3, 3), st.integers(-3, 3)),
+}
+# exact time exponents, and one float exponent next to exact coefficients
+STORAGE_LAMBDAS = st.sampled_from((0, 0, 0, Fraction(-1), Fraction(1, 2),
+                                   Fraction(3, 4), GaussianRational(0, 1), 0.25))
+
+
+@st.composite
+def stored_bodies(draw, ctx, kind):
+    """A space-time body over a few keys and blades, so that terms collide."""
+    blades = (0, 1, 2, 1 << (ctx.m + 1), (1 << (ctx.m + 1)) | 1, 3)
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        key = (tuple(draw(st.integers(0, 2)) for _ in range(ctx.m)),
+               draw(st.integers(0, 2)), draw(STORAGE_LAMBDAS))
+        mv = Multivector(ctx, {draw(st.sampled_from(blades)): draw(VALUES[kind])
+                               for _ in range(draw(st.integers(1, 3)))})
+        mv = Multivector(ctx, {b: v for b, v in mv.terms.items() if v})
+        terms[key] = terms[key] + mv if key in terms else mv
+    return SpaceTimeFunction(ctx, {k: mv for k, mv in terms.items() if not mv.is_zero()})
+
+
+def exact_keys(*maps):
+    """Exact coefficients and exact time exponents: what d_dt needs to stay exact."""
+    return exact_values(*maps) and all(type(lam) is not float
+                                       for terms in maps for _, _, lam in terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_stored_numerators_match_per_term_oracles(data):
+    ctx = AlgebraContext(data.draw(st.integers(1, 3)))
+    kinds = st.sampled_from(("exact", "exact", "exact", "float", "complex"))
+    F = data.draw(stored_bodies(ctx, data.draw(kinds)))
+    G = data.draw(stored_bodies(ctx, data.draw(kinds)))
+    if data.draw(st.booleans()):
+        G = G - F                   # F + G cancels F's terms
+    c = data.draw(VALUES[data.draw(kinds)].filter(bool))
+    mv = Multivector(ctx, {b: v for b, v in (
+        (data.draw(st.sampled_from((0, 1, 2, 1 << (ctx.m + 1)))),
+         data.draw(VALUES[data.draw(kinds)])) for _ in range(2)) if v})
+    a, b = F.terms, G.terms
+    ex_a, ex_ab = exact_values(a), exact_values(a, b)
+    ex_c = ex_a and exact_values({0: ctx.scalar(c)})
+    ex_mv = ex_a and exact_values({0: mv})
+
+    assert_matches((F + G).terms, o_add(a, b), ex_ab)
+    assert_matches((F - G).terms, o_add(a, o_neg(b)), ex_ab)
+    assert_matches((-F).terms, o_neg(a), ex_a)
+    assert_matches(F.scale(c).terms, o_scale(a, c), ex_c)
+    # an exact body divided by an int is divided exactly
+    assert_matches((F / c).terms,
+                   o_div(a, Fraction(c) if ex_c and type(c) is int else c), ex_c)
+    assert_matches(F.lmul(mv).terms, o_lmul(a, mv), ex_mv)
+    assert_matches(F.rmul(mv).terms, o_rmul(a, mv), ex_mv)
+    assert_matches((F * G).terms, o_mul(ctx, a, b), ex_ab)
+    i = data.draw(st.integers(0, ctx.m - 1))
+    assert_matches(F.partial(i).terms, o_partial(a, i), ex_a)
+    assert_matches(F.dirac().terms, o_dirac(ctx, a), ex_a)
+    assert_matches(F.laplacian().terms, o_laplacian(ctx, a), ex_a)
+    assert_matches(F.d_dt().terms, o_d_dt(a), exact_keys(a))
+    for got, want in zip(F.split(), o_split(a)):
+        assert_matches(got.terms, want, ex_a)
+    # p(x) a(t) from the polynomial slice and the x-independent slice
+    p = CliffordPoly(ctx, {exps: mv for (exps, n, lam), mv in a.items()
+                           if n == 0 and lam == 0})
+    tf = TimeFunction(ctx, {key: mv for key, mv in a.items() if not any(key[0])})
+    assert_matches(SpaceTimeFunction.from_poly(p, tf).terms,
+                   o_mul(ctx, as_spacetime(p.terms), tf.terms), ex_a)
+    if ex_a:
+        poly = SpaceTimeFunction(ctx, {k: mv for k, mv in a.items() if k[2] == 0})
+        point = [data.draw(mixed_fractions) for _ in range(ctx.m)]
+        t = data.draw(mixed_fractions)
+        assert poly.evaluate(point, t) == o_evaluate(ctx, a, point, t)
+    if ex_ab:
+        # == compares values, whatever denominator each side keeps
+        assert (F + G) - G == F
+        if ex_c:
+            assert F.scale(c) / c == F
+        assert F == SpaceTimeFunction(ctx, a)
+        assert (F + G == F) == G.is_zero()
+        assert F.is_exact() == exact_keys(a)
+
+
+def _closed_build(m, k, degree):
+    ctx = AlgebraContext(m)
+    a = TimeFunction.polynomial(ctx, [(-1) ** n * (n + 1) for n in range(degree + 1)])
+    return build_parabolic_closed(monogenic_basis(ctx, k)[-1], a)
+
+
+def test_exact_operators_build_no_fraction_per_term():
+    # D F and the component check run on numerators only: the Fraction
+    # count must not grow with the number of terms
+    counts = []
+    for m, k in ((2, 1), (4, 2)):
+        sol = _closed_build(m, k, 4)
+        new = Fraction.__new__
+        made = []
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        with mock.patch.object(Fraction, "__new__", counting):
+            assert parabolic_dirac(sol.body).is_zero()
+            assert check_component_conditions(sol).passed
+        counts.append((len(sol.body.terms), len(made)))
+    (small_terms, small_made), (big_terms, big_made) = counts
+    assert big_terms > 10 * small_terms
+    assert big_made == small_made <= 4

@@ -6,7 +6,8 @@ import pytest
 
 from paradirac.algebra import AlgebraContext
 from paradirac.builders import (SeriesSolution, build_generalized,
-                                build_helmholtz, build_parabolic_closed)
+                                build_helmholtz, build_parabolic_closed,
+                                build_parabolic_recurrence)
 from paradirac.harmonics import harmonic_basis, monogenic_basis
 from paradirac.poly import CliffordPoly
 from paradirac.timefn import SpaceTimeFunction, TimeFunction, parabolic_dirac
@@ -167,3 +168,83 @@ def test_cross_check_symbolic():
 def test_cross_check_dimension_mismatch():
     with pytest.raises(ValueError):
         cross_check(exact_solution(m=2), exact_solution(m=3))
+
+
+# -- exact verdicts for truncated builds ----------------------------------------
+
+
+def with_scalar_term(sol, exps, c):
+    """sol plus the scalar term c x^exps: a mutant that solves nothing."""
+    delta = SpaceTimeFunction.from_poly(CliffordPoly.monomial(sol.ctx, exps, c))
+    return SeriesSolution(body=sol.body + delta, mode=sol.mode, m=sol.m,
+                          k=sol.k, L=sol.L, exact=sol.exact, zeta=sol.zeta)
+
+
+def truncated_build(mode, m, k, L):
+    """A truncated build with exact coefficients in the given mode."""
+    ctx = AlgebraContext(m)
+    z = ZetaElement(1, Fraction(1, 2), -1, 2)
+    if mode == "helmholtz":
+        return build_helmholtz(harmonic_basis(ctx, k)[0], z, L=L)
+    M = monogenic_basis(ctx, k)[0]
+    a = TimeFunction.term(ctx, 1, lam=-1)
+    if mode == "parabolic-closed":
+        return build_parabolic_closed(M, a, L=L)
+    if mode == "parabolic-recurrence":
+        return build_parabolic_recurrence(
+            M, {"a0": a, "b2": a.scale(Fraction(-1, 2 * k + m))}, L=L)
+    return build_generalized(M, z, L=L, form=mode.split("-", 1)[1])
+
+
+TRUNCATED_MODES = ("gen-monogenic", "gen-factored", "gen-invertible",
+                   "helmholtz", "parabolic-closed", "parabolic-recurrence")
+
+
+@pytest.mark.parametrize("mode", TRUNCATED_MODES)
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(1, 10**15), Fraction(1, 10**25)])
+def test_truncated_mutant_fails_on_its_exact_residual(mode, c):
+    sol = truncated_build(mode, 2, 1, 8)
+    assert not sol.exact and sol.body.is_exact()
+    rep = dirac_residual(sol)
+    assert rep.passed and not rep.exact_zero
+    top = 2 * sol.L + sol.k + (mode != "helmholtz")
+    assert {sum(exps) for exps, _, _ in rep.residual_poly.terms} == {top}
+    # below the top degree, however small the coefficient
+    bad = dirac_residual(with_scalar_term(sol, (3, 0), c))
+    assert not bad.passed
+    # the reported numbers are still the sampled ones
+    assert len(bad.sup_norm_by_radius) == 3
+
+
+@pytest.mark.parametrize("L", [8, 12, 16])
+@pytest.mark.parametrize("c", [Fraction(1, 10**15), Fraction(1, 10**25)])
+def test_generalized_mutants_that_sampling_passed(L, c):
+    # gen-monogenic m=3 k=2 plus c x1^5: the sampled sup-norms fall under
+    # the underflow guard (L >= 12) or the junk cut hides the term (L = 8)
+    ctx = AlgebraContext(3)
+    sol = build_generalized(monogenic_basis(ctx, 2)[0],
+                            ZetaElement(1, Fraction(1, 2), -1, 2), L=L)
+    assert dirac_residual(sol).passed
+    assert not dirac_residual(with_scalar_term(sol, (5, 0, 0), c)).passed
+
+
+@pytest.mark.parametrize("m,k,L", [(3, 2, 8), (2, 1, 12), (3, 0, 16)])
+def test_parabolic_mutants_that_sampling_passed(m, k, L):
+    ctx = AlgebraContext(m)
+    sol = build_parabolic_closed(monogenic_basis(ctx, k)[0],
+                                 TimeFunction.term(ctx, 1, lam=-1), L=L)
+    rep = dirac_residual(sol)
+    assert rep.passed
+    assert {sum(exps) for exps, _, _ in rep.residual_poly.terms} == {2 * L + k + 1}
+    bad = with_scalar_term(sol, (3,) + (0,) * (m - 1), Fraction(1, 10**18))
+    assert not dirac_residual(bad).passed
+
+
+def test_float_truncated_build_keeps_the_sampled_test():
+    # float coefficients: roundoff junk below JUNK_REL is still dropped
+    ctx = AlgebraContext(2)
+    sol = build_generalized(monogenic_basis(ctx, 1)[0],
+                            ZetaElement(1.0, 0.5, -1.0, 2.0), L=5)
+    assert not sol.body.is_exact()
+    assert dirac_residual(sol).passed
+    assert dirac_residual(with_scalar_term(sol, (3, 0), 1e-3)).passed is False
