@@ -50,7 +50,10 @@ class SeriesSolution:
         return self.body.ctx
 
 
-def _as_list(heads, kind) -> list:
+def _as_list(heads, kind, L: int) -> list:
+    """The heads as a list; ValueError for bad heads or a negative order L."""
+    if L < 0:
+        raise ValueError(f"truncation order L={L} is negative")
     items = list(heads) if isinstance(heads, (list, tuple)) else [heads]
     if not items:
         raise ValueError("need at least one head polynomial")
@@ -71,7 +74,7 @@ def build_parabolic_closed(M: MonogenicPoly, a: TimeFunction,
     but the f block is driven by a'(t); together they reproduce the
     recurrence solution seeded with a0 = a, b2 = -a/(2k+m).
     """
-    (M,) = _as_list(M, MonogenicPoly)
+    (M,) = _as_list(M, MonogenicPoly, L)
     ctx = M.poly.ctx
     k = M.degree
     gamma = Fraction(2 * k + ctx.m, 2)
@@ -104,7 +107,7 @@ def build_parabolic_recurrence(M: MonogenicPoly,
     with a_{l+1} = a_l' / (4(l+1)(l+g)) and b_{l+1} = b_l' / (4(l+1)(l+g+1)).
     Polynomial seeds terminate the sum on their own; otherwise it stops at L.
     """
-    (M,) = _as_list(M, MonogenicPoly)
+    (M,) = _as_list(M, MonogenicPoly, L)
     ctx = M.poly.ctx
     k = M.degree
     gamma = Fraction(2 * k + ctx.m, 2)
@@ -213,7 +216,7 @@ def build_helmholtz(H, z: ZetaElement, L: int = 12,
     Cl(1,1) weights are computed ("direct" exact powers, "sylvester" the
     spectral formula; they agree to rounding).
     """
-    heads = _as_list(H, HarmonicPoly)
+    heads = _as_list(H, HarmonicPoly, L)
     ctx = heads[0].poly.ctx
     total = CliffordPoly.zero(ctx)
     for h in heads:
@@ -246,7 +249,7 @@ def build_generalized(M, z: ZetaElement, L: int = 12,
     Every form truncates to A_L + B_L at the top, so the residual of
     (d_x + zeta) is exactly zeta B_L.
     """
-    heads = _as_list(M, MonogenicPoly)
+    heads = _as_list(M, MonogenicPoly, L)
     if form not in ("monogenic", "factored", "invertible"):
         raise ValueError(f"unknown generalized form {form!r}")
     if form == "invertible" and not z.is_invertible():
@@ -294,7 +297,7 @@ def parabolic_from_generalized(M: MonogenicPoly, lam: Union[int, float, complex]
     into exp(lam t) (d_x + zeta) g.  Builds the generalized monogenic
     series for that zeta and multiplies the exponential back on.
     """
-    (M,) = _as_list(M, MonogenicPoly)
+    (M,) = _as_list(M, MonogenicPoly, L)
     ctx = M.poly.ctx
     z = ZetaElement(0, lam, 1, 0)
     gen = build_generalized(M, z, L, form="monogenic")

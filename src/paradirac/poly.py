@@ -388,13 +388,16 @@ class SparseTerms:
                       ) -> Iterator[Multivector]:
         """Values at each (point, t) pair, yielded in order as evaluated.
 
-        The terms are prepared once per call: the distinct monomials as
-        nonzero (i, d) pairs, each term's monomial, n and complex(lambda),
-        and per blade a column of (term, coefficient) in term order.  Each
-        point computes every x_i**d, t**n and exp(lambda t) once, then the
-        weight w = x^exps * t^n * e^{lambda t} of every term, with the
-        same operations in the same order as a term-by-term loop, and sums
-        each column in term order, skipping zero weights.  So a value has
+        The terms are prepared once per call: the distinct (i, d) pairs of
+        the monomials, the monomials' distinct prefixes, each a parent
+        prefix and one more pair, the distinct complex(lambda), and per
+        blade a column of (weight slot, coefficient) in term order.  Each
+        point computes every x_i**d once, then the weight of every prefix
+        as its parent's weight times one power, so a monomial's weight
+        x^exps is the same left-to-right product a term-by-term loop
+        makes.  A term without t reads its monomial's weight; a term with
+        t gets w = x^exps * t^n * e^{lambda t} in that order.  Each column
+        is summed in term order, skipping zero weights.  So a value has
         the same bits whichever batch it is computed in.
 
         When every coordinate and t of the batch is a float, the exact
@@ -407,52 +410,60 @@ class SparseTerms:
         points = list(points)   # read twice: the float scan, then the values
         floats = all(isinstance(x, float) for point, t in points for x in (*point, t))
         pairs: Dict[Tuple[int, int], int] = {}      # (i, d) -> slot
-        monos: Dict[Exponents, int] = {}
-        mono_slots = []         # per monomial: the slots of its (i, d) pairs
+        prefixes: Dict[Tuple[int, int], int] = {}   # (parent, slot) -> prefix
+        steps = []              # per prefix after the empty one: (parent, slot)
         lams: Dict[complex, int] = {}
-        rows = []               # per term: (monomial, n, lambda index or -1)
-        cols: Dict[int, list] = {}      # blade -> [(term, coefficient)]
-        for ti, (key, mv) in enumerate(self.terms.items()):
+        timed = []              # per term with t: (prefix, n, lambda index or -1)
+        rows = []               # per term: (prefix, index in timed or -1, coefficients)
+        for key, mv in self.terms.items():
             exps, n, lam = self._split_key(key)
-            mi = monos.setdefault(exps, len(monos))
-            if mi == len(mono_slots):
-                mono_slots.append(tuple(pairs.setdefault((i, d), len(pairs))
-                                        for i, d in enumerate(exps) if d))
+            wi = 0              # the empty prefix, weight 1
+            for i, d in enumerate(exps):
+                if d:
+                    step = (wi, pairs.setdefault((i, d), len(pairs)))
+                    wi = prefixes.get(step)
+                    if wi is None:
+                        steps.append(step)
+                        wi = prefixes[step] = len(steps)
             li = lams.setdefault(complex(lam), len(lams)) if lam != 0 else -1
-            rows.append((mi, n, li))
-            varies = mono_slots[mi] or n or li >= 0
-            for mask, c in mv.terms.items():
+            ti = -1
+            if n or li >= 0:
+                ti = len(timed)
+                timed.append((wi, n, li))
+            rows.append((wi, ti, mv.terms))
+        # weight slots: the prefixes' (0 the empty one), then the timed terms'
+        first = len(steps) + 1
+        cols: Dict[int, list] = {}      # blade -> [(weight slot, coefficient)]
+        for wi, ti, coeffs in rows:
+            slot, varies = (first + ti, True) if ti >= 0 else (wi, wi > 0)
+            for mask, c in coeffs.items():
                 cols.setdefault(mask, []).append(
-                    (ti, _rounded(c) if floats and varies and is_exact(c) else c))
-        ns = {n for _, n, _ in rows if n}
+                    (slot, _rounded(c) if floats and varies and is_exact(c) else c))
+        ns = {n for _, n, _ in timed if n}
         for point, t in points:
             if len(point) != m:
                 raise ValueError(f"point has {len(point)} coordinates, expected {m}")
             try:
                 xd = [point[i] ** d for i, d in pairs]
-                mono_w = []
-                for slots in mono_slots:
-                    w: Scalar = 1
-                    for j in slots:
-                        w = w * xd[j]
-                    mono_w.append(w)
+                ws: list = [1]
+                for parent, j in steps:
+                    ws.append(ws[parent] * xd[j])
                 tn = {n: t ** n for n in ns}
                 if lams:
                     tc = complex(t)
                     ex = [cmath.exp(lam * tc) for lam in lams]
-                weights = []
-                for mi, n, li in rows:
-                    w = mono_w[mi]
+                for wi, n, li in timed:
+                    w = ws[wi]
                     if n:
                         w = w * tn[n]
                     if li >= 0:
                         w = complex(w) * ex[li]
-                    weights.append(w)
+                    ws.append(w)
                 out: Dict[int, Scalar] = {}
                 for mask, col in cols.items():
                     s: Scalar = 0
-                    for ti, c in col:
-                        w = weights[ti]
+                    for wi, c in col:
+                        w = ws[wi]
                         if w:
                             s = s + c * w
                             if not s:   # a vanished sum restarts from int 0

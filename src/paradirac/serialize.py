@@ -7,6 +7,10 @@ exact backend round-trips without loss.  All files carry
 "schema_version": 1 at top level.  CSV evaluation tables have a
 mandatory header row: coordinates x1..xm, t, then one _re/_im column
 pair per blade appearing in the solution.
+
+Solution and report files are written as one string that equals
+json.dumps(obj, indent=1): each term row is formatted from a fixed
+template and every other value as the json encoder nests it.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import csv
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .algebra import AlgebraContext, Multivector
@@ -60,7 +65,7 @@ def encode_scalar(v: Scalar) -> List[Union[int, float, str]]:
 def _decode_part(raw) -> Scalar:
     if isinstance(raw, str):
         return parse_rational(raw)
-    if isinstance(raw, (int, float)):
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return raw
     raise ValueError(f"bad scalar part {raw!r}")
 
@@ -68,15 +73,15 @@ def _decode_part(raw) -> Scalar:
 def decode_scalar(pair) -> Scalar:
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise ValueError(f"scalar must be an [re, im] pair, got {pair!r}")
-    re, im = (_decode_part(p) for p in pair)
-    exact = not (isinstance(re, float) or isinstance(im, float))
-    if exact:
-        if im == 0:
-            return re
-        return GaussianRational(re, im)
-    if im == 0:
-        return float(re)
-    return complex(re, im)
+    re, im = pair
+    # a plain int or float part is taken as it is
+    if type(re) not in (int, float):
+        re = _decode_part(re)
+    if type(im) not in (int, float):
+        im = _decode_part(im)
+    if isinstance(re, float) or isinstance(im, float):
+        return float(re) if im == 0 else complex(re, im)
+    return re if im == 0 else GaussianRational(re, im)
 
 
 # -- solution files ---------------------------------------------------------
@@ -166,6 +171,7 @@ def solution_from_dict(data: dict) -> SeriesSolution:
         raise ValueError(f"spatial dimension m={m} outside 1..{MAX_M}")
     ctx = AlgebraContext(m)
     terms: Dict[tuple, Multivector] = {}
+    masks: Dict[str, int] = {}      # blade label -> mask, each parsed once
     for row in _get(data, "terms", (list,)):
         if not isinstance(row, dict):
             raise ValueError(f"term row must be an object, got {row!r}")
@@ -181,7 +187,10 @@ def solution_from_dict(data: dict) -> SeriesSolution:
             if not (isinstance(blade, list) and len(blade) == 2
                     and isinstance(blade[0], str)):
                 raise ValueError(f"blade entry must be [label, [re, im]], got {blade!r}")
-            coeffs[ctx.blade_from_label(blade[0])] = decode_scalar(blade[1])
+            mask = masks.get(blade[0])
+            if mask is None:
+                mask = masks[blade[0]] = ctx.blade_from_label(blade[0])
+            coeffs[mask] = decode_scalar(blade[1])
         mv = Multivector(ctx, {m_: v for m_, v in coeffs.items() if v != 0})
         if not mv.is_zero():
             key = (exps, n, lam)
@@ -248,9 +257,54 @@ def check_report_to_dict(rep: CheckReport) -> dict:
 
 
 def save_report(report_dict: dict, path: str) -> None:
+    text = _dumps(report_dict, "") + "\n"
     with open(path, "w") as fh:
-        json.dump(report_dict, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
+
+
+# -- JSON text -----------------------------------------------------------
+
+_ROW_KEYS = ("exponents", "n", "lambda", "blades")
+
+
+def _dumps(o, ind: str) -> str:
+    """o as json.dumps(o, indent=1) writes it, nested at indentation ind."""
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is float and o - o == 0:   # finite
+        return float.__repr__(o)
+    if t is list:
+        i = ind + " "
+        if len(o) == 2:     # [re, im] and [label, [re, im]], most of a file
+            return f"[\n{i}{_dumps(o[0], i)},\n{i}{_dumps(o[1], i)}\n{ind}]"
+        return _nest("[", [_dumps(v, i) for v in o], ind, "]")
+    if t is dict and tuple(o) == _ROW_KEYS:
+        return _row(o, ind)
+    if t is dict and all(type(k) is str for k in o):
+        return _nest("{", [encode_basestring_ascii(k) + ": " + _dumps(v, ind + " ")
+                           for k, v in o.items()], ind, "}")
+    # null, true, NaN, a tuple, a subclass, other keys: as json writes them
+    # (a JSON string holds no raw newline, so this indents them exactly)
+    return json.dumps(o, indent=1).replace("\n", "\n" + ind)
+
+
+def _nest(open_: str, items: List[str], ind: str, close: str) -> str:
+    if not items:
+        return open_ + close
+    inner = "\n" + ind + " "
+    return open_ + inner + ("," + inner).join(items) + "\n" + ind + close
+
+
+def _row(row: dict, ind: str) -> str:
+    """A term row {exponents, n, lambda, blades} from a fixed template."""
+    exps, n, lam, blades = row.values()
+    i = ind + " "
+    return (f'{{\n{i}"exponents": {_dumps(exps, i)},\n{i}"n": {_dumps(n, i)},'
+            f'\n{i}"lambda": {_dumps(lam, i)},\n{i}"blades": {_dumps(blades, i)}'
+            f'\n{ind}}}')
 
 
 # -- CSV point tables ----------------------------------------------------
@@ -314,7 +368,11 @@ def write_eval_csv(sol: SeriesSolution,
         for (point, t), mv in zip(points, sol.body.evaluate_many(points)):
             row = [repr(float(c)) for c in point] + [repr(float(t))]
             for mask in masks:
-                val = complex(mv.terms.get(mask, 0))
-                row += [repr(val.real), repr(val.imag)]
+                val = mv.terms.get(mask, 0)
+                if type(val) is float:
+                    row += [repr(val), "0.0"]
+                else:
+                    val = complex(val)
+                    row += [repr(val.real), repr(val.imag)]
             writer.writerow(row)
     return header

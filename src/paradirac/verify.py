@@ -243,14 +243,19 @@ def dirac_residual(F: SeriesSolution,
     their order are still reported.  With float coefficients the support
     is read above roundoff scale, and the sup-norm order across radii
     must match the truncation order within order_tol (a parabolic build
-    needs only support at degree 2L+k or above).  The radii must be finite,
-    positive and distinct, and at least two for a truncated build, which
-    fits an order to them, or ValueError is raised.
+    needs only support at degree 2L+k or above).  A residual without t is
+    sampled once per point and that value stands for every T_SAMPLES
+    entry.  The radii must be finite, positive and distinct, and at least
+    two for a truncated build, which fits an order to them, and order_tol
+    must be finite and nonnegative, or ValueError is raised.
     """
     if not (all(math.isfinite(r) and r > 0 for r in radii)
             and len(set(radii)) == len(radii)):
         raise ValueError(f"radii must be finite, positive and distinct, "
                          f"got {list(radii)}")
+    if not (math.isfinite(order_tol) and order_tol >= 0):
+        raise ValueError(f"order_tol must be finite and nonnegative, "
+                         f"got {order_tol}")
     if not F.exact and len(radii) < 2:
         raise ValueError(f"a truncated build needs at least two radii to "
                          f"estimate its order, got {list(radii)}")
@@ -280,12 +285,14 @@ def dirac_residual(F: SeriesSolution,
         return report
 
     dirs = unit_directions(F.ctx.m, seed=seed)
+    # a residual without t has the same value, bit for bit, at every t
+    ts = T_SAMPLES[:1] if R_sig.is_polynomial() and R_sig.max_n() == 0 else T_SAMPLES
     values = R_sig.evaluate_many([(tuple(r * c for c in d), t) for r in radii
-                                  for d in dirs for t in T_SAMPLES])
+                                  for d in dirs for t in ts])
     sups: List[Tuple[float, float]] = []
     for r in radii:
         sup = 0.0
-        for mv in islice(values, len(dirs) * len(T_SAMPLES)):
+        for mv in islice(values, len(dirs) * len(ts)):
             val = mv.max_abs()
             if val > sup:
                 sup = val

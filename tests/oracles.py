@@ -1,8 +1,9 @@
 """Slow reference helpers shared by several test modules.
 
 They are independent of the fast paths the package uses: direct power
-series next to the spectral (Sylvester) evaluation, the spatial degrees
-read straight off a body's keys, and the sparse term engine's operators
+series next to the spectral (Sylvester) evaluation, a residual sampled at
+every (direction, t) pair, the spatial degrees read straight off a
+body's keys, and the sparse term engine's operators
 computed term by term on Multivector coefficients instead of stored
 integer numerators.
 """
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 from paradirac.algebra import Multivector, split
 from paradirac.scalars import GaussianRational
+from paradirac.verify import T_SAMPLES, unit_directions
 from paradirac.zeta import PowerSeries, ZetaElement
 
 
@@ -42,6 +44,23 @@ def series_eval(psi, z, L):
         if cn:
             total = total + power.scale(cn)
     return total
+
+
+def sampled_sup_norms(R, radii, seed):
+    """(radius, sup-norm) of R over every (direction, t) pair, each point
+    evaluated on its own: the residual check's sampling with no shortcut
+    for a residual without t."""
+    dirs = unit_directions(R.ctx.m, seed=seed)
+    sups = []
+    for r in radii:
+        sup = 0.0
+        for d in dirs:
+            for t in T_SAMPLES:
+                val = R.evaluate(tuple(r * c for c in d), t).max_abs()
+                if val > sup:
+                    sup = val
+        sups.append((float(r), sup))
+    return sups
 
 
 def spatial_degrees(F):

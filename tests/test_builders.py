@@ -287,3 +287,16 @@ def test_parabolic_from_generalized_accepts_equal_context_head():
     direct = build_parabolic_closed(
         M, TimeFunction.term(AlgebraContext(2), 1, lam=-1), L=5)
     assert sol.body == direct.body
+
+
+@pytest.mark.parametrize("build", [
+    lambda ctx: build_parabolic_closed(const_head(ctx), t_profile(ctx), L=-1),
+    lambda ctx: build_parabolic_recurrence(const_head(ctx), {"a0": t_profile(ctx)}, L=-1),
+    lambda ctx: build_helmholtz(harmonic_basis(ctx, 1)[0], ZetaElement(1, 0, 0, 1), L=-2),
+    lambda ctx: build_generalized(const_head(ctx), ZetaElement(1, 0, 0, 1), L=-1,
+                                  form="invertible"),
+    lambda ctx: parabolic_from_generalized(const_head(ctx), -1, L=-1),
+])
+def test_builders_reject_negative_truncation(build):
+    with pytest.raises(ValueError, match="negative"):
+        build(AlgebraContext(2))

@@ -294,3 +294,59 @@ def test_verify_rejects_bad_radii(capsys, radii):
                        "--radii", radii)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("order_tol", ["nan", "-1", "inf", "-inf"])
+def test_verify_rejects_bad_order_tol(capsys, order_tol):
+    code, _, err = run(capsys, "verify", "--mode", "gen-monogenic", "--m", "2",
+                       "--k", "0", "--zeta", "1,0,0,1", "--trunc", "8",
+                       "--backend", "float", f"--order-tol={order_tol}")
+    assert code == 2
+    assert "order_tol" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "gen-monogenic", "--zeta", "1,0,0,1"],
+    ["--mode", "gen-factored", "--zeta", "1,0,0,1"],
+    ["--mode", "gen-invertible", "--zeta", "1,0,0,1"],
+    ["--mode", "helmholtz", "--zeta", "1,0,0,1"],
+    ["--mode", "parabolic-recurrence", "--profile", "exp:-1"],
+    ["--mode", "parabolic-recurrence", "--profile", "t"],
+    ["--mode", "parabolic-closed", "--profile", "exp:-1"],
+])
+def test_build_rejects_negative_trunc(capsys, tmp_path, argv):
+    out = tmp_path / "x.json"
+    code, _, err = run(capsys, "build", "--m", "2", "--k", "0", *argv,
+                       "--trunc", "-2", "--out", str(out))
+    assert code == 2
+    assert "error:" in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "parabolic-closed", "--profile", '[{"coeff": [true, 0]}]'],
+    ["--mode", "parabolic-closed", "--profile", '[{"coeff": [1, false]}]'],
+    ["--mode", "parabolic-closed", "--profile", '[{"lambda": [false, 0]}]'],
+    ["--mode", "parabolic-recurrence", "--seeds", '{"a0": {"coeff": {"e1": [true, 0]}}}'],
+])
+def test_build_rejects_boolean_profile_scalars(capsys, tmp_path, argv):
+    code, _, err = run(capsys, "build", "--m", "2", "--k", "0", *argv,
+                       "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert "bad scalar part" in err
+
+
+@pytest.mark.parametrize("where", ["lambda", "blade"])
+def test_solution_file_rejects_boolean_scalars(capsys, tmp_path, where):
+    data = _solution_dict(capsys, tmp_path)
+    row = data["terms"][0]
+    if where == "lambda":
+        row["lambda"] = [True, 0]
+    else:
+        row["blades"][0][1] = [True, 0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for argv in (["verify", "--solution", str(bad)],
+                 ["eval", "--solution", str(bad), "--points", str(bad)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "bad scalar part" in err and "Traceback" not in err

@@ -16,6 +16,10 @@ head; L = 3 and 5), the sha256 of the residual report JSON (the symbolic
 residual's terms and the float sup-norms sampled from it) together with,
 for parabolic builds, the component-condition report JSON.  A change to
 how residuals are computed shows here.
+
+EVAL_DIGESTS pins the bytes of `paradirac eval --out` for a third grid,
+float builds included, on fixed points with zero coordinates and t = 0.
+A change to how values are computed or written shows here.
 """
 
 import hashlib
@@ -568,3 +572,106 @@ def test_report_output_is_pinned(argv):
         out["components"] = check_report_to_dict(check_component_conditions(sol))
     text = json.dumps(out, indent=1)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[argv]
+
+
+# Each key is the argument list of one `paradirac build` run; the value is
+# the sha256 of the CSV that `paradirac eval --out` writes for it on the
+# points of EVAL_POINTS.  The grid covers both backends, every mode,
+# polynomial, decaying and oscillating profiles, rational and Gaussian
+# zeta and m = 1..3.
+EVAL_DIGESTS = {
+    '--mode gen-factored --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 4 --backend float':
+        'f55631534180c14e57c5d53a0f8f4cce0563db80c29430a28e5524adf8eabf49',
+    '--mode gen-factored --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
+        '51f9523956ab3ecb891a5e8e5c2d5f3fa0cbf00baf611e1ed09e27fff53f5dec',
+    '--mode gen-factored --m 3 --k 2 --basis-index 4 --zeta 1,2,1/2,1 --trunc 2 --backend float':
+        '5d0e81aa9fb98989c84a587ffafdf5ac149c0b233932f2b15407aeb96f5273fb',
+    '--mode gen-invertible --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
+        'b6d90a025d3dafc80d9ad4b740d65a385f1f543818704d3df3038d98949da994',
+    '--mode gen-invertible --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3 --backend float':
+        '28cf94e5a7269b80363d0dc4f7a467b603979036eab08811777213ee35f1d499',
+    '--mode gen-invertible --m 3 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 3':
+        'a4f6d2336a7d71620af64e10263c2ef17e66f0a4cbf006772937306f1be8ec47',
+    '--mode gen-monogenic --m 1 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 4':
+        'a195091a94f054acaa58fd8a9c139220536d9008123c67374f9c04ff60480cad',
+    '--mode gen-monogenic --m 2 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 4 --backend float':
+        '9662814bb0f672f40be541b51aad25161e6a140967055327393e55085cbd84fb',
+    '--mode gen-monogenic --m 2 --k 0,1 --basis-index 0,1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
+        'b17fd084d38f282987e67b7639144b72c8980b6585c8dc5749fb64818695c356',
+    '--mode gen-monogenic --m 3 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3 --backend float':
+        '3dc7f48c4ff8a55fac2f90bcd2e252eccc9108577a7fd73e8462e9f0da7990b9',
+    '--mode gen-monogenic --m 3 --k 1 --basis-index 2 --zeta 1,2,1/2,1 --trunc 3':
+        'cb023fed720312a1b8fd9ec1f199ebf0263230c6561303aa8ac4f7d2600037ad',
+    '--mode helmholtz --m 1 --k 1 --basis-index 0 --zeta 2,1,1,0 --trunc 4':
+        '0c204497999690d6db957e8f5533dc9c5c79f6fcf8fac1612303a5c6d37f4565',
+    '--mode helmholtz --m 1 --k 1 --basis-index 0 --zeta 2,1,1,0 --trunc 4 --backend float --radial sylvester':
+        'c0145fd7fc239b9fc3d6b0d0ab330e68851b65f0f4a91fd561d8ed030d055c88',
+    '--mode helmholtz --m 2 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 4 --backend float':
+        'c3e8585200d9262e5e11ed4320bab164e1427fb6069baab268a7e0b3570a401a',
+    '--mode helmholtz --m 2 --k 2 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
+        '7256959bd7708641b5a261109eca151e28f2567596f8a64df65aee78a6687752',
+    '--mode helmholtz --m 3 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
+        '91f22a062eb40fd01edb24dcceee165d3455ce9d2251c39b6ddabd73001342e2',
+    '--mode helmholtz --m 3 --k 1 --basis-index 1 --zeta 1/2,-1,3/4,2 --trunc 3 --backend float --radial sylvester':
+        '90337c313e68bcee3430f89bad5499e22aac6a9f22f4a844f8df792100f86fac',
+    '--mode parabolic-closed --m 1 --k 0 --basis-index 0 --profile exp:0:1 --trunc 4':
+        '2dea98cc2a8fc9df8b7f875f488733627e44b8c591dd7ae4e92f7f511fd295ca',
+    '--mode parabolic-closed --m 1 --k 0 --basis-index 0 --profile poly:1,-2,1/2 --trunc 3':
+        'da3b19c431e66b04348a2564fd32c92cc4b6d74e9daebff3d8fe110284df6e62',
+    '--mode parabolic-closed --m 1 --k 0 --basis-index 0 --profile poly:1,-2,1/2 --trunc 3 --backend float':
+        'da3b19c431e66b04348a2564fd32c92cc4b6d74e9daebff3d8fe110284df6e62',
+    '--mode parabolic-closed --m 2 --k 0 --basis-index 0 --profile exp:-1 --trunc 5 --backend float':
+        'ed5a0446e19013b05912ded149f08d2801fd262f97acf470a6159cb9e0536061',
+    '--mode parabolic-closed --m 2 --k 0 --basis-index 0 --profile exp:-1/2:1 --trunc 4 --backend float':
+        'f9843bec27bb441e40f58e027e7ae1da9af79bd4fd19767a1242d0f1bc3858c2',
+    '--mode parabolic-closed --m 2 --k 1 --basis-index 0 --profile exp:0:1 --trunc 4 --backend float':
+        '38cf1ecaf87ab1983269239b1c1ae0adb71569df6bd22c05b7eba1995aa5f286',
+    '--mode parabolic-closed --m 2 --k 1 --basis-index 1 --profile exp:-1 --trunc 4':
+        '71b46d5c189d063edc606f21789e68643fb9a38d760616e23ae2d2d964ec05bc',
+    '--mode parabolic-closed --m 2 --k 2 --basis-index 1 --profile poly:1,0,-1 --trunc 3 --backend float':
+        '8fdf1528604a6ce9a5e72260767ec0560904b58d3e690f153dd520cc75710fd2',
+    '--mode parabolic-closed --m 3 --k 0 --basis-index 0 --profile exp:-1 --trunc 3 --backend float':
+        '80732eeb6e5b03fa093c4db720d509119dad8677e69f8880d0c658e265eb4592',
+    '--mode parabolic-closed --m 3 --k 1 --basis-index 0 --profile poly:0,1,1/3 --trunc 3':
+        '3e9b4559b8e9b8de58a39d8927cf15a1f3abed76310bcaf8f1ed7d613124dcee',
+    '--mode parabolic-closed --m 3 --k 2 --basis-index 4 --profile exp:0:1 --trunc 3':
+        '807b4f9907293b8a4e5309f153fdcb7175b9dce2f4aa03bd7b9f146e2ddbaf4a',
+    '--mode parabolic-recurrence --m 1 --k 0 --basis-index 0 --seeds {"a0":"exp:-1","b2":"t"} --trunc 3 --backend float':
+        'f862d4cce6dd329a955b6491bdc4243593924d0ed94adce6e792f61e70befc72',
+    '--mode parabolic-recurrence --m 2 --k 0 --basis-index 0 --seeds {"a0":"t^2","b0":"poly:1,1/3","a2":"1","b2":"exp:1/2"} --trunc 3':
+        'd22073061a8f9f00e55535724f53915dd93ddc9471039a0c136507755a111e52',
+}
+
+# (x1, x2, x3, t) rows; a dimension-m file keeps the first m coordinates.
+# Zero coordinates and t = 0 give terms of weight zero, which the
+# evaluation skips.
+EVAL_POINTS = [
+    (0.0, 0.0, 0.0, 0.0),
+    (0.5, -0.25, 0.125, 0.0),
+    (0.0, 0.75, -0.5, 0.5),
+    (-1.0, 0.0, 0.0, -0.25),
+    (0.3, 0.7, -0.2, 1.5),
+    (1.25, -0.6, 0.9, 0.0),
+    (-0.45, 0.0, 1.1, 0.75),
+    (2.0, 1.0, -1.5, -1.0),
+    (1e-3, -2.5, 0.0, 0.1),
+]
+
+
+def _eval_csv_bytes(argv, tmp_path):
+    """Bytes of the eval CSV of the build `argv` on EVAL_POINTS."""
+    sol, pts, vals = (tmp_path / name for name in ("sol.json", "pts.csv", "vals.csv"))
+    assert main(["build", *argv.split(" "), "--out", str(sol)]) == 0
+    m = json.loads(sol.read_text())["m"]
+    lines = [",".join([*(f"x{i}" for i in range(1, m + 1)), "t"])]
+    lines += [",".join(map(repr, (*row[:m], row[3]))) for row in EVAL_POINTS]
+    pts.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--solution", str(sol), "--points", str(pts),
+                 "--out", str(vals)]) == 0
+    return vals.read_bytes()
+
+
+@pytest.mark.parametrize("argv", sorted(EVAL_DIGESTS))
+def test_eval_output_is_pinned(argv, tmp_path):
+    got = hashlib.sha256(_eval_csv_bytes(argv, tmp_path)).hexdigest()
+    assert got == EVAL_DIGESTS[argv]

@@ -1,3 +1,4 @@
+import functools
 import json
 from fractions import Fraction
 
@@ -5,18 +6,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from paradirac.algebra import AlgebraContext
+from paradirac.algebra import AlgebraContext, Multivector
 from paradirac.builders import (SeriesSolution, build_generalized,
                                 build_helmholtz, build_parabolic_closed)
 from paradirac.harmonics import harmonic_basis, monogenic_basis
 from paradirac.scalars import GaussianRational
-from paradirac.serialize import (SCHEMA_VERSION, decode_scalar, encode_scalar,
-                                 load_solution, read_points_csv,
-                                 residual_report_to_dict, save_solution,
-                                 solution_from_dict, solution_to_dict,
-                                 write_eval_csv)
-from paradirac.timefn import TimeFunction
-from paradirac.verify import dirac_residual
+from paradirac.serialize import (SCHEMA_VERSION, _dumps, check_report_to_dict,
+                                 decode_scalar, encode_scalar, load_solution,
+                                 read_points_csv, residual_report_to_dict,
+                                 save_report, save_solution, solution_from_dict,
+                                 solution_to_dict, write_eval_csv)
+from paradirac.timefn import SpaceTimeFunction, TimeFunction
+from paradirac.verify import CheckReport, ResidualReport, dirac_residual
 from paradirac.zeta import ZetaElement
 
 
@@ -38,6 +39,13 @@ def test_scalar_codec_roundtrip(value):
     # exactness class survives: rationals come back rational
     if isinstance(value, (int, Fraction, GaussianRational)):
         assert not isinstance(back, (float, complex))
+
+
+@pytest.mark.parametrize("pair", [[True, 0], [0, False], [1, True],
+                                  ["1/2", True], [False, 0.5]])
+def test_boolean_scalar_parts_are_rejected(pair):
+    with pytest.raises(ValueError, match="bad scalar part"):
+        decode_scalar(pair)
 
 
 def test_scalar_codec_is_json_safe():
@@ -156,16 +164,33 @@ json_values = st.recursive(
     max_leaves=12)
 
 
+@functools.lru_cache(maxsize=None)
+def _valid_text():
+    return json.dumps(solution_to_dict(build_samples()[1]))
+
+
 def _valid_dict():
-    return solution_to_dict(build_samples()[1])
+    """A fresh copy of one valid solution dict, built once per session."""
+    return json.loads(_valid_text())
+
+
+json_leaves = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.sampled_from(["1/2", "1/0", "-0", "x"]))
 
 
 @st.composite
 def damaged_solutions(draw):
     """A valid solution dict with one field, top-level or in a term row,
-    replaced by an arbitrary JSON value (or removed)."""
+    replaced by an arbitrary JSON value (or removed), or with one part of
+    a term's lambda or blade value replaced by a JSON leaf."""
     data = _valid_dict()
     target = data
+    if draw(st.integers(0, 2)) == 0:
+        row = data["terms"][draw(st.integers(0, len(data["terms"]) - 1))]
+        pair = draw(st.sampled_from([row["lambda"]]
+                                    + [blade[1] for blade in row["blades"]]))
+        pair[draw(st.integers(0, 1))] = draw(json_leaves)
+        return data
     if draw(st.booleans()) and data["terms"]:
         target = data["terms"][draw(st.integers(0, len(data["terms"]) - 1))]
     key = draw(st.sampled_from(sorted(target)))
@@ -177,11 +202,14 @@ def damaged_solutions(draw):
 
 
 def _loads_or_value_error(data):
+    """data loads, or raises ValueError; what loads also writes back out."""
     try:
         sol = solution_from_dict(data)
     except ValueError:
         return
     assert isinstance(sol, SeriesSolution)
+    again = solution_to_dict(sol)
+    assert _dumps(again, "") == json.dumps(again, indent=1)
 
 
 @settings(max_examples=300, deadline=None,
@@ -196,3 +224,95 @@ def test_solution_from_dict_on_arbitrary_json(data):
 @given(damaged_solutions())
 def test_solution_from_dict_on_damaged_files(data):
     _loads_or_value_error(data)
+
+
+# -- the JSON text encoder ----------------------------------------------------------
+
+EDGE_FLOATS = (-0.0, 0.0, 1e308, -1e308, 5e-324, float("inf"), float("-inf"),
+               float("nan"))
+EXACT_PARTS = st.one_of(st.integers(-10**20, 10**20),
+                        st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99)))
+FLOAT_PARTS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+SCALARS = {
+    "exact": EXACT_PARTS,
+    "gaussian": st.builds(GaussianRational, EXACT_PARTS, EXACT_PARTS),
+    "float": FLOAT_PARTS,
+    "complex": st.builds(complex, FLOAT_PARTS, FLOAT_PARTS),
+}
+
+
+@st.composite
+def bodies(draw, m):
+    """A space-time body with exact, Gaussian, float or complex values."""
+    ctx = AlgebraContext(m)
+    values = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
+    lams = st.sampled_from((0, 0, Fraction(-1, 2), 2, -1.0, 0.5j,
+                            GaussianRational(0, Fraction(1, 3))))
+    keys = st.tuples(st.tuples(*[st.integers(0, 3)] * m), st.integers(0, 2), lams)
+    terms = {}
+    for key in draw(st.lists(keys, max_size=5)):
+        blades = draw(st.dictionaries(st.integers(0, (1 << (m + 2)) - 1), values,
+                                      max_size=3))
+        terms[key] = Multivector(ctx, blades)
+    return SpaceTimeFunction(ctx, {key: mv for key, mv in terms.items()
+                                   if any(mv.terms.values())})
+
+
+@st.composite
+def solution_dicts(draw):
+    m = draw(st.integers(1, 4))
+    body = draw(bodies(m))
+    zeta = draw(st.none() | st.builds(ZetaElement, *[SCALARS["gaussian"]] * 4))
+    extra = draw(st.dictionaries(st.text(max_size=4), st.one_of(
+        st.text(max_size=4), st.integers(), FLOAT_PARTS, SCALARS["complex"]),
+        max_size=2))
+    sol = SeriesSolution(body=body, mode="helmholtz", m=m,
+                         k=draw(st.integers(0, 3) | st.tuples(st.integers(0, 3))),
+                         L=draw(st.integers(0, 9)), exact=draw(st.booleans()),
+                         zeta=zeta, extra=extra)
+    data = solution_to_dict(sol)
+    for row in data["terms"]:
+        if draw(st.integers(0, 3)) == 0:
+            row["blades"] = []
+    return data
+
+
+@st.composite
+def report_dicts(draw):
+    body = draw(bodies(draw(st.integers(1, 4))))
+    rep = ResidualReport(
+        mode="gen-monogenic", exact_zero=body.is_zero(),
+        residual_poly=draw(st.sampled_from((None, body))),
+        sup_norm_by_radius=draw(st.lists(st.tuples(FLOAT_PARTS, FLOAT_PARTS),
+                                         max_size=3)),
+        estimated_order=draw(st.none() | FLOAT_PARTS),
+        expected_order=draw(st.none() | FLOAT_PARTS),
+        support_degrees=draw(st.none() | st.tuples(st.integers(0, 9))),
+        passed=draw(st.booleans()), seed=draw(st.none() | st.integers()))
+    out = residual_report_to_dict(rep)
+    if draw(st.booleans()):
+        out["component_conditions"] = check_report_to_dict(CheckReport(
+            "component-conditions", draw(st.booleans()),
+            draw(st.dictionaries(st.text(max_size=6), st.booleans(), max_size=5))))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(solution_dicts(), report_dicts(), json_values))
+def test_json_text_equals_json_dumps(data):
+    assert _dumps(data, "") == json.dumps(data, indent=1)
+
+
+def test_save_report_writes_json_dumps_text(tmp_path):
+    path = tmp_path / "sol.json"
+    for sol in build_samples():
+        save_solution(sol, str(path))
+        assert path.read_text() == json.dumps(solution_to_dict(sol), indent=1) + "\n"
+    report = {"nan": float("nan"), "keys": {1: None, 2.5: True, None: [], False: {}},
+              "text": "\u00e9\n\"", "tuple": (1, -0.0)}
+    save_report(report, str(path))
+    assert path.read_text() == json.dumps(report, indent=1) + "\n"
+    with pytest.raises(TypeError):
+        save_report({(1, 2): 0}, str(path))
+    with pytest.raises(TypeError):
+        _dumps({"x": {1, 2}}, "")

@@ -315,6 +315,39 @@ def test_evaluate_many_matches_oracles(data):
         assert bits(body.evaluate(point, t).terms) == bits(got.terms)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_evaluate_many_shares_prefixes_and_monomials(data):
+    """Monomials that extend one another (x1^2, x1^2 x2, x1^2 x2 x3^3, ...)
+    and several t^n e^{lambda t} factors on one monomial, against the
+    term-by-term loop."""
+    m = data.draw(st.integers(2, 4))
+    ctx = AlgebraContext(m)
+    values = data.draw(st.sampled_from((
+        st.one_of(small, st.builds(Fraction, small, st.integers(1, 3))),
+        floats,
+        st.builds(complex, floats, floats))))
+    times = st.lists(st.sampled_from(((0, 0), (1, 0), (2, 0), (0, Fraction(-1, 2)),
+                                      (1, Fraction(-1, 2)), (0, 1j), (2, 0.25))),
+                     min_size=1, max_size=3, unique=True)
+    terms = {}
+    for exps in data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * m),
+                                   min_size=1, max_size=3)):
+        for j in range(1, m + 1):
+            prefix = exps[:j] + (0,) * (m - j)
+            for n, lam in data.draw(times):
+                blades = data.draw(st.dictionaries(
+                    st.integers(0, (1 << (m + 2)) - 1), values, min_size=1,
+                    max_size=3))
+                terms[(prefix, n, lam)] = Multivector(ctx, blades)
+    F = SpaceTimeFunction(ctx, {key: mv for key, mv in terms.items()
+                                if any(mv.terms.values())})
+    batch = data.draw(st.lists(st.tuples(st.tuples(*[floats] * m), floats),
+                               min_size=1, max_size=4))
+    for (point, t), got in zip(batch, F.evaluate_many(batch), strict=True):
+        assert bits(got.terms) == bits(per_term_value(F, point, t))
+
+
 def test_evaluate_many_edge_cases():
     ctx = AlgebraContext(2)
     # 1/3 + 2 x1 e1 + (1+i)/2 t x2^2

@@ -1,9 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from oracles import sampled_sup_norms
 from paradirac.algebra import AlgebraContext
 from paradirac.builders import (SeriesSolution, build_generalized,
                                 build_helmholtz, build_parabolic_closed,
@@ -11,7 +13,8 @@ from paradirac.builders import (SeriesSolution, build_generalized,
 from paradirac.harmonics import harmonic_basis, monogenic_basis
 from paradirac.poly import CliffordPoly
 from paradirac.timefn import SpaceTimeFunction, TimeFunction, parabolic_dirac
-from paradirac.verify import (check_component_conditions, check_factorization,
+from paradirac.verify import (NOISE_REL, T_SAMPLES, _drop_junk,
+                              check_component_conditions, check_factorization,
                               cross_check, dirac_residual, estimate_order,
                               perturb_component, random_spacetime_poly,
                               symbolic_residual, unit_directions)
@@ -248,3 +251,98 @@ def test_float_truncated_build_keeps_the_sampled_test():
     assert not sol.body.is_exact()
     assert dirac_residual(sol).passed
     assert dirac_residual(with_scalar_term(sol, (3, 0), 1e-3)).passed is False
+
+
+@pytest.mark.parametrize("order_tol", [math.nan, -1.0, math.inf, -math.inf])
+def test_dirac_residual_rejects_bad_order_tol(order_tol):
+    ctx = AlgebraContext(2)
+    sol = build_generalized(monogenic_basis(ctx, 0)[0],
+                            ZetaElement(1.0, 0.0, 0.0, 1.0), L=4)
+    with pytest.raises(ValueError, match="order_tol"):
+        dirac_residual(sol, order_tol=order_tol)
+
+
+# -- sampling: one t for a residual without t, every (direction, t) pair else ------
+
+
+def _with_t(sol):
+    """sol with its body multiplied by t, so that the residual has t^1 terms."""
+    t = TimeFunction.term(sol.ctx, 1, n=1)
+    return SeriesSolution(body=sol.body * t, mode=sol.mode, m=sol.m, k=sol.k,
+                          L=sol.L, exact=sol.exact, zeta=sol.zeta)
+
+
+def _gen(m, k, z, L, form="monogenic"):
+    ctx = AlgebraContext(m)
+    return build_generalized(monogenic_basis(ctx, k)[-1], z, L=L, form=form)
+
+
+def _helm(m, k, z, L, radial="direct"):
+    ctx = AlgebraContext(m)
+    return build_helmholtz(harmonic_basis(ctx, k)[-1], z, L=L, radial=radial)
+
+
+def _exp_profile(m, k, lam, L):
+    ctx = AlgebraContext(m)
+    return build_parabolic_closed(monogenic_basis(ctx, k)[0],
+                                  TimeFunction.term(ctx, 1, lam=lam), L=L)
+
+
+Q = ZetaElement(Fraction(1, 2), -1, Fraction(3, 4), 2)
+Z = ZetaElement(0.5, -1.2, 0.3, 1.1)
+TIME_FREE = {
+    "gen-monogenic exact": lambda: _gen(2, 1, Q, 4),
+    "gen-factored exact": lambda: _gen(3, 0, Q, 3, "factored"),
+    "gen-invertible float": lambda: _gen(2, 1, Z, 4, "invertible"),
+    "gen-monogenic float": lambda: _gen(3, 1, Z, 3),
+    "helmholtz exact": lambda: _helm(2, 2, Q, 3),
+    "helmholtz sylvester": lambda: _helm(3, 1, Z, 4, "sylvester"),
+}
+TIMED = {
+    "parabolic exp exact": lambda: _exp_profile(2, 1, Fraction(-1), 5),
+    "parabolic exp float": lambda: _exp_profile(2, 0, -1.0, 4),
+    "parabolic oscillating": lambda: _exp_profile(3, 0, 1j, 3),
+    "helmholtz times t": lambda: _with_t(_helm(2, 1, Z, 4)),
+    "gen-monogenic times t": lambda: _with_t(_gen(2, 0, Q, 3)),
+}
+
+
+def _sampling(sol, seed=3):
+    """dirac_residual's report, the batch sizes it evaluated, and the
+    residual it sampled (the symbolic one, less junk for a float body)."""
+    batches = []
+    evaluate_many = SpaceTimeFunction.evaluate_many
+
+    def spy(self, points):
+        points = list(points)
+        batches.append(len(points))
+        return evaluate_many(self, points)
+
+    with mock.patch.object(SpaceTimeFunction, "evaluate_many", spy):
+        rep = dirac_residual(sol, seed=seed)
+    noise = 0.0 if sol.body.is_exact() else NOISE_REL * sol.body.max_abs()
+    return rep, batches, _drop_junk(rep.residual_poly, noise)
+
+
+def _bits(sups):
+    return [(repr(r), repr(s)) for r, s in sups]
+
+
+@pytest.mark.parametrize("name", sorted(TIME_FREE))
+def test_time_free_residual_is_sampled_once_per_point(name):
+    rep, batches, R = _sampling(TIME_FREE[name]())
+    assert R.is_polynomial() and R.max_n() == 0
+    assert batches == [3 * len(unit_directions(R.ctx.m, seed=3))]
+    want = sampled_sup_norms(R, (1.0, 0.5, 0.25), seed=3)
+    assert _bits(rep.sup_norm_by_radius) == _bits(want)
+    assert any(s > 0 for _, s in want)
+
+
+@pytest.mark.parametrize("name", sorted(TIMED))
+def test_residual_with_t_is_sampled_at_every_pair(name):
+    rep, batches, R = _sampling(TIMED[name]())
+    assert not (R.is_polynomial() and R.max_n() == 0)
+    dirs = unit_directions(R.ctx.m, seed=3)
+    assert batches == [3 * len(dirs) * len(T_SAMPLES)]
+    want = sampled_sup_norms(R, (1.0, 0.5, 0.25), seed=3)
+    assert _bits(rep.sup_norm_by_radius) == _bits(want)
