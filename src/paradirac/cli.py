@@ -23,9 +23,10 @@ from .builders import (ALL_MODES, SeriesSolution, build_generalized,
                        build_parabolic_recurrence)
 from .harmonics import harmonic_basis, monogenic_basis
 from .scalars import GaussianRational, Scalar, parse_rational
-from .serialize import (check_report_to_dict, decode_scalar, load_solution,
-                        read_points_csv, residual_report_to_dict, save_report,
-                        save_solution, write_eval_csv)
+from .serialize import (MAX_M, check_report_to_dict, decode_scalar,
+                        load_solution, read_points_csv,
+                        residual_report_to_dict, save_report, save_solution,
+                        write_eval_csv)
 from .timefn import TimeFunction
 from .verify import (CheckReport, _component_report,
                      check_factorization, dirac_residual,
@@ -185,11 +186,15 @@ def _build_from_args(args) -> SeriesSolution:
 
 
 def cmd_build(args) -> int:
+    if args.m > MAX_M:      # the largest m a solution file may hold
+        raise ValueError(f"spatial dimension m={args.m} outside 1..{MAX_M}")
     sol = _build_from_args(args)
     if not args.out:
         raise ValueError("build requires --out")
+    if not sol.body.is_finite():
+        raise ValueError("the build has a non-finite coefficient or lambda")
     save_solution(sol, args.out)
-    n_terms = len(sol.body._nums)     # a count, without building .terms
+    n_terms = len(sol.body.keys())  # a count, without building .terms
     print(f"built {sol.mode} (m={sol.m}, k={sol.k}, L={sol.L}, "
           f"exact={sol.exact}, {n_terms} terms) -> {args.out}")
     return 0

@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, gcd
+from math import comb
 from typing import List, Sequence, Tuple
 
 from .algebra import AlgebraContext
-from .poly import CliffordPoly, vector_variable
+from .poly import CliffordPoly, integer_rescale, vector_variable
 
 
 @dataclass(frozen=True)
@@ -152,25 +152,6 @@ def monogenic_decompose(h: HarmonicPoly) -> Tuple[MonogenicPoly, MonogenicPoly]:
     mtil = h.poly.dirac().scale(Fraction(-1, divisor))
     mk = h.poly - vector_variable(ctx) * mtil
     return MonogenicPoly(mk, k), MonogenicPoly(mtil, k - 1)
-
-
-def integer_rescale(p: CliffordPoly) -> CliffordPoly:
-    """Smallest positive rational multiple of p with integer coefficients.
-
-    That is p's numerators divided by their common factor, as plain int
-    coefficients (int arithmetic is far cheaper than Fraction in the
-    verification sweeps).  Leaves float polynomials untouched.
-    """
-    if p._D is None:
-        return p
-    g = gcd(*(part for vals in p._nums.values() for n in vals.values()
-              for part in ((n,) if type(n) is int else (n.re, n.im)))) or 1
-
-    def as_int(n):
-        return n // g if type(n) is int or n.im else n.re // g
-
-    return CliffordPoly._make(p.ctx, {exps: {mask: as_int(n) for mask, n in vals.items()}
-                                      for exps, vals in p._nums.items()}, 1)
 
 
 def monogenic_basis(ctx: AlgebraContext, k: int) -> List[MonogenicPoly]:

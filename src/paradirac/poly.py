@@ -1,12 +1,13 @@
-"""The sparse term engine and Clifford-valued polynomials in x_1..x_m.
+"""The sparse term engine: Clifford-valued polynomials in x_1..x_m and t.
 
 SparseTerms stores a sum of terms key -> Multivector coefficient, zero
 coefficients never stored, and owns the whole linear structure, the one
 coefficient product and the one set of spatial operators (partial,
 dirac, laplacian, evaluate); a subclass fixes only what a key is, how two
 keys combine in a product and how a key's spatial exponents are read and
-replaced.  CliffordPoly is keyed by exponent tuples; the space-time
-container in timefn adds the time part of the key.
+replaced.  CliffordPoly is keyed by exponent tuples; SpaceTimeFunction
+adds the time part (n, lambda) of a term c x^alpha t^n e^{lambda t} and
+owns d/dt, and TimeFunction is its x-independent slice.
 
 Storage rule.  An exact body (every coefficient an int, Fraction or
 GaussianRational) is stored as {key: {blade: numerator}} over one shared
@@ -22,7 +23,8 @@ stored as its raw values with D = None and runs the same loops on them,
 so it repeats exactly the operations of a per-term Multivector loop.
 The public mapping .terms, {key: Multivector} with int, Fraction and
 GaussianRational values for an exact body, is built from the numerators
-when first read.
+when first read; keys() and coeffs(key) read the terms one by one
+without it.  No other module reads the numerators.
 
 The Multivector coefficient sits to the LEFT of the (commuting, scalar)
 monomial. All noncommutativity therefore lives inside coefficient
@@ -35,18 +37,140 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import lcm, perm
+from math import gcd, lcm, perm
 from operator import add
-from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple, Union
 
 from .algebra import (AlgebraContext, AlgebraMismatchError, Multivector,
-                      _mul_into)
-from .scalars import (_EXACT_TYPES, GaussianRational, Scalar, _ratio,
-                      _reduced, _to_numerators, _value, is_exact)
+                      _mul_into, _split_blades)
+from .scalars import Exact, GaussianRational, Scalar, is_exact
 
 Exponents = Tuple[int, ...]
+SpaceTimeKey = Tuple[Exponents, int, Scalar]
 # {key: {blade: numerator or raw value}}
 Rows = Dict[Hashable, Dict[int, Scalar]]
+
+
+class _GaussInt:
+    """Gaussian-integer numerator re + i im of a GaussianRational.
+
+    Only what the sparse engine applies to its numerators: +, unary -, *,
+    exact division by an int (//), == and truth, mixed with plain int
+    numerators.  A value stays Gaussian as GaussianRational does, also
+    once its imaginary part cancels.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __eq__(self, other):
+        if type(other) is _GaussInt:
+            return self.re == other.re and self.im == other.im
+        if type(other) is int:
+            return not self.im and self.re == other
+        return NotImplemented
+
+    def __neg__(self):
+        return _GaussInt(-self.re, -self.im)
+
+    def __add__(self, other):
+        if type(other) is _GaussInt:
+            return _GaussInt(self.re + other.re, self.im + other.im)
+        return _GaussInt(self.re + other, self.im)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if type(other) is _GaussInt:
+            return _GaussInt(self.re * other.re - self.im * other.im,
+                             self.re * other.im + self.im * other.re)
+        return _GaussInt(self.re * other, self.im * other)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, g: int):
+        return _GaussInt(self.re // g, self.im // g)
+
+
+def _ratio(v: Exact) -> Tuple[Union[int, _GaussInt], int]:
+    """(numerator, denominator) of an exact scalar, the denominator > 0."""
+    t = type(v)
+    if t is int:
+        return v, 1
+    if t is Fraction:
+        return v.numerator, v.denominator
+    re, im = v.re, v.im
+    q = lcm(re.denominator, im.denominator)
+    return _GaussInt(re.numerator * (q // re.denominator),
+                     im.numerator * (q // im.denominator)), q
+
+
+def _to_numerators(values: Rows) -> Tuple[Rows, Optional[int]]:
+    """(numerators, D) of {key: {blade: value}} with no zero value stored.
+
+    D is the lcm of the denominators, so D and the numerators have no
+    common factor.  (values, None) as soon as some value is not an int,
+    Fraction or GaussianRational.
+    """
+    dens = set()
+    for vals in values.values():
+        for v in vals.values():
+            t = type(v)
+            if t is Fraction:
+                dens.add(v.denominator)
+            elif t is GaussianRational:
+                dens.add(v.re.denominator)
+                dens.add(v.im.denominator)
+            elif t is not int:
+                return values, None
+    D = lcm(*dens)
+    out = {}
+    for key, vals in values.items():
+        row = out[key] = {}
+        for mask, v in vals.items():
+            n, q = _ratio(v)
+            row[mask] = n * (D // q) if q != D else n
+    return out, D
+
+
+def _reduced(nums: Rows, D: Optional[int]) -> Tuple[Rows, Optional[int]]:
+    """nums and D with their common factor divided out; raw values (D None)
+    as they are."""
+    if D is None or D == 1:
+        return nums, D
+    g = D
+    for vals in nums.values():
+        for n in vals.values():
+            if type(n) is int:
+                g = gcd(g, n)
+            else:
+                g = gcd(g, n.re, n.im)
+            if g == 1:
+                return nums, D
+    return {key: {mask: n // g for mask, n in vals.items()}
+            for key, vals in nums.items()}, D // g
+
+
+def _value(n: Union[int, _GaussInt], D: int) -> Exact:
+    """The value n / D: an int, a Fraction or, for a _GaussInt, a GaussianRational."""
+    if type(n) is _GaussInt:
+        g = GaussianRational.__new__(GaussianRational)
+        g.re, g.im = Fraction(n.re, D), Fraction(n.im, D)
+        return g
+    if D == 1:
+        return n
+    q, r = divmod(n, D)
+    return Fraction(n, D) if r else q
+
+
+# the types of exact values; a subclass such as bool is not one
+_EXACT_TYPES = (int, Fraction, GaussianRational)
 
 
 def _times(vals: Dict[int, Scalar], factor) -> Dict[int, Scalar]:
@@ -121,11 +245,15 @@ class SparseTerms:
         view = self._view
         if view is None:
             ctx = self.ctx
-            view = self._view = {key: Multivector(ctx, self._coeffs(key))
+            view = self._view = {key: Multivector(ctx, self.coeffs(key))
                                  for key in self._nums}
         return view
 
-    def _coeffs(self, key) -> Dict[int, Scalar]:
+    def keys(self):
+        """The term keys, without building .terms."""
+        return self._nums.keys()
+
+    def coeffs(self, key) -> Dict[int, Scalar]:
         """{blade: value} of one term: the view's once .terms is built,
         else made afresh from the numerators (raw values as stored)."""
         if self._view is not None:
@@ -139,7 +267,7 @@ class SparseTerms:
         """{key: {blade: value}}: the raw values, or those of .terms for an exact body."""
         if self._D is None:
             return self._nums
-        return {key: self._coeffs(key) for key in self._nums}
+        return {key: self.coeffs(key) for key in self._nums}
 
     # -- what a subclass fixes -------------------------------------------------
 
@@ -193,26 +321,22 @@ class SparseTerms:
                     for vals in self._nums.values() for n in vals.values()),
                    default=0.0)
 
+    def is_finite(self) -> bool:
+        """True when no coefficient and no lambda is an infinity or a NaN."""
+        values = [self._split_key(key)[2] for key in self._nums]
+        if self._D is None:     # raw values; numerators over D are ints
+            values += [v for vals in self._nums.values() for v in vals.values()]
+        return all(cmath.isfinite(v) for v in values
+                   if isinstance(v, (float, complex)))
+
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         if self.ctx != other.ctx:
             return False
-        Da, Db = self._D, other._D
-        if Da is None or Db is None:
-            return self.terms == other.terms
-        a, b = self._nums, other._nums
-        if Da == Db:
-            return a == b
-        if a.keys() != b.keys():
-            return False
-        for key, ta in a.items():
-            tb = b[key]
-            # equal values a / Da == b / Db, compared by cross-multiplication
-            if ta.keys() != tb.keys() or any(
-                    v * Db != tb[mask] * Da for mask, v in ta.items()):
-                return False
-        return True
+        if self._D == other._D:
+            return self._nums == other._nums
+        return (self - other).is_zero()
 
     def __repr__(self):
         if not self._nums:
@@ -537,6 +661,105 @@ class CliffordPoly(SparseTerms):
                           if sum(exps) <= max_degree}, self._D)
 
 
+def _norm_lambda(lam: Scalar) -> Scalar:
+    # canonical zero so polynomial and exponential keys never alias
+    return lam if lam else 0
+
+
+class SpaceTimeFunction(SparseTerms):
+    """Sum of c * x^alpha * t^n * e^{lambda t} with left Multivector c."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key_mul(a: SpaceTimeKey, b: SpaceTimeKey) -> SpaceTimeKey:
+        return (tuple(map(add, a[0], b[0])), a[1] + b[1],
+                _norm_lambda(a[2] + b[2]))
+
+    @staticmethod
+    def _split_key(key: SpaceTimeKey) -> SpaceTimeKey:
+        return key
+
+    @staticmethod
+    def _with_exps(key: SpaceTimeKey, exps) -> SpaceTimeKey:
+        return exps, key[1], key[2]
+
+    @classmethod
+    def from_poly(cls, p: CliffordPoly,
+                  tf: "TimeFunction | None" = None) -> "SpaceTimeFunction":
+        """p(x) * a(t); with tf omitted the profile is the constant 1."""
+        F = cls._make(p.ctx, {(exps, 0, 0): vals for exps, vals in p._nums.items()},
+                      p._D)
+        return F if tf is None else F * tf
+
+    # -- inspection --------------------------------------------------------
+
+    def is_polynomial(self) -> bool:
+        """No exponential factor e^{lambda t} with lambda != 0."""
+        return all(lam == 0 for _, _, lam in self._nums)
+
+    def max_n(self) -> int:
+        return max((n for _, n, _ in self._nums), default=0)
+
+    # -- operators ----------------------------------------------------------------
+
+    def d_dt(self) -> "SpaceTimeFunction":
+        """Exact derivative: c t^n e^{lt} -> c n t^{n-1} e^{lt} + c l t^n e^{lt}.
+
+        On numerators over D the derivative has denominator D * Q, Q the
+        lcm of the denominators of the lambdas, so n contributes n Q and
+        lambda = p / q contributes p Q / q.
+        """
+        lams = {lam for _, _, lam in self._nums if lam != 0}
+        if self._D is not None and all(type(lam) in _EXACT_TYPES for lam in lams):
+            ratios = {lam: _ratio(lam) for lam in lams}
+            Q = lcm(*(q for _, q in ratios.values()))
+            rows, D = self._nums, self._D * Q
+            lam_factor = {lam: p * (Q // q) for lam, (p, q) in ratios.items()}
+        else:
+            rows, D, Q = self._values(), None, 1
+            lam_factor = {lam: lam for lam in lams}
+        out: Dict[SpaceTimeKey, Dict[int, Scalar]] = {}
+        for (exps, n, lam), vals in rows.items():
+            if n:
+                _acc(out, (exps, n - 1, lam), _times(vals, n * Q))
+            if lam != 0:
+                _acc(out, (exps, n, lam), _times(vals, lam_factor[lam]))
+        return self._new(out, D)
+
+    def split(self):
+        """Four component functions (F0, F1, F2, F3), coefficients in Cl(0,m)."""
+        outs = ({}, {}, {}, {})
+        for key, vals in self._nums.items():
+            for out, comp in zip(outs, _split_blades(self.ctx, vals)):
+                if comp:
+                    out[key] = comp
+        return tuple(self._new(d, self._D) for d in outs)
+
+
+class TimeFunction(SpaceTimeFunction):
+    """The x-independent slice: a finite sum of c * t^n * e^{lambda t}."""
+
+    __slots__ = ()
+
+    @classmethod
+    def term(cls, ctx: AlgebraContext, coeff, n: int = 0, lam: Scalar = 0) -> "TimeFunction":
+        """Single term c*t^n*e^{lam t}; coeff may be a scalar or Multivector."""
+        if n < 0:
+            raise ValueError("t exponent must be >= 0")
+        return cls._single(ctx, ((0,) * ctx.m, n, _norm_lambda(lam)), coeff)
+
+    @classmethod
+    def polynomial(cls, ctx: AlgebraContext, coeffs: Sequence[Scalar]) -> "TimeFunction":
+        """Polynomial sum coeffs[n] * t^n."""
+        zero_exps = (0,) * ctx.m
+        return cls(ctx, {(zero_exps, n, 0): ctx.scalar(c)
+                         for n, c in enumerate(coeffs) if c})
+
+    def evaluate(self, t: Scalar) -> Multivector:
+        return super().evaluate((0,) * self.ctx.m, t)
+
+
 def vector_variable(ctx: AlgebraContext) -> CliffordPoly:
     """x = sum_i e_i x_i, satisfying x*x = -rho^2."""
     terms = {}
@@ -561,3 +784,19 @@ def rho_powers(p: CliffordPoly) -> Iterator[CliffordPoly]:
     while True:
         yield p
         p = rho2 * p
+
+
+def integer_rescale(p: CliffordPoly) -> CliffordPoly:
+    """Smallest positive rational multiple of p with integer coefficients.
+
+    That is p's numerators divided by their common factor, as plain int
+    coefficients (int arithmetic is far cheaper than Fraction in the
+    verification sweeps).  Leaves float polynomials untouched.
+    """
+    if p._D is None or p.is_zero():
+        return p
+    # over D = 0 the common factor is the numerators' own
+    nums, _ = _reduced(p._nums, 0)
+    return p._new({exps: {mask: n if type(n) is int or n.im else n.re
+                          for mask, n in vals.items()}
+                   for exps, vals in nums.items()}, 1)

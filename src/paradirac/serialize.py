@@ -15,6 +15,7 @@ template and every other value as the json encoder nests it.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import csv
 import json
@@ -80,7 +81,10 @@ def decode_scalar(pair) -> Scalar:
     if type(im) not in (int, float):
         im = _decode_part(im)
     if isinstance(re, float) or isinstance(im, float):
-        return float(re) if im == 0 else complex(re, im)
+        v = float(re) if im == 0 else complex(re, im)
+        if not cmath.isfinite(v):
+            raise ValueError(f"scalar {pair!r} is not finite")
+        return v
     return re if im == 0 else GaussianRational(re, im)
 
 
@@ -117,8 +121,8 @@ def _term_rows(F: SpaceTimeFunction) -> List[dict]:
     return [{"exponents": list(key[0]), "n": key[1],
              "lambda": encode_scalar(key[2]),
              "blades": [[label(mask), encode_scalar(val)]
-                        for mask, val in sorted(F._coeffs(key).items())]}
-            for key in sorted(F._nums, key=_term_order)]
+                        for mask, val in sorted(F.coeffs(key).items())]}
+            for key in sorted(F.keys(), key=_term_order)]
 
 
 def solution_to_dict(sol: SeriesSolution) -> dict:
@@ -206,8 +210,11 @@ def solution_from_dict(data: dict) -> SeriesSolution:
     extra = data.get("extra") or {}
     if not isinstance(extra, dict):
         raise ValueError("extra must be an object")
+    L = _get(data, "L", (int,))
+    if L < 0:
+        raise ValueError(f"truncation L={L} is negative")
     return SeriesSolution(body=body, mode=_get(data, "mode", (str,)), m=ctx.m,
-                          k=k, L=_get(data, "L", (int,)),
+                          k=k, L=L,
                           exact=_get(data, "exact", (bool,)),
                           zeta=_decode_zeta(zeta), extra=dict(extra))
 
@@ -228,8 +235,8 @@ def residual_report_to_dict(rep: ResidualReport) -> dict:
     residual = None
     if rep.residual_poly is not None:
         R = rep.residual_poly
-        residual = {"is_zero": R.is_zero(), "n_terms": len(R._nums)}
-        if 0 < len(R._nums) <= MAX_REPORT_TERMS:
+        residual = {"is_zero": R.is_zero(), "n_terms": len(R.keys())}
+        if 0 < len(R.keys()) <= MAX_REPORT_TERMS:
             residual["terms"] = _term_rows(R)
     return {
         "schema_version": SCHEMA_VERSION,

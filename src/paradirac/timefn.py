@@ -6,125 +6,21 @@ symbol s = d/dt therefore acts exactly: s never needs an inverse here,
 because the hypergeometric operator series below only ever applies
 nonnegative powers of s to the profile.
 
-SpaceTimeFunction combines the spatial polynomial engine with that time
-class: terms are indexed by (exponents, n, lambda) with a left
-Multivector coefficient.  It shares the Dirac, Laplace and partial
-operators of the engine and owns d/dt; the parabolic operator
-D = d_x + f d_t + fdag is built from them.  TimeFunction is its
-x-independent slice.
+SpaceTimeFunction (in poly, with the storage it shares) combines the
+spatial polynomial engine with that time class: terms are indexed by
+(exponents, n, lambda) with a left Multivector coefficient, and d/dt is
+exact.  This module builds the parabolic operator D = d_x + f d_t + fdag
+from those operators, and the operator series 0F1 on a time profile.
+TimeFunction is the x-independent slice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import add
-from typing import Dict, Sequence, Tuple
 
-from .algebra import AlgebraContext, Multivector, _split_blades, witt_basis
-from .poly import CliffordPoly, SparseTerms, _acc, _times, rho_powers
-from .scalars import _EXACT_TYPES, Scalar, _ratio
-
-SpaceTimeKey = Tuple[Tuple[int, ...], int, Scalar]
-
-
-def _norm_lambda(lam: Scalar) -> Scalar:
-    # canonical zero so polynomial and exponential keys never alias
-    return lam if lam else 0
-
-
-class SpaceTimeFunction(SparseTerms):
-    """Sum of c * x^alpha * t^n * e^{lambda t} with left Multivector c."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _key_mul(a: SpaceTimeKey, b: SpaceTimeKey) -> SpaceTimeKey:
-        return (tuple(map(add, a[0], b[0])), a[1] + b[1],
-                _norm_lambda(a[2] + b[2]))
-
-    @staticmethod
-    def _split_key(key: SpaceTimeKey) -> SpaceTimeKey:
-        return key
-
-    @staticmethod
-    def _with_exps(key: SpaceTimeKey, exps) -> SpaceTimeKey:
-        return exps, key[1], key[2]
-
-    @classmethod
-    def from_poly(cls, p: CliffordPoly,
-                  tf: "TimeFunction | None" = None) -> "SpaceTimeFunction":
-        """p(x) * a(t); with tf omitted the profile is the constant 1."""
-        F = cls._make(p.ctx, {(exps, 0, 0): vals for exps, vals in p._nums.items()},
-                      p._D)
-        return F if tf is None else F * tf
-
-    # -- inspection --------------------------------------------------------
-
-    def is_polynomial(self) -> bool:
-        """No exponential factor e^{lambda t} with lambda != 0."""
-        return all(lam == 0 for _, _, lam in self._nums)
-
-    def max_n(self) -> int:
-        return max((n for _, n, _ in self._nums), default=0)
-
-    # -- operators ----------------------------------------------------------------
-
-    def d_dt(self) -> "SpaceTimeFunction":
-        """Exact derivative: c t^n e^{lt} -> c n t^{n-1} e^{lt} + c l t^n e^{lt}.
-
-        On numerators over D the derivative has denominator D * Q, Q the
-        lcm of the denominators of the lambdas, so n contributes n Q and
-        lambda = p / q contributes p Q / q.
-        """
-        lams = {lam for _, _, lam in self._nums if lam != 0}
-        if self._D is not None and all(type(lam) in _EXACT_TYPES for lam in lams):
-            ratios = {lam: _ratio(lam) for lam in lams}
-            Q = lcm(*(q for _, q in ratios.values()))
-            rows, D = self._nums, self._D * Q
-            lam_factor = {lam: p * (Q // q) for lam, (p, q) in ratios.items()}
-        else:
-            rows, D, Q = self._values(), None, 1
-            lam_factor = {lam: lam for lam in lams}
-        out: Dict[SpaceTimeKey, Dict[int, Scalar]] = {}
-        for (exps, n, lam), vals in rows.items():
-            if n:
-                _acc(out, (exps, n - 1, lam), _times(vals, n * Q))
-            if lam != 0:
-                _acc(out, (exps, n, lam), _times(vals, lam_factor[lam]))
-        return self._new(out, D)
-
-    def split(self):
-        """Four component functions (F0, F1, F2, F3), coefficients in Cl(0,m)."""
-        outs = ({}, {}, {}, {})
-        for key, vals in self._nums.items():
-            for out, comp in zip(outs, _split_blades(self.ctx, vals)):
-                if comp:
-                    out[key] = comp
-        return tuple(self._new(d, self._D) for d in outs)
-
-
-class TimeFunction(SpaceTimeFunction):
-    """The x-independent slice: a finite sum of c * t^n * e^{lambda t}."""
-
-    __slots__ = ()
-
-    @classmethod
-    def term(cls, ctx: AlgebraContext, coeff, n: int = 0, lam: Scalar = 0) -> "TimeFunction":
-        """Single term c*t^n*e^{lam t}; coeff may be a scalar or Multivector."""
-        if n < 0:
-            raise ValueError("t exponent must be >= 0")
-        return cls._single(ctx, ((0,) * ctx.m, n, _norm_lambda(lam)), coeff)
-
-    @classmethod
-    def polynomial(cls, ctx: AlgebraContext, coeffs: Sequence[Scalar]) -> "TimeFunction":
-        """Polynomial sum coeffs[n] * t^n."""
-        zero_exps = (0,) * ctx.m
-        return cls(ctx, {(zero_exps, n, 0): ctx.scalar(c)
-                         for n, c in enumerate(coeffs) if c})
-
-    def evaluate(self, t: Scalar) -> Multivector:
-        return super().evaluate((0,) * self.ctx.m, t)
+from .algebra import witt_basis
+from .poly import CliffordPoly, SpaceTimeFunction, TimeFunction, rho_powers
+from .scalars import Scalar
 
 
 def assemble_split(f0, f1, f2, f3) -> SpaceTimeFunction:

@@ -246,8 +246,9 @@ def dirac_residual(F: SeriesSolution,
     needs only support at degree 2L+k or above).  A residual without t is
     sampled once per point and that value stands for every T_SAMPLES
     entry.  The radii must be finite, positive and distinct, and at least
-    two for a truncated build, which fits an order to them, and order_tol
-    must be finite and nonnegative, or ValueError is raised.
+    two for a truncated build, which fits an order to them, order_tol
+    must be finite and nonnegative, and every coefficient and lambda of
+    the body must be finite, or ValueError is raised.
     """
     if not (all(math.isfinite(r) and r > 0 for r in radii)
             and len(set(radii)) == len(radii)):
@@ -259,6 +260,8 @@ def dirac_residual(F: SeriesSolution,
     if not F.exact and len(radii) < 2:
         raise ValueError(f"a truncated build needs at least two radii to "
                          f"estimate its order, got {list(radii)}")
+    if not F.body.is_finite():
+        raise ValueError("the solution has a non-finite coefficient or lambda")
     R = symbolic_residual(F)
     report = ResidualReport(mode=F.mode, exact_zero=False, residual_poly=R,
                             seed=seed)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -160,9 +161,15 @@ def _mangle_top_level_list(data):
     return [data]
 
 
+def _mangle_negative_L(data):
+    data["L"] = -2
+    return data
+
+
 @pytest.mark.parametrize("mangle", [_mangle_no_m, _mangle_terms_int,
                                     _mangle_row_no_lambda,
-                                    _mangle_top_level_list])
+                                    _mangle_top_level_list,
+                                    _mangle_negative_L])
 def test_verify_rejects_malformed_solution(capsys, tmp_path, mangle):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(mangle(_solution_dict(capsys, tmp_path))))
@@ -350,3 +357,56 @@ def test_solution_file_rejects_boolean_scalars(capsys, tmp_path, where):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "bad scalar part" in err and "Traceback" not in err
+
+
+# zeta this large overflows a float build to infinities and NaNs
+OVERFLOWING = ["--mode", "gen-monogenic", "--m", "2", "--k", "1", "--zeta",
+               "1e200,0,0,1e200", "--backend", "float", "--trunc", "4"]
+
+
+def test_build_rejects_non_finite_body(capsys, tmp_path):
+    out = tmp_path / "big.json"
+    code, _, err = run(capsys, "build", *OVERFLOWING, "--out", str(out))
+    assert code == 2
+    assert "non-finite" in err and not out.exists()
+
+
+def test_verify_rejects_non_finite_build(capsys):
+    argv = ["--mode", "helmholtz"] + OVERFLOWING[2:]
+    code, _, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert "non-finite" in err
+
+
+@pytest.mark.parametrize("where", ["lambda", "blade"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_solution_file_rejects_non_finite_scalars(capsys, tmp_path, where, value):
+    sol_path = tmp_path / "sol.json"
+    code, _, _ = run(capsys, "build", *OVERFLOWING[:7], "1,0,0,1",
+                     *OVERFLOWING[8:], "--out", str(sol_path))
+    assert code == 0
+    code, stdout, _ = run(capsys, "verify", "--solution", str(sol_path))
+    assert code == 0 and "order 10.000" in stdout
+    data = json.loads(sol_path.read_text())
+    row = data["terms"][0]
+    if where == "lambda":
+        row["lambda"] = [value, 0]
+    else:
+        row["blades"][0][1] = [value, 0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))    # as Infinity, -Infinity or NaN
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,t\n0.5,0.5,0\n")
+    for argv in (["verify", "--solution", str(bad)],
+                 ["eval", "--solution", str(bad), "--points", str(pts)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "not finite" in err and "Traceback" not in err
+
+
+def test_build_rejects_dimension_a_solution_file_cannot_hold(capsys, tmp_path):
+    out = tmp_path / "m65.json"
+    code, _, err = run(capsys, "build", "--mode", "parabolic-closed", "--m", "65",
+                       "--k", "0", "--profile", "t", "--out", str(out))
+    assert code == 2
+    assert "m=65 outside 1..64" in err and not out.exists()

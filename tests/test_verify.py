@@ -262,6 +262,25 @@ def test_dirac_residual_rejects_bad_order_tol(order_tol):
         dirac_residual(sol, order_tol=order_tol)
 
 
+def test_dirac_residual_rejects_non_finite_bodies():
+    ctx = AlgebraContext(2)
+    head = monogenic_basis(ctx, 1)[0]
+    overflowed = build_generalized(head, ZetaElement(1e200, 0.0, 0.0, 1e200), L=4)
+    sol = build_generalized(head, ZetaElement(1.0, 0.0, 0.0, 1.0), L=4)
+    assert dirac_residual(sol).passed
+    exact = exact_solution()
+    timed = exact.body * TimeFunction.term(ctx, 1, lam=math.inf)
+    bad = [overflowed, with_scalar_term(sol, (3, 0), math.inf),
+           with_scalar_term(sol, (3, 0), complex(0, math.nan)),
+           SeriesSolution(body=timed, mode=exact.mode, m=2, k=0, L=0, exact=True)]
+    for F in bad:
+        assert not F.body.is_finite()
+        with mock.patch("paradirac.verify.symbolic_residual") as residual:
+            with pytest.raises(ValueError, match="non-finite"):
+                dirac_residual(F)
+        residual.assert_not_called()
+
+
 # -- sampling: one t for a residual without t, every (direction, t) pair else ------
 
 
