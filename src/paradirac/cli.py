@@ -22,9 +22,9 @@ from .builders import (ALL_MODES, SeriesSolution, build_generalized,
                        build_helmholtz, build_parabolic_closed,
                        build_parabolic_recurrence)
 from .harmonics import harmonic_basis, monogenic_basis
-from .scalars import GaussianRational, Scalar, parse_rational
+from .scalars import GaussianRational, Scalar, parse_rational, to_float
 from .serialize import (MAX_M, check_report_to_dict, decode_scalar,
-                        load_solution, read_points_csv,
+                        load_solution, parse_json, read_points_csv,
                         residual_report_to_dict, save_report, save_solution,
                         write_eval_csv)
 from .timefn import TimeFunction
@@ -45,13 +45,6 @@ def _parse_number(text: str) -> Scalar:
         return parse_rational(text)     # "3/4" and decimal strings, exactly
 
 
-def _to_float(v: Scalar) -> Scalar:
-    try:
-        return complex(v) if isinstance(v, (GaussianRational, complex)) else float(v)
-    except OverflowError:
-        raise ValueError(f"{v} is outside the float range") from None
-
-
 def _pair_to_scalar(re: Scalar, im: Scalar) -> Scalar:
     return re if im == 0 else GaussianRational(re, im)
 
@@ -66,7 +59,7 @@ def parse_zeta(text: str, backend: str) -> ZetaElement:
     else:
         raise ValueError("--zeta needs 4 values a,b,c,d or 8 values as re,im pairs")
     if backend == "float":
-        entries = [_to_float(v) for v in entries]
+        entries = [to_float(v) for v in entries]
     return ZetaElement(*entries)
 
 
@@ -79,8 +72,8 @@ def parse_profile(text: str, ctx: AlgebraContext, backend: str) -> TimeFunction:
     """
     text = text.strip()
     if text.startswith("[") or text.startswith("{"):
-        return _profile_from_json(json.loads(text), ctx, backend)
-    conv = _to_float if backend == "float" else (lambda v: v)
+        return _profile_from_json(parse_json(text, "JSON profile"), ctx, backend)
+    conv = to_float if backend == "float" else (lambda v: v)
     if text == "1":
         return TimeFunction.term(ctx, conv(1))
     if text == "t":
@@ -108,7 +101,7 @@ def _profile_from_json(rows, ctx: AlgebraContext, backend: str) -> TimeFunction:
     if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
         raise ValueError("a JSON profile is a term object or a list of them")
     total = TimeFunction.zero(ctx)
-    conv = _to_float if backend == "float" else (lambda v: v)
+    conv = to_float if backend == "float" else (lambda v: v)
     for row in rows:
         coeff = row.get("coeff", [1, 0])
         if isinstance(coeff, dict):
@@ -120,8 +113,22 @@ def _profile_from_json(rows, ctx: AlgebraContext, backend: str) -> TimeFunction:
         n = row.get("n", 0)
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"profile term exponent n must be an integer, got {n!r}")
-        total = total + TimeFunction.term(ctx, mv, n=n, lam=lam)
+        try:
+            total = total + TimeFunction.term(ctx, mv, n=n, lam=lam)
+        except OverflowError:   # an exact value beyond float range plus a float
+            raise ValueError("profile terms sum beyond the float range") from None
     return total
+
+
+def parse_seeds(text: str, ctx: AlgebraContext, backend: str) -> dict:
+    """--seeds: a JSON object of recurrence seed profiles, each a compact
+    string or a JSON term list."""
+    seed_map = parse_json(text, "--seeds")
+    if not isinstance(seed_map, dict):
+        raise ValueError("--seeds must be a JSON object of profiles")
+    return {name: parse_profile(val, ctx, backend) if isinstance(val, str)
+            else _profile_from_json(val, ctx, backend)
+            for name, val in seed_map.items()}
 
 
 def _parse_int_list(text: str) -> List[int]:
@@ -163,13 +170,7 @@ def _build_from_args(args) -> SeriesSolution:
             profile = parse_profile(args.profile, ctx, args.backend)
             return build_parabolic_closed(head, profile, L=L)
         if args.seeds:
-            seed_map = json.loads(args.seeds)
-            if not isinstance(seed_map, dict):
-                raise ValueError("--seeds must be a JSON object of profiles")
-            seeds = {name: parse_profile(val, ctx, args.backend)
-                     if isinstance(val, str)
-                     else _profile_from_json(val, ctx, args.backend)
-                     for name, val in seed_map.items()}
+            seeds = parse_seeds(args.seeds, ctx, args.backend)
         else:
             seeds = {"a0": parse_profile(args.profile, ctx, args.backend)}
         return build_parabolic_recurrence(head, seeds, L=L)
@@ -194,9 +195,8 @@ def cmd_build(args) -> int:
     if not sol.body.is_finite():
         raise ValueError("the build has a non-finite coefficient or lambda")
     save_solution(sol, args.out)
-    n_terms = len(sol.body.keys())  # a count, without building .terms
     print(f"built {sol.mode} (m={sol.m}, k={sol.k}, L={sol.L}, "
-          f"exact={sol.exact}, {n_terms} terms) -> {args.out}")
+          f"exact={sol.exact}, {len(sol.body.keys())} terms) -> {args.out}")
     return 0
 
 

@@ -123,8 +123,8 @@ def harmonic_basis(ctx: AlgebraContext, k: int) -> List[HarmonicPoly]:
             for exps in monos
         ]
     # rows: one equation per degree-(k-2) monomial, columns over degree-k monomials
-    laps = [CliffordPoly.monomial(ctx, exps, 1).laplacian().terms for exps in monos]
-    rows = [[lap[low].scalar_part() if low in lap else 0 for lap in laps]
+    laps = [CliffordPoly.monomial(ctx, exps, 1).laplacian() for exps in monos]
+    rows = [[lap.coeffs(low).get(0, 0) if low in lap.keys() else 0 for lap in laps]
             for low in monomials_of_degree(ctx.m, k - 2)]
     out = []
     for vec in rational_nullspace(rows, len(monos)):

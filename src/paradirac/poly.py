@@ -21,10 +21,10 @@ and / divide out the factor D shares with every numerator; the other
 operators keep the D they produce.  An inexact body (some float or complex value) is
 stored as its raw values with D = None and runs the same loops on them,
 so it repeats exactly the operations of a per-term Multivector loop.
-The public mapping .terms, {key: Multivector} with int, Fraction and
-GaussianRational values for an exact body, is built from the numerators
-when first read; keys() and coeffs(key) read the terms one by one
-without it.  No other module reads the numerators.
+A body is read through keys() and coeffs(key), which makes one term's
+{blade: value} afresh (int, Fraction and GaussianRational values for an
+exact body); .terms, {key: Multivector}, is made afresh on every read.  No
+reader hands out a stored row, and no other module reads the numerators.
 
 The Multivector coefficient sits to the LEFT of the (commuting, scalar)
 monomial. All noncommutativity therefore lives inside coefficient
@@ -215,7 +215,7 @@ def _acc(out: Rows, key, vals: Dict[int, Scalar]) -> None:
 class SparseTerms:
     """Finite sum of key -> nonzero left Multivector coefficient, value semantics."""
 
-    __slots__ = ("ctx", "_nums", "_D", "_view")
+    __slots__ = ("ctx", "_nums", "_D")
 
     def __init__(self, ctx: AlgebraContext, terms: Dict[Hashable, Multivector]):
         self.ctx = ctx
@@ -225,13 +225,12 @@ class SparseTerms:
             if vals:
                 rows[key] = vals
         self._nums, self._D = _to_numerators(rows)
-        self._view = None
 
     @classmethod
     def _make(cls, ctx: AlgebraContext, nums: Rows, D: Optional[int]):
         """Body from numerators over D, or from raw values for D None."""
         self = cls.__new__(cls)
-        self.ctx, self._nums, self._D, self._view = ctx, nums, D, None
+        self.ctx, self._nums, self._D = ctx, nums, D
         return self
 
     def _new(self, nums: Rows, D: Optional[int]):
@@ -241,30 +240,24 @@ class SparseTerms:
 
     @property
     def terms(self) -> Dict[Hashable, Multivector]:
-        """{key: Multivector}, built once from the numerators when first read."""
-        view = self._view
-        if view is None:
-            ctx = self.ctx
-            view = self._view = {key: Multivector(ctx, self.coeffs(key))
-                                 for key in self._nums}
-        return view
+        """{key: Multivector}, made afresh on every read."""
+        return {key: Multivector(self.ctx, self.coeffs(key)) for key in self._nums}
 
     def keys(self):
-        """The term keys, without building .terms."""
+        """The term keys, a read-only view of the stored ones."""
         return self._nums.keys()
 
     def coeffs(self, key) -> Dict[int, Scalar]:
-        """{blade: value} of one term: the view's once .terms is built,
-        else made afresh from the numerators (raw values as stored)."""
-        if self._view is not None:
-            return self._view[key].terms
+        """{blade: value} of one term, a fresh dict: the numerators' values,
+        or a copy of the raw values."""
         D, vals = self._D, self._nums[key]
         if D is None:
-            return vals
+            return dict(vals)
         return {mask: _value(n, D) for mask, n in vals.items()}
 
     def _values(self) -> Rows:
-        """{key: {blade: value}}: the raw values, or those of .terms for an exact body."""
+        """{key: {blade: value}}: the stored raw values, or the values of the
+        numerators; the rows are read, never changed."""
         if self._D is None:
             return self._nums
         return {key: self.coeffs(key) for key in self._nums}
@@ -343,7 +336,8 @@ class SparseTerms:
             return "0"
         bits = []
         for exps, n, lam, c in sorted(
-                ((*self._split_key(key), c) for key, c in self.terms.items()),
+                ((*self._split_key(key), Multivector(self.ctx, vals))
+                 for key, vals in self._values().items()),
                 key=lambda row: (row[0], row[1], repr(row[2]))):
             piece = f"({c!r})" + "".join(
                 f"*x{i + 1}^{e}" if e > 1 else f"*x{i + 1}"
@@ -539,7 +533,7 @@ class SparseTerms:
         lams: Dict[complex, int] = {}
         timed = []              # per term with t: (prefix, n, lambda index or -1)
         rows = []               # per term: (prefix, index in timed or -1, coefficients)
-        for key, mv in self.terms.items():
+        for key, vals in self._values().items():
             exps, n, lam = self._split_key(key)
             wi = 0              # the empty prefix, weight 1
             for i, d in enumerate(exps):
@@ -554,7 +548,7 @@ class SparseTerms:
             if n or li >= 0:
                 ti = len(timed)
                 timed.append((wi, n, li))
-            rows.append((wi, ti, mv.terms))
+            rows.append((wi, ti, vals))
         # weight slots: the prefixes' (0 the empty one), then the timed terms'
         first = len(steps) + 1
         cols: Dict[int, list] = {}      # blade -> [(weight slot, coefficient)]

@@ -139,6 +139,17 @@ def is_exact(value: Scalar) -> bool:
     return isinstance(value, (int, Fraction, GaussianRational))
 
 
+def to_float(value: Scalar) -> Scalar:
+    """value as a float, or a complex for a GaussianRational or complex;
+    a value beyond the float range is a ValueError."""
+    try:
+        if isinstance(value, (GaussianRational, complex)):
+            return complex(value)
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{value} is outside the float range") from None
+
+
 _DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 

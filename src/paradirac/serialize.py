@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .algebra import AlgebraContext, Multivector
 from .builders import SeriesSolution
-from .scalars import GaussianRational, Scalar, parse_rational
+from .scalars import GaussianRational, Scalar, parse_rational, to_float
 from .timefn import SpaceTimeFunction
 from .verify import CheckReport, ResidualReport
 from .zeta import ZetaElement
@@ -81,7 +81,7 @@ def decode_scalar(pair) -> Scalar:
     if type(im) not in (int, float):
         im = _decode_part(im)
     if isinstance(re, float) or isinstance(im, float):
-        v = float(re) if im == 0 else complex(re, im)
+        v = to_float(re) if im == 0 else complex(to_float(re), to_float(im))
         if not cmath.isfinite(v):
             raise ValueError(f"scalar {pair!r} is not finite")
         return v
@@ -225,7 +225,16 @@ def save_solution(sol: SeriesSolution, path: str) -> None:
 
 def load_solution(path: str) -> SeriesSolution:
     with open(path) as fh:
-        return solution_from_dict(json.load(fh))
+        return solution_from_dict(parse_json(fh.read(), f"solution file {path}"))
+
+
+def parse_json(text: str, what: str):
+    """json.loads(text); JSON nested deeper than the parser can follow is
+    a ValueError naming what."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
 
 
 # -- reports -------------------------------------------------------------
@@ -319,29 +328,32 @@ def _row(row: dict, ind: str) -> str:
 
 def read_points_csv(path: str, m: int) -> List[Tuple[Tuple[float, ...], float]]:
     """Rows of x1..xm plus optional t column (default 0).  Header required."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("points file is empty; header row required")
-        header = [h.strip() for h in header]
-        want = [f"x{i}" for i in range(1, m + 1)]
-        if header[: m] != want:
-            raise ValueError(f"points header must start with {','.join(want)}")
-        has_t = len(header) > m and header[m] == "t"
-        points = []
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < m:
-                raise ValueError(f"points row {reader.line_num} has {len(row)} "
-                                 f"cells, fewer than the {m} coordinates")
-            xs = tuple(float(row[i]) for i in range(m))
-            t = float(row[m]) if has_t and len(row) > m else 0.0
-            if not all(map(math.isfinite, (*xs, t))):
-                raise ValueError(f"points row {reader.line_num} has a "
-                                 "non-finite value")
-            points.append((xs, t))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("points file is empty; header row required")
+            header = [h.strip() for h in header]
+            want = [f"x{i}" for i in range(1, m + 1)]
+            if header[: m] != want:
+                raise ValueError(f"points header must start with {','.join(want)}")
+            has_t = len(header) > m and header[m] == "t"
+            points = []
+            for row in reader:
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) < m:
+                    raise ValueError(f"points row {reader.line_num} has {len(row)} "
+                                     f"cells, fewer than the {m} coordinates")
+                xs = tuple(float(row[i]) for i in range(m))
+                t = float(row[m]) if has_t and len(row) > m else 0.0
+                if not all(map(math.isfinite, (*xs, t))):
+                    raise ValueError(f"points row {reader.line_num} has a "
+                                     "non-finite value")
+                points.append((xs, t))
+    except csv.Error as exc:     # such as a cell longer than csv.field_size_limit()
+        raise ValueError(f"points file {path}: {exc}") from None
     return points
 
 
@@ -358,8 +370,8 @@ def write_eval_csv(sol: SeriesSolution,
     appears in the solution body (sorted canonically).  Returns the header.
     """
     ctx = sol.ctx
-    masks = sorted({mask for mv in sol.body.terms.values()
-                    for mask in mv.terms})
+    body = sol.body
+    masks = sorted({mask for key in body.keys() for mask in body.coeffs(key)})
     if not masks:
         masks = [0]
     labels = [ctx.blade_label(mask) for mask in masks]

@@ -205,29 +205,24 @@ def estimate_order(sup_by_radius: Sequence[Tuple[float, float]]) -> Optional[flo
     return sum(slopes) / len(slopes)
 
 
-def _junk_threshold(R: SpaceTimeFunction, noise_floor: float) -> float:
-    return max(JUNK_REL * R.max_abs(), noise_floor)
+def _loud_keys(R: SpaceTimeFunction, noise_floor: float) -> list:
+    """Keys of the terms with a coefficient above roundoff scale."""
+    cut = max(JUNK_REL * R.max_abs(), noise_floor)
+    return [key for key in R.keys()
+            if max(abs(complex(v)) for v in R.coeffs(key).values()) > cut]
 
 
 def _significant_degrees(R: SpaceTimeFunction,
                          noise_floor: float = 0.0) -> Tuple[int, ...]:
     """Spatial degrees carrying coefficients above roundoff scale."""
-    if R.is_zero():
-        return ()
-    cut = _junk_threshold(R, noise_floor)
-    degs = set()
-    for key, mv in R.terms.items():
-        if mv.max_abs() > cut:
-            degs.add(sum(key[0]))
-    return tuple(sorted(degs))
+    return tuple(sorted({sum(key[0]) for key in _loud_keys(R, noise_floor)}))
 
 
 def _drop_junk(R: SpaceTimeFunction, noise_floor: float) -> SpaceTimeFunction:
     if R.is_zero() or noise_floor == 0.0:
         return R
-    cut = _junk_threshold(R, noise_floor)
-    return SpaceTimeFunction(R.ctx, {key: mv for key, mv in R.terms.items()
-                                     if mv.max_abs() > cut})
+    return SpaceTimeFunction(R.ctx, {key: Multivector(R.ctx, R.coeffs(key))
+                                     for key in _loud_keys(R, noise_floor)})
 
 
 def dirac_residual(F: SeriesSolution,
@@ -318,7 +313,7 @@ def dirac_residual(F: SeriesSolution,
     if exact_body:
         # exact coefficients: the residual itself decides, with no
         # threshold; every coefficient must sit at a top degree
-        report.passed = {sum(exps) for exps, _, _ in R.terms} <= tops
+        report.passed = {sum(exps) for exps, _, _ in R.keys()} <= tops
         return report
 
     if all(s < UNDERFLOW_GUARD for _, s in sups):

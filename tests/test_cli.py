@@ -2,7 +2,11 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from paradirac import cli
+from paradirac.algebra import AlgebraContext
 from paradirac.cli import main
 from paradirac.serialize import load_solution, save_solution
 
@@ -190,9 +194,15 @@ def test_eval_rejects_short_points_row(capsys, tmp_path):
     assert "error:" in err
 
 
+# JSON nested deeper than the parser follows
+DEEP = "[" * 5000 + "]" * 5000
+
+
 @pytest.mark.parametrize("argv", [
     ["--mode", "parabolic-closed", "--profile", "[1]"],
     ["--mode", "parabolic-recurrence", "--seeds", "[1]"],
+    ["--mode", "parabolic-closed", "--profile", DEEP],
+    ["--mode", "parabolic-recurrence", "--seeds", DEEP],
 ])
 def test_build_rejects_malformed_profile_json(capsys, tmp_path, argv):
     code, _, err = run(capsys, "build", "--m", "2", "--k", "0", *argv,
@@ -410,3 +420,118 @@ def test_build_rejects_dimension_a_solution_file_cannot_hold(capsys, tmp_path):
                        "--k", "0", "--profile", "t", "--out", str(out))
     assert code == 2
     assert "m=65 outside 1..64" in err and not out.exists()
+
+
+# an exact part beyond the float range beside a float part: as a 401-digit
+# "p/q" string, a decimal string and a JSON int
+BEYOND_FLOAT = [["1" + "0" * 400, 0.5], ["1e400", 0.5], ["1e400", 0.0],
+                [10 ** 400, 0.5]]
+
+
+@pytest.mark.parametrize("pair", BEYOND_FLOAT)
+def test_solution_file_rejects_exact_part_beyond_float_range(capsys, tmp_path, pair):
+    data = _solution_dict(capsys, tmp_path)
+    data["terms"][0]["blades"][0][1] = pair
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,t\n0.5,0.5,0\n")
+    for argv in (["verify", "--solution", str(bad)],
+                 ["eval", "--solution", str(bad), "--points", str(pts)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "float range" in err
+
+
+@pytest.mark.parametrize("profile", [[{"coeff": pair}] for pair in BEYOND_FLOAT]
+                         + [[{"coeff": ["1e400", 0]}, {"coeff": [0.5, 0]}]])
+def test_build_rejects_profile_part_beyond_float_range(capsys, tmp_path, profile):
+    code, _, err = run(capsys, "build", "--mode", "parabolic-closed", "--m", "2",
+                       "--k", "0", "--profile", json.dumps(profile),
+                       "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert "float range" in err
+
+
+def test_solution_file_nested_too_deeply_exits_2(capsys, tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 200000 + "]" * 200000)
+    code, _, err = run(capsys, "verify", "--solution", str(bad))
+    assert code == 2
+    assert "nested too deeply" in err and str(bad) in err
+
+
+def test_eval_rejects_points_cell_beyond_csv_field_limit(capsys, tmp_path):
+    sol_path = tmp_path / "sol.json"
+    run(capsys, "build", "--mode", "parabolic-closed", "--m", "2", "--k", "0",
+        "--profile", "t", "--out", str(sol_path))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,t\n" + "1" * 131073 + ",0,0\n")
+    code, _, err = run(capsys, "eval", "--solution", str(sol_path),
+                       "--points", str(pts))
+    assert code == 2
+    assert "field larger than field limit" in err and str(pts) in err
+
+
+# -- the flag parsers take any text ------------------------------------------------
+
+NUMBER_TEXTS = st.one_of(
+    st.integers().map(str), st.floats().map(repr), st.text(max_size=6),
+    st.sampled_from(["1e400", "-2.5e-400", "1e99999999", "1/3", "-7/0", "True",
+                     "1" + "0" * 400, "0x1p3", "1_000"]))
+SCALAR_PARTS = st.one_of(
+    st.integers(-9, 9), st.just(10 ** 400), st.floats(), st.booleans(),
+    st.none(), st.sampled_from(["1e400", "1/3", "2.5e-3", "-1e-400", "x"]))
+PAIRS = st.one_of(st.tuples(SCALAR_PARTS, SCALAR_PARTS).map(list),
+                  st.lists(SCALAR_PARTS, max_size=3), SCALAR_PARTS)
+TERM_ROWS = st.fixed_dictionaries({}, optional={
+    "coeff": st.one_of(PAIRS, st.dictionaries(
+        st.sampled_from(["1", "e1", "e1e2", "eps", "e9", "e1e1", "x"]), PAIRS,
+        max_size=3)),
+    "n": st.one_of(st.integers(-2, 5), st.booleans(), st.floats()),
+    "lambda": PAIRS})
+JSON_PROFILES = st.one_of(TERM_ROWS, st.lists(TERM_ROWS, max_size=4), SCALAR_PARTS)
+COMPACT_PROFILES = st.one_of(
+    st.sampled_from(["1", "t", "t^3", "t^-1", "exp:", "poly:"]),
+    st.lists(NUMBER_TEXTS, min_size=1, max_size=4).map(lambda v: "poly:" + ",".join(v)),
+    st.lists(NUMBER_TEXTS, min_size=1, max_size=3).map(lambda v: "exp:" + ":".join(v)),
+    NUMBER_TEXTS.map(lambda v: "t^" + v), st.text(max_size=12))
+
+
+def _deep(templates):
+    """JSON text with an array nested up to 6000 deep at a template's %s."""
+    return st.builds(lambda tmpl, d: tmpl % ("[" * d + "]" * d),
+                     st.sampled_from(templates), st.integers(0, 6000))
+
+
+FLAG_TEXTS = st.one_of(
+    st.tuples(st.just("parse_profile"), st.one_of(
+        COMPACT_PROFILES, JSON_PROFILES.map(json.dumps),
+        _deep(['%s', '[{"coeff": %s}]', '{"lambda": [0, %s]}']))),
+    st.tuples(st.just("parse_seeds"), st.one_of(
+        st.dictionaries(st.text(max_size=3), st.one_of(COMPACT_PROFILES, JSON_PROFILES),
+                        max_size=3).map(json.dumps),
+        _deep(['%s', '{"a0": %s}', '{"a0": [{"coeff": %s}]}']), st.text(max_size=8))),
+    st.tuples(st.just("parse_zeta"), st.one_of(
+        st.lists(NUMBER_TEXTS, min_size=1, max_size=9).map(",".join),
+        st.text(max_size=12))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(FLAG_TEXTS, st.sampled_from(["exact", "float"]))
+@example(("parse_profile", '[{"coeff": ["1e400", 0.5]}]'), "exact")
+@example(("parse_profile", '[{"coeff": ["1e400", 0]}, {"coeff": [0.5, 0]}]'), "exact")
+@example(("parse_profile", DEEP), "float")
+@example(("parse_seeds", '{"a0": ' + DEEP + "}"), "exact")
+@example(("parse_zeta", "1e400,0,0,1"), "float")
+def test_flag_parsers_parse_or_raise_value_error(case, backend):
+    """--profile, --seeds and --zeta parse any text, or raise ValueError."""
+    name, text = case
+    ctx = AlgebraContext(2)
+    try:
+        if name == "parse_zeta":
+            cli.parse_zeta(text, backend)
+        else:
+            getattr(cli, name)(text, ctx, backend)
+    except ValueError:
+        pass

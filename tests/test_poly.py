@@ -9,7 +9,8 @@ from oracles import (as_spacetime, assert_matches, exact_values, o_add,
                      o_dirac, o_div, o_evaluate, o_laplacian, o_lmul, o_mul,
                      o_neg, o_partial, o_rmul, o_scale, typed)
 from paradirac.algebra import AlgebraContext, Multivector, _mul_into, witt_basis
-from paradirac.poly import CliffordPoly, rho_squared, vector_variable
+from paradirac.poly import (CliffordPoly, SpaceTimeFunction, rho_squared,
+                            vector_variable)
 from paradirac.scalars import GaussianRational
 
 rng = random.Random(31415)
@@ -419,3 +420,32 @@ def test_stored_polynomial_numerators_match_per_term_oracles(data):
         assert p.is_exact() and (p * q).is_exact()
         if ex_c:
             assert (p * q).scale(c) == p * q.scale(c)
+
+
+def _bodies(ctx):
+    """A float body, the bodies made from it without new values, and an exact body."""
+    p = CliffordPoly(ctx, {(1, 0): ctx.scalar(0.5), (0, 1): ctx.scalar(1.5)})
+    exact = CliffordPoly(ctx, {(1, 0): ctx.scalar(Fraction(1, 2)),
+                               (0, 1): ctx.scalar(GaussianRational(3, 1))})
+    return [p, SpaceTimeFunction.from_poly(p), p.truncate_degree(1),
+            p + CliffordPoly.zero(ctx), exact]
+
+
+def test_bodies_are_values():
+    """Writing into what .terms and coeffs(key) return changes no body."""
+    ctx = AlgebraContext(2)
+    bodies, fresh = _bodies(ctx), _bodies(ctx)
+    for body in bodies:
+        for key in list(body.keys()):
+            body.terms[key].terms[0] = 99.0
+            body.terms[key].terms[4] = 7
+            body.coeffs(key)[0] = 98.0
+            body.coeffs(key)[2] = 6
+    for body, want in zip(bodies, fresh):
+        assert repr(body) == repr(want)
+        assert body == want and body.terms == want.terms
+        for key in want.keys():
+            assert body.coeffs(key) == want.coeffs(key)
+        assert body * body == want * want and body + body == want + want
+        assert body.dirac() == want.dirac() and body.scale(2) == want.scale(2)
+        assert body.evaluate((0.5, 0.25)) == want.evaluate((0.5, 0.25))
