@@ -13,11 +13,16 @@ in the subalgebra generated by e_1..e_m.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
 from .scalars import GaussianRational, Scalar, is_exact
+
+
+# one generator of a blade label: eps, or e<j> with j written without sign
+_LABEL_GENERATOR = re.compile(r"eps|e[0-9]+")
 
 
 class AlgebraMismatchError(ValueError):
@@ -105,22 +110,30 @@ class AlgebraContext:
         return "".join(parts)
 
     def blade_from_label(self, label: str) -> int:
+        """The mask of a canonical label, as blade_label writes it.
+
+        A label naming the generators in another order is refused rather
+        than read with a lost sign ("e2e1" is -e1e2): the ValueError names
+        the canonical spelling.
+        """
         if label == "1":
             return 0
+        gens = _LABEL_GENERATOR.findall(label)
+        if not gens or "".join(gens) != label:
+            raise ValueError(f"invalid blade label {label!r}")
         mask = 0
-        body = label
-        if body.startswith("eps"):
-            mask |= 1
-            body = body[3:]
-        for piece in body.split("e"):
-            if not piece:
-                continue
-            j = int(piece)
-            if not 1 <= j <= self.m + 1:
-                raise ValueError(f"generator e{j} outside Cl(1,{self.m + 1})")
+        for g in gens:
+            j = 0 if g == "eps" else int(g[1:])
+            if not 0 <= j <= self.m + 1:
+                raise ValueError(f"generator {g} outside Cl(1,{self.m + 1})")
             if mask >> j & 1:
                 raise ValueError(f"repeated generator in blade label {label!r}")
             mask |= 1 << j
+        canonical = self.blade_label(mask)
+        if label != canonical:
+            raise ValueError(f"blade label {label!r} is not canonical: "
+                             f"write {canonical!r}, generators in the order "
+                             f"eps, e1, e2, ..., and the sign in the value")
         return mask
 
     # -- element constructors ---------------------------------------------
@@ -168,10 +181,10 @@ def _mul_into(ctx: AlgebraContext, out: Dict[int, Scalar],
              a: Dict[int, Scalar], b: Dict[int, Scalar]) -> Dict[int, Scalar]:
     """out += a * b over {blade: scalar} dicts, dropping sums that vanish.
 
-    The one blade-product loop: Multivector and SparseTerms products and
-    the Dirac operator all multiply through it. Returns out. Scalars
-    commute, and vb * va keeps Fraction on its fast forward path when a
-    holds the ints of dirac.
+    The blade-product loop of Multivector products and of the body
+    products and constant products on ints and raw values (poly runs the
+    same loop on Gaussian integer pairs). Returns out. Scalars commute;
+    vb * va is the order every caller's float results are pinned to.
     """
     rows = ctx._mul_rows
     for ma, va in a.items():

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraContext, witt_basis
 from .harmonics import HarmonicPoly, MonogenicPoly
-from .poly import CliffordPoly, rho_powers, vector_variable
+from .poly import CliffordPoly, Sum, rho_powers, vector_variable
 from .timefn import SpaceTimeFunction, TimeFunction, apply_0F1, assemble_split
 from .zeta import NotInvertibleError, ZetaElement
 
@@ -83,9 +83,9 @@ def build_parabolic_closed(M: MonogenicPoly, a: TimeFunction,
     scale = Fraction(1, 2 * k + ctx.m)
     head_dag = (x * M.poly.lmul(fdag)).scale(scale)
     head_f = (x * M.poly.lmul(f)).scale(scale)
-    body = (apply_0F1(gamma, M.poly, a, L)
-            + apply_0F1(gamma + 1, head_dag, a, L)
-            + apply_0F1(gamma + 1, head_f, a.d_dt(), L))
+    body = Sum(SpaceTimeFunction, ctx).add(apply_0F1(gamma, M.poly, a, L)).add(
+        apply_0F1(gamma + 1, head_dag, a, L)).add(
+        apply_0F1(gamma + 1, head_f, a.d_dt(), L)).value()
     exact = a.is_polynomial() and a.is_exact() and M.poly.is_exact()
     return SeriesSolution(body=body, mode="parabolic-closed", m=ctx.m, k=k,
                           L=L, exact=exact)
@@ -134,7 +134,7 @@ def build_parabolic_recurrence(M: MonogenicPoly,
         stop = L
 
     x = vector_variable(ctx)
-    F0 = F1 = F2 = F3 = SpaceTimeFunction.zero(ctx)
+    F0, F1, F2, F3 = (Sum(SpaceTimeFunction, ctx) for _ in range(4))
     for l, P, Q in zip(range(stop + 1), rho_powers(M.poly),
                        rho_powers(x * M.poly)):
         two_lg = 2 * l + 2 * k + ctx.m          # 2(l + g), an integer
@@ -142,23 +142,19 @@ def build_parabolic_recurrence(M: MonogenicPoly,
         div_b = 4 * (l + 1) * (gamma + 1 + l)
         a0_next = a0.d_dt().scale(1 / div_a) if not a0.is_zero() else zero_tf
         a2_next = a2.d_dt().scale(1 / div_a) if not a2.is_zero() else zero_tf
+        P, Q = SpaceTimeFunction.from_poly(P), SpaceTimeFunction.from_poly(Q)
 
-        F0 = F0 + SpaceTimeFunction.from_poly(P, a0) \
-                + SpaceTimeFunction.from_poly(Q, b0)
-        F1 = F1 + SpaceTimeFunction.from_poly(P, b0.scale(two_lg)) \
-                + SpaceTimeFunction.from_poly(Q, a0_next.scale(-2 * (l + 1)))
-        F2 = F2 + SpaceTimeFunction.from_poly(P, a2) \
-                + SpaceTimeFunction.from_poly(Q, b2)
-        F3 = F3 + SpaceTimeFunction.from_poly(
-                    P, b2.scale(-two_lg) - a0) \
-                + SpaceTimeFunction.from_poly(
-                    Q, a2_next.scale(2 * (l + 1)) - b0)
+        F0.product(P, a0).product(Q, b0)
+        F1.product(P, b0.scale(two_lg)).product(Q, a0_next.scale(-2 * (l + 1)))
+        F2.product(P, a2).product(Q, b2)
+        F3.product(P, b2.scale(-two_lg) - a0).product(
+            Q, a2_next.scale(2 * (l + 1)) - b0)
 
         a0, a2 = a0_next, a2_next
         b0 = b0.d_dt().scale(1 / div_b) if not b0.is_zero() else zero_tf
         b2 = b2.d_dt().scale(1 / div_b) if not b2.is_zero() else zero_tf
 
-    body = assemble_split(F0, F1, F2, F3)
+    body = assemble_split(F0.value(), F1.value(), F2.value(), F3.value())
     exact = polynomial and M.poly.is_exact() and all(
         seed(n).is_exact() for n in ("a0", "b0", "a2", "b2"))
     return SeriesSolution(body=body, mode="parabolic-recurrence", m=ctx.m,
@@ -195,16 +191,12 @@ def _radial_weights(z: ZetaElement, gamma: Fraction, L: int,
     raise ValueError(f"unknown radial evaluation {radial!r}")
 
 
-def _radial_series(P: CliffordPoly, weights: Sequence[ZetaElement],
-                   total: Optional[CliffordPoly] = None) -> CliffordPoly:
-    """total + sum_n w_n rho^{2n} P; total defaults to zero."""
+def _radial_series(total: Sum, P: CliffordPoly,
+                   weights: Sequence[ZetaElement]) -> Sum:
+    """Add sum_n w_n rho^{2n} P to total, one stage per level."""
     ctx = P.ctx
-    if total is None:
-        total = CliffordPoly.zero(ctx)
-    for w, P_n in zip(weights, rho_powers(P)):
-        if not w.is_zero():
-            total = total + P_n.lmul(w.to_multivector(ctx))
-    return total
+    return total.radial(P, [None if w.is_zero() else w.to_multivector(ctx)
+                            for w in weights])
 
 
 def build_helmholtz(H, z: ZetaElement, L: int = 12,
@@ -218,13 +210,12 @@ def build_helmholtz(H, z: ZetaElement, L: int = 12,
     """
     heads = _as_list(H, HarmonicPoly, L)
     ctx = heads[0].poly.ctx
-    total = CliffordPoly.zero(ctx)
+    total = Sum(CliffordPoly, ctx)
     for h in heads:
         gamma = Fraction(2 * h.degree + ctx.m, 2)
-        total = _radial_series(h.poly, _radial_weights(z, gamma, L, radial),
-                               total)
+        _radial_series(total, h.poly, _radial_weights(z, gamma, L, radial))
     degrees = tuple(h.degree for h in heads)
-    body = SpaceTimeFunction.from_poly(total)
+    body = SpaceTimeFunction.from_poly(total.value())
     return SeriesSolution(body=body, mode="helmholtz", m=ctx.m,
                           k=degrees if len(degrees) > 1 else degrees[0],
                           L=L, exact=False, zeta=z, extra={"radial": radial})
@@ -256,33 +247,37 @@ def build_generalized(M, z: ZetaElement, L: int = 12,
         raise NotInvertibleError("invertible form needs det(zeta) != 0")
     ctx = heads[0].poly.ctx
     x = vector_variable(ctx)
-    total = CliffordPoly.zero(ctx)
+    # one sum over every head; within a head the stages' terms have
+    # distinct spatial degrees, so adding them one by one to the sum adds
+    # the head's whole series g
+    total = Sum(CliffordPoly, ctx)
     for head in heads:
         k = head.degree
         gamma = Fraction(2 * k + ctx.m, 2)
         if form == "monogenic":
             sz = z.star_zeta()
-            a_blk = _radial_series(head.poly, _weight_recurrence(sz, gamma, L))
+            _radial_series(total, head.poly, _weight_recurrence(sz, gamma, L))
             b_head = (x * head.poly.lmul(z.to_multivector(ctx))).scale(
                 Fraction(1, 2 * k + ctx.m))
-            g = a_blk + _radial_series(b_head,
-                                       _weight_recurrence(sz, gamma + 1, L))
+            _radial_series(total, b_head, _weight_recurrence(sz, gamma + 1, L))
         elif form == "factored":
-            # starred radial weights here
+            # starred radial weights here: g = zeta* inner - d_x inner
             inner = _radial_series(
+                Sum(CliffordPoly, ctx),
                 (x * head.poly).scale(Fraction(1, 2 * k + ctx.m)),
-                _weight_recurrence(z.zeta_star(), gamma + 1, L))
-            g = inner.lmul(z.involution().to_multivector(ctx)) - inner.dirac()
+                _weight_recurrence(z.zeta_star(), gamma + 1, L)).value()
+            total.lmul(z.involution().to_multivector(ctx), inner)
+            total.dirac(inner, -1)
         else:
-            # one extra order, trimmed below
+            # one extra order, trimmed: g = inner - zeta^-1 d_x inner, cut
+            # back to degree 2L+k+1, which keeps all of d_x inner
             inner = _radial_series(
-                head.poly, _weight_recurrence(z.star_zeta(), gamma, L + 1))
-            zinv = z.invert().to_multivector(ctx)
-            g = inner - inner.dirac().lmul(zinv)
-            g = g.truncate_degree(2 * L + k + 1)
-        total = total + g
+                Sum(CliffordPoly, ctx), head.poly,
+                _weight_recurrence(z.star_zeta(), gamma, L + 1)).value()
+            total.add(inner.truncate_degree(2 * L + k + 1))
+            total.lmul(z.invert().to_multivector(ctx), inner.dirac(), -1)
     degrees = tuple(h.degree for h in heads)
-    body = SpaceTimeFunction.from_poly(total)
+    body = SpaceTimeFunction.from_poly(total.value())
     return SeriesSolution(body=body, mode=f"gen-{form}", m=ctx.m,
                           k=degrees if len(degrees) > 1 else degrees[0],
                           L=L, exact=False, zeta=z)

@@ -113,10 +113,7 @@ def _profile_from_json(rows, ctx: AlgebraContext, backend: str) -> TimeFunction:
         n = row.get("n", 0)
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"profile term exponent n must be an integer, got {n!r}")
-        try:
-            total = total + TimeFunction.term(ctx, mv, n=n, lam=lam)
-        except OverflowError:   # an exact value beyond float range plus a float
-            raise ValueError("profile terms sum beyond the float range") from None
+        total = total + TimeFunction.term(ctx, mv, n=n, lam=lam)
     return total
 
 

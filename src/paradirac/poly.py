@@ -1,8 +1,8 @@
 """The sparse term engine: Clifford-valued polynomials in x_1..x_m and t.
 
 SparseTerms stores a sum of terms key -> Multivector coefficient, zero
-coefficients never stored, and owns the whole linear structure, the one
-coefficient product and the one set of spatial operators (partial,
+coefficients never stored, and owns the whole linear structure, the
+coefficient products and the one set of spatial operators (partial,
 dirac, laplacian, evaluate); a subclass fixes only what a key is, how two
 keys combine in a product and how a key's spatial exponents are read and
 replaced.  CliffordPoly is keyed by exponent tuples; SpaceTimeFunction
@@ -11,20 +11,35 @@ owns d/dt, and TimeFunction is its x-independent slice.
 
 Storage rule.  An exact body (every coefficient an int, Fraction or
 GaussianRational) is stored as {key: {blade: numerator}} over one shared
-positive int denominator D: each numerator is an int, or a Gaussian
-integer where the value is a GaussianRational, and no numerator is zero.
-The operators work on numerators only: + and - rescale both sides to the
-lcm of their denominators, scaling and division change D and the
-numerators, and the products and derivatives run the blade-product
-kernel on the numerators directly.  The product of two bodies, scale
-and / divide out the factor D shares with every numerator; the other
-operators keep the D they produce.  An inexact body (some float or complex value) is
-stored as its raw values with D = None and runs the same loops on them,
-so it repeats exactly the operations of a per-term Multivector loop.
+positive int denominator D.  A numerator is an int where the value is an
+int or a Fraction, and an integer pair (re, im) where the value is a
+GaussianRational; a pair stays a pair when its imaginary part cancels, as
+a GaussianRational does, and no numerator is zero.  An inexact body (some
+float or complex value) is stored as its raw values with D = None.
 A body is read through keys() and coeffs(key), which makes one term's
 {blade: value} afresh (int, Fraction and GaussianRational values for an
 exact body); .terms, {key: Multivector}, is made afresh on every read.  No
 reader hands out a stored row, and no other module reads the numerators.
+
+The accumulator.  Every operator but scale and / (which change D and the
+numerators of one body), and every sum of operator results, is built by
+a Sum: stages such as a scaled body, a constant product, dirac,
+a derivative, a product or a radial series level, run in order into one
+{key: row} dict.  The exact stages run at the lcm D of their own
+denominators, and each writes its numerators already multiplied by
+D / (its denominator), so no row is rescaled once written.  A stage that
+maps each key to one key merges its rows as it makes them; a stage that
+gathers several rows into one key writes straight into an empty
+accumulator, or else into a scratch dict that is merged after it.  A row
+taken over from an operand is copied only when a later stage changes it.
+From the first inexact stage on the rows are raw values, and each later
+stage is made on its own and merged, as the binary operators do.
+
+Order guarantee.  A result has the values, the term order and the blade
+order of the left-to-right chain of binary operators it stands for, and
+on raw values the same float operations in the same order.  Reports sum
+sampled values in term order, so term order is part of every pinned
+output.
 
 The Multivector coefficient sits to the LEFT of the (commuting, scalar)
 monomial. All noncommutativity therefore lives inside coefficient
@@ -37,8 +52,10 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
 from math import gcd, lcm, perm
-from operator import add
+from operator import add, or_
 from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple, Union
 
 from .algebra import (AlgebraContext, AlgebraMismatchError, Multivector,
@@ -49,56 +66,17 @@ Exponents = Tuple[int, ...]
 SpaceTimeKey = Tuple[Exponents, int, Scalar]
 # {key: {blade: numerator or raw value}}
 Rows = Dict[Hashable, Dict[int, Scalar]]
+# an exact numerator: an int, or the integer pair (re, im) of a Gaussian one
+Numerator = Union[int, Tuple[int, int]]
+
+# the types of exact values; a subclass such as bool is not one
+_EXACT_TYPES = (int, Fraction, GaussianRational)
 
 
-class _GaussInt:
-    """Gaussian-integer numerator re + i im of a GaussianRational.
-
-    Only what the sparse engine applies to its numerators: +, unary -, *,
-    exact division by an int (//), == and truth, mixed with plain int
-    numerators.  A value stays Gaussian as GaussianRational does, also
-    once its imaginary part cancels.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int, im: int):
-        self.re = re
-        self.im = im
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def __eq__(self, other):
-        if type(other) is _GaussInt:
-            return self.re == other.re and self.im == other.im
-        if type(other) is int:
-            return not self.im and self.re == other
-        return NotImplemented
-
-    def __neg__(self):
-        return _GaussInt(-self.re, -self.im)
-
-    def __add__(self, other):
-        if type(other) is _GaussInt:
-            return _GaussInt(self.re + other.re, self.im + other.im)
-        return _GaussInt(self.re + other, self.im)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if type(other) is _GaussInt:
-            return _GaussInt(self.re * other.re - self.im * other.im,
-                             self.re * other.im + self.im * other.re)
-        return _GaussInt(self.re * other, self.im * other)
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, g: int):
-        return _GaussInt(self.re // g, self.im // g)
+# -- numerators --------------------------------------------------------------
 
 
-def _ratio(v: Exact) -> Tuple[Union[int, _GaussInt], int]:
+def _ratio(v: Exact) -> Tuple[Numerator, int]:
     """(numerator, denominator) of an exact scalar, the denominator > 0."""
     t = type(v)
     if t is int:
@@ -107,36 +85,39 @@ def _ratio(v: Exact) -> Tuple[Union[int, _GaussInt], int]:
         return v.numerator, v.denominator
     re, im = v.re, v.im
     q = lcm(re.denominator, im.denominator)
-    return _GaussInt(re.numerator * (q // re.denominator),
-                     im.numerator * (q // im.denominator)), q
+    return (re.numerator * (q // re.denominator),
+            im.numerator * (q // im.denominator)), q
 
 
-def _to_numerators(values: Rows) -> Tuple[Rows, Optional[int]]:
-    """(numerators, D) of {key: {blade: value}} with no zero value stored.
+def _to_numerators(values: Rows) -> Tuple[Rows, Optional[int], bool]:
+    """(numerators, D, pairs) of {key: {blade: value}} with no zero value.
 
     D is the lcm of the denominators, so D and the numerators have no
-    common factor.  (values, None) as soon as some value is not an int,
-    Fraction or GaussianRational.
+    common factor, and pairs tells whether some numerator is a pair.
+    (values, None, False) as soon as some value is not an int, Fraction
+    or GaussianRational.
     """
     dens = set()
+    pairs = False
     for vals in values.values():
         for v in vals.values():
             t = type(v)
             if t is Fraction:
                 dens.add(v.denominator)
             elif t is GaussianRational:
+                pairs = True
                 dens.add(v.re.denominator)
                 dens.add(v.im.denominator)
             elif t is not int:
-                return values, None
+                return values, None, False
     D = lcm(*dens)
     out = {}
     for key, vals in values.items():
         row = out[key] = {}
         for mask, v in vals.items():
             n, q = _ratio(v)
-            row[mask] = n * (D // q) if q != D else n
-    return out, D
+            row[mask] = n if q == D else _pmul(n, D // q)
+    return out, D, pairs
 
 
 def _reduced(nums: Rows, D: Optional[int]) -> Tuple[Rows, Optional[int]]:
@@ -147,21 +128,19 @@ def _reduced(nums: Rows, D: Optional[int]) -> Tuple[Rows, Optional[int]]:
     g = D
     for vals in nums.values():
         for n in vals.values():
-            if type(n) is int:
-                g = gcd(g, n)
-            else:
-                g = gcd(g, n.re, n.im)
+            g = gcd(g, n) if type(n) is int else gcd(g, *n)
             if g == 1:
                 return nums, D
-    return {key: {mask: n // g for mask, n in vals.items()}
+    return {key: {mask: n // g if type(n) is int else (n[0] // g, n[1] // g)
+                  for mask, n in vals.items()}
             for key, vals in nums.items()}, D // g
 
 
-def _value(n: Union[int, _GaussInt], D: int) -> Exact:
-    """The value n / D: an int, a Fraction or, for a _GaussInt, a GaussianRational."""
-    if type(n) is _GaussInt:
+def _value(n: Numerator, D: int) -> Exact:
+    """The value n / D: an int, a Fraction or, for a pair, a GaussianRational."""
+    if type(n) is tuple:
         g = GaussianRational.__new__(GaussianRational)
-        g.re, g.im = Fraction(n.re, D), Fraction(n.im, D)
+        g.re, g.im = Fraction(n[0], D), Fraction(n[1], D)
         return g
     if D == 1:
         return n
@@ -169,53 +148,454 @@ def _value(n: Union[int, _GaussInt], D: int) -> Exact:
     return Fraction(n, D) if r else q
 
 
-# the types of exact values; a subclass such as bool is not one
-_EXACT_TYPES = (int, Fraction, GaussianRational)
+def _rounded(n: Numerator, D: int) -> Scalar:
+    """n / D rounded once, as float() and complex() round its value; the
+    exact value where it is beyond the float range."""
+    try:
+        if type(n) is tuple:
+            return complex(n[0] / D, n[1] / D)
+        return n / D
+    except OverflowError:
+        return _value(n, D)
 
 
-def _times(vals: Dict[int, Scalar], factor) -> Dict[int, Scalar]:
-    """{blade: v * factor}, dropping products that vanish."""
+def _pmul(a: Numerator, b: Numerator) -> Numerator:
+    """a * b for exact numerators; a pair times anything is a pair."""
+    if type(a) is int:
+        if type(b) is int:
+            return a * b
+        return a * b[0], a * b[1]
+    if type(b) is int:
+        return a[0] * b, a[1] * b
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _padd(a: Numerator, b: Numerator) -> Numerator:
+    """a + b for exact numerators: a pair stays a pair, a vanished sum is 0."""
+    if type(a) is int:
+        if type(b) is int:
+            return a + b
+        re, im = a + b[0], b[1]
+    elif type(b) is int:
+        re, im = a[0] + b, a[1]
+    else:
+        re, im = a[0] + b[0], a[1] + b[1]
+    return (re, im) if re or im else 0
+
+
+# -- row kernels ---------------------------------------------------------------
+#
+# pairs=True selects the loops for rows that may hold pairs; the other loops
+# use Python arithmetic and so serve int numerators and raw values alike.
+
+
+def _scaled(vals: Dict[int, Scalar], f, pairs: bool) -> Dict[int, Scalar]:
+    """{blade: v * f}, dropping products that vanish."""
     out = {}
-    for mask, v in vals.items():
-        s = v * factor
-        if s:
-            out[mask] = s
+    if pairs:
+        for mask, v in vals.items():
+            out[mask] = _pmul(v, f)     # exact and f != 0: never zero
+    else:
+        for mask, v in vals.items():
+            s = v * f
+            if s:
+                out[mask] = s
     return out
 
 
-def _rescaled(nums: Rows, factor: int) -> Rows:
-    """Every numerator times factor: nums over D as numerators over factor * D."""
-    if factor == 1:
-        return nums
-    return {key: _times(vals, factor) for key, vals in nums.items()}
+def _pair_mul_into(ctx: AlgebraContext, out: Dict[int, Numerator],
+                   a: Dict[int, Numerator], b: Dict[int, Numerator]) -> None:
+    """out += a * b on rows that may hold pairs; the loop of _mul_into.
+
+    The arithmetic of _pmul and _padd, inline: a product is a pair when
+    either factor is, a sum when either term is, and a vanished sum is
+    dropped.
+    """
+    rows = ctx._mul_rows
+    for ma, va in a.items():
+        row = rows.get(ma) or ctx.mul_row(ma)
+        pa = type(va) is tuple
+        ar, ai = va if pa else (va, 0)
+        for mb, vb in b.items():
+            mask, sign = row[mb]
+            if type(vb) is tuple:
+                br, bi = vb
+                re, im, pair = br * ar - bi * ai, br * ai + bi * ar, True
+            else:
+                re, im, pair = vb * ar, vb * ai, pa
+            if sign < 0:
+                re, im = -re, -im
+            o = out.get(mask)
+            if o is None:           # exact products never vanish
+                out[mask] = (re, im) if pair else re
+                continue
+            if type(o) is tuple:
+                re, im, pair = re + o[0], im + o[1], True
+            else:
+                re += o
+            if re or im:
+                out[mask] = (re, im) if pair else re
+            else:
+                del out[mask]
 
 
-def _acc(out: Rows, key, vals: Dict[int, Scalar]) -> None:
-    """out[key] += vals, dropping blades and the key when the sum vanishes.
+def _merge(out: Rows, key, t: Dict[int, Scalar], pairs: bool,
+           borrowed: set) -> None:
+    """out[key] += t in place, dropping blades and the key when they vanish.
 
-    A stored row is never changed in place, so rows may be shared.
+    A row of out whose id is in borrowed belongs to an operand and is
+    copied before it changes; t is only read.
     """
     s = out.get(key)
     if s is None:
-        s = vals
-    else:
-        s = dict(s)
-        for mask, v in vals.items():
-            t = s.get(mask, 0) + v
-            if t:
-                s[mask] = t
+        if t:
+            out[key] = t
+        return
+    if borrowed and id(s) in borrowed:
+        s = out[key] = dict(s)
+    if pairs:
+        for mask, v in t.items():
+            r = _padd(s.get(mask, 0), v)
+            if r:
+                s[mask] = r
             else:
                 s.pop(mask, None)
-    if s:
-        out[key] = s
     else:
-        out.pop(key, None)
+        for mask, v in t.items():
+            r = s.get(mask, 0) + v
+            if r:
+                s[mask] = r
+            else:
+                s.pop(mask, None)
+    if not s:
+        del out[key]
+
+
+def _drop_empty(out: Rows) -> None:
+    for key in [key for key, t in out.items() if not t]:
+        del out[key]
+
+
+def _bits(rows) -> int:
+    """The union of the blade masks of the given rows."""
+    return reduce(or_, chain.from_iterable(rows), 0)
+
+
+# -- the accumulator -------------------------------------------------------------
+
+
+class Sum:
+    """scale_1 op_1(body_1) + scale_2 op_2(body_2) + ..., built in one pass.
+
+    Each method records one stage and returns the Sum; value() runs the
+    stages in order into one accumulator (see the module docstring) and
+    returns a body of the given type.  A scale of -1 negates each raw
+    value, as unary minus does.
+    """
+
+    __slots__ = ("_cls", "ctx", "_stages")
+
+    def __init__(self, cls, ctx: AlgebraContext):
+        self._cls, self.ctx, self._stages = cls, ctx, []
+
+    def _check(self, body: "SparseTerms"):
+        if body.ctx is not self.ctx and body.ctx != self.ctx:
+            raise AlgebraMismatchError("sums over different algebra contexts")
+
+    def _stage(self, D: Optional[int], pairs: bool, scale, gathers: bool, run):
+        """Record run(out, exact, f, pairs, borrowed), which adds f times the
+        stage's terms to out, on numerators when exact, else on raw values
+        with f = 1.  D is the stage's denominator before the scale, None
+        for an inexact stage; gathers tells that several rows may land on
+        one key.  A zero scale records nothing: its stage is zero."""
+        if D is not None and type(scale) in _EXACT_TYPES:
+            if scale:
+                p, q = (scale, 1) if type(scale) is int else _ratio(scale)
+                self._stages.append((D * q, pairs or type(p) is tuple, p,
+                                     scale, gathers, run))
+        elif scale != 0:
+            self._stages.append((None, False, None, scale, gathers, run))
+        return self
+
+    # -- stages ----------------------------------------------------------------
+
+    def add(self, body: "SparseTerms", scale=1) -> "Sum":
+        """+ scale * body."""
+        self._check(body)
+
+        def run(out, exact, f, pairs, borrowed):
+            rows = body._nums if exact else body._values()
+            if f != 1:
+                for key, vals in rows.items():
+                    _merge(out, key, _scaled(vals, f, pairs), pairs, borrowed)
+                return
+            if not out:                 # take the rows over as they are
+                out.update(rows)
+                borrowed.update(map(id, rows.values()))
+                return
+            for key, vals in rows.items():
+                if key in out:
+                    _merge(out, key, vals, pairs, borrowed)
+                else:
+                    out[key] = vals
+                    borrowed.add(id(vals))
+        return self._stage(body._D, body._pairs, scale, False, run)
+
+    def lmul(self, mv: Multivector, body: "SparseTerms", scale=1) -> "Sum":
+        """+ scale * mv * body."""
+        self._check(body)
+        mv._check(body)
+        return self._const(mv, body._D, body._pairs, lambda: body, scale, True)
+
+    def rmul(self, mv: Multivector, body: "SparseTerms", scale=1) -> "Sum":
+        """+ scale * body * mv."""
+        self._check(body)
+        mv._check(body)
+        return self._const(mv, body._D, body._pairs, lambda: body, scale, False)
+
+    def _const(self, mv: Multivector, D: Optional[int], pairs: bool, get,
+               scale, left: bool) -> "Sum":
+        """mv * c (left) or c * mv for every coefficient c of the body get()
+        makes when the stage runs; D and pairs are that body's.
+
+        On numerators a left product whose blades are disjoint from the
+        body's writes each product straight to its blade ma | mb, in the
+        order of the general loop."""
+        ctx = self.ctx
+        rows, q, kpairs = _to_numerators({0: mv.terms})
+        kbits = _bits((mv.terms,))
+
+        def run(out, exact, f, pairs, borrowed):
+            body = get()
+            if not mv.terms:
+                return
+            if not exact:
+                k, nums = mv.terms, body._values()
+            else:
+                nums = body._nums
+                k = rows[0] if f == 1 else {ma: _pmul(va, f) for ma, va in rows[0].items()}
+                if left and not kbits & _bits(nums.values()):
+                    k_rows = [(va, ctx.mul_row(ma)) for ma, va in k.items()]
+                    for key, vals in nums.items():
+                        t = {}
+                        for va, row in k_rows:
+                            if pairs:
+                                nva = _pmul(va, -1)
+                                for mb, vb in vals.items():
+                                    mask, sign = row[mb]
+                                    t[mask] = _pmul(vb, va if sign > 0 else nva)
+                            else:
+                                for mb, vb in vals.items():
+                                    mask, sign = row[mb]
+                                    t[mask] = vb * va if sign > 0 else -(vb * va)
+                        if key in out:
+                            _merge(out, key, t, pairs, borrowed)
+                        else:
+                            out[key] = t
+                    return
+            mul = _pair_mul_into if pairs else _mul_into
+            for key, vals in nums.items():
+                t = {}
+                if left:
+                    mul(ctx, t, k, vals)
+                else:
+                    mul(ctx, t, vals, k)
+                if key in out:
+                    _merge(out, key, t, pairs, borrowed)
+                elif t:
+                    out[key] = t
+        D = D * q if D is not None and q is not None else None
+        return self._stage(D, pairs or kpairs, scale, False, run)
+
+    def radial(self, P: "SparseTerms", mvs: Sequence[Optional[Multivector]]
+               ) -> "Sum":
+        """+ sum_n mvs[n] * rho^{2n} P, one stage per level, None for a zero
+        level.  Each power is made when its stage runs."""
+        self._check(P)
+        powers = rho_powers(P)
+        for mv in mvs:
+            mv = self.ctx.zero() if mv is None else mv
+            mv._check(P)
+            self._const(mv, P._D, P._pairs, powers.__next__, 1, True)
+        return self
+
+    def product(self, a: "SparseTerms", b: "SparseTerms", scale=1) -> "Sum":
+        """+ scale * a * b, the coefficient of a on the left."""
+        self._check(a)
+        self._check(b)
+        ctx, key_mul = self.ctx, self._cls._key_mul
+
+        def run(out, exact, f, pairs, borrowed):
+            ra, rb = (a._nums, b._nums) if exact else (a._values(), b._values())
+            b_rows = [(kb, tb if f == 1 else _scaled(tb, f, pairs))
+                      for kb, tb in rb.items()]
+            mul = _pair_mul_into if pairs else _mul_into
+            for ka, ta in ra.items():
+                for kb, tb in b_rows:
+                    key = key_mul(ka, kb)
+                    t = out.get(key)
+                    if t is None:
+                        t = out[key] = {}
+                    mul(ctx, t, ta, tb)
+            _drop_empty(out)
+        D = a._D * b._D if a._D is not None and b._D is not None else None
+        return self._stage(D, a._pairs or b._pairs, scale, True, run)
+
+    def dirac(self, body: "SparseTerms", scale=1) -> "Sum":
+        """+ scale * sum_i e_i d/dx_i body: left multiplication by e_i is a
+        signed permutation of the blades, read from mul_row(e_i)."""
+        self._check(body)
+        ctx, split_key, with_exps = self.ctx, body._split_key, body._with_exps
+
+        def run(out, exact, f, pairs, borrowed):
+            tables = ctx._mul_rows
+            for key, vals in (body._nums if exact else body._values()).items():
+                exps = split_key(key)[0]
+                for i, n in enumerate(exps):
+                    if not n:
+                        continue
+                    new = with_exps(key, exps[:i] + (n - 1,) + exps[i + 1:])
+                    t = out.get(new)
+                    if t is None:
+                        t = out[new] = {}
+                    if pairs:
+                        _pair_mul_into(ctx, t, {2 << i: _pmul(n, f)}, vals)
+                        continue
+                    table, c = tables.get(2 << i) or ctx.mul_row(2 << i), n * f
+                    for mb, vb in vals.items():
+                        mask, sign = table[mb]
+                        v = vb * c if sign > 0 else -(vb * c)
+                        s = t.get(mask, 0) + v
+                        if s:
+                            t[mask] = s
+                        else:
+                            t.pop(mask, None)
+            _drop_empty(out)
+        return self._stage(body._D, body._pairs, scale, True, run)
+
+    def lowered(self, body: "SparseTerms", by: int, indices, scale=1) -> "Sum":
+        """+ scale * sum over i in indices of n!/(n-by)! c x^(exps - by e_i),
+        n = exps[i]: partial derivatives (by = 1) and the Laplacian (by = 2)."""
+        self._check(body)
+        split_key, with_exps = body._split_key, body._with_exps
+
+        def run(out, exact, f, pairs, borrowed):
+            for key, vals in (body._nums if exact else body._values()).items():
+                exps = split_key(key)[0]
+                for i in indices:
+                    n = exps[i]
+                    if n >= by:
+                        new = with_exps(key, exps[:i] + (n - by,) + exps[i + 1:])
+                        c = _pmul(perm(n, by), f) if pairs else perm(n, by) * f
+                        _merge(out, new, _scaled(vals, c, pairs), pairs, borrowed)
+        return self._stage(body._D, body._pairs, scale, True, run)
+
+    def laplacian(self, body: "SparseTerms", scale=1) -> "Sum":
+        return self.lowered(body, 2, range(self.ctx.m), scale)
+
+    def d_dt(self, body: "SpaceTimeFunction", scale=1) -> "Sum":
+        """+ scale * d/dt body: c t^n e^{lt} -> c n t^{n-1} e^{lt} + c l t^n e^{lt}.
+
+        On numerators over D the derivative has denominator D * Q, Q the
+        lcm of the denominators of the lambdas, so n contributes n Q and
+        lambda = p / q contributes p Q / q.
+        """
+        self._check(body)
+        lams = {lam for _, _, lam in body._nums if lam != 0}
+        D, pairs = None, False
+        if body._D is not None and all(type(lam) in _EXACT_TYPES for lam in lams):
+            ratios = {lam: _ratio(lam) for lam in lams}
+            Q = lcm(*(q for _, q in ratios.values()))
+            lam_factor = {lam: _pmul(p, Q // q) for lam, (p, q) in ratios.items()}
+            D = body._D * Q
+            pairs = body._pairs or any(type(p) is tuple for p in lam_factor.values())
+
+        def run(out, exact, f, pairs, borrowed):
+            if exact:
+                rows, nq = body._nums, _pmul(Q, f)
+                lf = {lam: _pmul(c, f) for lam, c in lam_factor.items()}
+            else:
+                rows, nq, lf = body._values(), 1, {lam: lam for lam in lams}
+            for (exps, n, lam), vals in rows.items():
+                if n:
+                    _merge(out, (exps, n - 1, lam), _scaled(vals, _pmul(n, nq), pairs),
+                           pairs, borrowed)
+                if lam != 0:
+                    _merge(out, (exps, n, lam), _scaled(vals, lf[lam], pairs),
+                           pairs, borrowed)
+        return self._stage(D, pairs, scale, True, run)
+
+    # -- the result ------------------------------------------------------------
+
+    def value(self) -> "SparseTerms":
+        """Run the stages and return their sum."""
+        stages, cls, ctx = self._stages, self._cls, self.ctx
+        if len(stages) == 1 and stages[0][0] is not None:
+            D, pairs, p, _, _, run = stages[0]
+            out: Rows = {}
+            run(out, True, p, pairs, set())
+            return cls._make(ctx, out, D, pairs)
+        D, pairs, n_exact = 1, False, len(stages)
+        for i, st in enumerate(stages):
+            if st[0] is None:
+                n_exact = i
+                break
+            D = lcm(D, st[0])
+            pairs = pairs or st[1]
+        out = {}
+        borrowed: set = set()
+        for Ds, _, p, _, gathers, run in (stages if n_exact == len(stages)
+                                          else stages[:n_exact]):
+            f = D // Ds * p if type(p) is int else _pmul(D // Ds, p)
+            if gathers and out:
+                scratch: Rows = {}
+                run(scratch, True, f, pairs, borrowed)
+                for key, t in scratch.items():
+                    _merge(out, key, t, pairs, borrowed)
+            else:
+                run(out, True, f, pairs, borrowed)
+        if n_exact == len(stages):
+            return cls._make(ctx, out, D, pairs)
+        # from here on raw values, each stage made on its own and merged
+        out = {key: {mask: _value(n, D) for mask, n in vals.items()}
+               for key, vals in out.items()}
+        try:
+            for Ds, spairs, p, scale, gathers, run in stages[n_exact:]:
+                if Ds is None and scale == 1 and not gathers:
+                    run(out, False, 1, False, borrowed)     # merged as made
+                    continue
+                made: Rows = {}
+                if Ds is not None:
+                    run(made, True, p, spairs, borrowed)
+                    made = {key: {mask: _value(n, Ds) for mask, n in vals.items()}
+                            for key, vals in made.items()}
+                else:
+                    run(made, False, 1, False, borrowed)
+                    if scale == -1:
+                        made = {key: {mask: -v for mask, v in vals.items()}
+                                for key, vals in made.items()}
+                    elif scale != 1:
+                        made = {key: t for key, t in (
+                            (key, _scaled(vals, scale, False))
+                            for key, vals in made.items()) if t}
+                if not out:
+                    out = made
+                    continue
+                for key, t in made.items():
+                    _merge(out, key, t, False, borrowed)
+        except OverflowError:   # an exact value met a float: float() overflowed
+            raise ValueError("a sum or product of an exact value and a float "
+                             "is beyond the float range") from None
+        return cls._make(ctx, out, None, False)
+
+
+# -- bodies -----------------------------------------------------------------------
 
 
 class SparseTerms:
     """Finite sum of key -> nonzero left Multivector coefficient, value semantics."""
 
-    __slots__ = ("ctx", "_nums", "_D")
+    __slots__ = ("ctx", "_nums", "_D", "_pairs")
 
     def __init__(self, ctx: AlgebraContext, terms: Dict[Hashable, Multivector]):
         self.ctx = ctx
@@ -224,19 +604,23 @@ class SparseTerms:
             vals = {mask: v for mask, v in mv.terms.items() if v}
             if vals:
                 rows[key] = vals
-        self._nums, self._D = _to_numerators(rows)
+        self._nums, self._D, self._pairs = _to_numerators(rows)
 
     @classmethod
-    def _make(cls, ctx: AlgebraContext, nums: Rows, D: Optional[int]):
-        """Body from numerators over D, or from raw values for D None."""
+    def _make(cls, ctx: AlgebraContext, nums: Rows, D: Optional[int],
+              pairs: bool = False):
+        """Body from numerators over D (pairs when some may be pairs), or
+        from raw values for D None."""
         self = cls.__new__(cls)
-        self.ctx, self._nums, self._D = ctx, nums, D
+        self.ctx, self._nums, self._D, self._pairs = ctx, nums, D, pairs
         return self
 
     def _new(self, nums: Rows, D: Optional[int]):
-        """A body of this type from numerators over D, or from the raw
-        values an operation on an inexact body gives (D None)."""
-        return type(self)._make(self.ctx, nums, D)
+        """A body of this type from rows like this body's, over D."""
+        return type(self)._make(self.ctx, nums, D, self._pairs)
+
+    def _sum(self) -> Sum:
+        return Sum(type(self), self.ctx)
 
     @property
     def terms(self) -> Dict[Hashable, Multivector]:
@@ -303,16 +687,17 @@ class SparseTerms:
             return False
         return all(is_exact(self._split_key(key)[2]) for key in self._nums)
 
-    def max_abs(self) -> float:
-        D = self._D
+    def term_max_abs(self, key) -> float:
+        """max over the blades of one term of |value|, each value rounded
+        once (n / D on numerators): no Fraction is made."""
+        D, vals = self._D, self._nums[key]
         if D is None:
-            return max((abs(complex(v)) for vals in self._nums.values()
-                        for v in vals.values()), default=0.0)
-        # n / D rounds the value once, as float(Fraction) does
-        return max((abs(n) / D if type(n) is int
-                    else abs(complex(n.re / D, n.im / D))
-                    for vals in self._nums.values() for n in vals.values()),
-                   default=0.0)
+            return max(abs(complex(v)) for v in vals.values())
+        return max(abs(n) / D if type(n) is int else abs(complex(n[0] / D, n[1] / D))
+                   for n in vals.values())
+
+    def max_abs(self) -> float:
+        return max(map(self.term_max_abs, self._nums), default=0.0)
 
     def is_finite(self) -> bool:
         """True when no coefficient and no lambda is an infinity or a NaN."""
@@ -327,7 +712,8 @@ class SparseTerms:
             return NotImplemented
         if self.ctx != other.ctx:
             return False
-        if self._D == other._D:
+        # a pair and an int numerator of one value differ as stored
+        if self._D == other._D and not (self._pairs or other._pairs):
             return self._nums == other._nums
         return (self - other).is_zero()
 
@@ -351,37 +737,26 @@ class SparseTerms:
 
     # -- linear structure -------------------------------------------------------
 
-    def _check(self, other: "SparseTerms"):
-        if self.ctx != other.ctx:
-            raise AlgebraMismatchError("sums over different algebra contexts")
-
     def __add__(self, other):
-        """Sum; exact operands are rescaled to the lcm of their denominators."""
+        """Sum; exact operands are taken to the lcm of their denominators."""
         if not isinstance(other, type(self)):
             return NotImplemented
-        self._check(other)
-        Da, Db = self._D, other._D
-        if Da is None or Db is None:
-            a, b, D = self._values(), other._values(), None
-        else:
-            D = lcm(Da, Db)
-            a, b = _rescaled(self._nums, D // Da), _rescaled(other._nums, D // Db)
-        out = dict(a)
-        for key, vals in b.items():
-            _acc(out, key, vals)
-        return self._new(out, D)
+        return self._sum().add(self).add(other).value()
 
     def __neg__(self):
-        return self._new({key: {mask: -v for mask, v in vals.items()}
-                          for key, vals in self._nums.items()}, self._D)
+        return self._sum().add(self, -1).value()
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._sum().add(self).add(other, -1).value()
 
     def _times_exact(self, p, q: int) -> "SparseTerms":
         """Exact body times p / q: the numerators times p, D times q > 0."""
-        return self._new(*_reduced(
-            {key: _times(vals, p) for key, vals in self._nums.items()}, self._D * q))
+        pairs = self._pairs or type(p) is tuple
+        nums, D = _reduced({key: _scaled(vals, p, pairs)
+                            for key, vals in self._nums.items()}, self._D * q)
+        return type(self)._make(self.ctx, nums, D, pairs)
 
     def _map(self, fn):
         """Apply fn to every raw value, dropping the values that vanish."""
@@ -394,38 +769,22 @@ class SparseTerms:
                     s[mask] = r
             if s:
                 out[key] = s
-        return self._new(out, None)
+        return type(self)._make(self.ctx, out, None)
 
     def scale(self, value: Scalar):
+        if value == 0:
+            return self._make(self.ctx, {}, 1)
         if self._D is not None and type(value) in _EXACT_TYPES:
             return self._times_exact(*_ratio(value))
-        if value == 0:
-            return self._new({}, 1)
         return self._map(lambda v: v * value)
 
     def lmul(self, mv: Multivector):
         """Left multiplication by a constant Multivector."""
-        return self._const_mul(mv, left=True)
+        return self._sum().lmul(mv, self).value()
 
     def rmul(self, mv: Multivector):
         """Right multiplication by a constant Multivector."""
-        return self._const_mul(mv, left=False)
-
-    def _const_mul(self, mv: Multivector, left: bool):
-        """mv * c (left) or c * mv for every coefficient c, on numerators."""
-        mv._check(self)
-        ctx = self.ctx
-        rows, q = _to_numerators({0: mv.terms})
-        if self._D is not None and q is not None:
-            k, nums, D = rows[0], self._nums, self._D * q
-        else:
-            k, nums, D = mv.terms, self._values(), None
-        out: Rows = {}
-        for key, vals in nums.items():
-            t = _mul_into(ctx, {}, k, vals) if left else _mul_into(ctx, {}, vals, k)
-            if t:
-                out[key] = t
-        return self._new(out, D)
+        return self._sum().rmul(mv, self).value()
 
     def __truediv__(self, value: Scalar):
         if self._D is not None and type(value) in _EXACT_TYPES and value:
@@ -441,20 +800,8 @@ class SparseTerms:
         if isinstance(other, SparseTerms):
             if not isinstance(other, type(self)):
                 return NotImplemented
-            self._check(other)
-            ctx = self.ctx
-            key_mul = self._key_mul
-            Da, Db = self._D, other._D
-            if Da is None or Db is None:
-                a, b, D = self._values(), other._values(), None
-            else:
-                a, b, D = self._nums, other._nums, Da * Db
-            b_rows = list(b.items())
-            acc: Rows = {}
-            for ka, ta in a.items():
-                for kb, tb in b_rows:
-                    _mul_into(ctx, acc.setdefault(key_mul(ka, kb), {}), ta, tb)
-            return self._new(*_reduced({key: t for key, t in acc.items() if t}, D))
+            p = self._sum().product(self, other).value()
+            return p._new(*_reduced(p._nums, p._D))
         if isinstance(other, Multivector):
             return self.rmul(other)
         return self.scale(other)
@@ -466,37 +813,16 @@ class SparseTerms:
 
     # -- spatial operators ---------------------------------------------------
 
-    def _lowered(self, by: int, indices):
-        """Sum over i in indices of n!/(n-by)! c x^(exps - by e_i), n = exps[i]."""
-        split_key, with_exps = self._split_key, self._with_exps
-        out: Rows = {}
-        for key, vals in self._nums.items():
-            exps = split_key(key)[0]
-            for i in indices:
-                n = exps[i]
-                if n >= by:
-                    new = with_exps(key, exps[:i] + (n - by,) + exps[i + 1:])
-                    _acc(out, new, _times(vals, perm(n, by)))
-        return self._new(out, self._D)
-
     def partial(self, i: int):
         """Scalar derivative d/dx_{i+1} (0-based index)."""
-        return self._lowered(1, (i,))
+        return self._sum().lowered(self, 1, (i,)).value()
 
     def dirac(self):
         """Left Dirac operator sum_i e_i d/dx_i; dirac(dirac(p)) = -laplacian(p)."""
-        ctx, split_key, with_exps = self.ctx, self._split_key, self._with_exps
-        acc: Rows = {}
-        for key, vals in self._nums.items():
-            exps = split_key(key)[0]
-            for i, n in enumerate(exps):
-                if n:   # blade 2 << i is e_{i+1}
-                    new = with_exps(key, exps[:i] + (n - 1,) + exps[i + 1:])
-                    _mul_into(ctx, acc.setdefault(new, {}), {2 << i: n}, vals)
-        return self._new({key: t for key, t in acc.items() if t}, self._D)
+        return self._sum().dirac(self).value()
 
     def laplacian(self):
-        return self._lowered(2, range(self.ctx.m))
+        return self._sum().laplacian(self).value()
 
     def evaluate(self, point: Sequence[Scalar], t: Scalar = 0) -> Multivector:
         """Value at x = point and time t (complex once some lambda != 0)."""
@@ -520,11 +846,12 @@ class SparseTerms:
 
         When every coordinate and t of the batch is a float, the exact
         coefficient of each term whose weight varies is rounded once up
-        front: c * w with a float or complex w rounds c in just that way.
-        The constant term keeps its exact coefficient.  A value beyond the
-        float range, or not finite, raises ValueError naming the point.
+        front (n / D on numerators): c * w with a float or complex w
+        rounds c in just that way.  The constant term keeps its exact
+        coefficient.  A value beyond the float range, or not finite,
+        raises ValueError naming the point.
         """
-        ctx, m = self.ctx, self.ctx.m
+        ctx, m, D = self.ctx, self.ctx.m, self._D
         points = list(points)   # read twice: the float scan, then the values
         floats = all(isinstance(x, float) for point, t in points for x in (*point, t))
         pairs: Dict[Tuple[int, int], int] = {}      # (i, d) -> slot
@@ -532,8 +859,8 @@ class SparseTerms:
         steps = []              # per prefix after the empty one: (parent, slot)
         lams: Dict[complex, int] = {}
         timed = []              # per term with t: (prefix, n, lambda index or -1)
-        rows = []               # per term: (prefix, index in timed or -1, coefficients)
-        for key, vals in self._values().items():
+        rows = []               # per term: (prefix, index in timed or -1, stored row)
+        for key, vals in self._nums.items():
             exps, n, lam = self._split_key(key)
             wi = 0              # the empty prefix, weight 1
             for i, d in enumerate(exps):
@@ -552,11 +879,15 @@ class SparseTerms:
         # weight slots: the prefixes' (0 the empty one), then the timed terms'
         first = len(steps) + 1
         cols: Dict[int, list] = {}      # blade -> [(weight slot, coefficient)]
-        for wi, ti, coeffs in rows:
+        for wi, ti, vals in rows:
             slot, varies = (first + ti, True) if ti >= 0 else (wi, wi > 0)
-            for mask, c in coeffs.items():
-                cols.setdefault(mask, []).append(
-                    (slot, _rounded(c) if floats and varies and is_exact(c) else c))
+            rounds = floats and varies
+            for mask, c in vals.items():
+                if D is not None:
+                    c = _rounded(c, D) if rounds else _value(c, D)
+                elif rounds and is_exact(c):
+                    c = _rounded(*_ratio(c))
+                cols.setdefault(mask, []).append((slot, c))
         ns = {n for _, n, _ in timed if n}
         for point, t in points:
             if len(point) != m:
@@ -596,14 +927,6 @@ class SparseTerms:
                 raise ValueError(f"value at x = {tuple(point)}, t = {t} is "
                                  "outside the float range") from None
             yield Multivector(ctx, out)
-
-
-def _rounded(c: Scalar) -> Scalar:
-    """float(c), complex(c) for a GaussianRational; c itself beyond float range."""
-    try:
-        return complex(c) if isinstance(c, GaussianRational) else float(c)
-    except OverflowError:
-        return c
 
 
 class CliffordPoly(SparseTerms):
@@ -683,7 +1006,7 @@ class SpaceTimeFunction(SparseTerms):
                   tf: "TimeFunction | None" = None) -> "SpaceTimeFunction":
         """p(x) * a(t); with tf omitted the profile is the constant 1."""
         F = cls._make(p.ctx, {(exps, 0, 0): vals for exps, vals in p._nums.items()},
-                      p._D)
+                      p._D, p._pairs)
         return F if tf is None else F * tf
 
     # -- inspection --------------------------------------------------------
@@ -698,36 +1021,24 @@ class SpaceTimeFunction(SparseTerms):
     # -- operators ----------------------------------------------------------------
 
     def d_dt(self) -> "SpaceTimeFunction":
-        """Exact derivative: c t^n e^{lt} -> c n t^{n-1} e^{lt} + c l t^n e^{lt}.
-
-        On numerators over D the derivative has denominator D * Q, Q the
-        lcm of the denominators of the lambdas, so n contributes n Q and
-        lambda = p / q contributes p Q / q.
-        """
-        lams = {lam for _, _, lam in self._nums if lam != 0}
-        if self._D is not None and all(type(lam) in _EXACT_TYPES for lam in lams):
-            ratios = {lam: _ratio(lam) for lam in lams}
-            Q = lcm(*(q for _, q in ratios.values()))
-            rows, D = self._nums, self._D * Q
-            lam_factor = {lam: p * (Q // q) for lam, (p, q) in ratios.items()}
-        else:
-            rows, D, Q = self._values(), None, 1
-            lam_factor = {lam: lam for lam in lams}
-        out: Dict[SpaceTimeKey, Dict[int, Scalar]] = {}
-        for (exps, n, lam), vals in rows.items():
-            if n:
-                _acc(out, (exps, n - 1, lam), _times(vals, n * Q))
-            if lam != 0:
-                _acc(out, (exps, n, lam), _times(vals, lam_factor[lam]))
-        return self._new(out, D)
+        """Exact derivative: c t^n e^{lt} -> c n t^{n-1} e^{lt} + c l t^n e^{lt}."""
+        return self._sum().d_dt(self).value()
 
     def split(self):
-        """Four component functions (F0, F1, F2, F3), coefficients in Cl(0,m)."""
+        """Four component functions (F0, F1, F2, F3), coefficients in Cl(0,m).
+
+        A row with pairs is split as GaussianRational values, which the
+        blade split negates, doubles and adds as it does pairs."""
         outs = ({}, {}, {}, {})
         for key, vals in self._nums.items():
+            if self._pairs:
+                vals = {mask: GaussianRational(*n) if type(n) is tuple else n
+                        for mask, n in vals.items()}
             for out, comp in zip(outs, _split_blades(self.ctx, vals)):
                 if comp:
-                    out[key] = comp
+                    out[key] = comp if not self._pairs else {
+                        mask: (int(v.re), int(v.im)) if type(v) is GaussianRational
+                        else v for mask, v in comp.items()}
         return tuple(self._new(d, self._D) for d in outs)
 
 
@@ -773,11 +1084,15 @@ def rho_squared(ctx: AlgebraContext) -> CliffordPoly:
 
 
 def rho_powers(p: CliffordPoly) -> Iterator[CliffordPoly]:
-    """p, rho^2 p, rho^4 p, ...; each power is computed only when asked for."""
+    """p, rho^2 p, rho^4 p, ...; each power is computed only when asked for.
+
+    Every power keeps p's denominator (rho^2 has integer coefficients),
+    which is what a radial stage of a Sum is recorded with.
+    """
     rho2 = rho_squared(p.ctx)
     while True:
         yield p
-        p = rho2 * p
+        p = Sum(type(p), p.ctx).product(rho2, p).value()
 
 
 def integer_rescale(p: CliffordPoly) -> CliffordPoly:
@@ -791,6 +1106,6 @@ def integer_rescale(p: CliffordPoly) -> CliffordPoly:
         return p
     # over D = 0 the common factor is the numerators' own
     nums, _ = _reduced(p._nums, 0)
-    return p._new({exps: {mask: n if type(n) is int or n.im else n.re
+    return p._new({exps: {mask: n if type(n) is int or n[1] else n[0]
                           for mask, n in vals.items()}
                    for exps, vals in nums.items()}, 1)

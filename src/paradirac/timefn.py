@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import witt_basis
-from .poly import CliffordPoly, SpaceTimeFunction, TimeFunction, rho_powers
+from .poly import CliffordPoly, SpaceTimeFunction, Sum, TimeFunction, rho_powers
 from .scalars import Scalar
 
 
@@ -27,33 +27,36 @@ def assemble_split(f0, f1, f2, f3) -> SpaceTimeFunction:
     """F0 + f*F1 + fdag*F2 + f*fdag*F3 for SpaceTimeFunction components."""
     ctx = f0.ctx
     f, fdag = witt_basis(ctx)
-    return f0 + f1.lmul(f) + f2.lmul(fdag) + f3.lmul(f * fdag)
+    return Sum(SpaceTimeFunction, ctx).add(f0).lmul(f, f1).lmul(
+        fdag, f2).lmul(f * fdag, f3).value()
 
 
 def parabolic_dirac(F: SpaceTimeFunction) -> SpaceTimeFunction:
-    """D F = d_x F + f d_t F + fdag F."""
+    """D F = d_x F + f d_t F + fdag F, in one sum."""
     f, fdag = witt_basis(F.ctx)
-    return F.dirac() + F.d_dt().lmul(f) + F.lmul(fdag)
+    return Sum(SpaceTimeFunction, F.ctx).dirac(F).lmul(f, F.d_dt()).lmul(
+        fdag, F).value()
 
 
 def heat_residual(F: SpaceTimeFunction) -> SpaceTimeFunction:
     """(Delta - d_t) F; D squares to the negative of this operator."""
-    return F.laplacian() - F.d_dt()
+    return Sum(SpaceTimeFunction, F.ctx).laplacian(F).d_dt(F, -1).value()
 
 
 def apply_0F1(gamma, base: CliffordPoly, a: TimeFunction, L: int) -> SpaceTimeFunction:
     """Operator series 0F1(gamma; rho^2 s / 4) applied to base(x) * a(t).
 
-    Returns sum_{l} rho^{2l} * base * a^{(l)}(t) / (4^l l! (gamma)_l).
-    For a polynomial profile the series terminates by itself (the l-th
-    derivative dies); otherwise it is truncated at l = L.
+    Returns sum_{l} rho^{2l} * base * a^{(l)}(t) / (4^l l! (gamma)_l), one
+    Sum stage per level.  For a polynomial profile the series terminates
+    by itself (the l-th derivative dies); otherwise it is truncated at
+    l = L.
     """
     if gamma <= 0 and (isinstance(gamma, int) or (isinstance(gamma, Fraction) and gamma.denominator == 1)):
         raise ValueError(f"0F1 pole: gamma = {gamma} is a nonpositive integer")
     if L < 0:
         raise ValueError("truncation must be >= 0")
     last = a.max_n() if a.is_polynomial() else L
-    total = SpaceTimeFunction.zero(base.ctx)
+    total = Sum(SpaceTimeFunction, base.ctx)
     deriv = a               # a^{(l)}
     # integer gamma would otherwise fall into float division below
     weight: Scalar = Fraction(1) if isinstance(gamma, (int, Fraction)) else 1
@@ -63,6 +66,6 @@ def apply_0F1(gamma, base: CliffordPoly, a: TimeFunction, L: int) -> SpaceTimeFu
             break
         if l:
             weight = weight / (4 * l * (gamma + l - 1))
-        total = total + SpaceTimeFunction.from_poly(spatial, deriv).scale(weight)
+        total.product(SpaceTimeFunction.from_poly(spatial), deriv, weight)
         deriv = deriv.d_dt()
-    return total
+    return total.value()

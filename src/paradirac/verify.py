@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraContext, Multivector
 from .builders import SeriesSolution
-from .poly import CliffordPoly
+from .poly import CliffordPoly, Sum
 from .timefn import (SpaceTimeFunction, assemble_split, heat_residual,
                      parabolic_dirac)
 
@@ -115,8 +115,10 @@ def _component_report(body: SpaceTimeFunction,
                       DF: SpaceTimeFunction) -> CheckReport:
     """check_component_conditions with D F = DF already applied to body."""
     f0, f1, f2, f3 = body.split()
-    cond_f1 = (f1 + f0.dirac()).is_zero()
-    cond_f3 = (f3 - f2.dirac() + f0).is_zero()
+    ctx = body.ctx
+    cond_f1 = Sum(SpaceTimeFunction, ctx).add(f1).dirac(f0).value().is_zero()
+    cond_f3 = Sum(SpaceTimeFunction, ctx).add(f3).dirac(f2, -1).add(
+        f0).value().is_zero()
     heat_f0 = heat_residual(f0).is_zero()
     heat_f2 = heat_residual(f2).is_zero()
     conditions = cond_f1 and cond_f3 and heat_f0 and heat_f2
@@ -152,14 +154,13 @@ def symbolic_residual(F: SeriesSolution) -> SpaceTimeFunction:
     body = F.body
     if op == "parabolic":
         return parabolic_dirac(body)
-    if op == "generalized":
-        if F.zeta is None:
-            raise ValueError("generalized residual needs zeta metadata")
-        return body.dirac() + body.lmul(F.zeta.to_multivector(F.ctx))
     if F.zeta is None:
-        raise ValueError("helmholtz residual needs zeta metadata")
+        raise ValueError(f"{op} residual needs zeta metadata")
+    total = Sum(SpaceTimeFunction, F.ctx)
+    if op == "generalized":
+        return total.dirac(body).lmul(F.zeta.to_multivector(F.ctx), body).value()
     sz = F.zeta.star_zeta().to_multivector(F.ctx)
-    return body.laplacian() + body.lmul(sz)
+    return total.laplacian(body).lmul(sz, body).value()
 
 
 def _infer_operator(mode: str) -> str:
@@ -208,8 +209,7 @@ def estimate_order(sup_by_radius: Sequence[Tuple[float, float]]) -> Optional[flo
 def _loud_keys(R: SpaceTimeFunction, noise_floor: float) -> list:
     """Keys of the terms with a coefficient above roundoff scale."""
     cut = max(JUNK_REL * R.max_abs(), noise_floor)
-    return [key for key in R.keys()
-            if max(abs(complex(v)) for v in R.coeffs(key).values()) > cut]
+    return [key for key in R.keys() if R.term_max_abs(key) > cut]
 
 
 def _significant_degrees(R: SpaceTimeFunction,

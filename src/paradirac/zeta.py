@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .algebra import AlgebraContext, Multivector, witt_basis
+from .algebra import AlgebraContext, Multivector
 from .scalars import Scalar, is_exact
 
 # repeated-eigenvalue branch: relative gap below this uses the confluent formula
@@ -132,8 +132,39 @@ class ZetaElement:
     # -- embedding ------------------------------------------------------------
 
     def to_multivector(self, ctx: AlgebraContext) -> Multivector:
-        f, fdag = witt_basis(ctx)
-        return (f * fdag) * self.a + f * self.b + fdag * self.c + (fdag * f) * self.d
+        """(f fdag) a + f b + fdag c + (fdag f) d, blade by blade.
+
+        f fdag = (1 + eps e)/2, f = (e - eps)/2, fdag = -(e + eps)/2 and
+        fdag f = (1 - eps e)/2 with e = e_{m+1}, so each entry puts +-entry/2
+        on two of the blades 1, eps e, e and eps.  The values, their float
+        operations and the blade order are those of the Multivector
+        expression: each entry's products Fraction(+-1, 2) * entry, kept
+        where nonzero, added in entry order to a sum that drops a blade when
+        it vanishes.
+        """
+        top = 1 << (ctx.m + 1)
+        half, neg = Fraction(1, 2), Fraction(-1, 2)
+        terms: dict = {}
+        for i, (entry, blades) in enumerate((
+                (self.a, ((0, half), (top | 1, half))),
+                (self.b, ((top, half), (1, neg))),
+                (self.c, ((top, neg), (1, neg))),
+                (self.d, ((0, half), (top | 1, neg))))):
+            if entry == 0:
+                continue
+            for mask, h in blades:
+                v = h * entry
+                if not v:
+                    continue
+                if i == 0:      # the first operand's values are kept as they are
+                    terms[mask] = v
+                    continue
+                s = terms.get(mask, 0) + v
+                if s:
+                    terms[mask] = s
+                else:
+                    terms.pop(mask, None)
+        return Multivector(ctx, terms)
 
 
 class PowerSeries:

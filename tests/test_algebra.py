@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -53,6 +54,33 @@ def test_blade_label_roundtrip():
         assert ctx.blade_from_label(ctx.blade_label(mask)) == mask
     with pytest.raises(ValueError):
         ctx.blade_from_label("e9")
+
+
+@pytest.mark.parametrize("names", [
+    names for size in (2, 3)
+    for names in itertools.permutations(("eps", "e1", "e2", "e4"), size)])
+def test_blade_from_label_reads_only_canonical_labels(names):
+    # a label in another order would lose the sign of the generators'
+    # product ("e2e1" is -e1e2), so it is refused, naming the canonical one
+    ctx = AlgebraContext(3)
+    label = "".join(names)
+    product = ctx.one()
+    for name in names:
+        product = product * (ctx.eps() if name == "eps" else ctx.e(int(name[1:])))
+    (mask, value), = product.terms.items()
+    canonical = ctx.blade_label(mask)
+    if label == canonical:
+        assert value == 1 and ctx.blade_from_label(label) == mask
+    else:
+        with pytest.raises(ValueError, match=f"write '{canonical}'"):
+            ctx.blade_from_label(label)
+
+
+@pytest.mark.parametrize("label", ["", "e", "x", "e1x", "e 1", "e+1", "e1e1",
+                                   "epseps", "e5", "e0", "e01", "1e1"])
+def test_blade_from_label_rejects_malformed_labels(label):
+    with pytest.raises(ValueError):
+        AlgebraContext(3).blade_from_label(label)
 
 
 def test_context_mismatch_raises():

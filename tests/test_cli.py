@@ -453,6 +453,58 @@ def test_build_rejects_profile_part_beyond_float_range(capsys, tmp_path, profile
     assert "float range" in err
 
 
+# an exact term beyond the float range and a float term at another key
+SPLIT_BEYOND_FLOAT = [{"coeff": ["1e400", 0]}, {"coeff": [0.5, 0], "n": 1}]
+
+
+def test_build_exits_2_when_a_profile_sum_leaves_the_float_range(capsys, tmp_path):
+    # the closed form adds the two terms' series: a sum that float() cannot
+    # hold is a message and exit 2, not an OverflowError traceback
+    out = tmp_path / "x.json"
+    code, _, err = run(capsys, "build", "--mode", "parabolic-closed", "--m", "2",
+                       "--k", "0", "--profile", json.dumps(SPLIT_BEYOND_FLOAT),
+                       "--out", str(out))
+    assert code == 2
+    assert "float range" in err and "Traceback" not in err and not out.exists()
+
+
+def test_recurrence_seeds_beyond_the_float_range_never_trace_back(capsys, tmp_path):
+    # the same terms as a recurrence seed: the build and its residual never
+    # add the exact term to a float, so they succeed; evaluating the body
+    # then needs the exact term as a float, which exits 2
+    out = tmp_path / "x.json"
+    seeds = json.dumps({"a0": SPLIT_BEYOND_FLOAT})
+    code, _, err = run(capsys, "build", "--mode", "parabolic-recurrence", "--m", "2",
+                       "--k", "0", "--seeds", seeds, "--out", str(out))
+    assert code == 0, err
+    code, stdout, err = run(capsys, "verify", "--solution", str(out))
+    assert code == 0 and "PASS" in stdout, err
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,t\n0.5,0.5,0.5\n")
+    code, _, err = run(capsys, "eval", "--solution", str(out), "--points", str(pts))
+    assert code == 2
+    assert "float range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("label", ["e2e1", "e1eps"])
+def test_non_canonical_blade_labels_exit_2(capsys, tmp_path, label):
+    profile = json.dumps([{"coeff": {label: [1, 0]}}])
+    code, _, err = run(capsys, "build", "--mode", "parabolic-closed", "--m", "2",
+                       "--k", "0", "--profile", profile,
+                       "--out", str(tmp_path / "x.json"))
+    assert code == 2 and "not canonical" in err
+    data = _solution_dict(capsys, tmp_path)
+    data["terms"][0]["blades"][0][0] = label
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,t\n0.5,0.5,0\n")
+    for argv in (["verify", "--solution", str(bad)],
+                 ["eval", "--solution", str(bad), "--points", str(pts)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "not canonical" in err
+
+
 def test_solution_file_nested_too_deeply_exits_2(capsys, tmp_path):
     bad = tmp_path / "deep.json"
     bad.write_text("[" * 200000 + "]" * 200000)

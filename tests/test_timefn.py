@@ -12,13 +12,14 @@ from oracles import (as_spacetime, assert_matches, exact_values, o_add,
                      o_mul, o_neg, o_partial, o_rmul, o_scale, o_split,
                      spatial_degrees, termwise)
 from paradirac.algebra import AlgebraContext, Multivector, witt_basis
-from paradirac.builders import build_parabolic_closed
+from paradirac.builders import build_generalized, build_parabolic_closed
 from paradirac.harmonics import monogenic_basis
 from paradirac.poly import CliffordPoly, rho_squared
 from paradirac.scalars import GaussianRational
 from paradirac.timefn import (SpaceTimeFunction, TimeFunction, apply_0F1,
                               assemble_split, heat_residual, parabolic_dirac)
-from paradirac.verify import check_component_conditions
+from paradirac.verify import check_component_conditions, dirac_residual
+from paradirac.zeta import ZetaElement
 
 
 def test_time_polynomial_and_derivative():
@@ -502,3 +503,37 @@ def test_exact_operators_build_no_fraction_per_term():
     (small_terms, small_made), (big_terms, big_made) = counts
     assert big_terms > 10 * small_terms
     assert big_made == small_made <= 4
+
+
+@pytest.mark.parametrize("zeta", [(1, Fraction(1, 2), -1, 2),
+                                  (GaussianRational(1, 1), Fraction(1, 2), -1,
+                                   GaussianRational(2, -1))],
+                         ids=["rational", "gaussian"])
+def test_truncated_generalized_residual_builds_no_fraction_per_term(zeta):
+    """dirac_residual of an exact truncated build reads every coefficient
+    as n / D: the count of Fraction and GaussianRational objects made does
+    not grow with the number of terms."""
+    counts = []
+    for m, k, L in ((2, 1, 2), (4, 2, 6)):
+        ctx = AlgebraContext(m)
+        sol = build_generalized(monogenic_basis(ctx, k)[-1], ZetaElement(*zeta), L=L)
+        made = []
+        fraction_new, gauss_init = Fraction.__new__, GaussianRational.__init__
+
+        def count_fraction(cls, *args, **kwargs):
+            made.append(cls)
+            return fraction_new(cls, *args, **kwargs)
+
+        def count_gauss(self, *args):
+            made.append(type(self))
+            gauss_init(self, *args)
+
+        # a GaussianRational made without __init__ still makes two Fractions
+        with mock.patch.object(Fraction, "__new__", count_fraction), \
+                mock.patch.object(GaussianRational, "__init__", count_gauss):
+            report = dirac_residual(sol)
+        assert report.passed and not report.exact_zero
+        counts.append((len(sol.body.keys()), len(made)))
+    (small_terms, small_made), (big_terms, big_made) = counts
+    assert big_terms > 20 * small_terms
+    assert big_made == small_made
