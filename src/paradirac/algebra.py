@@ -177,34 +177,83 @@ class _ProductRow(dict):
         return entry
 
 
+# -- integer pairs -----------------------------------------------------------
+#
+# poly stores the numerator of a GaussianRational value as an integer pair
+# (re, im).  The loops below take such a pair wherever they take a scalar:
+# each tests a value for a tuple and does pair arithmetic only there, so one
+# loop serves pairs, int numerators and plain scalars alike.
+
+
+def _nmul(a, b):
+    """a * b, a pair when either factor is one."""
+    if type(a) is tuple:
+        if type(b) is tuple:
+            return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+        return a[0] * b, a[1] * b
+    if type(b) is tuple:
+        return a * b[0], a * b[1]
+    return a * b
+
+
+def _nadd(a, b):
+    """a + b, a pair when either term is one (also when its imaginary part
+    cancels, as a GaussianRational sum stays one); 0 when a pair sum vanishes."""
+    if type(a) is tuple:
+        re, im = (a[0] + b[0], a[1] + b[1]) if type(b) is tuple else (a[0] + b, a[1])
+    elif type(b) is tuple:
+        re, im = a + b[0], b[1]
+    else:
+        return a + b
+    return (re, im) if re or im else 0
+
+
+def _nneg(a):
+    """-a, a pair when a is one."""
+    return (-a[0], -a[1]) if type(a) is tuple else -a
+
+
+def _mul_blade_into(out: Dict[int, Scalar], row, va: Scalar,
+                    b: Dict[int, Scalar]) -> None:
+    """out += (va times one blade) * b, row that blade's product row.
+
+    Left multiplication by a blade is a signed permutation of the blades,
+    so this is one pass over b; a sum that vanishes is dropped.  vb * va
+    is the order every caller's float results are pinned to.
+    """
+    pa = type(va) is tuple
+    for mb, vb in b.items():
+        mask, sign = row[mb]
+        o = out.get(mask, 0)
+        if pa or type(vb) is tuple or type(o) is tuple:
+            ar, ai = va if pa else (va, 0)
+            br, bi = vb if type(vb) is tuple else (vb, 0)
+            re, im = br * ar - bi * ai, br * ai + bi * ar
+            if sign < 0:
+                re, im = -re, -im
+            if type(o) is tuple:
+                re, im = re + o[0], im + o[1]
+            else:
+                re += o
+            s = (re, im) if re or im else 0
+        else:
+            s = o + vb * va if sign > 0 else o + -(vb * va)
+        if s:
+            out[mask] = s
+        else:
+            out.pop(mask, None)
+
+
 def _mul_into(ctx: AlgebraContext, out: Dict[int, Scalar],
              a: Dict[int, Scalar], b: Dict[int, Scalar]) -> Dict[int, Scalar]:
     """out += a * b over {blade: scalar} dicts, dropping sums that vanish.
 
-    The blade-product loop of Multivector products and of the body
-    products and constant products on ints and raw values (poly runs the
-    same loop on Gaussian integer pairs). Returns out. Scalars commute;
-    vb * va is the order every caller's float results are pinned to.
+    The blade-product loop of Multivector products and of every body
+    product and constant product in poly.  Returns out.
     """
     rows = ctx._mul_rows
     for ma, va in a.items():
-        if ma:
-            row = rows.get(ma) or ctx.mul_row(ma)
-            for mb, vb in b.items():
-                mask, sign = row[mb]
-                v = vb * va if sign > 0 else -(vb * va)
-                s = out.get(mask, 0) + v
-                if s:
-                    out[mask] = s
-                else:
-                    out.pop(mask, None)
-        else:   # scalar blade: no sign, no mask change
-            for mb, vb in b.items():
-                s = out.get(mb, 0) + vb * va
-                if s:
-                    out[mb] = s
-                else:
-                    out.pop(mb, None)
+        _mul_blade_into(out, rows.get(ma) or ctx.mul_row(ma), va, b)
     return out
 
 
@@ -379,14 +428,15 @@ def _split_blades(ctx: AlgebraContext, terms: Dict[int, Scalar]
     """The four {blade: scalar} components of split over a coefficient dict.
 
     Only negates, doubles and adds the scalars, so integer numerators over
-    a common denominator split into numerators over the same denominator.
+    a common denominator, pairs among them, split into numerators over the
+    same denominator.
     """
     top_bit = 1 << (ctx.m + 1)
     parts: Tuple[Dict[int, Scalar], ...] = ({}, {}, {}, {})
 
     def put(which: int, mask: int, v: Scalar):
         d = parts[which]
-        s = d.get(mask, 0) + v
+        s = _nadd(d.get(mask, 0), v)
         if s:
             d[mask] = s
         else:
@@ -397,19 +447,19 @@ def _split_blades(ctx: AlgebraContext, terms: Dict[int, Scalar]
         has_top = mask & top_bit
         body = mask & ~(top_bit | 1)
         if has_top and body.bit_count() & 1:
-            v = -v
+            v = _nneg(v)
         if not has_eps and not has_top:
             put(0, body, v)
         elif has_eps and not has_top:
             # eps = -(f + fdag)
-            put(1, body, -v)
-            put(2, body, -v)
+            put(1, body, _nneg(v))
+            put(2, body, _nneg(v))
         elif has_top and not has_eps:
             # e_{m+1} = f - fdag
             put(1, body, v)
-            put(2, body, -v)
+            put(2, body, _nneg(v))
         else:
             # eps e_{m+1} = 2 f fdag - 1
-            put(3, body, 2 * v)
-            put(0, body, -v)
+            put(3, body, _nmul(2, v))
+            put(0, body, _nneg(v))
     return parts

@@ -14,26 +14,25 @@ GaussianRational) is stored as {key: {blade: numerator}} over one shared
 positive int denominator D.  A numerator is an int where the value is an
 int or a Fraction, and an integer pair (re, im) where the value is a
 GaussianRational; a pair stays a pair when its imaginary part cancels, as
-a GaussianRational does, and no numerator is zero.  An inexact body (some
-float or complex value) is stored as its raw values with D = None.
-A body is read through keys() and coeffs(key), which makes one term's
-{blade: value} afresh (int, Fraction and GaussianRational values for an
-exact body); .terms, {key: Multivector}, is made afresh on every read.  No
-reader hands out a stored row, and no other module reads the numerators.
+a GaussianRational does, and no numerator is zero.  Every loop over
+numerators takes ints and pairs alike: it tests a value for a tuple and
+does pair arithmetic only there.  An inexact body (some float or complex
+value) is stored as its raw values with D = None.  A body is read through
+keys() and coeffs(key), which makes one term's {blade: value} afresh
+(int, Fraction and GaussianRational values for an exact body); .terms,
+{key: Multivector}, is made afresh on every read.  No reader hands out a
+stored row, and no other module reads the numerators.
 
 The accumulator.  Every operator but scale and / (which change D and the
 numerators of one body), and every sum of operator results, is built by
-a Sum: stages such as a scaled body, a constant product, dirac,
-a derivative, a product or a radial series level, run in order into one
-{key: row} dict.  The exact stages run at the lcm D of their own
-denominators, and each writes its numerators already multiplied by
-D / (its denominator), so no row is rescaled once written.  A stage that
-maps each key to one key merges its rows as it makes them; a stage that
-gathers several rows into one key writes straight into an empty
-accumulator, or else into a scratch dict that is merged after it.  A row
-taken over from an operand is copied only when a later stage changes it.
-From the first inexact stage on the rows are raw values, and each later
-stage is made on its own and merged, as the binary operators do.
+a Sum: a list of stages, such as a scaled body, a constant product,
+dirac, a derivative, a product or a radial series level, each made on
+its own and merged in order into one {key: row} dict.  The exact stages
+are merged at the lcm D of their own denominators, each made with its
+numerators already multiplied by D / (its denominator), so no row is
+rescaled.  From the first inexact stage on the rows are raw values, and
+each later stage is turned into raw values, scaled and merged, as the
+binary operators do.
 
 Order guarantee.  A result has the values, the term order and the blade
 order of the left-to-right chain of binary operators it stands for, and
@@ -52,14 +51,12 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import reduce
-from itertools import chain
 from math import gcd, lcm, perm
-from operator import add, or_
+from operator import add
 from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple, Union
 
 from .algebra import (AlgebraContext, AlgebraMismatchError, Multivector,
-                      _mul_into, _split_blades)
+                      _mul_blade_into, _mul_into, _nadd, _nmul, _split_blades)
 from .scalars import Exact, GaussianRational, Scalar, is_exact
 
 Exponents = Tuple[int, ...]
@@ -89,35 +86,32 @@ def _ratio(v: Exact) -> Tuple[Numerator, int]:
             im.numerator * (q // im.denominator)), q
 
 
-def _to_numerators(values: Rows) -> Tuple[Rows, Optional[int], bool]:
-    """(numerators, D, pairs) of {key: {blade: value}} with no zero value.
+def _to_numerators(values: Rows) -> Tuple[Rows, Optional[int]]:
+    """(numerators, D) of {key: {blade: value}} with no zero value.
 
     D is the lcm of the denominators, so D and the numerators have no
-    common factor, and pairs tells whether some numerator is a pair.
-    (values, None, False) as soon as some value is not an int, Fraction
-    or GaussianRational.
+    common factor.  (values, None) as soon as some value is not an int,
+    Fraction or GaussianRational.
     """
     dens = set()
-    pairs = False
     for vals in values.values():
         for v in vals.values():
             t = type(v)
             if t is Fraction:
                 dens.add(v.denominator)
             elif t is GaussianRational:
-                pairs = True
                 dens.add(v.re.denominator)
                 dens.add(v.im.denominator)
             elif t is not int:
-                return values, None, False
+                return values, None
     D = lcm(*dens)
     out = {}
     for key, vals in values.items():
         row = out[key] = {}
         for mask, v in vals.items():
             n, q = _ratio(v)
-            row[mask] = n if q == D else _pmul(n, D // q)
-    return out, D, pairs
+            row[mask] = n if q == D else _nmul(n, D // q)
+    return out, D
 
 
 def _reduced(nums: Rows, D: Optional[int]) -> Tuple[Rows, Optional[int]]:
@@ -159,126 +153,39 @@ def _rounded(n: Numerator, D: int) -> Scalar:
         return _value(n, D)
 
 
-def _pmul(a: Numerator, b: Numerator) -> Numerator:
-    """a * b for exact numerators; a pair times anything is a pair."""
-    if type(a) is int:
-        if type(b) is int:
-            return a * b
-        return a * b[0], a * b[1]
-    if type(b) is int:
-        return a[0] * b, a[1] * b
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _padd(a: Numerator, b: Numerator) -> Numerator:
-    """a + b for exact numerators: a pair stays a pair, a vanished sum is 0."""
-    if type(a) is int:
-        if type(b) is int:
-            return a + b
-        re, im = a + b[0], b[1]
-    elif type(b) is int:
-        re, im = a[0] + b, a[1]
-    else:
-        re, im = a[0] + b[0], a[1] + b[1]
-    return (re, im) if re or im else 0
-
-
 # -- row kernels ---------------------------------------------------------------
 #
-# pairs=True selects the loops for rows that may hold pairs; the other loops
-# use Python arithmetic and so serve int numerators and raw values alike.
+# Each loop takes int numerators, integer pairs and raw values; it tests a
+# value for a tuple and does pair arithmetic (_nmul, _nadd) only there.
 
 
-def _scaled(vals: Dict[int, Scalar], f, pairs: bool) -> Dict[int, Scalar]:
+def _scaled(vals: Dict[int, Scalar], f) -> Dict[int, Scalar]:
     """{blade: v * f}, dropping products that vanish."""
     out = {}
-    if pairs:
-        for mask, v in vals.items():
-            out[mask] = _pmul(v, f)     # exact and f != 0: never zero
-    else:
-        for mask, v in vals.items():
-            s = v * f
-            if s:
-                out[mask] = s
+    for mask, v in vals.items():
+        s = v * f if type(v) is not tuple and type(f) is not tuple else _nmul(v, f)
+        if s:
+            out[mask] = s
     return out
 
 
-def _pair_mul_into(ctx: AlgebraContext, out: Dict[int, Numerator],
-                   a: Dict[int, Numerator], b: Dict[int, Numerator]) -> None:
-    """out += a * b on rows that may hold pairs; the loop of _mul_into.
-
-    The arithmetic of _pmul and _padd, inline: a product is a pair when
-    either factor is, a sum when either term is, and a vanished sum is
-    dropped.
-    """
-    rows = ctx._mul_rows
-    for ma, va in a.items():
-        row = rows.get(ma) or ctx.mul_row(ma)
-        pa = type(va) is tuple
-        ar, ai = va if pa else (va, 0)
-        for mb, vb in b.items():
-            mask, sign = row[mb]
-            if type(vb) is tuple:
-                br, bi = vb
-                re, im, pair = br * ar - bi * ai, br * ai + bi * ar, True
-            else:
-                re, im, pair = vb * ar, vb * ai, pa
-            if sign < 0:
-                re, im = -re, -im
-            o = out.get(mask)
-            if o is None:           # exact products never vanish
-                out[mask] = (re, im) if pair else re
-                continue
-            if type(o) is tuple:
-                re, im, pair = re + o[0], im + o[1], True
-            else:
-                re += o
-            if re or im:
-                out[mask] = (re, im) if pair else re
-            else:
-                del out[mask]
-
-
-def _merge(out: Rows, key, t: Dict[int, Scalar], pairs: bool,
-           borrowed: set) -> None:
-    """out[key] += t in place, dropping blades and the key when they vanish.
-
-    A row of out whose id is in borrowed belongs to an operand and is
-    copied before it changes; t is only read.
-    """
+def _merge(out: Rows, key, t: Dict[int, Scalar]) -> None:
+    """out[key] += t in place, dropping blades and the key when they vanish;
+    t itself becomes the row of a new key."""
     s = out.get(key)
     if s is None:
         if t:
             out[key] = t
         return
-    if borrowed and id(s) in borrowed:
-        s = out[key] = dict(s)
-    if pairs:
-        for mask, v in t.items():
-            r = _padd(s.get(mask, 0), v)
-            if r:
-                s[mask] = r
-            else:
-                s.pop(mask, None)
-    else:
-        for mask, v in t.items():
-            r = s.get(mask, 0) + v
-            if r:
-                s[mask] = r
-            else:
-                s.pop(mask, None)
+    for mask, v in t.items():
+        r = s.get(mask, 0)
+        r = r + v if type(r) is not tuple and type(v) is not tuple else _nadd(r, v)
+        if r:
+            s[mask] = r
+        else:
+            s.pop(mask, None)
     if not s:
         del out[key]
-
-
-def _drop_empty(out: Rows) -> None:
-    for key in [key for key, t in out.items() if not t]:
-        del out[key]
-
-
-def _bits(rows) -> int:
-    """The union of the blade masks of the given rows."""
-    return reduce(or_, chain.from_iterable(rows), 0)
 
 
 # -- the accumulator -------------------------------------------------------------
@@ -287,10 +194,12 @@ def _bits(rows) -> int:
 class Sum:
     """scale_1 op_1(body_1) + scale_2 op_2(body_2) + ..., built in one pass.
 
-    Each method records one stage and returns the Sum; value() runs the
-    stages in order into one accumulator (see the module docstring) and
-    returns a body of the given type.  A scale of -1 negates each raw
-    value, as unary minus does.
+    Each method records one stage and returns the Sum; value() makes the
+    stages in order and merges each into one accumulator (see the module
+    docstring), returning a body of the given type.  A stage without a
+    scale adds its terms as they are; on raw values the int scale -1
+    negates each value, as unary minus does, and any other scale
+    multiplies each value, as scale() does.
     """
 
     __slots__ = ("_cls", "ctx", "_stages")
@@ -302,153 +211,115 @@ class Sum:
         if body.ctx is not self.ctx and body.ctx != self.ctx:
             raise AlgebraMismatchError("sums over different algebra contexts")
 
-    def _stage(self, D: Optional[int], pairs: bool, scale, gathers: bool, run):
-        """Record run(out, exact, f, pairs, borrowed), which adds f times the
-        stage's terms to out, on numerators when exact, else on raw values
-        with f = 1.  D is the stage's denominator before the scale, None
-        for an inexact stage; gathers tells that several rows may land on
-        one key.  A zero scale records nothing: its stage is zero."""
-        if D is not None and type(scale) in _EXACT_TYPES:
-            if scale:
-                p, q = (scale, 1) if type(scale) is int else _ratio(scale)
-                self._stages.append((D * q, pairs or type(p) is tuple, p,
-                                     scale, gathers, run))
-        elif scale != 0:
-            self._stages.append((None, False, None, scale, gathers, run))
+    def _stage(self, D: Optional[int], scale, make):
+        """Record make(exact, f), which returns {key: row} of f times the
+        stage's terms (a row may be empty), as numerators when exact, else
+        as raw values with f = 1.  D is the stage's denominator before the
+        scale, None for an inexact stage.  A zero scale records nothing:
+        its stage is zero."""
+        if scale is None:
+            p = 1
+        elif D is not None and type(scale) in _EXACT_TYPES:
+            if not scale:
+                return self
+            p, q = _ratio(scale)
+            D *= q
+        elif scale == 0:
+            return self
+        else:
+            D = p = None
+        self._stages.append((D, p, scale, make))
         return self
 
     # -- stages ----------------------------------------------------------------
 
-    def add(self, body: "SparseTerms", scale=1) -> "Sum":
+    def add(self, body: "SparseTerms", scale=None) -> "Sum":
         """+ scale * body."""
         self._check(body)
 
-        def run(out, exact, f, pairs, borrowed):
+        def make(exact, f):
             rows = body._nums if exact else body._values()
-            if f != 1:
-                for key, vals in rows.items():
-                    _merge(out, key, _scaled(vals, f, pairs), pairs, borrowed)
-                return
-            if not out:                 # take the rows over as they are
-                out.update(rows)
-                borrowed.update(map(id, rows.values()))
-                return
-            for key, vals in rows.items():
-                if key in out:
-                    _merge(out, key, vals, pairs, borrowed)
-                else:
-                    out[key] = vals
-                    borrowed.add(id(vals))
-        return self._stage(body._D, body._pairs, scale, False, run)
+            return {key: dict(vals) if f == 1 else _scaled(vals, f)
+                    for key, vals in rows.items()}
+        return self._stage(body._D, scale, make)
 
-    def lmul(self, mv: Multivector, body: "SparseTerms", scale=1) -> "Sum":
+    def lmul(self, mv: Multivector, body: "SparseTerms", scale=None) -> "Sum":
         """+ scale * mv * body."""
         self._check(body)
         mv._check(body)
-        return self._const(mv, body._D, body._pairs, lambda: body, scale, True)
+        return self._const(mv, body._D, lambda: body, scale, True)
 
-    def rmul(self, mv: Multivector, body: "SparseTerms", scale=1) -> "Sum":
+    def rmul(self, mv: Multivector, body: "SparseTerms", scale=None) -> "Sum":
         """+ scale * body * mv."""
         self._check(body)
         mv._check(body)
-        return self._const(mv, body._D, body._pairs, lambda: body, scale, False)
+        return self._const(mv, body._D, lambda: body, scale, False)
 
-    def _const(self, mv: Multivector, D: Optional[int], pairs: bool, get,
-               scale, left: bool) -> "Sum":
+    def _const(self, mv: Multivector, D: Optional[int], get, scale,
+               left: bool) -> "Sum":
         """mv * c (left) or c * mv for every coefficient c of the body get()
-        makes when the stage runs; D and pairs are that body's.
-
-        On numerators a left product whose blades are disjoint from the
-        body's writes each product straight to its blade ma | mb, in the
-        order of the general loop."""
+        makes when the stage is made; D is that body's."""
         ctx = self.ctx
-        rows, q, kpairs = _to_numerators({0: mv.terms})
-        kbits = _bits((mv.terms,))
+        rows, q = _to_numerators({0: mv.terms})
 
-        def run(out, exact, f, pairs, borrowed):
+        def make(exact, f):
             body = get()
-            if not mv.terms:
-                return
-            if not exact:
-                k, nums = mv.terms, body._values()
+            if exact:
+                k, nums = rows[0], body._nums
+                if f != 1:
+                    k = {ma: _nmul(va, f) for ma, va in k.items()}
             else:
-                nums = body._nums
-                k = rows[0] if f == 1 else {ma: _pmul(va, f) for ma, va in rows[0].items()}
-                if left and not kbits & _bits(nums.values()):
-                    k_rows = [(va, ctx.mul_row(ma)) for ma, va in k.items()]
-                    for key, vals in nums.items():
-                        t = {}
-                        for va, row in k_rows:
-                            if pairs:
-                                nva = _pmul(va, -1)
-                                for mb, vb in vals.items():
-                                    mask, sign = row[mb]
-                                    t[mask] = _pmul(vb, va if sign > 0 else nva)
-                            else:
-                                for mb, vb in vals.items():
-                                    mask, sign = row[mb]
-                                    t[mask] = vb * va if sign > 0 else -(vb * va)
-                        if key in out:
-                            _merge(out, key, t, pairs, borrowed)
-                        else:
-                            out[key] = t
-                    return
-            mul = _pair_mul_into if pairs else _mul_into
-            for key, vals in nums.items():
-                t = {}
-                if left:
-                    mul(ctx, t, k, vals)
-                else:
-                    mul(ctx, t, vals, k)
-                if key in out:
-                    _merge(out, key, t, pairs, borrowed)
-                elif t:
-                    out[key] = t
+                k, nums = mv.terms, body._values()
+            if not k:
+                return {}
+            if left:
+                return {key: _mul_into(ctx, {}, k, vals) for key, vals in nums.items()}
+            return {key: _mul_into(ctx, {}, vals, k) for key, vals in nums.items()}
         D = D * q if D is not None and q is not None else None
-        return self._stage(D, pairs or kpairs, scale, False, run)
+        return self._stage(D, scale, make)
 
     def radial(self, P: "SparseTerms", mvs: Sequence[Optional[Multivector]]
                ) -> "Sum":
         """+ sum_n mvs[n] * rho^{2n} P, one stage per level, None for a zero
-        level.  Each power is made when its stage runs."""
+        level.  Each power is made when its stage is."""
         self._check(P)
         powers = rho_powers(P)
         for mv in mvs:
             mv = self.ctx.zero() if mv is None else mv
             mv._check(P)
-            self._const(mv, P._D, P._pairs, powers.__next__, 1, True)
+            self._const(mv, P._D, powers.__next__, None, True)
         return self
 
-    def product(self, a: "SparseTerms", b: "SparseTerms", scale=1) -> "Sum":
+    def product(self, a: "SparseTerms", b: "SparseTerms", scale=None) -> "Sum":
         """+ scale * a * b, the coefficient of a on the left."""
         self._check(a)
         self._check(b)
         ctx, key_mul = self.ctx, self._cls._key_mul
 
-        def run(out, exact, f, pairs, borrowed):
+        def make(exact, f):
             ra, rb = (a._nums, b._nums) if exact else (a._values(), b._values())
-            b_rows = [(kb, tb if f == 1 else _scaled(tb, f, pairs))
-                      for kb, tb in rb.items()]
-            mul = _pair_mul_into if pairs else _mul_into
+            b_rows = [(kb, tb if f == 1 else _scaled(tb, f)) for kb, tb in rb.items()]
+            out: Rows = {}
             for ka, ta in ra.items():
                 for kb, tb in b_rows:
                     key = key_mul(ka, kb)
                     t = out.get(key)
                     if t is None:
                         t = out[key] = {}
-                    mul(ctx, t, ta, tb)
-            _drop_empty(out)
+                    _mul_into(ctx, t, ta, tb)
+            return out
         D = a._D * b._D if a._D is not None and b._D is not None else None
-        return self._stage(D, a._pairs or b._pairs, scale, True, run)
+        return self._stage(D, scale, make)
 
-    def dirac(self, body: "SparseTerms", scale=1) -> "Sum":
+    def dirac(self, body: "SparseTerms", scale=None) -> "Sum":
         """+ scale * sum_i e_i d/dx_i body: left multiplication by e_i is a
         signed permutation of the blades, read from mul_row(e_i)."""
         self._check(body)
         ctx, split_key, with_exps = self.ctx, body._split_key, body._with_exps
 
-        def run(out, exact, f, pairs, borrowed):
+        def make(exact, f):
             tables = ctx._mul_rows
+            out: Rows = {}
             for key, vals in (body._nums if exact else body._values()).items():
                 exps = split_key(key)[0]
                 for i, n in enumerate(exps):
@@ -458,42 +329,33 @@ class Sum:
                     t = out.get(new)
                     if t is None:
                         t = out[new] = {}
-                    if pairs:
-                        _pair_mul_into(ctx, t, {2 << i: _pmul(n, f)}, vals)
-                        continue
-                    table, c = tables.get(2 << i) or ctx.mul_row(2 << i), n * f
-                    for mb, vb in vals.items():
-                        mask, sign = table[mb]
-                        v = vb * c if sign > 0 else -(vb * c)
-                        s = t.get(mask, 0) + v
-                        if s:
-                            t[mask] = s
-                        else:
-                            t.pop(mask, None)
-            _drop_empty(out)
-        return self._stage(body._D, body._pairs, scale, True, run)
+                    _mul_blade_into(t, tables.get(2 << i) or ctx.mul_row(2 << i),
+                                    _nmul(n, f), vals)
+            return out
+        return self._stage(body._D, scale, make)
 
-    def lowered(self, body: "SparseTerms", by: int, indices, scale=1) -> "Sum":
+    def lowered(self, body: "SparseTerms", by: int, indices, scale=None) -> "Sum":
         """+ scale * sum over i in indices of n!/(n-by)! c x^(exps - by e_i),
         n = exps[i]: partial derivatives (by = 1) and the Laplacian (by = 2)."""
         self._check(body)
         split_key, with_exps = body._split_key, body._with_exps
 
-        def run(out, exact, f, pairs, borrowed):
+        def make(exact, f):
+            out: Rows = {}
             for key, vals in (body._nums if exact else body._values()).items():
                 exps = split_key(key)[0]
                 for i in indices:
                     n = exps[i]
                     if n >= by:
                         new = with_exps(key, exps[:i] + (n - by,) + exps[i + 1:])
-                        c = _pmul(perm(n, by), f) if pairs else perm(n, by) * f
-                        _merge(out, new, _scaled(vals, c, pairs), pairs, borrowed)
-        return self._stage(body._D, body._pairs, scale, True, run)
+                        _merge(out, new, _scaled(vals, _nmul(perm(n, by), f)))
+            return out
+        return self._stage(body._D, scale, make)
 
-    def laplacian(self, body: "SparseTerms", scale=1) -> "Sum":
+    def laplacian(self, body: "SparseTerms", scale=None) -> "Sum":
         return self.lowered(body, 2, range(self.ctx.m), scale)
 
-    def d_dt(self, body: "SpaceTimeFunction", scale=1) -> "Sum":
+    def d_dt(self, body: "SpaceTimeFunction", scale=None) -> "Sum":
         """+ scale * d/dt body: c t^n e^{lt} -> c n t^{n-1} e^{lt} + c l t^n e^{lt}.
 
         On numerators over D the derivative has denominator D * Q, Q the
@@ -502,91 +364,62 @@ class Sum:
         """
         self._check(body)
         lams = {lam for _, _, lam in body._nums if lam != 0}
-        D, pairs = None, False
+        D = None
         if body._D is not None and all(type(lam) in _EXACT_TYPES for lam in lams):
             ratios = {lam: _ratio(lam) for lam in lams}
             Q = lcm(*(q for _, q in ratios.values()))
-            lam_factor = {lam: _pmul(p, Q // q) for lam, (p, q) in ratios.items()}
+            lam_factor = {lam: _nmul(p, Q // q) for lam, (p, q) in ratios.items()}
             D = body._D * Q
-            pairs = body._pairs or any(type(p) is tuple for p in lam_factor.values())
 
-        def run(out, exact, f, pairs, borrowed):
+        def make(exact, f):
             if exact:
-                rows, nq = body._nums, _pmul(Q, f)
-                lf = {lam: _pmul(c, f) for lam, c in lam_factor.items()}
+                rows, nq = body._nums, _nmul(Q, f)
+                lf = {lam: _nmul(c, f) for lam, c in lam_factor.items()}
             else:
                 rows, nq, lf = body._values(), 1, {lam: lam for lam in lams}
+            out: Rows = {}
             for (exps, n, lam), vals in rows.items():
                 if n:
-                    _merge(out, (exps, n - 1, lam), _scaled(vals, _pmul(n, nq), pairs),
-                           pairs, borrowed)
+                    _merge(out, (exps, n - 1, lam), _scaled(vals, _nmul(n, nq)))
                 if lam != 0:
-                    _merge(out, (exps, n, lam), _scaled(vals, lf[lam], pairs),
-                           pairs, borrowed)
-        return self._stage(D, pairs, scale, True, run)
+                    _merge(out, (exps, n, lam), _scaled(vals, lf[lam]))
+            return out
+        return self._stage(D, scale, make)
 
     # -- the result ------------------------------------------------------------
 
     def value(self) -> "SparseTerms":
-        """Run the stages and return their sum."""
-        stages, cls, ctx = self._stages, self._cls, self.ctx
-        if len(stages) == 1 and stages[0][0] is not None:
-            D, pairs, p, _, _, run = stages[0]
-            out: Rows = {}
-            run(out, True, p, pairs, set())
-            return cls._make(ctx, out, D, pairs)
-        D, pairs, n_exact = 1, False, len(stages)
-        for i, st in enumerate(stages):
-            if st[0] is None:
-                n_exact = i
-                break
-            D = lcm(D, st[0])
-            pairs = pairs or st[1]
-        out = {}
-        borrowed: set = set()
-        for Ds, _, p, _, gathers, run in (stages if n_exact == len(stages)
-                                          else stages[:n_exact]):
-            f = D // Ds * p if type(p) is int else _pmul(D // Ds, p)
-            if gathers and out:
-                scratch: Rows = {}
-                run(scratch, True, f, pairs, borrowed)
-                for key, t in scratch.items():
-                    _merge(out, key, t, pairs, borrowed)
-            else:
-                run(out, True, f, pairs, borrowed)
-        if n_exact == len(stages):
-            return cls._make(ctx, out, D, pairs)
-        # from here on raw values, each stage made on its own and merged
-        out = {key: {mask: _value(n, D) for mask, n in vals.items()}
-               for key, vals in out.items()}
+        """Make the stages and return their sum."""
+        stages = self._stages
+        raw = next((i for i, st in enumerate(stages) if st[0] is None), len(stages))
+        D = lcm(*(st[0] for st in stages[:raw]))
+        out: Rows = {}
         try:
-            for Ds, spairs, p, scale, gathers, run in stages[n_exact:]:
-                if Ds is None and scale == 1 and not gathers:
-                    run(out, False, 1, False, borrowed)     # merged as made
-                    continue
-                made: Rows = {}
-                if Ds is not None:
-                    run(made, True, p, spairs, borrowed)
-                    made = {key: {mask: _value(n, Ds) for mask, n in vals.items()}
-                            for key, vals in made.items()}
-                else:
-                    run(made, False, 1, False, borrowed)
-                    if scale == -1:
+            for i, (Ds, p, scale, make) in enumerate(stages):
+                if i == raw:        # from here on raw values
+                    out = {key: {mask: _value(n, D) for mask, n in vals.items()}
+                           for key, vals in out.items()}
+                if Ds is None:
+                    made = make(False, 1)
+                    if type(scale) is int and scale == -1:
                         made = {key: {mask: -v for mask, v in vals.items()}
                                 for key, vals in made.items()}
-                    elif scale != 1:
-                        made = {key: t for key, t in (
-                            (key, _scaled(vals, scale, False))
-                            for key, vals in made.items()) if t}
-                if not out:
-                    out = made
-                    continue
-                for key, t in made.items():
-                    _merge(out, key, t, False, borrowed)
+                    elif scale is not None:
+                        made = {key: _scaled(vals, scale) for key, vals in made.items()}
+                elif i > raw:
+                    made = {key: {mask: _value(n, Ds) for mask, n in vals.items()}
+                            for key, vals in make(True, p).items()}
+                else:
+                    made = make(True, _nmul(D // Ds, p))
+                if out:
+                    for key, t in made.items():
+                        _merge(out, key, t)
+                else:
+                    out = {key: t for key, t in made.items() if t}
         except OverflowError:   # an exact value met a float: float() overflowed
             raise ValueError("a sum or product of an exact value and a float "
                              "is beyond the float range") from None
-        return cls._make(ctx, out, None, False)
+        return self._cls._make(self.ctx, out, D if raw == len(stages) else None)
 
 
 # -- bodies -----------------------------------------------------------------------
@@ -595,7 +428,7 @@ class Sum:
 class SparseTerms:
     """Finite sum of key -> nonzero left Multivector coefficient, value semantics."""
 
-    __slots__ = ("ctx", "_nums", "_D", "_pairs")
+    __slots__ = ("ctx", "_nums", "_D")
 
     def __init__(self, ctx: AlgebraContext, terms: Dict[Hashable, Multivector]):
         self.ctx = ctx
@@ -604,20 +437,18 @@ class SparseTerms:
             vals = {mask: v for mask, v in mv.terms.items() if v}
             if vals:
                 rows[key] = vals
-        self._nums, self._D, self._pairs = _to_numerators(rows)
+        self._nums, self._D = _to_numerators(rows)
 
     @classmethod
-    def _make(cls, ctx: AlgebraContext, nums: Rows, D: Optional[int],
-              pairs: bool = False):
-        """Body from numerators over D (pairs when some may be pairs), or
-        from raw values for D None."""
+    def _make(cls, ctx: AlgebraContext, nums: Rows, D: Optional[int]):
+        """Body from numerators over D, or from raw values for D None."""
         self = cls.__new__(cls)
-        self.ctx, self._nums, self._D, self._pairs = ctx, nums, D, pairs
+        self.ctx, self._nums, self._D = ctx, nums, D
         return self
 
     def _new(self, nums: Rows, D: Optional[int]):
         """A body of this type from rows like this body's, over D."""
-        return type(self)._make(self.ctx, nums, D, self._pairs)
+        return type(self)._make(self.ctx, nums, D)
 
     def _sum(self) -> Sum:
         return Sum(type(self), self.ctx)
@@ -712,9 +543,10 @@ class SparseTerms:
             return NotImplemented
         if self.ctx != other.ctx:
             return False
-        # a pair and an int numerator of one value differ as stored
-        if self._D == other._D and not (self._pairs or other._pairs):
-            return self._nums == other._nums
+        if self._D == other._D and self._nums == other._nums:
+            return True
+        # equal values may be stored apart: over another D, or as a pair
+        # and an int numerator
         return (self - other).is_zero()
 
     def __repr__(self):
@@ -753,10 +585,8 @@ class SparseTerms:
 
     def _times_exact(self, p, q: int) -> "SparseTerms":
         """Exact body times p / q: the numerators times p, D times q > 0."""
-        pairs = self._pairs or type(p) is tuple
-        nums, D = _reduced({key: _scaled(vals, p, pairs)
-                            for key, vals in self._nums.items()}, self._D * q)
-        return type(self)._make(self.ctx, nums, D, pairs)
+        return self._new(*_reduced({key: _scaled(vals, p) for key, vals
+                                    in self._nums.items()}, self._D * q))
 
     def _map(self, fn):
         """Apply fn to every raw value, dropping the values that vanish."""
@@ -1006,7 +836,7 @@ class SpaceTimeFunction(SparseTerms):
                   tf: "TimeFunction | None" = None) -> "SpaceTimeFunction":
         """p(x) * a(t); with tf omitted the profile is the constant 1."""
         F = cls._make(p.ctx, {(exps, 0, 0): vals for exps, vals in p._nums.items()},
-                      p._D, p._pairs)
+                      p._D)
         return F if tf is None else F * tf
 
     # -- inspection --------------------------------------------------------
@@ -1025,20 +855,12 @@ class SpaceTimeFunction(SparseTerms):
         return self._sum().d_dt(self).value()
 
     def split(self):
-        """Four component functions (F0, F1, F2, F3), coefficients in Cl(0,m).
-
-        A row with pairs is split as GaussianRational values, which the
-        blade split negates, doubles and adds as it does pairs."""
+        """Four component functions (F0, F1, F2, F3), coefficients in Cl(0,m)."""
         outs = ({}, {}, {}, {})
         for key, vals in self._nums.items():
-            if self._pairs:
-                vals = {mask: GaussianRational(*n) if type(n) is tuple else n
-                        for mask, n in vals.items()}
             for out, comp in zip(outs, _split_blades(self.ctx, vals)):
                 if comp:
-                    out[key] = comp if not self._pairs else {
-                        mask: (int(v.re), int(v.im)) if type(v) is GaussianRational
-                        else v for mask, v in comp.items()}
+                    out[key] = comp
         return tuple(self._new(d, self._D) for d in outs)
 
 

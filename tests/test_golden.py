@@ -5,7 +5,8 @@ spaces); the value is the sha256 of the file it writes.  The grid covers
 every mode, m = 1..3 and k = 0..2 (the last basis head of each degree),
 exact time profiles and seeds, and exact zeta quadruples: rational,
 Gaussian-rational, defective (one repeated, non-diagonalizable
-eigenvalue of xi) and det = 0 (except for gen-invertible).  Any change
+eigenvalue of xi) and det = 0 (except for gen-invertible), and a few
+float builds with complex JSON profiles and seeds.  Any change
 to a builder, a basis, the term order or the JSON encoding shows here as
 a changed digest.
 
@@ -329,6 +330,15 @@ DIGESTS = {
         '73583e2c42a9715e3d605bec3fef487e0ebde4dd552f21a16467535ff6bd0c25',
     '--mode gen-monogenic --m 3 --k 0,2 --basis-index 0,1 --zeta 2,1,1,0 --trunc 3':
         '1d99f81930c77e8492c10aff696485a4063ad5377bf955004ba0e38b0768239d',
+    # float builds with complex JSON profiles and seeds on heads with
+    # negative coefficients: every float operation, the sign of each zero
+    # included, shows in the written values
+    '--mode parabolic-closed --m 2 --k 1 --basis-index 1 --backend float --profile [{"coeff":[0,1]}] --trunc 3':
+        '4cc7e81087c8a186e0b03404469a057096309ef57789f0fced5eea6ecdf4bc20',
+    '--mode parabolic-closed --m 3 --k 2 --basis-index 4 --backend float --profile [{"coeff":[0,1]},{"coeff":[-0.5,0.25],"n":1,"lambda":[0,-1]}] --trunc 3':
+        '4f3af9a4bf57c965160ff97d806da6e401d2a2ededeb1a357bfdd6c917696bd8',
+    '--mode parabolic-recurrence --m 2 --k 1 --basis-index 1 --backend float --seeds {"a0":[{"coeff":[0,1]}],"b0":"1","a2":"t","b2":[{"coeff":[0,-1],"n":1}]} --trunc 3':
+        '73da0093d54a43178cec53796e9a968ff2a5ad83b1af4bb2e31fee722ef102a4',
 }
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "paradirac"
-STORAGE_ATTRS = {"_nums", "_D", "_pairs", "_view"}
+STORAGE_ATTRS = {"_nums", "_D", "_view"}
 STORAGE_CALLS = {"_make", "_new", "_values", "_coeffs"}
 PRIVATE_SOURCES = {"poly", "scalars"}
 

@@ -20,9 +20,9 @@ from oracles import (assert_matches, exact_values, o_add, o_d_dt, o_dirac,
                      typed)
 from paradirac.algebra import AlgebraContext, Multivector, witt_basis
 from paradirac.builders import SeriesSolution
-from paradirac.poly import SpaceTimeFunction, Sum
+from paradirac.poly import CliffordPoly, SpaceTimeFunction, Sum, rho_powers
 from paradirac.scalars import GaussianRational
-from paradirac.timefn import parabolic_dirac
+from paradirac.timefn import TimeFunction, apply_0F1, parabolic_dirac
 from paradirac.verify import symbolic_residual
 from paradirac.zeta import ZetaElement
 
@@ -43,8 +43,8 @@ LAMBDAS = st.sampled_from((0, 0, 0, Fraction(-1), Fraction(1, 2),
 
 
 def spatial_blades(ctx):
-    """Blades of the e_1..e_m subalgebra: constant products with the
-    Witt-pair blades below are disjoint from them."""
+    """Blades of the e_1..e_m subalgebra, which the Witt-pair blades of a
+    zeta-like constant never share."""
     return (0, 2, 4, 6)
 
 
@@ -119,27 +119,27 @@ def test_one_accumulator_sum_matches_binary_chain_and_oracle(data):
         body = data.draw(bodies(ctx, data.draw(KINDS)))
         if ops and data.draw(st.booleans()):
             body = body - ops[0][0]          # cancels the first operand
-        ops.append((body, data.draw(st.sampled_from((1, 1, -1, 0)))))
+        ops.append((body, data.draw(st.sampled_from((None, None, -1, 0)))))
     got = Sum(SpaceTimeFunction, ctx)
     chain = SpaceTimeFunction.zero(ctx)
     oracle = {}
     for body, sign in ops:
         got.add(body, sign)
-        if sign == 1:
+        if sign is None:
             chain, oracle = chain + body, o_add(oracle, body.terms)
         elif sign == -1:
             chain, oracle = chain - body, o_add(oracle, o_neg(body.terms))
     got = got.value()
     assert_same_body(got, chain)
     assert_matches(got.terms, oracle,
-                   exact_values(*(body.terms for body, sign in ops if sign)))
+                   exact_values(*(body.terms for body, sign in ops if sign != 0)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_constant_products_and_operators_stream_as_the_chain_does(data):
-    """Stages of every kind after a first one: each writes into a filled
-    accumulator, a gathering stage through a scratch dict."""
+    """Stages of every kind after a first one: each is merged into a
+    filled accumulator."""
     ctx = AlgebraContext(data.draw(st.integers(1, 3)))
     kind = data.draw(KINDS)
     F = data.draw(bodies(ctx, kind, timed=True))
@@ -147,19 +147,19 @@ def test_constant_products_and_operators_stream_as_the_chain_does(data):
     if data.draw(st.booleans()):
         G = G - F
     mv = data.draw(constants(ctx, data.draw(KINDS)))
-    sign = data.draw(st.sampled_from((1, -1)))
+    sign = data.draw(st.sampled_from((None, -1)))
     i = data.draw(st.integers(0, ctx.m - 1))
     total = Sum(SpaceTimeFunction, ctx).add(G).lmul(mv, F).rmul(mv, G).dirac(
         F, sign).lowered(F, 1, (i,)).laplacian(G).d_dt(F, sign).value()
     chain = G + F.lmul(mv) + G.rmul(mv)
-    chain = chain + F.dirac() if sign == 1 else chain - F.dirac()
+    chain = chain + F.dirac() if sign is None else chain - F.dirac()
     chain = chain + F.partial(i) + G.laplacian()
-    chain = chain + F.d_dt() if sign == 1 else chain - F.d_dt()
+    chain = chain + F.d_dt() if sign is None else chain - F.d_dt()
     assert_same_body(total, chain)
     if exact_body(F.terms, G.terms) and exact_values({0: mv}):
         a, b = F.terms, G.terms
-        dirac = o_dirac(ctx, a) if sign == 1 else o_neg(o_dirac(ctx, a))
-        d_dt = o_d_dt(a) if sign == 1 else o_neg(o_d_dt(a))
+        dirac = o_dirac(ctx, a) if sign is None else o_neg(o_dirac(ctx, a))
+        d_dt = o_d_dt(a) if sign is None else o_neg(o_d_dt(a))
         want = o_add(o_add(o_add(b, o_lmul(a, mv)), o_rmul(b, mv)), dirac)
         want = o_add(o_add(o_add(want, o_partial(a, i)), o_laplacian(ctx, b)), d_dt)
         assert_matches(total.terms, want, True)
@@ -176,6 +176,108 @@ def test_zero_constants_and_scales_record_nothing(data):
         G, zero).dirac(G, zero).value()
     assert typed(total.terms) == typed(F.terms)
     assert list(total.keys()) == list(F.keys())
+
+
+# -- scales on raw values -----------------------------------------------------------
+
+SIGNED = st.sampled_from((-0.0, 0.0, -1.5, 0.75, float("inf")))
+
+
+@st.composite
+def raw_bodies(draw, ctx):
+    """Complex values with signed zeros and infinities: a product with
+    (1 + 0j) can change such a value's bits."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        key = (tuple(draw(st.integers(0, 2)) for _ in range(ctx.m)), 0, 0)
+        terms[key] = Multivector(ctx, {draw(st.sampled_from(all_blades(ctx))):
+                                       complex(draw(SIGNED), draw(SIGNED))
+                                       or complex(-0.0, -1.5)})
+    return SpaceTimeFunction(ctx, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_scaled_stage_scales_raw_values_as_scale_does(data):
+    """A stage given a scale multiplies each raw value by it, bit for bit
+    as scale() does, also when the scale equals 1; the int -1 negates each
+    value as unary minus does; a stage without a scale keeps the values."""
+    ctx = AlgebraContext(data.draw(st.integers(1, 2)))
+    F = data.draw(raw_bodies(ctx))
+    G = data.draw(bodies(ctx, data.draw(KINDS)))
+    w = data.draw(st.sampled_from((1, Fraction(1), 1.0, 1 + 0j, GaussianRational(1),
+                                   Fraction(1, 3), 0.5, -1.0, Fraction(-1))))
+    got = Sum(SpaceTimeFunction, ctx).add(F, w).value()
+    assert typed(got.terms) == typed(F.scale(w).terms)
+    assert_same_body(Sum(SpaceTimeFunction, ctx).add(G).add(F, w).value(),
+                     G + F.scale(w))
+    neg = Sum(SpaceTimeFunction, ctx).add(F, -1).value()
+    assert typed(neg.terms) == typed({key: Multivector(ctx, {
+        b: -v for b, v in mv.terms.items()}) for key, mv in F.terms.items()})
+    assert typed(Sum(SpaceTimeFunction, ctx).add(F).value().terms) == typed(F.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_0F1_scales_each_level_as_scale_does(data):
+    """Each level of the series is weight * (rho^{2l} base * a^{(l)}), the
+    weight applied as scale() applies it: Fraction(1), or the int 1 for a
+    float gamma, at level 0."""
+    ctx = AlgebraContext(data.draw(st.integers(1, 2)))
+    base = CliffordPoly(ctx, {(e,) + (0,) * (ctx.m - 1): Multivector(ctx, {0: v})
+                              for e, v in enumerate(data.draw(st.lists(
+                                  st.sampled_from((-1, 2, Fraction(1, 3), -0.5)),
+                                  min_size=1, max_size=3)))})
+    a = TimeFunction.term(ctx, complex(data.draw(SIGNED), data.draw(SIGNED)) or 1j,
+                          n=data.draw(st.integers(0, 2)),
+                          lam=data.draw(st.sampled_from((0, -1.0))))
+    gamma = data.draw(st.sampled_from((Fraction(3, 2), 2, 1.5)))
+    L = 2
+    want = SpaceTimeFunction.zero(ctx)
+    weight = Fraction(1) if isinstance(gamma, (int, Fraction)) else 1
+    deriv = a
+    last = a.max_n() if a.is_polynomial() else L
+    for l, spatial in zip(range(last + 1), rho_powers(base)):
+        if deriv.is_zero():
+            break
+        if l:
+            weight = weight / (4 * l * (gamma + l - 1))
+        want = want + (SpaceTimeFunction.from_poly(spatial) * deriv).scale(weight)
+        deriv = deriv.d_dt()
+    assert_same_body(apply_0F1(gamma, base, a, L), want)
+
+
+# -- zero constants ------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_explicit_zeros_in_a_constant_store_no_zero(data):
+    """A constant Multivector may hold zero values; a product with it stores
+    no zero numerator, so is_zero() and == read it right.  As in the
+    oracle, a Gaussian zero times a Gaussian value is a Gaussian zero, so
+    the sum it joins is a GaussianRational."""
+    ctx = AlgebraContext(data.draw(st.integers(1, 3)))
+    top = 1 << (ctx.m + 1)
+    F = data.draw(bodies(ctx, data.draw(st.sampled_from(
+        ("int", "fraction", "gaussian", "exact"))), timed=True))
+    zero = data.draw(st.sampled_from((0, Fraction(0), GaussianRational(0))))
+    one = data.draw(st.sampled_from((1, Fraction(1))))
+    unit = Multivector(ctx, {top: zero, 0: one, 1: zero})
+    for got in (F.lmul(unit), F.rmul(unit),
+                Sum(SpaceTimeFunction, ctx).lmul(unit, F).rmul(unit, F).value()):
+        assert all(v != 0 for key in got.keys() for v in got.coeffs(key).values())
+    assert F.lmul(unit) == F and F.rmul(unit) == F
+    assert_matches(F.lmul(unit).terms, o_lmul(F.terms, unit), True)
+    c = data.draw(constants(ctx, "exact"))
+    spare = next(b for b in range(1 << (ctx.m + 2)) if b not in c.terms)
+    with_zero = Multivector(ctx, {**c.terms, spare: zero})
+    assert_matches(F.lmul(with_zero).terms, o_lmul(F.terms, with_zero), True)
+    assert_matches(F.rmul(with_zero).terms, o_rmul(F.terms, with_zero), True)
+    assert F.lmul(with_zero) == F.lmul(c) and F.rmul(with_zero) == F.rmul(c)
+    only_zero = Multivector(ctx, {top: zero, 0: zero})
+    assert F.lmul(only_zero).is_zero() and F.rmul(only_zero).is_zero()
+    assert (F - F.lmul(unit)).is_zero()
 
 
 # -- the fused residuals -------------------------------------------------------------
