@@ -34,7 +34,13 @@ ALL_MODES = PARABOLIC_MODES + ("helmholtz",) + GENERALIZED_MODES
 
 @dataclass
 class SeriesSolution:
-    """A built solution plus the metadata needed to verify and serialize it."""
+    """A built solution plus the metadata needed to verify and serialize it.
+
+    A solution remembers D F of its body for the parabolic operator D, so
+    dirac_residual followed by check_component_conditions applies D once.
+    The memo is (body, D body), read only while body is that same object;
+    it takes no part in ==, repr or serialization.
+    """
 
     body: SpaceTimeFunction
     mode: str
@@ -44,6 +50,8 @@ class SeriesSolution:
     exact: bool
     zeta: Optional[ZetaElement] = None
     extra: Dict[str, object] = field(default_factory=dict)
+    _dirac: Optional[Tuple[SpaceTimeFunction, SpaceTimeFunction]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def ctx(self) -> AlgebraContext:

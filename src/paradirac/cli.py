@@ -28,7 +28,7 @@ from .serialize import (MAX_M, check_report_to_dict, decode_scalar,
                         residual_report_to_dict, save_report, save_solution,
                         write_eval_csv)
 from .timefn import TimeFunction
-from .verify import (CheckReport, _component_report,
+from .verify import (CheckReport, check_component_conditions,
                      check_factorization, dirac_residual,
                      random_spacetime_poly)
 from .zeta import ZetaElement
@@ -211,8 +211,8 @@ def cmd_verify(args) -> int:
     out = residual_report_to_dict(report)
     passed = report.passed
     if sol.mode.startswith("parabolic") and sol.exact:
-        # the residual report already holds D F
-        comp = _component_report(sol.body, report.residual_poly)
+        # the solution remembers the D F its residual took
+        comp = check_component_conditions(sol)
         out["component_conditions"] = check_report_to_dict(comp)
         passed = passed and comp.passed
     out["passed"] = passed

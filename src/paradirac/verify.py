@@ -9,6 +9,10 @@ the residual's support degrees plus an empirical convergence order from
 sup-norms sampled over spheres of shrinking radius.  A truncated build
 with exact coefficients is judged on its exact residual, which must sit
 wholly at the top degrees.
+
+A solution remembers D F of its body for the parabolic operator D, so
+dirac_residual followed by check_component_conditions applies D once;
+the component conditions are still read off the split components alone.
 """
 
 from __future__ import annotations
@@ -104,16 +108,15 @@ def check_component_conditions(
 
     cond_f1: F1 = -d_x F0;  cond_f3: F3 = d_x F2 - F0;
     heat_f0 / heat_f2: (Laplacian - d_t) applied to F0 / F2 vanishes.
-    The report also computes D F directly and records whether the
-    equivalence held (it must, whichever side is true).
+    The conditions are read off the split components alone.  The report
+    also takes D F directly, the one a solution remembers when it has
+    one, and records whether the equivalence held (it must, whichever
+    side is true).
     """
-    body = F.body if isinstance(F, SeriesSolution) else F
-    return _component_report(body, parabolic_dirac(body))
-
-
-def _component_report(body: SpaceTimeFunction,
-                      DF: SpaceTimeFunction) -> CheckReport:
-    """check_component_conditions with D F = DF already applied to body."""
+    if isinstance(F, SeriesSolution):
+        body, DF = F.body, _parabolic_residual(F)
+    else:
+        body, DF = F, parabolic_dirac(F)
     f0, f1, f2, f3 = body.split()
     ctx = body.ctx
     cond_f1 = Sum(SpaceTimeFunction, ctx).add(f1).dirac(f0).value().is_zero()
@@ -153,7 +156,7 @@ def symbolic_residual(F: SeriesSolution) -> SpaceTimeFunction:
     op = _infer_operator(F.mode)
     body = F.body
     if op == "parabolic":
-        return parabolic_dirac(body)
+        return _parabolic_residual(F)
     if F.zeta is None:
         raise ValueError(f"{op} residual needs zeta metadata")
     total = Sum(SpaceTimeFunction, F.ctx)
@@ -161,6 +164,18 @@ def symbolic_residual(F: SeriesSolution) -> SpaceTimeFunction:
         return total.dirac(body).lmul(F.zeta.to_multivector(F.ctx), body).value()
     sz = F.zeta.star_zeta().to_multivector(F.ctx)
     return total.laplacian(body).lmul(sz, body).value()
+
+
+def _parabolic_residual(F: SeriesSolution) -> SpaceTimeFunction:
+    """D F.body for the parabolic D, applied once per body object.
+
+    Bodies are immutable values, so the D F remembered on F stands while
+    F.body is the body it was taken of; a new body is applied afresh.
+    """
+    memo = F._dirac
+    if memo is None or memo[0] is not F.body:
+        memo = F._dirac = (F.body, parabolic_dirac(F.body))
+    return memo[1]
 
 
 def _infer_operator(mode: str) -> str:
@@ -206,23 +221,24 @@ def estimate_order(sup_by_radius: Sequence[Tuple[float, float]]) -> Optional[flo
     return sum(slopes) / len(slopes)
 
 
-def _loud_keys(R: SpaceTimeFunction, noise_floor: float) -> list:
-    """Keys of the terms with a coefficient above roundoff scale."""
-    cut = max(JUNK_REL * R.max_abs(), noise_floor)
-    return [key for key in R.keys() if R.term_max_abs(key) > cut]
+def _sift(R: SpaceTimeFunction, noise_floor: float
+          ) -> Tuple[SpaceTimeFunction, float, Tuple[int, ...]]:
+    """R less its roundoff junk, R's largest coefficient size, and the
+    spatial degrees of R's terms above roundoff scale, from one scan.
 
-
-def _significant_degrees(R: SpaceTimeFunction,
-                         noise_floor: float = 0.0) -> Tuple[int, ...]:
-    """Spatial degrees carrying coefficients above roundoff scale."""
-    return tuple(sorted({sum(key[0]) for key in _loud_keys(R, noise_floor)}))
-
-
-def _drop_junk(R: SpaceTimeFunction, noise_floor: float) -> SpaceTimeFunction:
-    if R.is_zero() or noise_floor == 0.0:
-        return R
-    return SpaceTimeFunction(R.ctx, {key: Multivector(R.ctx, R.coeffs(key))
-                                     for key in _loud_keys(R, noise_floor)})
+    A term is above roundoff scale when its largest coefficient exceeds
+    JUNK_REL times R's largest and noise_floor.  With noise_floor 0 no
+    term is dropped: an exact residual keeps every coefficient.
+    """
+    sizes = [(key, R.term_max_abs(key)) for key in R.keys()]
+    top = max((size for _, size in sizes), default=0.0)
+    cut = max(JUNK_REL * top, noise_floor)
+    loud = [key for key, size in sizes if size > cut]
+    degrees = tuple(sorted({sum(key[0]) for key in loud}))
+    if noise_floor == 0.0:
+        return R, top, degrees
+    return (SpaceTimeFunction(R.ctx, {key: Multivector(R.ctx, R.coeffs(key))
+                                      for key in loud}), top, degrees)
 
 
 def dirac_residual(F: SeriesSolution,
@@ -264,7 +280,7 @@ def dirac_residual(F: SeriesSolution,
         report.exact_zero = R.is_zero()
         report.passed = report.exact_zero
         if not report.exact_zero:
-            report.support_degrees = _significant_degrees(R)
+            report.support_degrees = _sift(R, 0.0)[2]
         return report
 
     if R.is_zero():
@@ -276,7 +292,9 @@ def dirac_residual(F: SeriesSolution,
     # body, which can dwarf a genuinely tiny truncation tail
     exact_body = F.body.is_exact()
     noise = 0.0 if exact_body else NOISE_REL * F.body.max_abs()
-    R_sig = _drop_junk(R, noise)
+    # one scan gives the kept residual, its scale and its support; the
+    # scale is R_sig's own largest coefficient whenever R_sig is nonzero
+    R_sig, scale, support = _sift(R, noise)
     if R_sig.is_zero():
         report.exact_zero = False
         report.passed = True          # pure rounding noise, no real tail
@@ -298,11 +316,9 @@ def dirac_residual(F: SeriesSolution,
     report.sup_norm_by_radius = sups
     # the underflow guard protects against float noise, which lives at the
     # residual's own coefficient scale; fit slopes on the normalized values
-    scale = R_sig.max_abs()
     scaled = [(r, s / scale) for r, s in sups] if scale > 0 else sups
     report.estimated_order = estimate_order(scaled)
 
-    support = _significant_degrees(R, noise)
     report.support_degrees = support
     ks = F.k if isinstance(F.k, tuple) else (F.k,)
     op = _infer_operator(F.mode)

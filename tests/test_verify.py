@@ -1,19 +1,26 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import sampled_sup_norms
-from paradirac.algebra import AlgebraContext
-from paradirac.builders import (SeriesSolution, build_generalized,
+from paradirac import verify
+from paradirac.algebra import AlgebraContext, Multivector
+from paradirac.builders import (ALL_MODES, SeriesSolution, build_generalized,
                                 build_helmholtz, build_parabolic_closed,
                                 build_parabolic_recurrence)
 from paradirac.harmonics import harmonic_basis, monogenic_basis
 from paradirac.poly import CliffordPoly
+from paradirac.scalars import GaussianRational
+from paradirac.serialize import solution_to_dict
 from paradirac.timefn import SpaceTimeFunction, TimeFunction, parabolic_dirac
-from paradirac.verify import (NOISE_REL, T_SAMPLES, _drop_junk,
+from paradirac.verify import (NOISE_REL, T_SAMPLES, _sift,
                               check_component_conditions, check_factorization,
                               cross_check, dirac_residual, estimate_order,
                               perturb_component, random_spacetime_poly,
@@ -60,13 +67,21 @@ def test_component_conditions_fail_coherently_on_junk():
 
 @pytest.mark.parametrize("slot", [0, 1, 2, 3])
 def test_perturbation_is_detected(slot):
+    # the parent is verified first, so that it has D F remembered
     sol = exact_solution()
+    assert dirac_residual(sol).passed
+    assert check_component_conditions(sol).passed
     ctx = sol.ctx
     bad = perturb_component(sol, slot, (1, 1), ctx.e(1))
     rep = check_component_conditions(bad)
-    assert not rep.passed
+    assert not rep.passed and not rep.detail["dirac_zero"]
+    assert rep.detail["equivalent"]
+    assert not dirac_residual(bad).passed
     assert not parabolic_dirac(bad.body).is_zero()
     assert bad.extra["mutated_slot"] == slot
+    # the parent's verdicts stand
+    assert dirac_residual(sol).passed
+    assert check_component_conditions(sol).passed
 
 
 def test_symbolic_residual_dispatch():
@@ -340,7 +355,7 @@ def _sampling(sol, seed=3):
     with mock.patch.object(SpaceTimeFunction, "evaluate_many", spy):
         rep = dirac_residual(sol, seed=seed)
     noise = 0.0 if sol.body.is_exact() else NOISE_REL * sol.body.max_abs()
-    return rep, batches, _drop_junk(rep.residual_poly, noise)
+    return rep, batches, _sift(rep.residual_poly, noise)[0]
 
 
 def _bits(sups):
@@ -365,3 +380,208 @@ def test_residual_with_t_is_sampled_at_every_pair(name):
     assert batches == [3 * len(dirs) * len(T_SAMPLES)]
     want = sampled_sup_norms(R, (1.0, 0.5, 0.25), seed=3)
     assert _bits(rep.sup_norm_by_radius) == _bits(want)
+
+
+# -- D F applied once per body: the memo a solution keeps ---------------------
+
+
+def _count_dirac(monkeypatch):
+    """The bodies verify applies the parabolic operator to, in call order."""
+    calls = []
+    apply = verify.parabolic_dirac
+
+    def counted(F):
+        calls.append(F)
+        return apply(F)
+
+    monkeypatch.setattr(verify, "parabolic_dirac", counted)
+    return calls
+
+
+@pytest.mark.parametrize("residual_first", [True, False])
+def test_residual_and_component_check_apply_D_once(monkeypatch, residual_first):
+    calls = _count_dirac(monkeypatch)
+    sol = exact_solution(k=1, coeffs=(1, 2))
+    if residual_first:
+        assert dirac_residual(sol).passed
+    assert check_component_conditions(sol).passed
+    assert dirac_residual(sol).passed
+    assert len(calls) == 1 and calls[0] is sol.body
+
+
+def test_a_new_body_is_applied_afresh(monkeypatch):
+    calls = _count_dirac(monkeypatch)
+    sol = exact_solution(k=1, coeffs=(1, 2))
+    assert dirac_residual(sol).passed
+    good = sol.body
+    bad = perturb_component(sol, 0, (1, 0), sol.ctx.e(1)).body
+    sol.body = bad
+    rep = check_component_conditions(sol)
+    assert not rep.passed and not rep.detail["dirac_zero"]
+    assert rep.detail["equivalent"]
+    assert symbolic_residual(sol) == parabolic_dirac(bad)
+    assert len(calls) == 2 and calls[0] is good and calls[1] is bad
+    # a copy starts with nothing remembered
+    assert not dirac_residual(dataclasses.replace(sol)).passed
+    sol.body = good
+    assert dirac_residual(sol).passed
+    assert len(calls) == 4 and calls[2] is bad and calls[3] is good
+
+
+def test_verifying_changes_no_visible_part_of_a_solution():
+    sol = exact_solution(k=1, coeffs=(1, 2))
+    twin = exact_solution(k=1, coeffs=(1, 2))
+    before = (repr(sol), solution_to_dict(sol))
+    dirac_residual(sol)
+    check_component_conditions(sol)
+    assert sol == twin and twin == sol
+    assert (repr(sol), solution_to_dict(sol)) == before
+
+
+def _mutant():
+    sol = exact_solution(k=1, coeffs=(1, 2))
+    return perturb_component(sol, 3, (2, 1), sol.ctx.e(1))
+
+
+REMEMBERED = {
+    "parabolic exact": lambda: exact_solution(m=3, k=2, coeffs=(1, 0, -2)),
+    "parabolic truncated": lambda: _exp_profile(2, 1, Fraction(-1), 5),
+    "parabolic mutant": _mutant,
+    "recurrence": lambda: truncated_build("parabolic-recurrence", 2, 1, 4),
+    "gen-monogenic": lambda: _gen(2, 1, Q, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMEMBERED))
+def test_remembered_reports_equal_fresh_ones(name):
+    sol = REMEMBERED[name]()
+    first = (dirac_residual(sol), check_component_conditions(sol))
+    again = (dirac_residual(sol), check_component_conditions(sol))
+    # a fresh solution's residual, and the check on the bare body, which
+    # has no memo to read
+    body = REMEMBERED[name]().body
+    want = (dirac_residual(REMEMBERED[name]()), check_component_conditions(body))
+    for res, comp in (first, again):
+        assert res == want[0]           # every field, residual_poly included
+        assert (comp.passed, comp.detail) == (want[1].passed, want[1].detail)
+
+
+# -- property sweep: every build verifies, every single-coefficient mutant fails
+
+
+CONTEXTS = {m: AlgebraContext(m) for m in (1, 2, 3, 4)}
+# the bench catalogue's bounds: series order L, and the degree of a
+# polynomial profile, per m
+L_MAX = {1: 8, 2: 8, 3: 6, 4: 4}
+PROFILE_DEGREE_MAX = {1: 5, 2: 5, 3: 4, 4: 3}
+
+small_q = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
+SCALARS = {
+    "rational": small_q,
+    "integer": st.integers(-3, 3).filter(bool),
+    "gaussian": st.builds(GaussianRational, small_q, small_q),
+}
+ZETAS = {
+    "rational": st.tuples(*[small_q] * 4),
+    "integer": st.tuples(*[st.integers(-3, 3)] * 4),
+    "gaussian": st.tuples(*[st.builds(GaussianRational, small_q,
+                                      st.integers(-2, 2))] * 4).filter(
+        lambda e: any(v.im for v in e)),
+    # one repeated eigenvalue, not diagonalizable: det(zeta) = -lam^2
+    "defective": st.builds(lambda lam, u, v: (lam + u, v, u * u / v, u - lam),
+                           small_q, small_q, small_q),
+    "det0": st.builds(lambda a, b, c: (a, b, c, b * c / a),
+                      small_q, small_q, small_q),
+}
+
+
+@lru_cache(maxsize=None)
+def _heads(m, k, harmonic):
+    ctx = CONTEXTS[m]
+    return tuple((harmonic_basis if harmonic else monogenic_basis)(ctx, k))
+
+
+def _profile(data, ctx, m):
+    """A polynomial profile (an exact build) or c e^(lam t) (truncated)."""
+    c = st.one_of(*SCALARS.values())
+    if data.draw(st.booleans(), label="polynomial profile"):
+        coeffs = data.draw(st.lists(st.one_of(st.just(0), c),
+                                    max_size=PROFILE_DEGREE_MAX[m]))
+        return TimeFunction.polynomial(ctx, coeffs + [data.draw(c)])
+    return TimeFunction.term(ctx, data.draw(c), lam=data.draw(small_q))
+
+
+def _sweep_build(data, m, mode):
+    ctx = CONTEXTS[m]
+    harmonic = mode == "helmholtz"
+    k = data.draw(st.sampled_from(
+        [k for k in range(4) if _heads(m, k, harmonic)]), label="k")
+    head = data.draw(st.sampled_from(_heads(m, k, harmonic)), label="head")
+    L = data.draw(st.integers(1, L_MAX[m]), label="L")
+    if mode == "parabolic-closed":
+        return build_parabolic_closed(head, _profile(data, ctx, m), L=L)
+    if mode == "parabolic-recurrence":
+        names = data.draw(st.sets(st.sampled_from(("a0", "b0", "a2", "b2")),
+                                  min_size=1), label="seeds")
+        return build_parabolic_recurrence(
+            head, {name: _profile(data, ctx, m) for name in sorted(names)}, L=L)
+    kinds = sorted(ZETAS)
+    if mode == "gen-invertible":
+        kinds.remove("det0")
+    z = ZetaElement(*data.draw(ZETAS[data.draw(st.sampled_from(kinds))],
+                               label="zeta"))
+    if mode == "helmholtz":
+        return build_helmholtz(head, z, L=L)
+    assume(mode != "gen-invertible" or z.det())
+    return build_generalized(head, z, L=L, form=mode.split("-", 1)[1])
+
+
+def _detectable(sol, exps, coeff) -> bool:
+    """False only for a Helmholtz mutation that solves the equation below
+    the top degree 2L+k: a harmonic monomial that zeta* zeta annihilates
+    or that sits at the top degree itself.  Every other mutation leaves a
+    residual term below the top degree."""
+    if sol.mode != "helmholtz" or max(exps) > 1:
+        return True
+    sz = sol.zeta.star_zeta().to_multivector(sol.ctx)
+    return not (sz * coeff).is_zero() and sum(exps) < 2 * sol.L + sol.k
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sweep_builds_verify_and_single_coefficient_mutants_fail(data):
+    m = data.draw(st.integers(1, 4), label="m")
+    mode = data.draw(st.sampled_from(ALL_MODES), label="mode")
+    sol = _sweep_build(data, m, mode)
+    parabolic = mode.startswith("parabolic")
+    assert sol.body.is_exact()
+    # the parent first, so that it has D F remembered when it is mutated
+    parent = sol.body
+    rep = dirac_residual(sol)
+    assert rep.passed
+    if parabolic:
+        comp = check_component_conditions(sol)
+        assert comp.detail["equivalent"]
+        assert comp.passed == rep.residual_poly.is_zero()
+        assert comp.passed or not sol.exact
+    # a nilpotent zeta* zeta leaves a Helmholtz body of degree 0: no mutant
+    top = max(sum(key[0]) for key in parent.keys())
+    for _ in range(data.draw(st.integers(1, 3), label="mutants") if top else 0):
+        degree = data.draw(st.integers(1, top), label="degree")
+        axes = data.draw(st.lists(st.integers(0, m - 1), min_size=degree,
+                                  max_size=degree), label="axes")
+        exps = tuple(axes.count(i) for i in range(m))
+        mask = data.draw(st.integers(0, (1 << (m + 2)) - 1), label="blade")
+        c = data.draw(st.sampled_from((1, -2, Fraction(1, 3),
+                                       Fraction(-1, 10**20))), label="c")
+        coeff = Multivector(sol.ctx, {mask: c})
+        if not _detectable(sol, exps, coeff):
+            continue
+        sol.body = parent + SpaceTimeFunction.from_poly(
+            CliffordPoly.monomial(sol.ctx, exps, 1).lmul(coeff))
+        assert not dirac_residual(sol).passed, (exps, mask, c)
+        if parabolic:
+            comp = check_component_conditions(sol)
+            assert not comp.passed and comp.detail["equivalent"]
+    sol.body = parent
+    assert dirac_residual(sol) == rep
