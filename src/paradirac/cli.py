@@ -326,6 +326,8 @@ def _factorization_suite(m: int, trials: int, rng: random.Random) -> CheckReport
 
 
 def cmd_algebra_check(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials {args.trials} is negative")
     rng = random.Random(args.seed)
     checks = [
         _relation_suite(6),

@@ -1,7 +1,8 @@
-"""Spherical harmonics and spherical monogenics by exact linear algebra.
+"""Spherical harmonics and spherical monogenics in exact arithmetic.
 
-Degree-k harmonics are found as the exact rational nullspace of the
-Laplacian restricted to degree-k scalar monomials. Each harmonic h then
+A degree-k harmonic is fixed by its Cauchy data h and d_m h on x_m = 0,
+so each basis element is written down as the series that extends one
+monomial of x_m-degree <= 1 off that hyperplane. Each harmonic h then
 refines into monogenic pieces through
 
     h = M_k + x * Mtil_{k-1},   Mtil_{k-1} = -d_x h / (m + 2k - 2),
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .algebra import AlgebraContext
 from .poly import CliffordPoly, integer_rescale, vector_variable
@@ -73,63 +74,38 @@ def monomials_of_degree(m: int, k: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def rational_nullspace(rows: Sequence[Sequence[Fraction]], n_cols: int) -> List[List[Fraction]]:
-    """Nullspace basis of a rational matrix by Gaussian elimination.
-
-    Returns one vector per free column, each with a 1 in its free slot.
-    """
-    mat = [list(map(Fraction, row)) for row in rows]
-    n_rows = len(mat)
-    pivot_of_col = {}
-    piv_r = 0
-    for col in range(n_cols):
-        sel = None
-        for r in range(piv_r, n_rows):
-            if mat[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        mat[piv_r], mat[sel] = mat[sel], mat[piv_r]
-        inv = 1 / mat[piv_r][col]
-        mat[piv_r] = [v * inv for v in mat[piv_r]]
-        for r in range(n_rows):
-            if r != piv_r and mat[r][col]:
-                f = mat[r][col]
-                row_p = mat[piv_r]
-                mat[r] = [v - f * w for v, w in zip(mat[r], row_p)]
-        pivot_of_col[col] = piv_r
-        piv_r += 1
-
-    basis = []
-    free_cols = [c for c in range(n_cols) if c not in pivot_of_col]
-    for fc in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[fc] = Fraction(1)
-        for col, r in pivot_of_col.items():
-            vec[col] = -mat[r][fc]
-        basis.append(vec)
-    return basis
-
-
 def harmonic_basis(ctx: AlgebraContext, k: int) -> List[HarmonicPoly]:
-    """Integer-coefficient basis of the degree-k scalar harmonics."""
+    """Integer-coefficient basis of the degree-k scalar harmonics.
+
+    One element per degree-k monomial x'^a' x_m^a with a <= 1, in sorted
+    order: the harmonic with that monomial as its Cauchy data on x_m = 0,
+
+        h = sum_j (-1)^j a! / (2j+a)! * x_m^(2j+a) * Lap'^j x'^a',
+
+    Lap' the Laplacian in x_1 .. x_(m-1), rescaled to coprime integers:
+    positive at its own monomial, 0 at every other one of x_m-degree <= 1.
+    """
     if k < 0:
         raise ValueError("degree must be >= 0")
-    monos = monomials_of_degree(ctx.m, k)
-    if k < 2:
-        return [
-            HarmonicPoly(CliffordPoly.monomial(ctx, exps, 1), k)
-            for exps in monos
-        ]
-    # rows: one equation per degree-(k-2) monomial, columns over degree-k monomials
-    laps = [CliffordPoly.monomial(ctx, exps, 1).laplacian() for exps in monos]
-    rows = [[lap.coeffs(low).get(0, 0) if low in lap.keys() else 0 for lap in laps]
-            for low in monomials_of_degree(ctx.m, k - 2)]
     out = []
-    for vec in rational_nullspace(rows, len(monos)):
-        # vec has a 1 in its free slot, so the rescale only clears denominators
-        terms = {exps: ctx.scalar(c) for exps, c in zip(monos, vec) if c}
+    for exps in monomials_of_degree(ctx.m, k):
+        a = exps[-1]
+        if a > 1:
+            continue
+        coeffs = {}
+        # term j: its x'-part and its x_m exponent n = 2j + a
+        layer, n = {exps[:-1]: Fraction(1)}, a
+        while layer:
+            nxt = {}
+            for low, c in layer.items():
+                coeffs[low + (n,)] = c
+                f = -c / ((n + 1) * (n + 2))
+                for i, e in enumerate(low):
+                    if e >= 2:
+                        key = low[:i] + (e - 2,) + low[i + 1:]
+                        nxt[key] = nxt.get(key, 0) + f * e * (e - 1)
+            layer, n = nxt, n + 2
+        terms = {key: ctx.scalar(coeffs[key]) for key in sorted(coeffs)}
         out.append(HarmonicPoly(integer_rescale(CliffordPoly(ctx, terms)), k))
     return out
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import log10
 from typing import Union
 
 Exact = Union[int, Fraction, "GaussianRational"]
@@ -147,7 +148,12 @@ def to_float(value: Scalar) -> Scalar:
             return complex(value)
         return float(value)
     except OverflowError:
-        raise ValueError(f"{value} is outside the float range") from None
+        # only an exact value overflows; name its size, not its digits
+        parts = (value.re, value.im) if isinstance(value, GaussianRational) else (value,)
+        bits = max(abs(p.numerator).bit_length() - p.denominator.bit_length()
+                   for p in map(Fraction, parts))
+        raise ValueError(f"a value of about 1e{round(bits * log10(2))} "
+                         "is outside the float range") from None
 
 
 _DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")

@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .algebra import AlgebraContext, Multivector
-from .builders import SeriesSolution
+from .builders import ALL_MODES, SeriesSolution
 from .scalars import GaussianRational, Scalar, parse_rational, to_float
 from .timefn import SpaceTimeFunction
 from .verify import CheckReport, ResidualReport
@@ -201,7 +201,12 @@ def solution_from_dict(data: dict) -> SeriesSolution:
             prev = terms.get(key)
             terms[key] = mv if prev is None else prev + mv
     body = SpaceTimeFunction(ctx, terms)
+    mode = _get(data, "mode", (str,))
+    if mode not in ALL_MODES:
+        raise ValueError(f"solution field 'mode' is {mode!r}, not one of {ALL_MODES}")
     k = _get(data, "k", (int, list))
+    if k == []:
+        raise ValueError("solution field 'k' is an empty list")
     ks = _int_list(k if isinstance(k, list) else [k], "k")
     k = ks if isinstance(k, list) else ks[0]
     zeta = data.get("zeta")
@@ -213,7 +218,7 @@ def solution_from_dict(data: dict) -> SeriesSolution:
     L = _get(data, "L", (int,))
     if L < 0:
         raise ValueError(f"truncation L={L} is negative")
-    return SeriesSolution(body=body, mode=_get(data, "mode", (str,)), m=ctx.m,
+    return SeriesSolution(body=body, mode=mode, m=ctx.m,
                           k=k, L=L,
                           exact=_get(data, "exact", (bool,)),
                           zeta=_decode_zeta(zeta), extra=dict(extra))

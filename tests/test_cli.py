@@ -28,6 +28,12 @@ def test_algebra_check(capsys, tmp_path):
     assert len(data["checks"]) == 5
 
 
+def test_algebra_check_rejects_negative_trials(capsys):
+    code, stdout, err = run(capsys, "algebra-check", "--m", "2", "--trials", "-5")
+    assert code == 2
+    assert "--trials -5 is negative" in err and stdout == ""
+
+
 def test_build_verify_eval_roundtrip(capsys, tmp_path):
     sol_path = tmp_path / "sol.json"
     code, stdout, _ = run(capsys, "build", "--mode", "parabolic-closed",
@@ -182,6 +188,25 @@ def test_verify_rejects_malformed_solution(capsys, tmp_path, mangle):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("k", [], "field 'k' is an empty list"),
+    ("mode", "spherical", "field 'mode' is 'spherical'"),
+])
+def test_solution_file_rejects_bad_k_and_mode_at_load(capsys, tmp_path, field,
+                                                      value, message):
+    data = _solution_dict(capsys, tmp_path)
+    data[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,t\n0.5,0.5,0\n")
+    for argv in (["verify", "--solution", str(bad)],
+                 ["eval", "--solution", str(bad), "--points", str(pts)]):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2
+        assert message in err and stdout == ""
+
+
 def test_eval_rejects_short_points_row(capsys, tmp_path):
     sol_path = tmp_path / "sol.json"
     run(capsys, "build", "--mode", "parabolic-closed", "--m", "2", "--k", "0",
@@ -225,15 +250,17 @@ def test_eval_writes_stdout(capsys, tmp_path):
     assert len(lines) == 4 and "\r" not in stdout
 
 
-@pytest.mark.parametrize("argv", [
-    ["--mode", "parabolic-closed", "--profile", '[{"coeff": ["1e400", 0]}]'],
-    ["--mode", "gen-monogenic", "--zeta", "1e400,0,0,1"],
+# the message names the value's size, not its digits
+@pytest.mark.parametrize("argv, size", [
+    (["--mode", "parabolic-closed", "--profile", '[{"coeff": ["1e400", 0]}]'], 400),
+    (["--mode", "gen-monogenic", "--zeta", "1e400,0,0,1"], 400),
+    (["--mode", "gen-monogenic", "--zeta", "1e4000,0,0,1"], 4000),
 ])
-def test_float_overflow_exits_2(capsys, tmp_path, argv):
+def test_float_overflow_exits_2(capsys, tmp_path, argv, size):
     code, _, err = run(capsys, "build", "--backend", "float", *argv,
                        "--out", str(tmp_path / "x.json"))
     assert code == 2
-    assert "1000000000" in err and "float range" in err
+    assert err == f"error: a value of about 1e{size} is outside the float range\n"
 
 
 # a decimal exponent is expanded exactly, so this one would never finish

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from paradirac.algebra import AlgebraContext
 from paradirac.harmonics import (HarmonicPoly, harmonic_basis,
                                  harmonic_dimension, integer_rescale,
-                                 monogenic_basis, monogenic_decompose)
+                                 monogenic_basis, monogenic_decompose,
+                                 monomials_of_degree)
 from paradirac.poly import CliffordPoly, vector_variable
 
 FROZEN_DIMS = {
@@ -32,6 +34,29 @@ def test_harmonic_basis_properties():
                 assert h.poly.laplacian().is_zero()
                 if not h.poly.is_zero():
                     assert h.poly.is_homogeneous()
+
+
+@pytest.mark.parametrize("m, max_k", [(1, 6), (2, 6), (3, 6), (4, 6), (5, 4)])
+def test_harmonic_basis_characterized_by_its_cauchy_data(m, max_k):
+    # A harmonic is fixed by its coefficients at the monomials of
+    # x_m-degree <= 1, so these conditions leave exactly one basis: element
+    # i is a positive multiple of the harmonic that is 1 at the i-th such
+    # monomial and 0 at the others, with coprime integer coefficients.
+    ctx = AlgebraContext(m)
+    for k in range(max_k + 1):
+        free = [exps for exps in monomials_of_degree(m, k) if exps[-1] <= 1]
+        basis = harmonic_basis(ctx, k)
+        assert len(basis) == len(free) == harmonic_dimension(m, k)
+        for i, h in enumerate(basis):
+            assert h.degree == k and h.poly.laplacian().is_zero()
+            coeffs = {exps: mv.terms for exps, mv in h.poly.terms.items()}
+            assert all(blades.keys() == {0} for blades in coeffs.values())
+            values = {exps: blades[0] for exps, blades in coeffs.items()}
+            assert all(type(v) is int for v in values.values())
+            assert gcd(*values.values()) == 1
+            at_free = [values.get(exps, 0) for exps in free]
+            assert at_free[i] > 0
+            assert at_free[:i] + at_free[i + 1:] == [0] * (len(free) - 1)
 
 
 def test_monogenic_decompose_oracle():
