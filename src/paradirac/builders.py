@@ -8,6 +8,11 @@ d_x + zeta come in three equivalent shapes: the direct two-block series
 (monogenic), the factored form (zeta* - d_x) applied to one series, and
 the invertible form (1 - zeta^-1 d_x) applied to the other.  The
 Helmholtz-side builder sums radial Cl(1,1) weights against rho^{2n} H_k.
+The radial weights w_n = (-1/4 zeta* zeta)^n / (n! (g)_n) of an exact
+zeta are computed as integer 2x2 matrices over one denominator (integer
+pairs for Gaussian entries) and handed to the sum as blade numerators,
+with no Fraction or GaussianRational made per level; a float zeta, and
+the Sylvester evaluation, keep their ZetaElement float operations.
 
 All series are truncated at the requested order L; the parabolic builds
 terminate on their own when every seed profile is a polynomial in t, in
@@ -19,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .algebra import AlgebraContext, witt_basis
 from .harmonics import HarmonicPoly, MonogenicPoly
-from .poly import CliffordPoly, Sum, rho_powers, vector_variable
+from .poly import (CliffordPoly, Sum, exact_radial_weights, rho_powers,
+                   vector_variable)
 from .timefn import SpaceTimeFunction, TimeFunction, apply_0F1, assemble_split
 from .zeta import NotInvertibleError, ZetaElement
 
@@ -169,22 +175,31 @@ def build_parabolic_recurrence(M: MonogenicPoly,
                           k=k, L=stop, exact=exact)
 
 
-def _weight_recurrence(s: ZetaElement, gamma: Fraction,
-                       L: int) -> List[ZetaElement]:
-    """Exact Cl(1,1) weights w_n = (-s/4)^n / (n! (gamma)_n) for n = 0..L."""
+def _weight_recurrence(s: ZetaElement, gamma: Fraction, L: int,
+                       ctx: AlgebraContext) -> list:
+    """Sum.radial levels of the Cl(1,1) weights w_n = (-s/4)^n / (n! (gamma)_n)
+    for n = 0..L.
+
+    An exact s is iterated on integer numerators by exact_radial_weights;
+    an inexact s keeps the ZetaElement recurrence, its float operations
+    and a Multivector per level.
+    """
+    if s.is_exact():
+        return exact_radial_weights(s.entries(), gamma, L, ctx)
     w = ZetaElement.identity()
-    out = [w]
+    out = [w.to_multivector(ctx)]
     for n in range(L):
         w = (w * s).scale(Fraction(-1, 4) / ((n + 1) * (gamma + n)))
-        out.append(w)
+        out.append(w.to_multivector(ctx))
     return out
 
 
-def _radial_weights(z: ZetaElement, gamma: Fraction, L: int,
-                    radial: str) -> List[ZetaElement]:
-    """Cl(1,1) coefficients w_n = (-1/4 zeta* zeta)^n / (n! (gamma)_n)."""
+def _radial_weights(z: ZetaElement, gamma: Fraction, L: int, radial: str,
+                    ctx: AlgebraContext) -> list:
+    """Sum.radial levels of the Cl(1,1) coefficients
+    w_n = (-1/4 zeta* zeta)^n / (n! (gamma)_n)."""
     if radial == "direct":
-        return _weight_recurrence(z.star_zeta(), gamma, L)
+        return _weight_recurrence(z.star_zeta(), gamma, L, ctx)
     if radial == "sylvester":
         from .zeta import PowerSeries, sylvester_eval
 
@@ -194,17 +209,9 @@ def _radial_weights(z: ZetaElement, gamma: Fraction, L: int,
             if n:
                 coeff *= -0.25 / (n * float(gamma + n - 1))
             psi = PowerSeries([0.0] * n + [coeff])
-            out.append(sylvester_eval(psi, z))
+            out.append(sylvester_eval(psi, z).to_multivector(ctx))
         return out
     raise ValueError(f"unknown radial evaluation {radial!r}")
-
-
-def _radial_series(total: Sum, P: CliffordPoly,
-                   weights: Sequence[ZetaElement]) -> Sum:
-    """Add sum_n w_n rho^{2n} P to total, one stage per level."""
-    ctx = P.ctx
-    return total.radial(P, [None if w.is_zero() else w.to_multivector(ctx)
-                            for w in weights])
 
 
 def build_helmholtz(H, z: ZetaElement, L: int = 12,
@@ -221,7 +228,7 @@ def build_helmholtz(H, z: ZetaElement, L: int = 12,
     total = Sum(CliffordPoly, ctx)
     for h in heads:
         gamma = Fraction(2 * h.degree + ctx.m, 2)
-        _radial_series(total, h.poly, _radial_weights(z, gamma, L, radial))
+        total.radial(h.poly, _radial_weights(z, gamma, L, radial, ctx))
     degrees = tuple(h.degree for h in heads)
     body = SpaceTimeFunction.from_poly(total.value())
     return SeriesSolution(body=body, mode="helmholtz", m=ctx.m,
@@ -264,24 +271,22 @@ def build_generalized(M, z: ZetaElement, L: int = 12,
         gamma = Fraction(2 * k + ctx.m, 2)
         if form == "monogenic":
             sz = z.star_zeta()
-            _radial_series(total, head.poly, _weight_recurrence(sz, gamma, L))
+            total.radial(head.poly, _weight_recurrence(sz, gamma, L, ctx))
             b_head = (x * head.poly.lmul(z.to_multivector(ctx))).scale(
                 Fraction(1, 2 * k + ctx.m))
-            _radial_series(total, b_head, _weight_recurrence(sz, gamma + 1, L))
+            total.radial(b_head, _weight_recurrence(sz, gamma + 1, L, ctx))
         elif form == "factored":
             # starred radial weights here: g = zeta* inner - d_x inner
-            inner = _radial_series(
-                Sum(CliffordPoly, ctx),
+            inner = Sum(CliffordPoly, ctx).radial(
                 (x * head.poly).scale(Fraction(1, 2 * k + ctx.m)),
-                _weight_recurrence(z.zeta_star(), gamma + 1, L)).value()
+                _weight_recurrence(z.zeta_star(), gamma + 1, L, ctx)).value()
             total.lmul(z.involution().to_multivector(ctx), inner)
             total.dirac(inner, -1)
         else:
             # one extra order, trimmed: g = inner - zeta^-1 d_x inner, cut
             # back to degree 2L+k+1, which keeps all of d_x inner
-            inner = _radial_series(
-                Sum(CliffordPoly, ctx), head.poly,
-                _weight_recurrence(z.star_zeta(), gamma, L + 1)).value()
+            weights = _weight_recurrence(z.star_zeta(), gamma, L + 1, ctx)
+            inner = Sum(CliffordPoly, ctx).radial(head.poly, weights).value()
             total.add(inner.truncate_degree(2 * L + k + 1))
             total.lmul(z.invert().to_multivector(ctx), inner.dirac(), -1)
     degrees = tuple(h.degree for h in heads)

@@ -221,7 +221,8 @@ def cmd_verify(args) -> int:
     if report.exact_zero:
         print(f"{sol.mode}: residual identically zero "
               f"({'PASS' if passed else 'FAIL'})")
-    elif sol.exact:
+    elif sol.exact or sol.body.is_exact():
+        # judged on the exact residual alone, with nothing sampled
         print(f"{sol.mode}: symbolic residual nonzero at spatial degrees "
               f"{report.support_degrees} "
               f"({'PASS' if passed else 'FAIL'})")

@@ -21,7 +21,9 @@ value) is stored as its raw values with D = None.  A body is read through
 keys() and coeffs(key), which makes one term's {blade: value} afresh
 (int, Fraction and GaussianRational values for an exact body); .terms,
 {key: Multivector}, is made afresh on every read.  No reader hands out a
-stored row, and no other module reads the numerators.
+stored row, and no other module reads the numerators; the exact radial
+weights a builder hands Sum.radial come as numerators from
+exact_radial_weights.
 
 The accumulator.  Every operator but scale and / (which change D and the
 numerators of one body), and every sum of operator results, is built by
@@ -53,10 +55,12 @@ import cmath
 from fractions import Fraction
 from math import gcd, lcm, perm
 from operator import add
-from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple, Union
+from typing import (Dict, Hashable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from .algebra import (AlgebraContext, AlgebraMismatchError, Multivector,
-                      _mul_blade_into, _mul_into, _nadd, _nmul, _split_blades)
+                      _mul_blade_into, _mul_into, _nadd, _nmul, _nneg,
+                      _split_blades)
 from .scalars import Exact, GaussianRational, Scalar, is_exact
 
 Exponents = Tuple[int, ...]
@@ -255,21 +259,29 @@ class Sum:
         mv._check(body)
         return self._const(mv, body._D, lambda: body, scale, False)
 
-    def _const(self, mv: Multivector, D: Optional[int], get, scale,
-               left: bool) -> "Sum":
-        """mv * c (left) or c * mv for every coefficient c of the body get()
-        makes when the stage is made; D is that body's."""
+    def _const(self, w, D: Optional[int], get, scale, left: bool) -> "Sum":
+        """w * c (left) or c * w for every coefficient c of the body get()
+        makes when the stage is made; D is that body's.  w is a
+        Multivector, or an exact level of exact_radial_weights: blade
+        numerators over q, whose values are read as n / q on raw values."""
         ctx = self.ctx
-        rows, q = _to_numerators({0: mv.terms})
+        if isinstance(w, Multivector):
+            rows, q = _to_numerators({0: w.terms})
+            row, values = rows[0], w.terms
+        else:
+            row, q = w
+            values = None
 
         def make(exact, f):
             body = get()
             if exact:
-                k, nums = rows[0], body._nums
+                k, nums = row, body._nums
                 if f != 1:
                     k = {ma: _nmul(va, f) for ma, va in k.items()}
             else:
-                k, nums = mv.terms, body._values()
+                k, nums = values, body._values()
+                if k is None:
+                    k = {ma: _value(n, q) for ma, n in row.items()}
             if not k:
                 return {}
             if left:
@@ -278,16 +290,16 @@ class Sum:
         D = D * q if D is not None and q is not None else None
         return self._stage(D, scale, make)
 
-    def radial(self, P: "SparseTerms", mvs: Sequence[Optional[Multivector]]
-               ) -> "Sum":
-        """+ sum_n mvs[n] * rho^{2n} P, one stage per level, None for a zero
-        level.  Each power is made when its stage is."""
+    def radial(self, P: "SparseTerms", levels: Sequence) -> "Sum":
+        """+ sum_n w_n * rho^{2n} P, one stage per level.  levels[n] is the
+        constant w_n: a Multivector, or an exact level of
+        exact_radial_weights.  Each power is made when its stage is."""
         self._check(P)
         powers = rho_powers(P)
-        for mv in mvs:
-            mv = self.ctx.zero() if mv is None else mv
-            mv._check(P)
-            self._const(mv, P._D, powers.__next__, None, True)
+        for w in levels:
+            if isinstance(w, Multivector):
+                w._check(P)
+            self._const(w, P._D, powers.__next__, None, True)
         return self
 
     def product(self, a: "SparseTerms", b: "SparseTerms", scale=None) -> "Sum":
@@ -915,6 +927,54 @@ def rho_powers(p: CliffordPoly) -> Iterator[CliffordPoly]:
     while True:
         yield p
         p = Sum(type(p), p.ctx).product(rho2, p).value()
+
+
+def exact_radial_weights(entries: Sequence[Exact], gamma: Fraction, L: int,
+                         ctx: AlgebraContext
+                         ) -> List[Tuple[Dict[int, Numerator], int]]:
+    """Sum.radial levels of the Cl(1,1) weights w_n = (-s/4)^n / (n! (gamma)_n),
+    n = 0..L, of the exact s = [[a, b], [c, d]] (entries), gamma a
+    half-integer: each level is what _to_numerators makes of
+    w_n.to_multivector(ctx), blade order included.
+
+    With s = S / sigma, sigma the lcm of the entries' denominators, the
+    weights are integer matrices w_n = W_n / q_n (integer pairs for
+    Gaussian entries): W_{n+1} = -W_n S and
+    q_{n+1} = q_n sigma 2(n+1)(2 gamma + 2n), since
+    4 (n+1)(gamma+n) = 2(n+1)(2 gamma + 2n), reduced by one gcd per level.
+    An entry is a pair wherever the GaussianRational recurrence has a
+    GaussianRational, and W holds no zero pair (_nadd leaves none).
+
+    to_multivector puts +-entry/2 on the blades 1, eps e (a, d) and e, eps
+    (b, c), so a level's numerators over 2 q_n are a+d, a-d, b-c and
+    -(b+c), each dropped when it vanishes, the blades of a first exactly
+    when a is nonzero; a zero entry is the int 0, which changes no type,
+    as to_multivector skips it.
+    """
+    top = 1 << (ctx.m + 1)
+    ratios = [_ratio(v) for v in entries]
+    sigma = lcm(*(den for _, den in ratios))
+    e, f, g, h = (_nmul(num, sigma // den) for num, den in ratios)
+    two_gamma = int(2 * gamma)
+    W, q = (1, 0, 0, 1), 1
+    out = []
+    for n in range(L + 1):
+        if n:
+            a, b, c, d = W
+            W = {0: _nneg(_nadd(_nmul(a, e), _nmul(b, g))),
+                 1: _nneg(_nadd(_nmul(a, f), _nmul(b, h))),
+                 2: _nneg(_nadd(_nmul(c, e), _nmul(d, g))),
+                 3: _nneg(_nadd(_nmul(c, f), _nmul(d, h)))}
+            rows, q = _reduced({0: W}, q * sigma * 2 * n * (two_gamma + 2 * n - 2))
+            W = tuple(rows[0].values())
+        a, b, c, d = W
+        nb, nc = _nneg(b), _nneg(c)
+        ad = ((0, _nadd(a, d)), (top | 1, _nadd(a, _nneg(d))))
+        bc = ((top, _nadd(b, nc)), (1, _nadd(nb, nc)))
+        rows, D = _reduced({0: {mask: v for mask, v in (ad + bc if a else bc + ad)
+                                if v}}, 2 * q)
+        out.append((rows[0], D))
+    return out
 
 
 def integer_rescale(p: CliffordPoly) -> CliffordPoly:

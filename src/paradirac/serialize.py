@@ -208,6 +208,9 @@ def solution_from_dict(data: dict) -> SeriesSolution:
     if k == []:
         raise ValueError("solution field 'k' is an empty list")
     ks = _int_list(k if isinstance(k, list) else [k], "k")
+    if isinstance(k, list) and mode.startswith("parabolic"):
+        raise ValueError(f"solution field 'k' of a {mode} solution must be "
+                         f"one integer, got {k!r}")
     k = ks if isinstance(k, list) else ks[0]
     zeta = data.get("zeta")
     if zeta is not None and not isinstance(zeta, dict):

@@ -4,11 +4,12 @@ Three layers: operator identities (the parabolic operator squares to
 -Laplacian + d_t), component conditions on the split form (F1 = -d_x F0,
 F3 = d_x F2 - F0, and the heat condition on F0 and F2, which together
 are equivalent to D F = 0), and residual measurement.  Exact builds get
-a symbolic residual that must vanish identically; truncated builds get
-the residual's support degrees plus an empirical convergence order from
-sup-norms sampled over spheres of shrinking radius.  A truncated build
-with exact coefficients is judged on its exact residual, which must sit
-wholly at the top degrees.
+a symbolic residual that must vanish identically.  A truncated build
+with exact coefficients is judged on its exact residual alone, which
+must sit wholly at the top degrees; nothing is sampled.  A truncated
+build with float coefficients gets the residual's support degrees above
+roundoff scale plus an empirical convergence order from sup-norms
+sampled over spheres of shrinking radius.
 
 A solution remembers D F of its body for the parabolic operator D, so
 dirac_residual followed by check_component_conditions applies D once;
@@ -250,16 +251,18 @@ def dirac_residual(F: SeriesSolution,
     Truncated builds: the residual must live only at the top spatial
     degrees 2L+k for the Helmholtz side and 2L+k+1 for the first-order
     operators.  With exact coefficients that is decided on the exact
-    residual, every coefficient however small; the sampled sup-norms and
-    their order are still reported.  With float coefficients the support
-    is read above roundoff scale, and the sup-norm order across radii
-    must match the truncation order within order_tol (a parabolic build
-    needs only support at degree 2L+k or above).  A residual without t is
-    sampled once per point and that value stands for every T_SAMPLES
-    entry.  The radii must be finite, positive and distinct, and at least
-    two for a truncated build, which fits an order to them, order_tol
-    must be finite and nonnegative, and every coefficient and lambda of
-    the body must be finite, or ValueError is raised.
+    residual alone, every coefficient however small, and nothing is
+    sampled: the report has the support and the expected order, no
+    sup-norms and no estimated order, as an exact build's has.  With
+    float coefficients the support is read above roundoff scale, and the
+    order of the sup-norms sampled over the radii must match the
+    truncation order within order_tol (a parabolic build needs only
+    support at degree 2L+k or above).  A residual without t is sampled
+    once per point and that value stands for every T_SAMPLES entry.  For
+    every build the radii must be finite, positive and distinct, and at
+    least two for a truncated build, order_tol must be finite and
+    nonnegative, and every coefficient and lambda of the body must be
+    finite, or ValueError is raised.
     """
     if not (all(math.isfinite(r) and r > 0 for r in radii)
             and len(set(radii)) == len(radii)):
@@ -288,13 +291,24 @@ def dirac_residual(F: SeriesSolution,
         report.passed = True
         return report
 
+    ks = F.k if isinstance(F.k, tuple) else (F.k,)
+    op = _infer_operator(F.mode)
+    tops = {2 * F.L + kk + (op != "helmholtz") for kk in ks}
+    expected = None if op == "parabolic" else float(min(tops))
+
+    if F.body.is_exact():
+        # exact coefficients: the residual itself decides, with no
+        # threshold and no sample; every coefficient must sit at a top degree
+        report.support_degrees = _sift(R, 0.0)[2]
+        report.expected_order = expected
+        report.passed = {sum(exps) for exps, _, _ in R.keys()} <= tops
+        return report
+
     # a float-coefficient build leaves cancellation junk scaled to the
-    # body, which can dwarf a genuinely tiny truncation tail
-    exact_body = F.body.is_exact()
-    noise = 0.0 if exact_body else NOISE_REL * F.body.max_abs()
-    # one scan gives the kept residual, its scale and its support; the
-    # scale is R_sig's own largest coefficient whenever R_sig is nonzero
-    R_sig, scale, support = _sift(R, noise)
+    # body, which can dwarf a genuinely tiny truncation tail; one scan
+    # gives the kept residual, its scale and its support; the scale is
+    # R_sig's own largest coefficient whenever R_sig is nonzero
+    R_sig, scale, support = _sift(R, NOISE_REL * F.body.max_abs())
     if R_sig.is_zero():
         report.exact_zero = False
         report.passed = True          # pure rounding noise, no real tail
@@ -318,19 +332,8 @@ def dirac_residual(F: SeriesSolution,
     # residual's own coefficient scale; fit slopes on the normalized values
     scaled = [(r, s / scale) for r, s in sups] if scale > 0 else sups
     report.estimated_order = estimate_order(scaled)
-
     report.support_degrees = support
-    ks = F.k if isinstance(F.k, tuple) else (F.k,)
-    op = _infer_operator(F.mode)
-    tops = {2 * F.L + kk + (op != "helmholtz") for kk in ks}
-    expected = None if op == "parabolic" else float(min(tops))
     report.expected_order = expected
-
-    if exact_body:
-        # exact coefficients: the residual itself decides, with no
-        # threshold; every coefficient must sit at a top degree
-        report.passed = {sum(exps) for exps, _, _ in R.keys()} <= tops
-        return report
 
     if all(s < UNDERFLOW_GUARD for _, s in sups):
         # truncation tail vanished identically up to rounding

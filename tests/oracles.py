@@ -1,18 +1,19 @@
 """Slow reference helpers shared by several test modules.
 
 They are independent of the fast paths the package uses: direct power
-series next to the spectral (Sylvester) evaluation, a residual sampled at
-every (direction, t) pair, the spatial degrees read straight off a
-body's keys, and the sparse term engine's operators
-computed term by term on Multivector coefficients instead of stored
-integer numerators.
+series next to the spectral (Sylvester) evaluation, the radial weights
+by the ZetaElement recurrence next to the builders' integer one, a
+residual sampled at every (direction, t) pair and its fitted order, the
+spatial degrees read straight off a body's keys, and the sparse term
+engine's operators computed term by term on Multivector coefficients
+instead of stored integer numerators.
 """
 
 from fractions import Fraction
 
 from paradirac.algebra import Multivector, split
 from paradirac.scalars import GaussianRational
-from paradirac.verify import T_SAMPLES, unit_directions
+from paradirac.verify import T_SAMPLES, estimate_order, unit_directions
 from paradirac.zeta import PowerSeries, ZetaElement
 
 
@@ -46,6 +47,18 @@ def series_eval(psi, z, L):
     return total
 
 
+def weight_recurrence(s, gamma, L, ctx):
+    """The radial weights w_n = (-s/4)^n / (n! (gamma)_n), n = 0..L, as
+    Multivectors: the ZetaElement recurrence on Fraction and
+    GaussianRational (or float) entries, each level through to_multivector."""
+    w = ZetaElement.identity()
+    out = [w.to_multivector(ctx)]
+    for n in range(L):
+        w = (w * s).scale(Fraction(-1, 4) / ((n + 1) * (gamma + n)))
+        out.append(w.to_multivector(ctx))
+    return out
+
+
 def sampled_sup_norms(R, radii, seed):
     """(radius, sup-norm) of R over every (direction, t) pair, each point
     evaluated on its own: the residual check's sampling with no shortcut
@@ -61,6 +74,15 @@ def sampled_sup_norms(R, radii, seed):
                     sup = val
         sups.append((float(r), sup))
     return sups
+
+
+def sampled_order(R, radii, seed):
+    """The decay order estimate_order fits to sampled_sup_norms(R), each
+    sup-norm divided by R's largest coefficient, as the float check scales
+    them before its underflow guard."""
+    scale = R.max_abs()
+    sups = sampled_sup_norms(R, radii, seed)
+    return estimate_order([(r, s / scale) for r, s in sups])
 
 
 def spatial_degrees(F):

@@ -1,15 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import spatial_degrees
+from oracles import spatial_degrees, weight_recurrence
 from paradirac.algebra import AlgebraContext, witt_basis
-from paradirac.builders import (build_generalized, build_helmholtz,
-                                build_parabolic_closed,
+from paradirac.builders import (_weight_recurrence, build_generalized,
+                                build_helmholtz, build_parabolic_closed,
                                 build_parabolic_recurrence,
                                 parabolic_from_generalized)
 from paradirac.harmonics import harmonic_basis, monogenic_basis
-from paradirac.poly import CliffordPoly, rho_squared, vector_variable
+from paradirac.poly import (CliffordPoly, _to_numerators, rho_squared,
+                            vector_variable)
 from paradirac.scalars import GaussianRational
 from paradirac.timefn import SpaceTimeFunction, TimeFunction, parabolic_dirac
 from paradirac.zeta import ZetaElement
@@ -174,6 +177,89 @@ def test_helmholtz_rejects_unknown_radial():
     with pytest.raises(ValueError):
         build_helmholtz(harmonic_basis(ctx, 0)[0], ZetaElement(1, 0, 0, 1),
                         L=2, radial="cayley")
+
+
+# -- radial weights: integer recurrence against the ZetaElement one -------------
+
+
+def _levels_match_oracle(s, gamma, L, ctx):
+    """Each level of _weight_recurrence is, for an exact s, what
+    _to_numerators makes of the oracle's Multivector: the same numerators
+    (int or pair), denominator and blade order; for an inexact s, a
+    Multivector with the oracle's values, types and bits."""
+    got = _weight_recurrence(s, gamma, L, ctx)
+    want = weight_recurrence(s, gamma, L, ctx)
+    assert len(got) == len(want) == L + 1
+    for n, (level, mv) in enumerate(zip(got, want)):
+        if s.is_exact():
+            (rows, D), (row, q) = _to_numerators({0: mv.terms}), level
+            assert q == D, n
+            assert typed_row(row) == typed_row(rows[0]), n
+        else:
+            assert typed_row(level.terms) == typed_row(mv.terms), n
+
+
+def typed_row(row):
+    return [(mask, type(v).__name__, repr(v)) for mask, v in row.items()]
+
+
+small_q = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+gaussian_q = st.builds(GaussianRational, small_q, small_q)
+WEIGHT_ZETAS = {
+    "rational": st.tuples(*[small_q] * 4),
+    "integer": st.tuples(*[st.integers(-3, 3)] * 4),
+    "gaussian": st.tuples(*[st.one_of(small_q, gaussian_q)] * 4),
+    # one repeated eigenvalue, not diagonalizable: det(zeta) = -lam^2
+    "defective": st.builds(lambda lam, u, v: (lam + u, v, u * u / v, u - lam),
+                           small_q, small_q, small_q.filter(bool)),
+    "det0": st.builds(lambda a, b, c: (a, b, c, b * c / a),
+                      small_q.filter(bool), small_q, small_q),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_integer_weights_match_the_zeta_recurrence(data):
+    m = data.draw(st.integers(1, 4), label="m")
+    k = data.draw(st.integers(0, 3), label="k")
+    kind = data.draw(st.sampled_from(sorted(WEIGHT_ZETAS)), label="kind")
+    z = ZetaElement(*data.draw(WEIGHT_ZETAS[kind], label="zeta"))
+    L = data.draw(st.integers(0, 12), label="L")
+    ctx = AlgebraContext(m)
+    gamma = Fraction(2 * k + m, 2)
+    for s in (z.star_zeta(), z.zeta_star()):
+        for g in (gamma, gamma + 1):
+            _levels_match_oracle(s, g, L, ctx)
+
+
+G = GaussianRational
+
+
+@pytest.mark.parametrize("entries", [
+    (0, 1, 0, 0),                                   # zeta = f: s = 0 from n = 1
+    (1, Fraction(1, 2), -1, 2),
+    (G(1, 1), 0, 0, G(1, -1)),                      # a + d real, still Gaussian
+    (G(0, 1), G(0, -1), 1, 1),
+    (Fraction(1, 3), G(2, 0), G(0, 0), -1),         # a Gaussian zero entry
+    (0.5, -1.2, 0.3, 1.1),
+    (1.0, 0, 0, 2),
+    (complex(0.5, 1), 0.25, -1.0, 2.0),
+])
+def test_weight_levels_of_chosen_quadruples(entries):
+    z = ZetaElement(*entries)
+    for m, k in ((1, 0), (2, 1), (3, 2)):
+        ctx = AlgebraContext(m)
+        gamma = Fraction(2 * k + m, 2)
+        for s in (z, z.star_zeta(), z.zeta_star()):
+            for g in (gamma, gamma + 1):
+                _levels_match_oracle(s, g, 12, ctx)
+
+
+def test_nilpotent_zeta_weights_vanish_after_the_head():
+    ctx = AlgebraContext(2)
+    levels = _weight_recurrence(ZetaElement(0, 1, 0, 0).star_zeta(),
+                                Fraction(3, 2), 6, ctx)
+    assert levels == [({0: 1}, 1)] + [({}, 1)] * 6
 
 
 # -- generalized operator -------------------------------------------------------

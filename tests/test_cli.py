@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import sampled_order
 from paradirac import cli
 from paradirac.algebra import AlgebraContext
-from paradirac.cli import main
+from paradirac.cli import _build_from_args, main, make_parser
 from paradirac.serialize import load_solution, save_solution
+from paradirac.verify import dirac_residual
 
 
 def run(capsys, *argv):
@@ -66,11 +68,23 @@ def test_build_verify_eval_roundtrip(capsys, tmp_path):
 
 
 def test_verify_from_build_flags(capsys):
-    code, stdout, _ = run(capsys, "verify", "--mode", "gen-monogenic",
-                          "--m", "2", "--k", "0", "--zeta", "1,0,0,1",
-                          "--trunc", "8", "--radii", "1,0.5,0.25")
+    # exact coefficients: judged on the exact residual, nothing sampled;
+    # that residual decays at order 17 when it is sampled
+    flags = ["--mode", "gen-monogenic", "--m", "2", "--k", "0",
+             "--zeta", "1,0,0,1", "--trunc", "8"]
+    code, stdout, _ = run(capsys, "verify", *flags, "--radii", "1,0.5,0.25")
     assert code == 0
-    assert "estimated order 17.000" in stdout
+    assert stdout == ("gen-monogenic: symbolic residual nonzero at spatial "
+                      "degrees (17,) (PASS)\n")
+    sol = _build_from_args(make_parser().parse_args(["build", *flags]))
+    order = sampled_order(dirac_residual(sol).residual_poly, (1.0, 0.5, 0.25), 0)
+    assert f"{order:.3f}" == "17.000"
+    # float coefficients: the order is fitted to sampled sup-norms (at L = 8
+    # the float tail sits under the roundoff cut, so at L = 4)
+    code, stdout, _ = run(capsys, "verify", *flags[:-1], "4", "--backend",
+                          "float", "--radii", "1,0.5,0.25")
+    assert code == 0
+    assert "estimated order 9.000" in stdout
 
 
 def test_verify_detects_tampering(capsys, tmp_path):
@@ -100,6 +114,29 @@ def test_malformed_solution_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--solution", str(bad))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("mode", ["parabolic-closed", "parabolic-recurrence"])
+@pytest.mark.parametrize("k", [[0, 1], [0]])
+def test_parabolic_solution_file_with_a_list_k(capsys, tmp_path, mode, k):
+    # build refuses "--k 0,1" for parabolic modes; a file must not get past
+    # verify or eval with it either
+    code, _, err = run(capsys, "build", "--mode", mode, "--m", "2",
+                       "--k", "0,1", "--out", str(tmp_path / "x.json"))
+    assert code == 2 and "single --k" in err
+    sol_path = tmp_path / "sol.json"
+    assert run(capsys, "build", "--mode", mode, "--m", "2", "--k", "0",
+               "--profile", "t", "--out", str(sol_path))[0] == 0
+    data = json.loads(sol_path.read_text())
+    data["k"] = k
+    sol_path.write_text(json.dumps(data))
+    points = tmp_path / "pts.csv"
+    points.write_text("x1,x2,t\n0.5,0.5,0\n")
+    for argv in (["verify", "--solution", str(sol_path)],
+                 ["eval", "--solution", str(sol_path), "--points", str(points)]):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "field 'k'" in err and mode in err and stdout == ""
 
 
 def test_recurrence_seeds_flag(capsys, tmp_path):
@@ -333,8 +370,13 @@ def test_verify_exact_build_accepts_one_radius(capsys):
 @pytest.mark.parametrize("radii", ["1,1", "1e200,1", "1,0", "nan,1", "1,-0.5",
                                    "inf,1", "1"])
 def test_verify_rejects_bad_radii(capsys, radii):
+    # the radii are checked for every build; a radius whose sampled values
+    # overflow shows only where sampling happens, on float coefficients
+    # with a tail above the roundoff cut
+    backend = ["--trunc", "4", "--backend", "float"] if radii == "1e200,1" \
+        else ["--trunc", "8"]
     code, _, err = run(capsys, "verify", "--mode", "gen-monogenic", "--m", "2",
-                       "--k", "0", "--zeta", "1,0,0,1", "--trunc", "8",
+                       "--k", "0", "--zeta", "1,0,0,1", *backend,
                        "--radii", radii)
     assert code == 2
     assert "error:" in err

@@ -14,9 +14,11 @@ REPORT_DIGESTS pins, for a second grid of exact-coefficient builds
 (gen-* and helmholtz on the same four kinds of zeta, closed and
 recurrence parabolic builds; m = 1..3 with k = m - 1 and the last basis
 head; L = 3 and 5), the sha256 of the residual report JSON (the symbolic
-residual's terms and the float sup-norms sampled from it) together with,
-for parabolic builds, the component-condition report JSON.  A change to
-how residuals are computed shows here.
+residual's terms, its support and the expected order; an exact-coefficient
+residual is not sampled, so its report holds no sup-norms and no
+estimated order) together with, for parabolic builds, the
+component-condition report JSON.  A change to how residuals are computed
+shows here.
 
 EVAL_DIGESTS pins the bytes of `paradirac eval --out` for a third grid,
 float builds included, on fixed points with zero coordinates and t = 0.
@@ -344,221 +346,221 @@ DIGESTS = {
 
 REPORT_DIGESTS = {
     '--mode helmholtz --m 1 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 3':
-        'b92d20b096265fbc94487b441c0e95aa1606d7ca44e126ff6f15a1837ad998f0',
+        '763f012ddd7d7e26b9ce2409c66bb138f1fa02487c1165135157c57a6844111c',
     '--mode helmholtz --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
-        'bc5a1694cf5fde59e419470f502d560d9b8254b47eec1013870e896d6897133f',
+        '206f14f63d6f649b83d7cc42b93398d984187e0defb82419ef1297ffa381be6f',
     '--mode helmholtz --m 1 --k 0 --basis-index 0 --zeta 2,1,1,0 --trunc 3':
-        '0da4e1abbbc18e7a9e2693f6fb64ab3c5bbd61d0360dc474cce965fcab0f6871',
+        'd8ebeeb5c1fca49a865ac33514c006d0c6077ed26caacfc752aae3b87b1f62fc',
     '--mode helmholtz --m 1 --k 0 --basis-index 0 --zeta 1,2,1/2,1 --trunc 3':
         '0529fa9d1762c2aaefcbb291efa6fc539b105ac10034d8d986bef78a74f6a7b7',
     '--mode gen-monogenic --m 1 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 3':
-        '69f8a48c99e1d615eec1315948ebcf2d713ed2893ae708e964dc51423ed5292f',
+        'e218d8016126e0919dc15500023f19e64f59e3219a1ed6f6bdf6553b328afa01',
     '--mode gen-monogenic --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
-        '4ccc70e35c7ce9c06b46cf08dbc5ef776854af0a4a8fb960c8f56bb3ea5651ba',
+        'bcef3cbf05aec8ed71b3389f318d20df40305f0c12a43a0c7ecc9db46f83b8d2',
     '--mode gen-monogenic --m 1 --k 0 --basis-index 0 --zeta 2,1,1,0 --trunc 3':
-        '42d2a343bcbf35c0934b08cfe47b88a2cdb8d4df0ce27aab158dccd06dd190d7',
+        'f47ab2625b03cd7ab32d24780c828052bf528fb671293eec251d1b295e0f9525',
     '--mode gen-monogenic --m 1 --k 0 --basis-index 0 --zeta 1,2,1/2,1 --trunc 3':
         '80cab7e84b62a7467af2dfbba08538e755446307e5139dd6a530742aa2a25a28',
     '--mode gen-factored --m 1 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 3':
-        'c12fc69063a70b8e0442ec91a9a0b9a30e72b4a982542ea254afcd8031ac3e4c',
+        '2e2e598d68898198793af1494798f3409a0e32b29bf2c7a4a482cd65c86f65fb',
     '--mode gen-factored --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
-        'ace9a5354e1b1fc425dd453aa14a848ba3b7a7dce0716eff2acc3d860586d5d3',
+        '8557f32157cd6e9f32150a46e4055bd2da92caa0d6d2444bde049eafe75ece45',
     '--mode gen-factored --m 1 --k 0 --basis-index 0 --zeta 2,1,1,0 --trunc 3':
-        'fd9c979579108858a788bc040e9833891b58cdbcc2f0300a3e311ef396e29f7f',
+        'c9027034eab61ce8f26e32d9f29e0e37f5f3cc296183564ad28e53333900251f',
     '--mode gen-factored --m 1 --k 0 --basis-index 0 --zeta 1,2,1/2,1 --trunc 3':
         '37a89373ce9b1e283bd37f582baedd1824cf443b03b670b9bfbab73136562205',
     '--mode gen-invertible --m 1 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 3':
-        'f5e2b480176f3279aa610e7ae2c4d85e04bee109bb228c6f01419bc170bdb210',
+        '888041930c013293a2838eb9d0f10a70e88de35163df1707249c771798d0001c',
     '--mode gen-invertible --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
-        '9bf121eeb19b585c26a871f5fdbbe294abed11e5f4aa41381b1aa7909c9ef38b',
+        'a244a46585fa0193aa6e51a67d79967f1761c6626f627d694b5baf9e0e078dd1',
     '--mode gen-invertible --m 1 --k 0 --basis-index 0 --zeta 2,1,1,0 --trunc 3':
-        'dcf66f90ee28861c87cb1e2750e415d56d75be8456ab2de24379279d3071afc5',
+        '68f64c54157c65027b9545d8ea0a23dde3db4d92ddd677e2143ac21e10fe62c7',
     '--mode parabolic-closed --m 1 --k 0 --basis-index 0 --profile poly:1,-2,1/2 --trunc 3':
         'c7894fac150ab6508f2a54a4a3afb5e7f4b8f3db8bc30239984caa6ed537edf3',
     '--mode parabolic-closed --m 1 --k 0 --basis-index 0 --profile exp:-1/2 --trunc 3':
-        'f90e9c512418bccd8acce3fcc2945112e2bbab460dc9568feb71fa48f40af431',
+        '06cdc7b8a3ba72724737f33c97744ba4fd9430a24e58e67b0d6e0184d74ff263',
     '--mode parabolic-recurrence --m 1 --k 0 --basis-index 0 --seeds {"a0":"t^2","b0":"poly:1,1/3","a2":"1","b2":"exp:1/2"} --trunc 3':
-        '413359bd5cea2792732256ff2cf7720e5e1fe02025b9c0ed957aed635f6d3b1a',
+        '298431a5aa1480535c343b655fb1c47688af59cf1f2b9a067eacc9a6b88b7fe9',
     '--mode helmholtz --m 1 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 5':
-        '5d617387cfb544a0b87c1d162f27c59fc04334b1168bd2bd258cd865db4cf464',
+        'e318bde602d3d9ae3d91290ef5f0907265ac12d843f549c3e357bbfd000e0587',
     '--mode helmholtz --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
-        '14715466f7b99591c9ea65719fae529dff588634395d2f346cbba4d811054206',
+        '38cdb2ee774604cffe51aba4e7e502bde1e640154baa99b5f032a61f2e1805b4',
     '--mode helmholtz --m 1 --k 0 --basis-index 0 --zeta 2,1,1,0 --trunc 5':
-        '2a4efadcfb988d74bedf2640236cc1647008da8ef140be7b71bdbb360cab3013',
+        '749ab169c4ab6df81463ae973cc0085acc24d9096b7d8a96d977341bf457af62',
     '--mode helmholtz --m 1 --k 0 --basis-index 0 --zeta 1,2,1/2,1 --trunc 5':
         '0529fa9d1762c2aaefcbb291efa6fc539b105ac10034d8d986bef78a74f6a7b7',
     '--mode gen-monogenic --m 1 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 5':
-        '3f9f68b1e6ec9416e6fae9342488aadb834d977c5be0845771705b05252cd37d',
+        '95d62cc51a66948f12a714030400bffb562f9d1b4e2aef8f98830c536a225d13',
     '--mode gen-monogenic --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
-        '1547a83ba5254ab3d4bac513210aa3557596d0b3a7f8e8111fa3e11189fb891c',
+        '25d151f6d3c49e553e7759cda5b64947cf93f82e82a8b8c91cc777c2a5a5e170',
     '--mode gen-monogenic --m 1 --k 0 --basis-index 0 --zeta 2,1,1,0 --trunc 5':
-        '4fe9ecc9dbecf90bc28a84516dd42221a03e9c68ac84e51444ccdc0d77a8fdbc',
+        'fc57773d128813a9ff94fd3c9ab3c33cac43b14fb4bd8fc6ad6a58f8f3001360',
     '--mode gen-monogenic --m 1 --k 0 --basis-index 0 --zeta 1,2,1/2,1 --trunc 5':
         '80cab7e84b62a7467af2dfbba08538e755446307e5139dd6a530742aa2a25a28',
     '--mode gen-factored --m 1 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 5':
-        '40ae34c2afd33793f961e945c119d5534db27616ee0c0262c80750149da2ce5f',
+        '2dc9a1c37f640f3503261cbeae903064dca0730a060f3b6556b8c79f50f1fb09',
     '--mode gen-factored --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
-        '7f0417a5f38c579c01ae668967ee67daa486a31453cf25e8b18b4f1d492e91e8',
+        'a675af31c1f0ba9c23432cdcd442837c4b34ea2a44fdd09ef470ac903bfb64a1',
     '--mode gen-factored --m 1 --k 0 --basis-index 0 --zeta 2,1,1,0 --trunc 5':
-        'e80daf6562a56cca41faaaababde1a907183e6acc75cbb1d263a767bf534a407',
+        'ea96ea3376de8263e34307e2e89f607e3af23ee1cb928dc3c58203b73b166e51',
     '--mode gen-factored --m 1 --k 0 --basis-index 0 --zeta 1,2,1/2,1 --trunc 5':
         '37a89373ce9b1e283bd37f582baedd1824cf443b03b670b9bfbab73136562205',
     '--mode gen-invertible --m 1 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 5':
-        '86f341ac88a6432887123dcaff557e68afb049316608b233e69404c706ee3187',
+        '3931992a0c52df9612fb51e2364e2a64883a0054f5e3dd0493767509908f1e56',
     '--mode gen-invertible --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
-        '79b40c0631cd75a8abf2b3e641faec8a320e3eb21bfdc8b7225723b735529c42',
+        'e2b2c3698105126feb191ad2e00edbc441fcbc94d052edc95c80de4734817a8b',
     '--mode gen-invertible --m 1 --k 0 --basis-index 0 --zeta 2,1,1,0 --trunc 5':
-        '174ab5c5e98adc6c04b30cf77ad267a6a7eb9c783840f59bc076286bef73f6c6',
+        '49a72f9cb87f5ab7c8ee52d6143c33097eb00d7836005994a0b9538a7686cc1a',
     '--mode parabolic-closed --m 1 --k 0 --basis-index 0 --profile poly:1,-2,1/2 --trunc 5':
         'c7894fac150ab6508f2a54a4a3afb5e7f4b8f3db8bc30239984caa6ed537edf3',
     '--mode parabolic-closed --m 1 --k 0 --basis-index 0 --profile exp:-1/2 --trunc 5':
-        '8a80d12468aa4e467e5f27c16b580f59100b67a1a18b1fda6f1fbbc5f4050419',
+        'd8a59704694ea42dd64bc94c90ac9cebaa52bd02bd860e3952df37b227eab30f',
     '--mode parabolic-recurrence --m 1 --k 0 --basis-index 0 --seeds {"a0":"t^2","b0":"poly:1,1/3","a2":"1","b2":"exp:1/2"} --trunc 5':
-        '12c7e0c63cf766e66618458dbf2eccc91bd642a10870d75c96495760606c3b78',
+        '55bf379f4b01b0ccbd16c8725f7055d3fb40892f8677ec9616c193dcfc143ce1',
     '--mode helmholtz --m 2 --k 1 --basis-index 1 --zeta 1/2,-1,3/4,2 --trunc 3':
-        'bf4d5ce9125a6c67282574860522ee00bf36264aa1280a8ded5697994370a595',
+        '6c787f89ec62c78204fc0e569e91fc8b5a0130333b3e6c0a131988dcc6ee22d6',
     '--mode helmholtz --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
-        'd2545ed4140af5b160b51cca92975dd851d332523bfb31f237fbf2e3859191ed',
+        '5080b7c3207203f5e479ecae9646945f09ea3ad1eada6c7310f467e70bb777dc',
     '--mode helmholtz --m 2 --k 1 --basis-index 1 --zeta 2,1,1,0 --trunc 3':
-        'e53ecc48f75cd0b289af55304608881aa8e91af7dd45c898d99eadb190d42d6e',
+        'af4276171f640ba723c1ba48e55a2b1684a3edd235923fceb16471b5414ad30c',
     '--mode helmholtz --m 2 --k 1 --basis-index 1 --zeta 1,2,1/2,1 --trunc 3':
         '0529fa9d1762c2aaefcbb291efa6fc539b105ac10034d8d986bef78a74f6a7b7',
     '--mode gen-monogenic --m 2 --k 1 --basis-index 1 --zeta 1/2,-1,3/4,2 --trunc 3':
-        '1bcabd4639b439210ff1595970fdb2c194bff719cd7bd29b97d34312f1e20272',
+        '575e5ba96e2b76b9e86306d5e33c93588fbc844ec3c4cb3f5883ea2cd7111d59',
     '--mode gen-monogenic --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
-        'c856834a92971d97cb89850e8c4ea09ce1f2297ce84585bd35dae621ab9a8135',
+        '928638a2f170fd4437f114f705dfc160d2471190ce5daab29f5c49a26f294a01',
     '--mode gen-monogenic --m 2 --k 1 --basis-index 1 --zeta 2,1,1,0 --trunc 3':
-        '3d3e5e76d4802c43b8b90ff29caa662214d6db8b35debaa5ab4fa3b6a1155ce7',
+        'd917fb7a947995fcba7cc369096c4a94d346bfeb61be2c029d6c45852e549795',
     '--mode gen-monogenic --m 2 --k 1 --basis-index 1 --zeta 1,2,1/2,1 --trunc 3':
         '80cab7e84b62a7467af2dfbba08538e755446307e5139dd6a530742aa2a25a28',
     '--mode gen-factored --m 2 --k 1 --basis-index 1 --zeta 1/2,-1,3/4,2 --trunc 3':
-        'dc4fd9bd0ccd7a3983ecbd568c5405da0b98d2da2e4259569c3dda178ec96bf8',
+        'ef7f15bafa1eccf61bea40821cdba8f46ef424f759c2b6f0aa6bb7d3cc85a840',
     '--mode gen-factored --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
-        '267a5b00d166962fea5b7548802b0357d667cc10e9759337b1c0f3e0b58d32b0',
+        '2194dad1b6540f80df8aa2b83aebee141c4f8bdf918a27332d37a722daa80baf',
     '--mode gen-factored --m 2 --k 1 --basis-index 1 --zeta 2,1,1,0 --trunc 3':
-        'cd1ac6b014c369251a70a80936c0c5ffbb4c780debed922db69f03e2a45cf074',
+        '0ea124c4e6b9f86b2d33feff34bee7089d79f4dba82a413a6ef50477e5e13390',
     '--mode gen-factored --m 2 --k 1 --basis-index 1 --zeta 1,2,1/2,1 --trunc 3':
         '37a89373ce9b1e283bd37f582baedd1824cf443b03b670b9bfbab73136562205',
     '--mode gen-invertible --m 2 --k 1 --basis-index 1 --zeta 1/2,-1,3/4,2 --trunc 3':
-        'd1528050f39e4b6ae4ade4724ec03cf5eaee9fe993a594fae395b5fcada4a611',
+        '5e5b227566661c909727c8b90d219ff8c84c80496e700ba55dd4725d5c9f631a',
     '--mode gen-invertible --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
-        '17b4157e7d691deda5c8d48f20712573c6d041455fac6ce1d2633b808259ef7c',
+        '6069437964d1326a600a471dca8ade1e2371042ec0e9286e6d7979094745ead3',
     '--mode gen-invertible --m 2 --k 1 --basis-index 1 --zeta 2,1,1,0 --trunc 3':
-        '8964bba90bcb6f6f6e934a57ce2bd20a3d64c595f540fd77327329cf836bedfc',
+        '378738523f82aeb055084e1a3b4ab5fe36d43721661ecc80dd7a0f6d0c475f16',
     '--mode parabolic-closed --m 2 --k 1 --basis-index 1 --profile poly:1,-2,1/2 --trunc 3':
         'c7894fac150ab6508f2a54a4a3afb5e7f4b8f3db8bc30239984caa6ed537edf3',
     '--mode parabolic-closed --m 2 --k 1 --basis-index 1 --profile exp:-1/2 --trunc 3':
-        'd86081929a9447c9a4ecd5f3b8387491a3e19e456fdd948426a6bda6a94a3b5f',
+        '1f04e8710a46372d7cc94edfa38ee6e322760da89edcd7a3c3ec6b7c47606d60',
     '--mode parabolic-recurrence --m 2 --k 1 --basis-index 1 --seeds {"a0":"t^2","b0":"poly:1,1/3","a2":"1","b2":"exp:1/2"} --trunc 3':
-        '806f00896e67c80e122bb8388b9d9cd90105655790f4f4cb38e412732d90d176',
+        '1c8f04f95edbafae6269af4e42254d8dd688c81fe0c18931bffd35ea0345b17e',
     '--mode helmholtz --m 2 --k 1 --basis-index 1 --zeta 1/2,-1,3/4,2 --trunc 5':
-        '01038e1b683861702e5a5b3d46b469a236a96d445a0fcc04f6197fb1c0476f41',
+        'd289d7d799c753b0f4e456d9c6d019607cbad208235f19e437bf777eedf90c82',
     '--mode helmholtz --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
-        '4a82088948d61bc1e30360c077a87ce564eaf3f954113ac51934ee126ee5b5b0',
+        '73bd804ea019f0ace4edd81e728bbe9b4506a9dc1722285309898dab62e7bb02',
     '--mode helmholtz --m 2 --k 1 --basis-index 1 --zeta 2,1,1,0 --trunc 5':
-        '798e804f7bcd5970ca86c6aece5eed3a4a1c5d1c992bf5ba7158707ab90e539c',
+        '8b5442ec1c75c8b13659460585f661f17731746eb332bd0c7dafb311958e4dcb',
     '--mode helmholtz --m 2 --k 1 --basis-index 1 --zeta 1,2,1/2,1 --trunc 5':
         '0529fa9d1762c2aaefcbb291efa6fc539b105ac10034d8d986bef78a74f6a7b7',
     '--mode gen-monogenic --m 2 --k 1 --basis-index 1 --zeta 1/2,-1,3/4,2 --trunc 5':
-        '7d16b1c5f67a8ede8241c1d76db4ff43ba964a3d1b5b9ffa5cb957179a6ec7b2',
+        '9a32fdb8e71fae9e31e74aba8fe0d698cfd9e8a2fad2b5195209fd0fe047f841',
     '--mode gen-monogenic --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
-        'f520698fb01812a99cb8ed10eb1edc75d672c7c4c5b014691ac3a395ba1b3182',
+        '3fae70f28c65e9861002440ae11d274d1bafa2d040dc362fce36c8e83292ea83',
     '--mode gen-monogenic --m 2 --k 1 --basis-index 1 --zeta 2,1,1,0 --trunc 5':
-        '4da75c3c946f27660c3303be6e55967868162231841801f224e5e4d600994a9c',
+        'c03480a16f7590550f2500d6c31e568ef7e4f40a9de9cac56f8eceef8c414c9b',
     '--mode gen-monogenic --m 2 --k 1 --basis-index 1 --zeta 1,2,1/2,1 --trunc 5':
         '80cab7e84b62a7467af2dfbba08538e755446307e5139dd6a530742aa2a25a28',
     '--mode gen-factored --m 2 --k 1 --basis-index 1 --zeta 1/2,-1,3/4,2 --trunc 5':
-        'a5c11d23591a82b964d034aa8f918b041e16b31a1bdc24a7bc403fe60e22f110',
+        'e2ca1e7b0d197d32eb109c53dfdef506215462638db4ec8cd8bd2dede962b4aa',
     '--mode gen-factored --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
-        '7816487e8c1f2b6c38ee305f8b2b4c5491a1d189997213d9bcf922fefeab28fe',
+        '42f573495f6094f2dc3301bb4bfdc4c44e04ac3921be1c1a3736f80af534af96',
     '--mode gen-factored --m 2 --k 1 --basis-index 1 --zeta 2,1,1,0 --trunc 5':
-        '09e0dbceae20956e37d161532e89e47cc1b580c8d3f0e17e3126ae79835523d3',
+        'f83e60ec223f16ef7a581136aa324d5656c0d2ec22c4bff2407114145a50b5de',
     '--mode gen-factored --m 2 --k 1 --basis-index 1 --zeta 1,2,1/2,1 --trunc 5':
         '37a89373ce9b1e283bd37f582baedd1824cf443b03b670b9bfbab73136562205',
     '--mode gen-invertible --m 2 --k 1 --basis-index 1 --zeta 1/2,-1,3/4,2 --trunc 5':
-        '6cc3e33a2f5d3e29d3731d15f4e85cb1d22c920b542a1cf2c45fb8d68ef1ec1d',
+        '6bdb6f81ef2e65ba3a0870535082b8ff9b30101d2e25eda355c569d4337cd9ae',
     '--mode gen-invertible --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
-        '11c135e50ed6768ad01ea1f28c0c1c9ead5de4f0c63b9e67fcdf158a8c89d235',
+        '563922a543f4d8166927793dc18397c09d4003363de4e31cbaf63fdf09540ed1',
     '--mode gen-invertible --m 2 --k 1 --basis-index 1 --zeta 2,1,1,0 --trunc 5':
-        'e1f473bd4ab1901e64cc5873f950cec7d38b84873b8f6675522e252934166d6e',
+        'a080038826b511ad66f2257170f2efda4c5640dda709cf1fd97dc70012ab6c8f',
     '--mode parabolic-closed --m 2 --k 1 --basis-index 1 --profile poly:1,-2,1/2 --trunc 5':
         'c7894fac150ab6508f2a54a4a3afb5e7f4b8f3db8bc30239984caa6ed537edf3',
     '--mode parabolic-closed --m 2 --k 1 --basis-index 1 --profile exp:-1/2 --trunc 5':
-        '5f75ec66d0dc335d04cbb8fee3afaffbad0c795b1e1d0f21247e2035ad1ed7e7',
+        'd526a226cfd1a8b17b2b51df484a24d7aafb813a6827fa13610256f6f0d7f7ca',
     '--mode parabolic-recurrence --m 2 --k 1 --basis-index 1 --seeds {"a0":"t^2","b0":"poly:1,1/3","a2":"1","b2":"exp:1/2"} --trunc 5':
-        '0403a49152d0bce813b3f7da15674b4971fe932fc886d510f2852c0ee39a95ee',
+        'c3382c78710c44e2b2677491b153f5fbce08a4d1ecbdac978df89dc5527e3efb',
     '--mode helmholtz --m 3 --k 2 --basis-index 4 --zeta 1/2,-1,3/4,2 --trunc 3':
-        '024d381e16b7b0ed4fdae3f539de0f6ad4e8d48ab3aee8c99b5741d14ea15968',
+        'fbc2e17b18b381cf5f6df19599e607f0627c2e15f7fe2e969c94c2055073229b',
     '--mode helmholtz --m 3 --k 2 --basis-index 4 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
-        '9e338fa25c38d1688a74a997daa4655c587a8b5d4c34f816435f61a8281aaa96',
+        'a3874ffd24923c61bf86224b3075c1128616d9e4fc02d86f253200c70759239c',
     '--mode helmholtz --m 3 --k 2 --basis-index 4 --zeta 2,1,1,0 --trunc 3':
-        'a7ef5d215fcb03274c36672d8da863f81d5fa56940e38f4d906a739a4fce6028',
+        'ab42ded25c8ad1f2bae083b1aac182bc5d1e9a442c15a81a52c81ad244c30630',
     '--mode helmholtz --m 3 --k 2 --basis-index 4 --zeta 1,2,1/2,1 --trunc 3':
         '0529fa9d1762c2aaefcbb291efa6fc539b105ac10034d8d986bef78a74f6a7b7',
     '--mode gen-monogenic --m 3 --k 2 --basis-index 4 --zeta 1/2,-1,3/4,2 --trunc 3':
-        'ffe6ed39d32cdd098f62c46a3dded70b7d368b7c7bf713cd22f54b80c8c64c11',
+        'd0203c01ac697ca1c6025c1a80e29d7554539ff30408746cb1d04c1e8c25a004',
     '--mode gen-monogenic --m 3 --k 2 --basis-index 4 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
-        '01e688bad3aef4ab82c5e32aeca19fecbce67d535cb5986ca8170a9fd3d17439',
+        '607a7ea781a9adcc1d8f20f287a21c3c76b34d70dff3e4463314140cae6024d4',
     '--mode gen-monogenic --m 3 --k 2 --basis-index 4 --zeta 2,1,1,0 --trunc 3':
-        '68ceb7b9263ad7ca7800f806bcbdf101820ff61a242fff043b61129df8adce30',
+        'bf7175470b704c68771b95a5d853dfea01418d0f817435c3a2a38cd9282ff15e',
     '--mode gen-monogenic --m 3 --k 2 --basis-index 4 --zeta 1,2,1/2,1 --trunc 3':
         '80cab7e84b62a7467af2dfbba08538e755446307e5139dd6a530742aa2a25a28',
     '--mode gen-factored --m 3 --k 2 --basis-index 4 --zeta 1/2,-1,3/4,2 --trunc 3':
-        'fa2f5e86e6ed45663967eb3b90c95e19d0d4b387e7f1f65bf60169c4c9f7f1fa',
+        'f5534a296a8ace5c6e07e4f4ee857b4244d6100bfbbd2f9b5a9e9e5b1ddf8521',
     '--mode gen-factored --m 3 --k 2 --basis-index 4 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
-        'b8cbec8cbfa0051f86fce354430fcb33bee440490d09081ffd772c5e67a11a8a',
+        'e6e8aa021e02df6fd5f7a86b25cfd718dc14bd594fb2b183363ffa258f1e167d',
     '--mode gen-factored --m 3 --k 2 --basis-index 4 --zeta 2,1,1,0 --trunc 3':
-        'b351a390a987085b5a6eded7481074b51536537aa1db8368d06211bf54ac748f',
+        '4aa370a75f4b7f31ffd5ecad32626eb30b156ae33f38383d50e6e96e1044bf24',
     '--mode gen-factored --m 3 --k 2 --basis-index 4 --zeta 1,2,1/2,1 --trunc 3':
         '37a89373ce9b1e283bd37f582baedd1824cf443b03b670b9bfbab73136562205',
     '--mode gen-invertible --m 3 --k 2 --basis-index 4 --zeta 1/2,-1,3/4,2 --trunc 3':
-        '6a9ed1e367c012e9195cc1bae70053a663e44165f754080522aefdeff3ddbb80',
+        'ac1b14fbc64cb9c2069b45e079d0b1fbe98ce30b1055f2167b543beb089cd780',
     '--mode gen-invertible --m 3 --k 2 --basis-index 4 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
-        'c66ad6d66c25016c94dca729a1836fb2b0a442fd06c802abb1b8d275146596c6',
+        'd8e00a6f23a979f5da63a5cefeca11440635f9fa8db175b6dff7a3a0f61b5ffe',
     '--mode gen-invertible --m 3 --k 2 --basis-index 4 --zeta 2,1,1,0 --trunc 3':
-        'abe97c3731a51fb2bcda5b222fda545f52439dba2ebf2c970937152cb1aabcd5',
+        '0cd94f4f72523a87d9da2730f87ee2e7e75e013fa57024053c4f05173d6566c0',
     '--mode parabolic-closed --m 3 --k 2 --basis-index 4 --profile poly:1,-2,1/2 --trunc 3':
         'c7894fac150ab6508f2a54a4a3afb5e7f4b8f3db8bc30239984caa6ed537edf3',
     '--mode parabolic-closed --m 3 --k 2 --basis-index 4 --profile exp:-1/2 --trunc 3':
-        '76cf44bd18791b98c7ccd246563ecd73cec814e83cebcc3e0545d73a909d6c82',
+        'eb94aa14d9e88aacf3afe051705bd3ab16bd7433b19e45cdba50b1d19e90c146',
     '--mode parabolic-recurrence --m 3 --k 2 --basis-index 4 --seeds {"a0":"t^2","b0":"poly:1,1/3","a2":"1","b2":"exp:1/2"} --trunc 3':
-        '8271aedc0be4bd1e805844027908d42625bc17089d029971000ee0e277f4b068',
+        '6d71130f4227fa6ee9705e8ba027051e289e350927616fd320cc2bee46943474',
     '--mode helmholtz --m 3 --k 2 --basis-index 4 --zeta 1/2,-1,3/4,2 --trunc 5':
-        '6e74355a9698dc5695c07acbfed3183b6fd03ab66242093d8cb21894a2051083',
+        'c3978a43fb577180ecd503e817e1b3c90f165800fa5df45062c72bcf209dce5f',
     '--mode helmholtz --m 3 --k 2 --basis-index 4 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
-        'c14e8e58ed616dc902325372d00a5d8aad9fc5f3ee596019e888e3f532083254',
+        'ec7a2f13d2e72054800d6219ffcef605100f8bcfbbcecb81ada938e98b473414',
     '--mode helmholtz --m 3 --k 2 --basis-index 4 --zeta 2,1,1,0 --trunc 5':
-        'bc146e8a378dd30c2da98c1acf5a511e5cba61b164c13db67756473b24553fe9',
+        'd1930d2f885687b816ae8e86a0afd07cabe2c85dda5e5957d2fbbacb96da7e60',
     '--mode helmholtz --m 3 --k 2 --basis-index 4 --zeta 1,2,1/2,1 --trunc 5':
         '0529fa9d1762c2aaefcbb291efa6fc539b105ac10034d8d986bef78a74f6a7b7',
     '--mode gen-monogenic --m 3 --k 2 --basis-index 4 --zeta 1/2,-1,3/4,2 --trunc 5':
-        '5738b6e99524e602067e188aadf4a12ff2158ef1b77fb8989050e4682b6a9073',
+        '6b1c3869c12bdfcd5c97c4e67b6adfeb75074fd368b64a36745f63aa32490aef',
     '--mode gen-monogenic --m 3 --k 2 --basis-index 4 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
-        'c1ee7e159c6a0e72af843bbe9bd0e70d103cd27cd168dc3d164adf625ea2f7f6',
+        'f8ae20e3cef85e3a37356a8b1fbd6db644d54b8dc0997aec634598c0cff865a7',
     '--mode gen-monogenic --m 3 --k 2 --basis-index 4 --zeta 2,1,1,0 --trunc 5':
-        'a417567257de42210b15bff71535a8272d1601ced94d7a6b64f3b2264c7398fa',
+        '2f0f5463ca64bdbe5d940d8d26bd65f331ea74ad53885dbd24a06a170badaa32',
     '--mode gen-monogenic --m 3 --k 2 --basis-index 4 --zeta 1,2,1/2,1 --trunc 5':
         '80cab7e84b62a7467af2dfbba08538e755446307e5139dd6a530742aa2a25a28',
     '--mode gen-factored --m 3 --k 2 --basis-index 4 --zeta 1/2,-1,3/4,2 --trunc 5':
-        'd07943d2f0fe70c5c3f18245d6e1a69bf44607fa270e28614b73d307ab289df1',
+        '77d56f81de4abbf7cff3b74c007807aadaf1a9add11cc3c32bb5179787c8b4dc',
     '--mode gen-factored --m 3 --k 2 --basis-index 4 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
-        'a3447b6135ff32eec9187e6621ec885ffc8746cf1313fa918d3f08fac7bc6a9b',
+        '5a0d0e28ba4962e805a4faae48f62184910b52b0ba3db56e917986ddae0a390b',
     '--mode gen-factored --m 3 --k 2 --basis-index 4 --zeta 2,1,1,0 --trunc 5':
-        '5d4b2eb5167b3ae58c68a4f1e6785621ab7fa2e211a1cbab4d9454e36df6bc70',
+        '35c9aed679143db1c18008fce8c887ff92838e1fa40f0a35376771fd9303b005',
     '--mode gen-factored --m 3 --k 2 --basis-index 4 --zeta 1,2,1/2,1 --trunc 5':
         '37a89373ce9b1e283bd37f582baedd1824cf443b03b670b9bfbab73136562205',
     '--mode gen-invertible --m 3 --k 2 --basis-index 4 --zeta 1/2,-1,3/4,2 --trunc 5':
-        'abd225f19c5d7c7a194f2319dcf570681d356cdaaf615a527760f5ee92a6b7e5',
+        'f22cb5b1cdef4020bde0c4cc1cb103b8b780278b1586d42e51a339da966de354',
     '--mode gen-invertible --m 3 --k 2 --basis-index 4 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 5':
-        '84553a50e3fad33e4ec347acbe281e736e6beb8aa25cf473d20ec435e3a2e55e',
+        '2a98e788de0fc3f85308fdcefe6efd72fe377e68c6e3b8a2a2bbe2a96fa31936',
     '--mode gen-invertible --m 3 --k 2 --basis-index 4 --zeta 2,1,1,0 --trunc 5':
-        '628580d383a0a5f244ad9d4ac12b9304524b884aa033329161f21957c6b18e18',
+        'a009bc667c5b475c3aa67f343630e8a751659d076b79dd845dd66ce35d782209',
     '--mode parabolic-closed --m 3 --k 2 --basis-index 4 --profile poly:1,-2,1/2 --trunc 5':
         'c7894fac150ab6508f2a54a4a3afb5e7f4b8f3db8bc30239984caa6ed537edf3',
     '--mode parabolic-closed --m 3 --k 2 --basis-index 4 --profile exp:-1/2 --trunc 5':
-        'ebd32b0675500f198c6389a8e0946fbe51e464810b7dec765f40b9d7de79abc9',
+        '4393a9932637dfe83b39cb2571d0d89b72bb5490db167f318b474f1abd193596',
     '--mode parabolic-recurrence --m 3 --k 2 --basis-index 4 --seeds {"a0":"t^2","b0":"poly:1,1/3","a2":"1","b2":"exp:1/2"} --trunc 5':
-        'b6b92e52575380f6e30064fcd07c66d09cf335cb44b09ed646fd3e074558e790',
+        '156139cf2ac5869f4a6b3385b0bbb45c39d76bdfc8ec34bb86008e907e85fa1c',
 }
 
 

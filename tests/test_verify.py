@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import sampled_sup_norms
+from oracles import sampled_order, sampled_sup_norms
 from paradirac import verify
 from paradirac.algebra import AlgebraContext, Multivector
 from paradirac.builders import (ALL_MODES, SeriesSolution, build_generalized,
@@ -141,7 +141,11 @@ def test_dirac_residual_helmholtz_order():
     rep = dirac_residual(sol)
     assert rep.passed
     assert rep.expected_order == 2 * 6 + 1
-    assert abs(rep.estimated_order - rep.expected_order) <= 0.2
+    # exact coefficients: judged on the exact residual, nothing sampled;
+    # the residual the report holds still decays at the expected order
+    assert rep.sup_norm_by_radius == [] and rep.estimated_order is None
+    order = sampled_order(rep.residual_poly, (1.0, 0.5, 0.25), seed=0)
+    assert abs(order - rep.expected_order) <= 0.2
     assert rep.support_degrees == (2 * 6 + 1,)
 
 
@@ -152,7 +156,9 @@ def test_dirac_residual_generalized_order():
     rep = dirac_residual(sol)
     assert rep.passed
     assert rep.expected_order == 2 * 5 + 1 + 1
-    assert abs(rep.estimated_order - rep.expected_order) <= 0.2
+    assert rep.sup_norm_by_radius == [] and rep.estimated_order is None
+    order = sampled_order(rep.residual_poly, (1.0, 0.5, 0.25), seed=0)
+    assert abs(order - rep.expected_order) <= 0.2
 
 
 def test_dirac_residual_truncated_parabolic_floor():
@@ -167,11 +173,13 @@ def test_dirac_residual_truncated_parabolic_floor():
 
 
 def test_dirac_residual_custom_radii():
+    # float coefficients: the residual is sampled at the radii given
     ctx = AlgebraContext(2)
     sol = build_helmholtz(harmonic_basis(ctx, 0)[0],
-                          ZetaElement(0, 1, 1, 0), L=4)
+                          ZetaElement(0.0, 1.0, 1.0, 0.0), L=4)
     rep = dirac_residual(sol, radii=(1.0, 0.8, 0.6, 0.4))
     assert len(rep.sup_norm_by_radius) == 4
+    assert [r for r, _ in rep.sup_norm_by_radius] == [1.0, 0.8, 0.6, 0.4]
     assert rep.passed
 
 
@@ -230,8 +238,9 @@ def test_truncated_mutant_fails_on_its_exact_residual(mode, c):
     # below the top degree, however small the coefficient
     bad = dirac_residual(with_scalar_term(sol, (3, 0), c))
     assert not bad.passed
-    # the reported numbers are still the sampled ones
-    assert len(bad.sup_norm_by_radius) == 3
+    # decided on the exact residual alone: nothing is sampled
+    for r in (rep, bad):
+        assert r.sup_norm_by_radius == [] and r.estimated_order is None
 
 
 @pytest.mark.parametrize("L", [8, 12, 16])
@@ -296,7 +305,7 @@ def test_dirac_residual_rejects_non_finite_bodies():
         residual.assert_not_called()
 
 
-# -- sampling: one t for a residual without t, every (direction, t) pair else ------
+# -- sampling: a float residual without t once per point, exact ones never ------
 
 
 def _with_t(sol):
@@ -324,19 +333,23 @@ def _exp_profile(m, k, lam, L):
 
 Q = ZetaElement(Fraction(1, 2), -1, Fraction(3, 4), 2)
 Z = ZetaElement(0.5, -1.2, 0.3, 1.1)
+# truncated builds with float coefficients, whose residuals are sampled
 TIME_FREE = {
-    "gen-monogenic exact": lambda: _gen(2, 1, Q, 4),
-    "gen-factored exact": lambda: _gen(3, 0, Q, 3, "factored"),
     "gen-invertible float": lambda: _gen(2, 1, Z, 4, "invertible"),
     "gen-monogenic float": lambda: _gen(3, 1, Z, 3),
-    "helmholtz exact": lambda: _helm(2, 2, Q, 3),
     "helmholtz sylvester": lambda: _helm(3, 1, Z, 4, "sylvester"),
 }
 TIMED = {
-    "parabolic exp exact": lambda: _exp_profile(2, 1, Fraction(-1), 5),
     "parabolic exp float": lambda: _exp_profile(2, 0, -1.0, 4),
     "parabolic oscillating": lambda: _exp_profile(3, 0, 1j, 3),
     "helmholtz times t": lambda: _with_t(_helm(2, 1, Z, 4)),
+}
+# truncated builds with exact coefficients, judged on the exact residual
+EXACT_TRUNCATED = {
+    "gen-monogenic exact": lambda: _gen(2, 1, Q, 4),
+    "gen-factored exact": lambda: _gen(3, 0, Q, 3, "factored"),
+    "helmholtz exact": lambda: _helm(2, 2, Q, 3),
+    "parabolic exp exact": lambda: _exp_profile(2, 1, Fraction(-1), 5),
     "gen-monogenic times t": lambda: _with_t(_gen(2, 0, Q, 3)),
 }
 
@@ -380,6 +393,21 @@ def test_residual_with_t_is_sampled_at_every_pair(name):
     assert batches == [3 * len(dirs) * len(T_SAMPLES)]
     want = sampled_sup_norms(R, (1.0, 0.5, 0.25), seed=3)
     assert _bits(rep.sup_norm_by_radius) == _bits(want)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_TRUNCATED))
+def test_exact_coefficient_residual_is_not_sampled(name):
+    sol = EXACT_TRUNCATED[name]()
+    assert not sol.exact and sol.body.is_exact()
+    with mock.patch.object(verify, "unit_directions") as dirs, \
+            mock.patch.object(verify, "estimate_order") as order:
+        rep, batches, R = _sampling(sol)
+    assert batches == []
+    dirs.assert_not_called()
+    order.assert_not_called()
+    assert rep.passed and not rep.exact_zero and not R.is_zero()
+    assert rep.sup_norm_by_radius == [] and rep.estimated_order is None
+    assert rep.support_degrees
 
 
 # -- D F applied once per body: the memo a solution keeps ---------------------
