@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Tuple, Union
 
 from .scalars import GaussianRational, Scalar, is_exact
 
@@ -183,6 +183,9 @@ class _ProductRow(dict):
 # (re, im).  The loops below take such a pair wherever they take a scalar:
 # each tests a value for a tuple and does pair arithmetic only there, so one
 # loop serves pairs, int numerators and plain scalars alike.
+
+# an exact numerator: an int, or the integer pair (re, im) of a Gaussian one
+Numerator = Union[int, Tuple[int, int]]
 
 
 def _nmul(a, b):

@@ -12,7 +12,10 @@ The radial weights w_n = (-1/4 zeta* zeta)^n / (n! (g)_n) of an exact
 zeta are computed as integer 2x2 matrices over one denominator (integer
 pairs for Gaussian entries) and handed to the sum as blade numerators,
 with no Fraction or GaussianRational made per level; a float zeta, and
-the Sylvester evaluation, keep their ZetaElement float operations.
+the Sylvester evaluation, keep their ZetaElement float operations.  An
+exact generalized or Helmholtz build keeps those matrices, as the
+Cl(1,1) coefficients of its series per head, in its radial form, which
+verify checks the build's residual by.
 
 All series are truncated at the requested order L; the parabolic builds
 terminate on their own when every seed profile is a polynomial in t, in
@@ -24,18 +27,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .algebra import AlgebraContext, witt_basis
 from .harmonics import HarmonicPoly, MonogenicPoly
-from .poly import (CliffordPoly, Sum, exact_radial_weights, rho_powers,
+from .poly import (CliffordPoly, Sum, radial_level, rho_powers,
                    vector_variable)
 from .timefn import SpaceTimeFunction, TimeFunction, apply_0F1, assemble_split
-from .zeta import NotInvertibleError, ZetaElement
+from .zeta import IntMatrix, NotInvertibleError, ZetaElement
 
 PARABOLIC_MODES = ("parabolic-recurrence", "parabolic-closed")
 GENERALIZED_MODES = ("gen-monogenic", "gen-factored", "gen-invertible")
 ALL_MODES = PARABOLIC_MODES + ("helmholtz",) + GENERALIZED_MODES
+
+
+class RadialForm(NamedTuple):
+    """The radial form of an exact series build, sum_l rho^{2l} (P_l M + Q_l x M)
+    over each head M of degree k, with IntMatrix coefficients.
+
+    heads holds (k, P, Q) per head, P and Q tuples of L+1 matrices; a
+    Helmholtz build has P_l = w_l and Q None.  mode, k, L and zeta are
+    the build's, so a form is read only for the solution it was made for.
+    """
+
+    mode: str
+    k: Union[int, Tuple[int, ...]]
+    L: int
+    zeta: ZetaElement
+    heads: Tuple[Tuple[int, tuple, Optional[tuple]], ...]
 
 
 @dataclass
@@ -45,7 +64,9 @@ class SeriesSolution:
     A solution remembers D F of its body for the parabolic operator D, so
     dirac_residual followed by check_component_conditions applies D once.
     The memo is (body, D body), read only while body is that same object;
-    it takes no part in ==, repr or serialization.
+    it takes no part in ==, repr or serialization.  An exact generalized
+    or Helmholtz build keeps its radial form the same way, as
+    (body, RadialForm), for dirac_residual to check by the ladder.
     """
 
     body: SpaceTimeFunction
@@ -57,6 +78,8 @@ class SeriesSolution:
     zeta: Optional[ZetaElement] = None
     extra: Dict[str, object] = field(default_factory=dict)
     _dirac: Optional[Tuple[SpaceTimeFunction, SpaceTimeFunction]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _radial: Optional[Tuple[SpaceTimeFunction, RadialForm]] = field(
         default=None, init=False, repr=False, compare=False)
 
     @property
@@ -176,28 +199,29 @@ def build_parabolic_recurrence(M: MonogenicPoly,
 
 
 def _weight_recurrence(s: ZetaElement, gamma: Fraction, L: int,
-                       ctx: AlgebraContext) -> list:
-    """Sum.radial levels of the Cl(1,1) weights w_n = (-s/4)^n / (n! (gamma)_n)
-    for n = 0..L.
+                       ctx: AlgebraContext) -> tuple:
+    """(Sum.radial levels, IntMatrix weights) of the Cl(1,1) weights
+    w_n = (-s/4)^n / (n! (gamma)_n) for n = 0..L.
 
-    An exact s is iterated on integer numerators by exact_radial_weights;
+    An exact s is iterated on integer numerators by IntMatrix.radial_weights;
     an inexact s keeps the ZetaElement recurrence, its float operations
-    and a Multivector per level.
+    and a Multivector per level, and has no IntMatrix weights (None).
     """
     if s.is_exact():
-        return exact_radial_weights(s.entries(), gamma, L, ctx)
+        weights = IntMatrix.of(s).radial_weights(gamma, L)
+        return [radial_level(w, ctx) for w in weights], weights
     w = ZetaElement.identity()
     out = [w.to_multivector(ctx)]
     for n in range(L):
         w = (w * s).scale(Fraction(-1, 4) / ((n + 1) * (gamma + n)))
         out.append(w.to_multivector(ctx))
-    return out
+    return out, None
 
 
 def _radial_weights(z: ZetaElement, gamma: Fraction, L: int, radial: str,
-                    ctx: AlgebraContext) -> list:
-    """Sum.radial levels of the Cl(1,1) coefficients
-    w_n = (-1/4 zeta* zeta)^n / (n! (gamma)_n)."""
+                    ctx: AlgebraContext) -> tuple:
+    """(Sum.radial levels, IntMatrix weights or None) of the Cl(1,1)
+    coefficients w_n = (-1/4 zeta* zeta)^n / (n! (gamma)_n)."""
     if radial == "direct":
         return _weight_recurrence(z.star_zeta(), gamma, L, ctx)
     if radial == "sylvester":
@@ -210,8 +234,24 @@ def _radial_weights(z: ZetaElement, gamma: Fraction, L: int, radial: str,
                 coeff *= -0.25 / (n * float(gamma + n - 1))
             psi = PowerSeries([0.0] * n + [coeff])
             out.append(sylvester_eval(psi, z).to_multivector(ctx))
-        return out
+        return out, None
     raise ValueError(f"unknown radial evaluation {radial!r}")
+
+
+def _solution(body: CliffordPoly, mode: str, heads: list, L: int,
+              z: ZetaElement, ladders: list, **extra) -> SeriesSolution:
+    """The SeriesSolution of a series build.  ladders holds (P, Q) per
+    head, or None where the weights are not exact; the solution keeps its
+    radial form when no head has None and every head is exact."""
+    degrees = tuple(h.degree for h in heads)
+    sol = SeriesSolution(body=SpaceTimeFunction.from_poly(body), mode=mode,
+                         m=body.ctx.m,
+                         k=degrees if len(degrees) > 1 else degrees[0],
+                         L=L, exact=False, zeta=z, extra=extra)
+    if None not in ladders and all(h.poly.is_exact() for h in heads):
+        sol._radial = (sol.body, RadialForm(mode, sol.k, L, z, tuple(
+            (k, P, Q) for k, (P, Q) in zip(degrees, ladders))))
+    return sol
 
 
 def build_helmholtz(H, z: ZetaElement, L: int = 12,
@@ -221,19 +261,20 @@ def build_helmholtz(H, z: ZetaElement, L: int = 12,
     Solves (Laplacian + zeta* zeta) g = 0 up to the truncation tail; the
     heads are harmonic, not necessarily monogenic.  radial chooses how the
     Cl(1,1) weights are computed ("direct" exact powers, "sylvester" the
-    spectral formula; they agree to rounding).
+    spectral formula; they agree to rounding).  An exact "direct" build
+    keeps its weights w_l as its radial form.
     """
     heads = _as_list(H, HarmonicPoly, L)
     ctx = heads[0].poly.ctx
     total = Sum(CliffordPoly, ctx)
+    ladders = []
     for h in heads:
         gamma = Fraction(2 * h.degree + ctx.m, 2)
-        total.radial(h.poly, _radial_weights(z, gamma, L, radial, ctx))
-    degrees = tuple(h.degree for h in heads)
-    body = SpaceTimeFunction.from_poly(total.value())
-    return SeriesSolution(body=body, mode="helmholtz", m=ctx.m,
-                          k=degrees if len(degrees) > 1 else degrees[0],
-                          L=L, exact=False, zeta=z, extra={"radial": radial})
+        levels, w = _radial_weights(z, gamma, L, radial, ctx)
+        total.radial(h.poly, levels)
+        ladders.append(None if w is None else (tuple(w), None))
+    return _solution(total.value(), "helmholtz", heads, L, z, ladders,
+                     radial=radial)
 
 
 def build_generalized(M, z: ZetaElement, L: int = 12,
@@ -253,7 +294,10 @@ def build_generalized(M, z: ZetaElement, L: int = 12,
                 Requires det(zeta) != 0.
 
     Every form truncates to A_L + B_L at the top, so the residual of
-    (d_x + zeta) is exactly zeta B_L.
+    (d_x + zeta) is exactly zeta B_L.  With exact zeta and heads, each
+    form keeps the Cl(1,1) coefficients P_l, Q_l of its series
+    sum_l rho^{2l} (P_l M + Q_l x M) per head as its radial form (^ is
+    the involution, x c = c^ x for c in Cl(1,1)).
     """
     heads = _as_list(M, MonogenicPoly, L)
     if form not in ("monogenic", "factored", "invertible"):
@@ -262,38 +306,57 @@ def build_generalized(M, z: ZetaElement, L: int = 12,
         raise NotInvertibleError("invertible form needs det(zeta) != 0")
     ctx = heads[0].poly.ctx
     x = vector_variable(ctx)
+    zm = IntMatrix.of(z) if z.is_exact() else None
     # one sum over every head; within a head the stages' terms have
     # distinct spatial degrees, so adding them one by one to the sum adds
     # the head's whole series g
     total = Sum(CliffordPoly, ctx)
+    ladders = []
     for head in heads:
         k = head.degree
-        gamma = Fraction(2 * k + ctx.m, 2)
+        two_g = 2 * k + ctx.m
+        gamma = Fraction(two_g, 2)
         if form == "monogenic":
+            # P_l = w_l(gamma) and Q_l = w_l(gamma+1) zeta^ / (2k+m)
             sz = z.star_zeta()
-            total.radial(head.poly, _weight_recurrence(sz, gamma, L, ctx))
+            levels, P = _weight_recurrence(sz, gamma, L, ctx)
+            total.radial(head.poly, levels)
             b_head = (x * head.poly.lmul(z.to_multivector(ctx))).scale(
-                Fraction(1, 2 * k + ctx.m))
-            total.radial(b_head, _weight_recurrence(sz, gamma + 1, L, ctx))
+                Fraction(1, two_g))
+            levels, w = _weight_recurrence(sz, gamma + 1, L, ctx)
+            total.radial(b_head, levels)
+            if w is not None:
+                zs = zm.hat().scale(1, two_g)
+                ladder = (tuple(P), tuple(wl * zs for wl in w))
         elif form == "factored":
-            # starred radial weights here: g = zeta* inner - d_x inner
+            # starred radial weights here: g = zeta* inner - d_x inner; with
+            # I_l the inner weights over (2k+m), P_l = (2l+2k+m) I_l^ and
+            # Q_l = zeta^ I_l
+            levels, w = _weight_recurrence(z.zeta_star(), gamma + 1, L, ctx)
             inner = Sum(CliffordPoly, ctx).radial(
-                (x * head.poly).scale(Fraction(1, 2 * k + ctx.m)),
-                _weight_recurrence(z.zeta_star(), gamma + 1, L, ctx)).value()
+                (x * head.poly).scale(Fraction(1, two_g)), levels).value()
             total.lmul(z.involution().to_multivector(ctx), inner)
             total.dirac(inner, -1)
+            if w is not None:
+                inner_w = [wl.scale(1, two_g) for wl in w]
+                ladder = (tuple(il.hat().scale(2 * l + two_g)
+                                for l, il in enumerate(inner_w)),
+                          tuple(zm.hat() * il for il in inner_w))
         else:
             # one extra order, trimmed: g = inner - zeta^-1 d_x inner, cut
-            # back to degree 2L+k+1, which keeps all of d_x inner
-            weights = _weight_recurrence(z.star_zeta(), gamma, L + 1, ctx)
-            inner = Sum(CliffordPoly, ctx).radial(head.poly, weights).value()
+            # back to degree 2L+k+1, which keeps all of d_x inner; so
+            # P_l = w_l and Q_l = -2(l+1) zeta^-1 w_{l+1}^
+            levels, w = _weight_recurrence(z.star_zeta(), gamma, L + 1, ctx)
+            inner = Sum(CliffordPoly, ctx).radial(head.poly, levels).value()
             total.add(inner.truncate_degree(2 * L + k + 1))
             total.lmul(z.invert().to_multivector(ctx), inner.dirac(), -1)
-    degrees = tuple(h.degree for h in heads)
-    body = SpaceTimeFunction.from_poly(total.value())
-    return SeriesSolution(body=body, mode=f"gen-{form}", m=ctx.m,
-                          k=degrees if len(degrees) > 1 else degrees[0],
-                          L=L, exact=False, zeta=z)
+            if w is not None:
+                zinv = zm.inverse()
+                ladder = (tuple(w[:L + 1]),
+                          tuple(zinv * w[l + 1].hat().scale(-2 * (l + 1))
+                                for l in range(L + 1)))
+        ladders.append(None if w is None else ladder)
+    return _solution(total.value(), f"gen-{form}", heads, L, z, ladders)
 
 
 def parabolic_from_generalized(M: MonogenicPoly, lam: Union[int, float, complex],

@@ -22,8 +22,7 @@ keys() and coeffs(key), which makes one term's {blade: value} afresh
 (int, Fraction and GaussianRational values for an exact body); .terms,
 {key: Multivector}, is made afresh on every read.  No reader hands out a
 stored row, and no other module reads the numerators; the exact radial
-weights a builder hands Sum.radial come as numerators from
-exact_radial_weights.
+weights a builder hands Sum.radial come as numerators from radial_level.
 
 The accumulator.  Every operator but scale and / (which change D and the
 numerators of one body), and every sum of operator results, is built by
@@ -55,20 +54,17 @@ import cmath
 from fractions import Fraction
 from math import gcd, lcm, perm
 from operator import add
-from typing import (Dict, Hashable, Iterator, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
 from .algebra import (AlgebraContext, AlgebraMismatchError, Multivector,
-                      _mul_blade_into, _mul_into, _nadd, _nmul, _nneg,
-                      _split_blades)
+                      Numerator, _mul_blade_into, _mul_into, _nadd, _nmul,
+                      _nneg, _split_blades)
 from .scalars import Exact, GaussianRational, Scalar, is_exact
 
 Exponents = Tuple[int, ...]
 SpaceTimeKey = Tuple[Exponents, int, Scalar]
 # {key: {blade: numerator or raw value}}
 Rows = Dict[Hashable, Dict[int, Scalar]]
-# an exact numerator: an int, or the integer pair (re, im) of a Gaussian one
-Numerator = Union[int, Tuple[int, int]]
 
 # the types of exact values; a subclass such as bool is not one
 _EXACT_TYPES = (int, Fraction, GaussianRational)
@@ -262,8 +258,8 @@ class Sum:
     def _const(self, w, D: Optional[int], get, scale, left: bool) -> "Sum":
         """w * c (left) or c * w for every coefficient c of the body get()
         makes when the stage is made; D is that body's.  w is a
-        Multivector, or an exact level of exact_radial_weights: blade
-        numerators over q, whose values are read as n / q on raw values."""
+        Multivector, or an exact level from radial_level: blade numerators
+        over q, whose values are read as n / q on raw values."""
         ctx = self.ctx
         if isinstance(w, Multivector):
             rows, q = _to_numerators({0: w.terms})
@@ -292,8 +288,8 @@ class Sum:
 
     def radial(self, P: "SparseTerms", levels: Sequence) -> "Sum":
         """+ sum_n w_n * rho^{2n} P, one stage per level.  levels[n] is the
-        constant w_n: a Multivector, or an exact level of
-        exact_radial_weights.  Each power is made when its stage is."""
+        constant w_n: a Multivector, or an exact level from radial_level.
+        Each power is made when its stage is."""
         self._check(P)
         powers = rho_powers(P)
         for w in levels:
@@ -653,6 +649,12 @@ class SparseTerms:
             return self.lmul(other)
         return self.scale(other)
 
+    def degree_part(self, degree: int):
+        """The terms of spatial degree `degree`, over this body's D."""
+        split_key = self._split_key
+        return self._new({key: vals for key, vals in self._nums.items()
+                          if sum(split_key(key)[0]) == degree}, self._D)
+
     # -- spatial operators ---------------------------------------------------
 
     def partial(self, i: int):
@@ -929,52 +931,25 @@ def rho_powers(p: CliffordPoly) -> Iterator[CliffordPoly]:
         p = Sum(type(p), p.ctx).product(rho2, p).value()
 
 
-def exact_radial_weights(entries: Sequence[Exact], gamma: Fraction, L: int,
-                         ctx: AlgebraContext
-                         ) -> List[Tuple[Dict[int, Numerator], int]]:
-    """Sum.radial levels of the Cl(1,1) weights w_n = (-s/4)^n / (n! (gamma)_n),
-    n = 0..L, of the exact s = [[a, b], [c, d]] (entries), gamma a
-    half-integer: each level is what _to_numerators makes of
-    w_n.to_multivector(ctx), blade order included.
-
-    With s = S / sigma, sigma the lcm of the entries' denominators, the
-    weights are integer matrices w_n = W_n / q_n (integer pairs for
-    Gaussian entries): W_{n+1} = -W_n S and
-    q_{n+1} = q_n sigma 2(n+1)(2 gamma + 2n), since
-    4 (n+1)(gamma+n) = 2(n+1)(2 gamma + 2n), reduced by one gcd per level.
-    An entry is a pair wherever the GaussianRational recurrence has a
-    GaussianRational, and W holds no zero pair (_nadd leaves none).
+def radial_level(w, ctx: AlgebraContext) -> Tuple[Dict[int, Numerator], int]:
+    """The Sum.radial level of an exact Cl(1,1) weight w, a zeta.IntMatrix:
+    what _to_numerators makes of the weight's to_multivector(ctx), blade
+    order included.
 
     to_multivector puts +-entry/2 on the blades 1, eps e (a, d) and e, eps
-    (b, c), so a level's numerators over 2 q_n are a+d, a-d, b-c and
+    (b, c), so the level's numerators over 2 q are a+d, a-d, b-c and
     -(b+c), each dropped when it vanishes, the blades of a first exactly
     when a is nonzero; a zero entry is the int 0, which changes no type,
     as to_multivector skips it.
     """
     top = 1 << (ctx.m + 1)
-    ratios = [_ratio(v) for v in entries]
-    sigma = lcm(*(den for _, den in ratios))
-    e, f, g, h = (_nmul(num, sigma // den) for num, den in ratios)
-    two_gamma = int(2 * gamma)
-    W, q = (1, 0, 0, 1), 1
-    out = []
-    for n in range(L + 1):
-        if n:
-            a, b, c, d = W
-            W = {0: _nneg(_nadd(_nmul(a, e), _nmul(b, g))),
-                 1: _nneg(_nadd(_nmul(a, f), _nmul(b, h))),
-                 2: _nneg(_nadd(_nmul(c, e), _nmul(d, g))),
-                 3: _nneg(_nadd(_nmul(c, f), _nmul(d, h)))}
-            rows, q = _reduced({0: W}, q * sigma * 2 * n * (two_gamma + 2 * n - 2))
-            W = tuple(rows[0].values())
-        a, b, c, d = W
-        nb, nc = _nneg(b), _nneg(c)
-        ad = ((0, _nadd(a, d)), (top | 1, _nadd(a, _nneg(d))))
-        bc = ((top, _nadd(b, nc)), (1, _nadd(nb, nc)))
-        rows, D = _reduced({0: {mask: v for mask, v in (ad + bc if a else bc + ad)
-                                if v}}, 2 * q)
-        out.append((rows[0], D))
-    return out
+    a, b, c, d = w.entries
+    nb, nc = _nneg(b), _nneg(c)
+    ad = ((0, _nadd(a, d)), (top | 1, _nadd(a, _nneg(d))))
+    bc = ((top, _nadd(b, nc)), (1, _nadd(nb, nc)))
+    rows, D = _reduced({0: {mask: v for mask, v in (ad + bc if a else bc + ad)
+                            if v}}, 2 * w.q)
+    return rows[0], D
 
 
 def integer_rescale(p: CliffordPoly) -> CliffordPoly:

@@ -221,10 +221,29 @@ def solution_from_dict(data: dict) -> SeriesSolution:
     L = _get(data, "L", (int,))
     if L < 0:
         raise ValueError(f"truncation L={L} is negative")
+    if not mode.startswith("parabolic"):
+        _check_series_degrees(body, mode, ks, L)
     return SeriesSolution(body=body, mode=mode, m=ctx.m,
                           k=k, L=L,
                           exact=_get(data, "exact", (bool,)),
                           zeta=_decode_zeta(zeta), extra=dict(extra))
+
+
+def _check_series_degrees(body: SpaceTimeFunction, mode: str,
+                          ks: Tuple[int, ...], L: int) -> None:
+    """A series body starts at its lowest head degree, min(k), and ends by
+    2L+max(k)+1 (2L+max(k) for helmholtz); the residual reads its top
+    degrees from k and L, so a file that breaks either is refused."""
+    degrees = {sum(key[0]) for key in body.keys()}
+    if not degrees:
+        return
+    if min(degrees) != min(ks):
+        raise ValueError(f"solution field 'k' gives lowest head degree {min(ks)}, "
+                         f"but the body's lowest spatial degree is {min(degrees)}")
+    top = 2 * L + max(ks) + (mode != "helmholtz")
+    if max(degrees) > top:
+        raise ValueError(f"the body has a term of spatial degree {max(degrees)}, "
+                         f"above 2L+max(k){'+1' * (mode != 'helmholtz')} = {top}")
 
 
 def save_solution(sol: SeriesSolution, path: str) -> None:

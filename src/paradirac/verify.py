@@ -14,6 +14,11 @@ sampled over spheres of shrinking radius.
 A solution remembers D F of its body for the parabolic operator D, so
 dirac_residual followed by check_component_conditions applies D once;
 the component conditions are still read off the split components alone.
+A generalized or Helmholtz build fresh from its builder keeps its radial
+form instead, and its residual is read off the top level once the form
+passes the ladder identities; symbolic_residual, the operator applied to
+every monomial, stays the residual of every other solution and the
+oracle the ladder is tested against.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .builders import SeriesSolution
 from .poly import CliffordPoly, Sum
 from .timefn import (SpaceTimeFunction, assemble_split, heat_residual,
                      parabolic_dirac)
+from .zeta import IntMatrix
 
 # sup-norms below this are treated as zero when estimating orders
 UNDERFLOW_GUARD = 1e-14
@@ -179,6 +185,56 @@ def _parabolic_residual(F: SeriesSolution) -> SpaceTimeFunction:
     return memo[1]
 
 
+def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
+    """F's residual read off its radial form, or None when F has no form
+    for this body and metadata, or the form fails the ladder.
+
+    With d_x(rho^{2l} M) = 2l rho^{2l-2} x M and
+    d_x(rho^{2l} x M) = -(2l+2k+m) rho^{2l} M for a monogenic M of degree
+    k, and e_i c = c^ e_i for c in Cl(1,1), (d_x + zeta) applied to
+    sum_l rho^{2l} (P_l M + Q_l x M) leaves only zeta Q_L rho^{2L} x M when
+
+        zeta P_l = (2l+2k+m) Q_l^  and  zeta Q_l + 2(l+1) P_{l+1}^ = 0;
+
+    and (Laplacian + zeta* zeta) applied to sum_l w_l rho^{2l} H, H
+    harmonic, leaves only zeta* zeta w_L rho^{2L} H when
+    zeta* zeta w_l + 2(l+1)(2l+2k+m) w_{l+1} = 0.  Those levels are the
+    body's terms of top degree, so the residual is zeta (or zeta* zeta)
+    times that slice of the body.  The identities run on IntMatrix
+    numerators.  Heads of different degrees share no top slice and are
+    left to the monomial residual.
+    """
+    memo = F._radial
+    if memo is None or memo[0] is not F.body:
+        return None
+    form = memo[1]
+    if (form.mode, form.k, form.L, form.zeta) != (F.mode, F.k, F.L, F.zeta):
+        return None
+    degrees = {k for k, _, _ in form.heads}
+    if len(degrees) != 1:
+        return None
+    (k,) = degrees
+    m, L = F.ctx.m, F.L
+    Z = IntMatrix.of(F.zeta)
+    if F.mode == "helmholtz":
+        ZZ = Z.hat() * Z
+        for _, w, _ in form.heads:
+            if not all(ZZ * w[l]
+                       == w[l + 1].scale(-2 * (l + 1) * (2 * l + 2 * k + m))
+                       for l in range(L)):
+                return None
+        c, top = F.zeta.star_zeta(), 2 * L + k
+    else:
+        for _, P, Q in form.heads:
+            if not (all(Z * P[l] == Q[l].hat().scale(2 * l + 2 * k + m)
+                        for l in range(L + 1))
+                    and all(Z * Q[l] == P[l + 1].hat().scale(-2 * (l + 1))
+                            for l in range(L))):
+                return None
+        c, top = F.zeta, 2 * L + k + 1
+    return F.body.degree_part(top).lmul(c.to_multivector(F.ctx))
+
+
 def _infer_operator(mode: str) -> str:
     if mode.startswith("parabolic"):
         return "parabolic"
@@ -263,6 +319,16 @@ def dirac_residual(F: SeriesSolution,
     least two for a truncated build, order_tol must be finite and
     nonnegative, and every coefficient and lambda of the body must be
     finite, or ValueError is raised.
+
+    Which residual: a generalized or Helmholtz solution fresh from its
+    builder, with exact zeta and heads of one degree, keeps its radial
+    form; its residual is zeta (zeta* zeta for Helmholtz) times the
+    body's top-degree slice once the form passes the ladder identities
+    (_ladder_residual), and equals symbolic_residual(F) term for term.
+    Every other solution takes symbolic_residual, the operator applied
+    to every monomial: parabolic builds, float or Sylvester weights,
+    heads of several degrees, a loaded, replaced or perturbed body, and
+    a form that fails the ladder.
     """
     if not (all(math.isfinite(r) and r > 0 for r in radii)
             and len(set(radii)) == len(radii)):
@@ -274,9 +340,12 @@ def dirac_residual(F: SeriesSolution,
     if not F.exact and len(radii) < 2:
         raise ValueError(f"a truncated build needs at least two radii to "
                          f"estimate its order, got {list(radii)}")
-    if not F.body.is_finite():
-        raise ValueError("the solution has a non-finite coefficient or lambda")
-    R = symbolic_residual(F)
+    R = _ladder_residual(F)
+    by_ladder = R is not None       # then the body is exact, so finite
+    if R is None:
+        if not F.body.is_finite():
+            raise ValueError("the solution has a non-finite coefficient or lambda")
+        R = symbolic_residual(F)
     report = ResidualReport(mode=F.mode, exact_zero=False, residual_poly=R,
                             seed=seed)
     if F.exact:
@@ -294,13 +363,12 @@ def dirac_residual(F: SeriesSolution,
     ks = F.k if isinstance(F.k, tuple) else (F.k,)
     op = _infer_operator(F.mode)
     tops = {2 * F.L + kk + (op != "helmholtz") for kk in ks}
-    expected = None if op == "parabolic" else float(min(tops))
+    report.expected_order = None if op == "parabolic" else float(min(tops))
 
-    if F.body.is_exact():
+    if by_ladder or F.body.is_exact():
         # exact coefficients: the residual itself decides, with no
         # threshold and no sample; every coefficient must sit at a top degree
         report.support_degrees = _sift(R, 0.0)[2]
-        report.expected_order = expected
         report.passed = {sum(exps) for exps, _, _ in R.keys()} <= tops
         return report
 
@@ -310,7 +378,6 @@ def dirac_residual(F: SeriesSolution,
     # R_sig's own largest coefficient whenever R_sig is nonzero
     R_sig, scale, support = _sift(R, NOISE_REL * F.body.max_abs())
     if R_sig.is_zero():
-        report.exact_zero = False
         report.passed = True          # pure rounding noise, no real tail
         return report
 
@@ -333,13 +400,13 @@ def dirac_residual(F: SeriesSolution,
     scaled = [(r, s / scale) for r, s in sups] if scale > 0 else sups
     report.estimated_order = estimate_order(scaled)
     report.support_degrees = support
-    report.expected_order = expected
 
     if all(s < UNDERFLOW_GUARD for _, s in sups):
         # truncation tail vanished identically up to rounding
         report.passed = True
         return report
 
+    expected = report.expected_order
     if expected is not None:
         support_ok = bool(support) and set(support) <= tops
         order_ok = (report.estimated_order is not None

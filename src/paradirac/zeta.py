@@ -8,6 +8,11 @@ all happen at matrix level. xi = (f fdag - fdag f) zeta has matrix
 analytic psi(zeta* zeta) be evaluated through the eigenvalues of xi:
 Sylvester's two-point interpolation for distinct eigenvalues, and its
 confluent limit psi(l^2) + 2 l psi'(l^2) (xi - l) for a repeated one.
+
+An exact element is also carried as an IntMatrix: its matrix as integer
+numerators over one positive denominator, integer pairs (re, im) for
+Gaussian entries.  The radial weights of an exact zeta, and the ladder
+identities verify checks them by, run on those numerators alone.
 """
 
 from __future__ import annotations
@@ -15,10 +20,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from math import gcd, lcm
+from typing import List, Sequence, Tuple
 
-from .algebra import AlgebraContext, Multivector
-from .scalars import Scalar, is_exact
+from .algebra import (AlgebraContext, Multivector, Numerator, _nadd, _nmul,
+                      _nneg)
+from .scalars import GaussianRational, Scalar, is_exact
 
 # repeated-eigenvalue branch: relative gap below this uses the confluent formula
 BRANCH_TOL = 1e-9
@@ -165,6 +172,106 @@ class ZetaElement:
                 else:
                     terms.pop(mask, None)
         return Multivector(ctx, terms)
+
+
+class IntMatrix:
+    """An exact Cl(1,1) element: the integer matrix [[a, b], [c, d]] over q > 0.
+
+    An entry is an int, or an integer pair (re, im) where the element has
+    a Gaussian entry; products, the involution and scaling keep pairs as
+    pairs, as GaussianRational arithmetic keeps its type.  Two matrices
+    are equal when their values are.
+    """
+
+    __slots__ = ("entries", "q")
+
+    def __init__(self, entries: Sequence[Numerator], q: int = 1):
+        self.entries, self.q = tuple(entries), q
+
+    @classmethod
+    def of(cls, z: ZetaElement) -> "IntMatrix":
+        """The matrix of an exact z over the lcm of its entries' denominators."""
+        ratios = []
+        for v in z.entries():
+            if isinstance(v, GaussianRational):
+                q = lcm(v.re.denominator, v.im.denominator)
+                ratios.append(((v.re.numerator * (q // v.re.denominator),
+                                v.im.numerator * (q // v.im.denominator)), q))
+            else:
+                v = Fraction(v)
+                ratios.append((v.numerator, v.denominator))
+        sigma = lcm(*(q for _, q in ratios))
+        return cls([_nmul(n, sigma // q) for n, q in ratios], sigma)
+
+    def __repr__(self):
+        return f"IntMatrix({self.entries!r}, {self.q})"
+
+    def __eq__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return not any(_nadd(_nmul(x, other.q), _nneg(_nmul(y, self.q)))
+                       for x, y in zip(self.entries, other.entries))
+
+    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
+        a, b, c, d = self.entries
+        e, f, g, h = other.entries
+        return IntMatrix((_nadd(_nmul(a, e), _nmul(b, g)),
+                          _nadd(_nmul(a, f), _nmul(b, h)),
+                          _nadd(_nmul(c, e), _nmul(d, g)),
+                          _nadd(_nmul(c, f), _nmul(d, h))), self.q * other.q)
+
+    def hat(self) -> "IntMatrix":
+        """The main involution, as ZetaElement.involution: b and c negated."""
+        a, b, c, d = self.entries
+        return IntMatrix((a, _nneg(b), _nneg(c), d), self.q)
+
+    def scale(self, p: int, q: int = 1) -> "IntMatrix":
+        """Times p / q, q > 0."""
+        return IntMatrix([_nmul(n, p) for n in self.entries], self.q * q)
+
+    def inverse(self) -> "IntMatrix":
+        """The inverse matrix; ZeroDivisionError at det 0."""
+        a, b, c, d = self.entries
+        det = _nadd(_nmul(a, d), _nneg(_nmul(b, c)))
+        if not det:
+            raise ZeroDivisionError("IntMatrix has det = 0")
+        # adj / det = adj conj(det) / |det|^2 for a pair, adj sign / |det| else
+        if type(det) is tuple:
+            p, norm = (det[0], -det[1]), det[0] ** 2 + det[1] ** 2
+        else:
+            p, norm = (1, det) if det > 0 else (-1, -det)
+        return IntMatrix([_nmul(n, p) for n in (d, _nneg(b), _nneg(c), a)],
+                         norm).scale(self.q)
+
+    def reduced(self) -> "IntMatrix":
+        """The same value with the common factor of q and the entries
+        divided out."""
+        g = self.q
+        for n in self.entries:
+            g = gcd(g, n) if type(n) is int else gcd(g, *n)
+        if g == 1:
+            return self
+        return IntMatrix([n // g if type(n) is int else (n[0] // g, n[1] // g)
+                          for n in self.entries], self.q // g)
+
+    def radial_weights(self, gamma: Fraction, L: int) -> List["IntMatrix"]:
+        """w_n = (-s/4)^n / (n! (gamma)_n), n = 0..L, of s = self, gamma a
+        half-integer.
+
+        With s = S / sigma: w_n = W_n / q_n, W_{n+1} = -W_n S and
+        q_{n+1} = q_n sigma 2(n+1)(2 gamma + 2n), since
+        4 (n+1)(gamma+n) = 2(n+1)(2 gamma + 2n), reduced by one gcd per
+        level.  An entry is a pair wherever the GaussianRational recurrence
+        has a GaussianRational, and no entry is a zero pair (_nadd leaves
+        none).
+        """
+        two_gamma = int(2 * gamma)
+        w = IntMatrix((1, 0, 0, 1))
+        out = [w]
+        for n in range(1, L + 1):
+            w = (w * self).scale(-1, 2 * n * (two_gamma + 2 * n - 2)).reduced()
+            out.append(w)
+        return out
 
 
 class PowerSeries:

@@ -139,6 +139,59 @@ def test_parabolic_solution_file_with_a_list_k(capsys, tmp_path, mode, k):
         assert "field 'k'" in err and mode in err and stdout == ""
 
 
+@pytest.mark.parametrize("mode, edit, message", [
+    # the file at "k": 3 verified FAIL and at "k": [1, 0] PASS before k was
+    # checked at load
+    ("gen-monogenic", {"k": 3}, "lowest head degree 3, but the body's lowest "
+                                "spatial degree is 1"),
+    ("gen-monogenic", {"k": [1, 0]}, "lowest head degree 0"),
+    ("gen-monogenic", {"L": 3}, "degree 10, above 2L+max(k)+1 = 8"),
+    ("gen-invertible", {"k": [1, 1], "L": 3}, "above 2L+max(k)+1 = 8"),
+    ("helmholtz", {"k": 2}, "lowest head degree 2"),
+    ("helmholtz", {"L": 3}, "degree 9, above 2L+max(k) = 7"),
+], ids=["k above", "k list below", "L below", "two heads L below",
+        "helmholtz k above", "helmholtz L below"])
+def test_series_solution_file_k_and_L_checked_against_the_body(
+        capsys, tmp_path, mode, edit, message):
+    sol_path = tmp_path / "sol.json"
+    assert run(capsys, "build", "--mode", mode, "--m", "2", "--k", "1",
+               "--zeta", "1,1/2,-1,2", "--trunc", "4",
+               "--out", str(sol_path))[0] == 0
+    assert run(capsys, "verify", "--solution", str(sol_path))[0] == 0
+    data = json.loads(sol_path.read_text())
+    data.update(edit)
+    sol_path.write_text(json.dumps(data))
+    points = tmp_path / "pts.csv"
+    points.write_text("x1,x2,t\n0.5,0.5,0\n")
+    for argv in (["verify", "--solution", str(sol_path)],
+                 ["eval", "--solution", str(sol_path), "--points", str(points)]):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert message in err and stdout == ""
+
+
+def test_series_solution_file_with_several_head_degrees_loads(capsys, tmp_path):
+    sol_path = tmp_path / "sol.json"
+    assert run(capsys, "build", "--mode", "gen-factored", "--m", "2",
+               "--k", "2,0", "--zeta", "1,1/2,-1,2", "--trunc", "3",
+               "--out", str(sol_path))[0] == 0
+    code, stdout, _ = run(capsys, "verify", "--solution", str(sol_path))
+    assert code == 0 and "(PASS)" in stdout
+
+
+def test_float_residual_under_the_roundoff_cut_keeps_its_expected_order(
+        capsys, tmp_path):
+    rep_path = tmp_path / "rep.json"
+    code, stdout, _ = run(capsys, "verify", "--mode", "gen-monogenic", "--m", "2",
+                          "--k", "0", "--zeta", "1,0,0,1", "--trunc", "8",
+                          "--backend", "float", "--out", str(rep_path))
+    assert code == 0
+    assert stdout == ("gen-monogenic: estimated order n/a (expected 17.0), "
+                      "support degrees None (PASS)\n")
+    rep = json.loads(rep_path.read_text())
+    assert rep["expected_order"] == 17.0 and rep["sup_norm_by_radius"] == []
+
+
 def test_recurrence_seeds_flag(capsys, tmp_path):
     sol_path = tmp_path / "rec.json"
     seeds = json.dumps({"a0": "t", "b2": "poly:0,-0.5"})

@@ -9,8 +9,8 @@ from oracles import (as_spacetime, assert_matches, exact_values, o_add,
                      o_dirac, o_div, o_evaluate, o_laplacian, o_lmul, o_mul,
                      o_neg, o_partial, o_rmul, o_scale, typed)
 from paradirac.algebra import AlgebraContext, Multivector, _mul_into, witt_basis
-from paradirac.poly import (CliffordPoly, SpaceTimeFunction, rho_squared,
-                            vector_variable)
+from paradirac.poly import (CliffordPoly, SpaceTimeFunction, TimeFunction,
+                            rho_squared, vector_variable)
 from paradirac.scalars import GaussianRational
 
 rng = random.Random(31415)
@@ -138,6 +138,19 @@ def test_truncate_degree():
     t = p.truncate_degree(2)
     assert t == CliffordPoly.monomial(ctx, (1, 0), 2)
     assert p.truncate_degree(5) == p
+
+
+def test_degree_part():
+    ctx = AlgebraContext(2)
+    t = TimeFunction.term(ctx, Fraction(1, 3), n=2, lam=-1)
+    p = SpaceTimeFunction.from_poly(CliffordPoly.monomial(ctx, (3, 0), 1)
+                                    + CliffordPoly.monomial(ctx, (1, 2), 2)
+                                    + CliffordPoly.monomial(ctx, (1, 0), 5)) * t
+    want = SpaceTimeFunction.from_poly(CliffordPoly.monomial(ctx, (3, 0), 1)
+                                       + CliffordPoly.monomial(ctx, (1, 2), 2)) * t
+    assert p.degree_part(3) == want
+    assert p.degree_part(2).is_zero()
+    assert p.degree_part(1) + p.degree_part(3) == p
 
 
 def test_lmul_rmul_orientation():

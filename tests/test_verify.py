@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,7 +19,8 @@ from paradirac.builders import (ALL_MODES, SeriesSolution, build_generalized,
 from paradirac.harmonics import harmonic_basis, monogenic_basis
 from paradirac.poly import CliffordPoly
 from paradirac.scalars import GaussianRational
-from paradirac.serialize import solution_to_dict
+from paradirac.serialize import (load_solution, residual_report_to_dict,
+                                 save_solution, solution_to_dict)
 from paradirac.timefn import SpaceTimeFunction, TimeFunction, parabolic_dirac
 from paradirac.verify import (NOISE_REL, T_SAMPLES, _sift,
                               check_component_conditions, check_factorization,
@@ -585,8 +587,18 @@ def test_sweep_builds_verify_and_single_coefficient_mutants_fail(data):
     assert sol.body.is_exact()
     # the parent first, so that it has D F remembered when it is mutated
     parent = sol.body
-    rep = dirac_residual(sol)
+    rep, monomial = _residual_and_monomial_calls(sol)
     assert rep.passed
+    if not parabolic:
+        # judged by the radial ladder, with the report a copy without the
+        # radial form gets from the monomial residual
+        assert monomial == 0
+        assert rep.residual_poly == symbolic_residual(sol)
+        slow, monomial = _residual_and_monomial_calls(dataclasses.replace(sol))
+        assert monomial == 1
+        assert (rep.support_degrees, rep.passed) == (slow.support_degrees,
+                                                     slow.passed)
+        assert report_text(rep) == report_text(slow)
     if parabolic:
         comp = check_component_conditions(sol)
         assert comp.detail["equivalent"]
@@ -613,3 +625,124 @@ def test_sweep_builds_verify_and_single_coefficient_mutants_fail(data):
             assert not comp.passed and comp.detail["equivalent"]
     sol.body = parent
     assert dirac_residual(sol) == rep
+
+
+# -- the radial ladder: which builds skip the monomial residual -----------------
+
+
+def _residual_and_monomial_calls(sol):
+    """dirac_residual's report on sol, and how often it called
+    symbolic_residual, the operator applied to every monomial."""
+    with mock.patch.object(verify, "symbolic_residual",
+                           wraps=verify.symbolic_residual) as monomial:
+        rep = dirac_residual(sol)
+    return rep, monomial.call_count
+
+
+def report_text(rep):
+    """The report as paradirac verify --out writes it."""
+    return json.dumps(residual_report_to_dict(rep), indent=1)
+
+
+GQ = ZetaElement(GaussianRational(1, 2), Fraction(-1, 3), GaussianRational(0, 1), 2)
+SERIES = {
+    "gen-monogenic": lambda: _gen(2, 1, Q, 4),
+    "gen-monogenic gaussian": lambda: _gen(3, 1, GQ, 3),
+    "gen-factored": lambda: _gen(3, 0, Q, 3, "factored"),
+    "gen-factored det0": lambda: _gen(2, 2, ZetaElement(1, 2, 1, 2), 4, "factored"),
+    "gen-invertible": lambda: _gen(2, 2, GQ, 3, "invertible"),
+    "helmholtz": lambda: _helm(2, 2, Q, 3),
+    "helmholtz gaussian": lambda: _helm(3, 1, GQ, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_fresh_series_builds_are_judged_by_the_ladder(name):
+    sol = SERIES[name]()
+    rep, monomial = _residual_and_monomial_calls(sol)
+    assert monomial == 0
+    assert rep.passed and not rep.exact_zero
+    assert rep.residual_poly == symbolic_residual(sol)
+    top = 2 * sol.L + sol.k + (sol.mode != "helmholtz")
+    assert rep.support_degrees == (top,)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_bodies_without_their_radial_form_take_the_monomial_residual(
+        name, tmp_path):
+    sol = SERIES[name]()
+    fast = dirac_residual(sol)
+    path = tmp_path / "sol.json"
+    save_solution(sol, str(path))
+    same = {"replace": dataclasses.replace(sol),
+            "replaced body": dataclasses.replace(sol, body=sol.body.scale(1)),
+            "loaded": load_solution(str(path))}
+    for how, other in same.items():
+        rep, monomial = _residual_and_monomial_calls(other)
+        assert monomial == 1, how
+        assert report_text(rep) == report_text(fast), how
+    mutant = perturb_component(sol, 0, (1,) * sol.m, sol.ctx.e(1))
+    rep, monomial = _residual_and_monomial_calls(mutant)
+    assert monomial == 1 and not rep.passed
+    # the solution itself still has its form
+    assert _residual_and_monomial_calls(sol) == (fast, 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _gen(2, 1, Z, 4),
+    lambda: _gen(3, 0, Z, 3, "factored"),
+    lambda: _helm(2, 1, Z, 4),
+    lambda: _helm(2, 1, Q, 4, "sylvester"),
+], ids=["gen-monogenic float", "gen-factored float", "helmholtz float",
+        "helmholtz sylvester"])
+def test_float_series_builds_take_the_monomial_residual(build):
+    sol = build()
+    assert not sol.body.is_exact()
+    rep, monomial = _residual_and_monomial_calls(sol)
+    assert monomial == 1 and rep.passed
+
+
+@pytest.mark.parametrize("name, level", [
+    ("gen-monogenic", 0), ("gen-factored", 2), ("gen-invertible", 3),
+    ("helmholtz", 1)])
+@pytest.mark.parametrize("which", [0, 1])
+def test_a_corrupted_radial_form_falls_back_and_passes_a_correct_body(
+        name, level, which):
+    sol = SERIES[name]()
+    want = dirac_residual(dataclasses.replace(sol))
+    body, form = sol._radial
+    ((k, P, Qs),) = form.heads
+    ladder = [list(P), Qs and list(Qs)]
+    if ladder[which] is None:           # Helmholtz: w_l only
+        which = 0
+    ladder[which][level] = ladder[which][level].scale(2)
+    sol._radial = (body, form._replace(
+        heads=((k, tuple(ladder[0]), ladder[1] and tuple(ladder[1])),)))
+    rep, monomial = _residual_and_monomial_calls(sol)
+    assert monomial == 1 and rep.passed
+    assert report_text(rep) == report_text(want)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("zeta", ZetaElement(1, 0, 0, 1)), ("L", 3), ("k", (1,)),
+    ("mode", "helmholtz")])
+def test_changed_metadata_drops_the_radial_form(field, value):
+    sol = _gen(2, 1, Q, 4)
+    setattr(sol, field, value)
+    rep, monomial = _residual_and_monomial_calls(sol)
+    assert monomial == 1
+    assert not rep.passed or field == "k"
+
+
+@pytest.mark.parametrize("form", ["monogenic", "factored", "invertible"])
+@pytest.mark.parametrize("degrees, ladder", [((1, 1), True), ((2, 0), False)])
+def test_several_heads(form, degrees, ladder):
+    ctx = AlgebraContext(2)
+    bases = [monogenic_basis(ctx, k) for k in degrees]
+    heads = [basis[i % len(basis)] for i, basis in enumerate(bases)]
+    assert heads[0] != heads[1]
+    sol = build_generalized(heads, GQ, L=3, form=form)
+    rep, monomial = _residual_and_monomial_calls(sol)
+    assert rep.passed and monomial == (0 if ladder else 1)
+    slow = dirac_residual(dataclasses.replace(sol))
+    assert report_text(rep) == report_text(slow)

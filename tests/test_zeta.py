@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import exp_series, hyp0f1_series, series_eval
 from paradirac.algebra import AlgebraContext, split
 from paradirac.scalars import GaussianRational
-from paradirac.zeta import (NotInvertibleError, PowerSeries, ZetaElement,
-                            sylvester_eval)
+from paradirac.zeta import (IntMatrix, NotInvertibleError, PowerSeries,
+                            ZetaElement, sylvester_eval)
 
 rng = random.Random(77001)
 
@@ -194,3 +196,49 @@ def test_gaussian_rational_entries_survive():
     assert z.is_exact()
     zz = z.star_zeta()
     assert zz.is_exact()
+
+
+# -- IntMatrix: exact elements on integer numerators ----------------------------
+
+
+small_q = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+exact_entry = st.one_of(st.integers(-3, 3), small_q,
+                        st.builds(GaussianRational, small_q, small_q))
+exact_zetas = st.builds(ZetaElement, exact_entry, exact_entry, exact_entry,
+                        exact_entry)
+
+
+def value(w: IntMatrix) -> ZetaElement:
+    """The exact element an IntMatrix stands for."""
+    def one(n):
+        if type(n) is tuple:
+            return GaussianRational(Fraction(n[0], w.q), Fraction(n[1], w.q))
+        return Fraction(n, w.q)
+    return ZetaElement(*map(one, w.entries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_zetas, exact_zetas, st.integers(-5, 5), st.integers(1, 6))
+def test_int_matrix_arithmetic_matches_zeta_element(z, w, p, q):
+    Z, W = IntMatrix.of(z), IntMatrix.of(w)
+    assert value(Z) == z and Z.q > 0
+    assert value(Z * W) == z * w
+    assert value(Z.hat()) == z.involution()
+    assert value(Z.scale(p, q)) == z.scale(Fraction(p, q))
+    assert value(Z.reduced()) == z and Z.reduced() == Z
+    assert (Z == W) == (z == w)
+    assert Z.scale(2, 2) == Z
+    assert (Z.scale(-1) == Z) == z.is_zero()
+    if z.is_invertible():
+        assert value(Z.inverse()) == z.invert()
+    else:
+        with pytest.raises(ZeroDivisionError):
+            Z.inverse()
+
+
+def test_int_matrix_keeps_gaussian_entries_as_pairs():
+    Z = IntMatrix.of(ZetaElement(GaussianRational(1, 0), Fraction(1, 2), 0, 3))
+    assert Z.entries == ((2, 0), 1, 0, 6) and Z.q == 2
+    assert (Z * Z).entries[0] == (4, 0)
+    assert IntMatrix(((0, 2), 0, 0, (4, 0)), 6).reduced().entries == (
+        (0, 1), 0, 0, (2, 0))
