@@ -8,14 +8,18 @@ d_x + zeta come in three equivalent shapes: the direct two-block series
 (monogenic), the factored form (zeta* - d_x) applied to one series, and
 the invertible form (1 - zeta^-1 d_x) applied to the other.  The
 Helmholtz-side builder sums radial Cl(1,1) weights against rho^{2n} H_k.
-The radial weights w_n = (-1/4 zeta* zeta)^n / (n! (g)_n) of an exact
-zeta are computed as integer 2x2 matrices over one denominator (integer
-pairs for Gaussian entries) and handed to the sum as blade numerators,
-with no Fraction or GaussianRational made per level; a float zeta, and
-the Sylvester evaluation, keep their ZetaElement float operations.  An
-exact generalized or Helmholtz build keeps those matrices, as the
-Cl(1,1) coefficients of its series per head, in its radial form, which
-verify checks the build's residual by.
+
+Every generalized and Helmholtz series is sum_l rho^{2l} (P_l M + Q_l x M)
+over its heads M, with Cl(1,1) coefficients P_l, Q_l built from the
+radial weights w_n = (-1/4 zeta* zeta)^n / (n! (g)_n).  With exact zeta
+and heads (and "direct" Helmholtz weights) a build computes P_l and Q_l
+once, as integer 2x2 matrices over one denominator (zeta.IntMatrix,
+integer pairs for Gaussian entries); the three generalized forms differ
+only in that step.  The body is expanded from them by poly.radial_series,
+and the build keeps them as its radial form, which verify checks the
+build's residual by.  A float zeta or head, and the Sylvester evaluation,
+sum the series level by level with ZetaElement weights and apply the
+form's operators, with the float operations of those steps.
 
 All series are truncated at the requested order L; the parabolic builds
 terminate on their own when every seed profile is a polynomial in t, in
@@ -31,7 +35,7 @@ from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .algebra import AlgebraContext, witt_basis
 from .harmonics import HarmonicPoly, MonogenicPoly
-from .poly import (CliffordPoly, Sum, radial_level, rho_powers,
+from .poly import (CliffordPoly, Sum, radial_series, rho_powers,
                    vector_variable)
 from .timefn import SpaceTimeFunction, TimeFunction, apply_0F1, assemble_split
 from .zeta import IntMatrix, NotInvertibleError, ZetaElement
@@ -45,16 +49,17 @@ class RadialForm(NamedTuple):
     """The radial form of an exact series build, sum_l rho^{2l} (P_l M + Q_l x M)
     over each head M of degree k, with IntMatrix coefficients.
 
-    heads holds (k, P, Q) per head, P and Q tuples of L+1 matrices; a
-    Helmholtz build has P_l = w_l and Q None.  mode, k, L and zeta are
-    the build's, so a form is read only for the solution it was made for.
+    heads holds (k, M, P, Q) per head, M the head's CliffordPoly and P and
+    Q tuples of L+1 matrices; a Helmholtz build has P_l = w_l and Q None.
+    mode, k, L and zeta are the build's, so a form is read only for the
+    solution it was made for.
     """
 
     mode: str
     k: Union[int, Tuple[int, ...]]
     L: int
     zeta: ZetaElement
-    heads: Tuple[Tuple[int, tuple, Optional[tuple]], ...]
+    heads: Tuple[Tuple[int, CliffordPoly, tuple, Optional[tuple]], ...]
 
 
 @dataclass
@@ -199,29 +204,22 @@ def build_parabolic_recurrence(M: MonogenicPoly,
 
 
 def _weight_recurrence(s: ZetaElement, gamma: Fraction, L: int,
-                       ctx: AlgebraContext) -> tuple:
-    """(Sum.radial levels, IntMatrix weights) of the Cl(1,1) weights
-    w_n = (-s/4)^n / (n! (gamma)_n) for n = 0..L.
-
-    An exact s is iterated on integer numerators by IntMatrix.radial_weights;
-    an inexact s keeps the ZetaElement recurrence, its float operations
-    and a Multivector per level, and has no IntMatrix weights (None).
-    """
-    if s.is_exact():
-        weights = IntMatrix.of(s).radial_weights(gamma, L)
-        return [radial_level(w, ctx) for w in weights], weights
+                       ctx: AlgebraContext) -> list:
+    """The Cl(1,1) weights w_n = (-s/4)^n / (n! (gamma)_n), n = 0..L, of a
+    float series build, one Multivector per level by the ZetaElement
+    recurrence."""
     w = ZetaElement.identity()
     out = [w.to_multivector(ctx)]
     for n in range(L):
         w = (w * s).scale(Fraction(-1, 4) / ((n + 1) * (gamma + n)))
         out.append(w.to_multivector(ctx))
-    return out, None
+    return out
 
 
 def _radial_weights(z: ZetaElement, gamma: Fraction, L: int, radial: str,
-                    ctx: AlgebraContext) -> tuple:
-    """(Sum.radial levels, IntMatrix weights or None) of the Cl(1,1)
-    coefficients w_n = (-1/4 zeta* zeta)^n / (n! (gamma)_n)."""
+                    ctx: AlgebraContext) -> list:
+    """The Multivector levels of the Cl(1,1) coefficients
+    w_n = (-1/4 zeta* zeta)^n / (n! (gamma)_n) of a float series build."""
     if radial == "direct":
         return _weight_recurrence(z.star_zeta(), gamma, L, ctx)
     if radial == "sylvester":
@@ -234,24 +232,41 @@ def _radial_weights(z: ZetaElement, gamma: Fraction, L: int, radial: str,
                 coeff *= -0.25 / (n * float(gamma + n - 1))
             psi = PowerSeries([0.0] * n + [coeff])
             out.append(sylvester_eval(psi, z).to_multivector(ctx))
-        return out, None
+        return out
     raise ValueError(f"unknown radial evaluation {radial!r}")
 
 
 def _solution(body: CliffordPoly, mode: str, heads: list, L: int,
-              z: ZetaElement, ladders: list, **extra) -> SeriesSolution:
-    """The SeriesSolution of a series build.  ladders holds (P, Q) per
-    head, or None where the weights are not exact; the solution keeps its
-    radial form when no head has None and every head is exact."""
+              z: ZetaElement, **extra) -> SeriesSolution:
+    """The SeriesSolution of a series build."""
     degrees = tuple(h.degree for h in heads)
-    sol = SeriesSolution(body=SpaceTimeFunction.from_poly(body), mode=mode,
-                         m=body.ctx.m,
-                         k=degrees if len(degrees) > 1 else degrees[0],
-                         L=L, exact=False, zeta=z, extra=extra)
-    if None not in ladders and all(h.poly.is_exact() for h in heads):
-        sol._radial = (sol.body, RadialForm(mode, sol.k, L, z, tuple(
-            (k, P, Q) for k, (P, Q) in zip(degrees, ladders))))
+    return SeriesSolution(body=SpaceTimeFunction.from_poly(body), mode=mode,
+                          m=body.ctx.m,
+                          k=degrees if len(degrees) > 1 else degrees[0],
+                          L=L, exact=False, zeta=z, extra=extra)
+
+
+def _radial_solution(mode: str, heads: list, L: int, z: ZetaElement,
+                     weights: list, **extra) -> SeriesSolution:
+    """The SeriesSolution of an exact series build from its radial form:
+    weights holds (P, Q) per head, Q None for Helmholtz and else a pair of
+    factors per level, and the body is sum_l rho^{2l} (P_l M + Q_l x M)
+    over the heads M."""
+    ctx = heads[0].poly.ctx
+    x = vector_variable(ctx)
+    body = radial_series(ctx, [
+        [(h.poly, enumerate(P))] + ([] if Q is None else
+                                    [(x * h.poly, enumerate(Q))])
+        for h, (P, Q) in zip(heads, weights)])
+    sol = _solution(body, mode, heads, L, z, **extra)
+    sol._radial = (sol.body, RadialForm(mode, sol.k, L, z, tuple(
+        (h.degree, h.poly, P, Q and tuple(a * b for a, b in Q))
+        for h, (P, Q) in zip(heads, weights))))
     return sol
+
+
+def _exact(z: ZetaElement, heads: list) -> bool:
+    return z.is_exact() and all(h.poly.is_exact() for h in heads)
 
 
 def build_helmholtz(H, z: ZetaElement, L: int = 12,
@@ -262,19 +277,73 @@ def build_helmholtz(H, z: ZetaElement, L: int = 12,
     heads are harmonic, not necessarily monogenic.  radial chooses how the
     Cl(1,1) weights are computed ("direct" exact powers, "sylvester" the
     spectral formula; they agree to rounding).  An exact "direct" build
-    keeps its weights w_l as its radial form.
+    keeps its weights w_l as its radial form and is expanded from it.
     """
     heads = _as_list(H, HarmonicPoly, L)
+    if radial == "direct" and _exact(z, heads):
+        s = IntMatrix.of(z.star_zeta())
+        m = heads[0].poly.ctx.m
+        return _radial_solution("helmholtz", heads, L, z, [
+            (tuple(s.radial_weights(Fraction(2 * h.degree + m, 2), L)), None)
+            for h in heads], radial=radial)
+    return _solution(_stage_helmholtz(heads, z, L, radial), "helmholtz",
+                     heads, L, z, radial=radial)
+
+
+def _stage_helmholtz(heads: list, z: ZetaElement, L: int,
+                     radial: str) -> CliffordPoly:
+    """The Helmholtz body of a float build: each head's series summed
+    level by level by Sum.radial, one Multivector weight per level."""
     ctx = heads[0].poly.ctx
     total = Sum(CliffordPoly, ctx)
-    ladders = []
     for h in heads:
         gamma = Fraction(2 * h.degree + ctx.m, 2)
-        levels, w = _radial_weights(z, gamma, L, radial, ctx)
-        total.radial(h.poly, levels)
-        ladders.append(None if w is None else (tuple(w), None))
-    return _solution(total.value(), "helmholtz", heads, L, z, ladders,
-                     radial=radial)
+        total.radial(h.poly, _radial_weights(z, gamma, L, radial, ctx))
+    return total.value()
+
+
+def _blades(z: ZetaElement) -> IntMatrix:
+    """The IntMatrix of an exact z with its zero entries made the int 0:
+    its blade numerators are those of z.to_multivector, which skips a zero
+    entry, Gaussian or not."""
+    return IntMatrix.of(ZetaElement(*(v if v else 0 for v in z.entries())))
+
+
+def _generalized_weights(form: str, z: ZetaElement, k: int, m: int,
+                         L: int) -> tuple:
+    """(P, Q), the Cl(1,1) coefficients of the series
+    sum_l rho^{2l} (P_l M + Q_l x M) that the given form builds on a head M
+    of degree k, for an exact zeta (x c = c^ x for c in Cl(1,1)).
+
+    Each Q_l is a pair of factors, multiplied on their blades as the
+    form's constant products multiply them (radial_series).
+    """
+    two_g = 2 * k + m
+    gamma = Fraction(two_g, 2)
+    if form == "monogenic":
+        # P_l = w_l(gamma) and Q_l = w_l(gamma+1) zeta^ / (2k+m)
+        s = IntMatrix.of(z.star_zeta())
+        zs = _blades(z.involution())
+        return (tuple(s.radial_weights(gamma, L)),
+                tuple((wl.scale(1, two_g), zs)
+                      for wl in s.radial_weights(gamma + 1, L)))
+    if form == "factored":
+        # g = (zeta* - d_x) applied to the inner series with the starred
+        # weights I_l over (2k+m): P_l = (2l+2k+m) I_l^ and Q_l = zeta^ I_l
+        inner = [wl.scale(1, two_g) for wl in
+                 IntMatrix.of(z.zeta_star()).radial_weights(gamma + 1, L)]
+        zs = _blades(z.involution())
+        return (tuple(il.hat().scale(2 * l + two_g)
+                      for l, il in enumerate(inner)),
+                tuple((zs, il) for il in inner))
+    # g = (1 - zeta^-1 d_x) applied to the series carried one order further
+    # and cut back to degree 2L+k+1, which keeps all of d_x of it; so
+    # P_l = w_l and Q_l = -2(l+1) zeta^-1 w_{l+1}^
+    w = IntMatrix.of(z.star_zeta()).radial_weights(gamma, L + 1)
+    zinv = _blades(z.invert())
+    return (tuple(w[:L + 1]),
+            tuple((zinv, w[l + 1].hat().scale(-2 * (l + 1)))
+                  for l in range(L + 1)))
 
 
 def build_generalized(M, z: ZetaElement, L: int = 12,
@@ -295,68 +364,58 @@ def build_generalized(M, z: ZetaElement, L: int = 12,
 
     Every form truncates to A_L + B_L at the top, so the residual of
     (d_x + zeta) is exactly zeta B_L.  With exact zeta and heads, each
-    form keeps the Cl(1,1) coefficients P_l, Q_l of its series
-    sum_l rho^{2l} (P_l M + Q_l x M) per head as its radial form (^ is
-    the involution, x c = c^ x for c in Cl(1,1)).
+    form computes the Cl(1,1) coefficients P_l, Q_l of its series
+    sum_l rho^{2l} (P_l M + Q_l x M) per head (_generalized_weights),
+    keeps them as its radial form and expands the body from them; the
+    forms differ only in those coefficients.  A float build applies the
+    form's operators to float series levels.
     """
     heads = _as_list(M, MonogenicPoly, L)
     if form not in ("monogenic", "factored", "invertible"):
         raise ValueError(f"unknown generalized form {form!r}")
     if form == "invertible" and not z.is_invertible():
         raise NotInvertibleError("invertible form needs det(zeta) != 0")
+    if _exact(z, heads):
+        m = heads[0].poly.ctx.m
+        return _radial_solution(f"gen-{form}", heads, L, z, [
+            _generalized_weights(form, z, h.degree, m, L) for h in heads])
+    return _solution(_stage_generalized(heads, z, L, form), f"gen-{form}",
+                     heads, L, z)
+
+
+def _stage_generalized(heads: list, z: ZetaElement, L: int,
+                       form: str) -> CliffordPoly:
+    """The generalized body of a float build: the form's operators applied
+    to series summed level by level by Sum.radial, one Multivector weight
+    per level."""
     ctx = heads[0].poly.ctx
     x = vector_variable(ctx)
-    zm = IntMatrix.of(z) if z.is_exact() else None
     # one sum over every head; within a head the stages' terms have
     # distinct spatial degrees, so adding them one by one to the sum adds
     # the head's whole series g
     total = Sum(CliffordPoly, ctx)
-    ladders = []
     for head in heads:
         k = head.degree
         two_g = 2 * k + ctx.m
         gamma = Fraction(two_g, 2)
         if form == "monogenic":
-            # P_l = w_l(gamma) and Q_l = w_l(gamma+1) zeta^ / (2k+m)
             sz = z.star_zeta()
-            levels, P = _weight_recurrence(sz, gamma, L, ctx)
-            total.radial(head.poly, levels)
+            total.radial(head.poly, _weight_recurrence(sz, gamma, L, ctx))
             b_head = (x * head.poly.lmul(z.to_multivector(ctx))).scale(
                 Fraction(1, two_g))
-            levels, w = _weight_recurrence(sz, gamma + 1, L, ctx)
-            total.radial(b_head, levels)
-            if w is not None:
-                zs = zm.hat().scale(1, two_g)
-                ladder = (tuple(P), tuple(wl * zs for wl in w))
+            total.radial(b_head, _weight_recurrence(sz, gamma + 1, L, ctx))
         elif form == "factored":
-            # starred radial weights here: g = zeta* inner - d_x inner; with
-            # I_l the inner weights over (2k+m), P_l = (2l+2k+m) I_l^ and
-            # Q_l = zeta^ I_l
-            levels, w = _weight_recurrence(z.zeta_star(), gamma + 1, L, ctx)
+            levels = _weight_recurrence(z.zeta_star(), gamma + 1, L, ctx)
             inner = Sum(CliffordPoly, ctx).radial(
                 (x * head.poly).scale(Fraction(1, two_g)), levels).value()
             total.lmul(z.involution().to_multivector(ctx), inner)
             total.dirac(inner, -1)
-            if w is not None:
-                inner_w = [wl.scale(1, two_g) for wl in w]
-                ladder = (tuple(il.hat().scale(2 * l + two_g)
-                                for l, il in enumerate(inner_w)),
-                          tuple(zm.hat() * il for il in inner_w))
         else:
-            # one extra order, trimmed: g = inner - zeta^-1 d_x inner, cut
-            # back to degree 2L+k+1, which keeps all of d_x inner; so
-            # P_l = w_l and Q_l = -2(l+1) zeta^-1 w_{l+1}^
-            levels, w = _weight_recurrence(z.star_zeta(), gamma, L + 1, ctx)
+            levels = _weight_recurrence(z.star_zeta(), gamma, L + 1, ctx)
             inner = Sum(CliffordPoly, ctx).radial(head.poly, levels).value()
             total.add(inner.truncate_degree(2 * L + k + 1))
             total.lmul(z.invert().to_multivector(ctx), inner.dirac(), -1)
-            if w is not None:
-                zinv = zm.inverse()
-                ladder = (tuple(w[:L + 1]),
-                          tuple(zinv * w[l + 1].hat().scale(-2 * (l + 1))
-                                for l in range(L + 1)))
-        ladders.append(None if w is None else ladder)
-    return _solution(total.value(), f"gen-{form}", heads, L, z, ladders)
+    return total.value()
 
 
 def parabolic_from_generalized(M: MonogenicPoly, lam: Union[int, float, complex],

@@ -21,8 +21,7 @@ value) is stored as its raw values with D = None.  A body is read through
 keys() and coeffs(key), which makes one term's {blade: value} afresh
 (int, Fraction and GaussianRational values for an exact body); .terms,
 {key: Multivector}, is made afresh on every read.  No reader hands out a
-stored row, and no other module reads the numerators; the exact radial
-weights a builder hands Sum.radial come as numerators from radial_level.
+stored row, and no other module reads the numerators.
 
 The accumulator.  Every operator but scale and / (which change D and the
 numerators of one body), and every sum of operator results, is built by
@@ -34,6 +33,15 @@ numerators already multiplied by D / (its denominator), so no row is
 rescaled.  From the first inexact stage on the rows are raw values, and
 each later stage is turned into raw values, scaled and merged, as the
 binary operators do.
+
+The radial expander.  An exact generalized or Helmholtz series is
+sum_l rho^{2l} w_l p over a few small bodies p with exact Cl(1,1) weights
+w_l (zeta.IntMatrix).  radial_series makes each level once as the small
+product w_l p and adds it under every shift x^{2j}, |j| = l, times the
+integer multinomial l!/prod j_i! (rho_terms): rho^{2l} is a scalar, so no
+output term needs a Clifford product and no power of rho^2 is made.  A
+float series is summed level by level by Sum.radial instead, which keeps
+its float operations.
 
 Order guarantee.  A result has the values, the term order and the blade
 order of the left-to-right chain of binary operators it stands for, and
@@ -52,7 +60,8 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd, lcm, perm
+from functools import lru_cache
+from math import comb, gcd, lcm, perm
 from operator import add
 from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
@@ -255,18 +264,13 @@ class Sum:
         mv._check(body)
         return self._const(mv, body._D, lambda: body, scale, False)
 
-    def _const(self, w, D: Optional[int], get, scale, left: bool) -> "Sum":
+    def _const(self, w: Multivector, D: Optional[int], get, scale,
+               left: bool) -> "Sum":
         """w * c (left) or c * w for every coefficient c of the body get()
-        makes when the stage is made; D is that body's.  w is a
-        Multivector, or an exact level from radial_level: blade numerators
-        over q, whose values are read as n / q on raw values."""
+        makes when the stage is made; D is that body's."""
         ctx = self.ctx
-        if isinstance(w, Multivector):
-            rows, q = _to_numerators({0: w.terms})
-            row, values = rows[0], w.terms
-        else:
-            row, q = w
-            values = None
+        rows, q = _to_numerators({0: w.terms})
+        row = rows[0]
 
         def make(exact, f):
             body = get()
@@ -275,9 +279,7 @@ class Sum:
                 if f != 1:
                     k = {ma: _nmul(va, f) for ma, va in k.items()}
             else:
-                k, nums = values, body._values()
-                if k is None:
-                    k = {ma: _value(n, q) for ma, n in row.items()}
+                k, nums = w.terms, body._values()
             if not k:
                 return {}
             if left:
@@ -286,15 +288,14 @@ class Sum:
         D = D * q if D is not None and q is not None else None
         return self._stage(D, scale, make)
 
-    def radial(self, P: "SparseTerms", levels: Sequence) -> "Sum":
-        """+ sum_n w_n * rho^{2n} P, one stage per level.  levels[n] is the
-        constant w_n: a Multivector, or an exact level from radial_level.
-        Each power is made when its stage is."""
+    def radial(self, P: "SparseTerms", levels: Sequence[Multivector]) -> "Sum":
+        """+ sum_n w_n * rho^{2n} P, one stage per level, each power made
+        when its stage is.  The float series builds use it; an exact series
+        is expanded by radial_series."""
         self._check(P)
         powers = rho_powers(P)
         for w in levels:
-            if isinstance(w, Multivector):
-                w._check(P)
+            w._check(P)
             self._const(w, P._D, powers.__next__, None, True)
         return self
 
@@ -649,12 +650,6 @@ class SparseTerms:
             return self.lmul(other)
         return self.scale(other)
 
-    def degree_part(self, degree: int):
-        """The terms of spatial degree `degree`, over this body's D."""
-        split_key = self._split_key
-        return self._new({key: vals for key, vals in self._nums.items()
-                          if sum(split_key(key)[0]) == degree}, self._D)
-
     # -- spatial operators ---------------------------------------------------
 
     def partial(self, i: int):
@@ -932,9 +927,9 @@ def rho_powers(p: CliffordPoly) -> Iterator[CliffordPoly]:
 
 
 def radial_level(w, ctx: AlgebraContext) -> Tuple[Dict[int, Numerator], int]:
-    """The Sum.radial level of an exact Cl(1,1) weight w, a zeta.IntMatrix:
-    what _to_numerators makes of the weight's to_multivector(ctx), blade
-    order included.
+    """The blade numerators and denominator of an exact Cl(1,1) weight w, a
+    zeta.IntMatrix: what _to_numerators makes of the weight's
+    to_multivector(ctx), blade order included.
 
     to_multivector puts +-entry/2 on the blades 1, eps e (a, d) and e, eps
     (b, c), so the level's numerators over 2 q are a+d, a-d, b-c and
@@ -950,6 +945,91 @@ def radial_level(w, ctx: AlgebraContext) -> Tuple[Dict[int, Numerator], int]:
     rows, D = _reduced({0: {mask: v for mask, v in (ad + bc if a else bc + ad)
                             if v}}, 2 * w.q)
     return rows[0], D
+
+
+@lru_cache(maxsize=None)
+def rho_terms(m: int, l: int) -> Tuple[Tuple[Exponents, int], ...]:
+    """The terms of rho^{2l} = (x_1^2 + ... + x_m^2)^l: (2j, l!/prod j_i!)
+    for every j with |j| = l, made when first asked for."""
+    if m == 1:
+        return (((2 * l,), 1),)
+    return tuple(((2 * j,) + rest, comb(l, j) * c) for j in range(l + 1)
+                 for rest, c in rho_terms(m - 1, l - j))
+
+
+def _level_row(w, ctx: AlgebraContext) -> Tuple[Dict[int, Numerator], int]:
+    """(blade numerators, denominator) of an exact Cl(1,1) weight: a
+    zeta.IntMatrix, or a tuple of them multiplied left to right on their
+    blade numerators."""
+    if not isinstance(w, tuple):
+        return radial_level(w, ctx)
+    row, q = radial_level(w[0], ctx)
+    for factor in w[1:]:
+        r, s = radial_level(factor, ctx)
+        row, q = _mul_into(ctx, {}, row, r), q * s
+    return row, q
+
+
+def radial_series(ctx: AlgebraContext, heads) -> CliffordPoly:
+    """sum over the heads, over the (p, levels) of a head and over the
+    (l, w) of its levels, of rho^{2l} w p: exact CliffordPolys p and exact
+    Cl(1,1) weights w, each a zeta.IntMatrix or a tuple of factors
+    (_level_row).
+
+    rho^{2l} is a scalar with integer terms (rho_terms), so each level is
+    made once as the small product w p, and each of its terms is added
+    under every shift x^{2j}, |j| = l, times the integer l!/prod j_i!.
+    Every level of every head is written at one denominator.  A head is
+    summed on its own and the heads are merged in order, as a Sum merges
+    its stages.  Within a head the levels of one p, and p and x p, have
+    distinct degrees; when the coefficients of p lie in the e_1..e_m
+    subalgebra each blade of a term then comes from one blade of one
+    weight, and has that blade's numerator type, int or pair.  A weight
+    multiplied out of factors on its blades has the numerator types of the
+    constant products a Sum makes of those factors in that order.
+    """
+    groups = [[(l, p, *_level_row(w, ctx)) for p, levels in head
+               for l, w in levels] for head in heads]
+    D = lcm(*(p._D * q for parts in groups for _, p, _, q in parts))
+    m = ctx.m
+    total: Rows = {}
+    for parts in groups:
+        out: Rows = {}
+        # int numerators take the plain loop; pairs anywhere in the head
+        # take pair arithmetic throughout it
+        pairs = any(type(n) is tuple for _, p, row, _ in parts
+                    for vals in (row, *p._nums.values()) for n in vals.values())
+        for l, p, row, q in parts:
+            f = D // (p._D * q)
+            k = {ma: _nmul(n, f) for ma, n in row.items()}
+            shifts = rho_terms(m, l)
+            for beta, vals in p._nums.items():
+                t = _mul_into(ctx, {}, k, vals)
+                if not t:
+                    continue
+                items = tuple(t.items())
+                for s, c in shifts:
+                    key = tuple(map(add, beta, s))
+                    o = out.get(key)
+                    if o is None:
+                        out[key] = ({mask: _nmul(v, c) for mask, v in items}
+                                    if pairs else {mask: v * c for mask, v in items})
+                        continue
+                    for mask, v in items:
+                        r = (_nadd(o.get(mask, 0), _nmul(v, c)) if pairs
+                             else o.get(mask, 0) + v * c)
+                        if r:
+                            o[mask] = r
+                        else:
+                            del o[mask]
+                    if not o:
+                        del out[key]
+        if total:
+            for key, t in out.items():
+                _merge(total, key, t)
+        else:
+            total = out
+    return CliffordPoly._make(ctx, total, D)
 
 
 def integer_rescale(p: CliffordPoly) -> CliffordPoly:

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraContext, Multivector
 from .builders import SeriesSolution
-from .poly import CliffordPoly, Sum
+from .poly import CliffordPoly, Sum, radial_series, vector_variable
 from .timefn import (SpaceTimeFunction, assemble_split, heat_residual,
                      parabolic_dirac)
 from .zeta import IntMatrix
@@ -198,11 +198,10 @@ def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
 
     and (Laplacian + zeta* zeta) applied to sum_l w_l rho^{2l} H, H
     harmonic, leaves only zeta* zeta w_L rho^{2L} H when
-    zeta* zeta w_l + 2(l+1)(2l+2k+m) w_{l+1} = 0.  Those levels are the
-    body's terms of top degree, so the residual is zeta (or zeta* zeta)
-    times that slice of the body.  The identities run on IntMatrix
-    numerators.  Heads of different degrees share no top slice and are
-    left to the monomial residual.
+    zeta* zeta w_l + 2(l+1)(2l+2k+m) w_{l+1} = 0.  The identities run on
+    IntMatrix numerators, and the residual is that one top level, expanded
+    by radial_series.  Heads of different degrees are left to the monomial
+    residual.
     """
     memo = F._radial
     if memo is None or memo[0] is not F.body:
@@ -210,29 +209,31 @@ def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
     form = memo[1]
     if (form.mode, form.k, form.L, form.zeta) != (F.mode, F.k, F.L, F.zeta):
         return None
-    degrees = {k for k, _, _ in form.heads}
+    degrees = {k for k, _, _, _ in form.heads}
     if len(degrees) != 1:
         return None
     (k,) = degrees
-    m, L = F.ctx.m, F.L
+    ctx = F.ctx
+    m, L = ctx.m, F.L
     Z = IntMatrix.of(F.zeta)
     if F.mode == "helmholtz":
         ZZ = Z.hat() * Z
-        for _, w, _ in form.heads:
+        for _, _, w, _ in form.heads:
             if not all(ZZ * w[l]
                        == w[l + 1].scale(-2 * (l + 1) * (2 * l + 2 * k + m))
                        for l in range(L)):
                 return None
-        c, top = F.zeta.star_zeta(), 2 * L + k
+        tops = [[(H, [(L, ZZ * w[L])])] for _, H, w, _ in form.heads]
     else:
-        for _, P, Q in form.heads:
+        for _, _, P, Q in form.heads:
             if not (all(Z * P[l] == Q[l].hat().scale(2 * l + 2 * k + m)
                         for l in range(L + 1))
                     and all(Z * Q[l] == P[l + 1].hat().scale(-2 * (l + 1))
                             for l in range(L))):
                 return None
-        c, top = F.zeta, 2 * L + k + 1
-    return F.body.degree_part(top).lmul(c.to_multivector(F.ctx))
+        x = vector_variable(ctx)
+        tops = [[(x * M, [(L, Z * Q[L])])] for _, M, _, Q in form.heads]
+    return SpaceTimeFunction.from_poly(radial_series(ctx, tops))
 
 
 def _infer_operator(mode: str) -> str:
@@ -278,22 +279,24 @@ def estimate_order(sup_by_radius: Sequence[Tuple[float, float]]) -> Optional[flo
     return sum(slopes) / len(slopes)
 
 
+def _degrees(R: SpaceTimeFunction) -> Tuple[int, ...]:
+    """The spatial degrees of every term of R, sorted."""
+    return tuple(sorted({sum(exps) for exps, _, _ in R.keys()}))
+
+
 def _sift(R: SpaceTimeFunction, noise_floor: float
           ) -> Tuple[SpaceTimeFunction, float, Tuple[int, ...]]:
     """R less its roundoff junk, R's largest coefficient size, and the
     spatial degrees of R's terms above roundoff scale, from one scan.
 
     A term is above roundoff scale when its largest coefficient exceeds
-    JUNK_REL times R's largest and noise_floor.  With noise_floor 0 no
-    term is dropped: an exact residual keeps every coefficient.
+    JUNK_REL times R's largest and noise_floor.
     """
     sizes = [(key, R.term_max_abs(key)) for key in R.keys()]
     top = max((size for _, size in sizes), default=0.0)
     cut = max(JUNK_REL * top, noise_floor)
     loud = [key for key, size in sizes if size > cut]
     degrees = tuple(sorted({sum(key[0]) for key in loud}))
-    if noise_floor == 0.0:
-        return R, top, degrees
     return (SpaceTimeFunction(R.ctx, {key: Multivector(R.ctx, R.coeffs(key))
                                       for key in loud}), top, degrees)
 
@@ -322,9 +325,10 @@ def dirac_residual(F: SeriesSolution,
 
     Which residual: a generalized or Helmholtz solution fresh from its
     builder, with exact zeta and heads of one degree, keeps its radial
-    form; its residual is zeta (zeta* zeta for Helmholtz) times the
-    body's top-degree slice once the form passes the ladder identities
-    (_ladder_residual), and equals symbolic_residual(F) term for term.
+    form; once the form passes the ladder identities its residual is the
+    top level zeta Q_L rho^{2L} x M (zeta* zeta w_L rho^{2L} H for
+    Helmholtz) summed over the heads (_ladder_residual), and equals
+    symbolic_residual(F) term for term.
     Every other solution takes symbolic_residual, the operator applied
     to every monomial: parabolic builds, float or Sylvester weights,
     heads of several degrees, a loaded, replaced or perturbed body, and
@@ -352,7 +356,7 @@ def dirac_residual(F: SeriesSolution,
         report.exact_zero = R.is_zero()
         report.passed = report.exact_zero
         if not report.exact_zero:
-            report.support_degrees = _sift(R, 0.0)[2]
+            report.support_degrees = _degrees(R)
         return report
 
     if R.is_zero():
@@ -368,8 +372,8 @@ def dirac_residual(F: SeriesSolution,
     if by_ladder or F.body.is_exact():
         # exact coefficients: the residual itself decides, with no
         # threshold and no sample; every coefficient must sit at a top degree
-        report.support_degrees = _sift(R, 0.0)[2]
-        report.passed = {sum(exps) for exps, _, _ in R.keys()} <= tops
+        report.support_degrees = _degrees(R)
+        report.passed = set(report.support_degrees) <= tops
         return report
 
     # a float-coefficient build leaves cancellation junk scaled to the

@@ -1,21 +1,26 @@
+import dataclasses
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import spatial_degrees, weight_recurrence
+from oracles import spatial_degrees, typed, weight_recurrence
 from paradirac.algebra import AlgebraContext, witt_basis
-from paradirac.builders import (_weight_recurrence, build_generalized,
+from paradirac.builders import (_stage_generalized, _stage_helmholtz,
+                                _weight_recurrence, build_generalized,
                                 build_helmholtz, build_parabolic_closed,
                                 build_parabolic_recurrence,
                                 parabolic_from_generalized)
 from paradirac.harmonics import harmonic_basis, monogenic_basis
-from paradirac.poly import (CliffordPoly, _to_numerators, rho_squared,
-                            vector_variable)
+from paradirac.poly import (CliffordPoly, _to_numerators, radial_level,
+                            rho_squared, vector_variable)
 from paradirac.scalars import GaussianRational
+from paradirac.serialize import residual_report_to_dict, solution_to_dict
 from paradirac.timefn import SpaceTimeFunction, TimeFunction, parabolic_dirac
-from paradirac.zeta import ZetaElement
+from paradirac.verify import dirac_residual
+from paradirac.zeta import IntMatrix, ZetaElement
 
 
 def t_profile(ctx):
@@ -183,12 +188,17 @@ def test_helmholtz_rejects_unknown_radial():
 
 
 def _levels_match_oracle(s, gamma, L, ctx):
-    """Each level of _weight_recurrence is, for an exact s, what
-    _to_numerators makes of the oracle's Multivector: the same numerators
-    (int or pair), denominator and blade order; for an inexact s, a
+    """Each radial weight of an exact s, IntMatrix.radial_weights read by
+    radial_level, is what _to_numerators makes of the oracle's
+    Multivector: the same numerators (int or pair), denominator and blade
+    order.  For an inexact s each level of _weight_recurrence is a
     Multivector with the oracle's values, types and bits."""
-    got = _weight_recurrence(s, gamma, L, ctx)[0]
     want = weight_recurrence(s, gamma, L, ctx)
+    if s.is_exact():
+        got = [radial_level(w, ctx)
+               for w in IntMatrix.of(s).radial_weights(gamma, L)]
+    else:
+        got = _weight_recurrence(s, gamma, L, ctx)
     assert len(got) == len(want) == L + 1
     for n, (level, mv) in enumerate(zip(got, want)):
         if s.is_exact():
@@ -257,9 +267,76 @@ def test_weight_levels_of_chosen_quadruples(entries):
 
 def test_nilpotent_zeta_weights_vanish_after_the_head():
     ctx = AlgebraContext(2)
-    levels = _weight_recurrence(ZetaElement(0, 1, 0, 0).star_zeta(),
-                                Fraction(3, 2), 6, ctx)[0]
-    assert levels == [({0: 1}, 1)] + [({}, 1)] * 6
+    weights = IntMatrix.of(ZetaElement(0, 1, 0, 0).star_zeta()).radial_weights(
+        Fraction(3, 2), 6)
+    assert [radial_level(w, ctx) for w in weights] == (
+        [({0: 1}, 1)] + [({}, 1)] * 6)
+
+
+# -- exact series bodies: radial expander against the stage construction --------
+
+
+@lru_cache(maxsize=None)
+def _basis(kind, m, k):
+    return (harmonic_basis if kind == "harmonic" else monogenic_basis)(
+        AlgebraContext(m), k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_exact_series_bodies_match_the_stage_construction(data):
+    m = data.draw(st.integers(1, 4), label="m")
+    kind = data.draw(st.sampled_from(sorted(WEIGHT_ZETAS)), label="kind")
+    z = ZetaElement(*data.draw(WEIGHT_ZETAS[kind], label="zeta"))
+    L = data.draw(st.integers(0, 6), label="L")
+    forms = ["monogenic", "factored", "helmholtz"] + (
+        ["invertible"] if z.is_invertible() else [])
+    form = data.draw(st.sampled_from(forms), label="form")
+    basis = "harmonic" if form == "helmholtz" else "monogenic"
+    ks = [k for k in range(4) if _basis(basis, m, k)]
+    heads = [data.draw(st.sampled_from(_basis(basis, m, k)))
+             for k in data.draw(st.lists(st.sampled_from(ks), min_size=1,
+                                         max_size=3), label="degrees")]
+    _assert_expands_as_the_stages(heads, z, L, form)
+
+
+@pytest.mark.parametrize("entries", [
+    (G(1, 1), G(0, 0), 1, 2),                       # a Gaussian zero entry
+    (1, G(0, 0), 2, 3),
+    (Fraction(1, 3), G(2, 0), G(0, 0), -1),
+    (G(1, 1), 0, 0, G(1, -1)),
+    (G(0, 1), G(0, -1), 1, 1),
+    (0, 1, 0, 0),                                   # zeta = f: s = 0
+])
+def test_exact_series_bodies_of_chosen_quadruples(entries):
+    z = ZetaElement(*entries)
+    forms = ["monogenic", "factored", "helmholtz"] + (
+        ["invertible"] if z.is_invertible() else [])
+    for form in forms:
+        basis = "harmonic" if form == "helmholtz" else "monogenic"
+        for m, ks in ((2, (1,)), (3, (0, 1, 1)), (2, (2, 3))):
+            heads = [_basis(basis, m, k)[i % 2] for i, k in enumerate(ks)]
+            _assert_expands_as_the_stages(heads, z, 3, form)
+
+
+def _assert_expands_as_the_stages(heads, z, L, form):
+    """The exact build's body, which comes from its radial form by
+    radial_series, against the float builds' stage construction run on
+    the same exact input: the same values and the same scalar type per
+    blade, and the same report from the ladder as from the monomial
+    residual."""
+    if form == "helmholtz":
+        sol = build_helmholtz(heads, z, L)
+        stage = _stage_helmholtz(heads, z, L, "direct")
+    else:
+        sol = build_generalized(heads, z, L, form)
+        stage = _stage_generalized(heads, z, L, form)
+    want = dataclasses.replace(sol, body=SpaceTimeFunction.from_poly(stage))
+    assert sol._radial is not None and want._radial is None
+    assert solution_to_dict(sol) == solution_to_dict(want)
+    assert typed(sol.body.terms) == typed(want.body.terms)
+    assert (residual_report_to_dict(dirac_residual(sol))
+            == residual_report_to_dict(dirac_residual(want)))
 
 
 # -- generalized operator -------------------------------------------------------

@@ -100,6 +100,27 @@ def test_verify_detects_tampering(capsys, tmp_path):
     assert "FAIL" in stdout
 
 
+def test_exact_residual_support_counts_every_term(capsys, tmp_path):
+    # a term far below the residual's largest still shows in the support:
+    # (d_x + zeta) of 1e-29 x1^3 sits at degrees 2 and 3, beside the
+    # truncation tail at degree 2L+k+1 = 10
+    sol_path = tmp_path / "sol.json"
+    assert run(capsys, "build", "--mode", "gen-monogenic", "--m", "2",
+               "--k", "1", "--zeta", "1,1/2,-1,2", "--trunc", "4",
+               "--out", str(sol_path))[0] == 0
+    data = json.loads(sol_path.read_text())
+    data["terms"].append({"exponents": [3, 0], "n": 0, "lambda": [0, 0],
+                          "blades": [["1", [f"1/{10 ** 29}", 0]]]})
+    sol_path.write_text(json.dumps(data))
+    rep_path = tmp_path / "rep.json"
+    code, stdout, _ = run(capsys, "verify", "--solution", str(sol_path),
+                          "--out", str(rep_path))
+    assert code == 1
+    assert stdout == ("gen-monogenic: symbolic residual nonzero at spatial "
+                      "degrees (2, 3, 10) (FAIL)\n")
+    assert json.loads(rep_path.read_text())["support_degrees"] == [2, 3, 10]
+
+
 def test_build_requires_mode_and_out(capsys, tmp_path):
     with pytest.raises(SystemExit):
         main(["build", "--m", "2"])

@@ -10,7 +10,8 @@ from oracles import (as_spacetime, assert_matches, exact_values, o_add,
                      o_neg, o_partial, o_rmul, o_scale, typed)
 from paradirac.algebra import AlgebraContext, Multivector, _mul_into, witt_basis
 from paradirac.poly import (CliffordPoly, SpaceTimeFunction, TimeFunction,
-                            rho_squared, vector_variable)
+                            rho_powers, rho_squared, rho_terms,
+                            vector_variable)
 from paradirac.scalars import GaussianRational
 
 rng = random.Random(31415)
@@ -131,6 +132,20 @@ def test_rho_power_derivative_identities(m, k):
         Q = rho2 * Q
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_rho_terms_are_the_powers_of_rho_squared(m):
+    # the shifts radial_series adds a level under, one per monomial of
+    # rho^{2l}, with its multinomial as coefficient
+    ctx = AlgebraContext(m)
+    powers = rho_powers(CliffordPoly.constant(ctx, 1))
+    for l in range(9):
+        power = next(powers)
+        terms = rho_terms(m, l)
+        assert len({exps for exps, _ in terms}) == len(terms)
+        assert dict(terms) == {exps: power.coeffs(exps)[0]
+                               for exps in power.keys()}
+
+
 def test_truncate_degree():
     ctx = AlgebraContext(2)
     p = (CliffordPoly.monomial(ctx, (3, 0), 1)
@@ -138,19 +153,6 @@ def test_truncate_degree():
     t = p.truncate_degree(2)
     assert t == CliffordPoly.monomial(ctx, (1, 0), 2)
     assert p.truncate_degree(5) == p
-
-
-def test_degree_part():
-    ctx = AlgebraContext(2)
-    t = TimeFunction.term(ctx, Fraction(1, 3), n=2, lam=-1)
-    p = SpaceTimeFunction.from_poly(CliffordPoly.monomial(ctx, (3, 0), 1)
-                                    + CliffordPoly.monomial(ctx, (1, 2), 2)
-                                    + CliffordPoly.monomial(ctx, (1, 0), 5)) * t
-    want = SpaceTimeFunction.from_poly(CliffordPoly.monomial(ctx, (3, 0), 1)
-                                       + CliffordPoly.monomial(ctx, (1, 2), 2)) * t
-    assert p.degree_part(3) == want
-    assert p.degree_part(2).is_zero()
-    assert p.degree_part(1) + p.degree_part(3) == p
 
 
 def test_lmul_rmul_orientation():

@@ -369,8 +369,10 @@ def _sampling(sol, seed=3):
 
     with mock.patch.object(SpaceTimeFunction, "evaluate_many", spy):
         rep = dirac_residual(sol, seed=seed)
-    noise = 0.0 if sol.body.is_exact() else NOISE_REL * sol.body.max_abs()
-    return rep, batches, _sift(rep.residual_poly, noise)[0]
+    R = rep.residual_poly
+    if not sol.body.is_exact():
+        R = _sift(R, NOISE_REL * sol.body.max_abs())[0]
+    return rep, batches, R
 
 
 def _bits(sups):
@@ -711,13 +713,13 @@ def test_a_corrupted_radial_form_falls_back_and_passes_a_correct_body(
     sol = SERIES[name]()
     want = dirac_residual(dataclasses.replace(sol))
     body, form = sol._radial
-    ((k, P, Qs),) = form.heads
+    ((k, M, P, Qs),) = form.heads
     ladder = [list(P), Qs and list(Qs)]
     if ladder[which] is None:           # Helmholtz: w_l only
         which = 0
     ladder[which][level] = ladder[which][level].scale(2)
     sol._radial = (body, form._replace(
-        heads=((k, tuple(ladder[0]), ladder[1] and tuple(ladder[1])),)))
+        heads=((k, M, tuple(ladder[0]), ladder[1] and tuple(ladder[1])),)))
     rep, monomial = _residual_and_monomial_calls(sol)
     assert monomial == 1 and rep.passed
     assert report_text(rep) == report_text(want)
