@@ -16,9 +16,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, Tuple, Union
 
-from .scalars import GaussianRational, Scalar, is_exact
+from .scalars import Exact, GaussianRational, Scalar, is_exact
 
 
 # one generator of a blade label: eps, or e<j> with j written without sign
@@ -182,33 +183,53 @@ class _ProductRow(dict):
 # poly stores the numerator of a GaussianRational value as an integer pair
 # (re, im).  The loops below take such a pair wherever they take a scalar:
 # each tests a value for a tuple and does pair arithmetic only there, so one
-# loop serves pairs, int numerators and plain scalars alike.
+# loop serves pairs, int numerators and plain scalars alike.  A numerator
+# result is a pair only when its imaginary part is nonzero, and an int
+# otherwise, so an exact value is read back as an int when integral, a
+# Fraction when rational and a GaussianRational only when it is not real.
 
 # an exact numerator: an int, or the integer pair (re, im) of a Gaussian one
 Numerator = Union[int, Tuple[int, int]]
 
 
+def _ratio(v: Exact) -> Tuple[Numerator, int]:
+    """(numerator, denominator) of an exact scalar, the denominator > 0."""
+    t = type(v)
+    if t is int:
+        return v, 1
+    if t is Fraction:
+        return v.numerator, v.denominator
+    re, im = v.re, v.im
+    if not im:
+        return re.numerator, re.denominator
+    q = lcm(re.denominator, im.denominator)
+    return (re.numerator * (q // re.denominator),
+            im.numerator * (q // im.denominator)), q
+
+
 def _nmul(a, b):
-    """a * b, a pair when either factor is one."""
+    """a * b of numerators."""
     if type(a) is tuple:
         if type(b) is tuple:
-            return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-        return a[0] * b, a[1] * b
-    if type(b) is tuple:
-        return a * b[0], a * b[1]
-    return a * b
+            re, im = a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+        else:
+            re, im = a[0] * b, a[1] * b
+    elif type(b) is tuple:
+        re, im = a * b[0], a * b[1]
+    else:
+        return a * b
+    return (re, im) if im else re
 
 
 def _nadd(a, b):
-    """a + b, a pair when either term is one (also when its imaginary part
-    cancels, as a GaussianRational sum stays one); 0 when a pair sum vanishes."""
+    """a + b of numerators."""
     if type(a) is tuple:
         re, im = (a[0] + b[0], a[1] + b[1]) if type(b) is tuple else (a[0] + b, a[1])
     elif type(b) is tuple:
         re, im = a + b[0], b[1]
     else:
         return a + b
-    return (re, im) if re or im else 0
+    return (re, im) if im else re
 
 
 def _nneg(a):
@@ -238,7 +259,7 @@ def _mul_blade_into(out: Dict[int, Scalar], row, va: Scalar,
                 re, im = re + o[0], im + o[1]
             else:
                 re += o
-            s = (re, im) if re or im else 0
+            s = (re, im) if im else re
         else:
             s = o + vb * va if sign > 0 else o + -(vb * va)
         if s:

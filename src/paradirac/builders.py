@@ -12,14 +12,15 @@ Helmholtz-side builder sums radial Cl(1,1) weights against rho^{2n} H_k.
 Every generalized and Helmholtz series is sum_l rho^{2l} (P_l M + Q_l x M)
 over its heads M, with Cl(1,1) coefficients P_l, Q_l built from the
 radial weights w_n = (-1/4 zeta* zeta)^n / (n! (g)_n).  With exact zeta
-and heads (and "direct" Helmholtz weights) a build computes P_l and Q_l
-once, as integer 2x2 matrices over one denominator (zeta.IntMatrix,
-integer pairs for Gaussian entries); the three generalized forms differ
-only in that step.  The body is expanded from them by poly.radial_series,
-and the build keeps them as its radial form, which verify checks the
-build's residual by.  A float zeta or head, and the Sylvester evaluation,
-sum the series level by level with ZetaElement weights and apply the
-form's operators, with the float operations of those steps.
+and heads (and "direct" Helmholtz weights) a build reads zeta once as
+Z = zeta.IntMatrix.of(zeta), integer numerators over one denominator, and
+computes every P_l and Q_l from Z^ Z, Z Z^, Z^ and Z^-1 by IntMatrix
+arithmetic; the three generalized forms differ only in that step.  The
+body is expanded from them by poly.radial_series, and the build keeps
+them as its radial form, which verify checks the build's residual by.  A
+float zeta or head, and the Sylvester evaluation, sum the series level by
+level with ZetaElement weights and apply the form's operators, with the
+float operations of those steps.
 
 All series are truncated at the requested order L; the parabolic builds
 terminate on their own when every seed profile is a polynomial in t, in
@@ -249,9 +250,8 @@ def _solution(body: CliffordPoly, mode: str, heads: list, L: int,
 def _radial_solution(mode: str, heads: list, L: int, z: ZetaElement,
                      weights: list, **extra) -> SeriesSolution:
     """The SeriesSolution of an exact series build from its radial form:
-    weights holds (P, Q) per head, Q None for Helmholtz and else a pair of
-    factors per level, and the body is sum_l rho^{2l} (P_l M + Q_l x M)
-    over the heads M."""
+    weights holds (P, Q) per head, Q None for Helmholtz, and the body is
+    sum_l rho^{2l} (P_l M + Q_l x M) over the heads M."""
     ctx = heads[0].poly.ctx
     x = vector_variable(ctx)
     body = radial_series(ctx, [
@@ -260,8 +260,7 @@ def _radial_solution(mode: str, heads: list, L: int, z: ZetaElement,
         for h, (P, Q) in zip(heads, weights)])
     sol = _solution(body, mode, heads, L, z, **extra)
     sol._radial = (sol.body, RadialForm(mode, sol.k, L, z, tuple(
-        (h.degree, h.poly, P, Q and tuple(a * b for a, b in Q))
-        for h, (P, Q) in zip(heads, weights))))
+        (h.degree, h.poly, P, Q) for h, (P, Q) in zip(heads, weights))))
     return sol
 
 
@@ -281,7 +280,8 @@ def build_helmholtz(H, z: ZetaElement, L: int = 12,
     """
     heads = _as_list(H, HarmonicPoly, L)
     if radial == "direct" and _exact(z, heads):
-        s = IntMatrix.of(z.star_zeta())
+        Z = IntMatrix.of(z)
+        s = Z.hat() * Z
         m = heads[0].poly.ctx.m
         return _radial_solution("helmholtz", heads, L, z, [
             (tuple(s.radial_weights(Fraction(2 * h.degree + m, 2), L)), None)
@@ -302,47 +302,37 @@ def _stage_helmholtz(heads: list, z: ZetaElement, L: int,
     return total.value()
 
 
-def _blades(z: ZetaElement) -> IntMatrix:
-    """The IntMatrix of an exact z with its zero entries made the int 0:
-    its blade numerators are those of z.to_multivector, which skips a zero
-    entry, Gaussian or not."""
-    return IntMatrix.of(ZetaElement(*(v if v else 0 for v in z.entries())))
-
-
-def _generalized_weights(form: str, z: ZetaElement, k: int, m: int,
+def _generalized_weights(form: str, Z: IntMatrix, k: int, m: int,
                          L: int) -> tuple:
     """(P, Q), the Cl(1,1) coefficients of the series
     sum_l rho^{2l} (P_l M + Q_l x M) that the given form builds on a head M
-    of degree k, for an exact zeta (x c = c^ x for c in Cl(1,1)).
-
-    Each Q_l is a pair of factors, multiplied on their blades as the
-    form's constant products multiply them (radial_series).
+    of degree k, for the IntMatrix Z of an exact zeta (x c = c^ x for c in
+    Cl(1,1)); zeta* zeta is Z^ Z and zeta zeta* is Z Z^.
     """
     two_g = 2 * k + m
     gamma = Fraction(two_g, 2)
+    Zh = Z.hat()
     if form == "monogenic":
         # P_l = w_l(gamma) and Q_l = w_l(gamma+1) zeta^ / (2k+m)
-        s = IntMatrix.of(z.star_zeta())
-        zs = _blades(z.involution())
+        s = Zh * Z
         return (tuple(s.radial_weights(gamma, L)),
-                tuple((wl.scale(1, two_g), zs)
+                tuple(wl.scale(1, two_g) * Zh
                       for wl in s.radial_weights(gamma + 1, L)))
     if form == "factored":
         # g = (zeta* - d_x) applied to the inner series with the starred
         # weights I_l over (2k+m): P_l = (2l+2k+m) I_l^ and Q_l = zeta^ I_l
-        inner = [wl.scale(1, two_g) for wl in
-                 IntMatrix.of(z.zeta_star()).radial_weights(gamma + 1, L)]
-        zs = _blades(z.involution())
+        inner = [wl.scale(1, two_g)
+                 for wl in (Z * Zh).radial_weights(gamma + 1, L)]
         return (tuple(il.hat().scale(2 * l + two_g)
                       for l, il in enumerate(inner)),
-                tuple((zs, il) for il in inner))
+                tuple(Zh * il for il in inner))
     # g = (1 - zeta^-1 d_x) applied to the series carried one order further
     # and cut back to degree 2L+k+1, which keeps all of d_x of it; so
     # P_l = w_l and Q_l = -2(l+1) zeta^-1 w_{l+1}^
-    w = IntMatrix.of(z.star_zeta()).radial_weights(gamma, L + 1)
-    zinv = _blades(z.invert())
+    w = (Zh * Z).radial_weights(gamma, L + 1)
+    zinv = Z.inverse()
     return (tuple(w[:L + 1]),
-            tuple((zinv, w[l + 1].hat().scale(-2 * (l + 1)))
+            tuple(zinv * w[l + 1].hat().scale(-2 * (l + 1))
                   for l in range(L + 1)))
 
 
@@ -376,9 +366,9 @@ def build_generalized(M, z: ZetaElement, L: int = 12,
     if form == "invertible" and not z.is_invertible():
         raise NotInvertibleError("invertible form needs det(zeta) != 0")
     if _exact(z, heads):
-        m = heads[0].poly.ctx.m
+        Z, m = IntMatrix.of(z), heads[0].poly.ctx.m
         return _radial_solution(f"gen-{form}", heads, L, z, [
-            _generalized_weights(form, z, h.degree, m, L) for h in heads])
+            _generalized_weights(form, Z, h.degree, m, L) for h in heads])
     return _solution(_stage_generalized(heads, z, L, form), f"gen-{form}",
                      heads, L, z)
 

@@ -11,17 +11,17 @@ owns d/dt, and TimeFunction is its x-independent slice.
 
 Storage rule.  An exact body (every coefficient an int, Fraction or
 GaussianRational) is stored as {key: {blade: numerator}} over one shared
-positive int denominator D.  A numerator is an int where the value is an
-int or a Fraction, and an integer pair (re, im) where the value is a
-GaussianRational; a pair stays a pair when its imaginary part cancels, as
-a GaussianRational does, and no numerator is zero.  Every loop over
-numerators takes ints and pairs alike: it tests a value for a tuple and
-does pair arithmetic only there.  An inexact body (some float or complex
-value) is stored as its raw values with D = None.  A body is read through
-keys() and coeffs(key), which makes one term's {blade: value} afresh
-(int, Fraction and GaussianRational values for an exact body); .terms,
-{key: Multivector}, is made afresh on every read.  No reader hands out a
-stored row, and no other module reads the numerators.
+positive int denominator D.  A numerator is an integer pair (re, im)
+where the value's imaginary part is nonzero and an int otherwise, and no
+numerator is zero; so an exact value is read back as an int when
+integral, a Fraction when rational and a GaussianRational only when it
+is not real.  Every loop over numerators takes ints and pairs alike: it
+tests a value for a tuple and does pair arithmetic only there (the
+algebra kernels, which keep the rule).  An inexact body (some float or
+complex value) is stored as its raw values with D = None.  A body is read
+through keys() and coeffs(key), which makes one term's {blade: value}
+afresh; .terms, {key: Multivector}, is made afresh on every read.  No
+reader hands out a stored row, and no other module reads the numerators.
 
 The accumulator.  Every operator but scale and / (which change D and the
 numerators of one body), and every sum of operator results, is built by
@@ -67,7 +67,7 @@ from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
 from .algebra import (AlgebraContext, AlgebraMismatchError, Multivector,
                       Numerator, _mul_blade_into, _mul_into, _nadd, _nmul,
-                      _nneg, _split_blades)
+                      _nneg, _ratio, _split_blades)
 from .scalars import Exact, GaussianRational, Scalar, is_exact
 
 Exponents = Tuple[int, ...]
@@ -80,19 +80,6 @@ _EXACT_TYPES = (int, Fraction, GaussianRational)
 
 
 # -- numerators --------------------------------------------------------------
-
-
-def _ratio(v: Exact) -> Tuple[Numerator, int]:
-    """(numerator, denominator) of an exact scalar, the denominator > 0."""
-    t = type(v)
-    if t is int:
-        return v, 1
-    if t is Fraction:
-        return v.numerator, v.denominator
-    re, im = v.re, v.im
-    q = lcm(re.denominator, im.denominator)
-    return (re.numerator * (q // re.denominator),
-            im.numerator * (q // im.denominator)), q
 
 
 def _to_numerators(values: Rows) -> Tuple[Rows, Optional[int]]:
@@ -554,8 +541,7 @@ class SparseTerms:
             return False
         if self._D == other._D and self._nums == other._nums:
             return True
-        # equal values may be stored apart: over another D, or as a pair
-        # and an int numerator
+        # equal values may be stored over another D
         return (self - other).is_zero()
 
     def __repr__(self):
@@ -725,7 +711,10 @@ class SparseTerms:
                 if D is not None:
                     c = _rounded(c, D) if rounds else _value(c, D)
                 elif rounds and is_exact(c):
-                    c = _rounded(*_ratio(c))
+                    # a raw GaussianRational rounds to a complex, as c * w does
+                    n, q = _ratio(c)
+                    c = _rounded((n, 0) if type(c) is GaussianRational
+                                 and not c.im else n, q)
                 cols.setdefault(mask, []).append((slot, c))
         ns = {n for _, n, _ in timed if n}
         for point, t in points:
@@ -934,8 +923,7 @@ def radial_level(w, ctx: AlgebraContext) -> Tuple[Dict[int, Numerator], int]:
     to_multivector puts +-entry/2 on the blades 1, eps e (a, d) and e, eps
     (b, c), so the level's numerators over 2 q are a+d, a-d, b-c and
     -(b+c), each dropped when it vanishes, the blades of a first exactly
-    when a is nonzero; a zero entry is the int 0, which changes no type,
-    as to_multivector skips it.
+    when a is nonzero.
     """
     top = 1 << (ctx.m + 1)
     a, b, c, d = w.entries
@@ -957,38 +945,19 @@ def rho_terms(m: int, l: int) -> Tuple[Tuple[Exponents, int], ...]:
                  for rest, c in rho_terms(m - 1, l - j))
 
 
-def _level_row(w, ctx: AlgebraContext) -> Tuple[Dict[int, Numerator], int]:
-    """(blade numerators, denominator) of an exact Cl(1,1) weight: a
-    zeta.IntMatrix, or a tuple of them multiplied left to right on their
-    blade numerators."""
-    if not isinstance(w, tuple):
-        return radial_level(w, ctx)
-    row, q = radial_level(w[0], ctx)
-    for factor in w[1:]:
-        r, s = radial_level(factor, ctx)
-        row, q = _mul_into(ctx, {}, row, r), q * s
-    return row, q
-
-
 def radial_series(ctx: AlgebraContext, heads) -> CliffordPoly:
     """sum over the heads, over the (p, levels) of a head and over the
     (l, w) of its levels, of rho^{2l} w p: exact CliffordPolys p and exact
-    Cl(1,1) weights w, each a zeta.IntMatrix or a tuple of factors
-    (_level_row).
+    Cl(1,1) weights w, each a zeta.IntMatrix.
 
     rho^{2l} is a scalar with integer terms (rho_terms), so each level is
     made once as the small product w p, and each of its terms is added
     under every shift x^{2j}, |j| = l, times the integer l!/prod j_i!.
     Every level of every head is written at one denominator.  A head is
     summed on its own and the heads are merged in order, as a Sum merges
-    its stages.  Within a head the levels of one p, and p and x p, have
-    distinct degrees; when the coefficients of p lie in the e_1..e_m
-    subalgebra each blade of a term then comes from one blade of one
-    weight, and has that blade's numerator type, int or pair.  A weight
-    multiplied out of factors on its blades has the numerator types of the
-    constant products a Sum makes of those factors in that order.
+    its stages.
     """
-    groups = [[(l, p, *_level_row(w, ctx)) for p, levels in head
+    groups = [[(l, p, *radial_level(w, ctx)) for p, levels in head
                for l, w in levels] for head in heads]
     D = lcm(*(p._D * q for parts in groups for _, p, _, q in parts))
     m = ctx.m
@@ -1042,7 +1011,4 @@ def integer_rescale(p: CliffordPoly) -> CliffordPoly:
     if p._D is None or p.is_zero():
         return p
     # over D = 0 the common factor is the numerators' own
-    nums, _ = _reduced(p._nums, 0)
-    return p._new({exps: {mask: n if type(n) is int or n[1] else n[0]
-                          for mask, n in vals.items()}
-                   for exps, vals in nums.items()}, 1)
+    return p._new(_reduced(p._nums, 0)[0], 1)

@@ -11,8 +11,9 @@ confluent limit psi(l^2) + 2 l psi'(l^2) (xi - l) for a repeated one.
 
 An exact element is also carried as an IntMatrix: its matrix as integer
 numerators over one positive denominator, integer pairs (re, im) for
-Gaussian entries.  The radial weights of an exact zeta, and the ladder
-identities verify checks them by, run on those numerators alone.
+entries that are not real.  The exact series builds get every Cl(1,1)
+weight from IntMatrix arithmetic, and the ladder identities verify checks
+them by run on those numerators alone.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from .algebra import (AlgebraContext, Multivector, Numerator, _nadd, _nmul,
-                      _nneg)
-from .scalars import GaussianRational, Scalar, is_exact
+                      _nneg, _ratio)
+from .scalars import Scalar, is_exact
 
 # repeated-eigenvalue branch: relative gap below this uses the confluent formula
 BRANCH_TOL = 1e-9
@@ -177,10 +178,8 @@ class ZetaElement:
 class IntMatrix:
     """An exact Cl(1,1) element: the integer matrix [[a, b], [c, d]] over q > 0.
 
-    An entry is an int, or an integer pair (re, im) where the element has
-    a Gaussian entry; products, the involution and scaling keep pairs as
-    pairs, as GaussianRational arithmetic keeps its type.  Two matrices
-    are equal when their values are.
+    An entry is an int, or an integer pair (re, im) where its imaginary
+    part is nonzero.  Two matrices are equal when their values are.
     """
 
     __slots__ = ("entries", "q")
@@ -191,15 +190,7 @@ class IntMatrix:
     @classmethod
     def of(cls, z: ZetaElement) -> "IntMatrix":
         """The matrix of an exact z over the lcm of its entries' denominators."""
-        ratios = []
-        for v in z.entries():
-            if isinstance(v, GaussianRational):
-                q = lcm(v.re.denominator, v.im.denominator)
-                ratios.append(((v.re.numerator * (q // v.re.denominator),
-                                v.im.numerator * (q // v.im.denominator)), q))
-            else:
-                v = Fraction(v)
-                ratios.append((v.numerator, v.denominator))
+        ratios = [_ratio(v) for v in z.entries()]
         sigma = lcm(*(q for _, q in ratios))
         return cls([_nmul(n, sigma // q) for n, q in ratios], sigma)
 
@@ -261,9 +252,7 @@ class IntMatrix:
         With s = S / sigma: w_n = W_n / q_n, W_{n+1} = -W_n S and
         q_{n+1} = q_n sigma 2(n+1)(2 gamma + 2n), since
         4 (n+1)(gamma+n) = 2(n+1)(2 gamma + 2n), reduced by one gcd per
-        level.  An entry is a pair wherever the GaussianRational recurrence
-        has a GaussianRational, and no entry is a zero pair (_nadd leaves
-        none).
+        level.
         """
         two_gamma = int(2 * gamma)
         w = IntMatrix((1, 0, 0, 1))

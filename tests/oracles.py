@@ -219,13 +219,24 @@ def exact_values(*maps):
                for mv in terms.values() for v in mv.terms.values())
 
 
+def canonical(v):
+    """v as the body storage hands an exact value out: an int when
+    integral, a Fraction when rational and a GaussianRational only when
+    its imaginary part is nonzero.  Any other value as it is."""
+    if type(v) is GaussianRational and not v.im:
+        v = v.re
+    if type(v) is Fraction and v.denominator == 1:
+        return v.numerator
+    return v
+
+
 def assert_matches(got, want, exact):
     """got (a {key: Multivector} mapping) equals the oracle's want.
 
-    Exact operands: equal values, each an int, Fraction or GaussianRational,
-    and a GaussianRational exactly where the oracle has one.  Inexact
-    operands: the same type and repr per blade, bit for bit.  Either way
-    no key is empty and no stored value is zero.
+    Exact operands: equal values, each of the type canonical gives the
+    oracle's value.  Inexact operands: the same type and repr per blade,
+    bit for bit, after canonical.  Either way no key is empty and no
+    stored value is zero.
     """
     for mv in got.values():
         assert mv.terms and all(v != 0 for v in mv.terms.values())
@@ -236,11 +247,14 @@ def assert_matches(got, want, exact):
     for key, mv in got.items():
         for mask, v in mv.terms.items():
             assert type(v) in EXACT_TYPES
-            assert isinstance(v, GaussianRational) == isinstance(
-                want[key].terms[mask], GaussianRational)
+            assert type(v) is type(canonical(want[key].terms[mask]))
 
 
 def typed(terms):
-    """Per key and blade, (type name, repr) of the coefficient."""
-    return {key: {b: (type(v).__name__, repr(v)) for b, v in mv.terms.items()}
+    """Per key and blade, (type name, repr) of the canonical coefficient."""
+    return {key: {b: _typed(canonical(v)) for b, v in mv.terms.items()}
             for key, mv in terms.items()}
+
+
+def _typed(v):
+    return type(v).__name__, repr(v)

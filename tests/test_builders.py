@@ -307,6 +307,8 @@ def test_exact_series_bodies_match_the_stage_construction(data):
     (G(1, 1), 0, 0, G(1, -1)),
     (G(0, 1), G(0, -1), 1, 1),
     (0, 1, 0, 0),                                   # zeta = f: s = 0
+    (G(0, 1), 0, 0, G(0, 1)),                       # zeta = i: zeta* zeta = -1
+    (G(1, 1), 1, 0, 2),                             # det 2+2i: a Gaussian inverse
 ])
 def test_exact_series_bodies_of_chosen_quadruples(entries):
     z = ZetaElement(*entries)
@@ -335,8 +337,13 @@ def _assert_expands_as_the_stages(heads, z, L, form):
     assert sol._radial is not None and want._radial is None
     assert solution_to_dict(sol) == solution_to_dict(want)
     assert typed(sol.body.terms) == typed(want.body.terms)
+    assert scalar_types(sol.body) == scalar_types(want.body)
     assert (residual_report_to_dict(dirac_residual(sol))
             == residual_report_to_dict(dirac_residual(want)))
+
+
+def scalar_types(F):
+    return {key: {b: type(v) for b, v in F.coeffs(key).items()} for key in F.keys()}
 
 
 # -- generalized operator -------------------------------------------------------

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (as_spacetime, assert_matches, exact_values, o_add,
-                     o_dirac, o_div, o_evaluate, o_laplacian, o_lmul, o_mul,
-                     o_neg, o_partial, o_rmul, o_scale, typed)
+from oracles import (as_spacetime, assert_matches, canonical, exact_values,
+                     o_add, o_dirac, o_div, o_evaluate, o_laplacian, o_lmul,
+                     o_mul, o_neg, o_partial, o_rmul, o_scale, typed)
 from paradirac.algebra import AlgebraContext, Multivector, _mul_into, witt_basis
 from paradirac.poly import (CliffordPoly, SpaceTimeFunction, TimeFunction,
                             rho_powers, rho_squared, rho_terms,
@@ -321,14 +321,14 @@ def old_dirac(p):
 
 
 def assert_same_exact(got, expect):
-    """Equal values, no empty key or zero blade, Gaussian exactly where expected."""
+    """Equal values, no empty key or zero blade, each of the type of the
+    expected value as canonical reads it."""
     assert got.terms == expect
     assert_clean(got)
     for key, mv in got.terms.items():
         for b, v in mv.terms.items():
             assert type(v) in (int, Fraction, GaussianRational)
-            assert isinstance(v, GaussianRational) == isinstance(
-                expect[key].terms[b], GaussianRational)
+            assert type(v) is type(canonical(expect[key].terms[b]))
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,12 +2,13 @@
 
 A Sum runs a chain of operator stages into one accumulator at one
 denominator.  These properties check it two ways: against the per-term
-Multivector oracles of oracles.py (equal values, a GaussianRational exactly
-where the oracle has one), and against the same chain of binary operators,
-which makes one body per operator: equal values, equal D, the same term
-order and the same blade order, and on raw values the same bits.  The
-operands cancel often, hold zero constants, mix exact and float values,
-and hold Gaussian values, stored as integer pairs.
+Multivector oracles of oracles.py (equal values, each of the type of the
+oracle's value read as oracles.canonical reads it), and against the same
+chain of binary operators, which makes one body per operator: equal
+values, equal D, the same term order and the same blade order, and on raw
+values the same bits.  The operands cancel often, hold zero constants, mix
+exact and float values, and hold Gaussian values, stored as integer pairs
+while their imaginary part is nonzero.
 """
 
 from fractions import Fraction
@@ -15,16 +16,17 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (assert_matches, exact_values, o_add, o_d_dt, o_dirac,
-                     o_laplacian, o_lmul, o_neg, o_partial, o_rmul, o_split,
-                     typed)
+from oracles import (assert_matches, canonical, exact_values, o_add, o_d_dt,
+                     o_dirac, o_laplacian, o_lmul, o_neg, o_partial, o_rmul,
+                     o_split, typed)
 from paradirac.algebra import AlgebraContext, Multivector, witt_basis
 from paradirac.builders import SeriesSolution
-from paradirac.poly import CliffordPoly, SpaceTimeFunction, Sum, rho_powers
+from paradirac.poly import (CliffordPoly, SpaceTimeFunction, Sum,
+                            integer_rescale, radial_series, rho_powers)
 from paradirac.scalars import GaussianRational
 from paradirac.timefn import TimeFunction, apply_0F1, parabolic_dirac
 from paradirac.verify import symbolic_residual
-from paradirac.zeta import ZetaElement
+from paradirac.zeta import IntMatrix, ZetaElement
 
 halves = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 6)))
 VALUES = {
@@ -120,6 +122,29 @@ def test_one_accumulator_sum_matches_binary_chain_and_oracle(data):
         if ops and data.draw(st.booleans()):
             body = body - ops[0][0]          # cancels the first operand
         ops.append((body, data.draw(st.sampled_from((None, None, -1, 0)))))
+    _assert_sum_matches_chain_and_oracle(ctx, ops)
+
+
+def test_an_integral_exact_part_beside_a_float_is_an_int():
+    """1/2 e1, then e1 - 1/2 e1, then the float 1.0: the exact e1 values
+    add up to 1 before the float stage turns the sum to raw values, and
+    the sum holds the int 1 where Fraction arithmetic in the oracle keeps
+    Fraction(1, 1); both read as the canonical int."""
+    ctx = AlgebraContext(1)
+    key = ((0,), 0, 0)
+    half = SpaceTimeFunction(ctx, {key: Multivector(ctx, {2: Fraction(1, 2)})})
+    one = SpaceTimeFunction(ctx, {key: Multivector(ctx, {2: 1})})
+    ones = SpaceTimeFunction(ctx, {key: Multivector(ctx, {0: 1.0})})
+    _assert_sum_matches_chain_and_oracle(
+        ctx, [(half, None), (one - half, None), (ones, None)])
+    total = Sum(SpaceTimeFunction, ctx).add(half).add(one - half).add(ones).value()
+    assert total.coeffs(key) == {2: 1, 0: 1.0} and type(total.coeffs(key)[2]) is int
+
+
+def _assert_sum_matches_chain_and_oracle(ctx, ops):
+    """The Sum of (body, sign) stages against the chain of binary
+    operators and against the per-term oracle; a sign of 0 drops the
+    stage."""
     got = Sum(SpaceTimeFunction, ctx)
     chain = SpaceTimeFunction.zero(ctx)
     oracle = {}
@@ -254,9 +279,7 @@ def test_apply_0F1_scales_each_level_as_scale_does(data):
 @given(st.data())
 def test_explicit_zeros_in_a_constant_store_no_zero(data):
     """A constant Multivector may hold zero values; a product with it stores
-    no zero numerator, so is_zero() and == read it right.  As in the
-    oracle, a Gaussian zero times a Gaussian value is a Gaussian zero, so
-    the sum it joins is a GaussianRational."""
+    no zero numerator, so is_zero() and == read it right."""
     ctx = AlgebraContext(data.draw(st.integers(1, 3)))
     top = 1 << (ctx.m + 1)
     F = data.draw(bodies(ctx, data.draw(st.sampled_from(
@@ -320,14 +343,20 @@ def test_fused_parabolic_residual(data):
                                         o_lmul(a, fdag)), True)
 
 
-# -- Gaussian pair bodies ----------------------------------------------------------
+# -- canonical exact values ----------------------------------------------------------
+
+
+def re_part(v):
+    return v.re if isinstance(v, GaussianRational) else v
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_gaussian_pair_bodies_keep_their_types(data):
-    """A value made from a Gaussian one stays a GaussianRational, also when
-    its imaginary part cancels; the split and equality see values."""
+def test_gaussian_bodies_whose_imaginary_parts_cancel_are_rational(data):
+    """A value made from Gaussian ones is a GaussianRational only while its
+    imaginary part is nonzero: a sum whose imaginary parts all cancel holds
+    ints and Fractions, typed as the body of the same rational values; the
+    split and equality see values."""
     ctx = AlgebraContext(data.draw(st.integers(1, 3)))
     F = data.draw(bodies(ctx, "gaussian", timed=True))
     G = data.draw(bodies(ctx, data.draw(st.sampled_from(("int", "exact", "gaussian"))),
@@ -337,16 +366,68 @@ def test_gaussian_pair_bodies_keep_their_types(data):
         for b, v in mv.terms.items()}) for key, mv in F.terms.items()})
     real = F + conj                 # every imaginary part cancels
     assert_matches(real.terms, o_add(F.terms, conj.terms), True)
-    assert all(isinstance(v, GaussianRational) and not v.im
+    assert all(type(v) in (int, Fraction) and canonical(v) is v
                for mv in real.terms.values() for v in mv.terms.values())
+    rational = SpaceTimeFunction(ctx, {key: Multivector(ctx, {
+        b: 2 * re_part(v) for b, v in mv.terms.items()}) for key, mv in F.terms.items()})
+    assert typed(real.terms) == typed(rational.terms)
+    assert real == rational and rational == real
+    assert (real - rational).is_zero()
     for got, want in zip((F + G).split(), o_split(o_add(F.terms, G.terms))):
         assert_matches(got.terms, want, True)
-    # a pair numerator and an int numerator of one value are equal bodies
-    as_ints = SpaceTimeFunction(ctx, {key: Multivector(ctx, {
-        b: v.re for b, v in mv.terms.items()}) for key, mv in real.terms.items()})
-    assert real == as_ints and as_ints == real
-    assert (real - as_ints).is_zero()
     c = data.draw(VALUES["gaussian"].filter(bool))
     assert_matches(F.scale(c).terms, {k: mv * c for k, mv in F.terms.items()
                                       if not (mv * c).is_zero()}, True)
     assert (F.scale(c) / c) == F
+
+
+def assert_canonical(body):
+    """An exact body hands out no GaussianRational with a zero imaginary
+    part and no Fraction with denominator 1."""
+    assert body.is_exact()
+    for key in body.keys():
+        for v in body.coeffs(key).values():
+            assert type(v) in (int, Fraction, GaussianRational)
+            assert not (type(v) is GaussianRational and not v.im), (key, v)
+            assert not (type(v) is Fraction and v.denominator == 1), (key, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_stage_and_operator_hands_out_canonical_values(data):
+    ctx = AlgebraContext(data.draw(st.integers(1, 3)))
+    exact_kinds = st.sampled_from(("int", "fraction", "gaussian", "exact"))
+
+    def body():
+        F = data.draw(bodies(ctx, data.draw(exact_kinds), timed=True))
+        return SpaceTimeFunction(ctx, {key: mv for key, mv in F.terms.items()
+                                       if type(key[2]) is not float})
+    F, G = body(), body()
+    if data.draw(st.booleans()):
+        G = G - F
+    mv = data.draw(constants(ctx, data.draw(exact_kinds)))
+    c = data.draw(VALUES[data.draw(exact_kinds)].filter(bool))
+    sign = data.draw(st.sampled_from((None, -1, c)))
+    i = data.draw(st.integers(0, ctx.m - 1))
+    z = ZetaElement(*(data.draw(VALUES[data.draw(exact_kinds)]) for _ in range(4)))
+    p = CliffordPoly(ctx, {exps: mv for (exps, n, lam), mv in F.terms.items()
+                           if n == 0 and lam == 0})
+    W = IntMatrix.of(z)
+    stages = [
+        lambda S: S.add(F, sign), lambda S: S.lmul(mv, G, sign),
+        lambda S: S.rmul(mv, F, sign), lambda S: S.product(F, G, sign),
+        lambda S: S.dirac(G, sign), lambda S: S.lowered(F, 1, (i,), sign),
+        lambda S: S.laplacian(G, sign), lambda S: S.d_dt(F, sign)]
+    for stage in stages:
+        assert_canonical(stage(Sum(SpaceTimeFunction, ctx)).value())
+    together = Sum(SpaceTimeFunction, ctx)
+    for stage in stages:
+        stage(together)
+    assert_canonical(together.value())
+    levels = [z.to_multivector(ctx), z.star_zeta().to_multivector(ctx)]
+    for got in (F + G, F - G, -F, F.scale(c), F / c, F.lmul(mv), F.rmul(mv),
+                F * G, F.partial(i), F.dirac(), F.laplacian(), F.d_dt(),
+                *F.split(), SpaceTimeFunction.from_poly(p), p.truncate_degree(2),
+                integer_rescale(p), Sum(CliffordPoly, ctx).radial(p, levels).value(),
+                radial_series(ctx, [[(p, [(0, W), (1, W.hat() * W)])]])):
+        assert_canonical(got)

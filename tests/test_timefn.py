@@ -366,6 +366,12 @@ def test_evaluate_many_edge_cases():
     *_, exact = F.evaluate_many(batch + [q])
     assert exact.is_exact()
     assert bits(exact.terms) == bits(per_term_value(F, *q))
+    # a raw GaussianRational of a float body rounds to a complex, as c * w
+    # does, also when its imaginary part is zero
+    R = SpaceTimeFunction(ctx, {((1, 0), 0, 0): ctx.scalar(GaussianRational(2, 0)),
+                                ((0, 0), 0, 0): ctx.e(1) * 0.5})
+    assert bits(R.evaluate(*batch[0]).terms) == bits(per_term_value(R, *batch[0]))
+    assert type(R.evaluate(*batch[0]).terms[0]) is complex
     assert list(F.evaluate_many([])) == []
     assert list(F.evaluate_many(iter(batch))) == [at_float, origin]
     # a sum that vanishes part way restarts from int 0, as a fresh sum would

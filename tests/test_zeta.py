@@ -217,6 +217,14 @@ def value(w: IntMatrix) -> ZetaElement:
     return ZetaElement(*map(one, w.entries))
 
 
+def assert_pairs_only_where_not_real(w: IntMatrix):
+    """Each entry is an int, or a pair exactly when its imaginary part is
+    nonzero."""
+    for n in w.entries:
+        assert type(n) is int or (type(n) is tuple and len(n) == 2
+                                  and all(type(x) is int for x in n) and n[1])
+
+
 @settings(max_examples=150, deadline=None)
 @given(exact_zetas, exact_zetas, st.integers(-5, 5), st.integers(1, 6))
 def test_int_matrix_arithmetic_matches_zeta_element(z, w, p, q):
@@ -229,16 +237,27 @@ def test_int_matrix_arithmetic_matches_zeta_element(z, w, p, q):
     assert (Z == W) == (z == w)
     assert Z.scale(2, 2) == Z
     assert (Z.scale(-1) == Z) == z.is_zero()
+    for v in (Z, Z * W, Z.hat() * Z, Z * Z.hat(), Z.scale(p, q), Z.reduced(),
+              *Z.radial_weights(Fraction(3, 2), 3)):
+        assert_pairs_only_where_not_real(v)
     if z.is_invertible():
         assert value(Z.inverse()) == z.invert()
+        assert_pairs_only_where_not_real(Z.inverse() * W)
     else:
         with pytest.raises(ZeroDivisionError):
             Z.inverse()
 
 
-def test_int_matrix_keeps_gaussian_entries_as_pairs():
-    Z = IntMatrix.of(ZetaElement(GaussianRational(1, 0), Fraction(1, 2), 0, 3))
-    assert Z.entries == ((2, 0), 1, 0, 6) and Z.q == 2
-    assert (Z * Z).entries[0] == (4, 0)
-    assert IntMatrix(((0, 2), 0, 0, (4, 0)), 6).reduced().entries == (
-        (0, 1), 0, 0, (2, 0))
+def test_int_matrix_entries_are_pairs_only_where_not_real():
+    Z = IntMatrix.of(ZetaElement(GaussianRational(1, 0), Fraction(1, 2), 0,
+                                 GaussianRational(3, Fraction(1, 3))))
+    assert Z.entries == (6, 3, 0, (18, 2)) and Z.q == 6
+    # products whose imaginary parts cancel are ints: i i = -1 and
+    # (18 + 2i)(9 - i) = 164
+    I = IntMatrix.of(ZetaElement(GaussianRational(0, 1), 0, 0, GaussianRational(0, 1)))
+    assert (I * I).entries == (-1, 0, 0, -1)
+    W = IntMatrix.of(ZetaElement(1, 0, 0, GaussianRational(3, Fraction(-1, 3))))
+    assert W.entries == (3, 0, 0, (9, -1)) and (Z * W).entries[3] == 164
+    assert IntMatrix(((0, 2), 0, 0, 4), 6).reduced().entries == ((0, 1), 0, 0, 2)
+    for w in (Z, I * I, Z * W, Z.hat(), Z.scale(-2, 3), Z.inverse(), Z * W.inverse()):
+        assert_pairs_only_where_not_real(w)
