@@ -25,13 +25,20 @@ float operations of those steps.
 All series are truncated at the requested order L; the parabolic builds
 terminate on their own when every seed profile is a polynomial in t, in
 which case the result is an exact null-solution (flagged exact when the
-coefficient arithmetic is exact too).
+coefficient arithmetic is exact too).  An exact parabolic build keeps
+its profile form, F = G0 + f G1 + fdag G2 + f fdag G3 with
+G_i = sum_l rho^{2l} M alpha_{i,l} + rho^{2l} x M beta_{i,l}: the
+recurrence records the profiles it multiplies in, the closed form the
+derivatives and weights apply_0F1 sums.  verify confirms D F = 0 by the
+identities between those profiles instead of applying D to every
+monomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .algebra import AlgebraContext, witt_basis
@@ -63,16 +70,37 @@ class RadialForm(NamedTuple):
     heads: Tuple[Tuple[int, CliffordPoly, tuple, Optional[tuple]], ...]
 
 
+class ParabolicForm(NamedTuple):
+    """The profile form of an exact parabolic build on a monogenic head M of
+    degree k: F = G0 + f G1 + fdag G2 + f fdag G3 with
+    G_i = sum_l rho^{2l} M alpha_{i,l} + rho^{2l} x M beta_{i,l}.
+
+    levels holds per level l the eight profiles (alpha_0, beta_0, alpha_1,
+    beta_1, alpha_2, beta_2, alpha_3, beta_3), each None for zero or a pair
+    (c, p), the exact scalar c times the time profile p; every level past
+    the last is zero.  mode, k and L are the build's, so a form is read
+    only for the solution it was made for.
+    """
+
+    mode: str
+    k: int
+    L: int
+    M: CliffordPoly
+    levels: Tuple[tuple, ...]
+
+
 @dataclass
 class SeriesSolution:
     """A built solution plus the metadata needed to verify and serialize it.
 
     A solution remembers D F of its body for the parabolic operator D, so
     dirac_residual followed by check_component_conditions applies D once.
-    The memo is (body, D body), read only while body is that same object;
-    it takes no part in ==, repr or serialization.  An exact generalized
-    or Helmholtz build keeps its radial form the same way, as
-    (body, RadialForm), for dirac_residual to check by the ladder.
+    The memo is (body, D body, by_ladder), read only while body is that
+    same object; it takes no part in ==, repr or serialization.  An exact
+    build keeps its form the same way, as (body, form) in _radial: a
+    RadialForm for a generalized or Helmholtz build, which dirac_residual
+    checks by the radial ladder, and a ParabolicForm for a parabolic one,
+    whose profile ladder stands in for D F and the component conditions.
     """
 
     body: SpaceTimeFunction
@@ -83,9 +111,10 @@ class SeriesSolution:
     exact: bool
     zeta: Optional[ZetaElement] = None
     extra: Dict[str, object] = field(default_factory=dict)
-    _dirac: Optional[Tuple[SpaceTimeFunction, SpaceTimeFunction]] = field(
+    _dirac: Optional[Tuple[SpaceTimeFunction, SpaceTimeFunction, bool]] = field(
         default=None, init=False, repr=False, compare=False)
-    _radial: Optional[Tuple[SpaceTimeFunction, RadialForm]] = field(
+    _radial: Optional[Tuple[SpaceTimeFunction,
+                            Union[RadialForm, ParabolicForm]]] = field(
         default=None, init=False, repr=False, compare=False)
 
     @property
@@ -116,6 +145,11 @@ def build_parabolic_closed(M: MonogenicPoly, a: TimeFunction,
     g = k + m/2.  The fdag block and the f block share the series order
     but the f block is driven by a'(t); together they reproduce the
     recurrence solution seeded with a0 = a, b2 = -a/(2k+m).
+
+    An exact build keeps its profile form, made of the (weight, derivative)
+    levels apply_0F1 sums: alpha_0 = w_l(g) a^(l) and, since
+    x fdag M = -fdag x M and x f M = -f x M, beta_2 = -w_l(g+1) a^(l) / (2k+m)
+    and beta_1 = -w_l(g+1) a^(l+1) / (2k+m).
     """
     (M,) = _as_list(M, MonogenicPoly, L)
     ctx = M.poly.ctx
@@ -126,12 +160,24 @@ def build_parabolic_closed(M: MonogenicPoly, a: TimeFunction,
     scale = Fraction(1, 2 * k + ctx.m)
     head_dag = (x * M.poly.lmul(fdag)).scale(scale)
     head_f = (x * M.poly.lmul(f)).scale(scale)
-    body = Sum(SpaceTimeFunction, ctx).add(apply_0F1(gamma, M.poly, a, L)).add(
-        apply_0F1(gamma + 1, head_dag, a, L)).add(
-        apply_0F1(gamma + 1, head_f, a.d_dt(), L)).value()
     exact = a.is_polynomial() and a.is_exact() and M.poly.is_exact()
-    return SeriesSolution(body=body, mode="parabolic-closed", m=ctx.m, k=k,
-                          L=L, exact=exact)
+    levels = ([], [], []) if exact else (None, None, None)
+    body = Sum(SpaceTimeFunction, ctx).add(
+        apply_0F1(gamma, M.poly, a, L, levels[0])).add(
+        apply_0F1(gamma + 1, head_dag, a, L, levels[1])).add(
+        apply_0F1(gamma + 1, head_f, a.d_dt(), L, levels[2])).value()
+    sol = SeriesSolution(body=body, mode="parabolic-closed", m=ctx.m, k=k,
+                         L=L, exact=exact)
+    if exact:
+        # the x fdag M and x f M sides carry -1/(2k+m); past a side's last
+        # level zip_longest gives None, a zero profile
+        def beta(level):
+            return level and (-scale * level[0], level[1])
+
+        sol._radial = (body, ParabolicForm(sol.mode, k, L, M.poly, tuple(
+            (a0, None, None, beta(b1), None, beta(b2), None, None)
+            for a0, b2, b1 in zip_longest(*levels))))
+    return sol
 
 
 def build_parabolic_recurrence(M: MonogenicPoly,
@@ -149,6 +195,7 @@ def build_parabolic_recurrence(M: MonogenicPoly,
 
     with a_{l+1} = a_l' / (4(l+1)(l+g)) and b_{l+1} = b_l' / (4(l+1)(l+g+1)).
     Polynomial seeds terminate the sum on their own; otherwise it stops at L.
+    An exact build keeps these eight profiles per level as its profile form.
     """
     (M,) = _as_list(M, MonogenicPoly, L)
     ctx = M.poly.ctx
@@ -177,7 +224,8 @@ def build_parabolic_recurrence(M: MonogenicPoly,
         stop = L
 
     x = vector_variable(ctx)
-    F0, F1, F2, F3 = (Sum(SpaceTimeFunction, ctx) for _ in range(4))
+    Fs = [Sum(SpaceTimeFunction, ctx) for _ in range(4)]
+    levels = []
     for l, P, Q in zip(range(stop + 1), rho_powers(M.poly),
                        rho_powers(x * M.poly)):
         two_lg = 2 * l + 2 * k + ctx.m          # 2(l + g), an integer
@@ -187,21 +235,27 @@ def build_parabolic_recurrence(M: MonogenicPoly,
         a2_next = a2.d_dt().scale(1 / div_a) if not a2.is_zero() else zero_tf
         P, Q = SpaceTimeFunction.from_poly(P), SpaceTimeFunction.from_poly(Q)
 
-        F0.product(P, a0).product(Q, b0)
-        F1.product(P, b0.scale(two_lg)).product(Q, a0_next.scale(-2 * (l + 1)))
-        F2.product(P, a2).product(Q, b2)
-        F3.product(P, b2.scale(-two_lg) - a0).product(
-            Q, a2_next.scale(2 * (l + 1)) - b0)
+        # (alpha, beta) of F0, F1, F2, F3
+        profiles = (a0, b0, b0.scale(two_lg), a0_next.scale(-2 * (l + 1)),
+                    a2, b2, b2.scale(-two_lg) - a0,
+                    a2_next.scale(2 * (l + 1)) - b0)
+        for i, G in enumerate(Fs):
+            G.product(P, profiles[2 * i]).product(Q, profiles[2 * i + 1])
+        levels.append(tuple(zip((1,) * 8, profiles)))
 
         a0, a2 = a0_next, a2_next
         b0 = b0.d_dt().scale(1 / div_b) if not b0.is_zero() else zero_tf
         b2 = b2.d_dt().scale(1 / div_b) if not b2.is_zero() else zero_tf
 
-    body = assemble_split(F0.value(), F1.value(), F2.value(), F3.value())
+    body = assemble_split(*(G.value() for G in Fs))
     exact = polynomial and M.poly.is_exact() and all(
         seed(n).is_exact() for n in ("a0", "b0", "a2", "b2"))
-    return SeriesSolution(body=body, mode="parabolic-recurrence", m=ctx.m,
-                          k=k, L=stop, exact=exact)
+    sol = SeriesSolution(body=body, mode="parabolic-recurrence", m=ctx.m,
+                         k=k, L=stop, exact=exact)
+    if exact:
+        sol._radial = (body, ParabolicForm(sol.mode, k, stop, M.poly,
+                                           tuple(levels)))
+    return sol
 
 
 def _weight_recurrence(s: ZetaElement, gamma: Fraction, L: int,

@@ -18,7 +18,11 @@ integral, a Fraction when rational and a GaussianRational only when it
 is not real.  Every loop over numerators takes ints and pairs alike: it
 tests a value for a tuple and does pair arithmetic only there (the
 algebra kernels, which keep the rule).  An inexact body (some float or
-complex value) is stored as its raw values with D = None.  A body is read
+complex value) is stored as its raw values with D = None.  The rule is
+one of exact bodies: an inexact body keeps its exact raw values as their
+own arithmetic makes them, so a Gaussian sum whose imaginary part
+cancels stays a GaussianRational there.  Such a value is equal to its
+canonical form and serialize writes it as the same bytes.  A body is read
 through keys() and coeffs(key), which makes one term's {blade: value}
 afresh; .terms, {key: Multivector}, is made afresh on every read.  No
 reader hands out a stored row, and no other module reads the numerators.

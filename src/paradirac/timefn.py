@@ -17,6 +17,7 @@ TimeFunction is the x-independent slice.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 from .algebra import witt_basis
 from .poly import CliffordPoly, SpaceTimeFunction, Sum, TimeFunction, rho_powers
@@ -43,13 +44,14 @@ def heat_residual(F: SpaceTimeFunction) -> SpaceTimeFunction:
     return Sum(SpaceTimeFunction, F.ctx).laplacian(F).d_dt(F, -1).value()
 
 
-def apply_0F1(gamma, base: CliffordPoly, a: TimeFunction, L: int) -> SpaceTimeFunction:
+def apply_0F1(gamma, base: CliffordPoly, a: TimeFunction, L: int,
+              levels: Optional[list] = None) -> SpaceTimeFunction:
     """Operator series 0F1(gamma; rho^2 s / 4) applied to base(x) * a(t).
 
     Returns sum_{l} rho^{2l} * base * a^{(l)}(t) / (4^l l! (gamma)_l), one
     Sum stage per level.  For a polynomial profile the series terminates
     by itself (the l-th derivative dies); otherwise it is truncated at
-    l = L.
+    l = L.  A levels list receives (weight, a^{(l)}) for each level summed.
     """
     if gamma <= 0 and (isinstance(gamma, int) or (isinstance(gamma, Fraction) and gamma.denominator == 1)):
         raise ValueError(f"0F1 pole: gamma = {gamma} is a nonpositive integer")
@@ -67,5 +69,7 @@ def apply_0F1(gamma, base: CliffordPoly, a: TimeFunction, L: int) -> SpaceTimeFu
         if l:
             weight = weight / (4 * l * (gamma + l - 1))
         total.product(SpaceTimeFunction.from_poly(spatial), deriv, weight)
+        if levels is not None:
+            levels.append((weight, deriv))
         deriv = deriv.d_dt()
     return total.value()

@@ -12,13 +12,18 @@ roundoff scale plus an empirical convergence order from sup-norms
 sampled over spheres of shrinking radius.
 
 A solution remembers D F of its body for the parabolic operator D, so
-dirac_residual followed by check_component_conditions applies D once;
-the component conditions are still read off the split components alone.
-A generalized or Helmholtz build fresh from its builder keeps its radial
-form instead, and its residual is read off the top level once the form
-passes the ladder identities; symbolic_residual, the operator applied to
-every monomial, stays the residual of every other solution and the
-oracle the ladder is tested against.
+dirac_residual followed by check_component_conditions applies D once,
+and the component conditions are read off the split components.  A
+build fresh from its builder with exact coefficients keeps its form
+instead.  A generalized or Helmholtz residual is read off the top level
+once the radial form passes the radial ladder identities.  An exact
+parabolic build's profile form is checked by the profile ladder
+(_parabolic_ladder): when it holds, D F = 0 is an algebraic identity, so
+its D F is the zero body and its component report all true, and neither
+D nor split nor the heat operator is applied.  The operator applied to
+every monomial (symbolic_residual of a solution without a form) and the
+split conditions stay the path of every other solution and the oracle
+the ladders are tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraContext, Multivector
-from .builders import SeriesSolution
+from .builders import ParabolicForm, RadialForm, SeriesSolution
 from .poly import CliffordPoly, Sum, radial_series, vector_variable
 from .timefn import (SpaceTimeFunction, assemble_split, heat_residual,
                      parabolic_dirac)
@@ -115,22 +120,33 @@ def check_component_conditions(
 
     cond_f1: F1 = -d_x F0;  cond_f3: F3 = d_x F2 - F0;
     heat_f0 / heat_f2: (Laplacian - d_t) applied to F0 / F2 vanishes.
-    The conditions are read off the split components alone.  The report
-    also takes D F directly, the one a solution remembers when it has
-    one, and records whether the equivalence held (it must, whichever
-    side is true).
+    The conditions are read off the split components.  The report also
+    takes D F directly, the one a solution remembers when it has one, and
+    records whether the equivalence held (it must, whichever side is
+    true).  A solution whose profile form passes the profile ladder has
+    D F = 0 as an identity; the split is unique, so every condition holds
+    and the report is all true, with nothing split or applied.  A
+    SeriesSolution of a mode other than the parabolic ones raises
+    ValueError: its operator is not D.
     """
     if isinstance(F, SeriesSolution):
-        body, DF = F.body, _parabolic_residual(F)
+        if _infer_operator(F.mode) != "parabolic":
+            raise ValueError(f"component conditions are those of the "
+                             f"parabolic operator, not of mode {F.mode!r}")
+        body, DF, by_ladder = _parabolic_residual(F)
     else:
-        body, DF = F, parabolic_dirac(F)
-    f0, f1, f2, f3 = body.split()
-    ctx = body.ctx
-    cond_f1 = Sum(SpaceTimeFunction, ctx).add(f1).dirac(f0).value().is_zero()
-    cond_f3 = Sum(SpaceTimeFunction, ctx).add(f3).dirac(f2, -1).add(
-        f0).value().is_zero()
-    heat_f0 = heat_residual(f0).is_zero()
-    heat_f2 = heat_residual(f2).is_zero()
+        body, DF, by_ladder = F, parabolic_dirac(F), False
+    if by_ladder:
+        cond_f1 = cond_f3 = heat_f0 = heat_f2 = True
+    else:
+        f0, f1, f2, f3 = body.split()
+        ctx = body.ctx
+        cond_f1 = Sum(SpaceTimeFunction, ctx).add(f1).dirac(
+            f0).value().is_zero()
+        cond_f3 = Sum(SpaceTimeFunction, ctx).add(f3).dirac(f2, -1).add(
+            f0).value().is_zero()
+        heat_f0 = heat_residual(f0).is_zero()
+        heat_f2 = heat_residual(f2).is_zero()
     conditions = cond_f1 and cond_f3 and heat_f0 and heat_f2
     dirac_zero = DF.is_zero()
     return CheckReport(
@@ -159,11 +175,12 @@ def perturb_component(F: SeriesSolution, slot: int, exps: Sequence[int],
 
 
 def symbolic_residual(F: SeriesSolution) -> SpaceTimeFunction:
-    """Apply the operator matching F.mode to the body."""
+    """Apply the operator matching F.mode to the body; a parabolic build
+    whose profile ladder holds has the zero body (_parabolic_residual)."""
     op = _infer_operator(F.mode)
     body = F.body
     if op == "parabolic":
-        return _parabolic_residual(F)
+        return _parabolic_residual(F)[1]
     if F.zeta is None:
         raise ValueError(f"{op} residual needs zeta metadata")
     total = Sum(SpaceTimeFunction, F.ctx)
@@ -173,16 +190,89 @@ def symbolic_residual(F: SeriesSolution) -> SpaceTimeFunction:
     return total.laplacian(body).lmul(sz, body).value()
 
 
-def _parabolic_residual(F: SeriesSolution) -> SpaceTimeFunction:
-    """D F.body for the parabolic D, applied once per body object.
+def _parabolic_residual(F: SeriesSolution
+                        ) -> Tuple[SpaceTimeFunction, SpaceTimeFunction, bool]:
+    """(F.body, D F.body, by_ladder) for the parabolic D, made once per
+    body object.
 
-    Bodies are immutable values, so the D F remembered on F stands while
-    F.body is the body it was taken of; a new body is applied afresh.
+    D F is the zero body when F's profile form passes the profile ladder
+    (by_ladder), else D applied to every monomial.  Bodies are immutable
+    values, so what F remembers stands while F.body is the body it was
+    taken of; a new body is taken afresh.
     """
     memo = F._dirac
     if memo is None or memo[0] is not F.body:
-        memo = F._dirac = (F.body, parabolic_dirac(F.body))
-    return memo[1]
+        if _parabolic_ladder(F):
+            memo = (F.body, SpaceTimeFunction.zero(F.ctx), True)
+        else:
+            memo = (F.body, parabolic_dirac(F.body), False)
+        F._dirac = memo
+    return memo
+
+
+def _parabolic_ladder(F: SeriesSolution) -> bool:
+    """True when F keeps a profile form for this body and metadata and the
+    form passes the profile ladder, which makes D F = 0 an identity.
+
+    In the form G_i = sum_l rho^{2l} M alpha_{i,l} + rho^{2l} x M beta_{i,l},
+    F = G0 + f G1 + fdag G2 + f fdag G3, the profiles depend on t alone
+    and sit right of M, so with d_x(rho^{2l} M) = 2l rho^{2l-2} x M and
+    d_x(rho^{2l} x M) = -t_l rho^{2l} M, t_l = 2l+2k+m, for a monogenic M
+    of degree k, the ladder, with g = k + m/2 and every level past the
+    last zero,
+
+        cond_f1  alpha_1,l = t_l beta_0,l,  beta_1,l = -2(l+1) alpha_0,l+1
+        cond_f3  alpha_3,l = -t_l beta_2,l - alpha_0,l,
+                 beta_3,l = 2(l+1) alpha_2,l+1 - beta_0,l
+        heat     alpha_i,l' = 4(l+1)(l+g) alpha_i,l+1,
+                 beta_i,l' = 4(l+1)(l+g+1) beta_i,l+1   (i = 0, 2)
+
+    gives G1 = -d_x G0, G3 = d_x G2 - G0 and (Laplacian - d_t) G_i = 0
+    for i = 0, 2, whatever Clifford values the profiles take.  Those
+    make each of the 1, f, fdag and f fdag parts of D F vanish
+    (f^2 = fdag^2 = 0, f fdag + fdag f = 1, f and fdag anticommute with
+    every e_i), so D F = 0.
+    """
+    memo = F._radial
+    if memo is None or memo[0] is not F.body:
+        return False
+    form = memo[1]
+    if not (isinstance(form, ParabolicForm)
+            and (form.mode, form.k, form.L) == (F.mode, F.k, F.L)):
+        return False
+    ctx, levels = F.ctx, form.levels
+    origin = (0,) * ctx.m
+    if not all(prof is None or all(key[0] == origin for key in prof[1].keys())
+               for level in levels for prof in level):
+        return False
+    top = (None,) * 8
+    for l, (a0, b0, a1, b1, a2, b2, a3, b3) in enumerate(levels):
+        na0, nb0, _, _, na2, nb2, _, _ = (levels[l + 1] if l + 1 < len(levels)
+                                          else top)
+        t, u = 2 * l + 2 * form.k + ctx.m, 2 * (l + 1)
+        # 4(l+1)(l+g) = u t and 4(l+1)(l+g+1) = u (t + 2)
+        if not (_vanishes(ctx, (a1, 1), (b0, -t))
+                and _vanishes(ctx, (b1, 1), (na0, u))
+                and _vanishes(ctx, (a3, 1), (b2, t), (a0, 1))
+                and _vanishes(ctx, (b3, 1), (na2, -u), (b0, 1))
+                and _vanishes(ctx, (na0, -u * t), slope=a0)
+                and _vanishes(ctx, (nb0, -u * (t + 2)), slope=b0)
+                and _vanishes(ctx, (na2, -u * t), slope=a2)
+                and _vanishes(ctx, (nb2, -u * (t + 2)), slope=b2)):
+            return False
+    return True
+
+
+def _vanishes(ctx: AlgebraContext, *terms, slope=None) -> bool:
+    """Whether slope' + sum of factor * profile over the (profile, factor)
+    terms is zero; a profile is None for zero or (c, p) for c p."""
+    total = Sum(SpaceTimeFunction, ctx)
+    if slope is not None:
+        total.d_dt(slope[1], slope[0])
+    for prof, factor in terms:
+        if prof is not None:
+            total.add(prof[1], prof[0] * factor)
+    return total.value().is_zero()
 
 
 def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
@@ -207,7 +297,9 @@ def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
     if memo is None or memo[0] is not F.body:
         return None
     form = memo[1]
-    if (form.mode, form.k, form.L, form.zeta) != (F.mode, F.k, F.L, F.zeta):
+    if not (isinstance(form, RadialForm) and (form.mode, form.k, form.L,
+                                              form.zeta)
+            == (F.mode, F.k, F.L, F.zeta)):
         return None
     degrees = {k for k, _, _, _ in form.heads}
     if len(degrees) != 1:
@@ -328,11 +420,13 @@ def dirac_residual(F: SeriesSolution,
     form; once the form passes the ladder identities its residual is the
     top level zeta Q_L rho^{2L} x M (zeta* zeta w_L rho^{2L} H for
     Helmholtz) summed over the heads (_ladder_residual), and equals
-    symbolic_residual(F) term for term.
-    Every other solution takes symbolic_residual, the operator applied
-    to every monomial: parabolic builds, float or Sylvester weights,
-    heads of several degrees, a loaded, replaced or perturbed body, and
-    a form that fails the ladder.
+    symbolic_residual(F) term for term.  An exact parabolic build fresh
+    from its builder keeps its profile form; once the form passes the
+    profile ladder (_parabolic_ladder) its residual is the zero body and
+    D is not applied.  Every other solution takes the operator applied
+    to every monomial: inexact or truncated parabolic builds, float or
+    Sylvester weights, heads of several degrees, a loaded, replaced or
+    perturbed body, and a form that fails its ladder.
     """
     if not (all(math.isfinite(r) and r > 0 for r in radii)
             and len(set(radii)) == len(radii)):

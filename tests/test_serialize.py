@@ -71,6 +71,30 @@ def build_samples():
     ]
 
 
+def test_a_real_gaussian_value_of_an_inexact_body_encodes_canonically():
+    # an inexact body keeps its exact raw values as they were added, so a
+    # Gaussian sum with a zero imaginary part stays a GaussianRational;
+    # it is written as the same bytes as its canonical int
+    ctx = AlgebraContext(1)
+    x0, x1 = ((0,), 0, 0), ((1,), 0, 0)
+
+    def body(*terms):
+        return SpaceTimeFunction(ctx, {key: ctx.scalar(c) for key, c in terms})
+
+    F = (body((x0, 0.5)) + body((x1, GaussianRational(1, 1)))
+         + body((x1, GaussianRational(1, -1))))
+    v = F.coeffs(x1)[0]
+    assert type(v) is GaussianRational and v == 2
+    assert json.dumps(encode_scalar(v)) == json.dumps(encode_scalar(2))
+    canonical = body((x0, 0.5), (x1, 2))
+    assert type(canonical.coeffs(x1)[0]) is int
+
+    def text(F):
+        return json.dumps(solution_to_dict(SeriesSolution(
+            body=F, mode="parabolic-closed", m=1, k=0, L=3, exact=False)))
+    assert text(F) == text(canonical)
+
+
 def test_solution_dict_roundtrip():
     for sol in build_samples():
         data = solution_to_dict(sol)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 from unittest import mock
@@ -491,7 +492,10 @@ def _closed_build(m, k, degree):
 
 def test_exact_operators_build_no_fraction_per_term():
     # D F and the component check run on numerators only: the Fraction
-    # count must not grow with the number of terms
+    # count must not grow with the number of terms.  A copy has no profile
+    # form, so the check splits it and applies the operators; the fresh
+    # build is checked by the profile ladder, whose count follows the
+    # levels, not the terms
     counts = []
     for m, k in ((2, 1), (4, 2)):
         sol = _closed_build(m, k, 4)
@@ -504,11 +508,16 @@ def test_exact_operators_build_no_fraction_per_term():
 
         with mock.patch.object(Fraction, "__new__", counting):
             assert parabolic_dirac(sol.body).is_zero()
+            assert check_component_conditions(dataclasses.replace(sol)).passed
+            ladder_from = len(made)
             assert check_component_conditions(sol).passed
-        counts.append((len(sol.body.terms), len(made)))
-    (small_terms, small_made), (big_terms, big_made) = counts
+        ladder = len(made) - ladder_from
+        counts.append((len(sol.body.terms), ladder_from, ladder))
+    (small_terms, small_made, small_ladder), (big_terms, big_made,
+                                              big_ladder) = counts
     assert big_terms > 10 * small_terms
     assert big_made == small_made <= 4
+    assert big_ladder == small_ladder
 
 
 @pytest.mark.parametrize("zeta", [(1, Fraction(1, 2), -1, 2),

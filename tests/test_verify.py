@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from oracles import sampled_order, sampled_sup_norms
 from paradirac import verify
-from paradirac.algebra import AlgebraContext, Multivector
+from paradirac.algebra import AlgebraContext, Multivector, witt_basis
 from paradirac.builders import (ALL_MODES, SeriesSolution, build_generalized,
                                 build_helmholtz, build_parabolic_closed,
                                 build_parabolic_recurrence)
 from paradirac.harmonics import harmonic_basis, monogenic_basis
-from paradirac.poly import CliffordPoly
+from paradirac.poly import CliffordPoly, rho_squared, vector_variable
 from paradirac.scalars import GaussianRational
 from paradirac.serialize import (load_solution, residual_report_to_dict,
                                  save_solution, solution_to_dict)
@@ -433,7 +433,8 @@ def _count_dirac(monkeypatch):
 @pytest.mark.parametrize("residual_first", [True, False])
 def test_residual_and_component_check_apply_D_once(monkeypatch, residual_first):
     calls = _count_dirac(monkeypatch)
-    sol = exact_solution(k=1, coeffs=(1, 2))
+    # a copy has no profile form, so D is applied to it, once
+    sol = dataclasses.replace(exact_solution(k=1, coeffs=(1, 2)))
     if residual_first:
         assert dirac_residual(sol).passed
     assert check_component_conditions(sol).passed
@@ -441,9 +442,12 @@ def test_residual_and_component_check_apply_D_once(monkeypatch, residual_first):
     assert len(calls) == 1 and calls[0] is sol.body
 
 
-def test_a_new_body_is_applied_afresh(monkeypatch):
+def test_a_new_body_is_applied_afresh(monkeypatch, tmp_path):
+    # a loaded solution has no profile form, so D is applied to it
+    path = str(tmp_path / "sol.json")
+    save_solution(exact_solution(k=1, coeffs=(1, 2)), path)
+    sol = load_solution(path)
     calls = _count_dirac(monkeypatch)
-    sol = exact_solution(k=1, coeffs=(1, 2))
     assert dirac_residual(sol).passed
     good = sol.body
     bad = perturb_component(sol, 0, (1, 0), sol.ctx.e(1)).body
@@ -458,6 +462,51 @@ def test_a_new_body_is_applied_afresh(monkeypatch):
     sol.body = good
     assert dirac_residual(sol).passed
     assert len(calls) == 4 and calls[2] is bad and calls[3] is good
+
+
+FRESH_PARABOLIC = {
+    "closed": lambda: exact_solution(m=3, k=2, coeffs=(1, 0, -2, 1)),
+    "recurrence": lambda: _recurrence(2, 1, {
+        "a0": (1, 2), "b0": (0, 0, 3), "a2": (-1,), "b2": (1, -1)}),
+}
+
+
+def _recurrence(m, k, seeds):
+    ctx = AlgebraContext(m)
+    return build_parabolic_recurrence(
+        monogenic_basis(ctx, k)[0],
+        {name: TimeFunction.polynomial(ctx, list(c)) for name, c in seeds.items()})
+
+
+@pytest.mark.parametrize("name", sorted(FRESH_PARABOLIC))
+def test_a_fresh_exact_build_applies_neither_D_nor_split_nor_heat(
+        monkeypatch, name):
+    calls = _count_dirac(monkeypatch)
+    split, heat = [], []
+    split_of, heat_of = SpaceTimeFunction.split, verify.heat_residual
+
+    def counted_split(F):
+        split.append(F)
+        return split_of(F)
+
+    def counted_heat(F):
+        heat.append(F)
+        return heat_of(F)
+
+    monkeypatch.setattr(SpaceTimeFunction, "split", counted_split)
+    monkeypatch.setattr(verify, "heat_residual", counted_heat)
+    sol = FRESH_PARABOLIC[name]()
+    rep, comp = dirac_residual(sol), check_component_conditions(sol)
+    assert rep.passed and rep.exact_zero and rep.residual_poly.is_zero()
+    assert comp.passed and all(comp.detail.values())
+    assert (calls, split, heat) == ([], [], [])
+    # the same body without its form takes D, the split and the heat
+    # operator, and reports the same
+    slow = dataclasses.replace(sol)
+    assert report_text(dirac_residual(slow)) == report_text(rep)
+    slow_comp = check_component_conditions(slow)
+    assert (slow_comp.passed, slow_comp.detail) == (comp.passed, comp.detail)
+    assert len(calls) == 1 and len(split) == 1 and len(heat) == 2
 
 
 def test_verifying_changes_no_visible_part_of_a_solution():
@@ -487,15 +536,27 @@ REMEMBERED = {
 @pytest.mark.parametrize("name", sorted(REMEMBERED))
 def test_remembered_reports_equal_fresh_ones(name):
     sol = REMEMBERED[name]()
-    first = (dirac_residual(sol), check_component_conditions(sol))
-    again = (dirac_residual(sol), check_component_conditions(sol))
+    parabolic = sol.mode.startswith("parabolic")
+
+    def reports():
+        res = dirac_residual(sol)
+        if parabolic:
+            return res, check_component_conditions(sol)
+        # the component conditions are those of the parabolic operator
+        with pytest.raises(ValueError, match=sol.mode):
+            check_component_conditions(sol)
+        return res, None
+
+    first, again = reports(), reports()
     # a fresh solution's residual, and the check on the bare body, which
     # has no memo to read
     body = REMEMBERED[name]().body
     want = (dirac_residual(REMEMBERED[name]()), check_component_conditions(body))
     for res, comp in (first, again):
         assert res == want[0]           # every field, residual_poly included
-        assert (comp.passed, comp.detail) == (want[1].passed, want[1].detail)
+        if parabolic:
+            assert (comp.passed, comp.detail) == (want[1].passed,
+                                                  want[1].detail)
 
 
 # -- property sweep: every build verifies, every single-coefficient mutant fails
@@ -748,3 +809,186 @@ def test_several_heads(form, degrees, ladder):
     assert rep.passed and monomial == (0 if ladder else 1)
     slow = dirac_residual(dataclasses.replace(sol))
     assert report_text(rep) == report_text(slow)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_component_conditions_reject_series_modes(name):
+    sol = SERIES[name]()
+    assert dirac_residual(sol).passed
+    with pytest.raises(ValueError, match=sol.mode):
+        check_component_conditions(sol)
+    # a bare body is checked for D as before
+    rep = check_component_conditions(sol.body)
+    assert rep.detail["equivalent"] and not rep.passed
+
+
+def test_component_conditions_reject_the_reported_series_build():
+    # gen-monogenic --m 2 --k 1 --zeta 1,1/2,-1,2 --trunc 3
+    ctx = AlgebraContext(2)
+    sol = build_generalized(monogenic_basis(ctx, 1)[0],
+                            ZetaElement(1, Fraction(1, 2), -1, 2), L=3)
+    assert dirac_residual(sol).passed
+    with pytest.raises(ValueError, match="gen-monogenic"):
+        check_component_conditions(sol)
+
+
+# -- the profile ladder: exact parabolic builds --------------------------------
+
+
+def _blade_profile(data, m, label):
+    """A polynomial profile with blade-valued coefficients, the Witt blades
+    eps (f + fdag = -eps) and e_(m+1) among them, int, Fraction or
+    Gaussian; it may be zero."""
+    top = 1 << (m + 1)
+    mask = st.one_of(st.sampled_from((1, top, top | 1, top | 2)),
+                     st.integers(0, (1 << (m + 2)) - 1))
+    terms = data.draw(st.lists(st.tuples(
+        st.integers(0, PROFILE_DEGREE_MAX[m]), mask,
+        st.one_of(*SCALARS.values())), max_size=3), label=label)
+    ctx = CONTEXTS[m]
+    rows = {}
+    for n, blade, c in terms:
+        rows.setdefault(n, {})[blade] = c
+    return TimeFunction(ctx, {((0,) * m, n, 0): Multivector(ctx, vals)
+                              for n, vals in rows.items()})
+
+
+def _expand(form, ctx):
+    """F = G0 + f G1 + fdag G2 + f fdag G3 from a profile form, with
+    G_i = sum_l rho^{2l} M alpha_(i,l) + rho^{2l} x M beta_(i,l)."""
+    x, rho2 = vector_variable(ctx), rho_squared(ctx)
+    P, Q = form.M, x * form.M
+    G = [SpaceTimeFunction.zero(ctx)] * 4
+    for level in form.levels:
+        for slot, prof in enumerate(level):
+            if prof is not None:
+                c, p = prof
+                spatial = SpaceTimeFunction.from_poly(Q if slot % 2 else P)
+                G[slot // 2] = G[slot // 2] + spatial * p.scale(c)
+        P, Q = rho2 * P, rho2 * Q
+    f, fdag = witt_basis(ctx)
+    return G[0] + G[1].lmul(f) + G[2].lmul(fdag) + G[3].lmul(f * fdag)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_profile_ladder_matches_the_monomial_path(data):
+    m = data.draw(st.integers(1, 4), label="m")
+    ctx = CONTEXTS[m]
+    k = data.draw(st.sampled_from(
+        [k for k in range(4) if _heads(m, k, False)]), label="k")
+    head = data.draw(st.sampled_from(_heads(m, k, False)), label="head")
+    if data.draw(st.booleans(), label="closed"):
+        sol = build_parabolic_closed(head, _blade_profile(data, m, "a"))
+    else:
+        names = data.draw(st.sets(st.sampled_from(("a0", "b0", "a2", "b2"))),
+                          label="seeds")
+        sol = build_parabolic_recurrence(head, {
+            name: _blade_profile(data, m, name) for name in sorted(names)})
+    assert sol.exact
+    body, form = sol._radial
+    assert body is sol.body and verify._parabolic_ladder(sol)
+    assert _expand(form, ctx) == sol.body
+    # the ladder's reports, against a copy's from the monomial path
+    rep, comp = dirac_residual(sol), check_component_conditions(sol)
+    assert sol._dirac[2]
+    slow = dataclasses.replace(sol)
+    slow_comp = check_component_conditions(slow)
+    assert not slow._dirac[2]
+    assert report_text(rep) == report_text(dirac_residual(slow))
+    assert (comp.passed, comp.detail) == (slow_comp.passed, slow_comp.detail)
+    assert rep.passed and comp.passed
+    if not form.levels:
+        return
+    # one profile plus t^N, N beyond every profile's degree, breaks an
+    # identity it enters with a nonzero factor or by its derivative
+    l = data.draw(st.integers(0, len(form.levels) - 1), label="level")
+    slot = data.draw(st.integers(0, 7), label="slot")
+    bump = TimeFunction.term(ctx, 1, n=PROFILE_DEGREE_MAX[m] + 2)
+    level = list(form.levels[l])
+    prof = level[slot]
+    level[slot] = (1, bump if prof is None else prof[1].scale(prof[0]) + bump)
+    bad = dataclasses.replace(sol)
+    bad._radial = (bad.body, form._replace(levels=form.levels[:l] + (
+        tuple(level),) + form.levels[l + 1:]))
+    assert bad.body is sol.body and not verify._parabolic_ladder(bad)
+    bad_comp = check_component_conditions(bad)
+    assert not bad._dirac[2]
+    assert report_text(dirac_residual(bad)) == report_text(rep)
+    assert (bad_comp.passed, bad_comp.detail) == (comp.passed, comp.detail)
+
+
+def _bumped(sol, changes):
+    """A copy of sol whose profile form has factor * t^9 added to the
+    profile in slot (0..7: alpha_0, beta_0, ..., beta_3) of level l for
+    each (l, slot, factor)."""
+    form = sol._radial[1]
+    levels = [list(level) for level in form.levels]
+    bump = TimeFunction.term(sol.ctx, 1, n=9)
+    for l, slot, factor in changes:
+        prof = levels[l][slot]
+        delta = bump.scale(factor)
+        levels[l][slot] = (1, delta if prof is None
+                           else prof[1].scale(prof[0]) + delta)
+    bad = dataclasses.replace(sol)
+    bad._radial = (bad.body, form._replace(
+        levels=tuple(map(tuple, levels))))
+    return bad
+
+
+# t_1 = 2 + 2k + m = 6 for m = 2, k = 1; each change breaks the one named
+# identity at level 1 or 0 and keeps the others
+BROKEN_IDENTITY = {
+    "cond_f1 alpha": [(1, 2, 1)],
+    "cond_f1 beta": [(1, 3, 1)],
+    "cond_f3 alpha": [(1, 6, 1)],
+    "cond_f3 beta": [(1, 7, 1)],
+    "heat alpha_0": [(1, 0, 1), (1, 6, -1), (0, 3, -2)],
+    "heat beta_0": [(1, 1, 1), (1, 2, 6), (1, 7, -1)],
+    "heat alpha_2": [(1, 4, 1), (0, 7, 2)],
+    "heat beta_2": [(1, 5, 1), (1, 6, -6)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_IDENTITY))
+def test_each_ladder_identity_is_checked(name):
+    sol = _recurrence(2, 1, {"a0": (1, 2, -1, 1), "b0": (0, 3, 1),
+                             "a2": (2, -1, 0, 1), "b2": (1, 1, 1)})
+    assert len(sol._radial[1].levels) >= 3
+    want = (report_text(dirac_residual(dataclasses.replace(sol))),
+            check_component_conditions(dataclasses.replace(sol)).detail)
+    bad = _bumped(sol, BROKEN_IDENTITY[name])
+    assert not verify._parabolic_ladder(bad)
+    # the body is the build's, and the monomial path passes it
+    assert (report_text(dirac_residual(bad)),
+            check_component_conditions(bad).detail) == want
+    assert _expand(bad._radial[1], sol.ctx) != sol.body
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "recurrence"])
+def test_a_profile_with_x_keeps_the_monomial_path(closed):
+    # a "profile" x_1: the ladder's identities hold for it, but d_x acts
+    # on it, so the ladder must not stand in for D
+    ctx = AlgebraContext(2)
+    M = monogenic_basis(ctx, 1)[0]
+    a = TimeFunction(ctx, {((1, 0), 0, 0): ctx.one()})
+    sol = (build_parabolic_closed(M, a) if closed
+           else build_parabolic_recurrence(M, {"a0": a}))
+    assert sol.exact and sol._radial is not None
+    assert not verify._parabolic_ladder(sol)
+    rep, comp = dirac_residual(sol), check_component_conditions(sol)
+    assert not rep.passed and not comp.passed and comp.detail["equivalent"]
+    assert report_text(rep) == report_text(dirac_residual(
+        dataclasses.replace(sol)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("L", 3), ("k", 1), ("mode", "parabolic-recurrence")])
+def test_changed_metadata_drops_the_profile_form(field, value):
+    sol = FRESH_PARABOLIC["closed"]()
+    setattr(sol, field, value)
+    assert not verify._parabolic_ladder(sol)
+    comp = check_component_conditions(sol)
+    assert not sol._dirac[2] and comp.passed
+    assert report_text(dirac_residual(sol)) == report_text(
+        dirac_residual(dataclasses.replace(sol)))
