@@ -28,9 +28,15 @@ which case the result is an exact null-solution (flagged exact when the
 coefficient arithmetic is exact too).  An exact parabolic build keeps
 its profile form, F = G0 + f G1 + fdag G2 + f fdag G3 with
 G_i = sum_l rho^{2l} M alpha_{i,l} + rho^{2l} x M beta_{i,l}: the
-recurrence records the profiles it multiplies in, the closed form the
-derivatives and weights apply_0F1 sums.  verify confirms D F = 0 by the
-identities between those profiles instead of applying D to every
+recurrence records the profiles of its levels, the closed form the
+derivatives and weights apply_0F1 takes.  Its body is expanded from those
+levels by poly.radial_series, one small body per level, as the series
+bodies are: sum_i c_i (M alpha_{i,l} + x M beta_{i,l}) with c = 1, f,
+fdag, f fdag for the recurrence, and apply_0F1's expansion of the first
+block plus w_l(g+1)/(2k+m) (x fdag M a^(l) + x f M a^(l+1)) for the
+closed form.  An inexact parabolic build sums its levels on the powers
+rho^{2l} M and rho^{2l} x M by Sum stages.  verify confirms D F = 0 by
+the identities between the profiles instead of applying D to every
 monomial.
 """
 
@@ -38,13 +44,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .algebra import AlgebraContext, witt_basis
 from .harmonics import HarmonicPoly, MonogenicPoly
-from .poly import (CliffordPoly, Sum, radial_series, rho_powers,
-                   vector_variable)
+from .poly import (CliffordPoly, Sum, radial_product, radial_series,
+                   rho_powers, vector_variable)
 from .timefn import SpaceTimeFunction, TimeFunction, apply_0F1, assemble_split
 from .zeta import IntMatrix, NotInvertibleError, ZetaElement
 
@@ -146,10 +151,14 @@ def build_parabolic_closed(M: MonogenicPoly, a: TimeFunction,
     but the f block is driven by a'(t); together they reproduce the
     recurrence solution seeded with a0 = a, b2 = -a/(2k+m).
 
-    An exact build keeps its profile form, made of the (weight, derivative)
-    levels apply_0F1 sums: alpha_0 = w_l(g) a^(l) and, since
-    x fdag M = -fdag x M and x f M = -f x M, beta_2 = -w_l(g+1) a^(l) / (2k+m)
-    and beta_1 = -w_l(g+1) a^(l+1) / (2k+m).
+    An exact build sums the first block by apply_0F1 and takes the
+    derivatives a^(l) it records for the other two: their level l is
+    w_l(g+1)/(2k+m) (x fdag M a^(l) + x f M a^(l+1)), one small body per
+    level, expanded by radial_series.  It keeps its profile form:
+    alpha_0 = w_l(g) a^(l) and, since x fdag M = -fdag x M and
+    x f M = -f x M, beta_2 = -w_l(g+1) a^(l) / (2k+m) and
+    beta_1 = -w_l(g+1) a^(l+1) / (2k+m).  Any other build sums each block
+    by apply_0F1.
     """
     (M,) = _as_list(M, MonogenicPoly, L)
     ctx = M.poly.ctx
@@ -158,25 +167,38 @@ def build_parabolic_closed(M: MonogenicPoly, a: TimeFunction,
     f, fdag = witt_basis(ctx)
     x = vector_variable(ctx)
     scale = Fraction(1, 2 * k + ctx.m)
-    head_dag = (x * M.poly.lmul(fdag)).scale(scale)
-    head_f = (x * M.poly.lmul(f)).scale(scale)
     exact = a.is_polynomial() and a.is_exact() and M.poly.is_exact()
-    levels = ([], [], []) if exact else (None, None, None)
-    body = Sum(SpaceTimeFunction, ctx).add(
-        apply_0F1(gamma, M.poly, a, L, levels[0])).add(
-        apply_0F1(gamma + 1, head_dag, a, L, levels[1])).add(
-        apply_0F1(gamma + 1, head_f, a.d_dt(), L, levels[2])).value()
+    if not exact:
+        head_dag = (x * M.poly.lmul(fdag)).scale(scale)
+        head_f = (x * M.poly.lmul(f)).scale(scale)
+        body = Sum(SpaceTimeFunction, ctx).add(
+            apply_0F1(gamma, M.poly, a, L)).add(
+            apply_0F1(gamma + 1, head_dag, a, L)).add(
+            apply_0F1(gamma + 1, head_f, a.d_dt(), L)).value()
+        return SeriesSolution(body=body, mode="parabolic-closed", m=ctx.m,
+                              k=k, L=L, exact=False)
+    chain = []
+    body = apply_0F1(gamma, M.poly, a, L, chain)
+    head_dag = SpaceTimeFunction.from_poly(x * M.poly.lmul(fdag))
+    head_f = SpaceTimeFunction.from_poly(x * M.poly.lmul(f))
+    # a^(l+1) per level, None past the last derivative
+    nexts = [d for _, d in chain[1:]] + [None]
+    blocks, levels = [], []
+    w = scale                   # w_l(g+1) / (2k+m)
+    for l, ((wg, d), nxt) in enumerate(zip(chain, nexts)):
+        if l:
+            w = w / (4 * l * (gamma + l))
+        level = Sum(SpaceTimeFunction, ctx).product(head_dag, d, w)
+        if nxt is not None:
+            level.product(head_f, nxt, w)
+        blocks.append((l, level.value()))
+        levels.append(((wg, d), None, None, None if nxt is None else (-w, nxt),
+                       None, (-w, d), None, None))
+    body = body + radial_series(SpaceTimeFunction, ctx, [blocks])
     sol = SeriesSolution(body=body, mode="parabolic-closed", m=ctx.m, k=k,
-                         L=L, exact=exact)
-    if exact:
-        # the x fdag M and x f M sides carry -1/(2k+m); past a side's last
-        # level zip_longest gives None, a zero profile
-        def beta(level):
-            return level and (-scale * level[0], level[1])
-
-        sol._radial = (body, ParabolicForm(sol.mode, k, L, M.poly, tuple(
-            (a0, None, None, beta(b1), None, beta(b2), None, None)
-            for a0, b2, b1 in zip_longest(*levels))))
+                         L=L, exact=True)
+    sol._radial = (body, ParabolicForm(sol.mode, k, L, M.poly,
+                                       tuple(levels)))
     return sol
 
 
@@ -195,7 +217,11 @@ def build_parabolic_recurrence(M: MonogenicPoly,
 
     with a_{l+1} = a_l' / (4(l+1)(l+g)) and b_{l+1} = b_l' / (4(l+1)(l+g+1)).
     Polynomial seeds terminate the sum on their own; otherwise it stops at L.
-    An exact build keeps these eight profiles per level as its profile form.
+    An exact build keeps these eight profiles per level as its profile form
+    and expands its body from them: level l is the small body
+    sum_i c_i (M alpha_i,l + x M beta_i,l), c = 1, f, fdag, f fdag, added
+    by radial_series under the shifts of rho^{2l}.  An inexact build sums
+    the levels on rho_powers by Sum stages and assembles the four parts.
     """
     (M,) = _as_list(M, MonogenicPoly, L)
     ctx = M.poly.ctx
@@ -223,38 +249,50 @@ def build_parabolic_recurrence(M: MonogenicPoly,
     else:
         stop = L
 
-    x = vector_variable(ctx)
-    Fs = [Sum(SpaceTimeFunction, ctx) for _ in range(4)]
     levels = []
-    for l, P, Q in zip(range(stop + 1), rho_powers(M.poly),
-                       rho_powers(x * M.poly)):
+    for l in range(stop + 1):
         two_lg = 2 * l + 2 * k + ctx.m          # 2(l + g), an integer
         div_a = 4 * (l + 1) * (gamma + l)
         div_b = 4 * (l + 1) * (gamma + 1 + l)
         a0_next = a0.d_dt().scale(1 / div_a) if not a0.is_zero() else zero_tf
         a2_next = a2.d_dt().scale(1 / div_a) if not a2.is_zero() else zero_tf
-        P, Q = SpaceTimeFunction.from_poly(P), SpaceTimeFunction.from_poly(Q)
-
         # (alpha, beta) of F0, F1, F2, F3
-        profiles = (a0, b0, b0.scale(two_lg), a0_next.scale(-2 * (l + 1)),
-                    a2, b2, b2.scale(-two_lg) - a0,
-                    a2_next.scale(2 * (l + 1)) - b0)
-        for i, G in enumerate(Fs):
-            G.product(P, profiles[2 * i]).product(Q, profiles[2 * i + 1])
-        levels.append(tuple(zip((1,) * 8, profiles)))
-
+        levels.append((a0, b0, b0.scale(two_lg), a0_next.scale(-2 * (l + 1)),
+                       a2, b2, b2.scale(-two_lg) - a0,
+                       a2_next.scale(2 * (l + 1)) - b0))
         a0, a2 = a0_next, a2_next
         b0 = b0.d_dt().scale(1 / div_b) if not b0.is_zero() else zero_tf
         b2 = b2.d_dt().scale(1 / div_b) if not b2.is_zero() else zero_tf
 
-    body = assemble_split(*(G.value() for G in Fs))
     exact = polynomial and M.poly.is_exact() and all(
         seed(n).is_exact() for n in ("a0", "b0", "a2", "b2"))
+    x = vector_variable(ctx)
+    if exact:
+        f, fdag = witt_basis(ctx)
+        heads = [SpaceTimeFunction.from_poly(p if c is None else p.lmul(c))
+                 for c in (None, f, fdag, f * fdag)
+                 for p in (M.poly, x * M.poly)]
+        blocks = []
+        for l, profiles in enumerate(levels):
+            level = Sum(SpaceTimeFunction, ctx)
+            for head, prof in zip(heads, profiles):
+                if not prof.is_zero():
+                    level.product(head, prof)
+            blocks.append((l, level.value()))
+        body = radial_series(SpaceTimeFunction, ctx, [blocks])
+    else:
+        Fs = [Sum(SpaceTimeFunction, ctx) for _ in range(4)]
+        for profiles, P, Q in zip(levels, rho_powers(M.poly),
+                                  rho_powers(x * M.poly)):
+            P, Q = SpaceTimeFunction.from_poly(P), SpaceTimeFunction.from_poly(Q)
+            for i, G in enumerate(Fs):
+                G.product(P, profiles[2 * i]).product(Q, profiles[2 * i + 1])
+        body = assemble_split(*(G.value() for G in Fs))
     sol = SeriesSolution(body=body, mode="parabolic-recurrence", m=ctx.m,
                          k=k, L=stop, exact=exact)
     if exact:
-        sol._radial = (body, ParabolicForm(sol.mode, k, stop, M.poly,
-                                           tuple(levels)))
+        sol._radial = (body, ParabolicForm(sol.mode, k, stop, M.poly, tuple(
+            tuple(zip((1,) * 8, profiles)) for profiles in levels)))
     return sol
 
 
@@ -308,9 +346,10 @@ def _radial_solution(mode: str, heads: list, L: int, z: ZetaElement,
     sum_l rho^{2l} (P_l M + Q_l x M) over the heads M."""
     ctx = heads[0].poly.ctx
     x = vector_variable(ctx)
-    body = radial_series(ctx, [
-        [(h.poly, enumerate(P))] + ([] if Q is None else
-                                    [(x * h.poly, enumerate(Q))])
+    body = radial_series(CliffordPoly, ctx, [
+        [(l, radial_product(w, p)) for p, levels in
+         [(h.poly, P)] + ([] if Q is None else [(x * h.poly, Q)])
+         for l, w in enumerate(levels)]
         for h, (P, Q) in zip(heads, weights)])
     sol = _solution(body, mode, heads, L, z, **extra)
     sol._radial = (sol.body, RadialForm(mode, sol.k, L, z, tuple(

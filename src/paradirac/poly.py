@@ -38,20 +38,26 @@ rescaled.  From the first inexact stage on the rows are raw values, and
 each later stage is turned into raw values, scaled and merged, as the
 binary operators do.
 
-The radial expander.  An exact generalized or Helmholtz series is
-sum_l rho^{2l} w_l p over a few small bodies p with exact Cl(1,1) weights
-w_l (zeta.IntMatrix).  radial_series makes each level once as the small
-product w_l p and adds it under every shift x^{2j}, |j| = l, times the
-integer multinomial l!/prod j_i! (rho_terms): rho^{2l} is a scalar, so no
-output term needs a Clifford product and no power of rho^2 is made.  A
-float series is summed level by level by Sum.radial instead, which keeps
-its float operations.
+The radial expander.  Every exact series the builders make is
+sum_l rho^{2l} p_l over one small exact body p_l per level: w_l p with
+an exact Cl(1,1) weight w_l (zeta.IntMatrix, radial_product) for a
+generalized or Helmholtz series, and the level's heads times its time
+profiles for a parabolic one.  radial_series adds each term of p_l under
+every shift x^{2j}, |j| = l, of its spatial exponents, times the integer
+multinomial l!/prod j_i! (rho_terms): rho^{2l} is a scalar, so no output
+term needs a Clifford product and no power of rho^2 is made.  A float
+series is summed level by level by Sum.radial or Sum.product stages on
+rho_powers instead, which keeps its float operations.
 
-Order guarantee.  A result has the values, the term order and the blade
-order of the left-to-right chain of binary operators it stands for, and
-on raw values the same float operations in the same order.  Reports sum
-sampled values in term order, so term order is part of every pinned
-output.
+Order guarantee.  A body built by a Sum has the values, the term order
+and the blade order of the left-to-right chain of binary operators it
+stands for, and on raw values the same float operations in the same
+order.  A body from radial_series has the chain's values and the scalar
+type of each, in a term order, blade order and D of its own.  No pinned
+output reads these of an exact body: the solution JSON sorts terms and
+blades, an exact residual is not sampled, and eval reads a loaded file.
+evaluate_many sums in term order, so float values of an expanded body
+may differ in the last bits from those of the chain's.
 
 The Multivector coefficient sits to the LEFT of the (commuting, scalar)
 monomial. All noncommutativity therefore lives inside coefficient
@@ -949,43 +955,67 @@ def rho_terms(m: int, l: int) -> Tuple[Tuple[Exponents, int], ...]:
                  for rest, c in rho_terms(m - 1, l - j))
 
 
-def radial_series(ctx: AlgebraContext, heads) -> CliffordPoly:
-    """sum over the heads, over the (p, levels) of a head and over the
-    (l, w) of its levels, of rho^{2l} w p: exact CliffordPolys p and exact
-    Cl(1,1) weights w, each a zeta.IntMatrix.
+def radial_product(w, p: CliffordPoly) -> CliffordPoly:
+    """The small body w p of an exact Cl(1,1) weight w, a zeta.IntMatrix,
+    and an exact CliffordPoly p: one blade product per term of p, over p's
+    denominator times the weight's."""
+    ctx = p.ctx
+    row, q = radial_level(w, ctx)
+    out: Rows = {}
+    for beta, vals in p._nums.items():
+        t = _mul_into(ctx, {}, row, vals)
+        if t:
+            out[beta] = t
+    return CliffordPoly._make(ctx, out, p._D * q)
 
-    rho^{2l} is a scalar with integer terms (rho_terms), so each level is
-    made once as the small product w p, and each of its terms is added
-    under every shift x^{2j}, |j| = l, times the integer l!/prod j_i!.
-    Every level of every head is written at one denominator.  A head is
-    summed on its own and the heads are merged in order, as a Sum merges
-    its stages.
+
+def _exact_rows(p: "SparseTerms") -> Tuple[Rows, int]:
+    """(numerators, D) of a body of exact values, also of one that keeps
+    them raw; ValueError for a body with an inexact value."""
+    if p._D is not None:
+        return p._nums, p._D
+    nums, D = _to_numerators(p._nums)
+    if D is None:
+        raise ValueError("radial_series expands exact bodies only")
+    return nums, D
+
+
+def radial_series(cls, ctx: AlgebraContext, heads) -> "SparseTerms":
+    """sum over the heads, and over the (l, p) levels of a head, of
+    rho^{2l} p: small exact bodies p of the body type cls (CliffordPoly or
+    SpaceTimeFunction), such as the products w_l p of radial_product.
+
+    rho^{2l} is a scalar with integer terms (rho_terms), so each term of a
+    level is added under every shift x^{2j}, |j| = l, of its spatial
+    exponents, times the integer l!/prod j_i!; the keys are made by
+    _split_key and _with_exps, so a time part rides along.  Every level
+    of every head is written at one denominator.  A head is summed on its
+    own and the heads are merged in order, as a Sum merges its stages.
     """
-    groups = [[(l, p, *radial_level(w, ctx)) for p, levels in head
-               for l, w in levels] for head in heads]
-    D = lcm(*(p._D * q for parts in groups for _, p, _, q in parts))
-    m = ctx.m
+    groups = [[(l, *_exact_rows(p)) for l, p in head] for head in heads]
+    D = lcm(*(Dp for parts in groups for _, _, Dp in parts))
+    m, split_key, with_exps = ctx.m, cls._split_key, cls._with_exps
     total: Rows = {}
     for parts in groups:
         out: Rows = {}
         # int numerators take the plain loop; pairs anywhere in the head
         # take pair arithmetic throughout it
-        pairs = any(type(n) is tuple for _, p, row, _ in parts
-                    for vals in (row, *p._nums.values()) for n in vals.values())
-        for l, p, row, q in parts:
-            f = D // (p._D * q)
-            k = {ma: _nmul(n, f) for ma, n in row.items()}
-            shifts = rho_terms(m, l)
-            for beta, vals in p._nums.items():
-                t = _mul_into(ctx, {}, k, vals)
-                if not t:
-                    continue
-                items = tuple(t.items())
+        pairs = any(type(n) is tuple for _, nums, _ in parts
+                    for vals in nums.values() for n in vals.values())
+        for l, nums, Dp in parts:
+            f = D // Dp
+            shifts = [(s, c * f) for s, c in rho_terms(m, l)]
+            for key, vals in nums.items():
+                exps = split_key(key)[0]
+                timed = exps is not key     # else the key is its exponents
+                items = tuple(vals.items())
                 for s, c in shifts:
-                    key = tuple(map(add, beta, s))
-                    o = out.get(key)
+                    new = tuple(map(add, exps, s))
+                    if timed:
+                        new = with_exps(key, new)
+                    o = out.get(new)
                     if o is None:
-                        out[key] = ({mask: _nmul(v, c) for mask, v in items}
+                        out[new] = ({mask: _nmul(v, c) for mask, v in items}
                                     if pairs else {mask: v * c for mask, v in items})
                         continue
                     for mask, v in items:
@@ -996,13 +1026,13 @@ def radial_series(ctx: AlgebraContext, heads) -> CliffordPoly:
                         else:
                             del o[mask]
                     if not o:
-                        del out[key]
+                        del out[new]
         if total:
             for key, t in out.items():
                 _merge(total, key, t)
         else:
             total = out
-    return CliffordPoly._make(ctx, total, D)
+    return cls._make(ctx, total, D)
 
 
 def integer_rescale(p: CliffordPoly) -> CliffordPoly:

@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import witt_basis
-from .poly import CliffordPoly, SpaceTimeFunction, Sum, TimeFunction, rho_powers
+from .poly import (CliffordPoly, SpaceTimeFunction, Sum, TimeFunction,
+                   radial_series, rho_powers)
 from .scalars import Scalar
 
 
@@ -48,28 +49,43 @@ def apply_0F1(gamma, base: CliffordPoly, a: TimeFunction, L: int,
               levels: Optional[list] = None) -> SpaceTimeFunction:
     """Operator series 0F1(gamma; rho^2 s / 4) applied to base(x) * a(t).
 
-    Returns sum_{l} rho^{2l} * base * a^{(l)}(t) / (4^l l! (gamma)_l), one
-    Sum stage per level.  For a polynomial profile the series terminates
-    by itself (the l-th derivative dies); otherwise it is truncated at
-    l = L.  A levels list receives (weight, a^{(l)}) for each level summed.
+    Returns sum_{l} rho^{2l} * base * a^{(l)}(t) / (4^l l! (gamma)_l).  For
+    a polynomial profile the series terminates by itself (the l-th
+    derivative dies); otherwise it is truncated at l = L.  Each derivative
+    is taken once, and a levels list receives (weight, a^{(l)}) for each
+    level summed.  With an exact base, an exact polynomial profile and a
+    rational gamma each level is made once as the small product
+    base * a^{(l)} * weight and expanded by poly.radial_series; any other
+    input is summed one Sum product stage per level on rho_powers(base),
+    which keeps its float operations.
     """
     if gamma <= 0 and (isinstance(gamma, int) or (isinstance(gamma, Fraction) and gamma.denominator == 1)):
         raise ValueError(f"0F1 pole: gamma = {gamma} is a nonpositive integer")
     if L < 0:
         raise ValueError("truncation must be >= 0")
+    rational = isinstance(gamma, (int, Fraction))
     last = a.max_n() if a.is_polynomial() else L
-    total = Sum(SpaceTimeFunction, base.ctx)
-    deriv = a               # a^{(l)}
+    chain = []              # (weight, a^{(l)})
+    deriv = a
     # integer gamma would otherwise fall into float division below
-    weight: Scalar = Fraction(1) if isinstance(gamma, (int, Fraction)) else 1
-    # spatial = rho^{2l} * base
-    for l, spatial in zip(range(last + 1), rho_powers(base)):
+    weight: Scalar = Fraction(1) if rational else 1
+    for l in range(last + 1):
+        if l:
+            deriv = deriv.d_dt()
         if deriv.is_zero():
             break
         if l:
             weight = weight / (4 * l * (gamma + l - 1))
-        total.product(SpaceTimeFunction.from_poly(spatial), deriv, weight)
-        if levels is not None:
-            levels.append((weight, deriv))
-        deriv = deriv.d_dt()
+        chain.append((weight, deriv))
+    if levels is not None:
+        levels.extend(chain)
+    ctx = base.ctx
+    if rational and a.is_polynomial() and a.is_exact() and base.is_exact():
+        head = SpaceTimeFunction.from_poly(base)
+        return radial_series(SpaceTimeFunction, ctx, [[
+            (l, Sum(SpaceTimeFunction, ctx).product(head, d, w).value())
+            for l, (w, d) in enumerate(chain)]])
+    total = Sum(SpaceTimeFunction, ctx)
+    for (w, d), spatial in zip(chain, rho_powers(base)):
+        total.product(SpaceTimeFunction.from_poly(spatial), d, w)
     return total.value()

@@ -34,11 +34,11 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import AlgebraContext, Multivector
+from .algebra import AlgebraContext, Multivector, witt_basis
 from .builders import ParabolicForm, RadialForm, SeriesSolution
-from .poly import CliffordPoly, Sum, radial_series, vector_variable
-from .timefn import (SpaceTimeFunction, assemble_split, heat_residual,
-                     parabolic_dirac)
+from .poly import (CliffordPoly, Sum, radial_product, radial_series,
+                   vector_variable)
+from .timefn import SpaceTimeFunction, heat_residual, parabolic_dirac
 from .zeta import IntMatrix
 
 # sup-norms below this are treated as zero when estimating orders
@@ -160,12 +160,17 @@ def check_component_conditions(
 
 def perturb_component(F: SeriesSolution, slot: int, exps: Sequence[int],
                       coeff: Multivector) -> SeriesSolution:
-    """Add coeff * x^exps to split component `slot` (0..3) of a copy of F."""
-    parts = list(F.body.split())
+    """Add coeff * x^exps to split component `slot` (0..3) of a copy of F.
+
+    F = F0 + f F1 + fdag F2 + f fdag F3, so the copy's body is
+    F.body + c coeff x^exps with c = 1, f, fdag or f fdag, in one Sum.
+    """
+    ctx = F.ctx
+    f, fdag = witt_basis(ctx)
+    c = (ctx.one(), f, fdag, f * fdag)[slot]
     delta = SpaceTimeFunction.from_poly(
-        CliffordPoly.monomial(F.ctx, exps, 1).lmul(coeff))
-    parts[slot] = parts[slot] + delta
-    body = assemble_split(*parts)
+        CliffordPoly.monomial(ctx, exps, 1).lmul(coeff))
+    body = Sum(SpaceTimeFunction, ctx).add(F.body).lmul(c, delta).value()
     return SeriesSolution(body=body, mode=F.mode, m=F.m, k=F.k, L=F.L,
                           exact=F.exact, zeta=F.zeta,
                           extra=dict(F.extra, mutated_slot=slot))
@@ -315,7 +320,7 @@ def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
                        == w[l + 1].scale(-2 * (l + 1) * (2 * l + 2 * k + m))
                        for l in range(L)):
                 return None
-        tops = [[(H, [(L, ZZ * w[L])])] for _, H, w, _ in form.heads]
+        tops = [[(L, radial_product(ZZ * w[L], H))] for _, H, w, _ in form.heads]
     else:
         for _, _, P, Q in form.heads:
             if not (all(Z * P[l] == Q[l].hat().scale(2 * l + 2 * k + m)
@@ -324,8 +329,9 @@ def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
                             for l in range(L))):
                 return None
         x = vector_variable(ctx)
-        tops = [[(x * M, [(L, Z * Q[L])])] for _, M, _, Q in form.heads]
-    return SpaceTimeFunction.from_poly(radial_series(ctx, tops))
+        tops = [[(L, radial_product(Z * Q[L], x * M))]
+                for _, M, _, Q in form.heads]
+    return SpaceTimeFunction.from_poly(radial_series(CliffordPoly, ctx, tops))
 
 
 def _infer_operator(mode: str) -> str:

@@ -6,13 +6,19 @@ by the ZetaElement recurrence next to the builders' integer one, a
 residual sampled at every (direction, t) pair and its fitted order, the
 spatial degrees read straight off a body's keys, and the sparse term
 engine's operators computed term by term on Multivector coefficients
-instead of stored integer numerators.
+instead of stored integer numerators, the parabolic bodies summed as a
+chain of Sum stages on the powers rho^{2l} M instead of expanded from
+their profile levels, and a mutant made by splitting a body and
+assembling it again.
 """
 
 from fractions import Fraction
 
-from paradirac.algebra import Multivector, split
+from paradirac.algebra import Multivector, split, witt_basis
+from paradirac.poly import (SpaceTimeFunction, Sum, TimeFunction, rho_powers,
+                           vector_variable)
 from paradirac.scalars import GaussianRational
+from paradirac.timefn import assemble_split
 from paradirac.verify import T_SAMPLES, estimate_order, unit_directions
 from paradirac.zeta import PowerSeries, ZetaElement
 
@@ -258,3 +264,73 @@ def typed(terms):
 
 def _typed(v):
     return type(v).__name__, repr(v)
+
+
+# -- Sum-chain constructions of the parabolic builds ------------------------------
+#
+# The exact parabolic builders expand each level's small body under the
+# integer shifts of rho^{2l}; these sum the same series one Sum product
+# stage per level on the full powers rho^{2l} M and rho^{2l} x M, as the
+# builders do for inexact input.
+
+
+def chain_0F1(gamma, base, a):
+    """sum_l rho^{2l} base a^(l) / (4^l l! (gamma)_l) for a polynomial
+    profile a, one product stage per level on rho_powers(base)."""
+    total = Sum(SpaceTimeFunction, base.ctx)
+    weight, deriv = Fraction(1), a
+    for l, spatial in zip(range(a.max_n() + 1), rho_powers(base)):
+        if deriv.is_zero():
+            break
+        if l:
+            weight = weight / (4 * l * (gamma + l - 1))
+        total.product(SpaceTimeFunction.from_poly(spatial), deriv, weight)
+        deriv = deriv.d_dt()
+    return total.value()
+
+
+def chain_parabolic_closed(M, a):
+    """The closed-form body 0F1(g)[M]a + 0F1(g+1)[x fdag M / (2k+m)]a
+    + 0F1(g+1)[x f M / (2k+m)]a' of a polynomial profile a."""
+    ctx, k = M.poly.ctx, M.degree
+    gamma = Fraction(2 * k + ctx.m, 2)
+    f, fdag = witt_basis(ctx)
+    x = vector_variable(ctx)
+    scale = Fraction(1, 2 * k + ctx.m)
+    return Sum(SpaceTimeFunction, ctx).add(chain_0F1(gamma, M.poly, a)).add(
+        chain_0F1(gamma + 1, (x * M.poly.lmul(fdag)).scale(scale), a)).add(
+        chain_0F1(gamma + 1, (x * M.poly.lmul(f)).scale(scale), a.d_dt())).value()
+
+
+def chain_parabolic_recurrence(M, seeds):
+    """The recurrence body G0 + f G1 + fdag G2 + f fdag G3 of polynomial
+    seeds ({"a0", "b0", "a2", "b2"} -> profile, missing for zero), each G_i
+    summed over the levels as rho^{2l} M alpha + rho^{2l} x M beta."""
+    ctx, k = M.poly.ctx, M.degree
+    gamma = Fraction(2 * k + ctx.m, 2)
+    zero = TimeFunction.zero(ctx)
+    a0, b0, a2, b2 = (seeds.get(name, zero) for name in ("a0", "b0", "a2", "b2"))
+    stop = max(0, *(p.max_n() for p in (a0, b0, a2, b2)))
+    x = vector_variable(ctx)
+    Gs = [Sum(SpaceTimeFunction, ctx) for _ in range(4)]
+    for l, P, Q in zip(range(stop + 1), rho_powers(M.poly),
+                       rho_powers(x * M.poly)):
+        t, u = 2 * l + 2 * k + ctx.m, 2 * (l + 1)
+        na0 = a0.d_dt().scale(1 / (4 * (l + 1) * (gamma + l)))
+        na2 = a2.d_dt().scale(1 / (4 * (l + 1) * (gamma + l)))
+        P, Q = SpaceTimeFunction.from_poly(P), SpaceTimeFunction.from_poly(Q)
+        for G, alpha, beta in zip(Gs, (a0, b0.scale(t), a2, b2.scale(-t) - a0),
+                                  (b0, na0.scale(-u), b2, na2.scale(u) - b0)):
+            G.product(P, alpha).product(Q, beta)
+        a0, a2 = na0, na2
+        b0 = b0.d_dt().scale(1 / (4 * (l + 1) * (gamma + 1 + l)))
+        b2 = b2.d_dt().scale(1 / (4 * (l + 1) * (gamma + 1 + l)))
+    return assemble_split(*(G.value() for G in Gs))
+
+
+def split_perturbed(body, slot, delta):
+    """body with delta added to its split component slot (0..3): the body
+    split into F0..F3 and assembled again."""
+    parts = list(body.split())
+    parts[slot] = parts[slot] + delta
+    return assemble_split(*parts)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import spatial_degrees, typed, weight_recurrence
-from paradirac.algebra import AlgebraContext, witt_basis
+from oracles import (chain_parabolic_closed, chain_parabolic_recurrence,
+                     spatial_degrees, typed, weight_recurrence)
+from paradirac import builders
+from paradirac.algebra import AlgebraContext, Multivector, witt_basis
 from paradirac.builders import (_stage_generalized, _stage_helmholtz,
                                 _weight_recurrence, build_generalized,
                                 build_helmholtz, build_parabolic_closed,
@@ -15,11 +17,11 @@ from paradirac.builders import (_stage_generalized, _stage_helmholtz,
                                 parabolic_from_generalized)
 from paradirac.harmonics import harmonic_basis, monogenic_basis
 from paradirac.poly import (CliffordPoly, _to_numerators, radial_level,
-                            rho_squared, vector_variable)
+                            radial_series, rho_squared, vector_variable)
 from paradirac.scalars import GaussianRational
 from paradirac.serialize import residual_report_to_dict, solution_to_dict
 from paradirac.timefn import SpaceTimeFunction, TimeFunction, parabolic_dirac
-from paradirac.verify import dirac_residual
+from paradirac.verify import check_component_conditions, dirac_residual
 from paradirac.zeta import IntMatrix, ZetaElement
 
 
@@ -344,6 +346,120 @@ def _assert_expands_as_the_stages(heads, z, L, form):
 
 def scalar_types(F):
     return {key: {b: type(v) for b, v in F.coeffs(key).items()} for key in F.keys()}
+
+
+# -- parabolic bodies: the expansion against the Sum chain ----------------------
+
+
+def _parabolic_profile(data, ctx, label):
+    """A polynomial profile of degree <= 5, possibly zero, whose
+    coefficients are an int, Fraction or Gaussian rational times 1, f,
+    fdag, f fdag or one blade."""
+    f, fdag = witt_basis(ctx)
+    unit = st.one_of(st.sampled_from((ctx.one(), f, fdag, f * fdag)),
+                     st.integers(0, (1 << (ctx.m + 2)) - 1).map(
+                         lambda mask: Multivector(ctx, {mask: 1})))
+    scalar = st.one_of(st.integers(-3, 3).filter(bool),
+                       small_q.filter(bool), gaussian_q.filter(bool))
+    terms = data.draw(st.lists(st.tuples(st.integers(0, 5), unit, scalar),
+                               max_size=3), label=label)
+    rows = {}
+    for n, u, c in terms:
+        rows[n] = rows[n] + u * c if n in rows else u * c
+    return TimeFunction(ctx, {((0,) * ctx.m, n, 0): mv
+                              for n, mv in rows.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exact_parabolic_bodies_match_the_sum_chain(data):
+    """The exact parabolic bodies, expanded from their profile levels by
+    radial_series, against the Sum chain on the powers rho^{2l} M run on
+    the same input: the same values and scalar type per blade, the same
+    solution JSON, and the ladder's reports equal to a copy's from the
+    monomial path."""
+    m = data.draw(st.integers(1, 4), label="m")
+    ks = [k for k in range(4) if _basis("monogenic", m, k)]
+    k = data.draw(st.sampled_from(ks), label="k")
+    M = data.draw(st.sampled_from(_basis("monogenic", m, k)), label="head")
+    ctx = M.poly.ctx
+    if data.draw(st.booleans(), label="closed"):
+        a = _parabolic_profile(data, ctx, "a")
+        sol, chain = build_parabolic_closed(M, a), chain_parabolic_closed(M, a)
+    else:
+        names = data.draw(st.sets(st.sampled_from(("a0", "b0", "a2", "b2"))),
+                          label="seeds")
+        seeds = {name: _parabolic_profile(data, ctx, name)
+                 for name in sorted(names)}
+        sol = build_parabolic_recurrence(M, seeds)
+        chain = chain_parabolic_recurrence(M, seeds)
+    assert sol.exact and sol._radial[0] is sol.body
+    want = dataclasses.replace(sol, body=chain)
+    assert want._radial is None
+    assert sol.body == chain
+    assert typed(sol.body.terms) == typed(chain.terms)
+    assert scalar_types(sol.body) == scalar_types(chain)
+    assert solution_to_dict(sol) == solution_to_dict(want)
+    rep, comp = dirac_residual(sol), check_component_conditions(sol)
+    assert sol._dirac[2] and rep.passed and comp.passed
+    assert (residual_report_to_dict(rep)
+            == residual_report_to_dict(dirac_residual(want)))
+    slow = check_component_conditions(want)
+    assert not want._dirac[2]
+    assert (comp.passed, comp.detail) == (slow.passed, slow.detail)
+
+
+def test_exact_values_kept_raw_are_expanded():
+    # float parts that cancel leave a profile of exact values kept raw
+    # (no common denominator); it is exact, so its builds are expanded
+    ctx = AlgebraContext(2)
+    M = monogenic_basis(ctx, 1)[0]
+    a = (TimeFunction.polynomial(ctx, [0.5, 0, 0.25])
+         + TimeFunction.polynomial(ctx, [-0.5, 0, -0.25])
+         + TimeFunction.polynomial(ctx, [1, Fraction(1, 3), 2]))
+    assert a.is_exact()
+    seeds = {"a0": a, "b2": a}
+    for sol, chain in ((build_parabolic_closed(M, a), chain_parabolic_closed(M, a)),
+                       (build_parabolic_recurrence(M, seeds),
+                        chain_parabolic_recurrence(M, seeds))):
+        assert sol.exact and sol._radial is not None
+        assert sol.body == chain
+        assert typed(sol.body.terms) == typed(chain.terms)
+        assert dirac_residual(sol).passed
+
+
+def test_radial_series_rejects_an_inexact_level():
+    ctx = AlgebraContext(2)
+    level = SpaceTimeFunction.from_poly(CliffordPoly.constant(ctx, 0.5))
+    with pytest.raises(ValueError, match="exact"):
+        radial_series(SpaceTimeFunction, ctx, [[(1, level)]])
+
+
+def test_a_closed_build_takes_each_derivative_once(monkeypatch):
+    # a degree-4 profile has five derivatives a^(0..4); the closed build
+    # sums its first block by one apply_0F1 call and reads all three
+    # blocks' profiles off that chain
+    ctx = AlgebraContext(3)
+    M = monogenic_basis(ctx, 2)[0]
+    a = TimeFunction.polynomial(ctx, [1, -2, Fraction(1, 2), 0, 3])
+    calls = {"d_dt": 0, "apply_0F1": 0}
+    d_dt, apply = SpaceTimeFunction.d_dt, builders.apply_0F1
+
+    def counted_d_dt(self):
+        calls["d_dt"] += 1
+        return d_dt(self)
+
+    def counted_apply(*args, **kwargs):
+        calls["apply_0F1"] += 1
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(SpaceTimeFunction, "d_dt", counted_d_dt)
+    monkeypatch.setattr(builders, "apply_0F1", counted_apply)
+    sol = build_parabolic_closed(M, a)
+    assert calls["apply_0F1"] == 1 and calls["d_dt"] <= 5
+    monkeypatch.undo()
+    assert sol.body == chain_parabolic_closed(M, a)
+    assert len(sol._radial[1].levels) == 5
 
 
 # -- generalized operator -------------------------------------------------------

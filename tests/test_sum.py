@@ -22,7 +22,8 @@ from oracles import (assert_matches, canonical, exact_values, o_add, o_d_dt,
 from paradirac.algebra import AlgebraContext, Multivector, witt_basis
 from paradirac.builders import SeriesSolution
 from paradirac.poly import (CliffordPoly, SpaceTimeFunction, Sum,
-                            integer_rescale, radial_series, rho_powers)
+                            integer_rescale, radial_product, radial_series,
+                            rho_powers)
 from paradirac.scalars import GaussianRational
 from paradirac.timefn import TimeFunction, apply_0F1, parabolic_dirac
 from paradirac.verify import symbolic_residual
@@ -429,5 +430,7 @@ def test_every_stage_and_operator_hands_out_canonical_values(data):
                 F * G, F.partial(i), F.dirac(), F.laplacian(), F.d_dt(),
                 *F.split(), SpaceTimeFunction.from_poly(p), p.truncate_degree(2),
                 integer_rescale(p), Sum(CliffordPoly, ctx).radial(p, levels).value(),
-                radial_series(ctx, [[(p, [(0, W), (1, W.hat() * W)])]])):
+                radial_product(W, p),
+                radial_series(CliffordPoly, ctx, [[(0, radial_product(W, p)), (
+                    1, radial_product(W.hat() * W, p))]])):
         assert_canonical(got)

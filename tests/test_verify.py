@@ -10,14 +10,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import sampled_order, sampled_sup_norms
+from oracles import sampled_order, sampled_sup_norms, split_perturbed, typed
 from paradirac import verify
 from paradirac.algebra import AlgebraContext, Multivector, witt_basis
 from paradirac.builders import (ALL_MODES, SeriesSolution, build_generalized,
                                 build_helmholtz, build_parabolic_closed,
                                 build_parabolic_recurrence)
 from paradirac.harmonics import harmonic_basis, monogenic_basis
-from paradirac.poly import CliffordPoly, rho_squared, vector_variable
+from paradirac.poly import (CliffordPoly, integer_rescale, rho_squared,
+                            vector_variable)
 from paradirac.scalars import GaussianRational
 from paradirac.serialize import (load_solution, residual_report_to_dict,
                                  save_solution, solution_to_dict)
@@ -84,6 +85,67 @@ def test_perturbation_is_detected(slot):
     # the parent's verdicts stand
     assert dirac_residual(sol).passed
     assert check_component_conditions(sol).passed
+
+
+def _perturb_base(kind):
+    """A parabolic solution with exact, Gaussian or float coefficients that
+    passes both checks; the float one has integral values, so that neither
+    a split and assembly nor a sum rounds."""
+    ctx = AlgebraContext(2)
+    M = monogenic_basis(ctx, 1)[1]
+    if kind == "gaussian":
+        return build_parabolic_closed(M, TimeFunction.polynomial(
+            ctx, [GaussianRational(1, 2), 0, Fraction(-1, 3)]))
+    sol = build_parabolic_recurrence(M, {
+        "a0": TimeFunction.polynomial(ctx, [1, Fraction(-1, 2), 3]),
+        "b2": TimeFunction.polynomial(ctx, [0, Fraction(2, 3)])})
+    if kind == "exact":
+        return sol
+    body = integer_rescale(sol.body).scale(1.0)
+    return SeriesSolution(body=body, mode=sol.mode, m=sol.m, k=sol.k, L=sol.L,
+                          exact=False)
+
+
+def test_perturbation_leaves_the_other_terms_of_a_float_body():
+    # a split and assembly rounds (1e-20 - 1) + 1 to 0 in the scalar
+    # blade of a term beside its eps e_(m+1) blade; adding the monomial to
+    # the body rounds nothing it does not touch
+    ctx = AlgebraContext(2)
+    eps_top = (1 << 3) | 1
+    body = SpaceTimeFunction(ctx, {((1, 0), 0, 0): Multivector(
+        ctx, {0: 1e-20, eps_top: 1.0})})
+    sol = SeriesSolution(body=body, mode="parabolic-closed", m=2, k=0, L=1,
+                         exact=False)
+    for slot in range(4):
+        bad = perturb_component(sol, slot, (0, 1), ctx.e(1))
+        assert bad.body.coeffs(((1, 0), 0, 0)) == {0: 1e-20, eps_top: 1.0}
+
+
+@pytest.mark.parametrize("kind", ["exact", "gaussian", "float"])
+@pytest.mark.parametrize("slot", [0, 1, 2, 3])
+def test_perturbation_adds_to_one_split_component(kind, slot):
+    # against the split of the body, the slot's component plus the
+    # monomial, and the four components assembled again
+    sol = _perturb_base(kind)
+    ctx = sol.ctx
+    assert dirac_residual(sol).passed and check_component_conditions(sol).passed
+    scalar = {"exact": Fraction(-3, 2), "gaussian": GaussianRational(1, 1),
+              "float": 2.0}[kind]
+    coeff = ctx.e(1) * scalar + ctx.e(1) * ctx.e(2)
+    bad = perturb_component(sol, slot, (1, 1), coeff)
+    delta = SpaceTimeFunction.from_poly(
+        CliffordPoly.monomial(ctx, (1, 1), 1).lmul(coeff))
+    want = split_perturbed(sol.body, slot, delta)
+    assert bad.body == want
+    assert typed(bad.body.terms) == typed(want.terms)
+    assert ({key: {b: type(v) for b, v in bad.body.coeffs(key).items()}
+             for key in bad.body.keys()}
+            == {key: {b: type(v) for b, v in want.coeffs(key).items()}
+                for key in want.keys()})
+    assert bad.extra["mutated_slot"] == slot and bad._radial is None
+    rep, comp = dirac_residual(bad), check_component_conditions(bad)
+    assert not rep.passed and not comp.passed
+    assert comp.detail["equivalent"] and not comp.detail["dirac_zero"]
 
 
 def test_symbolic_residual_dispatch():
