@@ -27,17 +27,14 @@ terminate on their own when every seed profile is a polynomial in t, in
 which case the result is an exact null-solution (flagged exact when the
 coefficient arithmetic is exact too).  An exact parabolic build keeps
 its profile form, F = G0 + f G1 + fdag G2 + f fdag G3 with
-G_i = sum_l rho^{2l} M alpha_{i,l} + rho^{2l} x M beta_{i,l}: the
-recurrence records the profiles of its levels, the closed form the
-derivatives and weights apply_0F1 takes.  Its body is expanded from those
-levels by poly.radial_series, one small body per level, as the series
-bodies are: sum_i c_i (M alpha_{i,l} + x M beta_{i,l}) with c = 1, f,
-fdag, f fdag for the recurrence, and apply_0F1's expansion of the first
-block plus w_l(g+1)/(2k+m) (x fdag M a^(l) + x f M a^(l+1)) for the
-closed form.  An inexact parabolic build sums its levels on the powers
-rho^{2l} M and rho^{2l} x M by Sum stages.  verify confirms D F = 0 by
-the identities between the profiles instead of applying D to every
-monomial.
+G_i = sum_l rho^{2l} M alpha_{i,l} + rho^{2l} x M beta_{i,l}, and
+_parabolic_body expands its levels by poly.radial_series, one small body
+sum_i c_i (M alpha_{i,l} + x M beta_{i,l}), c = 1, f, fdag, f fdag, per
+level, as the series bodies are: every level of the recurrence, and the
+two x M blocks of the closed form, whose first block apply_0F1 sums.  An
+inexact parabolic build sums its levels on the powers rho^{2l} M and
+rho^{2l} x M by Sum stages.  verify confirms D F = 0 by the identities
+between the profiles instead of applying D to every monomial.
 """
 
 from __future__ import annotations
@@ -151,24 +148,22 @@ def build_parabolic_closed(M: MonogenicPoly, a: TimeFunction,
     but the f block is driven by a'(t); together they reproduce the
     recurrence solution seeded with a0 = a, b2 = -a/(2k+m).
 
-    An exact build sums the first block by apply_0F1 and takes the
-    derivatives a^(l) it records for the other two: their level l is
-    w_l(g+1)/(2k+m) (x fdag M a^(l) + x f M a^(l+1)), one small body per
-    level, expanded by radial_series.  It keeps its profile form:
-    alpha_0 = w_l(g) a^(l) and, since x fdag M = -fdag x M and
-    x f M = -f x M, beta_2 = -w_l(g+1) a^(l) / (2k+m) and
-    beta_1 = -w_l(g+1) a^(l+1) / (2k+m).  Any other build sums each block
-    by apply_0F1.
+    An exact build sums the first block by one apply_0F1 call and reads
+    the profiles of the other two off the derivatives a^(l) it records:
+    since x fdag M = -fdag x M, x f M = -f x M and
+    w_l(g+1) / (2k+m) = w_l(g) / t_l with t_l = 2l+2k+m, they are
+    beta_2 = -w_l(g) a^(l) / t_l and beta_1 = -w_l(g) a^(l+1) / t_l,
+    expanded by _parabolic_body.  With alpha_0 = w_l(g) a^(l) they are
+    its profile form.  Any other build sums each block by apply_0F1.
     """
     (M,) = _as_list(M, MonogenicPoly, L)
     ctx = M.poly.ctx
     k = M.degree
     gamma = Fraction(2 * k + ctx.m, 2)
-    f, fdag = witt_basis(ctx)
-    x = vector_variable(ctx)
-    scale = Fraction(1, 2 * k + ctx.m)
-    exact = a.is_polynomial() and a.is_exact() and M.poly.is_exact()
-    if not exact:
+    if not (a.is_polynomial() and a.is_exact() and M.poly.is_exact()):
+        f, fdag = witt_basis(ctx)
+        x = vector_variable(ctx)
+        scale = Fraction(1, 2 * k + ctx.m)
         head_dag = (x * M.poly.lmul(fdag)).scale(scale)
         head_f = (x * M.poly.lmul(f)).scale(scale)
         body = Sum(SpaceTimeFunction, ctx).add(
@@ -178,23 +173,15 @@ def build_parabolic_closed(M: MonogenicPoly, a: TimeFunction,
         return SeriesSolution(body=body, mode="parabolic-closed", m=ctx.m,
                               k=k, L=L, exact=False)
     chain = []
-    body = apply_0F1(gamma, M.poly, a, L, chain)
-    head_dag = SpaceTimeFunction.from_poly(x * M.poly.lmul(fdag))
-    head_f = SpaceTimeFunction.from_poly(x * M.poly.lmul(f))
+    first = apply_0F1(gamma, M.poly, a, L, chain)
     # a^(l+1) per level, None past the last derivative
     nexts = [d for _, d in chain[1:]] + [None]
-    blocks, levels = [], []
-    w = scale                   # w_l(g+1) / (2k+m)
-    for l, ((wg, d), nxt) in enumerate(zip(chain, nexts)):
-        if l:
-            w = w / (4 * l * (gamma + l))
-        level = Sum(SpaceTimeFunction, ctx).product(head_dag, d, w)
-        if nxt is not None:
-            level.product(head_f, nxt, w)
-        blocks.append((l, level.value()))
-        levels.append(((wg, d), None, None, None if nxt is None else (-w, nxt),
-                       None, (-w, d), None, None))
-    body = body + radial_series(SpaceTimeFunction, ctx, [blocks])
+    levels = []
+    for l, ((w, d), nxt) in enumerate(zip(chain, nexts)):
+        v = -w / (2 * l + 2 * k + ctx.m)        # -w_l(g+1) / (2k+m)
+        levels.append(((w, d), None, None, None if nxt is None else (v, nxt),
+                       None, (v, d), None, None))
+    body = first + _parabolic_body(M, [(None,) + lv[1:] for lv in levels])
     sol = SeriesSolution(body=body, mode="parabolic-closed", m=ctx.m, k=k,
                          L=L, exact=True)
     sol._radial = (body, ParabolicForm(sol.mode, k, L, M.poly,
@@ -217,10 +204,9 @@ def build_parabolic_recurrence(M: MonogenicPoly,
 
     with a_{l+1} = a_l' / (4(l+1)(l+g)) and b_{l+1} = b_l' / (4(l+1)(l+g+1)).
     Polynomial seeds terminate the sum on their own; otherwise it stops at L.
-    An exact build keeps these eight profiles per level as its profile form
-    and expands its body from them: level l is the small body
-    sum_i c_i (M alpha_i,l + x M beta_i,l), c = 1, f, fdag, f fdag, added
-    by radial_series under the shifts of rho^{2l}.  An inexact build sums
+    An exact build keeps these eight profiles per level, a zero one as
+    None, as its profile form and expands its body from them by
+    _parabolic_body.  An inexact build sums
     the levels on rho_powers by Sum stages and assembles the four parts.
     """
     (M,) = _as_list(M, MonogenicPoly, L)
@@ -266,21 +252,12 @@ def build_parabolic_recurrence(M: MonogenicPoly,
 
     exact = polynomial and M.poly.is_exact() and all(
         seed(n).is_exact() for n in ("a0", "b0", "a2", "b2"))
-    x = vector_variable(ctx)
     if exact:
-        f, fdag = witt_basis(ctx)
-        heads = [SpaceTimeFunction.from_poly(p if c is None else p.lmul(c))
-                 for c in (None, f, fdag, f * fdag)
-                 for p in (M.poly, x * M.poly)]
-        blocks = []
-        for l, profiles in enumerate(levels):
-            level = Sum(SpaceTimeFunction, ctx)
-            for head, prof in zip(heads, profiles):
-                if not prof.is_zero():
-                    level.product(head, prof)
-            blocks.append((l, level.value()))
-        body = radial_series(SpaceTimeFunction, ctx, [blocks])
+        levels = [tuple(None if p.is_zero() else (1, p) for p in profiles)
+                  for profiles in levels]
+        body = _parabolic_body(M, levels)
     else:
+        x = vector_variable(ctx)
         Fs = [Sum(SpaceTimeFunction, ctx) for _ in range(4)]
         for profiles, P, Q in zip(levels, rho_powers(M.poly),
                                   rho_powers(x * M.poly)):
@@ -291,9 +268,34 @@ def build_parabolic_recurrence(M: MonogenicPoly,
     sol = SeriesSolution(body=body, mode="parabolic-recurrence", m=ctx.m,
                          k=k, L=stop, exact=exact)
     if exact:
-        sol._radial = (body, ParabolicForm(sol.mode, k, stop, M.poly, tuple(
-            tuple(zip((1,) * 8, profiles)) for profiles in levels)))
+        sol._radial = (body, ParabolicForm(sol.mode, k, stop, M.poly,
+                                           tuple(levels)))
     return sol
+
+
+def _parabolic_body(M: MonogenicPoly, levels: list) -> SpaceTimeFunction:
+    """The exact parabolic body of a profile form: levels holds per level
+    the eight profiles (alpha_0, beta_0, ..., beta_3), each None for zero
+    or (c, p) for c p, and level l, sum_i c_i (M alpha_i,l + x M beta_i,l)
+    with c = 1, f, fdag, f fdag, is made once and expanded under the
+    shifts of rho^{2l} by radial_series."""
+    ctx = M.poly.ctx
+    f, fdag = witt_basis(ctx)
+    units = (None, f, fdag, f * fdag)
+    bases = (M.poly, vector_variable(ctx) * M.poly)
+    heads, blocks = {}, []      # c_i M and c_i x M, made for the slots in use
+    for l, profiles in enumerate(levels):
+        level = Sum(SpaceTimeFunction, ctx)
+        for i, prof in enumerate(profiles):
+            if prof is None:
+                continue
+            if i not in heads:
+                c, p = units[i // 2], bases[i % 2]
+                heads[i] = SpaceTimeFunction.from_poly(
+                    p if c is None else p.lmul(c))
+            level.product(heads[i], prof[1], prof[0])
+        blocks.append((l, level.value()))
+    return radial_series(SpaceTimeFunction, ctx, [blocks])
 
 
 def _weight_recurrence(s: ZetaElement, gamma: Fraction, L: int,

@@ -57,9 +57,10 @@ def apply_0F1(gamma, base: CliffordPoly, a: TimeFunction, L: int,
     rational gamma each level is made once as the small product
     base * a^{(l)} * weight and expanded by poly.radial_series; any other
     input is summed one Sum product stage per level on rho_powers(base),
-    which keeps its float operations.
+    which keeps its float operations.  A nonpositive integral gamma of any
+    real type is a pole of 0F1: ValueError.
     """
-    if gamma <= 0 and (isinstance(gamma, int) or (isinstance(gamma, Fraction) and gamma.denominator == 1)):
+    if gamma <= 0 and gamma % 1 == 0:     # a pole of any real type
         raise ValueError(f"0F1 pole: gamma = {gamma} is a nonpositive integer")
     if L < 0:
         raise ValueError("truncation must be >= 0")

@@ -393,6 +393,17 @@ def test_exact_parabolic_bodies_match_the_sum_chain(data):
                  for name in sorted(names)}
         sol = build_parabolic_recurrence(M, seeds)
         chain = chain_parabolic_recurrence(M, seeds)
+    _assert_matches_the_sum_chain(sol, chain)
+
+
+@pytest.mark.parametrize("m,k", [(1, 0), (2, 1), (3, 2)])
+def test_degenerate_exact_parabolic_bodies_match_the_sum_chain(m, k):
+    ctx = AlgebraContext(m)
+    for sol, chain in _degenerate_builds(ctx, monogenic_basis(ctx, k)[0]):
+        _assert_matches_the_sum_chain(sol, chain)
+
+
+def _assert_matches_the_sum_chain(sol, chain):
     assert sol.exact and sol._radial[0] is sol.body
     want = dataclasses.replace(sol, body=chain)
     assert want._radial is None
@@ -460,6 +471,37 @@ def test_a_closed_build_takes_each_derivative_once(monkeypatch):
     monkeypatch.undo()
     assert sol.body == chain_parabolic_closed(M, a)
     assert len(sol._radial[1].levels) == 5
+
+
+def _degenerate_builds(ctx, M):
+    """(exact build, its Sum chain body) for a zero profile, the constant
+    profile 1 and empty recurrence seeds."""
+    zero, one = TimeFunction.zero(ctx), TimeFunction.polynomial(ctx, [1])
+    return [(build_parabolic_closed(M, zero), chain_parabolic_closed(M, zero)),
+            (build_parabolic_closed(M, one), chain_parabolic_closed(M, one)),
+            (build_parabolic_recurrence(M, {}),
+             chain_parabolic_recurrence(M, {}))]
+
+
+def test_a_profile_form_stores_no_zero_body():
+    # a zero profile is None in the form, whichever builder made it
+    ctx = AlgebraContext(2)
+    M = monogenic_basis(ctx, 1)[0]
+    t2 = TimeFunction.polynomial(ctx, [0, 0, 1])
+    sols = [sol for sol, _ in _degenerate_builds(ctx, M)] + [
+        build_parabolic_closed(M, t2),
+        build_parabolic_recurrence(M, {"a0": t2, "b2": None}),
+        build_parabolic_recurrence(M, {"b0": t2,
+                                       "a2": TimeFunction.zero(ctx)})]
+    for sol in sols:
+        levels = sol._radial[1].levels
+        assert all(prof is None or not prof[1].is_zero()
+                   for level in levels for prof in level)
+    assert sols[0]._radial[1].levels == ()
+    # the constant profile has one level and no a^(l+1)
+    (level,) = sols[1]._radial[1].levels
+    assert level[3] is None
+    assert sols[2]._radial[1].levels == ((None,) * 8,)
 
 
 # -- generalized operator -------------------------------------------------------

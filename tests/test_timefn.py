@@ -114,6 +114,18 @@ def test_apply_0F1_exponential_profile_truncation():
     assert set(spatial_degrees(R)) == {2 * 5}
 
 
+@pytest.mark.parametrize("gamma", [-1, Fraction(-3), -1.0, 0.0],
+                         ids=["int", "Fraction", "float", "float zero"])
+def test_apply_0F1_refuses_a_pole_of_any_real_type(gamma):
+    # (gamma)_l vanishes from l = 1 - gamma on: a ValueError, not a
+    # ZeroDivisionError from the weight recurrence
+    ctx = AlgebraContext(2)
+    base = CliffordPoly.constant(ctx, 1)
+    a = TimeFunction.term(ctx, 1, n=3)
+    with pytest.raises(ValueError, match="0F1 pole"):
+        apply_0F1(gamma, base, a, 5)
+
+
 def test_split_assemble_roundtrip():
     ctx = AlgebraContext(2)
     f, fdag = witt_basis(ctx)
