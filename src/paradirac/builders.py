@@ -25,16 +25,15 @@ float operations of those steps.
 All series are truncated at the requested order L; the parabolic builds
 terminate on their own when every seed profile is a polynomial in t, in
 which case the result is an exact null-solution (flagged exact when the
-coefficient arithmetic is exact too).  An exact parabolic build keeps
-its profile form, F = G0 + f G1 + fdag G2 + f fdag G3 with
-G_i = sum_l rho^{2l} M alpha_{i,l} + rho^{2l} x M beta_{i,l}, and
-_parabolic_body expands its levels by poly.radial_series, one small body
-sum_i c_i (M alpha_{i,l} + x M beta_{i,l}), c = 1, f, fdag, f fdag, per
-level, as the series bodies are: every level of the recurrence, and the
-two x M blocks of the closed form, whose first block apply_0F1 sums.  An
-inexact parabolic build sums its levels on the powers rho^{2l} M and
-rho^{2l} x M by Sum stages.  verify confirms D F = 0 by the identities
-between the profiles instead of applying D to every monomial.
+coefficient arithmetic is exact too).  The parabolic operator is d_x +
+zeta with zeta = f d/dt + fdag, so an exact parabolic build keeps the
+same radial form with timefn.ProfileWeight coefficients
+P_l = sum_i c_i alpha_{i,l} and Q_l = sum_i c_i beta_{i,l}, c = 1, f,
+fdag, f fdag, the profiles right of M.  _parabolic_body expands it one
+small level body per level by poly.radial_series: every level of the
+recurrence, and the two x M blocks of the closed form, whose first block
+apply_0F1 sums.  An inexact parabolic build sums its levels on the
+powers rho^{2l} M and rho^{2l} x M by Sum stages and keeps no form.
 """
 
 from __future__ import annotations
@@ -47,7 +46,8 @@ from .algebra import AlgebraContext, witt_basis
 from .harmonics import HarmonicPoly, MonogenicPoly
 from .poly import (CliffordPoly, Sum, radial_product, radial_series,
                    rho_powers, vector_variable)
-from .timefn import SpaceTimeFunction, TimeFunction, apply_0F1, assemble_split
+from .timefn import (ProfileWeight, SpaceTimeFunction, TimeFunction, apply_0F1,
+                     assemble_split)
 from .zeta import IntMatrix, NotInvertibleError, ZetaElement
 
 PARABOLIC_MODES = ("parabolic-recurrence", "parabolic-closed")
@@ -56,39 +56,21 @@ ALL_MODES = PARABOLIC_MODES + ("helmholtz",) + GENERALIZED_MODES
 
 
 class RadialForm(NamedTuple):
-    """The radial form of an exact series build, sum_l rho^{2l} (P_l M + Q_l x M)
-    over each head M of degree k, with IntMatrix coefficients.
+    """The radial form of an exact build, sum_l rho^{2l} (P_l M + Q_l x M)
+    over each head M of degree k.
 
     heads holds (k, M, P, Q) per head, M the head's CliffordPoly and P and
-    Q tuples of L+1 matrices; a Helmholtz build has P_l = w_l and Q None.
-    mode, k, L and zeta are the build's, so a form is read only for the
-    solution it was made for.
+    Q tuples of L+1 IntMatrix values; a Helmholtz build has P_l = w_l and
+    Q None.  A parabolic build's zeta is None and its P and Q hold one
+    ProfileWeight per level, every level past the last zero.  mode, k, L
+    and zeta are the build's, so a form is read only for its solution.
     """
 
     mode: str
     k: Union[int, Tuple[int, ...]]
     L: int
-    zeta: ZetaElement
+    zeta: Optional[ZetaElement]
     heads: Tuple[Tuple[int, CliffordPoly, tuple, Optional[tuple]], ...]
-
-
-class ParabolicForm(NamedTuple):
-    """The profile form of an exact parabolic build on a monogenic head M of
-    degree k: F = G0 + f G1 + fdag G2 + f fdag G3 with
-    G_i = sum_l rho^{2l} M alpha_{i,l} + rho^{2l} x M beta_{i,l}.
-
-    levels holds per level l the eight profiles (alpha_0, beta_0, alpha_1,
-    beta_1, alpha_2, beta_2, alpha_3, beta_3), each None for zero or a pair
-    (c, p), the exact scalar c times the time profile p; every level past
-    the last is zero.  mode, k and L are the build's, so a form is read
-    only for the solution it was made for.
-    """
-
-    mode: str
-    k: int
-    L: int
-    M: CliffordPoly
-    levels: Tuple[tuple, ...]
 
 
 @dataclass
@@ -99,10 +81,9 @@ class SeriesSolution:
     dirac_residual followed by check_component_conditions applies D once.
     The memo is (body, D body, by_ladder), read only while body is that
     same object; it takes no part in ==, repr or serialization.  An exact
-    build keeps its form the same way, as (body, form) in _radial: a
-    RadialForm for a generalized or Helmholtz build, which dirac_residual
-    checks by the radial ladder, and a ParabolicForm for a parabolic one,
-    whose profile ladder stands in for D F and the component conditions.
+    build keeps its RadialForm the same way, as (body, form) in _radial;
+    verify checks it by the radial ladder, which for a parabolic build
+    stands in for D F and the component conditions.
     """
 
     body: SpaceTimeFunction
@@ -115,8 +96,7 @@ class SeriesSolution:
     extra: Dict[str, object] = field(default_factory=dict)
     _dirac: Optional[Tuple[SpaceTimeFunction, SpaceTimeFunction, bool]] = field(
         default=None, init=False, repr=False, compare=False)
-    _radial: Optional[Tuple[SpaceTimeFunction,
-                            Union[RadialForm, ParabolicForm]]] = field(
+    _radial: Optional[Tuple[SpaceTimeFunction, RadialForm]] = field(
         default=None, init=False, repr=False, compare=False)
 
     @property
@@ -152,9 +132,9 @@ def build_parabolic_closed(M: MonogenicPoly, a: TimeFunction,
     the profiles of the other two off the derivatives a^(l) it records:
     since x fdag M = -fdag x M, x f M = -f x M and
     w_l(g+1) / (2k+m) = w_l(g) / t_l with t_l = 2l+2k+m, they are
-    beta_2 = -w_l(g) a^(l) / t_l and beta_1 = -w_l(g) a^(l+1) / t_l,
-    expanded by _parabolic_body.  With alpha_0 = w_l(g) a^(l) they are
-    its profile form.  Any other build sums each block by apply_0F1.
+    Q_l = -w_l(g) (f a^(l+1) + fdag a^(l)) / t_l, expanded by
+    _parabolic_body.  With P_l = w_l(g) a^(l) they are its radial form.
+    Any other build sums each block by apply_0F1.
     """
     (M,) = _as_list(M, MonogenicPoly, L)
     ctx = M.poly.ctx
@@ -170,23 +150,17 @@ def build_parabolic_closed(M: MonogenicPoly, a: TimeFunction,
             apply_0F1(gamma, M.poly, a, L)).add(
             apply_0F1(gamma + 1, head_dag, a, L)).add(
             apply_0F1(gamma + 1, head_f, a.d_dt(), L)).value()
-        return SeriesSolution(body=body, mode="parabolic-closed", m=ctx.m,
-                              k=k, L=L, exact=False)
+        return _parabolic_solution(body, "parabolic-closed", M, L, False)
     chain = []
     first = apply_0F1(gamma, M.poly, a, L, chain)
     # a^(l+1) per level, None past the last derivative
     nexts = [d for _, d in chain[1:]] + [None]
-    levels = []
-    for l, ((w, d), nxt) in enumerate(zip(chain, nexts)):
-        v = -w / (2 * l + 2 * k + ctx.m)        # -w_l(g+1) / (2k+m)
-        levels.append(((w, d), None, None, None if nxt is None else (v, nxt),
-                       None, (v, d), None, None))
-    body = first + _parabolic_body(M, [(None,) + lv[1:] for lv in levels])
-    sol = SeriesSolution(body=body, mode="parabolic-closed", m=ctx.m, k=k,
-                         L=L, exact=True)
-    sol._radial = (body, ParabolicForm(sol.mode, k, L, M.poly,
-                                       tuple(levels)))
-    return sol
+    P = tuple(ProfileWeight.of([d], w) for w, d in chain)
+    # -w_l(g+1) / (2k+m) = -w_l(g) / t_l
+    Q = tuple(ProfileWeight.of([None, nxt, d], -w / (2 * l + 2 * k + ctx.m))
+              for l, ((w, d), nxt) in enumerate(zip(chain, nexts)))
+    body = first + _parabolic_body(M, (ProfileWeight.of([]),) * len(Q), Q)
+    return _parabolic_solution(body, "parabolic-closed", M, L, True, P, Q)
 
 
 def build_parabolic_recurrence(M: MonogenicPoly,
@@ -204,10 +178,10 @@ def build_parabolic_recurrence(M: MonogenicPoly,
 
     with a_{l+1} = a_l' / (4(l+1)(l+g)) and b_{l+1} = b_l' / (4(l+1)(l+g+1)).
     Polynomial seeds terminate the sum on their own; otherwise it stops at L.
-    An exact build keeps these eight profiles per level, a zero one as
-    None, as its profile form and expands its body from them by
-    _parabolic_body.  An inexact build sums
-    the levels on rho_powers by Sum stages and assembles the four parts.
+    An exact build keeps each level's alphas and betas as the ProfileWeight
+    coefficients P_l and Q_l of its radial form and expands its body from
+    them by _parabolic_body.  An inexact build sums the levels on
+    rho_powers by Sum stages and assembles the four parts.
     """
     (M,) = _as_list(M, MonogenicPoly, L)
     ctx = M.poly.ctx
@@ -253,47 +227,56 @@ def build_parabolic_recurrence(M: MonogenicPoly,
     exact = polynomial and M.poly.is_exact() and all(
         seed(n).is_exact() for n in ("a0", "b0", "a2", "b2"))
     if exact:
-        levels = [tuple(None if p.is_zero() else (1, p) for p in profiles)
-                  for profiles in levels]
-        body = _parabolic_body(M, levels)
-    else:
-        x = vector_variable(ctx)
-        Fs = [Sum(SpaceTimeFunction, ctx) for _ in range(4)]
-        for profiles, P, Q in zip(levels, rho_powers(M.poly),
-                                  rho_powers(x * M.poly)):
-            P, Q = SpaceTimeFunction.from_poly(P), SpaceTimeFunction.from_poly(Q)
-            for i, G in enumerate(Fs):
-                G.product(P, profiles[2 * i]).product(Q, profiles[2 * i + 1])
-        body = assemble_split(*(G.value() for G in Fs))
-    sol = SeriesSolution(body=body, mode="parabolic-recurrence", m=ctx.m,
-                         k=k, L=stop, exact=exact)
-    if exact:
-        sol._radial = (body, ParabolicForm(sol.mode, k, stop, M.poly,
-                                           tuple(levels)))
+        P = tuple(ProfileWeight.of(profiles[0::2]) for profiles in levels)
+        Q = tuple(ProfileWeight.of(profiles[1::2]) for profiles in levels)
+        return _parabolic_solution(_parabolic_body(M, P, Q),
+                                   "parabolic-recurrence", M, stop, True, P, Q)
+    x = vector_variable(ctx)
+    Fs = [Sum(SpaceTimeFunction, ctx) for _ in range(4)]
+    for profiles, P, Q in zip(levels, rho_powers(M.poly),
+                              rho_powers(x * M.poly)):
+        P, Q = SpaceTimeFunction.from_poly(P), SpaceTimeFunction.from_poly(Q)
+        for i, G in enumerate(Fs):
+            G.product(P, profiles[2 * i]).product(Q, profiles[2 * i + 1])
+    body = assemble_split(*(G.value() for G in Fs))
+    return _parabolic_solution(body, "parabolic-recurrence", M, stop, False)
+
+
+def _parabolic_solution(body: SpaceTimeFunction, mode: str, M: MonogenicPoly,
+                        L: int, exact: bool, P=(), Q=()) -> SeriesSolution:
+    """The SeriesSolution of a parabolic build.  An exact one keeps the
+    radial form of its weights P and Q unless a profile depends on x: the
+    ladder takes every profile for a function of t, which d_x leaves."""
+    k = M.degree
+    sol = SeriesSolution(body=body, mode=mode, m=M.poly.ctx.m, k=k, L=L,
+                         exact=exact)
+    if exact and not any(any(exps) for w in P + Q for part in w.parts
+                         for _, p, _ in part for exps, _, _ in p.keys()):
+        sol._radial = (body, RadialForm(mode, k, L, None, ((k, M.poly, P, Q),)))
     return sol
 
 
-def _parabolic_body(M: MonogenicPoly, levels: list) -> SpaceTimeFunction:
-    """The exact parabolic body of a profile form: levels holds per level
-    the eight profiles (alpha_0, beta_0, ..., beta_3), each None for zero
-    or (c, p) for c p, and level l, sum_i c_i (M alpha_i,l + x M beta_i,l)
-    with c = 1, f, fdag, f fdag, is made once and expanded under the
-    shifts of rho^{2l} by radial_series."""
+def _parabolic_body(M: MonogenicPoly, P: tuple, Q: tuple) -> SpaceTimeFunction:
+    """The exact parabolic body sum_l rho^{2l} (P_l M + Q_l x M) of
+    ProfileWeight levels: sum_i c_i (M alpha_i,l + x M beta_i,l) over the
+    entries of P_l and Q_l, c = 1, f, fdag, f fdag, is made once per level
+    and expanded under the shifts of rho^{2l} by radial_series."""
     ctx = M.poly.ctx
     f, fdag = witt_basis(ctx)
     units = (None, f, fdag, f * fdag)
     bases = (M.poly, vector_variable(ctx) * M.poly)
     heads, blocks = {}, []      # c_i M and c_i x M, made for the slots in use
-    for l, profiles in enumerate(levels):
+    for l, (Pl, Ql) in enumerate(zip(P, Q)):
         level = Sum(SpaceTimeFunction, ctx)
-        for i, prof in enumerate(profiles):
-            if prof is None:
-                continue
-            if i not in heads:
-                c, p = units[i // 2], bases[i % 2]
-                heads[i] = SpaceTimeFunction.from_poly(
-                    p if c is None else p.lmul(c))
-            level.product(heads[i], prof[1], prof[0])
+        # slot 2i + j holds entry i of P_l (j = 0) or of Q_l (j = 1)
+        slots = (part for pair in zip(Pl.parts, Ql.parts) for part in pair)
+        for slot, part in enumerate(slots):
+            for c, p, _ in part:
+                if slot not in heads:
+                    u, base = units[slot // 2], bases[slot % 2]
+                    heads[slot] = SpaceTimeFunction.from_poly(
+                        base if u is None else base.lmul(u))
+                level.product(heads[slot], p, c)
         blocks.append((l, level.value()))
     return radial_series(SpaceTimeFunction, ctx, [blocks])
 

@@ -12,6 +12,7 @@ Exit code 0 means every requested check passed; 1 means a check failed;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -381,11 +382,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_alg.add_argument("--trials", type=int, default=500)
     p_alg.add_argument("--seed", type=int, default=0)
     p_alg.add_argument("--out", help="JSON report path")
-    p_alg.set_defaults(fn=cmd_algebra_check)
 
     p_build = sub.add_parser("build", help="build a solution and save it")
     _add_build_flags(p_build)
-    p_build.set_defaults(fn=cmd_build)
 
     p_verify = sub.add_parser("verify", help="verify a solution file or a fresh build")
     p_verify.add_argument("--solution", help="solution JSON produced by build")
@@ -393,25 +392,29 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--radii", default="1,0.5,0.25")
     p_verify.add_argument("--order-tol", type=float, default=0.2)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.set_defaults(fn=cmd_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate a solution on a CSV of points")
     p_eval.add_argument("--solution", required=True)
     p_eval.add_argument("--points", required=True, help="CSV with header x1..xm[,t]")
     p_eval.add_argument("--out", help="output CSV (default stdout)")
-    p_eval.set_defaults(fn=cmd_eval)
     return parser
 
 
+_parser = functools.lru_cache(maxsize=None)(make_parser)   # once per process
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = make_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command in ("build",) and not args.mode:
         parser.error("build requires --mode")
     if args.command == "verify" and not args.solution and not args.mode:
         parser.error("verify needs --solution or build flags (--mode ...)")
+    # looked up per call, since the parser is made once per process
+    fn = {"algebra-check": cmd_algebra_check, "build": cmd_build,
+          "verify": cmd_verify, "eval": cmd_eval}[args.command]
     try:
-        return args.fn(args)
+        return fn(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -221,8 +221,7 @@ def solution_from_dict(data: dict) -> SeriesSolution:
     L = _get(data, "L", (int,))
     if L < 0:
         raise ValueError(f"truncation L={L} is negative")
-    if not mode.startswith("parabolic"):
-        _check_series_degrees(body, mode, ks, L)
+    _check_series_degrees(body, mode, ks, L)
     return SeriesSolution(body=body, mode=mode, m=ctx.m,
                           k=k, L=L,
                           exact=_get(data, "exact", (bool,)),
@@ -233,7 +232,9 @@ def _check_series_degrees(body: SpaceTimeFunction, mode: str,
                           ks: Tuple[int, ...], L: int) -> None:
     """A series body starts at its lowest head degree, min(k), and ends by
     2L+max(k)+1 (2L+max(k) for helmholtz); the residual reads its top
-    degrees from k and L, so a file that breaks either is refused."""
+    degrees, or a parabolic one its pass floor 2L+k, from k and L, so a
+    file that breaks either is refused.  A parabolic body with no lambda
+    terminates on its own whatever L says, so its top is left unchecked."""
     degrees = {sum(key[0]) for key in body.keys()}
     if not degrees:
         return
@@ -241,7 +242,8 @@ def _check_series_degrees(body: SpaceTimeFunction, mode: str,
         raise ValueError(f"solution field 'k' gives lowest head degree {min(ks)}, "
                          f"but the body's lowest spatial degree is {min(degrees)}")
     top = 2 * L + max(ks) + (mode != "helmholtz")
-    if max(degrees) > top:
+    cut = not mode.startswith("parabolic") or any(key[2] for key in body.keys())
+    if cut and max(degrees) > top:
         raise ValueError(f"the body has a term of spatial degree {max(degrees)}, "
                          f"above 2L+max(k){'+1' * (mode != 'helmholtz')} = {top}")
 

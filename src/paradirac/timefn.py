@@ -12,6 +12,9 @@ spatial polynomial engine with that time class: terms are indexed by
 exact.  This module builds the parabolic operator D = d_x + f d_t + fdag
 from those operators, and the operator series 0F1 on a time profile.
 TimeFunction is the x-independent slice.
+D is d_x + zeta with zeta = f d/dt + fdag (ParabolicZeta), acting on
+Cl(1,1) coefficients with time-profile entries (ProfileWeight), so an
+exact parabolic build's radial form takes the generalized builds' ladder.
 """
 
 from __future__ import annotations
@@ -43,6 +46,70 @@ def parabolic_dirac(F: SpaceTimeFunction) -> SpaceTimeFunction:
 def heat_residual(F: SpaceTimeFunction) -> SpaceTimeFunction:
     """(Delta - d_t) F; D squares to the negative of this operator."""
     return Sum(SpaceTimeFunction, F.ctx).laplacian(F).d_dt(F, -1).value()
+
+
+class ProfileWeight:
+    """A Cl(1,1) coefficient with time-profile entries,
+    w = w_1 + f w_f + fdag w_fdag + f fdag w_ffdag, the units left of the
+    head M and the profiles right of it.  parts holds the four entries,
+    each a tuple of terms (c, p, d): the exact c times the profile p, or
+    times p' when d; a zero entry is empty.  == sums each entry of the
+    difference in one Sum, with the derivative terms as d_dt stages.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+
+    @classmethod
+    def of(cls, profiles, c=1) -> "ProfileWeight":
+        """c times the profiles (w_1, w_f, w_fdag, w_ffdag); a missing, None
+        or zero profile is an empty entry."""
+        parts = [() if p is None or p.is_zero() else ((c, p, False),)
+                 for p in profiles]
+        return cls(parts + [()] * (4 - len(parts)))
+
+    def hat(self) -> "ProfileWeight":
+        """The main involution: the f and fdag entries negated."""
+        one, f, fdag, ffdag = self.parts
+        return ProfileWeight((one, _times(f, -1), _times(fdag, -1), ffdag))
+
+    def scale(self, n) -> "ProfileWeight":
+        return ProfileWeight([_times(part, n) for part in self.parts])
+
+    def __eq__(self, other):
+        if not isinstance(other, ProfileWeight):
+            return NotImplemented
+        for mine, theirs in zip(self.parts, other.parts):
+            if mine or theirs:
+                total = Sum(SpaceTimeFunction, (mine or theirs)[0][1].ctx)
+                for sign, part in ((1, mine), (-1, theirs)):
+                    for c, p, d in part:
+                        (total.d_dt if d else total.add)(p, sign * c)
+                if not total.value().is_zero():
+                    return False
+        return True
+
+
+def _times(part: tuple, n) -> tuple:
+    return part if n == 1 or not part else tuple([
+        (c * n, p, d) for c, p, d in part])
+
+
+class ParabolicZeta:
+    """zeta = f d/dt + fdag on a ProfileWeight without derivative terms: by
+    f^2 = 0, fdag f = 1 - f fdag and fdag f fdag = fdag,
+    zeta w = w_f + f w_1' + fdag (w_1 + w_ffdag) + f fdag (w_fdag' - w_f)."""
+
+    def __mul__(self, w: ProfileWeight) -> ProfileWeight:
+        one, f, fdag, ffdag = w.parts
+        one_d, fdag_d = (tuple([(c, p, True) for c, p, _ in part])
+                         for part in (one, fdag))
+        return ProfileWeight((f, one_d, one + ffdag, fdag_d + _times(f, -1)))
+
+
+PARABOLIC_ZETA = ParabolicZeta()
 
 
 def apply_0F1(gamma, base: CliffordPoly, a: TimeFunction, L: int,

@@ -14,16 +14,15 @@ sampled over spheres of shrinking radius.
 A solution remembers D F of its body for the parabolic operator D, so
 dirac_residual followed by check_component_conditions applies D once,
 and the component conditions are read off the split components.  A
-build fresh from its builder with exact coefficients keeps its form
-instead.  A generalized or Helmholtz residual is read off the top level
-once the radial form passes the radial ladder identities.  An exact
-parabolic build's profile form is checked by the profile ladder
-(_parabolic_ladder): when it holds, D F = 0 is an algebraic identity, so
-its D F is the zero body and its component report all true, and neither
-D nor split nor the heat operator is applied.  The operator applied to
-every monomial (symbolic_residual of a solution without a form) and the
-split conditions stay the path of every other solution and the oracle
-the ladders are tested against.
+build fresh from its builder with exact coefficients keeps its radial
+form instead, and one ladder (_ladder_residual) checks it for every
+d_x + zeta, the parabolic D being the one with zeta = f d/dt + fdag.  A
+generalized or Helmholtz residual is read off the top level once the
+form passes.  An exact parabolic form has no top level left over: its
+D F is the zero body and its component report all true, and neither D
+nor split nor the heat operator is applied.  The operator applied to
+every monomial and the split conditions stay the path of every other
+solution and the oracle the ladder is tested against.
 """
 
 from __future__ import annotations
@@ -35,10 +34,11 @@ from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraContext, Multivector, witt_basis
-from .builders import ParabolicForm, RadialForm, SeriesSolution
+from .builders import SeriesSolution
 from .poly import (CliffordPoly, Sum, radial_product, radial_series,
                    vector_variable)
-from .timefn import SpaceTimeFunction, heat_residual, parabolic_dirac
+from .timefn import (PARABOLIC_ZETA, ProfileWeight, SpaceTimeFunction,
+                     heat_residual, parabolic_dirac)
 from .zeta import IntMatrix
 
 # sup-norms below this are treated as zero when estimating orders
@@ -123,7 +123,7 @@ def check_component_conditions(
     The conditions are read off the split components.  The report also
     takes D F directly, the one a solution remembers when it has one, and
     records whether the equivalence held (it must, whichever side is
-    true).  A solution whose profile form passes the profile ladder has
+    true).  A parabolic solution whose radial form passes the ladder has
     D F = 0 as an identity; the split is unique, so every condition holds
     and the report is all true, with nothing split or applied.  A
     SeriesSolution of a mode other than the parabolic ones raises
@@ -181,7 +181,7 @@ def perturb_component(F: SeriesSolution, slot: int, exps: Sequence[int],
 
 def symbolic_residual(F: SeriesSolution) -> SpaceTimeFunction:
     """Apply the operator matching F.mode to the body; a parabolic build
-    whose profile ladder holds has the zero body (_parabolic_residual)."""
+    whose form passes the ladder has the zero body (_parabolic_residual)."""
     op = _infer_operator(F.mode)
     body = F.body
     if op == "parabolic":
@@ -200,84 +200,18 @@ def _parabolic_residual(F: SeriesSolution
     """(F.body, D F.body, by_ladder) for the parabolic D, made once per
     body object.
 
-    D F is the zero body when F's profile form passes the profile ladder
+    D F is the zero body when F's radial form passes the ladder
     (by_ladder), else D applied to every monomial.  Bodies are immutable
     values, so what F remembers stands while F.body is the body it was
     taken of; a new body is taken afresh.
     """
     memo = F._dirac
     if memo is None or memo[0] is not F.body:
-        if _parabolic_ladder(F):
-            memo = (F.body, SpaceTimeFunction.zero(F.ctx), True)
-        else:
-            memo = (F.body, parabolic_dirac(F.body), False)
+        R = _ladder_residual(F)
+        memo = (F.body, parabolic_dirac(F.body) if R is None else R,
+                 R is not None)
         F._dirac = memo
     return memo
-
-
-def _parabolic_ladder(F: SeriesSolution) -> bool:
-    """True when F keeps a profile form for this body and metadata and the
-    form passes the profile ladder, which makes D F = 0 an identity.
-
-    In the form G_i = sum_l rho^{2l} M alpha_{i,l} + rho^{2l} x M beta_{i,l},
-    F = G0 + f G1 + fdag G2 + f fdag G3, the profiles depend on t alone
-    and sit right of M, so with d_x(rho^{2l} M) = 2l rho^{2l-2} x M and
-    d_x(rho^{2l} x M) = -t_l rho^{2l} M, t_l = 2l+2k+m, for a monogenic M
-    of degree k, the ladder, with g = k + m/2 and every level past the
-    last zero,
-
-        cond_f1  alpha_1,l = t_l beta_0,l,  beta_1,l = -2(l+1) alpha_0,l+1
-        cond_f3  alpha_3,l = -t_l beta_2,l - alpha_0,l,
-                 beta_3,l = 2(l+1) alpha_2,l+1 - beta_0,l
-        heat     alpha_i,l' = 4(l+1)(l+g) alpha_i,l+1,
-                 beta_i,l' = 4(l+1)(l+g+1) beta_i,l+1   (i = 0, 2)
-
-    gives G1 = -d_x G0, G3 = d_x G2 - G0 and (Laplacian - d_t) G_i = 0
-    for i = 0, 2, whatever Clifford values the profiles take.  Those
-    make each of the 1, f, fdag and f fdag parts of D F vanish
-    (f^2 = fdag^2 = 0, f fdag + fdag f = 1, f and fdag anticommute with
-    every e_i), so D F = 0.
-    """
-    memo = F._radial
-    if memo is None or memo[0] is not F.body:
-        return False
-    form = memo[1]
-    if not (isinstance(form, ParabolicForm)
-            and (form.mode, form.k, form.L) == (F.mode, F.k, F.L)):
-        return False
-    ctx, levels = F.ctx, form.levels
-    origin = (0,) * ctx.m
-    if not all(prof is None or all(key[0] == origin for key in prof[1].keys())
-               for level in levels for prof in level):
-        return False
-    top = (None,) * 8
-    for l, (a0, b0, a1, b1, a2, b2, a3, b3) in enumerate(levels):
-        na0, nb0, _, _, na2, nb2, _, _ = (levels[l + 1] if l + 1 < len(levels)
-                                          else top)
-        t, u = 2 * l + 2 * form.k + ctx.m, 2 * (l + 1)
-        # 4(l+1)(l+g) = u t and 4(l+1)(l+g+1) = u (t + 2)
-        if not (_vanishes(ctx, (a1, 1), (b0, -t))
-                and _vanishes(ctx, (b1, 1), (na0, u))
-                and _vanishes(ctx, (a3, 1), (b2, t), (a0, 1))
-                and _vanishes(ctx, (b3, 1), (na2, -u), (b0, 1))
-                and _vanishes(ctx, (na0, -u * t), slope=a0)
-                and _vanishes(ctx, (nb0, -u * (t + 2)), slope=b0)
-                and _vanishes(ctx, (na2, -u * t), slope=a2)
-                and _vanishes(ctx, (nb2, -u * (t + 2)), slope=b2)):
-            return False
-    return True
-
-
-def _vanishes(ctx: AlgebraContext, *terms, slope=None) -> bool:
-    """Whether slope' + sum of factor * profile over the (profile, factor)
-    terms is zero; a profile is None for zero or (c, p) for c p."""
-    total = Sum(SpaceTimeFunction, ctx)
-    if slope is not None:
-        total.d_dt(slope[1], slope[0])
-    for prof, factor in terms:
-        if prof is not None:
-            total.add(prof[1], prof[0] * factor)
-    return total.value().is_zero()
 
 
 def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
@@ -295,16 +229,17 @@ def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
     harmonic, leaves only zeta* zeta w_L rho^{2L} H when
     zeta* zeta w_l + 2(l+1)(2l+2k+m) w_{l+1} = 0.  The identities run on
     IntMatrix numerators, and the residual is that one top level, expanded
-    by radial_series.  Heads of different degrees are left to the monomial
-    residual.
+    by radial_series.  A parabolic form's zeta = f d/dt + fdag acts on
+    ProfileWeight coefficients, whose profiles depend on t alone and sit
+    right of M; its levels past the last are zero, so zeta Q_top = 0 is
+    checked too and the residual is the zero body.  Heads of different
+    degrees are left to the monomial residual.
     """
     memo = F._radial
     if memo is None or memo[0] is not F.body:
         return None
     form = memo[1]
-    if not (isinstance(form, RadialForm) and (form.mode, form.k, form.L,
-                                              form.zeta)
-            == (F.mode, F.k, F.L, F.zeta)):
+    if (form.mode, form.k, form.L, form.zeta) != (F.mode, F.k, F.L, F.zeta):
         return None
     degrees = {k for k, _, _, _ in form.heads}
     if len(degrees) != 1:
@@ -312,7 +247,8 @@ def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
     (k,) = degrees
     ctx = F.ctx
     m, L = ctx.m, F.L
-    Z = IntMatrix.of(F.zeta)
+    parabolic = F.zeta is None
+    Z = PARABOLIC_ZETA if parabolic else IntMatrix.of(F.zeta)
     if F.mode == "helmholtz":
         ZZ = Z.hat() * Z
         for _, _, w, _ in form.heads:
@@ -322,12 +258,15 @@ def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
                 return None
         tops = [[(L, radial_product(ZZ * w[L], H))] for _, H, w, _ in form.heads]
     else:
+        past = (ProfileWeight.of([]),) if parabolic else ()
         for _, _, P, Q in form.heads:
-            if not (all(Z * P[l] == Q[l].hat().scale(2 * l + 2 * k + m)
-                        for l in range(L + 1))
-                    and all(Z * Q[l] == P[l + 1].hat().scale(-2 * (l + 1))
-                            for l in range(L))):
+            if not (all(Z * p == q.hat().scale(2 * l + 2 * k + m)
+                        for l, (p, q) in enumerate(zip(P, Q)))
+                    and all(Z * q == p.hat().scale(-2 * (l + 1))
+                            for l, (q, p) in enumerate(zip(Q, P[1:] + past)))):
                 return None
+        if parabolic:
+            return SpaceTimeFunction.zero(ctx)
         x = vector_variable(ctx)
         tops = [[(L, radial_product(Z * Q[L], x * M))]
                 for _, M, _, Q in form.heads]
@@ -426,13 +365,13 @@ def dirac_residual(F: SeriesSolution,
     form; once the form passes the ladder identities its residual is the
     top level zeta Q_L rho^{2L} x M (zeta* zeta w_L rho^{2L} H for
     Helmholtz) summed over the heads (_ladder_residual), and equals
-    symbolic_residual(F) term for term.  An exact parabolic build fresh
-    from its builder keeps its profile form; once the form passes the
-    profile ladder (_parabolic_ladder) its residual is the zero body and
-    D is not applied.  Every other solution takes the operator applied
-    to every monomial: inexact or truncated parabolic builds, float or
-    Sylvester weights, heads of several degrees, a loaded, replaced or
-    perturbed body, and a form that fails its ladder.
+    symbolic_residual(F) term for term.  An exact parabolic build's form
+    passes the same ladder, once per body through the D F the solution
+    remembers (_parabolic_residual); its residual is the zero body.  Every
+    other solution takes the operator applied to every monomial: inexact
+    or truncated parabolic builds, float or Sylvester weights, heads of
+    several degrees, a loaded, replaced or perturbed body, and a form that
+    fails its ladder.
     """
     if not (all(math.isfinite(r) and r > 0 for r in radii)
             and len(set(radii)) == len(radii)):
@@ -444,7 +383,9 @@ def dirac_residual(F: SeriesSolution,
     if not F.exact and len(radii) < 2:
         raise ValueError(f"a truncated build needs at least two radii to "
                          f"estimate its order, got {list(radii)}")
-    R = _ladder_residual(F)
+    op = _infer_operator(F.mode)
+    # a parabolic ladder runs in symbolic_residual, once per body
+    R = None if op == "parabolic" else _ladder_residual(F)
     by_ladder = R is not None       # then the body is exact, so finite
     if R is None:
         if not F.body.is_finite():
@@ -465,7 +406,6 @@ def dirac_residual(F: SeriesSolution,
         return report
 
     ks = F.k if isinstance(F.k, tuple) else (F.k,)
-    op = _infer_operator(F.mode)
     tops = {2 * F.L + kk + (op != "helmholtz") for kk in ks}
     report.expected_order = None if op == "parabolic" else float(min(tops))
 

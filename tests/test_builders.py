@@ -470,7 +470,8 @@ def test_a_closed_build_takes_each_derivative_once(monkeypatch):
     assert calls["apply_0F1"] == 1 and calls["d_dt"] <= 5
     monkeypatch.undo()
     assert sol.body == chain_parabolic_closed(M, a)
-    assert len(sol._radial[1].levels) == 5
+    ((_, _, P, Q),) = sol._radial[1].heads
+    assert len(P) == len(Q) == 5
 
 
 def _degenerate_builds(ctx, M):
@@ -483,8 +484,9 @@ def _degenerate_builds(ctx, M):
              chain_parabolic_recurrence(M, {}))]
 
 
-def test_a_profile_form_stores_no_zero_body():
-    # a zero profile is None in the form, whichever builder made it
+def test_a_parabolic_form_stores_zero_profiles_as_empty_parts():
+    # a zero profile is an empty part of its weight, whichever builder
+    # made it
     ctx = AlgebraContext(2)
     M = monogenic_basis(ctx, 1)[0]
     t2 = TimeFunction.polynomial(ctx, [0, 0, 1])
@@ -493,15 +495,21 @@ def test_a_profile_form_stores_no_zero_body():
         build_parabolic_recurrence(M, {"a0": t2, "b2": None}),
         build_parabolic_recurrence(M, {"b0": t2,
                                        "a2": TimeFunction.zero(ctx)})]
+    weights = []
     for sol in sols:
-        levels = sol._radial[1].levels
-        assert all(prof is None or not prof[1].is_zero()
-                   for level in levels for prof in level)
-    assert sols[0]._radial[1].levels == ()
-    # the constant profile has one level and no a^(l+1)
-    (level,) = sols[1]._radial[1].levels
-    assert level[3] is None
-    assert sols[2]._radial[1].levels == ((None,) * 8,)
+        form = sol._radial[1]
+        assert form.zeta is None
+        ((_, _, P, Q),) = form.heads
+        assert all(not p.is_zero() for w in P + Q for part in w.parts
+                   for _, p, _ in part)
+        weights.append((P, Q))
+    assert weights[0] == ((), ())
+    # the constant profile has one level and no a^(l+1): Q_0 has no f part
+    (P,), (Q,) = weights[1]
+    assert [bool(part) for part in P.parts] == [True, False, False, False]
+    assert [bool(part) for part in Q.parts] == [False, False, True, False]
+    (P,), (Q,) = weights[2]
+    assert P.parts == Q.parts == ((),) * 4
 
 
 # -- generalized operator -------------------------------------------------------

@@ -121,6 +121,22 @@ def test_exact_residual_support_counts_every_term(capsys, tmp_path):
     assert json.loads(rep_path.read_text())["support_degrees"] == [2, 3, 10]
 
 
+def test_main_makes_its_parser_once_and_runs_the_bound_command(
+        capsys, tmp_path, monkeypatch):
+    built, build = [], cli.cmd_build
+    cli._parser.cache_clear()
+    sol_path = str(tmp_path / "sol.json")
+    flags = ["--mode", "parabolic-closed", "--m", "2", "--k", "1"]
+    assert run(capsys, "build", *flags, "--out", sol_path)[0] == 0
+    # a command function rebound after the parser was made is the one run
+    monkeypatch.setattr(cli, "cmd_build", lambda args: built.append(args) or
+                        build(args))
+    assert run(capsys, "build", *flags, "--out", sol_path)[0] == 0
+    assert run(capsys, "verify", "--solution", sol_path)[0] == 0
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits, len(built)) == (1, 2, 1)
+
+
 def test_build_requires_mode_and_out(capsys, tmp_path):
     with pytest.raises(SystemExit):
         main(["build", "--m", "2"])
@@ -189,6 +205,45 @@ def test_series_solution_file_k_and_L_checked_against_the_body(
         code, stdout, err = run(capsys, *argv)
         assert code == 2, argv
         assert message in err and stdout == ""
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    ({}, 1, "FAIL"),
+    ({"k": 0}, 2, "lowest head degree 0, but the body's lowest spatial "
+                  "degree is 1"),
+    ({"L": 2}, 2, "degree 8, above 2L+max(k)+1 = 6"),
+], ids=["as built", "k below", "L below"])
+def test_parabolic_solution_file_k_and_L_checked_against_the_body(
+        capsys, tmp_path, edit, code, message):
+    # a truncated build with 1/1000 x1^7 added verifies FAIL; at "k": 0 or
+    # "L": 2 its pass floor 2L+k fell to 5 and it verified PASS before k
+    # and L were checked at load
+    sol_path = tmp_path / "sol.json"
+    assert run(capsys, "build", "--mode", "parabolic-closed", "--m", "2",
+               "--k", "1", "--profile", "exp:-1", "--trunc", "3",
+               "--backend", "float", "--out", str(sol_path))[0] == 0
+    data = json.loads(sol_path.read_text())
+    data["terms"].append({"exponents": [7, 0], "n": 0, "lambda": [-1.0, 0],
+                          "blades": [["1", [0.001, 0]]]})
+    data.update(edit)
+    sol_path.write_text(json.dumps(data))
+    got, stdout, err = run(capsys, "verify", "--solution", str(sol_path))
+    assert got == code
+    assert message in (stdout if code == 1 else err)
+
+
+def test_a_polynomial_parabolic_file_keeps_the_requested_L(capsys, tmp_path):
+    # a polynomial profile terminates the series whatever --trunc says, so
+    # the body may reach past 2L+k+1 and L is left unchecked
+    sol_path = tmp_path / "sol.json"
+    assert run(capsys, "build", "--mode", "parabolic-closed", "--m", "2",
+               "--k", "1", "--profile", "poly:0,0,0,1", "--trunc", "0",
+               "--out", str(sol_path))[0] == 0
+    data = json.loads(sol_path.read_text())
+    assert data["L"] == 0 and max(sum(row["exponents"])
+                                  for row in data["terms"]) > 2
+    code, stdout, _ = run(capsys, "verify", "--solution", str(sol_path))
+    assert code == 0 and "(PASS)" in stdout
 
 
 def test_series_solution_file_with_several_head_degrees_loads(capsys, tmp_path):

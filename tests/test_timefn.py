@@ -17,8 +17,9 @@ from paradirac.builders import build_generalized, build_parabolic_closed
 from paradirac.harmonics import monogenic_basis
 from paradirac.poly import CliffordPoly, rho_squared
 from paradirac.scalars import GaussianRational
-from paradirac.timefn import (SpaceTimeFunction, TimeFunction, apply_0F1,
-                              assemble_split, heat_residual, parabolic_dirac)
+from paradirac.timefn import (PARABOLIC_ZETA, ProfileWeight, SpaceTimeFunction,
+                              TimeFunction, apply_0F1, assemble_split,
+                              heat_residual, parabolic_dirac)
 from paradirac.verify import check_component_conditions, dirac_residual
 from paradirac.zeta import ZetaElement
 
@@ -504,10 +505,10 @@ def _closed_build(m, k, degree):
 
 def test_exact_operators_build_no_fraction_per_term():
     # D F and the component check run on numerators only: the Fraction
-    # count must not grow with the number of terms.  A copy has no profile
+    # count must not grow with the number of terms.  A copy has no radial
     # form, so the check splits it and applies the operators; the fresh
-    # build is checked by the profile ladder, whose count follows the
-    # levels, not the terms
+    # build is checked by the ladder, whose count follows the levels, not
+    # the terms
     counts = []
     for m, k in ((2, 1), (4, 2)):
         sol = _closed_build(m, k, 4)
@@ -564,3 +565,79 @@ def test_truncated_generalized_residual_builds_no_fraction_per_term(zeta):
     (small_terms, small_made), (big_terms, big_made) = counts
     assert big_terms > 20 * small_terms
     assert big_made == small_made
+
+
+# -- profile weights and zeta = f d/dt + fdag -----------------------------------
+
+
+def _profile(data, ctx, label):
+    """sum_n c_n t^n e^{lam t} with n <= 3, lam 0 or -1/2, each c_n one
+    blade (the Witt blades eps and e_(m+1) among them) times an int,
+    Fraction or Gaussian rational; it may be zero."""
+    top = 1 << (ctx.m + 1)
+    mask = st.one_of(st.sampled_from((0, 1, top, top | 1)),
+                     st.integers(0, (1 << (ctx.m + 2)) - 1))
+    scalar = st.sampled_from((1, -2, Fraction(1, 3), GaussianRational(1, -2)))
+    terms = data.draw(st.lists(st.tuples(
+        st.integers(0, 3), st.sampled_from((0, Fraction(-1, 2))), mask,
+        scalar), max_size=3), label=label)
+    total = TimeFunction.zero(ctx)
+    for n, lam, blade, c in terms:
+        total = total + TimeFunction.term(ctx, Multivector(ctx, {blade: c}),
+                                          n=n, lam=lam)
+    return total
+
+
+def _profile_weight(data, ctx, label):
+    """A ProfileWeight with up to two undifferentiated terms per entry."""
+    factor = st.sampled_from((1, -1, 3, Fraction(-2, 5)))
+    return ProfileWeight(
+        tuple((data.draw(factor, label=f"{label} c"),
+               _profile(data, ctx, f"{label} p"), False)
+              for _ in range(data.draw(st.integers(0, 2), label=label)))
+        for _ in range(4))
+
+
+def _entries(w, ctx):
+    """The four entries of w, each summed to one profile."""
+    return tuple(sum(((p.d_dt() if d else p).scale(c) for c, p, d in part),
+                     TimeFunction.zero(ctx)) for part in w.parts)
+
+
+def _body(w, ctx):
+    """w as one body: sum_i c_i entry_i, c = 1, f, fdag, f fdag."""
+    f, fdag = witt_basis(ctx)
+    return sum((e.lmul(c) for c, e in zip((ctx.one(), f, fdag, f * fdag),
+                                          _entries(w, ctx))),
+               TimeFunction.zero(ctx))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_parabolic_zeta_is_the_clifford_product(data):
+    m = data.draw(st.integers(1, 3), label="m")
+    ctx = AlgebraContext(m)
+    f, fdag = witt_basis(ctx)
+    w = _profile_weight(data, ctx, "w")
+    W = _body(w, ctx)
+    # zeta w = f w' + fdag w, by Multivector products of the bodies
+    zw = PARABOLIC_ZETA * w
+    assert _body(zw, ctx) == W.d_dt().lmul(f) + W.lmul(fdag)
+    # hat() is the main involution on the units, scale(n) scales
+    units = (ctx.one(), f, fdag, f * fdag)
+    assert _body(w.hat(), ctx) == sum(
+        (e.lmul(c.involution()) for c, e in zip(units, _entries(w, ctx))),
+        TimeFunction.zero(ctx))
+    n = data.draw(st.integers(-3, 3), label="n")
+    assert _body(w.scale(n), ctx) == W.scale(n)
+    # == compares the weights entry by entry, derivative terms included
+    for u in (w, zw):
+        assert u == ProfileWeight.of(_entries(u, ctx))
+        assert u == u.scale(1) and u.hat().hat() == u
+    v = _profile_weight(data, ctx, "v")
+    assert (zw == v) == (_entries(zw, ctx) == _entries(v, ctx))
+    bump = TimeFunction.term(ctx, 1, n=5)
+    i = data.draw(st.integers(0, 3), label="entry")
+    bumped = ProfileWeight(part + ((1, bump, False),) if j == i else part
+                           for j, part in enumerate(zw.parts))
+    assert bumped != zw and zw != bumped

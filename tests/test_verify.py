@@ -22,7 +22,8 @@ from paradirac.poly import (CliffordPoly, integer_rescale, rho_squared,
 from paradirac.scalars import GaussianRational
 from paradirac.serialize import (load_solution, residual_report_to_dict,
                                  save_solution, solution_to_dict)
-from paradirac.timefn import SpaceTimeFunction, TimeFunction, parabolic_dirac
+from paradirac.timefn import (PARABOLIC_ZETA, ProfileWeight, SpaceTimeFunction,
+                              TimeFunction, parabolic_dirac)
 from paradirac.verify import (NOISE_REL, T_SAMPLES, _sift,
                               check_component_conditions, check_factorization,
                               cross_check, dirac_residual, estimate_order,
@@ -495,7 +496,7 @@ def _count_dirac(monkeypatch):
 @pytest.mark.parametrize("residual_first", [True, False])
 def test_residual_and_component_check_apply_D_once(monkeypatch, residual_first):
     calls = _count_dirac(monkeypatch)
-    # a copy has no profile form, so D is applied to it, once
+    # a copy has no radial form, so D is applied to it, once
     sol = dataclasses.replace(exact_solution(k=1, coeffs=(1, 2)))
     if residual_first:
         assert dirac_residual(sol).passed
@@ -505,7 +506,7 @@ def test_residual_and_component_check_apply_D_once(monkeypatch, residual_first):
 
 
 def test_a_new_body_is_applied_afresh(monkeypatch, tmp_path):
-    # a loaded solution has no profile form, so D is applied to it
+    # a loaded solution has no radial form, so D is applied to it
     path = str(tmp_path / "sol.json")
     save_solution(exact_solution(k=1, coeffs=(1, 2)), path)
     sol = load_solution(path)
@@ -558,10 +559,12 @@ def test_a_fresh_exact_build_applies_neither_D_nor_split_nor_heat(
     monkeypatch.setattr(SpaceTimeFunction, "split", counted_split)
     monkeypatch.setattr(verify, "heat_residual", counted_heat)
     sol = FRESH_PARABOLIC[name]()
-    rep, comp = dirac_residual(sol), check_component_conditions(sol)
+    with mock.patch.object(verify, "_ladder_residual",
+                           wraps=verify._ladder_residual) as ladder:
+        rep, comp = dirac_residual(sol), check_component_conditions(sol)
     assert rep.passed and rep.exact_zero and rep.residual_poly.is_zero()
     assert comp.passed and all(comp.detail.values())
-    assert (calls, split, heat) == ([], [], [])
+    assert (calls, split, heat, ladder.call_count) == ([], [], [], 1)
     # the same body without its form takes D, the split and the heat
     # operator, and reports the same
     slow = dataclasses.replace(sol)
@@ -894,7 +897,7 @@ def test_component_conditions_reject_the_reported_series_build():
         check_component_conditions(sol)
 
 
-# -- the profile ladder: exact parabolic builds --------------------------------
+# -- the ladder on exact parabolic builds -------------------------------------
 
 
 def _blade_profile(data, m, label):
@@ -916,20 +919,24 @@ def _blade_profile(data, m, label):
 
 
 def _expand(form, ctx):
-    """F = G0 + f G1 + fdag G2 + f fdag G3 from a profile form, with
-    G_i = sum_l rho^{2l} M alpha_(i,l) + rho^{2l} x M beta_(i,l)."""
+    """F = sum_l rho^{2l} (P_l M + Q_l x M) from a parabolic radial form:
+    entry i of a weight is c_i times its profiles, c = 1, f, fdag, f fdag,
+    the unit left of the spatial power and the profile right of it."""
+    ((_, M, Ps, Qs),) = form.heads
     x, rho2 = vector_variable(ctx), rho_squared(ctx)
-    P, Q = form.M, x * form.M
-    G = [SpaceTimeFunction.zero(ctx)] * 4
-    for level in form.levels:
-        for slot, prof in enumerate(level):
-            if prof is not None:
-                c, p = prof
-                spatial = SpaceTimeFunction.from_poly(Q if slot % 2 else P)
-                G[slot // 2] = G[slot // 2] + spatial * p.scale(c)
-        P, Q = rho2 * P, rho2 * Q
     f, fdag = witt_basis(ctx)
-    return G[0] + G[1].lmul(f) + G[2].lmul(fdag) + G[3].lmul(f * fdag)
+    units = (ctx.one(), f, fdag, f * fdag)
+    P, Q = M, x * M
+    F = SpaceTimeFunction.zero(ctx)
+    for Pl, Ql in zip(Ps, Qs):
+        for spatial, w in ((P, Pl), (Q, Ql)):
+            for unit, part in zip(units, w.parts):
+                for c, p, d in part:
+                    assert not d
+                    F = F + SpaceTimeFunction.from_poly(
+                        spatial.lmul(unit)) * p.scale(c)
+        P, Q = rho2 * P, rho2 * Q
+    return F
 
 
 @settings(max_examples=40, deadline=None)
@@ -949,7 +956,7 @@ def test_profile_ladder_matches_the_monomial_path(data):
             name: _blade_profile(data, m, name) for name in sorted(names)})
     assert sol.exact
     body, form = sol._radial
-    assert body is sol.body and verify._parabolic_ladder(sol)
+    assert body is sol.body and verify._ladder_residual(sol).is_zero()
     assert _expand(form, ctx) == sol.body
     # the ladder's reports, against a copy's from the monomial path
     rep, comp = dirac_residual(sol), check_component_conditions(sol)
@@ -960,20 +967,15 @@ def test_profile_ladder_matches_the_monomial_path(data):
     assert report_text(rep) == report_text(dirac_residual(slow))
     assert (comp.passed, comp.detail) == (slow_comp.passed, slow_comp.detail)
     assert rep.passed and comp.passed
-    if not form.levels:
+    levels = len(form.heads[0][2])
+    if not levels:
         return
     # one profile plus t^N, N beyond every profile's degree, breaks an
     # identity it enters with a nonzero factor or by its derivative
-    l = data.draw(st.integers(0, len(form.levels) - 1), label="level")
+    l = data.draw(st.integers(0, levels - 1), label="level")
     slot = data.draw(st.integers(0, 7), label="slot")
-    bump = TimeFunction.term(ctx, 1, n=PROFILE_DEGREE_MAX[m] + 2)
-    level = list(form.levels[l])
-    prof = level[slot]
-    level[slot] = (1, bump if prof is None else prof[1].scale(prof[0]) + bump)
-    bad = dataclasses.replace(sol)
-    bad._radial = (bad.body, form._replace(levels=form.levels[:l] + (
-        tuple(level),) + form.levels[l + 1:]))
-    assert bad.body is sol.body and not verify._parabolic_ladder(bad)
+    bad = _bumped(sol, [(l, slot, 1, PROFILE_DEGREE_MAX[m] + 2)])
+    assert bad.body is sol.body and verify._ladder_residual(bad) is None
     bad_comp = check_component_conditions(bad)
     assert not bad._dirac[2]
     assert report_text(dirac_residual(bad)) == report_text(rep)
@@ -981,75 +983,116 @@ def test_profile_ladder_matches_the_monomial_path(data):
 
 
 def _bumped(sol, changes):
-    """A copy of sol whose profile form has factor * t^9 added to the
-    profile in slot (0..7: alpha_0, beta_0, ..., beta_3) of level l for
-    each (l, slot, factor)."""
+    """A copy of sol whose radial form has factor * t^n added to entry
+    slot // 2 of P_l (slot even) or Q_l (slot odd) for each
+    (l, slot, factor, n): slots 0..7 are alpha_0, beta_0, ..., beta_3."""
     form = sol._radial[1]
-    levels = [list(level) for level in form.levels]
-    bump = TimeFunction.term(sol.ctx, 1, n=9)
-    for l, slot, factor in changes:
-        prof = levels[l][slot]
-        delta = bump.scale(factor)
-        levels[l][slot] = (1, delta if prof is None
-                           else prof[1].scale(prof[0]) + delta)
+    ((k, M, P, Q),) = form.heads
+    weights = [[list(w.parts) for w in P], [list(w.parts) for w in Q]]
+    for l, slot, factor, n in changes:
+        parts = weights[slot % 2][l]
+        bump = TimeFunction.term(sol.ctx, 1, n=n)
+        parts[slot // 2] += ((factor, bump, False),)
     bad = dataclasses.replace(sol)
-    bad._radial = (bad.body, form._replace(
-        levels=tuple(map(tuple, levels))))
+    P, Q = (tuple(ProfileWeight(parts) for parts in ws) for ws in weights)
+    bad._radial = (bad.body, form._replace(heads=((k, M, P, Q),)))
     return bad
 
 
-# t_1 = 2 + 2k + m = 6 for m = 2, k = 1; each change breaks the one named
-# identity at level 1 or 0 and keeps the others
+def _failing_identities(sol):
+    """The ladder identities, by part, that sol's parabolic form breaks:
+    (identity, part, level) with identity "P" for zeta P_l = t_l Q_l^ and
+    "Q" for zeta Q_l = -2(l+1) P_(l+1)^, part 0..3 for 1, f, fdag, f fdag."""
+    ((k, _, P, Q),) = sol._radial[1].heads
+    m = sol.ctx.m
+    nxt = P[1:] + (ProfileWeight.of([]),)
+
+    def part(w, i):
+        return ProfileWeight(p if j == i else () for j, p in enumerate(w.parts))
+
+    out = set()
+    for l in range(len(P)):
+        for name, left, right in (
+                ("P", PARABOLIC_ZETA * P[l], Q[l].hat().scale(2 * l + 2 * k + m)),
+                ("Q", PARABOLIC_ZETA * Q[l], nxt[l].hat().scale(-2 * (l + 1)))):
+            out |= {(name, i, l) for i in range(4)
+                    if part(left, i) != part(right, i)}
+    return out
+
+
+# t_l = 2l + 2k + m and u_l = 2(l+1) for m = 2, k = 1: t_0 = 4, t_1 = 6,
+# u_0 = 2.  Each (level, slot, factor, n) list breaks the one named part
+# of one identity and keeps every other: a constant (n = 0) has no
+# derivative to cancel
 BROKEN_IDENTITY = {
-    "cond_f1 alpha": [(1, 2, 1)],
-    "cond_f1 beta": [(1, 3, 1)],
-    "cond_f3 alpha": [(1, 6, 1)],
-    "cond_f3 beta": [(1, 7, 1)],
-    "heat alpha_0": [(1, 0, 1), (1, 6, -1), (0, 3, -2)],
-    "heat beta_0": [(1, 1, 1), (1, 2, 6), (1, 7, -1)],
-    "heat alpha_2": [(1, 4, 1), (0, 7, 2)],
-    "heat beta_2": [(1, 5, 1), (1, 6, -6)],
+    "zeta P 1": [(0, 2, 1, 0), (0, 7, Fraction(-1, 4), 0),
+                 (1, 4, Fraction(-1, 8), 0)],
+    "zeta P f": [(0, 0, 1, 9), (0, 6, -1, 9)],
+    "zeta P fdag": [(0, 6, 1, 9)],
+    "zeta P f fdag": [(0, 4, 1, 9)],
+    "zeta Q 1": [(1, 0, 1, 0), (1, 5, Fraction(-1, 6), 0)],
+    "zeta Q f": [(0, 1, 1, 9), (0, 2, 4, 9), (0, 7, -1, 9)],
+    "zeta Q fdag": [(0, 7, 1, 0), (0, 4, 4, 1)],
+    "zeta Q f fdag": [(0, 5, 1, 9), (0, 6, -4, 9)],
 }
+PARTS = ("1", "f", "fdag", "f fdag")
 
 
 @pytest.mark.parametrize("name", sorted(BROKEN_IDENTITY))
 def test_each_ladder_identity_is_checked(name):
     sol = _recurrence(2, 1, {"a0": (1, 2, -1, 1), "b0": (0, 3, 1),
                              "a2": (2, -1, 0, 1), "b2": (1, 1, 1)})
-    assert len(sol._radial[1].levels) >= 3
+    assert len(sol._radial[1].heads[0][2]) >= 3
+    assert _failing_identities(sol) == set()
     want = (report_text(dirac_residual(dataclasses.replace(sol))),
             check_component_conditions(dataclasses.replace(sol)).detail)
     bad = _bumped(sol, BROKEN_IDENTITY[name])
-    assert not verify._parabolic_ladder(bad)
+    ((identity, i, _),) = _failing_identities(bad)
+    assert name == f"zeta {identity} {PARTS[i]}"
+    assert verify._ladder_residual(bad) is None
     # the body is the build's, and the monomial path passes it
     assert (report_text(dirac_residual(bad)),
             check_component_conditions(bad).detail) == want
     assert _expand(bad._radial[1], sol.ctx) != sol.body
 
 
+@pytest.mark.parametrize("name", ["zeta Q f", "zeta Q fdag", "zeta Q f fdag"])
+def test_the_top_level_is_checked_against_a_zero_next_level(name):
+    # on a one-level form the level-0 identity zeta Q_0 = -2 P_1^ reads
+    # zeta Q_0 = 0: each of these bumps breaks only that identity
+    sol = _recurrence(2, 1, {"a0": (1,), "b0": (2,), "a2": (3,), "b2": (-1,)})
+    assert len(sol._radial[1].heads[0][2]) == 1
+    bad = _bumped(sol, BROKEN_IDENTITY[name])
+    ((identity, i, level),) = _failing_identities(bad)
+    assert (f"zeta {identity} {PARTS[i]}", level) == (name, 0)
+    assert verify._ladder_residual(bad) is None
+    assert dirac_residual(bad).passed and check_component_conditions(bad).passed
+
+
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "recurrence"])
 def test_a_profile_with_x_keeps_the_monomial_path(closed):
-    # a "profile" x_1: the ladder's identities hold for it, but d_x acts
-    # on it, so the ladder must not stand in for D
+    # a "profile" x_1: the ladder's identities would hold for it, but d_x
+    # acts on it, so the build keeps no form and D is applied
     ctx = AlgebraContext(2)
     M = monogenic_basis(ctx, 1)[0]
     a = TimeFunction(ctx, {((1, 0), 0, 0): ctx.one()})
     sol = (build_parabolic_closed(M, a) if closed
            else build_parabolic_recurrence(M, {"a0": a}))
-    assert sol.exact and sol._radial is not None
-    assert not verify._parabolic_ladder(sol)
+    assert sol.exact and sol._radial is None
     rep, comp = dirac_residual(sol), check_component_conditions(sol)
+    assert not sol._dirac[2]
     assert not rep.passed and not comp.passed and comp.detail["equivalent"]
     assert report_text(rep) == report_text(dirac_residual(
         dataclasses.replace(sol)))
 
 
 @pytest.mark.parametrize("field, value", [
-    ("L", 3), ("k", 1), ("mode", "parabolic-recurrence")])
+    ("L", 3), ("k", 1), ("mode", "parabolic-recurrence"),
+    ("zeta", ZetaElement(0, 1, 1, 0))])
 def test_changed_metadata_drops_the_profile_form(field, value):
     sol = FRESH_PARABOLIC["closed"]()
     setattr(sol, field, value)
-    assert not verify._parabolic_ladder(sol)
+    assert verify._ladder_residual(sol) is None
     comp = check_component_conditions(sol)
     assert not sol._dirac[2] and comp.passed
     assert report_text(dirac_residual(sol)) == report_text(
