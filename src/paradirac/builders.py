@@ -11,29 +11,27 @@ Helmholtz-side builder sums radial Cl(1,1) weights against rho^{2n} H_k.
 
 Every generalized and Helmholtz series is sum_l rho^{2l} (P_l M + Q_l x M)
 over its heads M, with Cl(1,1) coefficients P_l, Q_l built from the
-radial weights w_n = (-1/4 zeta* zeta)^n / (n! (g)_n).  With exact zeta
-and heads (and "direct" Helmholtz weights) a build reads zeta once as
-Z = zeta.IntMatrix.of(zeta), integer numerators over one denominator, and
-computes every P_l and Q_l from Z^ Z, Z Z^, Z^ and Z^-1 by IntMatrix
-arithmetic; the three generalized forms differ only in that step.  The
-body is expanded from them by poly.radial_series, and the build keeps
-them as its radial form, which verify checks the build's residual by.  A
-float zeta or head, and the Sylvester evaluation, sum the series level by
-level with ZetaElement weights and apply the form's operators, with the
-float operations of those steps.
+radial weights w_n = (-1/4 zeta* zeta)^n / (n! (g)_n).  A build reads
+zeta once as Z: zeta.IntMatrix.of(zeta), integer numerators over one
+denominator, when zeta and the heads are exact, and the ZetaElement
+itself otherwise.  It computes every P_l and Q_l from Z^ Z, Z Z^, Z^ and
+Z^-1 by the operations both types share; the three generalized forms
+differ only in that step, and a Sylvester Helmholtz build takes its
+weights from zeta.sylvester_eval instead.  The body is expanded from
+them by poly.radial_series, and an exact "direct" build keeps them as
+its radial form, which verify checks the build's residual by.
 
 All series are truncated at the requested order L; the parabolic builds
 terminate on their own when every seed profile is a polynomial in t, in
 which case the result is an exact null-solution (flagged exact when the
 coefficient arithmetic is exact too).  The parabolic operator is d_x +
-zeta with zeta = f d/dt + fdag, so an exact parabolic build keeps the
-same radial form with timefn.ProfileWeight coefficients
+zeta with zeta = f d/dt + fdag, so a parabolic build has the same radial
+form with timefn.ProfileWeight coefficients
 P_l = sum_i c_i alpha_{i,l} and Q_l = sum_i c_i beta_{i,l}, c = 1, f,
 fdag, f fdag, the profiles right of M.  _parabolic_body expands it one
 small level body per level by poly.radial_series: every level of the
 recurrence, and the two x M blocks of the closed form, whose first block
-apply_0F1 sums.  An inexact parabolic build sums its levels on the
-powers rho^{2l} M and rho^{2l} x M by Sum stages and keeps no form.
+apply_0F1 sums.  An exact one keeps that form.
 """
 
 from __future__ import annotations
@@ -45,10 +43,10 @@ from typing import Dict, NamedTuple, Optional, Tuple, Union
 from .algebra import AlgebraContext, witt_basis
 from .harmonics import HarmonicPoly, MonogenicPoly
 from .poly import (CliffordPoly, Sum, radial_product, radial_series,
-                   rho_powers, vector_variable)
-from .timefn import (ProfileWeight, SpaceTimeFunction, TimeFunction, apply_0F1,
-                     assemble_split)
-from .zeta import IntMatrix, NotInvertibleError, ZetaElement
+                   vector_variable)
+from .timefn import ProfileWeight, SpaceTimeFunction, TimeFunction, apply_0F1
+from .zeta import (IntMatrix, NotInvertibleError, PowerSeries, ZetaElement,
+                   sylvester_eval)
 
 PARABOLIC_MODES = ("parabolic-recurrence", "parabolic-closed")
 GENERALIZED_MODES = ("gen-monogenic", "gen-factored", "gen-invertible")
@@ -128,39 +126,30 @@ def build_parabolic_closed(M: MonogenicPoly, a: TimeFunction,
     but the f block is driven by a'(t); together they reproduce the
     recurrence solution seeded with a0 = a, b2 = -a/(2k+m).
 
-    An exact build sums the first block by one apply_0F1 call and reads
-    the profiles of the other two off the derivatives a^(l) it records:
-    since x fdag M = -fdag x M, x f M = -f x M and
+    The first block is summed by one apply_0F1 call, and the profiles of
+    the other two are read off the derivatives a^(l) it records: since
+    x fdag M = -fdag x M, x f M = -f x M and
     w_l(g+1) / (2k+m) = w_l(g) / t_l with t_l = 2l+2k+m, they are
     Q_l = -w_l(g) (f a^(l+1) + fdag a^(l)) / t_l, expanded by
-    _parabolic_body.  With P_l = w_l(g) a^(l) they are its radial form.
-    Any other build sums each block by apply_0F1.
+    _parabolic_body.  A truncated series takes a^(L+1) for its top f
+    level.  With P_l = w_l(g) a^(l) they are its radial form.
     """
     (M,) = _as_list(M, MonogenicPoly, L)
     ctx = M.poly.ctx
     k = M.degree
     gamma = Fraction(2 * k + ctx.m, 2)
-    if not (a.is_polynomial() and a.is_exact() and M.poly.is_exact()):
-        f, fdag = witt_basis(ctx)
-        x = vector_variable(ctx)
-        scale = Fraction(1, 2 * k + ctx.m)
-        head_dag = (x * M.poly.lmul(fdag)).scale(scale)
-        head_f = (x * M.poly.lmul(f)).scale(scale)
-        body = Sum(SpaceTimeFunction, ctx).add(
-            apply_0F1(gamma, M.poly, a, L)).add(
-            apply_0F1(gamma + 1, head_dag, a, L)).add(
-            apply_0F1(gamma + 1, head_f, a.d_dt(), L)).value()
-        return _parabolic_solution(body, "parabolic-closed", M, L, False)
     chain = []
     first = apply_0F1(gamma, M.poly, a, L, chain)
-    # a^(l+1) per level, None past the last derivative
-    nexts = [d for _, d in chain[1:]] + [None]
+    # a^(l+1) per level: None past a polynomial's last derivative
+    top = chain[-1][1].d_dt() if chain and not a.is_polynomial() else None
+    nexts = [d for _, d in chain[1:]] + [top]
     P = tuple(ProfileWeight.of([d], w) for w, d in chain)
     # -w_l(g+1) / (2k+m) = -w_l(g) / t_l
     Q = tuple(ProfileWeight.of([None, nxt, d], -w / (2 * l + 2 * k + ctx.m))
               for l, ((w, d), nxt) in enumerate(zip(chain, nexts)))
     body = first + _parabolic_body(M, (ProfileWeight.of([]),) * len(Q), Q)
-    return _parabolic_solution(body, "parabolic-closed", M, L, True, P, Q)
+    exact = a.is_polynomial() and a.is_exact() and M.poly.is_exact()
+    return _parabolic_solution(body, "parabolic-closed", M, L, exact, P, Q)
 
 
 def build_parabolic_recurrence(M: MonogenicPoly,
@@ -178,10 +167,9 @@ def build_parabolic_recurrence(M: MonogenicPoly,
 
     with a_{l+1} = a_l' / (4(l+1)(l+g)) and b_{l+1} = b_l' / (4(l+1)(l+g+1)).
     Polynomial seeds terminate the sum on their own; otherwise it stops at L.
-    An exact build keeps each level's alphas and betas as the ProfileWeight
-    coefficients P_l and Q_l of its radial form and expands its body from
-    them by _parabolic_body.  An inexact build sums the levels on
-    rho_powers by Sum stages and assembles the four parts.
+    Each level's alphas and betas are the ProfileWeight coefficients P_l
+    and Q_l of its radial form, which _parabolic_body expands and an
+    exact build keeps.
     """
     (M,) = _as_list(M, MonogenicPoly, L)
     ctx = M.poly.ctx
@@ -226,20 +214,10 @@ def build_parabolic_recurrence(M: MonogenicPoly,
 
     exact = polynomial and M.poly.is_exact() and all(
         seed(n).is_exact() for n in ("a0", "b0", "a2", "b2"))
-    if exact:
-        P = tuple(ProfileWeight.of(profiles[0::2]) for profiles in levels)
-        Q = tuple(ProfileWeight.of(profiles[1::2]) for profiles in levels)
-        return _parabolic_solution(_parabolic_body(M, P, Q),
-                                   "parabolic-recurrence", M, stop, True, P, Q)
-    x = vector_variable(ctx)
-    Fs = [Sum(SpaceTimeFunction, ctx) for _ in range(4)]
-    for profiles, P, Q in zip(levels, rho_powers(M.poly),
-                              rho_powers(x * M.poly)):
-        P, Q = SpaceTimeFunction.from_poly(P), SpaceTimeFunction.from_poly(Q)
-        for i, G in enumerate(Fs):
-            G.product(P, profiles[2 * i]).product(Q, profiles[2 * i + 1])
-    body = assemble_split(*(G.value() for G in Fs))
-    return _parabolic_solution(body, "parabolic-recurrence", M, stop, False)
+    P = tuple(ProfileWeight.of(profiles[0::2]) for profiles in levels)
+    Q = tuple(ProfileWeight.of(profiles[1::2]) for profiles in levels)
+    return _parabolic_solution(_parabolic_body(M, P, Q),
+                               "parabolic-recurrence", M, stop, exact, P, Q)
 
 
 def _parabolic_solution(body: SpaceTimeFunction, mode: str, M: MonogenicPoly,
@@ -257,7 +235,7 @@ def _parabolic_solution(body: SpaceTimeFunction, mode: str, M: MonogenicPoly,
 
 
 def _parabolic_body(M: MonogenicPoly, P: tuple, Q: tuple) -> SpaceTimeFunction:
-    """The exact parabolic body sum_l rho^{2l} (P_l M + Q_l x M) of
+    """The parabolic body sum_l rho^{2l} (P_l M + Q_l x M) of
     ProfileWeight levels: sum_i c_i (M alpha_i,l + x M beta_i,l) over the
     entries of P_l and Q_l, c = 1, f, fdag, f fdag, is made once per level
     and expanded under the shifts of rho^{2l} by radial_series."""
@@ -281,54 +259,12 @@ def _parabolic_body(M: MonogenicPoly, P: tuple, Q: tuple) -> SpaceTimeFunction:
     return radial_series(SpaceTimeFunction, ctx, [blocks])
 
 
-def _weight_recurrence(s: ZetaElement, gamma: Fraction, L: int,
-                       ctx: AlgebraContext) -> list:
-    """The Cl(1,1) weights w_n = (-s/4)^n / (n! (gamma)_n), n = 0..L, of a
-    float series build, one Multivector per level by the ZetaElement
-    recurrence."""
-    w = ZetaElement.identity()
-    out = [w.to_multivector(ctx)]
-    for n in range(L):
-        w = (w * s).scale(Fraction(-1, 4) / ((n + 1) * (gamma + n)))
-        out.append(w.to_multivector(ctx))
-    return out
-
-
-def _radial_weights(z: ZetaElement, gamma: Fraction, L: int, radial: str,
-                    ctx: AlgebraContext) -> list:
-    """The Multivector levels of the Cl(1,1) coefficients
-    w_n = (-1/4 zeta* zeta)^n / (n! (gamma)_n) of a float series build."""
-    if radial == "direct":
-        return _weight_recurrence(z.star_zeta(), gamma, L, ctx)
-    if radial == "sylvester":
-        from .zeta import PowerSeries, sylvester_eval
-
-        out = []
-        coeff = 1.0
-        for n in range(L + 1):
-            if n:
-                coeff *= -0.25 / (n * float(gamma + n - 1))
-            psi = PowerSeries([0.0] * n + [coeff])
-            out.append(sylvester_eval(psi, z).to_multivector(ctx))
-        return out
-    raise ValueError(f"unknown radial evaluation {radial!r}")
-
-
-def _solution(body: CliffordPoly, mode: str, heads: list, L: int,
-              z: ZetaElement, **extra) -> SeriesSolution:
-    """The SeriesSolution of a series build."""
-    degrees = tuple(h.degree for h in heads)
-    return SeriesSolution(body=SpaceTimeFunction.from_poly(body), mode=mode,
-                          m=body.ctx.m,
-                          k=degrees if len(degrees) > 1 else degrees[0],
-                          L=L, exact=False, zeta=z, extra=extra)
-
-
 def _radial_solution(mode: str, heads: list, L: int, z: ZetaElement,
-                     weights: list, **extra) -> SeriesSolution:
-    """The SeriesSolution of an exact series build from its radial form:
-    weights holds (P, Q) per head, Q None for Helmholtz, and the body is
-    sum_l rho^{2l} (P_l M + Q_l x M) over the heads M."""
+                     weights: list, keep: bool, **extra) -> SeriesSolution:
+    """The SeriesSolution of a series build from its radial form: weights
+    holds (P, Q) per head, Q None for Helmholtz, and the body is
+    sum_l rho^{2l} (P_l M + Q_l x M) over the heads M.  keep: the build
+    keeps the form."""
     ctx = heads[0].poly.ctx
     x = vector_variable(ctx)
     body = radial_series(CliffordPoly, ctx, [
@@ -336,9 +272,13 @@ def _radial_solution(mode: str, heads: list, L: int, z: ZetaElement,
          [(h.poly, P)] + ([] if Q is None else [(x * h.poly, Q)])
          for l, w in enumerate(levels)]
         for h, (P, Q) in zip(heads, weights)])
-    sol = _solution(body, mode, heads, L, z, **extra)
-    sol._radial = (sol.body, RadialForm(mode, sol.k, L, z, tuple(
-        (h.degree, h.poly, P, Q) for h, (P, Q) in zip(heads, weights))))
+    degrees = tuple(h.degree for h in heads)
+    sol = SeriesSolution(body=SpaceTimeFunction.from_poly(body), mode=mode,
+                         m=ctx.m, k=degrees if len(degrees) > 1 else degrees[0],
+                         L=L, exact=False, zeta=z, extra=extra)
+    if keep:
+        sol._radial = (sol.body, RadialForm(mode, sol.k, L, z, tuple(
+            (h.degree, h.poly, P, Q) for h, (P, Q) in zip(heads, weights))))
     return sol
 
 
@@ -352,40 +292,43 @@ def build_helmholtz(H, z: ZetaElement, L: int = 12,
 
     Solves (Laplacian + zeta* zeta) g = 0 up to the truncation tail; the
     heads are harmonic, not necessarily monogenic.  radial chooses how the
-    Cl(1,1) weights are computed ("direct" exact powers, "sylvester" the
-    spectral formula; they agree to rounding).  An exact "direct" build
-    keeps its weights w_l as its radial form and is expanded from it.
+    Cl(1,1) weights are computed ("direct" powers, exact for exact input,
+    or "sylvester" the spectral formula; they agree to rounding).  An
+    exact "direct" build keeps its weights w_l as its radial form.
     """
     heads = _as_list(H, HarmonicPoly, L)
-    if radial == "direct" and _exact(z, heads):
-        Z = IntMatrix.of(z)
-        s = Z.hat() * Z
-        m = heads[0].poly.ctx.m
-        return _radial_solution("helmholtz", heads, L, z, [
-            (tuple(s.radial_weights(Fraction(2 * h.degree + m, 2), L)), None)
-            for h in heads], radial=radial)
-    return _solution(_stage_helmholtz(heads, z, L, radial), "helmholtz",
-                     heads, L, z, radial=radial)
+    if radial not in ("direct", "sylvester"):
+        raise ValueError(f"unknown radial evaluation {radial!r}")
+    exact = _exact(z, heads)
+    Z = IntMatrix.of(z) if exact else z
+    m = heads[0].poly.ctx.m
+    weights = [(tuple(_helmholtz_weights(Z, z, Fraction(2 * h.degree + m, 2),
+                                         L, radial)), None) for h in heads]
+    return _radial_solution("helmholtz", heads, L, z, weights,
+                            exact and radial == "direct", radial=radial)
 
 
-def _stage_helmholtz(heads: list, z: ZetaElement, L: int,
-                     radial: str) -> CliffordPoly:
-    """The Helmholtz body of a float build: each head's series summed
-    level by level by Sum.radial, one Multivector weight per level."""
-    ctx = heads[0].poly.ctx
-    total = Sum(CliffordPoly, ctx)
-    for h in heads:
-        gamma = Fraction(2 * h.degree + ctx.m, 2)
-        total.radial(h.poly, _radial_weights(z, gamma, L, radial, ctx))
-    return total.value()
+def _helmholtz_weights(Z, z: ZetaElement, gamma: Fraction, L: int,
+                       radial: str) -> list:
+    """w_n = (-1/4 zeta* zeta)^n / (n! (gamma)_n), n = 0..L: Z^ Z's
+    radial_weights, or psi_n(zeta* zeta) by zeta.sylvester_eval."""
+    if radial == "direct":
+        return (Z.hat() * Z).radial_weights(gamma, L)
+    out = []
+    coeff = 1.0
+    for n in range(L + 1):
+        if n:
+            coeff *= -0.25 / (n * float(gamma + n - 1))
+        out.append(sylvester_eval(PowerSeries([0.0] * n + [coeff]), z))
+    return out
 
 
-def _generalized_weights(form: str, Z: IntMatrix, k: int, m: int,
-                         L: int) -> tuple:
+def _generalized_weights(form: str, Z, k: int, m: int, L: int) -> tuple:
     """(P, Q), the Cl(1,1) coefficients of the series
     sum_l rho^{2l} (P_l M + Q_l x M) that the given form builds on a head M
-    of degree k, for the IntMatrix Z of an exact zeta (x c = c^ x for c in
-    Cl(1,1)); zeta* zeta is Z^ Z and zeta zeta* is Z Z^.
+    of degree k, for Z the IntMatrix of an exact zeta or a ZetaElement
+    (x c = c^ x for c in Cl(1,1)); zeta* zeta is Z^ Z and zeta zeta* is
+    Z Z^.
     """
     two_g = 2 * k + m
     gamma = Fraction(two_g, 2)
@@ -431,59 +374,21 @@ def build_generalized(M, z: ZetaElement, L: int = 12,
                 Requires det(zeta) != 0.
 
     Every form truncates to A_L + B_L at the top, so the residual of
-    (d_x + zeta) is exactly zeta B_L.  With exact zeta and heads, each
-    form computes the Cl(1,1) coefficients P_l, Q_l of its series
-    sum_l rho^{2l} (P_l M + Q_l x M) per head (_generalized_weights),
-    keeps them as its radial form and expands the body from them; the
-    forms differ only in those coefficients.  A float build applies the
-    form's operators to float series levels.
+    (d_x + zeta) is exactly zeta B_L.  Each form computes the Cl(1,1)
+    coefficients P_l, Q_l of its series sum_l rho^{2l} (P_l M + Q_l x M)
+    per head (_generalized_weights) and expands the body from them; the
+    forms differ only in those coefficients.  An exact build keeps them as
+    its radial form.
     """
     heads = _as_list(M, MonogenicPoly, L)
     if form not in ("monogenic", "factored", "invertible"):
         raise ValueError(f"unknown generalized form {form!r}")
     if form == "invertible" and not z.is_invertible():
         raise NotInvertibleError("invertible form needs det(zeta) != 0")
-    if _exact(z, heads):
-        Z, m = IntMatrix.of(z), heads[0].poly.ctx.m
-        return _radial_solution(f"gen-{form}", heads, L, z, [
-            _generalized_weights(form, Z, h.degree, m, L) for h in heads])
-    return _solution(_stage_generalized(heads, z, L, form), f"gen-{form}",
-                     heads, L, z)
-
-
-def _stage_generalized(heads: list, z: ZetaElement, L: int,
-                       form: str) -> CliffordPoly:
-    """The generalized body of a float build: the form's operators applied
-    to series summed level by level by Sum.radial, one Multivector weight
-    per level."""
-    ctx = heads[0].poly.ctx
-    x = vector_variable(ctx)
-    # one sum over every head; within a head the stages' terms have
-    # distinct spatial degrees, so adding them one by one to the sum adds
-    # the head's whole series g
-    total = Sum(CliffordPoly, ctx)
-    for head in heads:
-        k = head.degree
-        two_g = 2 * k + ctx.m
-        gamma = Fraction(two_g, 2)
-        if form == "monogenic":
-            sz = z.star_zeta()
-            total.radial(head.poly, _weight_recurrence(sz, gamma, L, ctx))
-            b_head = (x * head.poly.lmul(z.to_multivector(ctx))).scale(
-                Fraction(1, two_g))
-            total.radial(b_head, _weight_recurrence(sz, gamma + 1, L, ctx))
-        elif form == "factored":
-            levels = _weight_recurrence(z.zeta_star(), gamma + 1, L, ctx)
-            inner = Sum(CliffordPoly, ctx).radial(
-                (x * head.poly).scale(Fraction(1, two_g)), levels).value()
-            total.lmul(z.involution().to_multivector(ctx), inner)
-            total.dirac(inner, -1)
-        else:
-            levels = _weight_recurrence(z.star_zeta(), gamma, L + 1, ctx)
-            inner = Sum(CliffordPoly, ctx).radial(head.poly, levels).value()
-            total.add(inner.truncate_degree(2 * L + k + 1))
-            total.lmul(z.invert().to_multivector(ctx), inner.dirac(), -1)
-    return total.value()
+    exact = _exact(z, heads)
+    Z, m = (IntMatrix.of(z) if exact else z), heads[0].poly.ctx.m
+    return _radial_solution(f"gen-{form}", heads, L, z, [
+        _generalized_weights(form, Z, h.degree, m, L) for h in heads], exact)
 
 
 def parabolic_from_generalized(M: MonogenicPoly, lam: Union[int, float, complex],

@@ -19,9 +19,9 @@ import sys
 from typing import List, Optional, Sequence
 
 from .algebra import AlgebraContext, Multivector, split, witt_basis
-from .builders import (ALL_MODES, SeriesSolution, build_generalized,
-                       build_helmholtz, build_parabolic_closed,
-                       build_parabolic_recurrence)
+from .builders import (ALL_MODES, PARABOLIC_MODES, SeriesSolution,
+                       build_generalized, build_helmholtz,
+                       build_parabolic_closed, build_parabolic_recurrence)
 from .harmonics import harmonic_basis, monogenic_basis
 from .scalars import GaussianRational, Scalar, parse_rational, to_float
 from .serialize import (MAX_M, check_report_to_dict, decode_scalar,
@@ -152,9 +152,26 @@ def _heads(ctx: AlgebraContext, ks: List[int], idxs: List[int], kind: str):
 # -- subcommand: build --------------------------------------------------------
 
 
+def _check_flags(args) -> None:
+    """ValueError for a build flag that the chosen mode would not read."""
+    parabolic = args.mode in PARABOLIC_MODES
+    unread = [flag for flag, bad in (
+        ("--zeta", parabolic and args.zeta is not None),
+        ("--radial", args.mode != "helmholtz" and args.radial is not None),
+        ("--seeds", args.mode != "parabolic-recurrence" and args.seeds is not None),
+        ("--profile", not parabolic and args.profile is not None)) if bad]
+    if unread:
+        raise ValueError(f"mode {args.mode} does not take {' or '.join(unread)}")
+    if args.seeds is not None and args.profile is not None:
+        raise ValueError("--seeds and --profile both give the recurrence seeds; "
+                         "give one of them")
+
+
 def _build_from_args(args) -> SeriesSolution:
     if args.mode not in ALL_MODES:
         raise ValueError(f"unknown mode {args.mode!r}; choose from {ALL_MODES}")
+    _check_flags(args)
+    profile = "1" if args.profile is None else args.profile
     ctx = AlgebraContext(args.m)
     ks = _parse_int_list(args.k)
     idxs = _parse_int_list(args.basis_index)
@@ -165,12 +182,12 @@ def _build_from_args(args) -> SeriesSolution:
             raise ValueError("parabolic modes take a single --k")
         (head,) = _heads(ctx, ks, idxs[:1], "monogenic")
         if args.mode == "parabolic-closed":
-            profile = parse_profile(args.profile, ctx, args.backend)
-            return build_parabolic_closed(head, profile, L=L)
+            return build_parabolic_closed(
+                head, parse_profile(profile, ctx, args.backend), L=L)
         if args.seeds:
             seeds = parse_seeds(args.seeds, ctx, args.backend)
         else:
-            seeds = {"a0": parse_profile(args.profile, ctx, args.backend)}
+            seeds = {"a0": parse_profile(profile, ctx, args.backend)}
         return build_parabolic_recurrence(head, seeds, L=L)
 
     if args.zeta is None:
@@ -178,7 +195,7 @@ def _build_from_args(args) -> SeriesSolution:
     z = parse_zeta(args.zeta, args.backend)
     if args.mode == "helmholtz":
         heads = _heads(ctx, ks, idxs, "harmonic")
-        return build_helmholtz(heads, z, L=L, radial=args.radial)
+        return build_helmholtz(heads, z, L=L, radial=args.radial or "direct")
     heads = _heads(ctx, ks, idxs, "monogenic")
     form = args.mode.split("-", 1)[1]
     return build_generalized(heads, z, L=L, form=form)
@@ -359,14 +376,15 @@ def _add_build_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--basis-index", default="0",
                    help="which basis element per degree (comma list)")
     p.add_argument("--zeta", help="a,b,c,d (4 reals or 8 re,im values)")
-    p.add_argument("--profile", default="1",
-                   help='time profile: "1", "t", "t^n", "poly:...", "exp:lam", or JSON')
+    p.add_argument("--profile",
+                   help='time profile of the parabolic modes (default "1"): '
+                        '"1", "t", "t^n", "poly:...", "exp:lam", or JSON')
     p.add_argument("--seeds",
                    help='JSON map of recurrence seeds, e.g. {"a0": "t"}')
     p.add_argument("--trunc", type=int, default=12, help="series truncation L")
     p.add_argument("--backend", choices=("exact", "float"), default="exact")
-    p.add_argument("--radial", choices=("direct", "sylvester"), default="direct",
-                   help="radial weight evaluation (helmholtz mode)")
+    p.add_argument("--radial", choices=("direct", "sylvester"),
+                   help="radial weight evaluation (helmholtz mode; default direct)")
     p.add_argument("--out", help="output path")
 
 

@@ -30,34 +30,39 @@ reader hands out a stored row, and no other module reads the numerators.
 The accumulator.  Every operator but scale and / (which change D and the
 numerators of one body), and every sum of operator results, is built by
 a Sum: a list of stages, such as a scaled body, a constant product,
-dirac, a derivative, a product or a radial series level, each made on
-its own and merged in order into one {key: row} dict.  The exact stages
-are merged at the lcm D of their own denominators, each made with its
-numerators already multiplied by D / (its denominator), so no row is
-rescaled.  From the first inexact stage on the rows are raw values, and
-each later stage is turned into raw values, scaled and merged, as the
-binary operators do.
+dirac, a derivative or a product, each made on its own and merged in
+order into one {key: row} dict.  The exact stages are merged at the lcm
+D of their own denominators, each made with its numerators already
+multiplied by D / (its denominator), so no row is rescaled.  From the
+first inexact stage on the rows are raw values, and each later stage is
+turned into raw values, scaled and merged, as the binary operators do.
 
-The radial expander.  Every exact series the builders make is
-sum_l rho^{2l} p_l over one small exact body p_l per level: w_l p with
-an exact Cl(1,1) weight w_l (zeta.IntMatrix, radial_product) for a
-generalized or Helmholtz series, and the level's heads times its time
-profiles for a parabolic one.  radial_series adds each term of p_l under
-every shift x^{2j}, |j| = l, of its spatial exponents, times the integer
-multinomial l!/prod j_i! (rho_terms): rho^{2l} is a scalar, so no output
-term needs a Clifford product and no power of rho^2 is made.  A float
-series is summed level by level by Sum.radial or Sum.product stages on
-rho_powers instead, which keeps its float operations.
+The radial expander.  Every series the builders make, float ones
+included, is sum_l rho^{2l} p_l over one small body p_l per level: w_l p
+with a Cl(1,1) weight w_l (radial_product; a zeta.IntMatrix for exact
+input, a zeta.ZetaElement otherwise) for a generalized or Helmholtz
+series, and the level's heads times its time profiles for a parabolic
+one.  radial_series adds each term of p_l under every shift x^{2j},
+|j| = l, of its spatial exponents, times the integer multinomial
+l!/prod j_i! (rho_terms): rho^{2l} is a scalar, so no output term needs
+a Clifford product and no power of rho^2 is made.  Exact levels are
+written at one denominator; a series with any inexact level is summed
+on raw values by the same loop.
 
 Order guarantee.  A body built by a Sum has the values, the term order
 and the blade order of the left-to-right chain of binary operators it
 stands for, and on raw values the same float operations in the same
-order.  A body from radial_series has the chain's values and the scalar
-type of each, in a term order, blade order and D of its own.  No pinned
-output reads these of an exact body: the solution JSON sorts terms and
-blades, an exact residual is not sampled, and eval reads a loaded file.
-evaluate_many sums in term order, so float values of an expanded body
-may differ in the last bits from those of the chain's.
+order.  A body from radial_series of exact levels has the values, and
+the scalar type of each, of the chain that multiplies each level by the
+powers rho^{2l}, in a term order, blade order and D of its own.  No
+pinned output reads these of an exact body: the solution JSON sorts
+terms and blades, an exact residual is not sampled, and eval reads a
+loaded file.  A float body from radial_series makes its float operations
+in an order of its own, so its contract is an accuracy bound, not bits:
+each coefficient lies within a small multiple of (L+1) 2^-52 times the
+coefficient scale of the exact series built from the same input, each
+float read as the dyadic rational it is (tests/test_accuracy.py states
+the multiple and the scale per build).
 
 The Multivector coefficient sits to the LEFT of the (commuting, scalar)
 monomial. All noncommutativity therefore lives inside coefficient
@@ -79,6 +84,7 @@ from .algebra import (AlgebraContext, AlgebraMismatchError, Multivector,
                       Numerator, _mul_blade_into, _mul_into, _nadd, _nmul,
                       _nneg, _ratio, _split_blades)
 from .scalars import Exact, GaussianRational, Scalar, is_exact
+from .zeta import ZetaElement
 
 Exponents = Tuple[int, ...]
 SpaceTimeKey = Tuple[Exponents, int, Scalar]
@@ -284,17 +290,6 @@ class Sum:
             return {key: _mul_into(ctx, {}, vals, k) for key, vals in nums.items()}
         D = D * q if D is not None and q is not None else None
         return self._stage(D, scale, make)
-
-    def radial(self, P: "SparseTerms", levels: Sequence[Multivector]) -> "Sum":
-        """+ sum_n w_n * rho^{2n} P, one stage per level, each power made
-        when its stage is.  The float series builds use it; an exact series
-        is expanded by radial_series."""
-        self._check(P)
-        powers = rho_powers(P)
-        for w in levels:
-            w._check(P)
-            self._const(w, P._D, powers.__next__, None, True)
-        return self
 
     def product(self, a: "SparseTerms", b: "SparseTerms", scale=None) -> "Sum":
         """+ scale * a * b, the coefficient of a on the left."""
@@ -913,18 +908,6 @@ def rho_squared(ctx: AlgebraContext) -> CliffordPoly:
     return CliffordPoly(ctx, terms)
 
 
-def rho_powers(p: CliffordPoly) -> Iterator[CliffordPoly]:
-    """p, rho^2 p, rho^4 p, ...; each power is computed only when asked for.
-
-    Every power keeps p's denominator (rho^2 has integer coefficients),
-    which is what a radial stage of a Sum is recorded with.
-    """
-    rho2 = rho_squared(p.ctx)
-    while True:
-        yield p
-        p = Sum(type(p), p.ctx).product(rho2, p).value()
-
-
 def radial_level(w, ctx: AlgebraContext) -> Tuple[Dict[int, Numerator], int]:
     """The blade numerators and denominator of an exact Cl(1,1) weight w, a
     zeta.IntMatrix: what _to_numerators makes of the weight's
@@ -956,10 +939,13 @@ def rho_terms(m: int, l: int) -> Tuple[Tuple[Exponents, int], ...]:
 
 
 def radial_product(w, p: CliffordPoly) -> CliffordPoly:
-    """The small body w p of an exact Cl(1,1) weight w, a zeta.IntMatrix,
-    and an exact CliffordPoly p: one blade product per term of p, over p's
-    denominator times the weight's."""
+    """The small body w p of a Cl(1,1) weight w and a CliffordPoly p.  An
+    exact weight, a zeta.IntMatrix, on an exact p takes one blade product
+    per term of p, over p's denominator times the weight's; a
+    zeta.ZetaElement weight is p.lmul of its Multivector."""
     ctx = p.ctx
+    if isinstance(w, ZetaElement):
+        return p.lmul(w.to_multivector(ctx))
     row, q = radial_level(w, ctx)
     out: Rows = {}
     for beta, vals in p._nums.items():
@@ -969,41 +955,38 @@ def radial_product(w, p: CliffordPoly) -> CliffordPoly:
     return CliffordPoly._make(ctx, out, p._D * q)
 
 
-def _exact_rows(p: "SparseTerms") -> Tuple[Rows, int]:
-    """(numerators, D) of a body of exact values, also of one that keeps
-    them raw; ValueError for a body with an inexact value."""
-    if p._D is not None:
-        return p._nums, p._D
-    nums, D = _to_numerators(p._nums)
-    if D is None:
-        raise ValueError("radial_series expands exact bodies only")
-    return nums, D
-
-
 def radial_series(cls, ctx: AlgebraContext, heads) -> "SparseTerms":
     """sum over the heads, and over the (l, p) levels of a head, of
-    rho^{2l} p: small exact bodies p of the body type cls (CliffordPoly or
+    rho^{2l} p: small bodies p of the body type cls (CliffordPoly or
     SpaceTimeFunction), such as the products w_l p of radial_product.
 
     rho^{2l} is a scalar with integer terms (rho_terms), so each term of a
     level is added under every shift x^{2j}, |j| = l, of its spatial
     exponents, times the integer l!/prod j_i!; the keys are made by
-    _split_key and _with_exps, so a time part rides along.  Every level
-    of every head is written at one denominator.  A head is summed on its
-    own and the heads are merged in order, as a Sum merges its stages.
+    _split_key and _with_exps, so a time part rides along.  When every
+    level is exact (also one that keeps its exact values raw), every level
+    of every head is written at one denominator; when any level is
+    inexact, every level's values are summed raw (D = None) by the same
+    loop.  A head is summed on its own and the heads are merged in order,
+    as a Sum merges its stages.
     """
-    groups = [[(l, *_exact_rows(p)) for l, p in head] for head in heads]
-    D = lcm(*(Dp for parts in groups for _, _, Dp in parts))
+    groups = [[(l, *(_to_numerators(p._nums) if p._D is None
+                     else (p._nums, p._D))) for l, p in head] for head in heads]
+    if any(Dp is None for parts in groups for _, _, Dp in parts):
+        D = None
+        groups = [[(l, p._values(), 1) for l, p in head] for head in heads]
+    else:
+        D = lcm(*(Dp for parts in groups for _, _, Dp in parts))
     m, split_key, with_exps = ctx.m, cls._split_key, cls._with_exps
     total: Rows = {}
     for parts in groups:
         out: Rows = {}
-        # int numerators take the plain loop; pairs anywhere in the head
-        # take pair arithmetic throughout it
+        # int numerators and raw values take the plain loop; pairs anywhere
+        # in the head take pair arithmetic throughout it
         pairs = any(type(n) is tuple for _, nums, _ in parts
                     for vals in nums.values() for n in vals.values())
         for l, nums, Dp in parts:
-            f = D // Dp
+            f = 1 if D is None else D // Dp
             shifts = [(s, c * f) for s, c in rho_terms(m, l)]
             for key, vals in nums.items():
                 exps = split_key(key)[0]

@@ -10,7 +10,8 @@ SpaceTimeFunction (in poly, with the storage it shares) combines the
 spatial polynomial engine with that time class: terms are indexed by
 (exponents, n, lambda) with a left Multivector coefficient, and d/dt is
 exact.  This module builds the parabolic operator D = d_x + f d_t + fdag
-from those operators, and the operator series 0F1 on a time profile.
+from those operators, and the operator series 0F1 on a time profile,
+whose levels poly.radial_series expands for exact and float input alike.
 TimeFunction is the x-independent slice.
 D is d_x + zeta with zeta = f d/dt + fdag (ParabolicZeta), acting on
 Cl(1,1) coefficients with time-profile entries (ProfileWeight), so an
@@ -24,7 +25,7 @@ from typing import Optional
 
 from .algebra import witt_basis
 from .poly import (CliffordPoly, SpaceTimeFunction, Sum, TimeFunction,
-                   radial_series, rho_powers)
+                   radial_series)
 from .scalars import Scalar
 
 
@@ -120,12 +121,11 @@ def apply_0F1(gamma, base: CliffordPoly, a: TimeFunction, L: int,
     a polynomial profile the series terminates by itself (the l-th
     derivative dies); otherwise it is truncated at l = L.  Each derivative
     is taken once, and a levels list receives (weight, a^{(l)}) for each
-    level summed.  With an exact base, an exact polynomial profile and a
-    rational gamma each level is made once as the small product
-    base * a^{(l)} * weight and expanded by poly.radial_series; any other
-    input is summed one Sum product stage per level on rho_powers(base),
-    which keeps its float operations.  A nonpositive integral gamma of any
-    real type is a pole of 0F1: ValueError.
+    level summed.  Each level is made once as the small product
+    base * a^{(l)} * weight and expanded by poly.radial_series, on
+    numerators when every level is exact and on raw values otherwise.  A
+    nonpositive integral gamma of any real type is a pole of 0F1:
+    ValueError.
     """
     if gamma <= 0 and gamma % 1 == 0:     # a pole of any real type
         raise ValueError(f"0F1 pole: gamma = {gamma} is a nonpositive integer")
@@ -148,12 +148,7 @@ def apply_0F1(gamma, base: CliffordPoly, a: TimeFunction, L: int,
     if levels is not None:
         levels.extend(chain)
     ctx = base.ctx
-    if rational and a.is_polynomial() and a.is_exact() and base.is_exact():
-        head = SpaceTimeFunction.from_poly(base)
-        return radial_series(SpaceTimeFunction, ctx, [[
-            (l, Sum(SpaceTimeFunction, ctx).product(head, d, w).value())
-            for l, (w, d) in enumerate(chain)]])
-    total = Sum(SpaceTimeFunction, ctx)
-    for (w, d), spatial in zip(chain, rho_powers(base)):
-        total.product(SpaceTimeFunction.from_poly(spatial), d, w)
-    return total.value()
+    head = SpaceTimeFunction.from_poly(base)
+    return radial_series(SpaceTimeFunction, ctx, [[
+        (l, Sum(SpaceTimeFunction, ctx).product(head, d, w).value())
+        for l, (w, d) in enumerate(chain)]])

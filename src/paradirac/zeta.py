@@ -13,7 +13,9 @@ An exact element is also carried as an IntMatrix: its matrix as integer
 numerators over one positive denominator, integer pairs (re, im) for
 entries that are not real.  The exact series builds get every Cl(1,1)
 weight from IntMatrix arithmetic, and the ladder identities verify checks
-them by run on those numerators alone.
+them by run on those numerators alone.  ZetaElement has the same
+operations under the same names (hat, scale, inverse, radial_weights), so
+a float build computes its weights by the same code on its own entries.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ class ZetaElement:
         """Main involution: zeta* = a f fdag - b f - c fdag + d fdag f."""
         return ZetaElement(self.a, -self.b, -self.c, self.d)
 
+    hat = involution        # the name IntMatrix uses
+
     def xi(self) -> "ZetaElement":
         """xi = (f fdag - fdag f) zeta, matrix [[a, b], [-c, -d]]."""
         return ZetaElement(self.a, self.b, -self.c, -self.d)
@@ -98,7 +102,9 @@ class ZetaElement:
     def __rmul__(self, value):
         return self.scale(value)
 
-    def scale(self, value: Scalar) -> "ZetaElement":
+    def scale(self, p: Scalar, q: int = 1) -> "ZetaElement":
+        """Times p, or times the Fraction p / q of ints p and q > 1."""
+        value = p if q == 1 else Fraction(p, q)
         return ZetaElement(self.a * value, self.b * value,
                            self.c * value, self.d * value)
 
@@ -124,6 +130,20 @@ class ZetaElement:
             det = Fraction(det)       # keep integer entries exact
         return ZetaElement(self.d / det, -self.b / det,
                            -self.c / det, self.a / det)
+
+    inverse = invert        # the name IntMatrix uses
+
+    def radial_weights(self, gamma: Fraction, L: int) -> List["ZetaElement"]:
+        """w_n = (-s/4)^n / (n! (gamma)_n), n = 0..L, of s = self, gamma a
+        half-integer: w_n = w_{n-1} s times -1 / (2n(2 gamma + 2n - 2)),
+        as IntMatrix.radial_weights, on the entries' own arithmetic."""
+        two_gamma = int(2 * gamma)
+        w = ZetaElement.identity()
+        out = [w]
+        for n in range(1, L + 1):
+            w = (w * self).scale(-1, 2 * n * (two_gamma + 2 * n - 2))
+            out.append(w)
+        return out
 
     # -- spectral data -----------------------------------------------------
 

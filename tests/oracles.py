@@ -6,21 +6,21 @@ by the ZetaElement recurrence next to the builders' integer one, a
 residual sampled at every (direction, t) pair and its fitted order, the
 spatial degrees read straight off a body's keys, and the sparse term
 engine's operators computed term by term on Multivector coefficients
-instead of stored integer numerators, the parabolic bodies summed as a
+instead of stored integer numerators, every series body summed as a
 chain of Sum stages on the powers rho^{2l} M instead of expanded from
-their profile levels, and a mutant made by splitting a body and
-assembling it again.
+its levels (the stage constructions), and a mutant made by splitting a
+body and assembling it again.
 """
 
 from fractions import Fraction
 
 from paradirac.algebra import Multivector, split, witt_basis
-from paradirac.poly import (SpaceTimeFunction, Sum, TimeFunction, rho_powers,
-                           vector_variable)
+from paradirac.poly import (CliffordPoly, SpaceTimeFunction, Sum, TimeFunction,
+                           rho_squared, vector_variable)
 from paradirac.scalars import GaussianRational
 from paradirac.timefn import assemble_split
 from paradirac.verify import T_SAMPLES, estimate_order, unit_directions
-from paradirac.zeta import PowerSeries, ZetaElement
+from paradirac.zeta import PowerSeries, ZetaElement, sylvester_eval
 
 
 def exp_series(n_terms=60):
@@ -266,20 +266,104 @@ def _typed(v):
     return type(v).__name__, repr(v)
 
 
-# -- Sum-chain constructions of the parabolic builds ------------------------------
+# -- stage constructions of the series builds ------------------------------------
 #
-# The exact parabolic builders expand each level's small body under the
-# integer shifts of rho^{2l}; these sum the same series one Sum product
-# stage per level on the full powers rho^{2l} M and rho^{2l} x M, as the
-# builders do for inexact input.
+# The builders expand each level's small body under the integer shifts of
+# rho^{2l}.  These sum the same series one Sum stage per level on the full
+# powers rho^{2l} p, with one Multivector weight per level, and apply each
+# form's operators (d_x, zeta^-1, truncation) to whole series, as the
+# builders once did for float input.  On exact input they give the exact
+# builds' values; on float input they are the reference of the accuracy
+# bound.
 
 
-def chain_0F1(gamma, base, a):
-    """sum_l rho^{2l} base a^(l) / (4^l l! (gamma)_l) for a polynomial
-    profile a, one product stage per level on rho_powers(base)."""
+def rho_powers(p):
+    """p, rho^2 p, rho^4 p, ...; each power is computed only when asked for."""
+    rho2 = rho_squared(p.ctx)
+    while True:
+        yield p
+        p = Sum(type(p), p.ctx).product(rho2, p).value()
+
+
+def radial_stages(total, P, levels):
+    """Record sum_n w_n rho^{2n} P on the Sum total, one constant product
+    stage per Multivector weight w_n; returns total."""
+    for w, power in zip(levels, rho_powers(P)):
+        total.lmul(w, power)
+    return total
+
+
+def radial_levels(z, gamma, L, radial, ctx):
+    """The Multivector weights w_n = (-1/4 zeta* zeta)^n / (n! (gamma)_n),
+    n = 0..L: by the ZetaElement recurrence ("direct") or by
+    sylvester_eval of each power series term ("sylvester")."""
+    if radial == "direct":
+        return weight_recurrence(z.star_zeta(), gamma, L, ctx)
+    out = []
+    coeff = 1.0
+    for n in range(L + 1):
+        if n:
+            coeff *= -0.25 / (n * float(gamma + n - 1))
+        psi = PowerSeries([0.0] * n + [coeff])
+        out.append(sylvester_eval(psi, z).to_multivector(ctx))
+    return out
+
+
+def stage_helmholtz(heads, z, L, radial="direct"):
+    """The Helmholtz body of the heads, each head's series summed level by
+    level."""
+    ctx = heads[0].poly.ctx
+    total = Sum(CliffordPoly, ctx)
+    for h in heads:
+        gamma = Fraction(2 * h.degree + ctx.m, 2)
+        radial_stages(total, h.poly, radial_levels(z, gamma, L, radial, ctx))
+    return total.value()
+
+
+def stage_generalized(heads, z, L, form):
+    """The generalized body of the heads: the form's operators applied to
+    series summed level by level."""
+    ctx = heads[0].poly.ctx
+    x = vector_variable(ctx)
+    # within a head the stages' terms have distinct spatial degrees, so
+    # adding them one by one to the sum adds the head's whole series
+    total = Sum(CliffordPoly, ctx)
+    for head in heads:
+        k = head.degree
+        two_g = 2 * k + ctx.m
+        gamma = Fraction(two_g, 2)
+        if form == "monogenic":
+            sz = z.star_zeta()
+            radial_stages(total, head.poly, weight_recurrence(sz, gamma, L, ctx))
+            b_head = (x * head.poly.lmul(z.to_multivector(ctx))).scale(
+                Fraction(1, two_g))
+            radial_stages(total, b_head, weight_recurrence(sz, gamma + 1, L, ctx))
+        elif form == "factored":
+            levels = weight_recurrence(z.zeta_star(), gamma + 1, L, ctx)
+            inner = radial_stages(Sum(CliffordPoly, ctx), (x * head.poly).scale(
+                Fraction(1, two_g)), levels).value()
+            total.lmul(z.involution().to_multivector(ctx), inner)
+            total.dirac(inner, -1)
+        else:
+            levels = weight_recurrence(z.star_zeta(), gamma, L + 1, ctx)
+            inner = radial_stages(Sum(CliffordPoly, ctx), head.poly, levels).value()
+            total.add(inner.truncate_degree(2 * L + k + 1))
+            total.lmul(z.invert().to_multivector(ctx), inner.dirac(), -1)
+    return total.value()
+
+
+# The parabolic bodies summed one Sum product stage per level on the full
+# powers rho^{2l} M and rho^{2l} x M.  A polynomial profile ends the series
+# on its own; any other is truncated at L.
+
+
+def chain_0F1(gamma, base, a, L=None):
+    """sum_l rho^{2l} base a^(l) / (4^l l! (gamma)_l), one product stage
+    per level on rho_powers(base)."""
     total = Sum(SpaceTimeFunction, base.ctx)
     weight, deriv = Fraction(1), a
-    for l, spatial in zip(range(a.max_n() + 1), rho_powers(base)):
+    last = a.max_n() if a.is_polynomial() else L
+    for l, spatial in zip(range(last + 1), rho_powers(base)):
         if deriv.is_zero():
             break
         if l:
@@ -289,28 +373,32 @@ def chain_0F1(gamma, base, a):
     return total.value()
 
 
-def chain_parabolic_closed(M, a):
+def chain_parabolic_closed(M, a, L=None):
     """The closed-form body 0F1(g)[M]a + 0F1(g+1)[x fdag M / (2k+m)]a
-    + 0F1(g+1)[x f M / (2k+m)]a' of a polynomial profile a."""
+    + 0F1(g+1)[x f M / (2k+m)]a'."""
     ctx, k = M.poly.ctx, M.degree
     gamma = Fraction(2 * k + ctx.m, 2)
     f, fdag = witt_basis(ctx)
     x = vector_variable(ctx)
     scale = Fraction(1, 2 * k + ctx.m)
-    return Sum(SpaceTimeFunction, ctx).add(chain_0F1(gamma, M.poly, a)).add(
-        chain_0F1(gamma + 1, (x * M.poly.lmul(fdag)).scale(scale), a)).add(
-        chain_0F1(gamma + 1, (x * M.poly.lmul(f)).scale(scale), a.d_dt())).value()
+    return Sum(SpaceTimeFunction, ctx).add(chain_0F1(gamma, M.poly, a, L)).add(
+        chain_0F1(gamma + 1, (x * M.poly.lmul(fdag)).scale(scale), a, L)).add(
+        chain_0F1(gamma + 1, (x * M.poly.lmul(f)).scale(scale), a.d_dt(), L)
+    ).value()
 
 
-def chain_parabolic_recurrence(M, seeds):
-    """The recurrence body G0 + f G1 + fdag G2 + f fdag G3 of polynomial
-    seeds ({"a0", "b0", "a2", "b2"} -> profile, missing for zero), each G_i
+def chain_parabolic_recurrence(M, seeds, L=None):
+    """The recurrence body G0 + f G1 + fdag G2 + f fdag G3 of the seeds
+    ({"a0", "b0", "a2", "b2"} -> profile, missing for zero), each G_i
     summed over the levels as rho^{2l} M alpha + rho^{2l} x M beta."""
     ctx, k = M.poly.ctx, M.degree
     gamma = Fraction(2 * k + ctx.m, 2)
     zero = TimeFunction.zero(ctx)
     a0, b0, a2, b2 = (seeds.get(name, zero) for name in ("a0", "b0", "a2", "b2"))
-    stop = max(0, *(p.max_n() for p in (a0, b0, a2, b2)))
+    if all(p.is_polynomial() for p in (a0, b0, a2, b2)):
+        stop = max(0, *(p.max_n() for p in (a0, b0, a2, b2)))
+    else:
+        stop = L
     x = vector_variable(ctx)
     Gs = [Sum(SpaceTimeFunction, ctx) for _ in range(4)]
     for l, P, Q in zip(range(stop + 1), rho_powers(M.poly),
@@ -326,6 +414,59 @@ def chain_parabolic_recurrence(M, seeds):
         b0 = b0.d_dt().scale(1 / (4 * (l + 1) * (gamma + 1 + l)))
         b2 = b2.d_dt().scale(1 / (4 * (l + 1) * (gamma + 1 + l)))
     return assemble_split(*(G.value() for G in Gs))
+
+
+# -- the accuracy bound of float builds ---------------------------------------------
+#
+# A float is a dyadic rational, so the input of a float build converts to an
+# exact input exactly; the exact build of it is the value that the float
+# build approximates.
+
+
+EPS = 2.0 ** -52
+
+
+def dyadic(v):
+    """A float or complex value as the exact value it is; any other value
+    as it is."""
+    if type(v) is float:
+        return Fraction(v)
+    if type(v) is complex:
+        re, im = Fraction(v.real), Fraction(v.imag)
+        return GaussianRational(re, im) if im else re
+    return v
+
+
+def dyadic_zeta(z):
+    return ZetaElement(*(dyadic(v) for v in z.entries()))
+
+
+def dyadic_body(F):
+    """F with every value and lambda read as the exact value it is."""
+    return type(F)(F.ctx, {
+        (key[0], key[1], dyadic(key[2])) if type(key[0]) is tuple else key:
+        Multivector(F.ctx, {b: dyadic(v) for b, v in F.coeffs(key).items()})
+        for key in F.keys()})
+
+
+def max_error(got, exact):
+    """The largest |got - exact| over every term and blade of either body,
+    each difference taken exactly; a float key and an exact key of equal
+    value are one key."""
+    worst = 0.0
+    for key in set(got.keys()) | set(exact.keys()):
+        have = got.coeffs(key) if key in got.keys() else {}
+        want = exact.coeffs(key) if key in exact.keys() else {}
+        for b in set(have) | set(want):
+            d = dyadic(have.get(b, 0)) - want.get(b, 0)
+            worst = max(worst, abs(complex(d)))
+    return worst
+
+
+def scale_of(exact):
+    """The coefficient scale of an exact body: its largest |coefficient|."""
+    return max((abs(complex(v)) for key in exact.keys()
+                for v in exact.coeffs(key).values()), default=0.0)
 
 
 def split_perturbed(body, slot, delta):

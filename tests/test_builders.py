@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (chain_parabolic_closed, chain_parabolic_recurrence,
-                     spatial_degrees, typed, weight_recurrence)
+                     spatial_degrees, stage_generalized, stage_helmholtz, typed,
+                     weight_recurrence)
 from paradirac import builders
 from paradirac.algebra import AlgebraContext, Multivector, witt_basis
-from paradirac.builders import (_stage_generalized, _stage_helmholtz,
-                                _weight_recurrence, build_generalized,
-                                build_helmholtz, build_parabolic_closed,
+from paradirac.builders import (build_generalized, build_helmholtz,
+                                build_parabolic_closed,
                                 build_parabolic_recurrence,
                                 parabolic_from_generalized)
 from paradirac.harmonics import harmonic_basis, monogenic_basis
@@ -193,14 +193,15 @@ def _levels_match_oracle(s, gamma, L, ctx):
     """Each radial weight of an exact s, IntMatrix.radial_weights read by
     radial_level, is what _to_numerators makes of the oracle's
     Multivector: the same numerators (int or pair), denominator and blade
-    order.  For an inexact s each level of _weight_recurrence is a
-    Multivector with the oracle's values, types and bits."""
+    order.  For an inexact s each level of ZetaElement.radial_weights, which
+    makes the oracle's float operations, is a Multivector with the oracle's
+    values, types and bits."""
     want = weight_recurrence(s, gamma, L, ctx)
     if s.is_exact():
         got = [radial_level(w, ctx)
                for w in IntMatrix.of(s).radial_weights(gamma, L)]
     else:
-        got = _weight_recurrence(s, gamma, L, ctx)
+        got = [w.to_multivector(ctx) for w in s.radial_weights(gamma, L)]
     assert len(got) == len(want) == L + 1
     for n, (level, mv) in enumerate(zip(got, want)):
         if s.is_exact():
@@ -331,10 +332,10 @@ def _assert_expands_as_the_stages(heads, z, L, form):
     residual."""
     if form == "helmholtz":
         sol = build_helmholtz(heads, z, L)
-        stage = _stage_helmholtz(heads, z, L, "direct")
+        stage = stage_helmholtz(heads, z, L, "direct")
     else:
         sol = build_generalized(heads, z, L, form)
-        stage = _stage_generalized(heads, z, L, form)
+        stage = stage_generalized(heads, z, L, form)
     want = dataclasses.replace(sol, body=SpaceTimeFunction.from_poly(stage))
     assert sol._radial is not None and want._radial is None
     assert solution_to_dict(sol) == solution_to_dict(want)
@@ -351,49 +352,61 @@ def scalar_types(F):
 # -- parabolic bodies: the expansion against the Sum chain ----------------------
 
 
-def _parabolic_profile(data, ctx, label):
-    """A polynomial profile of degree <= 5, possibly zero, whose
-    coefficients are an int, Fraction or Gaussian rational times 1, f,
-    fdag, f fdag or one blade."""
+EXP_LAMBDAS = (Fraction(-1, 2), 1, G(0, 1), G(Fraction(-1, 2), 1))
+
+
+def _parabolic_profile(data, ctx, label, lambdas=(0,)):
+    """A profile of degree <= 5 in t, possibly zero, whose coefficients
+    are an int, Fraction or Gaussian rational times 1, f, fdag, f fdag or
+    one blade, each term times exp(lambda t) for a lambda drawn from
+    lambdas."""
     f, fdag = witt_basis(ctx)
     unit = st.one_of(st.sampled_from((ctx.one(), f, fdag, f * fdag)),
                      st.integers(0, (1 << (ctx.m + 2)) - 1).map(
                          lambda mask: Multivector(ctx, {mask: 1})))
     scalar = st.one_of(st.integers(-3, 3).filter(bool),
                        small_q.filter(bool), gaussian_q.filter(bool))
-    terms = data.draw(st.lists(st.tuples(st.integers(0, 5), unit, scalar),
+    terms = data.draw(st.lists(st.tuples(st.integers(0, 5), unit, scalar,
+                                         st.sampled_from(lambdas)),
                                max_size=3), label=label)
     rows = {}
-    for n, u, c in terms:
-        rows[n] = rows[n] + u * c if n in rows else u * c
-    return TimeFunction(ctx, {((0,) * ctx.m, n, 0): mv
-                              for n, mv in rows.items()})
+    for n, u, c, lam in terms:
+        key = ((0,) * ctx.m, n, lam)
+        rows[key] = rows[key] + u * c if key in rows else u * c
+    return TimeFunction(ctx, rows)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_exact_parabolic_bodies_match_the_sum_chain(data):
     """The exact parabolic bodies, expanded from their profile levels by
     radial_series, against the Sum chain on the powers rho^{2l} M run on
-    the same input: the same values and scalar type per blade, the same
-    solution JSON, and the ladder's reports equal to a copy's from the
-    monomial path."""
+    the same input: the same values and scalar type per blade and the same
+    solution JSON; for polynomial profiles the ladder's reports equal to a
+    copy's from the monomial path.  Exponential terms, which no derivative
+    ends, truncate both builds at L, the closed one with a^(L+1) in its
+    top f level."""
     m = data.draw(st.integers(1, 4), label="m")
     ks = [k for k in range(4) if _basis("monogenic", m, k)]
     k = data.draw(st.sampled_from(ks), label="k")
     M = data.draw(st.sampled_from(_basis("monogenic", m, k)), label="head")
     ctx = M.poly.ctx
+    L = data.draw(st.integers(0, 4), label="L")
+    lambdas = (0,) + EXP_LAMBDAS if data.draw(st.booleans(), label="exp") else (0,)
     if data.draw(st.booleans(), label="closed"):
-        a = _parabolic_profile(data, ctx, "a")
-        sol, chain = build_parabolic_closed(M, a), chain_parabolic_closed(M, a)
+        a = _parabolic_profile(data, ctx, "a", lambdas)
+        sol, chain = build_parabolic_closed(M, a, L), chain_parabolic_closed(M, a, L)
     else:
         names = data.draw(st.sets(st.sampled_from(("a0", "b0", "a2", "b2"))),
                           label="seeds")
-        seeds = {name: _parabolic_profile(data, ctx, name)
+        seeds = {name: _parabolic_profile(data, ctx, name, lambdas)
                  for name in sorted(names)}
-        sol = build_parabolic_recurrence(M, seeds)
-        chain = chain_parabolic_recurrence(M, seeds)
-    _assert_matches_the_sum_chain(sol, chain)
+        sol = build_parabolic_recurrence(M, seeds, L)
+        chain = chain_parabolic_recurrence(M, seeds, L)
+    if sol.exact:
+        _assert_matches_the_sum_chain(sol, chain)
+    else:
+        _assert_truncated_matches_the_sum_chain(sol, chain)
 
 
 @pytest.mark.parametrize("m,k", [(1, 0), (2, 1), (3, 2)])
@@ -420,6 +433,41 @@ def _assert_matches_the_sum_chain(sol, chain):
     assert (comp.passed, comp.detail) == (slow.passed, slow.detail)
 
 
+@pytest.mark.parametrize("m,k", [(1, 0), (2, 1), (3, 2)])
+@pytest.mark.parametrize("L", [0, 1, 3])
+def test_exact_truncated_profiles_match_the_sum_chain(m, k, L):
+    # exp:-1/2, exp:0:1 and seeds that mix polynomial and exponential
+    # profiles
+    ctx = AlgebraContext(m)
+    M = monogenic_basis(ctx, k)[-1]
+    half, i = TimeFunction.term(ctx, 1, lam=Fraction(-1, 2)), TimeFunction.term(
+        ctx, 1, lam=G(0, 1))
+    for a in (half, i, half + TimeFunction.polynomial(ctx, [0, 1, Fraction(1, 3)])):
+        _assert_truncated_matches_the_sum_chain(
+            build_parabolic_closed(M, a, L), chain_parabolic_closed(M, a, L))
+    for seeds in ({"a0": TimeFunction.polynomial(ctx, [0, 0, 1]),
+                   "b0": TimeFunction.polynomial(ctx, [1, Fraction(1, 3)]),
+                   "a2": TimeFunction.polynomial(ctx, [1]),
+                   "b2": TimeFunction.term(ctx, 1, lam=Fraction(1, 2))},
+                  {"a0": half, "b2": TimeFunction.polynomial(ctx, [0, 1])},
+                  {"b0": i, "a2": half}):
+        _assert_truncated_matches_the_sum_chain(
+            build_parabolic_recurrence(M, seeds, L),
+            chain_parabolic_recurrence(M, seeds, L))
+
+
+def _assert_truncated_matches_the_sum_chain(sol, chain):
+    """A truncated build of exact values, not an exact solution and so
+    without a form, against its Sum chain: the same values, scalar type per
+    blade and solution JSON."""
+    assert not sol.exact and sol._radial is None and sol.body.is_exact()
+    want = dataclasses.replace(sol, body=chain)
+    assert sol.body == chain
+    assert typed(sol.body.terms) == typed(chain.terms)
+    assert scalar_types(sol.body) == scalar_types(chain)
+    assert solution_to_dict(sol) == solution_to_dict(want)
+
+
 def test_exact_values_kept_raw_are_expanded():
     # float parts that cancel leave a profile of exact values kept raw
     # (no common denominator); it is exact, so its builds are expanded
@@ -439,11 +487,33 @@ def test_exact_values_kept_raw_are_expanded():
         assert dirac_residual(sol).passed
 
 
-def test_radial_series_rejects_an_inexact_level():
-    ctx = AlgebraContext(2)
-    level = SpaceTimeFunction.from_poly(CliffordPoly.constant(ctx, 0.5))
-    with pytest.raises(ValueError, match="exact"):
-        radial_series(SpaceTimeFunction, ctx, [[(1, level)]])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_radial_series_expands_float_levels(m):
+    # a float level makes every level's values raw (D None), the exact
+    # level among them too, summed by the same shift loop: each coefficient
+    # within a few roundings of the expansion of the same levels read as
+    # exact dyadic rationals
+    ctx = AlgebraContext(m)
+    head = vector_variable(ctx) + CliffordPoly.constant(ctx, 2)
+    a = TimeFunction.polynomial(ctx, [0.1, -1 / 3, 0.7])
+    levels = [(0, SpaceTimeFunction.from_poly(head, a)),
+              (1, SpaceTimeFunction.from_poly(head.scale(Fraction(1, 3)))),
+              (2, SpaceTimeFunction.from_poly(head, a.scale(-0.25)))]
+    got = radial_series(SpaceTimeFunction, ctx, [levels])
+    exact = radial_series(SpaceTimeFunction, ctx, [[
+        (l, SpaceTimeFunction(ctx, {key: Multivector(ctx, {
+            b: Fraction(v) for b, v in mv.terms.items()})
+            for key, mv in p.terms.items()})) for l, p in levels]])
+    assert got._D is None and exact._D is not None
+    assert set(got.keys()) == set(exact.keys())
+    scale = max(abs(v) for key in exact.keys() for v in exact.coeffs(key).values())
+    for key in exact.keys():
+        want, have = exact.coeffs(key), got.coeffs(key)
+        assert set(have) == set(want)
+        for b, v in want.items():
+            assert abs(Fraction(have[b]) - v) <= 4 * 3 * 2.0 ** -52 * scale
+    # alone, the exact level is summed on numerators
+    assert radial_series(SpaceTimeFunction, ctx, [levels[1:2]])._D is not None
 
 
 def test_a_closed_build_takes_each_derivative_once(monkeypatch):

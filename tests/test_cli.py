@@ -145,6 +145,34 @@ def test_build_requires_mode_and_out(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "gen-monogenic", "--zeta", "1,0,0,1", "--radial", "sylvester"],
+     "does not take --radial"),
+    (["--mode", "parabolic-closed", "--radial", "direct"], "does not take --radial"),
+    (["--mode", "parabolic-closed", "--seeds", '{"a0":"t"}'], "does not take --seeds"),
+    (["--mode", "helmholtz", "--zeta", "1,0,0,1", "--seeds", "{}"],
+     "does not take --seeds"),
+    (["--mode", "parabolic-closed", "--zeta", "1,0,0,1"], "does not take --zeta"),
+    (["--mode", "parabolic-recurrence", "--zeta", "1,0,0,1", "--profile", "t"],
+     "does not take --zeta"),
+    (["--mode", "gen-factored", "--zeta", "1,0,0,1", "--profile", "t"],
+     "does not take --profile"),
+    (["--mode", "parabolic-recurrence", "--seeds", '{"b0":"t"}', "--profile", "t"],
+     "--seeds and --profile"),
+], ids=["radial gen", "radial parabolic", "seeds closed", "seeds helmholtz",
+        "zeta closed", "zeta recurrence", "profile gen", "profile with seeds"])
+def test_build_refuses_a_flag_the_mode_does_not_read(capsys, tmp_path, argv,
+                                                     message):
+    # each of these once built something other than what was asked, such
+    # as profile 1 for a closed build given seeds, and exited 0
+    out = tmp_path / "sol.json"
+    for command in ("build", "verify"):
+        code, stdout, err = run(capsys, command, "--m", "2", "--k", "0",
+                                "--trunc", "2", *argv, "--out", str(out))
+        assert code == 2 and message in err and stdout == "", command
+    assert not out.exists()
+
+
 def test_malformed_solution_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

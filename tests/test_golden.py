@@ -338,7 +338,7 @@ DIGESTS = {
     '--mode parabolic-closed --m 2 --k 1 --basis-index 1 --backend float --profile [{"coeff":[0,1]}] --trunc 3':
         '4cc7e81087c8a186e0b03404469a057096309ef57789f0fced5eea6ecdf4bc20',
     '--mode parabolic-closed --m 3 --k 2 --basis-index 4 --backend float --profile [{"coeff":[0,1]},{"coeff":[-0.5,0.25],"n":1,"lambda":[0,-1]}] --trunc 3':
-        '4f3af9a4bf57c965160ff97d806da6e401d2a2ededeb1a357bfdd6c917696bd8',
+        '48f7139543a2aefb95b5a08f7949acbc5023636c0e19476202d622d939db5a3a',
     '--mode parabolic-recurrence --m 2 --k 1 --basis-index 1 --backend float --seeds {"a0":[{"coeff":[0,1]}],"b0":"1","a2":"t","b2":[{"coeff":[0,-1],"n":1}]} --trunc 3':
         '73da0093d54a43178cec53796e9a968ff2a5ad83b1af4bb2e31fee722ef102a4',
 }
@@ -593,25 +593,25 @@ def test_report_output_is_pinned(argv):
 # zeta and m = 1..3.
 EVAL_DIGESTS = {
     '--mode gen-factored --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 4 --backend float':
-        'f55631534180c14e57c5d53a0f8f4cce0563db80c29430a28e5524adf8eabf49',
+        'cd4812db950f797ea6b3eab7f364b43f10617ec0b099d927fa25caa879c16c11',
     '--mode gen-factored --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
         '51f9523956ab3ecb891a5e8e5c2d5f3fa0cbf00baf611e1ed09e27fff53f5dec',
     '--mode gen-factored --m 3 --k 2 --basis-index 4 --zeta 1,2,1/2,1 --trunc 2 --backend float':
-        '5d0e81aa9fb98989c84a587ffafdf5ac149c0b233932f2b15407aeb96f5273fb',
+        '1854c1367825c42227d6749483cca4ad64407c0fd416df1a50142f4e02b59a45',
     '--mode gen-invertible --m 1 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
         'b6d90a025d3dafc80d9ad4b740d65a385f1f543818704d3df3038d98949da994',
     '--mode gen-invertible --m 2 --k 1 --basis-index 1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3 --backend float':
-        '28cf94e5a7269b80363d0dc4f7a467b603979036eab08811777213ee35f1d499',
+        'cf6bba7a24736a1cfee8b5b05409021fbeeb7319b08768df86538c5c5ec2526f',
     '--mode gen-invertible --m 3 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 3':
         'a4f6d2336a7d71620af64e10263c2ef17e66f0a4cbf006772937306f1be8ec47',
     '--mode gen-monogenic --m 1 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 4':
         'a195091a94f054acaa58fd8a9c139220536d9008123c67374f9c04ff60480cad',
     '--mode gen-monogenic --m 2 --k 0 --basis-index 0 --zeta 1/2,-1,3/4,2 --trunc 4 --backend float':
-        '9662814bb0f672f40be541b51aad25161e6a140967055327393e55085cbd84fb',
+        'c4c71c3d971a4570b45ff4cfb5125d066a7b44a737d53bb5ee61f3a06918a5d3',
     '--mode gen-monogenic --m 2 --k 0,1 --basis-index 0,1 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3':
         'b17fd084d38f282987e67b7639144b72c8980b6585c8dc5749fb64818695c356',
     '--mode gen-monogenic --m 3 --k 0 --basis-index 0 --zeta 1,1/2,0,-1,2/3,0,1,1 --trunc 3 --backend float':
-        '3dc7f48c4ff8a55fac2f90bcd2e252eccc9108577a7fd73e8462e9f0da7990b9',
+        '0394e09ad4efd13878e885fee943aaa641d0e66d68e699407d7e118da7e88bb9',
     '--mode gen-monogenic --m 3 --k 1 --basis-index 2 --zeta 1,2,1/2,1 --trunc 3':
         'cb023fed720312a1b8fd9ec1f199ebf0263230c6561303aa8ac4f7d2600037ad',
     '--mode helmholtz --m 1 --k 1 --basis-index 0 --zeta 2,1,1,0 --trunc 4':
@@ -641,9 +641,9 @@ EVAL_DIGESTS = {
     '--mode parabolic-closed --m 2 --k 1 --basis-index 1 --profile exp:-1 --trunc 4':
         '71b46d5c189d063edc606f21789e68643fb9a38d760616e23ae2d2d964ec05bc',
     '--mode parabolic-closed --m 2 --k 2 --basis-index 1 --profile poly:1,0,-1 --trunc 3 --backend float':
-        '8fdf1528604a6ce9a5e72260767ec0560904b58d3e690f153dd520cc75710fd2',
+        'a9abfe31523fb482848a3a9aef726999280c12d2b255b28bcee14b1f16e7e20f',
     '--mode parabolic-closed --m 3 --k 0 --basis-index 0 --profile exp:-1 --trunc 3 --backend float':
-        '80732eeb6e5b03fa093c4db720d509119dad8677e69f8880d0c658e265eb4592',
+        '99fe45ae1a4312faae10bf03babb318c81bf83b207880e1cf4998cd2183da156',
     '--mode parabolic-closed --m 3 --k 1 --basis-index 0 --profile poly:0,1,1/3 --trunc 3':
         '3e9b4559b8e9b8de58a39d8927cf15a1f3abed76310bcaf8f1ed7d613124dcee',
     '--mode parabolic-closed --m 3 --k 2 --basis-index 4 --profile exp:0:1 --trunc 3':

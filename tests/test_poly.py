@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from oracles import (as_spacetime, assert_matches, canonical, exact_values,
                      o_add, o_dirac, o_div, o_evaluate, o_laplacian, o_lmul,
-                     o_mul, o_neg, o_partial, o_rmul, o_scale, typed)
+                     o_mul, o_neg, o_partial, o_rmul, o_scale, rho_powers,
+                     typed)
 from paradirac.algebra import AlgebraContext, Multivector, _mul_into, witt_basis
 from paradirac.poly import (CliffordPoly, SpaceTimeFunction, TimeFunction,
-                            rho_powers, rho_squared, rho_terms,
-                            vector_variable)
+                            rho_squared, rho_terms, vector_variable)
 from paradirac.scalars import GaussianRational
 
 rng = random.Random(31415)
