@@ -28,10 +28,12 @@ coefficient arithmetic is exact too).  The parabolic operator is d_x +
 zeta with zeta = f d/dt + fdag, so a parabolic build has the same radial
 form with timefn.ProfileWeight coefficients
 P_l = sum_i c_i alpha_{i,l} and Q_l = sum_i c_i beta_{i,l}, c = 1, f,
-fdag, f fdag, the profiles right of M.  _parabolic_body expands it one
-small level body per level by poly.radial_series: every level of the
-recurrence, and the two x M blocks of the closed form, whose first block
-apply_0F1 sums.  An exact one keeps that form.
+fdag, f fdag, the profiles right of M.  One function, _parabolic_solution,
+writes the levels of both parabolic builds, each profile an exact
+multiple of one seed derivative (the closed form is the recurrence
+seeded with a0 = a and b2 = -a/(2k+m)), and expands them by
+poly.radial_series, one small body per level.  An exact build keeps that
+form.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from .algebra import AlgebraContext, witt_basis
 from .harmonics import HarmonicPoly, MonogenicPoly
 from .poly import (CliffordPoly, Sum, radial_product, radial_series,
                    vector_variable)
-from .timefn import ProfileWeight, SpaceTimeFunction, TimeFunction, apply_0F1
+from .timefn import (ProfileWeight, SpaceTimeFunction, TimeFunction, apply_0F1,
+                     derivatives)
 from .zeta import (IntMatrix, NotInvertibleError, PowerSeries, ZetaElement,
                    sylvester_eval)
 
@@ -122,34 +125,20 @@ def build_parabolic_closed(M: MonogenicPoly, a: TimeFunction,
                            L: int = 12) -> SeriesSolution:
     """F = 0F1(g)[M]a + 0F1(g+1)[x fdag M / (2k+m)]a + 0F1(g+1)[x f M / (2k+m)]a'.
 
-    g = k + m/2.  The fdag block and the f block share the series order
-    but the f block is driven by a'(t); together they reproduce the
-    recurrence solution seeded with a0 = a, b2 = -a/(2k+m).
-
-    The first block is summed by one apply_0F1 call, and the profiles of
-    the other two are read off the derivatives a^(l) it records: since
-    x fdag M = -fdag x M, x f M = -f x M and
-    w_l(g+1) / (2k+m) = w_l(g) / t_l with t_l = 2l+2k+m, they are
-    Q_l = -w_l(g) (f a^(l+1) + fdag a^(l)) / t_l, expanded by
-    _parabolic_body.  A truncated series takes a^(L+1) for its top f
-    level.  With P_l = w_l(g) a^(l) they are its radial form.
+    g = k + m/2.  Together the last two blocks are the recurrence solution
+    seeded with a0 = a, b2 = -a/(2k+m), and are made so, on the a^(l) that
+    the apply_0F1 call summing the first block records (and a^(L+1) for
+    the top f level of a truncated series).
     """
     (M,) = _as_list(M, MonogenicPoly, L)
-    ctx = M.poly.ctx
-    k = M.degree
-    gamma = Fraction(2 * k + ctx.m, 2)
+    m, k = M.poly.ctx.m, M.degree
     chain = []
-    first = apply_0F1(gamma, M.poly, a, L, chain)
-    # a^(l+1) per level: None past a polynomial's last derivative
-    top = chain[-1][1].d_dt() if chain and not a.is_polynomial() else None
-    nexts = [d for _, d in chain[1:]] + [top]
-    P = tuple(ProfileWeight.of([d], w) for w, d in chain)
-    # -w_l(g+1) / (2k+m) = -w_l(g) / t_l
-    Q = tuple(ProfileWeight.of([None, nxt, d], -w / (2 * l + 2 * k + ctx.m))
-              for l, ((w, d), nxt) in enumerate(zip(chain, nexts)))
-    body = first + _parabolic_body(M, (ProfileWeight.of([]),) * len(Q), Q)
-    exact = a.is_polynomial() and a.is_exact() and M.poly.is_exact()
-    return _parabolic_solution(body, "parabolic-closed", M, L, exact, P, Q)
+    first = apply_0F1(Fraction(2 * k + m, 2), M.poly, a, L, chain)
+    derivs = [d for _, d in chain]
+    if derivs and not a.is_polynomial():
+        derivs += derivatives(derivs[-1], 1)[1:]
+    return _parabolic_solution("parabolic-closed", M, L, len(chain), {
+        "a0": (1, derivs), "b2": (Fraction(-1, 2 * k + m), derivs)}, [a], first)
 
 
 def build_parabolic_recurrence(M: MonogenicPoly,
@@ -167,96 +156,90 @@ def build_parabolic_recurrence(M: MonogenicPoly,
 
     with a_{l+1} = a_l' / (4(l+1)(l+g)) and b_{l+1} = b_l' / (4(l+1)(l+g+1)).
     Polynomial seeds terminate the sum on their own; otherwise it stops at L.
-    Each level's alphas and betas are the ProfileWeight coefficients P_l
-    and Q_l of its radial form, which _parabolic_body expands and an
-    exact build keeps.
+    Each level's alphas and betas, from the seeds' derivatives, are the
+    ProfileWeight coefficients P_l and Q_l of its radial form.
     """
     (M,) = _as_list(M, MonogenicPoly, L)
-    ctx = M.poly.ctx
-    k = M.degree
-    gamma = Fraction(2 * k + ctx.m, 2)
-
     unknown = set(seeds) - {"a0", "b0", "a2", "b2"}
     if unknown:
         raise ValueError(f"unknown seed keys: {sorted(unknown)}")
-    zero_tf = TimeFunction.zero(ctx)
-
-    def seed(name: str) -> TimeFunction:
-        tf = seeds.get(name)
-        if tf is None:
-            return zero_tf
-        if tf.ctx != ctx:
-            raise ValueError("seed profile context mismatch")
-        return tf
-
-    a0, b0, a2, b2 = seed("a0"), seed("b0"), seed("a2"), seed("b2")
-    polynomial = all(tf.is_polynomial() for tf in (a0, b0, a2, b2))
-    if polynomial:
-        stop = max(tf.max_n() for tf in (a0, b0, a2, b2))
-        stop = max(stop, 0)
-    else:
-        stop = L
-
-    levels = []
-    for l in range(stop + 1):
-        two_lg = 2 * l + 2 * k + ctx.m          # 2(l + g), an integer
-        div_a = 4 * (l + 1) * (gamma + l)
-        div_b = 4 * (l + 1) * (gamma + 1 + l)
-        a0_next = a0.d_dt().scale(1 / div_a) if not a0.is_zero() else zero_tf
-        a2_next = a2.d_dt().scale(1 / div_a) if not a2.is_zero() else zero_tf
-        # (alpha, beta) of F0, F1, F2, F3
-        levels.append((a0, b0, b0.scale(two_lg), a0_next.scale(-2 * (l + 1)),
-                       a2, b2, b2.scale(-two_lg) - a0,
-                       a2_next.scale(2 * (l + 1)) - b0))
-        a0, a2 = a0_next, a2_next
-        b0 = b0.d_dt().scale(1 / div_b) if not b0.is_zero() else zero_tf
-        b2 = b2.d_dt().scale(1 / div_b) if not b2.is_zero() else zero_tf
-
-    exact = polynomial and M.poly.is_exact() and all(
-        seed(n).is_exact() for n in ("a0", "b0", "a2", "b2"))
-    P = tuple(ProfileWeight.of(profiles[0::2]) for profiles in levels)
-    Q = tuple(ProfileWeight.of(profiles[1::2]) for profiles in levels)
-    return _parabolic_solution(_parabolic_body(M, P, Q),
-                               "parabolic-recurrence", M, stop, exact, P, Q)
+    given = {name: tf for name, tf in seeds.items() if tf is not None}
+    if any(tf.ctx != M.poly.ctx for tf in given.values()):
+        raise ValueError("seed profile context mismatch")
+    polynomial = all(tf.is_polynomial() for tf in given.values())
+    stop = max([0] + [tf.max_n() for tf in given.values()]) if polynomial else L
+    # level l reads an a-seed's order l+1 and a b-seed's order l
+    return _parabolic_solution("parabolic-recurrence", M, stop, stop + 1, {
+        name: (1, derivatives(tf, stop + (name[0] == "a")))
+        for name, tf in given.items()}, given.values())
 
 
-def _parabolic_solution(body: SpaceTimeFunction, mode: str, M: MonogenicPoly,
-                        L: int, exact: bool, P=(), Q=()) -> SeriesSolution:
-    """The SeriesSolution of a parabolic build.  An exact one keeps the
-    radial form of its weights P and Q unless a profile depends on x: the
-    ladder takes every profile for a function of t, which d_x leaves."""
-    k = M.degree
-    sol = SeriesSolution(body=body, mode=mode, m=M.poly.ctx.m, k=k, L=L,
-                         exact=exact)
-    if exact and not any(any(exps) for w in P + Q for part in w.parts
-                         for _, p, _ in part for exps, _, _ in p.keys()):
-        sol._radial = (body, RadialForm(mode, k, L, None, ((k, M.poly, P, Q),)))
-    return sol
-
-
-def _parabolic_body(M: MonogenicPoly, P: tuple, Q: tuple) -> SpaceTimeFunction:
-    """The parabolic body sum_l rho^{2l} (P_l M + Q_l x M) of
-    ProfileWeight levels: sum_i c_i (M alpha_i,l + x M beta_i,l) over the
-    entries of P_l and Q_l, c = 1, f, fdag, f fdag, is made once per level
-    and expanded under the shifts of rho^{2l} by radial_series."""
-    ctx = M.poly.ctx
+def _parabolic_solution(mode: str, M: MonogenicPoly, L: int, count: int,
+                        chains: dict, seeds, first=None) -> SeriesSolution:
+    """The parabolic build of the levels l < count of the recurrence's
+    F0..F3 on the seeds c s given as chains, name -> (c, [s, s', ...]) (a
+    missing name or order is zero): with a_j = c w_j(g) s^(j) for a-seeds,
+    b_j = c w_j(g+1) s^(j) for b-seeds and w_j(g) = 1 / (4^j j! (g)_j),
+    each profile of the levels P_l, Q_l is an exact multiple of one s^(j),
+    the terms on one derivative object merged by their coefficient sum.
+    Each level sum_i c_i (M alpha_i,l + x M beta_i,l), c = 1, f, fdag,
+    f fdag, is expanded by radial_series; first, the closed form's M block,
+    stands for the P_l M.  The build is exact when M and the seeds are
+    exact and the seeds polynomial, and then keeps the levels as its radial
+    form unless a seed (a level-0 profile) depends on x: the ladder takes
+    each for a function of t.
+    """
+    ctx, k = M.poly.ctx, M.degree
     f, fdag = witt_basis(ctx)
     units = (None, f, fdag, f * fdag)
     bases = (M.poly, vector_variable(ctx) * M.poly)
-    heads, blocks = {}, []      # c_i M and c_i x M, made for the slots in use
-    for l, (Pl, Ql) in enumerate(zip(P, Q)):
+    # name -> [(p, q, s^(j))], c w_j = p / q; 4(j+1)(g+j) = 2(j+1)(2g+2j)
+    terms = {}
+    for name, (c, chain) in chains.items():
+        p, q, two_g = c.numerator, c.denominator, 2 * k + ctx.m + 2 * (name[0] == "b")
+        terms[name] = []
+        for j, d in enumerate(chain):
+            terms[name].append((p, q, d))
+            q *= 2 * (j + 1) * (two_g + 2 * j)
+    levels, heads, blocks = [], {}, []  # heads: c_i M and c_i x M, when used
+    for l in range(count):
+        t, u = 2 * l + 2 * k + ctx.m, 2 * (l + 1)
+        # (slot, j - l, factor): factor seed_j is in entry slot // 2 of P_l
+        # (slot even) or of Q_l (odd), the alpha and beta of F0..F3
+        rules = {"a0": ((0, 0, 1), (3, 1, -u), (6, 0, -1)),
+                 "b0": ((1, 0, 1), (2, 0, t), (7, 0, -1)),
+                 "a2": ((4, 0, 1), (7, 1, u)), "b2": ((5, 0, 1), (6, 0, -t))}
+        slots = [{} for _ in range(8)]      # id of s^(j) -> (p, q, s^(j))
+        for name, rule in rules.items():
+            seed = terms.get(name, ())
+            for slot, dj, factor in rule:
+                if l + dj < len(seed):
+                    p, q, d = seed[l + dj]
+                    old = slots[slot].get(id(d), (0, 1))
+                    slots[slot][id(d)] = (old[0] * q + factor * p * old[1],
+                                          old[1] * q, d)
+        parts = [tuple((Fraction(p, q), d, False) for p, q, d in slot.values() if p)
+                 for slot in slots]
+        levels.append(parts)
         level = Sum(SpaceTimeFunction, ctx)
-        # slot 2i + j holds entry i of P_l (j = 0) or of Q_l (j = 1)
-        slots = (part for pair in zip(Pl.parts, Ql.parts) for part in pair)
-        for slot, part in enumerate(slots):
-            for c, p, _ in part:
+        for slot, part in enumerate(parts):
+            for c, p, _ in () if first is not None and slot % 2 == 0 else part:
                 if slot not in heads:
-                    u, base = units[slot // 2], bases[slot % 2]
+                    unit, base = units[slot // 2], bases[slot % 2]
                     heads[slot] = SpaceTimeFunction.from_poly(
-                        base if u is None else base.lmul(u))
+                        base if unit is None else base.lmul(unit))
                 level.product(heads[slot], p, c)
         blocks.append((l, level.value()))
-    return radial_series(SpaceTimeFunction, ctx, [blocks])
+    body = radial_series(SpaceTimeFunction, ctx, [blocks])
+    body = body if first is None else first + body
+    exact = M.poly.is_exact() and all(tf.is_polynomial() and tf.is_exact()
+                                      for tf in seeds)
+    sol = SeriesSolution(body=body, mode=mode, m=ctx.m, k=k, L=L, exact=exact)
+    if exact and not any(any(exps) for tf in seeds for exps, _, _ in tf.keys()):
+        P = tuple(ProfileWeight(parts[0::2]) for parts in levels)
+        Q = tuple(ProfileWeight(parts[1::2]) for parts in levels)
+        sol._radial = (body, RadialForm(mode, k, L, None, ((k, M.poly, P, Q),)))
+    return sol
 
 
 def _radial_solution(mode: str, heads: list, L: int, z: ZetaElement,

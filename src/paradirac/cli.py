@@ -152,6 +152,11 @@ def _heads(ctx: AlgebraContext, ks: List[int], idxs: List[int], kind: str):
 # -- subcommand: build --------------------------------------------------------
 
 
+# the build flags, each None when not given, and what a None one reads as
+_BUILD_FLAGS = dict(mode=None, m=2, k="0", basis_index="0", zeta=None, profile="1",
+                    seeds=None, trunc=12, backend="exact", radial="direct")
+
+
 def _check_flags(args) -> None:
     """ValueError for a build flag that the chosen mode would not read."""
     parabolic = args.mode in PARABOLIC_MODES
@@ -171,7 +176,9 @@ def _build_from_args(args) -> SeriesSolution:
     if args.mode not in ALL_MODES:
         raise ValueError(f"unknown mode {args.mode!r}; choose from {ALL_MODES}")
     _check_flags(args)
-    profile = "1" if args.profile is None else args.profile
+    args = argparse.Namespace(**{**vars(args), **{
+        name: value for name, value in _BUILD_FLAGS.items()
+        if getattr(args, name) is None}})
     ctx = AlgebraContext(args.m)
     ks = _parse_int_list(args.k)
     idxs = _parse_int_list(args.basis_index)
@@ -183,11 +190,9 @@ def _build_from_args(args) -> SeriesSolution:
         (head,) = _heads(ctx, ks, idxs[:1], "monogenic")
         if args.mode == "parabolic-closed":
             return build_parabolic_closed(
-                head, parse_profile(profile, ctx, args.backend), L=L)
-        if args.seeds:
-            seeds = parse_seeds(args.seeds, ctx, args.backend)
-        else:
-            seeds = {"a0": parse_profile(profile, ctx, args.backend)}
+                head, parse_profile(args.profile, ctx, args.backend), L=L)
+        seeds = (parse_seeds(args.seeds, ctx, args.backend) if args.seeds
+                 else {"a0": parse_profile(args.profile, ctx, args.backend)})
         return build_parabolic_recurrence(head, seeds, L=L)
 
     if args.zeta is None:
@@ -195,14 +200,14 @@ def _build_from_args(args) -> SeriesSolution:
     z = parse_zeta(args.zeta, args.backend)
     if args.mode == "helmholtz":
         heads = _heads(ctx, ks, idxs, "harmonic")
-        return build_helmholtz(heads, z, L=L, radial=args.radial or "direct")
+        return build_helmholtz(heads, z, L=L, radial=args.radial)
     heads = _heads(ctx, ks, idxs, "monogenic")
     form = args.mode.split("-", 1)[1]
     return build_generalized(heads, z, L=L, form=form)
 
 
 def cmd_build(args) -> int:
-    if args.m > MAX_M:      # the largest m a solution file may hold
+    if args.m is not None and args.m > MAX_M:  # the largest m a file may hold
         raise ValueError(f"spatial dimension m={args.m} outside 1..{MAX_M}")
     sol = _build_from_args(args)
     if not args.out:
@@ -220,6 +225,10 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.solution:
+        given = [name for name in _BUILD_FLAGS if getattr(args, name) is not None]
+        if given:
+            raise ValueError("verify --solution takes no build flag, got " + ", ".join(
+                "--" + name.replace("_", "-") for name in given))
         sol = load_solution(args.solution)
     else:
         sol = _build_from_args(args)
@@ -371,18 +380,18 @@ def cmd_algebra_check(args) -> int:
 
 def _add_build_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", help=f"one of {', '.join(ALL_MODES)}")
-    p.add_argument("--m", type=int, default=2, help="spatial dimension")
-    p.add_argument("--k", default="0", help="head degree, or comma list")
-    p.add_argument("--basis-index", default="0",
-                   help="which basis element per degree (comma list)")
+    p.add_argument("--m", type=int, help="spatial dimension (default 2)")
+    p.add_argument("--k", help="head degree, or comma list (default 0)")
+    p.add_argument("--basis-index",
+                   help="which basis element per degree (comma list; default 0)")
     p.add_argument("--zeta", help="a,b,c,d (4 reals or 8 re,im values)")
     p.add_argument("--profile",
                    help='time profile of the parabolic modes (default "1"): '
                         '"1", "t", "t^n", "poly:...", "exp:lam", or JSON')
     p.add_argument("--seeds",
                    help='JSON map of recurrence seeds, e.g. {"a0": "t"}')
-    p.add_argument("--trunc", type=int, default=12, help="series truncation L")
-    p.add_argument("--backend", choices=("exact", "float"), default="exact")
+    p.add_argument("--trunc", type=int, help="series truncation L (default 12)")
+    p.add_argument("--backend", choices=("exact", "float"), help="default exact")
     p.add_argument("--radial", choices=("direct", "sylvester"),
                    help="radial weight evaluation (helmholtz mode; default direct)")
     p.add_argument("--out", help="output path")

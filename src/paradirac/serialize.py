@@ -80,8 +80,10 @@ def decode_scalar(pair) -> Scalar:
         re = _decode_part(re)
     if type(im) not in (int, float):
         im = _decode_part(im)
+    # a float imaginary part, 0.0 included, makes a complex, as encoded
     if isinstance(re, float) or isinstance(im, float):
-        v = to_float(re) if im == 0 else complex(to_float(re), to_float(im))
+        v = (complex(to_float(re), to_float(im))
+             if isinstance(im, float) or im != 0 else to_float(re))
         if not cmath.isfinite(v):
             raise ValueError(f"scalar {pair!r} is not finite")
         return v

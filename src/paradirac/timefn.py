@@ -11,7 +11,8 @@ spatial polynomial engine with that time class: terms are indexed by
 (exponents, n, lambda) with a left Multivector coefficient, and d/dt is
 exact.  This module builds the parabolic operator D = d_x + f d_t + fdag
 from those operators, and the operator series 0F1 on a time profile,
-whose levels poly.radial_series expands for exact and float input alike.
+whose levels poly.radial_series expands for exact and float input alike,
+from derivatives(), the one place a seed profile is differentiated.
 TimeFunction is the x-independent slice.
 D is d_x + zeta with zeta = f d/dt + fdag (ParabolicZeta), acting on
 Cl(1,1) coefficients with time-profile entries (ProfileWeight), so an
@@ -64,10 +65,10 @@ class ProfileWeight:
         self.parts = tuple(parts)
 
     @classmethod
-    def of(cls, profiles, c=1) -> "ProfileWeight":
-        """c times the profiles (w_1, w_f, w_fdag, w_ffdag); a missing, None
-        or zero profile is an empty entry."""
-        parts = [() if p is None or p.is_zero() else ((c, p, False),)
+    def of(cls, profiles) -> "ProfileWeight":
+        """The profiles (w_1, w_f, w_fdag, w_ffdag); a missing, None or zero
+        profile is an empty entry."""
+        parts = [() if p is None or p.is_zero() else ((1, p, False),)
                  for p in profiles]
         return cls(parts + [()] * (4 - len(parts)))
 
@@ -87,7 +88,7 @@ class ProfileWeight:
                 total = Sum(SpaceTimeFunction, (mine or theirs)[0][1].ctx)
                 for sign, part in ((1, mine), (-1, theirs)):
                     for c, p, d in part:
-                        (total.d_dt if d else total.add)(p, sign * c)
+                        (total.d_dt if d else total.add)(p, c if sign == 1 else -c)
                 if not total.value().is_zero():
                     return False
         return True
@@ -95,7 +96,7 @@ class ProfileWeight:
 
 def _times(part: tuple, n) -> tuple:
     return part if n == 1 or not part else tuple([
-        (c * n, p, d) for c, p, d in part])
+        (-c if n == -1 else c * n, p, d) for c, p, d in part])
 
 
 class ParabolicZeta:
@@ -113,15 +114,26 @@ class ParabolicZeta:
 PARABOLIC_ZETA = ParabolicZeta()
 
 
+def derivatives(a: TimeFunction, last: int) -> list:
+    """[a, a', ..., a^(last)], stopping before the first zero derivative:
+    the only place a seed profile is differentiated, each order once."""
+    out = []
+    while not a.is_zero() and len(out) <= last:
+        out.append(a)
+        if len(out) <= last:
+            a = a.d_dt()
+    return out
+
+
 def apply_0F1(gamma, base: CliffordPoly, a: TimeFunction, L: int,
               levels: Optional[list] = None) -> SpaceTimeFunction:
     """Operator series 0F1(gamma; rho^2 s / 4) applied to base(x) * a(t).
 
     Returns sum_{l} rho^{2l} * base * a^{(l)}(t) / (4^l l! (gamma)_l).  For
     a polynomial profile the series terminates by itself (the l-th
-    derivative dies); otherwise it is truncated at l = L.  Each derivative
-    is taken once, and a levels list receives (weight, a^{(l)}) for each
-    level summed.  Each level is made once as the small product
+    derivative dies); otherwise it is truncated at l = L.  The derivatives
+    come from derivatives(), and a levels list receives (weight, a^{(l)})
+    for each level summed.  Each level is made once as the small product
     base * a^{(l)} * weight and expanded by poly.radial_series, on
     numerators when every level is exact and on raw values otherwise.  A
     nonpositive integral gamma of any real type is a pole of 0F1:
@@ -131,20 +143,13 @@ def apply_0F1(gamma, base: CliffordPoly, a: TimeFunction, L: int,
         raise ValueError(f"0F1 pole: gamma = {gamma} is a nonpositive integer")
     if L < 0:
         raise ValueError("truncation must be >= 0")
-    rational = isinstance(gamma, (int, Fraction))
-    last = a.max_n() if a.is_polynomial() else L
     chain = []              # (weight, a^{(l)})
-    deriv = a
     # integer gamma would otherwise fall into float division below
-    weight: Scalar = Fraction(1) if rational else 1
-    for l in range(last + 1):
-        if l:
-            deriv = deriv.d_dt()
-        if deriv.is_zero():
-            break
-        if l:
-            weight = weight / (4 * l * (gamma + l - 1))
+    weight: Scalar = Fraction(1) if isinstance(gamma, (int, Fraction)) else 1
+    last = a.max_n() if a.is_polynomial() else L
+    for l, deriv in enumerate(derivatives(a, last)):
         chain.append((weight, deriv))
+        weight = weight / (4 * (l + 1) * (gamma + l))
     if levels is not None:
         levels.extend(chain)
     ctx = base.ctx

@@ -16,12 +16,15 @@ from paradirac.builders import (build_generalized, build_helmholtz,
                                 build_parabolic_recurrence,
                                 parabolic_from_generalized)
 from paradirac.harmonics import harmonic_basis, monogenic_basis
-from paradirac.poly import (CliffordPoly, _to_numerators, radial_level,
-                            radial_series, rho_squared, vector_variable)
+from paradirac.poly import (CliffordPoly, SparseTerms, _to_numerators,
+                            radial_level, radial_series, rho_squared,
+                            vector_variable)
 from paradirac.scalars import GaussianRational
 from paradirac.serialize import residual_report_to_dict, solution_to_dict
-from paradirac.timefn import SpaceTimeFunction, TimeFunction, parabolic_dirac
-from paradirac.verify import check_component_conditions, dirac_residual
+from paradirac.timefn import (ProfileWeight, SpaceTimeFunction, TimeFunction,
+                              parabolic_dirac)
+from paradirac.verify import (check_component_conditions, cross_check,
+                              dirac_residual)
 from paradirac.zeta import IntMatrix, ZetaElement
 
 
@@ -542,6 +545,73 @@ def test_a_closed_build_takes_each_derivative_once(monkeypatch):
     assert sol.body == chain_parabolic_closed(M, a)
     ((_, _, P, Q),) = sol._radial[1].heads
     assert len(P) == len(Q) == 5
+
+
+def test_a_recurrence_build_makes_no_profile_body(monkeypatch):
+    # every level profile is an exact multiple of one seed derivative:
+    # each seed is differentiated at most once per level, and no profile
+    # is rescaled or subtracted
+    ctx = AlgebraContext(3)
+    M = monogenic_basis(ctx, 1)[0]
+    L = 4
+    seeds = {"a0": TimeFunction.polynomial(ctx, [1, -2, Fraction(1, 2), 0, 3]),
+             "b0": TimeFunction.polynomial(ctx, [0, Fraction(1, 2)]),
+             "a2": TimeFunction.term(ctx, 1, lam=Fraction(-1, 2)),
+             "b2": TimeFunction.polynomial(ctx, [1, Fraction(1, 3)])}
+    calls = {"d_dt": 0, "scale": 0, "__sub__": 0}
+    originals = {"d_dt": SpaceTimeFunction.d_dt, "scale": SparseTerms.scale,
+                 "__sub__": SparseTerms.__sub__}
+
+    def counted(name):
+        def call(self, *args):
+            calls[name] += 1
+            return originals[name](self, *args)
+        return call
+
+    monkeypatch.setattr(SpaceTimeFunction, "d_dt", counted("d_dt"))
+    monkeypatch.setattr(SparseTerms, "scale", counted("scale"))
+    monkeypatch.setattr(SparseTerms, "__sub__", counted("__sub__"))
+    sol = build_parabolic_recurrence(M, seeds, L)
+    assert calls["d_dt"] <= len(seeds) * (L + 1)
+    assert calls["scale"] == calls["__sub__"] == 0
+    monkeypatch.undo()
+    assert sol.body == chain_parabolic_recurrence(M, seeds, L)
+
+
+def _pad(weights, n):
+    return weights + (ProfileWeight.of([]),) * (n - len(weights))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_closed_form_is_the_recurrence_form_of_its_two_seeds(data):
+    # the closed build is the recurrence seeded with a0 = a and
+    # b2 = -a/(2k+m), level for level; a zero profile has no closed level
+    # and one empty recurrence level
+    m = data.draw(st.integers(1, 4), label="m")
+    k = data.draw(st.sampled_from([k for k in range(4) if _basis("monogenic", m, k)]),
+                  label="k")
+    M = data.draw(st.sampled_from(_basis("monogenic", m, k)), label="head")
+    a = _parabolic_profile(data, M.poly.ctx, "a")
+    closed = build_parabolic_closed(M, a)
+    rec = build_parabolic_recurrence(
+        M, {"a0": a, "b2": a.scale(Fraction(-1, 2 * k + m))})
+    ((_, _, Pc, Qc),), ((_, _, Pr, Qr),) = (
+        sol._radial[1].heads for sol in (closed, rec))
+    n = max(len(Pc), len(Pr))
+    assert _pad(Pc, n) == _pad(Pr, n) and _pad(Qc, n) == _pad(Qr, n)
+
+
+@pytest.mark.parametrize("m,k", [(1, 0), (2, 1), (3, 2)])
+@pytest.mark.parametrize("L", [0, 1, 3])
+def test_a_truncated_closed_build_is_the_recurrence_of_its_two_seeds(m, k, L):
+    ctx = AlgebraContext(m)
+    M = monogenic_basis(ctx, k)[-1]
+    half = TimeFunction.term(ctx, 1, lam=Fraction(-1, 2))
+    for a in (half, half + TimeFunction.polynomial(ctx, [0, 1, Fraction(1, 3)])):
+        rec = build_parabolic_recurrence(
+            M, {"a0": a, "b2": a.scale(Fraction(-1, 2 * k + m))}, L)
+        assert cross_check(build_parabolic_closed(M, a, L), rec)
 
 
 def _degenerate_builds(ctx, M):

@@ -173,6 +173,38 @@ def test_build_refuses_a_flag_the_mode_does_not_read(capsys, tmp_path, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--mode", "gen-monogenic"), ("--m", "2"), ("--k", "0"),
+    ("--basis-index", "0"), ("--zeta", "1,0,0,1"), ("--profile", "t"),
+    ("--seeds", '{"a0":"t"}'), ("--trunc", "3"), ("--backend", "exact"),
+    ("--radial", "direct")])
+def test_verify_solution_refuses_a_build_flag(capsys, tmp_path, flag, value):
+    # the file holds the build, so a build flag beside it, even one equal
+    # to its default, was once ignored and the file judged: exit 0
+    sol_path, rep_path = tmp_path / "sol.json", tmp_path / "rep.json"
+    assert run(capsys, "build", "--mode", "parabolic-closed", "--m", "2",
+               "--k", "0", "--profile", "t", "--out", str(sol_path))[0] == 0
+    code, stdout, err = run(capsys, "verify", "--solution", str(sol_path),
+                            flag, value, "--out", str(rep_path))
+    assert code == 2 and stdout == "" and not rep_path.exists()
+    assert f"verify --solution takes no build flag, got {flag}" in err
+
+
+def test_a_loaded_float_report_is_the_fresh_one(capsys, tmp_path):
+    # a float value with imaginary part 0.0 reads back as a complex, so a
+    # loaded float build's residual report is the same bytes as a fresh one
+    flags = ["--mode", "helmholtz", "--m", "3", "--k", "2",
+             "--zeta=1.25,0.5,-0.75,2", "--trunc", "5", "--backend", "float",
+             "--radial", "sylvester"]
+    sol_path = tmp_path / "sol.json"
+    loaded, fresh = tmp_path / "rep.json", tmp_path / "rep_fresh.json"
+    assert run(capsys, "build", *flags, "--out", str(sol_path))[0] == 0
+    assert run(capsys, "verify", "--solution", str(sol_path),
+               "--out", str(loaded))[0] == 0
+    assert run(capsys, "verify", *flags, "--out", str(fresh))[0] == 0
+    assert loaded.read_bytes() == fresh.read_bytes()
+
+
 def test_malformed_solution_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

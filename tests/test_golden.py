@@ -649,7 +649,7 @@ EVAL_DIGESTS = {
     '--mode parabolic-closed --m 3 --k 2 --basis-index 4 --profile exp:0:1 --trunc 3':
         '807b4f9907293b8a4e5309f153fdcb7175b9dce2f4aa03bd7b9f146e2ddbaf4a',
     '--mode parabolic-recurrence --m 1 --k 0 --basis-index 0 --seeds {"a0":"exp:-1","b2":"t"} --trunc 3 --backend float':
-        'f862d4cce6dd329a955b6491bdc4243593924d0ed94adce6e792f61e70befc72',
+        '87987f9d0da558e35928eecca4405a612dd591655b216112e04e8242663ed492',
     '--mode parabolic-recurrence --m 2 --k 0 --basis-index 0 --seeds {"a0":"t^2","b0":"poly:1,1/3","a2":"1","b2":"exp:1/2"} --trunc 3':
         'd22073061a8f9f00e55535724f53915dd93ddc9471039a0c136507755a111e52',
 }

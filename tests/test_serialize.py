@@ -30,12 +30,17 @@ from paradirac.zeta import ZetaElement
     1.5,
     -0.125,
     2.5 + 0.5j,
+    1.5 + 0j,
+    -0j,
 ])
 def test_scalar_codec_roundtrip(value):
     pair = encode_scalar(value)
     assert isinstance(pair, list) and len(pair) == 2
     back = decode_scalar(pair)
     assert complex(back) == complex(value)
+    # a float comes back a float and a complex a complex, imaginary part
+    # 0.0 included
+    assert type(back) is type(value) or not isinstance(value, (float, complex))
     # exactness class survives: rationals come back rational
     if isinstance(value, (int, Fraction, GaussianRational)):
         assert not isinstance(back, (float, complex))
