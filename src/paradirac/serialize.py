@@ -1,16 +1,30 @@
 """JSON solution files, JSON reports, and CSV point evaluation.
 
-Solution files carry every term of the space-time body as
+Solution files carry every term of the space-time body as a row
 {exponents, n, lambda, blades}, with each scalar encoded as an [re, im]
 pair whose entries are ints, floats, or "p/q" rational strings, so the
 exact backend round-trips without loss.  All files carry
 "schema_version": 1 at top level.  CSV evaluation tables have a
 mandatory header row: coordinates x1..xm, t, then one _re/_im column
-pair per blade appearing in the solution.
+pair per blade appearing in the solution; each row is one line of float
+reprs joined by commas, as csv.writer would write it.
 
-Solution and report files are written as one string that equals
-json.dumps(obj, indent=1): each term row is formatted from a fixed
-template and every other value as the json encoder nests it.
+Writing.  A solution or report file is one string equal to
+json.dumps(d, indent=1) of d = solution_to_dict(sol) or
+residual_report_to_dict(rep).  The writer is handed the body itself in
+the "terms" slot and formats each term row straight from the body's
+keys() and coeffs(key), terms and blades sorted, so no per-term dict is
+made; every other value is nested as the json encoder nests it.
+solution_to_dict and residual_report_to_dict expand that slot into one
+dict per term, the JSON values that the text stands for.
+
+Reading.  load_solution decodes the rows in one pass into
+{key: {blade: value}}, which becomes the body (SparseTerms.from_values)
+with no Multivector per row; a repeated key is added to its first row
+as Multivector + adds.  An [int, 0] pair, a finite [float, 0] pair and
+a "p/q" part already read with imaginary part 0 take a fast path; every
+other value, and every field, goes through decode_scalar and the field
+checks, so a damaged file is refused with the message it always was.
 """
 
 from __future__ import annotations
@@ -113,12 +127,9 @@ def _term_order(key) -> tuple:
     return exps, n, c.real, c.imag
 
 
-def _term_rows(F: SpaceTimeFunction) -> List[dict]:
-    """One {exponents, n, lambda, blades} row per term, terms and blades sorted.
-
-    Each term's values are made when its row is written, so the rows are
-    never held beside a second copy of the whole body.
-    """
+def _term_dicts(F: SpaceTimeFunction) -> List[dict]:
+    """One {exponents, n, lambda, blades} row per term, terms and blades
+    sorted: the JSON values that the writer formats straight from F."""
     label = F.ctx.blade_label
     return [{"exponents": list(key[0]), "n": key[1],
              "lambda": encode_scalar(key[2]),
@@ -127,7 +138,8 @@ def _term_rows(F: SpaceTimeFunction) -> List[dict]:
             for key in sorted(F.keys(), key=_term_order)]
 
 
-def solution_to_dict(sol: SeriesSolution) -> dict:
+def _solution_fields(sol: SeriesSolution) -> dict:
+    """The solution file's fields, with the body itself as "terms"."""
     extra = {}
     for key, val in sol.extra.items():
         if isinstance(val, (complex, GaussianRational, Fraction)):
@@ -144,8 +156,34 @@ def solution_to_dict(sol: SeriesSolution) -> dict:
         "exact": sol.exact,
         "zeta": _encode_zeta(sol.zeta),
         "extra": extra,
-        "terms": _term_rows(sol.body),
+        "terms": sol.body,
     }
+
+
+def solution_to_dict(sol: SeriesSolution) -> dict:
+    """The solution file as JSON values, one dict per term."""
+    data = _solution_fields(sol)
+    data["terms"] = _term_dicts(sol.body)
+    return data
+
+
+def _decoder():
+    """decode_scalar, with fast paths for an [int, 0] pair, a finite
+    [float, 0] pair and a "p/q" part read before with imaginary part 0;
+    every other pair goes through decode_scalar and its checks."""
+    parsed: Dict[str, Scalar] = {}
+
+    def value(pair) -> Scalar:
+        if type(pair) is list and len(pair) == 2 and type(pair[1]) is int \
+                and pair[1] == 0:
+            re = pair[0]
+            if type(re) is int or type(re) is float and re - re == 0:
+                return re
+            if type(re) is str:
+                v = parsed.get(re)
+                return v if v is not None else parsed.setdefault(re, decode_scalar(pair))
+        return decode_scalar(pair)
+    return value
 
 
 def _get(data: dict, key: str, kinds, where: str = "solution"):
@@ -176,8 +214,9 @@ def solution_from_dict(data: dict) -> SeriesSolution:
     if not 1 <= m <= MAX_M:
         raise ValueError(f"spatial dimension m={m} outside 1..{MAX_M}")
     ctx = AlgebraContext(m)
-    terms: Dict[tuple, Multivector] = {}
+    rows: Dict[tuple, Dict[int, Scalar]] = {}
     masks: Dict[str, int] = {}      # blade label -> mask, each parsed once
+    value = _decoder()
     for row in _get(data, "terms", (list,)):
         if not isinstance(row, dict):
             raise ValueError(f"term row must be an object, got {row!r}")
@@ -187,8 +226,8 @@ def solution_from_dict(data: dict) -> SeriesSolution:
         n = _get(row, "n", (int,), "term row")
         if n < 0:
             raise ValueError(f"t exponent n={n} is negative")
-        lam = decode_scalar(_get(row, "lambda", (list,), "term row"))
-        coeffs = {}
+        lam = value(_get(row, "lambda", (list,), "term row"))
+        vals = {}
         for blade in _get(row, "blades", (list,), "term row"):
             if not (isinstance(blade, list) and len(blade) == 2
                     and isinstance(blade[0], str)):
@@ -196,13 +235,16 @@ def solution_from_dict(data: dict) -> SeriesSolution:
             mask = masks.get(blade[0])
             if mask is None:
                 mask = masks[blade[0]] = ctx.blade_from_label(blade[0])
-            coeffs[mask] = decode_scalar(blade[1])
-        mv = Multivector(ctx, {m_: v for m_, v in coeffs.items() if v != 0})
-        if not mv.is_zero():
+            vals[mask] = value(blade[1])
+        if not all(vals.values()):
+            vals = {mask: v for mask, v in vals.items() if v}
+        if vals:
+            # a repeated key adds its row; one that cancels keeps its place
             key = (exps, n, lam)
-            prev = terms.get(key)
-            terms[key] = mv if prev is None else prev + mv
-    body = SpaceTimeFunction(ctx, terms)
+            prev = rows.get(key)
+            rows[key] = vals if prev is None else (
+                Multivector(ctx, prev) + Multivector(ctx, vals)).terms
+    body = SpaceTimeFunction.from_values(ctx, rows)
     mode = _get(data, "mode", (str,))
     if mode not in ALL_MODES:
         raise ValueError(f"solution field 'mode' is {mode!r}, not one of {ALL_MODES}")
@@ -251,7 +293,7 @@ def _check_series_degrees(body: SpaceTimeFunction, mode: str,
 
 
 def save_solution(sol: SeriesSolution, path: str) -> None:
-    save_report(solution_to_dict(sol), path)
+    save_report(_solution_fields(sol), path)
 
 
 def load_solution(path: str) -> SeriesSolution:
@@ -271,13 +313,15 @@ def parse_json(text: str, what: str):
 # -- reports -------------------------------------------------------------
 
 
-def residual_report_to_dict(rep: ResidualReport) -> dict:
+def residual_report_fields(rep: ResidualReport) -> dict:
+    """The report's fields, with the residual body itself as its "terms"
+    (when it has 1 to MAX_REPORT_TERMS terms); save_report writes it."""
     residual = None
     if rep.residual_poly is not None:
         R = rep.residual_poly
         residual = {"is_zero": R.is_zero(), "n_terms": len(R.keys())}
         if 0 < len(R.keys()) <= MAX_REPORT_TERMS:
-            residual["terms"] = _term_rows(R)
+            residual["terms"] = R
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "residual_report",
@@ -291,6 +335,15 @@ def residual_report_to_dict(rep: ResidualReport) -> dict:
         "seed": rep.seed,
         "residual_poly": residual,
     }
+
+
+def residual_report_to_dict(rep: ResidualReport) -> dict:
+    """The report as JSON values, one dict per residual term."""
+    data = residual_report_fields(rep)
+    residual = data["residual_poly"]
+    if residual is not None and "terms" in residual:
+        residual["terms"] = _term_dicts(residual["terms"])
+    return data
 
 
 def check_report_to_dict(rep: CheckReport) -> dict:
@@ -311,11 +364,9 @@ def save_report(report_dict: dict, path: str) -> None:
 
 # -- JSON text -----------------------------------------------------------
 
-_ROW_KEYS = ("exponents", "n", "lambda", "blades")
-
-
 def _dumps(o, ind: str) -> str:
-    """o as json.dumps(o, indent=1) writes it, nested at indentation ind."""
+    """o as json.dumps(o, indent=1) writes it, nested at indentation ind;
+    a body as json.dumps writes its _term_dicts."""
     t = type(o)
     if t is str:
         return encode_basestring_ascii(o)
@@ -328,11 +379,11 @@ def _dumps(o, ind: str) -> str:
         if len(o) == 2:     # [re, im] and [label, [re, im]], most of a file
             return f"[\n{i}{_dumps(o[0], i)},\n{i}{_dumps(o[1], i)}\n{ind}]"
         return _nest("[", [_dumps(v, i) for v in o], ind, "]")
-    if t is dict and tuple(o) == _ROW_KEYS:
-        return _row(o, ind)
     if t is dict and all(type(k) is str for k in o):
         return _nest("{", [encode_basestring_ascii(k) + ": " + _dumps(v, ind + " ")
                            for k, v in o.items()], ind, "}")
+    if isinstance(o, SpaceTimeFunction):
+        return _body_rows(o, ind)
     # null, true, NaN, a tuple, a subclass, other keys: as json writes them
     # (a JSON string holds no raw newline, so this indents them exactly)
     return json.dumps(o, indent=1).replace("\n", "\n" + ind)
@@ -345,13 +396,45 @@ def _nest(open_: str, items: List[str], ind: str, close: str) -> str:
     return open_ + inner + ("," + inner).join(items) + "\n" + ind + close
 
 
-def _row(row: dict, ind: str) -> str:
-    """A term row {exponents, n, lambda, blades} from a fixed template."""
-    exps, n, lam, blades = row.values()
-    i = ind + " "
-    return (f'{{\n{i}"exponents": {_dumps(exps, i)},\n{i}"n": {_dumps(n, i)},'
-            f'\n{i}"lambda": {_dumps(lam, i)},\n{i}"blades": {_dumps(blades, i)}'
-            f'\n{ind}}}')
+def _parts(v) -> Tuple[str, str]:
+    """The JSON text of the two parts of encode_scalar(v)."""
+    t = type(v)
+    if t is int:
+        return int.__repr__(v), "0"
+    if t is float and v - v == 0:
+        return float.__repr__(v), "0"
+    if t is Fraction and v.denominator != 1:
+        return f'"{v.numerator}/{v.denominator}"', "0"
+    re, im = encode_scalar(v)
+    return _dumps(re, ""), _dumps(im, "")
+
+
+def _body_rows(F: SpaceTimeFunction, ind: str) -> str:
+    """The term rows of F, each formatted from one key and its coeffs."""
+    if not F.keys():
+        return "[]"
+    i1, i2, i3, i4, i5 = (ind + " " * j for j in range(1, 6))
+    label = F.ctx.blade_label
+    heads: Dict[int, str] = {}      # blade -> its entry up to the real part
+    mid, end = f",\n{i5}", f"\n{i4}]\n{i3}]"
+    rows = []
+    for key in sorted(F.keys(), key=_term_order):
+        exps, n, lam = key
+        blades = []
+        for mask, v in sorted(F.coeffs(key).items()):
+            head = heads.get(mask)
+            if head is None:
+                head = heads[mask] = (f"[\n{i4}{encode_basestring_ascii(label(mask))}"
+                                      f",\n{i4}[\n{i5}")
+            re, im = _parts(v)
+            blades.append(f"{head}{re}{mid}{im}{end}")
+        re, im = _parts(lam)
+        rows.append(f'{{\n{i2}"exponents": [\n{i3}'
+                    + f",\n{i3}".join(map(int.__repr__, exps))
+                    + f'\n{i2}],\n{i2}"n": {int.__repr__(n)},\n{i2}"lambda": [\n{i3}'
+                    f'{re},\n{i3}{im}\n{i2}],\n{i2}"blades": [\n{i3}'
+                    + f",\n{i3}".join(blades) + f"\n{i2}]\n{i1}}}")
+    return f"[\n{i1}" + f",\n{i1}".join(rows) + f"\n{ind}]"
 
 
 # -- CSV point tables ----------------------------------------------------
@@ -377,8 +460,11 @@ def read_points_csv(path: str, m: int) -> List[Tuple[Tuple[float, ...], float]]:
                 if len(row) < m:
                     raise ValueError(f"points row {reader.line_num} has {len(row)} "
                                      f"cells, fewer than the {m} coordinates")
+                if has_t and len(row) == m:
+                    raise ValueError(f"points row {reader.line_num} has no t cell, "
+                                     "which the header declares")
                 xs = tuple(float(row[i]) for i in range(m))
-                t = float(row[m]) if has_t and len(row) > m else 0.0
+                t = float(row[m]) if has_t else 0.0
                 if not all(map(math.isfinite, (*xs, t))):
                     raise ValueError(f"points row {reader.line_num} has a "
                                      "non-finite value")
@@ -413,8 +499,7 @@ def write_eval_csv(sol: SeriesSolution,
     # CSV's "\r\n" and a text stream into the platform line ending
     with (open(out, "w", newline="\r\n") if isinstance(out, str)
           else contextlib.nullcontext(out)) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for (point, t), mv in zip(points, sol.body.evaluate_many(points)):
             row = [repr(float(c)) for c in point] + [repr(float(t))]
             for mask in masks:
@@ -424,5 +509,5 @@ def write_eval_csv(sol: SeriesSolution,
                 else:
                     val = complex(val)
                     row += [repr(val.real), repr(val.imag)]
-            writer.writerow(row)
+            fh.write(",".join(row) + "\n")
     return header

@@ -8,16 +8,20 @@ spatial degrees read straight off a body's keys, and the sparse term
 engine's operators computed term by term on Multivector coefficients
 instead of stored integer numerators, every series body summed as a
 chain of Sum stages on the powers rho^{2l} M instead of expanded from
-its levels (the stage constructions), and a mutant made by splitting a
-body and assembling it again.
+its levels (the stage constructions), a mutant made by splitting a
+body and assembling it again, and a solution file read row by row into
+Multivectors and summed by the body constructor.
 """
 
 from fractions import Fraction
 
-from paradirac.algebra import Multivector, split, witt_basis
+from paradirac.algebra import AlgebraContext, Multivector, split, witt_basis
+from paradirac.builders import ALL_MODES, SeriesSolution
 from paradirac.poly import (CliffordPoly, SpaceTimeFunction, Sum, TimeFunction,
                            rho_squared, vector_variable)
 from paradirac.scalars import GaussianRational
+from paradirac.serialize import (MAX_M, SCHEMA_VERSION, _check_series_degrees,
+                                 _decode_zeta, _get, _int_list, decode_scalar)
 from paradirac.timefn import assemble_split
 from paradirac.verify import T_SAMPLES, estimate_order, unit_directions
 from paradirac.zeta import PowerSeries, ZetaElement, sylvester_eval
@@ -475,3 +479,72 @@ def split_perturbed(body, slot, delta):
     parts = list(body.split())
     parts[slot] = parts[slot] + delta
     return assemble_split(*parts)
+
+
+def solution_from_dict_reference(data):
+    """A solution dict read as the loader read it before its fast paths:
+    every value through decode_scalar, one Multivector per row, a
+    repeated key added with Multivector +, and the terms made a body by
+    the SpaceTimeFunction constructor."""
+    if not isinstance(data, dict):
+        raise ValueError("a solution file holds one JSON object")
+    if data.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {data.get('schema_version')!r}")
+    if data.get("kind") != "solution":
+        raise ValueError(f"not a solution file (kind={data.get('kind')!r})")
+    m = _get(data, "m", (int,))
+    if not 1 <= m <= MAX_M:
+        raise ValueError(f"spatial dimension m={m} outside 1..{MAX_M}")
+    ctx = AlgebraContext(m)
+    terms = {}
+    masks = {}
+    for row in _get(data, "terms", (list,)):
+        if not isinstance(row, dict):
+            raise ValueError(f"term row must be an object, got {row!r}")
+        exps = _int_list(_get(row, "exponents", (list,), "term row"), "exponents")
+        if len(exps) != ctx.m:
+            raise ValueError("exponent tuple length does not match m")
+        n = _get(row, "n", (int,), "term row")
+        if n < 0:
+            raise ValueError(f"t exponent n={n} is negative")
+        lam = decode_scalar(_get(row, "lambda", (list,), "term row"))
+        coeffs = {}
+        for blade in _get(row, "blades", (list,), "term row"):
+            if not (isinstance(blade, list) and len(blade) == 2
+                    and isinstance(blade[0], str)):
+                raise ValueError(f"blade entry must be [label, [re, im]], got {blade!r}")
+            mask = masks.get(blade[0])
+            if mask is None:
+                mask = masks[blade[0]] = ctx.blade_from_label(blade[0])
+            coeffs[mask] = decode_scalar(blade[1])
+        mv = Multivector(ctx, {m_: v for m_, v in coeffs.items() if v != 0})
+        if not mv.is_zero():
+            key = (exps, n, lam)
+            prev = terms.get(key)
+            terms[key] = mv if prev is None else prev + mv
+    body = SpaceTimeFunction(ctx, terms)
+    mode = _get(data, "mode", (str,))
+    if mode not in ALL_MODES:
+        raise ValueError(f"solution field 'mode' is {mode!r}, not one of {ALL_MODES}")
+    k = _get(data, "k", (int, list))
+    if k == []:
+        raise ValueError("solution field 'k' is an empty list")
+    ks = _int_list(k if isinstance(k, list) else [k], "k")
+    if isinstance(k, list) and mode.startswith("parabolic"):
+        raise ValueError(f"solution field 'k' of a {mode} solution must be "
+                         f"one integer, got {k!r}")
+    k = ks if isinstance(k, list) else ks[0]
+    zeta = data.get("zeta")
+    if zeta is not None and not isinstance(zeta, dict):
+        raise ValueError("zeta must be an object or null")
+    extra = data.get("extra") or {}
+    if not isinstance(extra, dict):
+        raise ValueError("extra must be an object")
+    L = _get(data, "L", (int,))
+    if L < 0:
+        raise ValueError(f"truncation L={L} is negative")
+    _check_series_degrees(body, mode, ks, L)
+    return SeriesSolution(body=body, mode=mode, m=ctx.m,
+                          k=k, L=L,
+                          exact=_get(data, "exact", (bool,)),
+                          zeta=_decode_zeta(zeta), extra=dict(extra))

@@ -445,6 +445,23 @@ def test_eval_rejects_short_points_row(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_eval_rejects_a_row_without_the_declared_t(capsys, tmp_path):
+    sol_path = tmp_path / "sol.json"
+    run(capsys, "build", "--mode", "parabolic-closed", "--m", "2", "--k", "0",
+        "--profile", "t", "--out", str(sol_path))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,t\n0.5,0.5,1\n0.5,0.5\n")
+    code, stdout, err = run(capsys, "eval", "--solution", str(sol_path),
+                            "--points", str(pts))
+    assert code == 2
+    assert "points row 3 has no t cell" in err and stdout == ""
+    # a file whose header declares no t still reads t = 0
+    pts.write_text("x1,x2\n0.5,0.5\n")
+    code, stdout, _ = run(capsys, "eval", "--solution", str(sol_path),
+                          "--points", str(pts))
+    assert code == 0 and stdout.splitlines()[1].startswith("0.5,0.5,0.0,")
+
+
 # JSON nested deeper than the parser follows
 DEEP = "[" * 5000 + "]" * 5000
 

@@ -1,11 +1,15 @@
 import functools
 import json
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import solution_from_dict_reference
+from paradirac import cli
 from paradirac.algebra import AlgebraContext, Multivector
 from paradirac.builders import (SeriesSolution, build_generalized,
                                 build_helmholtz, build_parabolic_closed)
@@ -19,6 +23,7 @@ from paradirac.serialize import (SCHEMA_VERSION, _dumps, check_report_to_dict,
 from paradirac.timefn import SpaceTimeFunction, TimeFunction
 from paradirac.verify import CheckReport, ResidualReport, dirac_residual
 from paradirac.zeta import ZetaElement
+from test_golden import DIGESTS, EVAL_DIGESTS
 
 
 @pytest.mark.parametrize("value", [
@@ -207,13 +212,30 @@ json_leaves = (st.none() | st.booleans() | st.integers() | st.floats()
                | st.sampled_from(["1/2", "1/0", "-0", "x"]))
 
 
+def _negated(part):
+    """-part of a JSON scalar part: an int, a float or a "p/q" string."""
+    if isinstance(part, str):
+        return part[1:] if part.startswith("-") else "-" + part
+    return -part
+
+
 @st.composite
 def damaged_solutions(draw):
     """A valid solution dict with one field, top-level or in a term row,
-    replaced by an arbitrary JSON value (or removed), or with one part of
-    a term's lambda or blade value replaced by a JSON leaf."""
+    replaced by an arbitrary JSON value (or removed), with one part of a
+    term's lambda or blade value replaced by a JSON leaf, or with a term
+    row repeated, some of its values negated."""
     data = _valid_dict()
     target = data
+    if draw(st.integers(0, 3)) == 0:
+        # a repeated key, whose values may cancel the first row's
+        rows = data["terms"]
+        row = json.loads(json.dumps(rows[draw(st.integers(0, len(rows) - 1))]))
+        for blade in row["blades"]:
+            if draw(st.booleans()):
+                blade[1] = [_negated(part) for part in blade[1]]
+        rows.insert(draw(st.integers(0, len(rows))), row)
+        return data
     if draw(st.integers(0, 2)) == 0:
         row = data["terms"][draw(st.integers(0, len(data["terms"]) - 1))]
         pair = draw(st.sampled_from([row["lambda"]]
@@ -230,11 +252,38 @@ def damaged_solutions(draw):
     return data
 
 
-def _loads_or_value_error(data):
-    """data loads, or raises ValueError; what loads also writes back out."""
+def typed_terms(F):
+    """Each key of F in order, with its lambda's type and its blades, values
+    and value types in order."""
+    return [(key, type(key[2]), [(mask, repr(v), type(v))
+                                 for mask, v in F.coeffs(key).items()])
+            for key in F.keys()]
+
+
+def _loads_like_reference(data):
+    """solution_from_dict raises the reference loader's ValueError, message
+    for message, or returns the reference's solution with the same terms
+    in the same order and values of the same types."""
     try:
-        sol = solution_from_dict(data)
-    except ValueError:
+        want = solution_from_dict_reference(data)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            solution_from_dict(data)
+        assert str(got.value) == str(exc)
+        return None
+    sol = solution_from_dict(data)
+    assert (sol.mode, sol.m, sol.k, sol.L, sol.exact, sol.zeta, sol.extra) \
+        == (want.mode, want.m, want.k, want.L, want.exact, want.zeta, want.extra)
+    assert sol.body == want.body
+    assert typed_terms(sol.body) == typed_terms(want.body)
+    return sol
+
+
+def _loads_or_value_error(data):
+    """data loads as the reference loads it, or raises the reference's
+    ValueError; what loads also writes back out."""
+    sol = _loads_like_reference(data)
+    if sol is None:
         return
     assert isinstance(sol, SeriesSolution)
     again = solution_to_dict(sol)
@@ -270,13 +319,16 @@ SCALARS = {
 }
 
 
+LAMBDAS = (0, 0, Fraction(-1, 2), 2, -1.0, -0.0, 5e-324, 0.5j,
+           complex(-0.0, 1e308), GaussianRational(0, Fraction(1, 3)))
+
+
 @st.composite
 def bodies(draw, m):
     """A space-time body with exact, Gaussian, float or complex values."""
     ctx = AlgebraContext(m)
     values = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
-    lams = st.sampled_from((0, 0, Fraction(-1, 2), 2, -1.0, 0.5j,
-                            GaussianRational(0, Fraction(1, 3))))
+    lams = st.sampled_from(LAMBDAS)
     keys = st.tuples(st.tuples(*[st.integers(0, 3)] * m), st.integers(0, 2), lams)
     terms = {}
     for key in draw(st.lists(keys, max_size=5)):
@@ -288,18 +340,22 @@ def bodies(draw, m):
 
 
 @st.composite
-def solution_dicts(draw):
+def solutions(draw):
     m = draw(st.integers(1, 4))
     body = draw(bodies(m))
     zeta = draw(st.none() | st.builds(ZetaElement, *[SCALARS["gaussian"]] * 4))
     extra = draw(st.dictionaries(st.text(max_size=4), st.one_of(
         st.text(max_size=4), st.integers(), FLOAT_PARTS, SCALARS["complex"]),
         max_size=2))
-    sol = SeriesSolution(body=body, mode="helmholtz", m=m,
-                         k=draw(st.integers(0, 3) | st.tuples(st.integers(0, 3))),
-                         L=draw(st.integers(0, 9)), exact=draw(st.booleans()),
-                         zeta=zeta, extra=extra)
-    data = solution_to_dict(sol)
+    return SeriesSolution(body=body, mode="helmholtz", m=m,
+                          k=draw(st.integers(0, 3) | st.tuples(st.integers(0, 3))),
+                          L=draw(st.integers(0, 9)), exact=draw(st.booleans()),
+                          zeta=zeta, extra=extra)
+
+
+@st.composite
+def solution_dicts(draw):
+    data = solution_to_dict(draw(solutions()))
     for row in data["terms"]:
         if draw(st.integers(0, 3)) == 0:
             row["blades"] = []
@@ -345,3 +401,110 @@ def test_save_report_writes_json_dumps_text(tmp_path):
         save_report({(1, 2): 0}, str(path))
     with pytest.raises(TypeError):
         _dumps({"x": {1, 2}}, "")
+
+
+# -- the body-fed writer against json.dumps of the dicts -------------------------
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A scratch directory holding an exact parabolic and an exact series
+    solution file."""
+    root = tmp_path_factory.mktemp("files")
+    ctx = AlgebraContext(1)
+    M = monogenic_basis(ctx, 0)[0]
+    save_solution(build_parabolic_closed(M, TimeFunction.polynomial(ctx, [1, 2])),
+                  str(root / "parabolic.json"))
+    save_solution(build_generalized(M, ZetaElement(1, 0, 0, 1), L=2),
+                  str(root / "series.json"))
+    return root
+
+
+def _edge_value(kind, rng):
+    parts = (-0.0, 5e-324, 1e308, -1e308, 0.5, rng.uniform(-2, 2))
+    if kind == "exact":
+        return rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-99, 99),
+                                                        rng.randint(1, 99))))
+    if kind == "gaussian":
+        return GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                                Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    if kind == "float":
+        return rng.choice(parts)
+    return complex(rng.choice(parts), rng.choice(parts))
+
+
+@st.composite
+def large_bodies(draw, m):
+    """A body of 500 (listed in a report) or more (not listed) terms, added
+    in shuffled order, with values of one kind."""
+    ctx = AlgebraContext(m)
+    kind = draw(st.sampled_from(sorted(SCALARS)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    size = draw(st.sampled_from((500, 501, 650)))
+    keys = [((j % 50,) + tuple(rng.randint(0, 3) for _ in range(m - 1)), j // 50,
+             rng.choice(LAMBDAS)) for j in range(size)]
+    rng.shuffle(keys)
+    terms = {}
+    for key in keys:
+        blades = {rng.randrange(1 << (m + 2)): _edge_value(kind, rng)
+                  for _ in range(rng.randint(1, 3))}
+        if any(blades.values()):
+            terms[key] = Multivector(ctx, blades)
+    return SpaceTimeFunction(ctx, terms)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(solutions())
+def test_save_solution_writes_json_dumps_of_the_solution_dict(files, sol):
+    path = files / "written.json"
+    save_solution(sol, str(path))
+    assert path.read_text() == json.dumps(solution_to_dict(sol), indent=1) + "\n"
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_verify_out_writes_json_dumps_of_the_report_dict(files, data):
+    m = data.draw(st.integers(1, 4))
+    body = data.draw(st.none() | bodies(m) | large_bodies(m))
+    rep = ResidualReport(
+        mode="gen-monogenic", exact_zero=body is not None and body.is_zero(),
+        residual_poly=body,
+        sup_norm_by_radius=data.draw(st.lists(st.tuples(FLOAT_PARTS, FLOAT_PARTS),
+                                              max_size=3)),
+        estimated_order=data.draw(st.none() | FLOAT_PARTS),
+        expected_order=data.draw(st.none() | FLOAT_PARTS),
+        support_degrees=data.draw(st.none() | st.tuples(st.integers(0, 9))),
+        passed=data.draw(st.booleans()), seed=data.draw(st.none() | st.integers()))
+    comp = CheckReport("component-conditions", data.draw(st.booleans()),
+                       data.draw(st.dictionaries(st.text(max_size=6), st.booleans(),
+                                                 max_size=5)))
+    parabolic = data.draw(st.booleans())
+    sol = files / ("parabolic.json" if parabolic else "series.json")
+    path = files / "report.json"
+    # the residual and the component conditions judged are the drawn ones
+    with mock.patch.object(cli, "dirac_residual", lambda *args, **kw: rep), \
+            mock.patch.object(cli, "check_component_conditions", lambda s: comp):
+        code = cli.main(["verify", "--solution", str(sol), "--out", str(path)])
+    want = residual_report_to_dict(rep)
+    if parabolic:
+        want["component_conditions"] = check_report_to_dict(comp)
+    want["passed"] = rep.passed and (comp.passed or not parabolic)
+    assert code == (0 if want["passed"] else 1)
+    assert path.read_text() == json.dumps(want, indent=1) + "\n"
+
+
+# -- the one-pass loader against the reference loader ---------------------------
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(solution_dicts())
+def test_loader_reads_drawn_solutions_as_the_reference(data):
+    _loads_like_reference(json.loads(json.dumps(data)))
+
+
+@pytest.mark.parametrize("argv", sorted(set(DIGESTS) | set(EVAL_DIGESTS)))
+def test_loader_reads_golden_files_as_the_reference(argv, tmp_path):
+    path = tmp_path / "sol.json"
+    assert cli.main(["build", *argv.split(" "), "--out", str(path)]) == 0
+    assert _loads_like_reference(json.loads(path.read_text())) is not None
