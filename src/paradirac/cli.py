@@ -26,7 +26,7 @@ from .harmonics import harmonic_basis, monogenic_basis
 from .scalars import GaussianRational, Scalar, parse_rational, to_float
 from .serialize import (MAX_M, check_report_to_dict, decode_scalar,
                         load_solution, parse_json, read_points_csv,
-                        residual_report_fields, save_report, save_solution,
+                        _residual_report_fields, save_report, save_solution,
                         write_eval_csv)
 from .timefn import TimeFunction
 from .verify import (CheckReport, check_component_conditions,
@@ -235,7 +235,7 @@ def cmd_verify(args) -> int:
     radii = [float(tok) for tok in args.radii.split(",")]
     report = dirac_residual(sol, radii=radii, seed=args.seed,
                             order_tol=args.order_tol)
-    out = residual_report_fields(report)
+    out = _residual_report_fields(report)
     passed = report.passed
     if sol.mode.startswith("parabolic") and sol.exact:
         # the solution remembers the D F its residual took

@@ -441,14 +441,6 @@ class SparseTerms:
         self._nums, self._D = _to_numerators(rows)
 
     @classmethod
-    def from_values(cls, ctx: AlgebraContext, rows: Rows):
-        """Body from {key: {blade: value}} rows with no zero value, such as
-        a file's decoded terms; an empty row is dropped, and the rows'
-        dicts may become the body's own."""
-        return cls._make(ctx, *_to_numerators(
-            {key: vals for key, vals in rows.items() if vals}))
-
-    @classmethod
     def _make(cls, ctx: AlgebraContext, nums: Rows, D: Optional[int]):
         """Body from numerators over D, or from raw values for D None."""
         self = cls.__new__(cls)

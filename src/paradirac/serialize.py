@@ -18,13 +18,14 @@ made; every other value is nested as the json encoder nests it.
 solution_to_dict and residual_report_to_dict expand that slot into one
 dict per term, the JSON values that the text stands for.
 
-Reading.  load_solution decodes the rows in one pass into
-{key: {blade: value}}, which becomes the body (SparseTerms.from_values)
-with no Multivector per row; a repeated key is added to its first row
-as Multivector + adds.  An [int, 0] pair, a finite [float, 0] pair and
-a "p/q" part already read with imaginary part 0 take a fast path; every
-other value, and every field, goes through decode_scalar and the field
-checks, so a damaged file is refused with the message it always was.
+Reading.  load_solution decodes the rows in one pass, each row into one
+Multivector of its nonzero values, and the body is made from them by the
+SpaceTimeFunction constructor; a repeated key is added to its first row
+with Multivector +.  Every value goes through decode_scalar, which takes
+an [int, 0] pair or a finite [float, 0] pair, most of a file, as its
+real part before any other check; every other value, and every field,
+meets the checks it always met, so a damaged file is refused with the
+message it always was.
 """
 
 from __future__ import annotations
@@ -86,6 +87,12 @@ def _decode_part(raw) -> Scalar:
 
 
 def decode_scalar(pair) -> Scalar:
+    if type(pair) is list and len(pair) == 2 and type(pair[1]) is int \
+            and pair[1] == 0:
+        # an [int, 0] or finite [float, 0] pair, most of a file, is its real part
+        re = pair[0]
+        if type(re) is int or type(re) is float and re - re == 0:
+            return re
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise ValueError(f"scalar must be an [re, im] pair, got {pair!r}")
     re, im = pair
@@ -167,25 +174,6 @@ def solution_to_dict(sol: SeriesSolution) -> dict:
     return data
 
 
-def _decoder():
-    """decode_scalar, with fast paths for an [int, 0] pair, a finite
-    [float, 0] pair and a "p/q" part read before with imaginary part 0;
-    every other pair goes through decode_scalar and its checks."""
-    parsed: Dict[str, Scalar] = {}
-
-    def value(pair) -> Scalar:
-        if type(pair) is list and len(pair) == 2 and type(pair[1]) is int \
-                and pair[1] == 0:
-            re = pair[0]
-            if type(re) is int or type(re) is float and re - re == 0:
-                return re
-            if type(re) is str:
-                v = parsed.get(re)
-                return v if v is not None else parsed.setdefault(re, decode_scalar(pair))
-        return decode_scalar(pair)
-    return value
-
-
 def _get(data: dict, key: str, kinds, where: str = "solution"):
     """data[key], which must exist and be an instance of kinds (never bool)."""
     if key not in data:
@@ -214,9 +202,8 @@ def solution_from_dict(data: dict) -> SeriesSolution:
     if not 1 <= m <= MAX_M:
         raise ValueError(f"spatial dimension m={m} outside 1..{MAX_M}")
     ctx = AlgebraContext(m)
-    rows: Dict[tuple, Dict[int, Scalar]] = {}
+    rows: Dict[tuple, Multivector] = {}
     masks: Dict[str, int] = {}      # blade label -> mask, each parsed once
-    value = _decoder()
     for row in _get(data, "terms", (list,)):
         if not isinstance(row, dict):
             raise ValueError(f"term row must be an object, got {row!r}")
@@ -226,7 +213,7 @@ def solution_from_dict(data: dict) -> SeriesSolution:
         n = _get(row, "n", (int,), "term row")
         if n < 0:
             raise ValueError(f"t exponent n={n} is negative")
-        lam = value(_get(row, "lambda", (list,), "term row"))
+        lam = decode_scalar(_get(row, "lambda", (list,), "term row"))
         vals = {}
         for blade in _get(row, "blades", (list,), "term row"):
             if not (isinstance(blade, list) and len(blade) == 2
@@ -235,16 +222,16 @@ def solution_from_dict(data: dict) -> SeriesSolution:
             mask = masks.get(blade[0])
             if mask is None:
                 mask = masks[blade[0]] = ctx.blade_from_label(blade[0])
-            vals[mask] = value(blade[1])
+            vals[mask] = decode_scalar(blade[1])
         if not all(vals.values()):
             vals = {mask: v for mask, v in vals.items() if v}
         if vals:
             # a repeated key adds its row; one that cancels keeps its place
             key = (exps, n, lam)
             prev = rows.get(key)
-            rows[key] = vals if prev is None else (
-                Multivector(ctx, prev) + Multivector(ctx, vals)).terms
-    body = SpaceTimeFunction.from_values(ctx, rows)
+            rows[key] = (Multivector(ctx, vals) if prev is None
+                         else prev + Multivector(ctx, vals))
+    body = SpaceTimeFunction(ctx, rows)
     mode = _get(data, "mode", (str,))
     if mode not in ALL_MODES:
         raise ValueError(f"solution field 'mode' is {mode!r}, not one of {ALL_MODES}")
@@ -313,7 +300,7 @@ def parse_json(text: str, what: str):
 # -- reports -------------------------------------------------------------
 
 
-def residual_report_fields(rep: ResidualReport) -> dict:
+def _residual_report_fields(rep: ResidualReport) -> dict:
     """The report's fields, with the residual body itself as its "terms"
     (when it has 1 to MAX_REPORT_TERMS terms); save_report writes it."""
     residual = None
@@ -339,7 +326,7 @@ def residual_report_fields(rep: ResidualReport) -> dict:
 
 def residual_report_to_dict(rep: ResidualReport) -> dict:
     """The report as JSON values, one dict per residual term."""
-    data = residual_report_fields(rep)
+    data = _residual_report_fields(rep)
     residual = data["residual_poly"]
     if residual is not None and "terms" in residual:
         residual["terms"] = _term_dicts(residual["terms"])

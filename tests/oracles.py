@@ -13,15 +13,16 @@ body and assembling it again, and a solution file read row by row into
 Multivectors and summed by the body constructor.
 """
 
+import cmath
 from fractions import Fraction
 
 from paradirac.algebra import AlgebraContext, Multivector, split, witt_basis
 from paradirac.builders import ALL_MODES, SeriesSolution
 from paradirac.poly import (CliffordPoly, SpaceTimeFunction, Sum, TimeFunction,
                            rho_squared, vector_variable)
-from paradirac.scalars import GaussianRational
+from paradirac.scalars import GaussianRational, to_float
 from paradirac.serialize import (MAX_M, SCHEMA_VERSION, _check_series_degrees,
-                                 _decode_zeta, _get, _int_list, decode_scalar)
+                                 _decode_part, _decode_zeta, _get, _int_list)
 from paradirac.timefn import assemble_split
 from paradirac.verify import T_SAMPLES, estimate_order, unit_directions
 from paradirac.zeta import PowerSeries, ZetaElement, sylvester_eval
@@ -481,9 +482,28 @@ def split_perturbed(body, slot, delta):
     return assemble_split(*parts)
 
 
+def decode_scalar_reference(pair):
+    """An [re, im] pair read as decode_scalar read it before its fast path
+    for [int, 0] and finite [float, 0] pairs."""
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        raise ValueError(f"scalar must be an [re, im] pair, got {pair!r}")
+    re, im = pair
+    if type(re) not in (int, float):
+        re = _decode_part(re)
+    if type(im) not in (int, float):
+        im = _decode_part(im)
+    if isinstance(re, float) or isinstance(im, float):
+        v = (complex(to_float(re), to_float(im))
+             if isinstance(im, float) or im != 0 else to_float(re))
+        if not cmath.isfinite(v):
+            raise ValueError(f"scalar {pair!r} is not finite")
+        return v
+    return re if im == 0 else GaussianRational(re, im)
+
+
 def solution_from_dict_reference(data):
     """A solution dict read as the loader read it before its fast paths:
-    every value through decode_scalar, one Multivector per row, a
+    every value through decode_scalar_reference, one Multivector per row, a
     repeated key added with Multivector +, and the terms made a body by
     the SpaceTimeFunction constructor."""
     if not isinstance(data, dict):
@@ -507,7 +527,7 @@ def solution_from_dict_reference(data):
         n = _get(row, "n", (int,), "term row")
         if n < 0:
             raise ValueError(f"t exponent n={n} is negative")
-        lam = decode_scalar(_get(row, "lambda", (list,), "term row"))
+        lam = decode_scalar_reference(_get(row, "lambda", (list,), "term row"))
         coeffs = {}
         for blade in _get(row, "blades", (list,), "term row"):
             if not (isinstance(blade, list) and len(blade) == 2
@@ -516,7 +536,7 @@ def solution_from_dict_reference(data):
             mask = masks.get(blade[0])
             if mask is None:
                 mask = masks[blade[0]] = ctx.blade_from_label(blade[0])
-            coeffs[mask] = decode_scalar(blade[1])
+            coeffs[mask] = decode_scalar_reference(blade[1])
         mv = Multivector(ctx, {m_: v for m_, v in coeffs.items() if v != 0})
         if not mv.is_zero():
             key = (exps, n, lam)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import solution_from_dict_reference
+from oracles import decode_scalar_reference, solution_from_dict_reference
 from paradirac import cli
 from paradirac.algebra import AlgebraContext, Multivector
 from paradirac.builders import (SeriesSolution, build_generalized,
@@ -297,11 +297,27 @@ def test_solution_from_dict_on_arbitrary_json(data):
     _loads_or_value_error(data)
 
 
-@settings(max_examples=300, deadline=None,
+@settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(damaged_solutions())
 def test_solution_from_dict_on_damaged_files(data):
     _loads_or_value_error(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(json_leaves, min_size=2, max_size=2), json_values))
+def test_decode_scalar_matches_reference(pair):
+    """decode_scalar's fast path returns what the reference decoding does,
+    of the same type, or both raise the same ValueError."""
+    try:
+        want = decode_scalar_reference(pair)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            decode_scalar(pair)
+        assert str(got.value) == str(exc)
+        return
+    got = decode_scalar(pair)
+    assert (type(got), repr(got)) == (type(want), repr(want))
 
 
 # -- the JSON text encoder ----------------------------------------------------------
