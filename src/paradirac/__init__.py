@@ -6,11 +6,11 @@ from .algebra import (AlgebraContext, AlgebraMismatchError, Multivector,
                       SplitForm, split, witt_basis)
 from .builders import (ALL_MODES, SeriesSolution, build_generalized,
                        build_helmholtz, build_parabolic_closed,
-                       build_parabolic_recurrence, parabolic_from_generalized)
+                       build_parabolic_recurrence)
 from .harmonics import (HarmonicPoly, MonogenicPoly, harmonic_basis,
                         harmonic_dimension, integer_rescale, monogenic_basis,
                         monogenic_decompose)
-from .poly import CliffordPoly, rho_squared, vector_variable
+from .poly import rho_squared, vector_variable
 from .scalars import GaussianRational
 from .serialize import (load_solution, residual_report_to_dict, save_report,
                         save_solution, solution_from_dict, solution_to_dict)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraContext", "AlgebraMismatchError", "Multivector", "SplitForm",
     "split", "witt_basis",
-    "CliffordPoly", "rho_squared", "vector_variable",
+    "rho_squared", "vector_variable",
     "GaussianRational",
     "TimeFunction", "SpaceTimeFunction", "apply_0F1", "assemble_split",
     "heat_residual", "parabolic_dirac",
@@ -35,7 +35,6 @@ __all__ = [
     "ZetaElement", "PowerSeries", "NotInvertibleError", "sylvester_eval",
     "SeriesSolution", "ALL_MODES", "build_parabolic_closed",
     "build_parabolic_recurrence", "build_helmholtz", "build_generalized",
-    "parabolic_from_generalized",
     "CheckReport", "ResidualReport", "check_factorization",
     "check_component_conditions", "dirac_residual", "cross_check",
     "estimate_order", "perturb_component", "symbolic_residual",

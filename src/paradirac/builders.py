@@ -44,8 +44,7 @@ from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .algebra import AlgebraContext, witt_basis
 from .harmonics import HarmonicPoly, MonogenicPoly
-from .poly import (CliffordPoly, Sum, radial_product, radial_series,
-                   vector_variable)
+from .poly import Sum, radial_product, radial_series, vector_variable
 from .timefn import (ProfileWeight, SpaceTimeFunction, TimeFunction, apply_0F1,
                      derivatives)
 from .zeta import (IntMatrix, NotInvertibleError, PowerSeries, ZetaElement,
@@ -60,7 +59,7 @@ class RadialForm(NamedTuple):
     """The radial form of an exact build, sum_l rho^{2l} (P_l M + Q_l x M)
     over each head M of degree k.
 
-    heads holds (k, M, P, Q) per head, M the head's CliffordPoly and P and
+    heads holds (k, M, P, Q) per head, M the head's body and P and
     Q tuples of L+1 IntMatrix values; a Helmholtz build has P_l = w_l and
     Q None.  A parabolic build's zeta is None and its P and Q hold one
     ProfileWeight per level, every level past the last zero.  mode, k, L
@@ -71,7 +70,7 @@ class RadialForm(NamedTuple):
     k: Union[int, Tuple[int, ...]]
     L: int
     zeta: Optional[ZetaElement]
-    heads: Tuple[Tuple[int, CliffordPoly, tuple, Optional[tuple]], ...]
+    heads: Tuple[Tuple[int, SpaceTimeFunction, tuple, Optional[tuple]], ...]
 
 
 @dataclass
@@ -221,16 +220,15 @@ def _parabolic_solution(mode: str, M: MonogenicPoly, L: int, count: int,
         parts = [tuple((Fraction(p, q), d, False) for p, q, d in slot.values() if p)
                  for slot in slots]
         levels.append(parts)
-        level = Sum(SpaceTimeFunction, ctx)
+        level = Sum(ctx)
         for slot, part in enumerate(parts):
             for c, p, _ in () if first is not None and slot % 2 == 0 else part:
                 if slot not in heads:
                     unit, base = units[slot // 2], bases[slot % 2]
-                    heads[slot] = SpaceTimeFunction.from_poly(
-                        base if unit is None else base.lmul(unit))
+                    heads[slot] = base if unit is None else base.lmul(unit)
                 level.product(heads[slot], p, c)
         blocks.append((l, level.value()))
-    body = radial_series(SpaceTimeFunction, ctx, [blocks])
+    body = radial_series(ctx, [blocks])
     body = body if first is None else first + body
     exact = M.poly.is_exact() and all(tf.is_polynomial() and tf.is_exact()
                                       for tf in seeds)
@@ -250,14 +248,14 @@ def _radial_solution(mode: str, heads: list, L: int, z: ZetaElement,
     keeps the form."""
     ctx = heads[0].poly.ctx
     x = vector_variable(ctx)
-    body = radial_series(CliffordPoly, ctx, [
+    body = radial_series(ctx, [
         [(l, radial_product(w, p)) for p, levels in
          [(h.poly, P)] + ([] if Q is None else [(x * h.poly, Q)])
          for l, w in enumerate(levels)]
         for h, (P, Q) in zip(heads, weights)])
     degrees = tuple(h.degree for h in heads)
-    sol = SeriesSolution(body=SpaceTimeFunction.from_poly(body), mode=mode,
-                         m=ctx.m, k=degrees if len(degrees) > 1 else degrees[0],
+    sol = SeriesSolution(body=body, mode=mode, m=ctx.m,
+                         k=degrees if len(degrees) > 1 else degrees[0],
                          L=L, exact=False, zeta=z, extra=extra)
     if keep:
         sol._radial = (sol.body, RadialForm(mode, sol.k, L, z, tuple(
@@ -373,23 +371,3 @@ def build_generalized(M, z: ZetaElement, L: int = 12,
     return _radial_solution(f"gen-{form}", heads, L, z, [
         _generalized_weights(form, Z, h.degree, m, L) for h in heads], exact)
 
-
-def parabolic_from_generalized(M: MonogenicPoly, lam: Union[int, float, complex],
-                               L: int = 12) -> SeriesSolution:
-    """Recover a parabolic null-solution from the generalized machinery.
-
-    For a pure exponential profile exp(lam t), the substitution
-    zeta = lam f + fdag turns d_x + f d_t + fdag acting on exp(lam t) g
-    into exp(lam t) (d_x + zeta) g.  Builds the generalized monogenic
-    series for that zeta and multiplies the exponential back on.
-    """
-    (M,) = _as_list(M, MonogenicPoly, L)
-    ctx = M.poly.ctx
-    z = ZetaElement(0, lam, 1, 0)
-    gen = build_generalized(M, z, L, form="monogenic")
-    profile = TimeFunction.term(ctx, 1, n=0, lam=lam)
-    body = gen.body * profile
-    exact = False
-    return SeriesSolution(body=body, mode="parabolic-closed", m=ctx.m,
-                          k=M.degree, L=L, exact=exact, zeta=z,
-                          extra={"lambda": lam, "via": "generalized"})

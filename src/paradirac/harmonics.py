@@ -21,37 +21,42 @@ from math import comb
 from typing import List, Tuple
 
 from .algebra import AlgebraContext
-from .poly import CliffordPoly, integer_rescale, vector_variable
+from .poly import SpaceTimeFunction, integer_rescale, vector_variable
+
+
+def _check_head(poly: SpaceTimeFunction, degree: int, op, what: str) -> None:
+    """ValueError unless poly is zero, or free of t, homogeneous of the
+    given degree and annihilated by op."""
+    if poly.is_zero():
+        return
+    if any(n or lam != 0 for _, n, lam in poly.keys()):
+        raise ValueError("a head is a polynomial in x alone, with no t term")
+    if not poly.is_homogeneous() or poly.degree() != degree:
+        raise ValueError(f"not homogeneous of degree {degree}")
+    if not op(poly).is_zero():
+        raise ValueError(f"polynomial is not {what}")
 
 
 @dataclass(frozen=True)
 class HarmonicPoly:
     """Homogeneous degree-k polynomial with laplacian(poly) = 0 exactly."""
 
-    poly: CliffordPoly
+    poly: SpaceTimeFunction
     degree: int
 
     def __post_init__(self):
-        if not self.poly.is_zero():
-            if not self.poly.is_homogeneous() or self.poly.degree() != self.degree:
-                raise ValueError(f"not homogeneous of degree {self.degree}")
-            if not self.poly.laplacian().is_zero():
-                raise ValueError("polynomial is not harmonic")
+        _check_head(self.poly, self.degree, SpaceTimeFunction.laplacian, "harmonic")
 
 
 @dataclass(frozen=True)
 class MonogenicPoly:
     """Homogeneous degree-k polynomial with dirac(poly) = 0 exactly."""
 
-    poly: CliffordPoly
+    poly: SpaceTimeFunction
     degree: int
 
     def __post_init__(self):
-        if not self.poly.is_zero():
-            if not self.poly.is_homogeneous() or self.poly.degree() != self.degree:
-                raise ValueError(f"not homogeneous of degree {self.degree}")
-            if not self.poly.dirac().is_zero():
-                raise ValueError("polynomial is not monogenic")
+        _check_head(self.poly, self.degree, SpaceTimeFunction.dirac, "monogenic")
 
 
 def harmonic_dimension(m: int, k: int) -> int:
@@ -105,8 +110,8 @@ def harmonic_basis(ctx: AlgebraContext, k: int) -> List[HarmonicPoly]:
                         key = low[:i] + (e - 2,) + low[i + 1:]
                         nxt[key] = nxt.get(key, 0) + f * e * (e - 1)
             layer, n = nxt, n + 2
-        terms = {key: ctx.scalar(coeffs[key]) for key in sorted(coeffs)}
-        out.append(HarmonicPoly(integer_rescale(CliffordPoly(ctx, terms)), k))
+        terms = {(key, 0, 0): ctx.scalar(coeffs[key]) for key in sorted(coeffs)}
+        out.append(HarmonicPoly(integer_rescale(SpaceTimeFunction(ctx, terms)), k))
     return out
 
 
@@ -121,7 +126,7 @@ def monogenic_decompose(h: HarmonicPoly) -> Tuple[MonogenicPoly, MonogenicPoly]:
     if k == 0:
         return (
             MonogenicPoly(h.poly, 0),
-            MonogenicPoly(CliffordPoly.zero(ctx), 0),
+            MonogenicPoly(SpaceTimeFunction.zero(ctx), 0),
         )
     divisor = ctx.m + 2 * k - 2
     assert divisor != 0

@@ -1,13 +1,13 @@
-"""The sparse term engine: Clifford-valued polynomials in x_1..x_m and t.
+"""The sparse term engine: Clifford-valued functions of x_1..x_m and t.
 
-SparseTerms stores a sum of terms key -> Multivector coefficient, zero
-coefficients never stored, and owns the whole linear structure, the
-coefficient products and the one set of spatial operators (partial,
-dirac, laplacian, evaluate); a subclass fixes only what a key is, how two
-keys combine in a product and how a key's spatial exponents are read and
-replaced.  CliffordPoly is keyed by exponent tuples; SpaceTimeFunction
-adds the time part (n, lambda) of a term c x^alpha t^n e^{lambda t} and
-owns d/dt, and TimeFunction is its x-independent slice.
+SpaceTimeFunction is the one body class: a sum of terms
+c x^alpha t^n e^{lambda t}, keyed (alpha, n, lambda) with a left
+Multivector coefficient c, zero coefficients never stored.  It owns the
+whole linear structure, the coefficient products and the one set of
+operators (partial, dirac, laplacian, d/dt, evaluate).  A polynomial in
+x is the slice n = 0, lambda = 0, whose readers (degree, is_homogeneous,
+truncate_degree) count spatial exponents only; TimeFunction is the
+x-independent slice.
 
 Storage rule.  An exact body (every coefficient an int, Fraction or
 GaussianRational) is stored as {key: {blade: numerator}} over one shared
@@ -208,20 +208,24 @@ class Sum:
 
     Each method records one stage and returns the Sum; value() makes the
     stages in order and merges each into one accumulator (see the module
-    docstring), returning a body of the given type.  A stage without a
-    scale adds its terms as they are; on raw values the int scale -1
-    negates each value, as unary minus does, and any other scale
-    multiplies each value, as scale() does.
+    docstring), returning a SpaceTimeFunction, or a TimeFunction when
+    every operand is one.  A stage without a scale adds its terms as they
+    are; on raw values the int scale -1 negates each value, as unary minus
+    does, and any other scale multiplies each value, as scale() does.
     """
 
     __slots__ = ("_cls", "ctx", "_stages")
 
-    def __init__(self, cls, ctx: AlgebraContext):
-        self._cls, self.ctx, self._stages = cls, ctx, []
+    def __init__(self, ctx: AlgebraContext):
+        self._cls, self.ctx, self._stages = None, ctx, []
 
-    def _check(self, body: "SparseTerms"):
+    def _check(self, body: "SpaceTimeFunction"):
         if body.ctx is not self.ctx and body.ctx != self.ctx:
             raise AlgebraMismatchError("sums over different algebra contexts")
+        if type(body) is not TimeFunction:
+            self._cls = SpaceTimeFunction
+        elif self._cls is None:
+            self._cls = TimeFunction
 
     def _stage(self, D: Optional[int], scale, make):
         """Record make(exact, f), which returns {key: row} of f times the
@@ -245,7 +249,7 @@ class Sum:
 
     # -- stages ----------------------------------------------------------------
 
-    def add(self, body: "SparseTerms", scale=None) -> "Sum":
+    def add(self, body: "SpaceTimeFunction", scale=None) -> "Sum":
         """+ scale * body."""
         self._check(body)
 
@@ -255,13 +259,13 @@ class Sum:
                     for key, vals in rows.items()}
         return self._stage(body._D, scale, make)
 
-    def lmul(self, mv: Multivector, body: "SparseTerms", scale=None) -> "Sum":
+    def lmul(self, mv: Multivector, body: "SpaceTimeFunction", scale=None) -> "Sum":
         """+ scale * mv * body."""
         self._check(body)
         mv._check(body)
         return self._const(mv, body._D, lambda: body, scale, True)
 
-    def rmul(self, mv: Multivector, body: "SparseTerms", scale=None) -> "Sum":
+    def rmul(self, mv: Multivector, body: "SpaceTimeFunction", scale=None) -> "Sum":
         """+ scale * body * mv."""
         self._check(body)
         mv._check(body)
@@ -291,19 +295,22 @@ class Sum:
         D = D * q if D is not None and q is not None else None
         return self._stage(D, scale, make)
 
-    def product(self, a: "SparseTerms", b: "SparseTerms", scale=None) -> "Sum":
+    def product(self, a: "SpaceTimeFunction", b: "SpaceTimeFunction",
+                scale=None) -> "Sum":
         """+ scale * a * b, the coefficient of a on the left."""
         self._check(a)
         self._check(b)
-        ctx, key_mul = self.ctx, self._cls._key_mul
+        ctx = self.ctx
 
         def make(exact, f):
             ra, rb = (a._nums, b._nums) if exact else (a._values(), b._values())
-            b_rows = [(kb, tb if f == 1 else _scaled(tb, f)) for kb, tb in rb.items()]
+            b_rows = [(eb, nb, lb, tb if f == 1 else _scaled(tb, f))
+                      for (eb, nb, lb), tb in rb.items()]
             out: Rows = {}
-            for ka, ta in ra.items():
-                for kb, tb in b_rows:
-                    key = key_mul(ka, kb)
+            for (ea, na, la), ta in ra.items():
+                for eb, nb, lb, tb in b_rows:
+                    lam = la + lb   # a canonical zero, as TimeFunction.term's
+                    key = (tuple(map(add, ea, eb)), na + nb, lam if lam else 0)
                     t = out.get(key)
                     if t is None:
                         t = out[key] = {}
@@ -312,48 +319,47 @@ class Sum:
         D = a._D * b._D if a._D is not None and b._D is not None else None
         return self._stage(D, scale, make)
 
-    def dirac(self, body: "SparseTerms", scale=None) -> "Sum":
+    def dirac(self, body: "SpaceTimeFunction", scale=None) -> "Sum":
         """+ scale * sum_i e_i d/dx_i body: left multiplication by e_i is a
         signed permutation of the blades, read from mul_row(e_i)."""
         self._check(body)
-        ctx, split_key, with_exps = self.ctx, body._split_key, body._with_exps
+        ctx = self.ctx
 
         def make(exact, f):
             tables = ctx._mul_rows
             out: Rows = {}
-            for key, vals in (body._nums if exact else body._values()).items():
-                exps = split_key(key)[0]
-                for i, n in enumerate(exps):
-                    if not n:
+            for (exps, n, lam), vals in (body._nums if exact
+                                         else body._values()).items():
+                for i, e in enumerate(exps):
+                    if not e:
                         continue
-                    new = with_exps(key, exps[:i] + (n - 1,) + exps[i + 1:])
+                    new = (exps[:i] + (e - 1,) + exps[i + 1:], n, lam)
                     t = out.get(new)
                     if t is None:
                         t = out[new] = {}
                     _mul_blade_into(t, tables.get(2 << i) or ctx.mul_row(2 << i),
-                                    _nmul(n, f), vals)
+                                    _nmul(e, f), vals)
             return out
         return self._stage(body._D, scale, make)
 
-    def lowered(self, body: "SparseTerms", by: int, indices, scale=None) -> "Sum":
+    def lowered(self, body: "SpaceTimeFunction", by: int, indices, scale=None) -> "Sum":
         """+ scale * sum over i in indices of n!/(n-by)! c x^(exps - by e_i),
         n = exps[i]: partial derivatives (by = 1) and the Laplacian (by = 2)."""
         self._check(body)
-        split_key, with_exps = body._split_key, body._with_exps
 
         def make(exact, f):
             out: Rows = {}
-            for key, vals in (body._nums if exact else body._values()).items():
-                exps = split_key(key)[0]
+            for (exps, n, lam), vals in (body._nums if exact
+                                         else body._values()).items():
                 for i in indices:
-                    n = exps[i]
-                    if n >= by:
-                        new = with_exps(key, exps[:i] + (n - by,) + exps[i + 1:])
-                        _merge(out, new, _scaled(vals, _nmul(perm(n, by), f)))
+                    e = exps[i]
+                    if e >= by:
+                        new = (exps[:i] + (e - by,) + exps[i + 1:], n, lam)
+                        _merge(out, new, _scaled(vals, _nmul(perm(e, by), f)))
             return out
         return self._stage(body._D, scale, make)
 
-    def laplacian(self, body: "SparseTerms", scale=None) -> "Sum":
+    def laplacian(self, body: "SpaceTimeFunction", scale=None) -> "Sum":
         return self.lowered(body, 2, range(self.ctx.m), scale)
 
     def d_dt(self, body: "SpaceTimeFunction", scale=None) -> "Sum":
@@ -389,7 +395,7 @@ class Sum:
 
     # -- the result ------------------------------------------------------------
 
-    def value(self) -> "SparseTerms":
+    def value(self) -> "SpaceTimeFunction":
         """Make the stages and return their sum."""
         stages = self._stages
         raw = next((i for i, st in enumerate(stages) if st[0] is None), len(stages))
@@ -420,18 +426,20 @@ class Sum:
         except OverflowError:   # an exact value met a float: float() overflowed
             raise ValueError("a sum or product of an exact value and a float "
                              "is beyond the float range") from None
-        return self._cls._make(self.ctx, out, D if raw == len(stages) else None)
+        return (self._cls or SpaceTimeFunction)._make(
+            self.ctx, out, D if raw == len(stages) else None)
 
 
 # -- bodies -----------------------------------------------------------------------
 
 
-class SparseTerms:
-    """Finite sum of key -> nonzero left Multivector coefficient, value semantics."""
+class SpaceTimeFunction:
+    """Sum of c * x^alpha * t^n * e^{lambda t} with left Multivector c,
+    keyed (alpha, n, lambda); value semantics."""
 
     __slots__ = ("ctx", "_nums", "_D")
 
-    def __init__(self, ctx: AlgebraContext, terms: Dict[Hashable, Multivector]):
+    def __init__(self, ctx: AlgebraContext, terms: Dict[SpaceTimeKey, Multivector]):
         self.ctx = ctx
         rows = {}
         for key, mv in terms.items():
@@ -451,17 +459,19 @@ class SparseTerms:
         """A body of this type from rows like this body's, over D."""
         return type(self)._make(self.ctx, nums, D)
 
-    def _sum(self) -> Sum:
-        return Sum(type(self), self.ctx)
-
     @property
-    def terms(self) -> Dict[Hashable, Multivector]:
+    def terms(self) -> Dict[SpaceTimeKey, Multivector]:
         """{key: Multivector}, made afresh on every read."""
         return {key: Multivector(self.ctx, self.coeffs(key)) for key in self._nums}
 
     def keys(self):
-        """The term keys, a read-only view of the stored ones."""
+        """The term keys (exponents, n, lambda), a read-only view of the
+        stored ones."""
         return self._nums.keys()
+
+    def blades(self) -> set:
+        """The blades of every term's coefficient; no value is made."""
+        return {mask for vals in self._nums.values() for mask in vals}
 
     def coeffs(self, key) -> Dict[int, Scalar]:
         """{blade: value} of one term, a fresh dict: the numerators' values,
@@ -478,23 +488,6 @@ class SparseTerms:
             return self._nums
         return {key: self.coeffs(key) for key in self._nums}
 
-    # -- what a subclass fixes -------------------------------------------------
-
-    @staticmethod
-    def _key_mul(a, b):
-        """Key of the product of two terms."""
-        raise NotImplementedError
-
-    @staticmethod
-    def _split_key(key) -> Tuple[Exponents, int, Scalar]:
-        """(exponents, n, lambda) of the term c x^exps t^n e^{lambda t}."""
-        raise NotImplementedError
-
-    @staticmethod
-    def _with_exps(key, exps: Exponents):
-        """The key with its spatial exponents replaced by exps."""
-        raise NotImplementedError
-
     # -- construction --------------------------------------------------------
 
     @classmethod
@@ -507,6 +500,19 @@ class SparseTerms:
         mv = coeff if isinstance(coeff, Multivector) else ctx.scalar(coeff)
         return cls(ctx, {key: mv})
 
+    @classmethod
+    def constant(cls, ctx: AlgebraContext, coeff):
+        """Constant function from a Multivector or plain scalar."""
+        return cls._single(ctx, ((0,) * ctx.m, 0, 0), coeff)
+
+    @classmethod
+    def monomial(cls, ctx: AlgebraContext, exps: Sequence[int], coeff):
+        """coeff * x^exps."""
+        exps = tuple(exps)
+        if len(exps) != ctx.m or any(e < 0 for e in exps):
+            raise ValueError(f"bad exponent tuple {exps!r} for m={ctx.m}")
+        return cls._single(ctx, (exps, 0, 0), coeff)
+
     # -- inspection -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -517,7 +523,7 @@ class SparseTerms:
         if self._D is None and not all(is_exact(v) for vals in self._nums.values()
                                        for v in vals.values()):
             return False
-        return all(is_exact(self._split_key(key)[2]) for key in self._nums)
+        return all(is_exact(lam) for _, _, lam in self._nums)
 
     def term_max_abs(self, key) -> float:
         """max over the blades of one term of |value|, each value rounded
@@ -533,14 +539,29 @@ class SparseTerms:
 
     def is_finite(self) -> bool:
         """True when no coefficient and no lambda is an infinity or a NaN."""
-        values = [self._split_key(key)[2] for key in self._nums]
+        values = [lam for _, _, lam in self._nums]
         if self._D is None:     # raw values; numerators over D are ints
             values += [v for vals in self._nums.values() for v in vals.values()]
         return all(cmath.isfinite(v) for v in values
                    if isinstance(v, (float, complex)))
 
+    def degree(self) -> int:
+        """Total spatial degree; -1 for the zero body."""
+        return max((sum(exps) for exps, _, _ in self._nums), default=-1)
+
+    def is_homogeneous(self) -> bool:
+        """Every term of one total spatial degree."""
+        return len({sum(exps) for exps, _, _ in self._nums}) <= 1
+
+    def is_polynomial(self) -> bool:
+        """No exponential factor e^{lambda t} with lambda != 0."""
+        return all(lam == 0 for _, _, lam in self._nums)
+
+    def max_n(self) -> int:
+        return max((n for _, n, _ in self._nums), default=0)
+
     def __eq__(self, other):
-        if not isinstance(other, type(self)):
+        if not isinstance(other, SpaceTimeFunction):
             return NotImplemented
         if self.ctx != other.ctx:
             return False
@@ -553,11 +574,10 @@ class SparseTerms:
         if not self._nums:
             return "0"
         bits = []
-        for exps, n, lam, c in sorted(
-                ((*self._split_key(key), Multivector(self.ctx, vals))
-                 for key, vals in self._values().items()),
-                key=lambda row: (row[0], row[1], repr(row[2]))):
-            piece = f"({c!r})" + "".join(
+        for (exps, n, lam), vals in sorted(
+                self._values().items(),
+                key=lambda row: (row[0][0], row[0][1], repr(row[0][2]))):
+            piece = f"({Multivector(self.ctx, vals)!r})" + "".join(
                 f"*x{i + 1}^{e}" if e > 1 else f"*x{i + 1}"
                 for i, e in enumerate(exps) if e)
             if n:
@@ -571,19 +591,19 @@ class SparseTerms:
 
     def __add__(self, other):
         """Sum; exact operands are taken to the lcm of their denominators."""
-        if not isinstance(other, type(self)):
+        if not isinstance(other, SpaceTimeFunction):
             return NotImplemented
-        return self._sum().add(self).add(other).value()
+        return Sum(self.ctx).add(self).add(other).value()
 
     def __neg__(self):
-        return self._sum().add(self, -1).value()
+        return Sum(self.ctx).add(self, -1).value()
 
     def __sub__(self, other):
-        if not isinstance(other, type(self)):
+        if not isinstance(other, SpaceTimeFunction):
             return NotImplemented
-        return self._sum().add(self).add(other, -1).value()
+        return Sum(self.ctx).add(self).add(other, -1).value()
 
-    def _times_exact(self, p, q: int) -> "SparseTerms":
+    def _times_exact(self, p, q: int) -> "SpaceTimeFunction":
         """Exact body times p / q: the numerators times p, D times q > 0."""
         return self._new(*_reduced({key: _scaled(vals, p) for key, vals
                                     in self._nums.items()}, self._D * q))
@@ -610,11 +630,11 @@ class SparseTerms:
 
     def lmul(self, mv: Multivector):
         """Left multiplication by a constant Multivector."""
-        return self._sum().lmul(mv, self).value()
+        return Sum(self.ctx).lmul(mv, self).value()
 
     def rmul(self, mv: Multivector):
         """Right multiplication by a constant Multivector."""
-        return self._sum().rmul(mv, self).value()
+        return Sum(self.ctx).rmul(mv, self).value()
 
     def __truediv__(self, value: Scalar):
         if self._D is not None and type(value) in _EXACT_TYPES and value:
@@ -627,10 +647,8 @@ class SparseTerms:
         For a Multivector right operand the product is p * const(mv);
         use lmul for mv * p since Python routes that through __rmul__.
         """
-        if isinstance(other, SparseTerms):
-            if not isinstance(other, type(self)):
-                return NotImplemented
-            p = self._sum().product(self, other).value()
+        if isinstance(other, SpaceTimeFunction):
+            p = Sum(self.ctx).product(self, other).value()
             return p._new(*_reduced(p._nums, p._D))
         if isinstance(other, Multivector):
             return self.rmul(other)
@@ -641,18 +659,36 @@ class SparseTerms:
             return self.lmul(other)
         return self.scale(other)
 
-    # -- spatial operators ---------------------------------------------------
+    # -- operators -------------------------------------------------------------
+
+    def truncate_degree(self, max_degree: int) -> "SpaceTimeFunction":
+        """Drop every term of total spatial degree above max_degree."""
+        return self._new({key: vals for key, vals in self._nums.items()
+                          if sum(key[0]) <= max_degree}, self._D)
 
     def partial(self, i: int):
         """Scalar derivative d/dx_{i+1} (0-based index)."""
-        return self._sum().lowered(self, 1, (i,)).value()
+        return Sum(self.ctx).lowered(self, 1, (i,)).value()
 
     def dirac(self):
         """Left Dirac operator sum_i e_i d/dx_i; dirac(dirac(p)) = -laplacian(p)."""
-        return self._sum().dirac(self).value()
+        return Sum(self.ctx).dirac(self).value()
 
     def laplacian(self):
-        return self._sum().laplacian(self).value()
+        return Sum(self.ctx).laplacian(self).value()
+
+    def d_dt(self) -> "SpaceTimeFunction":
+        """Exact derivative: c t^n e^{lt} -> c n t^{n-1} e^{lt} + c l t^n e^{lt}."""
+        return Sum(self.ctx).d_dt(self).value()
+
+    def split(self):
+        """Four component functions (F0, F1, F2, F3), coefficients in Cl(0,m)."""
+        outs = ({}, {}, {}, {})
+        for key, vals in self._nums.items():
+            for out, comp in zip(outs, _split_blades(self.ctx, vals)):
+                if comp:
+                    out[key] = comp
+        return tuple(self._new(d, self._D) for d in outs)
 
     def evaluate(self, point: Sequence[Scalar], t: Scalar = 0) -> Multivector:
         """Value at x = point and time t (complex once some lambda != 0)."""
@@ -690,8 +726,7 @@ class SparseTerms:
         lams: Dict[complex, int] = {}
         timed = []              # per term with t: (prefix, n, lambda index or -1)
         rows = []               # per term: (prefix, index in timed or -1, stored row)
-        for key, vals in self._nums.items():
-            exps, n, lam = self._split_key(key)
+        for (exps, n, lam), vals in self._nums.items():
             wi = 0              # the empty prefix, weight 1
             for i, d in enumerate(exps):
                 if d:
@@ -762,111 +797,6 @@ class SparseTerms:
             yield Multivector(ctx, out)
 
 
-class CliffordPoly(SparseTerms):
-    """Polynomial with left Multivector coefficients, keyed by exponent tuples."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _key_mul(a: Exponents, b: Exponents) -> Exponents:
-        return tuple(map(add, a, b))
-
-    @staticmethod
-    def _split_key(key: Exponents):
-        return key, 0, 0
-
-    @staticmethod
-    def _with_exps(key: Exponents, exps: Exponents) -> Exponents:
-        return exps
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def constant(cls, ctx: AlgebraContext, coeff) -> "CliffordPoly":
-        """Constant polynomial from a Multivector or plain scalar."""
-        return cls._single(ctx, (0,) * ctx.m, coeff)
-
-    @classmethod
-    def monomial(cls, ctx: AlgebraContext, exps: Sequence[int], coeff) -> "CliffordPoly":
-        exps = tuple(exps)
-        if len(exps) != ctx.m or any(e < 0 for e in exps):
-            raise ValueError(f"bad exponent tuple {exps!r} for m={ctx.m}")
-        return cls._single(ctx, exps, coeff)
-
-    # -- inspection -----------------------------------------------------------
-
-    def degree(self) -> int:
-        """Total spatial degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self._nums), default=-1)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self._nums}
-        return len(degs) <= 1
-
-    # -- operators ---------------------------------------------------------------
-
-    def truncate_degree(self, max_degree: int) -> "CliffordPoly":
-        """Drop every monomial of degree above max_degree."""
-        return self._new({exps: vals for exps, vals in self._nums.items()
-                          if sum(exps) <= max_degree}, self._D)
-
-
-def _norm_lambda(lam: Scalar) -> Scalar:
-    # canonical zero so polynomial and exponential keys never alias
-    return lam if lam else 0
-
-
-class SpaceTimeFunction(SparseTerms):
-    """Sum of c * x^alpha * t^n * e^{lambda t} with left Multivector c."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _key_mul(a: SpaceTimeKey, b: SpaceTimeKey) -> SpaceTimeKey:
-        return (tuple(map(add, a[0], b[0])), a[1] + b[1],
-                _norm_lambda(a[2] + b[2]))
-
-    @staticmethod
-    def _split_key(key: SpaceTimeKey) -> SpaceTimeKey:
-        return key
-
-    @staticmethod
-    def _with_exps(key: SpaceTimeKey, exps) -> SpaceTimeKey:
-        return exps, key[1], key[2]
-
-    @classmethod
-    def from_poly(cls, p: CliffordPoly,
-                  tf: "TimeFunction | None" = None) -> "SpaceTimeFunction":
-        """p(x) * a(t); with tf omitted the profile is the constant 1."""
-        F = cls._make(p.ctx, {(exps, 0, 0): vals for exps, vals in p._nums.items()},
-                      p._D)
-        return F if tf is None else F * tf
-
-    # -- inspection --------------------------------------------------------
-
-    def is_polynomial(self) -> bool:
-        """No exponential factor e^{lambda t} with lambda != 0."""
-        return all(lam == 0 for _, _, lam in self._nums)
-
-    def max_n(self) -> int:
-        return max((n for _, n, _ in self._nums), default=0)
-
-    # -- operators ----------------------------------------------------------------
-
-    def d_dt(self) -> "SpaceTimeFunction":
-        """Exact derivative: c t^n e^{lt} -> c n t^{n-1} e^{lt} + c l t^n e^{lt}."""
-        return self._sum().d_dt(self).value()
-
-    def split(self):
-        """Four component functions (F0, F1, F2, F3), coefficients in Cl(0,m)."""
-        outs = ({}, {}, {}, {})
-        for key, vals in self._nums.items():
-            for out, comp in zip(outs, _split_blades(self.ctx, vals)):
-                if comp:
-                    out[key] = comp
-        return tuple(self._new(d, self._D) for d in outs)
-
-
 class TimeFunction(SpaceTimeFunction):
     """The x-independent slice: a finite sum of c * t^n * e^{lambda t}."""
 
@@ -877,7 +807,8 @@ class TimeFunction(SpaceTimeFunction):
         """Single term c*t^n*e^{lam t}; coeff may be a scalar or Multivector."""
         if n < 0:
             raise ValueError("t exponent must be >= 0")
-        return cls._single(ctx, ((0,) * ctx.m, n, _norm_lambda(lam)), coeff)
+        # a canonical zero, so that polynomial and exponential keys never alias
+        return cls._single(ctx, ((0,) * ctx.m, n, lam if lam else 0), coeff)
 
     @classmethod
     def polynomial(cls, ctx: AlgebraContext, coeffs: Sequence[Scalar]) -> "TimeFunction":
@@ -890,22 +821,22 @@ class TimeFunction(SpaceTimeFunction):
         return super().evaluate((0,) * self.ctx.m, t)
 
 
-def vector_variable(ctx: AlgebraContext) -> CliffordPoly:
+def vector_variable(ctx: AlgebraContext) -> SpaceTimeFunction:
     """x = sum_i e_i x_i, satisfying x*x = -rho^2."""
     terms = {}
     for i in range(ctx.m):
         exps = tuple(1 if j == i else 0 for j in range(ctx.m))
-        terms[exps] = ctx.e(i + 1)
-    return CliffordPoly(ctx, terms)
+        terms[exps, 0, 0] = ctx.e(i + 1)
+    return SpaceTimeFunction(ctx, terms)
 
 
-def rho_squared(ctx: AlgebraContext) -> CliffordPoly:
+def rho_squared(ctx: AlgebraContext) -> SpaceTimeFunction:
     """rho^2 = sum_i x_i^2 (scalar coefficients)."""
     terms = {}
     for i in range(ctx.m):
         exps = tuple(2 if j == i else 0 for j in range(ctx.m))
-        terms[exps] = ctx.one()
-    return CliffordPoly(ctx, terms)
+        terms[exps, 0, 0] = ctx.one()
+    return SpaceTimeFunction(ctx, terms)
 
 
 def radial_level(w, ctx: AlgebraContext) -> Tuple[Dict[int, Numerator], int]:
@@ -938,8 +869,8 @@ def rho_terms(m: int, l: int) -> Tuple[Tuple[Exponents, int], ...]:
                  for rest, c in rho_terms(m - 1, l - j))
 
 
-def radial_product(w, p: CliffordPoly) -> CliffordPoly:
-    """The small body w p of a Cl(1,1) weight w and a CliffordPoly p.  An
+def radial_product(w, p: SpaceTimeFunction) -> SpaceTimeFunction:
+    """The small body w p of a Cl(1,1) weight w and a body p.  An
     exact weight, a zeta.IntMatrix, on an exact p takes one blade product
     per term of p, over p's denominator times the weight's; a
     zeta.ZetaElement weight is p.lmul of its Multivector."""
@@ -948,22 +879,22 @@ def radial_product(w, p: CliffordPoly) -> CliffordPoly:
         return p.lmul(w.to_multivector(ctx))
     row, q = radial_level(w, ctx)
     out: Rows = {}
-    for beta, vals in p._nums.items():
+    for key, vals in p._nums.items():
         t = _mul_into(ctx, {}, row, vals)
         if t:
-            out[beta] = t
-    return CliffordPoly._make(ctx, out, p._D * q)
+            out[key] = t
+    return SpaceTimeFunction._make(ctx, out, p._D * q)
 
 
-def radial_series(cls, ctx: AlgebraContext, heads) -> "SparseTerms":
+def radial_series(ctx: AlgebraContext, heads) -> SpaceTimeFunction:
     """sum over the heads, and over the (l, p) levels of a head, of
-    rho^{2l} p: small bodies p of the body type cls (CliffordPoly or
-    SpaceTimeFunction), such as the products w_l p of radial_product.
+    rho^{2l} p: small bodies p, such as the products w_l p of
+    radial_product.
 
     rho^{2l} is a scalar with integer terms (rho_terms), so each term of a
     level is added under every shift x^{2j}, |j| = l, of its spatial
-    exponents, times the integer l!/prod j_i!; the keys are made by
-    _split_key and _with_exps, so a time part rides along.  When every
+    exponents, times the integer l!/prod j_i!, its time part riding
+    along.  When every
     level is exact (also one that keeps its exact values raw), every level
     of every head is written at one denominator; when any level is
     inexact, every level's values are summed raw (D = None) by the same
@@ -977,7 +908,7 @@ def radial_series(cls, ctx: AlgebraContext, heads) -> "SparseTerms":
         groups = [[(l, p._values(), 1) for l, p in head] for head in heads]
     else:
         D = lcm(*(Dp for parts in groups for _, _, Dp in parts))
-    m, split_key, with_exps = ctx.m, cls._split_key, cls._with_exps
+    m = ctx.m
     total: Rows = {}
     for parts in groups:
         out: Rows = {}
@@ -988,14 +919,10 @@ def radial_series(cls, ctx: AlgebraContext, heads) -> "SparseTerms":
         for l, nums, Dp in parts:
             f = 1 if D is None else D // Dp
             shifts = [(s, c * f) for s, c in rho_terms(m, l)]
-            for key, vals in nums.items():
-                exps = split_key(key)[0]
-                timed = exps is not key     # else the key is its exponents
+            for (exps, n, lam), vals in nums.items():
                 items = tuple(vals.items())
                 for s, c in shifts:
-                    new = tuple(map(add, exps, s))
-                    if timed:
-                        new = with_exps(key, new)
+                    new = (tuple(map(add, exps, s)), n, lam)
                     o = out.get(new)
                     if o is None:
                         out[new] = ({mask: _nmul(v, c) for mask, v in items}
@@ -1015,10 +942,10 @@ def radial_series(cls, ctx: AlgebraContext, heads) -> "SparseTerms":
                 _merge(total, key, t)
         else:
             total = out
-    return cls._make(ctx, total, D)
+    return SpaceTimeFunction._make(ctx, total, D)
 
 
-def integer_rescale(p: CliffordPoly) -> CliffordPoly:
+def integer_rescale(p: SpaceTimeFunction) -> SpaceTimeFunction:
     """Smallest positive rational multiple of p with integer coefficients.
 
     That is p's numerators divided by their common factor, as plain int

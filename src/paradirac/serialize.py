@@ -473,11 +473,8 @@ def write_eval_csv(sol: SeriesSolution,
     Columns: x1..xm, t, then <blade>_re,<blade>_im for every blade that
     appears in the solution body (sorted canonically).  Returns the header.
     """
-    ctx = sol.ctx
-    body = sol.body
-    masks = sorted({mask for key in body.keys() for mask in body.coeffs(key)})
-    if not masks:
-        masks = [0]
+    ctx, body = sol.ctx, sol.body
+    masks = sorted(body.blades()) or [0]
     labels = [ctx.blade_label(mask) for mask in masks]
     header = [f"x{i}" for i in range(1, ctx.m + 1)] + ["t"]
     for lab in labels:
@@ -487,7 +484,7 @@ def write_eval_csv(sol: SeriesSolution,
     with (open(out, "w", newline="\r\n") if isinstance(out, str)
           else contextlib.nullcontext(out)) as fh:
         fh.write(",".join(header) + "\n")
-        for (point, t), mv in zip(points, sol.body.evaluate_many(points)):
+        for (point, t), mv in zip(points, body.evaluate_many(points)):
             row = [repr(float(c)) for c in point] + [repr(float(t))]
             for mask in masks:
                 val = mv.terms.get(mask, 0)

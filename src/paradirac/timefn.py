@@ -6,11 +6,11 @@ symbol s = d/dt therefore acts exactly: s never needs an inverse here,
 because the hypergeometric operator series below only ever applies
 nonnegative powers of s to the profile.
 
-SpaceTimeFunction (in poly, with the storage it shares) combines the
-spatial polynomial engine with that time class: terms are indexed by
-(exponents, n, lambda) with a left Multivector coefficient, and d/dt is
-exact.  This module builds the parabolic operator D = d_x + f d_t + fdag
-from those operators, and the operator series 0F1 on a time profile,
+SpaceTimeFunction (in poly, the one body class) combines spatial
+polynomials with that time class: terms are indexed by (exponents, n,
+lambda) with a left Multivector coefficient, and d/dt is exact.  This
+module builds the parabolic operator D = d_x + f d_t + fdag from those
+operators, and the operator series 0F1 on a time profile,
 whose levels poly.radial_series expands for exact and float input alike,
 from derivatives(), the one place a seed profile is differentiated.
 TimeFunction is the x-independent slice.
@@ -25,8 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import witt_basis
-from .poly import (CliffordPoly, SpaceTimeFunction, Sum, TimeFunction,
-                   radial_series)
+from .poly import SpaceTimeFunction, Sum, TimeFunction, radial_series
 from .scalars import Scalar
 
 
@@ -34,20 +33,20 @@ def assemble_split(f0, f1, f2, f3) -> SpaceTimeFunction:
     """F0 + f*F1 + fdag*F2 + f*fdag*F3 for SpaceTimeFunction components."""
     ctx = f0.ctx
     f, fdag = witt_basis(ctx)
-    return Sum(SpaceTimeFunction, ctx).add(f0).lmul(f, f1).lmul(
+    return Sum(ctx).add(f0).lmul(f, f1).lmul(
         fdag, f2).lmul(f * fdag, f3).value()
 
 
 def parabolic_dirac(F: SpaceTimeFunction) -> SpaceTimeFunction:
     """D F = d_x F + f d_t F + fdag F, in one sum."""
     f, fdag = witt_basis(F.ctx)
-    return Sum(SpaceTimeFunction, F.ctx).dirac(F).lmul(f, F.d_dt()).lmul(
+    return Sum(F.ctx).dirac(F).lmul(f, F.d_dt()).lmul(
         fdag, F).value()
 
 
 def heat_residual(F: SpaceTimeFunction) -> SpaceTimeFunction:
     """(Delta - d_t) F; D squares to the negative of this operator."""
-    return Sum(SpaceTimeFunction, F.ctx).laplacian(F).d_dt(F, -1).value()
+    return Sum(F.ctx).laplacian(F).d_dt(F, -1).value()
 
 
 class ProfileWeight:
@@ -85,7 +84,7 @@ class ProfileWeight:
             return NotImplemented
         for mine, theirs in zip(self.parts, other.parts):
             if mine or theirs:
-                total = Sum(SpaceTimeFunction, (mine or theirs)[0][1].ctx)
+                total = Sum((mine or theirs)[0][1].ctx)
                 for sign, part in ((1, mine), (-1, theirs)):
                     for c, p, d in part:
                         (total.d_dt if d else total.add)(p, c if sign == 1 else -c)
@@ -125,7 +124,7 @@ def derivatives(a: TimeFunction, last: int) -> list:
     return out
 
 
-def apply_0F1(gamma, base: CliffordPoly, a: TimeFunction, L: int,
+def apply_0F1(gamma, base: SpaceTimeFunction, a: TimeFunction, L: int,
               levels: Optional[list] = None) -> SpaceTimeFunction:
     """Operator series 0F1(gamma; rho^2 s / 4) applied to base(x) * a(t).
 
@@ -153,7 +152,6 @@ def apply_0F1(gamma, base: CliffordPoly, a: TimeFunction, L: int,
     if levels is not None:
         levels.extend(chain)
     ctx = base.ctx
-    head = SpaceTimeFunction.from_poly(base)
-    return radial_series(SpaceTimeFunction, ctx, [[
-        (l, Sum(SpaceTimeFunction, ctx).product(head, d, w).value())
+    return radial_series(ctx, [[
+        (l, Sum(ctx).product(base, d, w).value())
         for l, (w, d) in enumerate(chain)]])

@@ -35,8 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraContext, Multivector, witt_basis
 from .builders import SeriesSolution
-from .poly import (CliffordPoly, Sum, radial_product, radial_series,
-                   vector_variable)
+from .poly import Sum, radial_product, radial_series, vector_variable
 from .timefn import (PARABOLIC_ZETA, ProfileWeight, SpaceTimeFunction,
                      heat_residual, parabolic_dirac)
 from .zeta import IntMatrix
@@ -141,9 +140,9 @@ def check_component_conditions(
     else:
         f0, f1, f2, f3 = body.split()
         ctx = body.ctx
-        cond_f1 = Sum(SpaceTimeFunction, ctx).add(f1).dirac(
+        cond_f1 = Sum(ctx).add(f1).dirac(
             f0).value().is_zero()
-        cond_f3 = Sum(SpaceTimeFunction, ctx).add(f3).dirac(f2, -1).add(
+        cond_f3 = Sum(ctx).add(f3).dirac(f2, -1).add(
             f0).value().is_zero()
         heat_f0 = heat_residual(f0).is_zero()
         heat_f2 = heat_residual(f2).is_zero()
@@ -168,9 +167,8 @@ def perturb_component(F: SeriesSolution, slot: int, exps: Sequence[int],
     ctx = F.ctx
     f, fdag = witt_basis(ctx)
     c = (ctx.one(), f, fdag, f * fdag)[slot]
-    delta = SpaceTimeFunction.from_poly(
-        CliffordPoly.monomial(ctx, exps, 1).lmul(coeff))
-    body = Sum(SpaceTimeFunction, ctx).add(F.body).lmul(c, delta).value()
+    delta = SpaceTimeFunction.monomial(ctx, exps, 1).lmul(coeff)
+    body = Sum(ctx).add(F.body).lmul(c, delta).value()
     return SeriesSolution(body=body, mode=F.mode, m=F.m, k=F.k, L=F.L,
                           exact=F.exact, zeta=F.zeta,
                           extra=dict(F.extra, mutated_slot=slot))
@@ -188,7 +186,7 @@ def symbolic_residual(F: SeriesSolution) -> SpaceTimeFunction:
         return _parabolic_residual(F)[1]
     if F.zeta is None:
         raise ValueError(f"{op} residual needs zeta metadata")
-    total = Sum(SpaceTimeFunction, F.ctx)
+    total = Sum(F.ctx)
     if op == "generalized":
         return total.dirac(body).lmul(F.zeta.to_multivector(F.ctx), body).value()
     sz = F.zeta.star_zeta().to_multivector(F.ctx)
@@ -270,7 +268,7 @@ def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
         x = vector_variable(ctx)
         tops = [[(L, radial_product(Z * Q[L], x * M))]
                 for _, M, _, Q in form.heads]
-    return SpaceTimeFunction.from_poly(radial_series(CliffordPoly, ctx, tops))
+    return radial_series(ctx, tops)
 
 
 def _infer_operator(mode: str) -> str:

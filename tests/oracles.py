@@ -8,17 +8,18 @@ spatial degrees read straight off a body's keys, and the sparse term
 engine's operators computed term by term on Multivector coefficients
 instead of stored integer numerators, every series body summed as a
 chain of Sum stages on the powers rho^{2l} M instead of expanded from
-its levels (the stage constructions), a mutant made by splitting a
-body and assembling it again, and a solution file read row by row into
-Multivectors and summed by the body constructor.
+its levels (the stage constructions), the exponential-profile parabolic
+solution recovered from the generalized series (parabolic_from_generalized),
+a mutant made by splitting a body and assembling it again, and a solution
+file read row by row into Multivectors and summed by the body constructor.
 """
 
 import cmath
 from fractions import Fraction
 
 from paradirac.algebra import AlgebraContext, Multivector, split, witt_basis
-from paradirac.builders import ALL_MODES, SeriesSolution
-from paradirac.poly import (CliffordPoly, SpaceTimeFunction, Sum, TimeFunction,
+from paradirac.builders import ALL_MODES, SeriesSolution, build_generalized
+from paradirac.poly import (SpaceTimeFunction, Sum, TimeFunction,
                            rho_squared, vector_variable)
 from paradirac.scalars import GaussianRational, to_float
 from paradirac.serialize import (MAX_M, SCHEMA_VERSION, _check_series_degrees,
@@ -104,15 +105,14 @@ def spatial_degrees(F):
 # -- per-term Multivector oracles for the sparse term engine ---------------------
 #
 # Each takes and returns a {(exps, n, lambda): Multivector} mapping, the .terms
-# of a space-time body (a CliffordPoly's keys are widened with as_spacetime),
-# and computes with plain Multivector and Fraction arithmetic term by term.
-# Blade sums run in the order the engine's loops use, so that float values
-# come out bit for bit alike.
+# of a body, and computes with plain Multivector and Fraction arithmetic term
+# by term.  Blade sums run in the order the engine's loops use, so that float
+# values come out bit for bit alike.
 
 
-def as_spacetime(terms):
-    """A CliffordPoly's terms keyed (exps, 0, 0)."""
-    return {(exps, 0, 0): mv for exps, mv in terms.items()}
+def spatial(ctx, terms):
+    """The body of polynomial terms {exps: Multivector}, keyed (exps, 0, 0)."""
+    return SpaceTimeFunction(ctx, {(exps, 0, 0): mv for exps, mv in terms.items()})
 
 
 def termwise(contributions):
@@ -287,7 +287,7 @@ def rho_powers(p):
     rho2 = rho_squared(p.ctx)
     while True:
         yield p
-        p = Sum(type(p), p.ctx).product(rho2, p).value()
+        p = Sum(p.ctx).product(rho2, p).value()
 
 
 def radial_stages(total, P, levels):
@@ -318,7 +318,7 @@ def stage_helmholtz(heads, z, L, radial="direct"):
     """The Helmholtz body of the heads, each head's series summed level by
     level."""
     ctx = heads[0].poly.ctx
-    total = Sum(CliffordPoly, ctx)
+    total = Sum(ctx)
     for h in heads:
         gamma = Fraction(2 * h.degree + ctx.m, 2)
         radial_stages(total, h.poly, radial_levels(z, gamma, L, radial, ctx))
@@ -332,7 +332,7 @@ def stage_generalized(heads, z, L, form):
     x = vector_variable(ctx)
     # within a head the stages' terms have distinct spatial degrees, so
     # adding them one by one to the sum adds the head's whole series
-    total = Sum(CliffordPoly, ctx)
+    total = Sum(ctx)
     for head in heads:
         k = head.degree
         two_g = 2 * k + ctx.m
@@ -345,13 +345,13 @@ def stage_generalized(heads, z, L, form):
             radial_stages(total, b_head, weight_recurrence(sz, gamma + 1, L, ctx))
         elif form == "factored":
             levels = weight_recurrence(z.zeta_star(), gamma + 1, L, ctx)
-            inner = radial_stages(Sum(CliffordPoly, ctx), (x * head.poly).scale(
+            inner = radial_stages(Sum(ctx), (x * head.poly).scale(
                 Fraction(1, two_g)), levels).value()
             total.lmul(z.involution().to_multivector(ctx), inner)
             total.dirac(inner, -1)
         else:
             levels = weight_recurrence(z.star_zeta(), gamma, L + 1, ctx)
-            inner = radial_stages(Sum(CliffordPoly, ctx), head.poly, levels).value()
+            inner = radial_stages(Sum(ctx), head.poly, levels).value()
             total.add(inner.truncate_degree(2 * L + k + 1))
             total.lmul(z.invert().to_multivector(ctx), inner.dirac(), -1)
     return total.value()
@@ -365,7 +365,7 @@ def stage_generalized(heads, z, L, form):
 def chain_0F1(gamma, base, a, L=None):
     """sum_l rho^{2l} base a^(l) / (4^l l! (gamma)_l), one product stage
     per level on rho_powers(base)."""
-    total = Sum(SpaceTimeFunction, base.ctx)
+    total = Sum(base.ctx)
     weight, deriv = Fraction(1), a
     last = a.max_n() if a.is_polynomial() else L
     for l, spatial in zip(range(last + 1), rho_powers(base)):
@@ -373,7 +373,7 @@ def chain_0F1(gamma, base, a, L=None):
             break
         if l:
             weight = weight / (4 * l * (gamma + l - 1))
-        total.product(SpaceTimeFunction.from_poly(spatial), deriv, weight)
+        total.product(spatial, deriv, weight)
         deriv = deriv.d_dt()
     return total.value()
 
@@ -386,7 +386,7 @@ def chain_parabolic_closed(M, a, L=None):
     f, fdag = witt_basis(ctx)
     x = vector_variable(ctx)
     scale = Fraction(1, 2 * k + ctx.m)
-    return Sum(SpaceTimeFunction, ctx).add(chain_0F1(gamma, M.poly, a, L)).add(
+    return Sum(ctx).add(chain_0F1(gamma, M.poly, a, L)).add(
         chain_0F1(gamma + 1, (x * M.poly.lmul(fdag)).scale(scale), a, L)).add(
         chain_0F1(gamma + 1, (x * M.poly.lmul(f)).scale(scale), a.d_dt(), L)
     ).value()
@@ -405,13 +405,12 @@ def chain_parabolic_recurrence(M, seeds, L=None):
     else:
         stop = L
     x = vector_variable(ctx)
-    Gs = [Sum(SpaceTimeFunction, ctx) for _ in range(4)]
+    Gs = [Sum(ctx) for _ in range(4)]
     for l, P, Q in zip(range(stop + 1), rho_powers(M.poly),
                        rho_powers(x * M.poly)):
         t, u = 2 * l + 2 * k + ctx.m, 2 * (l + 1)
         na0 = a0.d_dt().scale(1 / (4 * (l + 1) * (gamma + l)))
         na2 = a2.d_dt().scale(1 / (4 * (l + 1) * (gamma + l)))
-        P, Q = SpaceTimeFunction.from_poly(P), SpaceTimeFunction.from_poly(Q)
         for G, alpha, beta in zip(Gs, (a0, b0.scale(t), a2, b2.scale(-t) - a0),
                                   (b0, na0.scale(-u), b2, na2.scale(u) - b0)):
             G.product(P, alpha).product(Q, beta)
@@ -419,6 +418,21 @@ def chain_parabolic_recurrence(M, seeds, L=None):
         b0 = b0.d_dt().scale(1 / (4 * (l + 1) * (gamma + 1 + l)))
         b2 = b2.d_dt().scale(1 / (4 * (l + 1) * (gamma + 1 + l)))
     return assemble_split(*(G.value() for G in Gs))
+
+
+def parabolic_from_generalized(M, lam, L=12):
+    """The parabolic solution of the profile exp(lam t), recovered from the
+    generalized machinery: zeta = lam f + fdag turns d_x + f d_t + fdag
+    acting on exp(lam t) g into exp(lam t) (d_x + zeta) g, so it is the
+    generalized monogenic series of that zeta times exp(lam t), flagged
+    inexact and keeping no form."""
+    ctx = M.poly.ctx
+    z = ZetaElement(0, lam, 1, 0)
+    gen = build_generalized(M, z, L, form="monogenic")
+    body = gen.body * TimeFunction.term(ctx, 1, n=0, lam=lam)
+    return SeriesSolution(body=body, mode="parabolic-closed", m=ctx.m,
+                          k=M.degree, L=L, exact=False, zeta=z,
+                          extra={"lambda": lam, "via": "generalized"})
 
 
 # -- the accuracy bound of float builds ---------------------------------------------

@@ -10,12 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import exp_series, hyp0f1_series, sampled_order, series_eval
+from oracles import (exp_series, hyp0f1_series, parabolic_from_generalized,
+                     sampled_order, series_eval)
 from paradirac.algebra import AlgebraContext, Multivector
 from paradirac.builders import (build_generalized, build_helmholtz,
                                 build_parabolic_closed,
-                                build_parabolic_recurrence,
-                                parabolic_from_generalized)
+                                build_parabolic_recurrence)
 from paradirac.harmonics import harmonic_basis, monogenic_basis
 from paradirac.poly import rho_squared, vector_variable
 from paradirac.scalars import GaussianRational

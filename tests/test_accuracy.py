@@ -32,7 +32,7 @@ from paradirac.builders import (build_generalized, build_helmholtz,
                                 build_parabolic_closed,
                                 build_parabolic_recurrence)
 from paradirac.harmonics import harmonic_basis, monogenic_basis
-from paradirac.poly import SpaceTimeFunction, TimeFunction
+from paradirac.poly import TimeFunction
 from paradirac.zeta import BRANCH_TOL, ZetaElement
 
 C = 2
@@ -83,7 +83,7 @@ def check_series(mode, heads, z, L):
     factor = {"gen-invertible": kappa, "sylvester": spread}.get(
         mode, lambda z: 1.0)(z)
     assert_within(sol.body, exact, L, factor)
-    assert_within(SpaceTimeFunction.from_poly(stage), exact, L, factor)
+    assert_within(stage, exact, L, factor)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,18 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (chain_parabolic_closed, chain_parabolic_recurrence,
-                     spatial_degrees, stage_generalized, stage_helmholtz, typed,
+                     parabolic_from_generalized, spatial_degrees,
+                     stage_generalized, stage_helmholtz, typed,
                      weight_recurrence)
 from paradirac import builders
 from paradirac.algebra import AlgebraContext, Multivector, witt_basis
 from paradirac.builders import (build_generalized, build_helmholtz,
                                 build_parabolic_closed,
-                                build_parabolic_recurrence,
-                                parabolic_from_generalized)
+                                build_parabolic_recurrence)
 from paradirac.harmonics import harmonic_basis, monogenic_basis
-from paradirac.poly import (CliffordPoly, SparseTerms, _to_numerators,
-                            radial_level, radial_series, rho_squared,
-                            vector_variable)
+from paradirac.poly import (SpaceTimeFunction, _to_numerators, radial_level,
+                            radial_series, rho_squared, vector_variable)
 from paradirac.scalars import GaussianRational
 from paradirac.serialize import residual_report_to_dict, solution_to_dict
 from paradirac.timefn import (ProfileWeight, SpaceTimeFunction, TimeFunction,
@@ -48,11 +47,10 @@ def test_closed_form_frozen_oracle():
     rho2 = rho_squared(ctx)
     tf = t_profile(ctx)
     q = Fraction(1, 4)
-    assert f0 == (SpaceTimeFunction.from_poly(CliffordPoly.constant(ctx, 1), tf)
-                  + SpaceTimeFunction.from_poly(rho2.scale(q)))
-    assert f1 == SpaceTimeFunction.from_poly(x.scale(Fraction(-1, 2)))
-    assert f2 == (SpaceTimeFunction.from_poly(x.scale(Fraction(-1, 2)), tf)
-                  + SpaceTimeFunction.from_poly((rho2 * x).scale(-Fraction(1, 16))))
+    assert f0 == SpaceTimeFunction.constant(ctx, 1) * tf + rho2.scale(q)
+    assert f1 == x.scale(Fraction(-1, 2))
+    assert f2 == (x.scale(Fraction(-1, 2)) * tf
+                  + (rho2 * x).scale(-Fraction(1, 16)))
     assert f3.is_zero()
     assert parabolic_dirac(sol.body).is_zero()
 
@@ -64,8 +62,7 @@ def test_closed_form_static_profile():
     sol = build_parabolic_closed(M, TimeFunction.polynomial(ctx, [1]))
     _, fdag = witt_basis(ctx)
     x = vector_variable(ctx)
-    expect = SpaceTimeFunction.from_poly(
-        M.poly + (x * M.poly.lmul(fdag)).scale(Fraction(1, 3)))
+    expect = M.poly + (x * M.poly.lmul(fdag)).scale(Fraction(1, 3))
     assert sol.body == expect
     assert parabolic_dirac(sol.body).is_zero()
 
@@ -132,7 +129,7 @@ def test_exponential_profile_not_exact():
 def test_head_type_is_enforced():
     ctx = AlgebraContext(2)
     with pytest.raises(TypeError):
-        build_parabolic_closed(CliffordPoly.constant(ctx, 1), t_profile(ctx))
+        build_parabolic_closed(SpaceTimeFunction.constant(ctx, 1), t_profile(ctx))
 
 
 # -- helmholtz ----------------------------------------------------------------
@@ -157,7 +154,7 @@ def test_helmholtz_residual_oracle():
     P = H.poly
     for _ in range(L):
         P = rho2 * P
-    expect = SpaceTimeFunction.from_poly(P.lmul(zz)).scale(c)
+    expect = P.lmul(zz).scale(c)
     assert R == expect
 
 
@@ -339,7 +336,7 @@ def _assert_expands_as_the_stages(heads, z, L, form):
     else:
         sol = build_generalized(heads, z, L, form)
         stage = stage_generalized(heads, z, L, form)
-    want = dataclasses.replace(sol, body=SpaceTimeFunction.from_poly(stage))
+    want = dataclasses.replace(sol, body=stage)
     assert sol._radial is not None and want._radial is None
     assert solution_to_dict(sol) == solution_to_dict(want)
     assert typed(sol.body.terms) == typed(want.body.terms)
@@ -497,13 +494,13 @@ def test_radial_series_expands_float_levels(m):
     # within a few roundings of the expansion of the same levels read as
     # exact dyadic rationals
     ctx = AlgebraContext(m)
-    head = vector_variable(ctx) + CliffordPoly.constant(ctx, 2)
+    head = vector_variable(ctx) + SpaceTimeFunction.constant(ctx, 2)
     a = TimeFunction.polynomial(ctx, [0.1, -1 / 3, 0.7])
-    levels = [(0, SpaceTimeFunction.from_poly(head, a)),
-              (1, SpaceTimeFunction.from_poly(head.scale(Fraction(1, 3)))),
-              (2, SpaceTimeFunction.from_poly(head, a.scale(-0.25)))]
-    got = radial_series(SpaceTimeFunction, ctx, [levels])
-    exact = radial_series(SpaceTimeFunction, ctx, [[
+    levels = [(0, head * a),
+              (1, head.scale(Fraction(1, 3))),
+              (2, head * a.scale(-0.25))]
+    got = radial_series(ctx, [levels])
+    exact = radial_series(ctx, [[
         (l, SpaceTimeFunction(ctx, {key: Multivector(ctx, {
             b: Fraction(v) for b, v in mv.terms.items()})
             for key, mv in p.terms.items()})) for l, p in levels]])
@@ -516,7 +513,7 @@ def test_radial_series_expands_float_levels(m):
         for b, v in want.items():
             assert abs(Fraction(have[b]) - v) <= 4 * 3 * 2.0 ** -52 * scale
     # alone, the exact level is summed on numerators
-    assert radial_series(SpaceTimeFunction, ctx, [levels[1:2]])._D is not None
+    assert radial_series(ctx, [levels[1:2]])._D is not None
 
 
 def test_a_closed_build_takes_each_derivative_once(monkeypatch):
@@ -559,8 +556,8 @@ def test_a_recurrence_build_makes_no_profile_body(monkeypatch):
              "a2": TimeFunction.term(ctx, 1, lam=Fraction(-1, 2)),
              "b2": TimeFunction.polynomial(ctx, [1, Fraction(1, 3)])}
     calls = {"d_dt": 0, "scale": 0, "__sub__": 0}
-    originals = {"d_dt": SpaceTimeFunction.d_dt, "scale": SparseTerms.scale,
-                 "__sub__": SparseTerms.__sub__}
+    originals = {"d_dt": SpaceTimeFunction.d_dt, "scale": SpaceTimeFunction.scale,
+                 "__sub__": SpaceTimeFunction.__sub__}
 
     def counted(name):
         def call(self, *args):
@@ -569,8 +566,8 @@ def test_a_recurrence_build_makes_no_profile_body(monkeypatch):
         return call
 
     monkeypatch.setattr(SpaceTimeFunction, "d_dt", counted("d_dt"))
-    monkeypatch.setattr(SparseTerms, "scale", counted("scale"))
-    monkeypatch.setattr(SparseTerms, "__sub__", counted("__sub__"))
+    monkeypatch.setattr(SpaceTimeFunction, "scale", counted("scale"))
+    monkeypatch.setattr(SpaceTimeFunction, "__sub__", counted("__sub__"))
     sol = build_parabolic_recurrence(M, seeds, L)
     assert calls["d_dt"] <= len(seeds) * (L + 1)
     assert calls["scale"] == calls["__sub__"] == 0
@@ -695,7 +692,7 @@ def test_generalized_zero_zeta_collapses():
     ctx = AlgebraContext(2)
     M = monogenic_basis(ctx, 1)[0]
     sol = build_generalized(M, ZetaElement.zero(), L=5)
-    assert sol.body == SpaceTimeFunction.from_poly(M.poly)
+    assert sol.body == M.poly
     assert gen_operator(sol).is_zero()
 
 

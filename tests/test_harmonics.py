@@ -3,12 +3,13 @@ from math import gcd
 
 import pytest
 
+from oracles import spatial
 from paradirac.algebra import AlgebraContext
-from paradirac.harmonics import (HarmonicPoly, harmonic_basis,
+from paradirac.harmonics import (HarmonicPoly, MonogenicPoly, harmonic_basis,
                                  harmonic_dimension, integer_rescale,
                                  monogenic_basis, monogenic_decompose,
                                  monomials_of_degree)
-from paradirac.poly import CliffordPoly, vector_variable
+from paradirac.poly import SpaceTimeFunction, TimeFunction, vector_variable
 
 FROZEN_DIMS = {
     2: [1, 2, 2, 2, 2, 2],
@@ -49,7 +50,8 @@ def test_harmonic_basis_characterized_by_its_cauchy_data(m, max_k):
         assert len(basis) == len(free) == harmonic_dimension(m, k)
         for i, h in enumerate(basis):
             assert h.degree == k and h.poly.laplacian().is_zero()
-            coeffs = {exps: mv.terms for exps, mv in h.poly.terms.items()}
+            coeffs = {exps: mv.terms for (exps, _, _), mv
+                      in h.poly.terms.items()}
             assert all(blades.keys() == {0} for blades in coeffs.values())
             values = {exps: blades[0] for exps, blades in coeffs.items()}
             assert all(type(v) is int for v in values.values())
@@ -64,16 +66,15 @@ def test_monogenic_decompose_oracle():
     #   M2   = (x1^2 - x2^2)/2 - e1 e2 x1 x2
     #   Mtil = -(e1 x1 - e2 x2)/2
     ctx = AlgebraContext(2)
-    h = HarmonicPoly(CliffordPoly(ctx, {(2, 0): ctx.one(),
-                                        (0, 2): -ctx.one()}), 2)
+    h = HarmonicPoly(spatial(ctx, {(2, 0): ctx.one(), (0, 2): -ctx.one()}), 2)
     mk, mtil = monogenic_decompose(h)
     half = Fraction(1, 2)
-    assert mk.poly == CliffordPoly(ctx, {
+    assert mk.poly == spatial(ctx, {
         (2, 0): ctx.scalar(half),
         (0, 2): ctx.scalar(-half),
         (1, 1): -(ctx.e(1) * ctx.e(2)),
     })
-    assert mtil.poly == CliffordPoly(ctx, {
+    assert mtil.poly == spatial(ctx, {
         (1, 0): ctx.e(1) * -half,
         (0, 1): ctx.e(2) * half,
     })
@@ -152,16 +153,16 @@ def test_monogenic_heads_independent_over_harmonics(m):
 
 def test_integer_rescale_is_canonical():
     ctx = AlgebraContext(2)
-    p = (CliffordPoly.monomial(ctx, (1, 0), Fraction(2, 3))
-         + CliffordPoly.monomial(ctx, (0, 1), Fraction(4, 3)))
+    p = (SpaceTimeFunction.monomial(ctx, (1, 0), Fraction(2, 3))
+         + SpaceTimeFunction.monomial(ctx, (0, 1), Fraction(4, 3)))
     q = integer_rescale(p)
-    assert q == CliffordPoly.monomial(ctx, (1, 0), 1) \
-        + CliffordPoly.monomial(ctx, (0, 1), 2)
+    assert q == SpaceTimeFunction.monomial(ctx, (1, 0), 1) \
+        + SpaceTimeFunction.monomial(ctx, (0, 1), 2)
     # a common integer factor is divided out too
     r = integer_rescale(p.scale(6))
     assert r == q
     # float polynomials pass through untouched
-    fp = CliffordPoly.monomial(ctx, (1, 0), 0.5)
+    fp = SpaceTimeFunction.monomial(ctx, (1, 0), 0.5)
     assert integer_rescale(fp) == fp
 
 
@@ -169,16 +170,31 @@ def test_degree_one_monogenic_oracle():
     # the m = 2 degree-1 space is spanned by x1 - e1e2 x2 and its partner
     ctx = AlgebraContext(2)
     span = monogenic_basis(ctx, 1)
-    cand = CliffordPoly(ctx, {(1, 0): ctx.one(),
-                              (0, 1): -(ctx.e(1) * ctx.e(2))})
+    cand = spatial(ctx, {(1, 0): ctx.one(), (0, 1): -(ctx.e(1) * ctx.e(2))})
     assert cand.dirac().is_zero()
     assert len(span) == 2
 
 
 def test_harmonic_poly_validation():
     ctx = AlgebraContext(2)
-    bad = CliffordPoly.monomial(ctx, (2, 0), 1)       # laplacian is 2
+    bad = SpaceTimeFunction.monomial(ctx, (2, 0), 1)    # laplacian is 2
     with pytest.raises(ValueError):
         HarmonicPoly(bad, 2)
     with pytest.raises(ValueError):
-        HarmonicPoly(CliffordPoly.monomial(ctx, (1, 1), 1), 3)
+        HarmonicPoly(SpaceTimeFunction.monomial(ctx, (1, 1), 1), 3)
+
+
+@pytest.mark.parametrize("kind", [HarmonicPoly, MonogenicPoly])
+@pytest.mark.parametrize("profile", [
+    lambda ctx: TimeFunction.polynomial(ctx, [0, 1]),
+    lambda ctx: TimeFunction.term(ctx, 1, lam=Fraction(-1, 2)),
+    lambda ctx: TimeFunction.term(ctx, 1, n=2, lam=-0.5)], ids=["t", "exp", "t2exp"])
+def test_a_head_with_a_t_term_is_refused(kind, profile):
+    # a t^n or e^(lambda t) factor has no spatial degree, and d_x and the
+    # Laplacian annihilate it: only the head check refuses it
+    ctx = AlgebraContext(2)
+    head = monogenic_basis(ctx, 1)[0].poly
+    for poly in (profile(ctx), head * profile(ctx), head + profile(ctx)):
+        with pytest.raises(ValueError, match="no t term"):
+            kind(poly, poly.degree())
+    assert kind(head, 1).poly == head

@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 from oracles import (EPS, assert_matches, canonical, chain_0F1, dyadic,
                      dyadic_body, exact_values, max_error, o_add, o_d_dt,
                      o_dirac, o_laplacian, o_lmul, o_neg, o_partial, o_rmul,
-                     o_split, radial_stages, scale_of, typed)
+                     o_split, radial_stages, scale_of, spatial, typed)
 from paradirac.algebra import AlgebraContext, Multivector, witt_basis
 from paradirac.builders import SeriesSolution
-from paradirac.poly import (CliffordPoly, SpaceTimeFunction, Sum,
-                            integer_rescale, radial_product, radial_series)
+from paradirac.poly import (SpaceTimeFunction, Sum, integer_rescale,
+                            radial_product, radial_series)
 from paradirac.scalars import GaussianRational
 from paradirac.timefn import TimeFunction, apply_0F1, parabolic_dirac
 from paradirac.verify import symbolic_residual
@@ -138,7 +138,7 @@ def test_an_integral_exact_part_beside_a_float_is_an_int():
     ones = SpaceTimeFunction(ctx, {key: Multivector(ctx, {0: 1.0})})
     _assert_sum_matches_chain_and_oracle(
         ctx, [(half, None), (one - half, None), (ones, None)])
-    total = Sum(SpaceTimeFunction, ctx).add(half).add(one - half).add(ones).value()
+    total = Sum(ctx).add(half).add(one - half).add(ones).value()
     assert total.coeffs(key) == {2: 1, 0: 1.0} and type(total.coeffs(key)[2]) is int
 
 
@@ -146,7 +146,7 @@ def _assert_sum_matches_chain_and_oracle(ctx, ops):
     """The Sum of (body, sign) stages against the chain of binary
     operators and against the per-term oracle; a sign of 0 drops the
     stage."""
-    got = Sum(SpaceTimeFunction, ctx)
+    got = Sum(ctx)
     chain = SpaceTimeFunction.zero(ctx)
     oracle = {}
     for body, sign in ops:
@@ -175,7 +175,7 @@ def test_constant_products_and_operators_stream_as_the_chain_does(data):
     mv = data.draw(constants(ctx, data.draw(KINDS)))
     sign = data.draw(st.sampled_from((None, -1)))
     i = data.draw(st.integers(0, ctx.m - 1))
-    total = Sum(SpaceTimeFunction, ctx).add(G).lmul(mv, F).rmul(mv, G).dirac(
+    total = Sum(ctx).add(G).lmul(mv, F).rmul(mv, G).dirac(
         F, sign).lowered(F, 1, (i,)).laplacian(G).d_dt(F, sign).value()
     chain = G + F.lmul(mv) + G.rmul(mv)
     chain = chain + F.dirac() if sign is None else chain - F.dirac()
@@ -198,7 +198,7 @@ def test_zero_constants_and_scales_record_nothing(data):
     F = data.draw(bodies(ctx, data.draw(KINDS), timed=True))
     G = data.draw(bodies(ctx, data.draw(KINDS), timed=True))
     zero = data.draw(st.sampled_from((0, Fraction(0), GaussianRational(0), 0.0)))
-    total = Sum(SpaceTimeFunction, ctx).add(F).lmul(ctx.zero(), G).add(
+    total = Sum(ctx).add(F).lmul(ctx.zero(), G).add(
         G, zero).dirac(G, zero).value()
     assert typed(total.terms) == typed(F.terms)
     assert list(total.keys()) == list(F.keys())
@@ -233,14 +233,14 @@ def test_a_scaled_stage_scales_raw_values_as_scale_does(data):
     G = data.draw(bodies(ctx, data.draw(KINDS)))
     w = data.draw(st.sampled_from((1, Fraction(1), 1.0, 1 + 0j, GaussianRational(1),
                                    Fraction(1, 3), 0.5, -1.0, Fraction(-1))))
-    got = Sum(SpaceTimeFunction, ctx).add(F, w).value()
+    got = Sum(ctx).add(F, w).value()
     assert typed(got.terms) == typed(F.scale(w).terms)
-    assert_same_body(Sum(SpaceTimeFunction, ctx).add(G).add(F, w).value(),
+    assert_same_body(Sum(ctx).add(G).add(F, w).value(),
                      G + F.scale(w))
-    neg = Sum(SpaceTimeFunction, ctx).add(F, -1).value()
+    neg = Sum(ctx).add(F, -1).value()
     assert typed(neg.terms) == typed({key: Multivector(ctx, {
         b: -v for b, v in mv.terms.items()}) for key, mv in F.terms.items()})
-    assert typed(Sum(SpaceTimeFunction, ctx).add(F).value().terms) == typed(F.terms)
+    assert typed(Sum(ctx).add(F).value().terms) == typed(F.terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,10 +252,10 @@ def test_apply_0F1_is_within_the_accuracy_bound_of_its_series(data):
     a few roundings per level, (L+1) 2^-52 times the largest coefficient,
     of the series of the same input read as exact dyadic rationals."""
     ctx = AlgebraContext(data.draw(st.integers(1, 2)))
-    base = CliffordPoly(ctx, {(e,) + (0,) * (ctx.m - 1): Multivector(ctx, {0: v})
-                              for e, v in enumerate(data.draw(st.lists(
-                                  st.sampled_from((-1, 2, Fraction(1, 3), -0.5)),
-                                  min_size=1, max_size=3)))})
+    base = spatial(ctx, {(e,) + (0,) * (ctx.m - 1): Multivector(ctx, {0: v})
+                         for e, v in enumerate(data.draw(st.lists(
+                             st.sampled_from((-1, 2, Fraction(1, 3), -0.5)),
+                             min_size=1, max_size=3)))})
     c = data.draw(st.sampled_from((1, Fraction(-2, 3), GaussianRational(1, 2),
                                    0.3, complex(-1.5, 0.75), 1j)))
     a = TimeFunction.term(ctx, c, n=data.draw(st.integers(0, 2)),
@@ -289,7 +289,7 @@ def test_explicit_zeros_in_a_constant_store_no_zero(data):
     one = data.draw(st.sampled_from((1, Fraction(1))))
     unit = Multivector(ctx, {top: zero, 0: one, 1: zero})
     for got in (F.lmul(unit), F.rmul(unit),
-                Sum(SpaceTimeFunction, ctx).lmul(unit, F).rmul(unit, F).value()):
+                Sum(ctx).lmul(unit, F).rmul(unit, F).value()):
         assert all(v != 0 for key in got.keys() for v in got.coeffs(key).values())
     assert F.lmul(unit) == F and F.rmul(unit) == F
     assert_matches(F.lmul(unit).terms, o_lmul(F.terms, unit), True)
@@ -411,8 +411,8 @@ def test_every_stage_and_operator_hands_out_canonical_values(data):
     sign = data.draw(st.sampled_from((None, -1, c)))
     i = data.draw(st.integers(0, ctx.m - 1))
     z = ZetaElement(*(data.draw(VALUES[data.draw(exact_kinds)]) for _ in range(4)))
-    p = CliffordPoly(ctx, {exps: mv for (exps, n, lam), mv in F.terms.items()
-                           if n == 0 and lam == 0})
+    p = spatial(ctx, {exps: mv for (exps, n, lam), mv in F.terms.items()
+                      if n == 0 and lam == 0})
     W = IntMatrix.of(z)
     stages = [
         lambda S: S.add(F, sign), lambda S: S.lmul(mv, G, sign),
@@ -420,18 +420,18 @@ def test_every_stage_and_operator_hands_out_canonical_values(data):
         lambda S: S.dirac(G, sign), lambda S: S.lowered(F, 1, (i,), sign),
         lambda S: S.laplacian(G, sign), lambda S: S.d_dt(F, sign)]
     for stage in stages:
-        assert_canonical(stage(Sum(SpaceTimeFunction, ctx)).value())
-    together = Sum(SpaceTimeFunction, ctx)
+        assert_canonical(stage(Sum(ctx)).value())
+    together = Sum(ctx)
     for stage in stages:
         stage(together)
     assert_canonical(together.value())
     levels = [z.to_multivector(ctx), z.star_zeta().to_multivector(ctx)]
     for got in (F + G, F - G, -F, F.scale(c), F / c, F.lmul(mv), F.rmul(mv),
                 F * G, F.partial(i), F.dirac(), F.laplacian(), F.d_dt(),
-                *F.split(), SpaceTimeFunction.from_poly(p), p.truncate_degree(2),
+                *F.split(), p, p.truncate_degree(2),
                 integer_rescale(p),
-                radial_stages(Sum(CliffordPoly, ctx), p, levels).value(),
+                radial_stages(Sum(ctx), p, levels).value(),
                 radial_product(W, p),
-                radial_series(CliffordPoly, ctx, [[(0, radial_product(W, p)), (
+                radial_series(ctx, [[(0, radial_product(W, p)), (
                     1, radial_product(W.hat() * W, p))]])):
         assert_canonical(got)

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (as_spacetime, assert_matches, exact_values, o_add,
-                     o_d_dt, o_dirac, o_div, o_evaluate, o_laplacian, o_lmul,
-                     o_mul, o_neg, o_partial, o_rmul, o_scale, o_split,
+from oracles import (assert_matches, exact_values, o_add, o_d_dt, o_dirac,
+                     o_div, o_evaluate, o_laplacian, o_lmul, o_mul, o_neg,
+                     o_partial, o_rmul, o_scale, o_split, spatial,
                      spatial_degrees, termwise)
 from paradirac.algebra import AlgebraContext, Multivector, witt_basis
 from paradirac.builders import build_generalized, build_parabolic_closed
 from paradirac.harmonics import monogenic_basis
-from paradirac.poly import CliffordPoly, rho_squared
+from paradirac.poly import rho_squared
 from paradirac.scalars import GaussianRational
 from paradirac.timefn import (PARABOLIC_ZETA, ProfileWeight, SpaceTimeFunction,
                               TimeFunction, apply_0F1, assemble_split,
@@ -52,23 +52,20 @@ def test_time_product_merges_lambda():
 
 def test_spacetime_partial_and_dirac():
     ctx = AlgebraContext(2)
-    p = CliffordPoly.monomial(ctx, (2, 0), 1)
-    F = SpaceTimeFunction.from_poly(p, TimeFunction.polynomial(ctx, [0, 1]))
+    p = SpaceTimeFunction.monomial(ctx, (2, 0), 1)
+    F = p * TimeFunction.polynomial(ctx, [0, 1])
     dF = F.partial(0)
-    assert dF == SpaceTimeFunction.from_poly(
-        CliffordPoly.monomial(ctx, (1, 0), 2),
-        TimeFunction.polynomial(ctx, [0, 1]))
-    assert F.d_dt() == SpaceTimeFunction.from_poly(p)
+    assert dF == (SpaceTimeFunction.monomial(ctx, (1, 0), 2)
+                  * TimeFunction.polynomial(ctx, [0, 1]))
+    assert F.d_dt() == p
 
 
 def test_heat_polynomial_is_caloric():
     # t + rho^2 / (2m) solves the heat equation for every m
     for m in (1, 2, 3, 4):
         ctx = AlgebraContext(m)
-        F = (SpaceTimeFunction.from_poly(rho_squared(ctx)).scale(Fraction(1, 2 * m))
-             + SpaceTimeFunction.from_poly(
-                 CliffordPoly.constant(ctx, 1),
-                 TimeFunction.polynomial(ctx, [0, 1])))
+        F = (rho_squared(ctx).scale(Fraction(1, 2 * m))
+             + TimeFunction.polynomial(ctx, [0, 1]))
         assert heat_residual(F).is_zero()
 
 
@@ -76,27 +73,25 @@ def test_parabolic_dirac_of_one():
     # D(1) = fdag: the operator has a zeroth-order part
     ctx = AlgebraContext(2)
     _, fdag = witt_basis(ctx)
-    F = SpaceTimeFunction.from_poly(CliffordPoly.constant(ctx, 1))
+    F = SpaceTimeFunction.constant(ctx, 1)
     R = parabolic_dirac(F)
-    assert R == SpaceTimeFunction.from_poly(CliffordPoly.zero(ctx) + CliffordPoly(
-        ctx, {(0, 0): fdag}))
+    assert R == spatial(ctx, {(0, 0): fdag})
 
 
 def test_apply_0F1_first_terms():
     # gamma = 1, a = t: body is a(t) + rho^2 a'(t)/4 + ...
     ctx = AlgebraContext(2)
-    base = CliffordPoly.constant(ctx, 1)
+    base = SpaceTimeFunction.constant(ctx, 1)
     a = TimeFunction.polynomial(ctx, [0, 1])
     F = apply_0F1(1, base, a, L=6)
-    expect = (SpaceTimeFunction.from_poly(base, a)
-              + SpaceTimeFunction.from_poly(rho_squared(ctx)).scale(Fraction(1, 4)))
+    expect = base * a + rho_squared(ctx).scale(Fraction(1, 4))
     assert F == expect
 
 
 def test_apply_0F1_caloric():
     # each 0F1 lift of a polynomial profile solves (Lap - d_dt) F = 0
     ctx = AlgebraContext(3)
-    base = CliffordPoly.constant(ctx, 1)
+    base = SpaceTimeFunction.constant(ctx, 1)
     for coeffs in ([1], [0, 1], [1, -2, 3]):
         a = TimeFunction.polynomial(ctx, coeffs)
         F = apply_0F1(Fraction(3, 2), base, a, L=12)
@@ -107,7 +102,7 @@ def test_apply_0F1_exponential_profile_truncation():
     # e^{lam t} profile never terminates; residual must sit at the
     # truncation frontier only
     ctx = AlgebraContext(2)
-    base = CliffordPoly.constant(ctx, 1)
+    base = SpaceTimeFunction.constant(ctx, 1)
     a = TimeFunction.term(ctx, 1, n=0, lam=Fraction(-1))
     F = apply_0F1(1, base, a, L=5)
     R = heat_residual(F)
@@ -121,7 +116,7 @@ def test_apply_0F1_refuses_a_pole_of_any_real_type(gamma):
     # (gamma)_l vanishes from l = 1 - gamma on: a ValueError, not a
     # ZeroDivisionError from the weight recurrence
     ctx = AlgebraContext(2)
-    base = CliffordPoly.constant(ctx, 1)
+    base = SpaceTimeFunction.constant(ctx, 1)
     a = TimeFunction.term(ctx, 1, n=3)
     with pytest.raises(ValueError, match="0F1 pole"):
         apply_0F1(gamma, base, a, 5)
@@ -130,28 +125,25 @@ def test_apply_0F1_refuses_a_pole_of_any_real_type(gamma):
 def test_split_assemble_roundtrip():
     ctx = AlgebraContext(2)
     f, fdag = witt_basis(ctx)
-    F = SpaceTimeFunction.from_poly(
-        CliffordPoly.monomial(ctx, (1, 1), 1),
-        TimeFunction.polynomial(ctx, [1, 2]))
-    F = F + SpaceTimeFunction.from_poly(CliffordPoly(ctx, {(2, 0): f * fdag}))
+    F = (SpaceTimeFunction.monomial(ctx, (1, 1), 1)
+         * TimeFunction.polynomial(ctx, [1, 2]))
+    F = F + spatial(ctx, {(2, 0): f * fdag})
     f0, f1, f2, f3 = F.split()
     assert assemble_split(f0, f1, f2, f3) == F
 
 
 def test_evaluate_spacetime():
     ctx = AlgebraContext(2)
-    F = SpaceTimeFunction.from_poly(
-        CliffordPoly.monomial(ctx, (1, 0), 1),
-        TimeFunction.polynomial(ctx, [0, 0, 1]))
+    F = (SpaceTimeFunction.monomial(ctx, (1, 0), 1)
+         * TimeFunction.polynomial(ctx, [0, 0, 1]))
     v = F.evaluate([Fraction(2), 0], t=Fraction(3))
     assert v == ctx.scalar(18)
 
 
 def test_mul_time_distributes():
     ctx = AlgebraContext(2)
-    F = SpaceTimeFunction.from_poly(
-        CliffordPoly.monomial(ctx, (1, 0), 1),
-        TimeFunction.polynomial(ctx, [1, 1]))
+    F = (SpaceTimeFunction.monomial(ctx, (1, 0), 1)
+         * TimeFunction.polynomial(ctx, [1, 1]))
     tf = TimeFunction.polynomial(ctx, [0, 1])
     G = F * tf
     pt, tv = [Fraction(1, 2), Fraction(1, 3)], Fraction(2)
@@ -220,13 +212,13 @@ def test_spacetime_partial_laplacian_evaluate_match_oracle(data):
         ((lowered(exps, j, 2), n, lam), mv * (exps[j] * (exps[j] - 1)))
         for (exps, n, lam), mv in F.terms.items()
         for j in range(m) if exps[j] > 1)
-    # a polynomial evaluates the same on its own and as a space-time function
-    p = CliffordPoly(F.ctx, {exps: mv for (exps, n, lam), mv in F.terms.items()
-                             if n == 0 and lam == 0})
+    # the polynomial slice evaluates the same at every t
+    p = spatial(F.ctx, {exps: mv for (exps, n, lam), mv in F.terms.items()
+                        if n == 0 and lam == 0})
     point = [data.draw(st.builds(Fraction, small, st.integers(1, 3)))
              for _ in range(m)]
     t = data.draw(st.one_of(small, st.builds(Fraction, small, st.integers(1, 3))))
-    assert p.evaluate(point) == SpaceTimeFunction.from_poly(p).evaluate(point, t)
+    assert p.evaluate(point) == p.evaluate(point, t)
 
 
 @settings(max_examples=80, deadline=None)
@@ -477,11 +469,10 @@ def test_stored_numerators_match_per_term_oracles(data):
     for got, want in zip(F.split(), o_split(a)):
         assert_matches(got.terms, want, ex_a)
     # p(x) a(t) from the polynomial slice and the x-independent slice
-    p = CliffordPoly(ctx, {exps: mv for (exps, n, lam), mv in a.items()
-                           if n == 0 and lam == 0})
+    p = spatial(ctx, {exps: mv for (exps, n, lam), mv in a.items()
+                      if n == 0 and lam == 0})
     tf = TimeFunction(ctx, {key: mv for key, mv in a.items() if not any(key[0])})
-    assert_matches(SpaceTimeFunction.from_poly(p, tf).terms,
-                   o_mul(ctx, as_spacetime(p.terms), tf.terms), ex_a)
+    assert_matches((p * tf).terms, o_mul(ctx, p.terms, tf.terms), ex_a)
     if ex_a:
         poly = SpaceTimeFunction(ctx, {k: mv for k, mv in a.items() if k[2] == 0})
         point = [data.draw(mixed_fractions) for _ in range(ctx.m)]

@@ -17,8 +17,7 @@ from paradirac.builders import (ALL_MODES, SeriesSolution, build_generalized,
                                 build_helmholtz, build_parabolic_closed,
                                 build_parabolic_recurrence)
 from paradirac.harmonics import harmonic_basis, monogenic_basis
-from paradirac.poly import (CliffordPoly, integer_rescale, rho_squared,
-                            vector_variable)
+from paradirac.poly import integer_rescale, rho_squared, vector_variable
 from paradirac.scalars import GaussianRational
 from paradirac.serialize import (load_solution, residual_report_to_dict,
                                  save_solution, solution_to_dict)
@@ -134,8 +133,7 @@ def test_perturbation_adds_to_one_split_component(kind, slot):
               "float": 2.0}[kind]
     coeff = ctx.e(1) * scalar + ctx.e(1) * ctx.e(2)
     bad = perturb_component(sol, slot, (1, 1), coeff)
-    delta = SpaceTimeFunction.from_poly(
-        CliffordPoly.monomial(ctx, (1, 1), 1).lmul(coeff))
+    delta = SpaceTimeFunction.monomial(ctx, (1, 1), 1).lmul(coeff)
     want = split_perturbed(sol.body, slot, delta)
     assert bad.body == want
     assert typed(bad.body.terms) == typed(want.terms)
@@ -192,7 +190,7 @@ def test_dirac_residual_rejects_fake_exact():
     # part fdag), so an exact-flagged wrapper must fail
     ctx = AlgebraContext(2)
     fake = SeriesSolution(
-        body=SpaceTimeFunction.from_poly(CliffordPoly.constant(ctx, 1)),
+        body=SpaceTimeFunction.constant(ctx, 1),
         mode="parabolic-closed", m=2, k=0, L=2, exact=True)
     rep = dirac_residual(fake)
     assert not rep.exact_zero
@@ -266,7 +264,7 @@ def test_cross_check_dimension_mismatch():
 
 def with_scalar_term(sol, exps, c):
     """sol plus the scalar term c x^exps: a mutant that solves nothing."""
-    delta = SpaceTimeFunction.from_poly(CliffordPoly.monomial(sol.ctx, exps, c))
+    delta = SpaceTimeFunction.monomial(sol.ctx, exps, c)
     return SeriesSolution(body=sol.body + delta, mode=sol.mode, m=sol.m,
                           k=sol.k, L=sol.L, exact=sol.exact, zeta=sol.zeta)
 
@@ -745,8 +743,7 @@ def test_sweep_builds_verify_and_single_coefficient_mutants_fail(data):
         coeff = Multivector(sol.ctx, {mask: c})
         if not _detectable(sol, exps, coeff):
             continue
-        sol.body = parent + SpaceTimeFunction.from_poly(
-            CliffordPoly.monomial(sol.ctx, exps, 1).lmul(coeff))
+        sol.body = parent + SpaceTimeFunction.monomial(sol.ctx, exps, 1).lmul(coeff)
         assert not dirac_residual(sol).passed, (exps, mask, c)
         if parabolic:
             comp = check_component_conditions(sol)
@@ -933,8 +930,7 @@ def _expand(form, ctx):
             for unit, part in zip(units, w.parts):
                 for c, p, d in part:
                     assert not d
-                    F = F + SpaceTimeFunction.from_poly(
-                        spatial.lmul(unit)) * p.scale(c)
+                    F = F + spatial.lmul(unit) * p.scale(c)
         P, Q = rho2 * P, rho2 * Q
     return F
 
