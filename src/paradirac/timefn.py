@@ -33,15 +33,14 @@ def assemble_split(f0, f1, f2, f3) -> SpaceTimeFunction:
     """F0 + f*F1 + fdag*F2 + f*fdag*F3 for SpaceTimeFunction components."""
     ctx = f0.ctx
     f, fdag = witt_basis(ctx)
-    return Sum(ctx).add(f0).lmul(f, f1).lmul(
-        fdag, f2).lmul(f * fdag, f3).value()
+    return Sum(ctx).add(f0).lmul(f, f1).lmul(fdag, f2).lmul(
+        f * fdag, f3).value()
 
 
 def parabolic_dirac(F: SpaceTimeFunction) -> SpaceTimeFunction:
     """D F = d_x F + f d_t F + fdag F, in one sum."""
     f, fdag = witt_basis(F.ctx)
-    return Sum(F.ctx).dirac(F).lmul(f, F.d_dt()).lmul(
-        fdag, F).value()
+    return Sum(F.ctx).dirac(F).lmul(f, F.d_dt()).lmul(fdag, F).value()
 
 
 def heat_residual(F: SpaceTimeFunction) -> SpaceTimeFunction:

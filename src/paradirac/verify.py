@@ -140,10 +140,8 @@ def check_component_conditions(
     else:
         f0, f1, f2, f3 = body.split()
         ctx = body.ctx
-        cond_f1 = Sum(ctx).add(f1).dirac(
-            f0).value().is_zero()
-        cond_f3 = Sum(ctx).add(f3).dirac(f2, -1).add(
-            f0).value().is_zero()
+        cond_f1 = Sum(ctx).add(f1).dirac(f0).value().is_zero()
+        cond_f3 = Sum(ctx).add(f3).dirac(f2, -1).add(f0).value().is_zero()
         heat_f0 = heat_residual(f0).is_zero()
         heat_f2 = heat_residual(f2).is_zero()
     conditions = cond_f1 and cond_f3 and heat_f0 and heat_f2

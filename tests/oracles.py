@@ -368,12 +368,12 @@ def chain_0F1(gamma, base, a, L=None):
     total = Sum(base.ctx)
     weight, deriv = Fraction(1), a
     last = a.max_n() if a.is_polynomial() else L
-    for l, spatial in zip(range(last + 1), rho_powers(base)):
+    for l, power in zip(range(last + 1), rho_powers(base)):
         if deriv.is_zero():
             break
         if l:
             weight = weight / (4 * l * (gamma + l - 1))
-        total.product(spatial, deriv, weight)
+        total.product(power, deriv, weight)
         deriv = deriv.d_dt()
     return total.value()
 
