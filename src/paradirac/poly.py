@@ -45,9 +45,12 @@ series, and the level's heads times its time profiles for a parabolic
 one.  radial_series adds each term of p_l under every shift x^{2j},
 |j| = l, of its spatial exponents, times the integer multinomial
 l!/prod j_i! (rho_terms): rho^{2l} is a scalar, so no output term needs
-a Clifford product and no power of rho^2 is made.  Exact levels are
-written at one denominator; a series with any inexact level is summed
-on raw values by the same loop.
+a Clifford product and no power of rho^2 is made.  The shifted exponent
+tuples come from a memo, _shifted, keyed on (exponents, l) alone, never
+on a coefficient, n or lambda; it lists them in rho_terms order and holds
+each distinct tuple once, so a warm call makes the body a cold one makes,
+term order included.  Exact levels are written at one denominator; a
+series with any inexact level is summed on raw values by the same loop.
 
 Order guarantee.  A body built by a Sum has the values, the term order
 and the blade order of the left-to-right chain of binary operators it
@@ -869,6 +872,18 @@ def rho_terms(m: int, l: int) -> Tuple[Tuple[Exponents, int], ...]:
                  for rest, c in rho_terms(m - 1, l - j))
 
 
+# one object per distinct shifted exponent tuple over all _shifted entries
+_EXPONENTS: Dict[Exponents, Exponents] = {}
+
+
+@lru_cache(maxsize=None)
+def _shifted(exps: Exponents, l: int) -> Tuple[Exponents, ...]:
+    """exps + 2j for every term (2j, c) of rho^{2l}, in rho_terms order,
+    made when first asked for; each distinct tuple is held once."""
+    return tuple(_EXPONENTS.setdefault(e, e) for e in (
+        tuple(map(add, exps, s)) for s, _ in rho_terms(len(exps), l)))
+
+
 def radial_product(w, p: SpaceTimeFunction) -> SpaceTimeFunction:
     """The small body w p of a Cl(1,1) weight w and a body p.  An
     exact weight, a zeta.IntMatrix, on an exact p takes one blade product
@@ -894,7 +909,9 @@ def radial_series(ctx: AlgebraContext, heads) -> SpaceTimeFunction:
     rho^{2l} is a scalar with integer terms (rho_terms), so each term of a
     level is added under every shift x^{2j}, |j| = l, of its spatial
     exponents, times the integer l!/prod j_i!, its time part riding
-    along.  When every
+    along.  The shifted exponents are read from the memo _shifted, keyed
+    on the term's exponent tuple and l only, in rho_terms order, so the
+    term order does not depend on what the memo holds.  When every
     level is exact (also one that keeps its exact values raw), every level
     of every head is written at one denominator; when any level is
     inexact, every level's values are summed raw (D = None) by the same
@@ -918,11 +935,11 @@ def radial_series(ctx: AlgebraContext, heads) -> SpaceTimeFunction:
                     for vals in nums.values() for n in vals.values())
         for l, nums, Dp in parts:
             f = 1 if D is None else D // Dp
-            shifts = [(s, c * f) for s, c in rho_terms(m, l)]
+            cs = [c * f for _, c in rho_terms(m, l)]
             for (exps, n, lam), vals in nums.items():
                 items = tuple(vals.items())
-                for s, c in shifts:
-                    new = (tuple(map(add, exps, s)), n, lam)
+                for e, c in zip(_shifted(exps, l), cs):
+                    new = (e, n, lam)
                     o = out.get(new)
                     if o is None:
                         out[new] = ({mask: _nmul(v, c) for mask, v in items}

@@ -460,7 +460,32 @@ def dirac_residual(F: SeriesSolution,
 
 
 def cross_check(F_a: SeriesSolution, F_b: SeriesSolution) -> bool:
-    """Symbolic equality of the two bodies."""
+    """Symbolic equality of the two bodies.
+
+    The radial forms decide when both solutions are generalized or
+    Helmholtz builds fresh from their builder with exact coefficients,
+    each holding the form of its current body: such a body is
+    radial_series of its form, so equal forms (the same k and head M per
+    head, and equal P_l and Q_l, Q None on both sides or neither) mean
+    equal bodies.  The bodies decide, by subtraction, everything else:
+    forms that differ in any part (their bodies may still be equal), and
+    any side without its form (a float or parabolic build, a loaded,
+    replaced or perturbed body).  A parabolic form is not compared because
+    a closed build's body is not made from its form alone.
+    """
     if F_a.ctx.m != F_b.ctx.m:
         raise ValueError("solutions live in different dimensions")
+    heads = _series_heads(F_a)
+    # tuple == compares the heads' k, M and IntMatrix levels in turn
+    if heads is not None and heads == _series_heads(F_b):
+        return True
     return (F_a.body - F_b.body).is_zero()
+
+
+def _series_heads(F: SeriesSolution) -> Optional[tuple]:
+    """The heads of F's radial form when F is a series build that holds
+    the form of its current body, else None."""
+    memo = F._radial
+    if memo is None or memo[0] is not F.body or memo[1].zeta is None:
+        return None
+    return memo[1].heads

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,9 @@ from oracles import (assert_matches, canonical, exact_values, o_add, o_dirac,
                      o_div, o_evaluate, o_laplacian, o_lmul, o_mul, o_neg,
                      o_partial, o_rmul, o_scale, rho_powers, spatial, typed)
 from paradirac.algebra import AlgebraContext, Multivector, _mul_into, witt_basis
-from paradirac.poly import (SpaceTimeFunction, TimeFunction, rho_squared,
-                            rho_terms, vector_variable)
+from paradirac.poly import (SpaceTimeFunction, TimeFunction, _shifted,
+                            radial_series, rho_squared, rho_terms,
+                            vector_variable)
 from paradirac.scalars import GaussianRational
 
 rng = random.Random(31415)
@@ -142,6 +144,74 @@ def test_rho_terms_are_the_powers_of_rho_squared(m):
         assert len({exps for exps, _ in terms}) == len(terms)
         assert dict(terms) == {key[0]: power.coeffs(key)[0]
                                for key in power.keys()}
+
+
+def _radial_levels(ctx, raw):
+    """Three levels on one head, as radial_series takes them: exact ones,
+    or (raw) float ones with t and e^(lambda t) parts."""
+    head = (vector_variable(ctx) * SpaceTimeFunction.monomial(ctx, (1,) * ctx.m, 3)
+            + SpaceTimeFunction.constant(ctx, Fraction(1, 2)))
+    if raw:
+        a = TimeFunction.polynomial(ctx, [0.1, -1 / 3, 0.7])
+        return [(0, head * a), (1, head.scale(0.25)),
+                (3, head * TimeFunction.term(ctx, 1.5, lam=-0.5))]
+    return [(0, head), (1, head.scale(Fraction(1, 3))),
+            (3, head * TimeFunction.polynomial(ctx, [1, Fraction(-2, 5)]))]
+
+
+def _stored(body):
+    """Everything of a body a reader can see, in its order."""
+    return ([(key, list(body.coeffs(key).items())) for key in body.keys()],
+            body._D)
+
+
+@pytest.mark.parametrize("raw", [False, True], ids=["exact", "float"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_warm_shift_memo_expands_as_a_cold_one(m, raw):
+    ctx = AlgebraContext(m)
+    _shifted.cache_clear()
+    cold = radial_series(ctx, [_radial_levels(ctx, raw)])
+    filled = _shifted.cache_info().currsize
+    warm = radial_series(ctx, [_radial_levels(ctx, raw)])
+    assert _shifted.cache_info().misses == filled
+    assert _stored(warm) == _stored(cold)
+    assert (cold._D is None) == raw
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_shift_memo_entries_are_the_shifted_exponents(m):
+    # every entry the expansion makes: exps + 2j over rho_terms(m, l), in
+    # that order, with each distinct tuple held as one object
+    ctx = AlgebraContext(m)
+    levels = _radial_levels(ctx, False)
+    _shifted.cache_clear()
+    radial_series(ctx, [levels])
+    asked = {(exps, l) for l, p in levels for exps, _, _ in p.keys()}
+    assert _shifted.cache_info().currsize == len(asked)
+    seen = {}
+    for exps, l in asked:
+        got = _shifted(exps, l)
+        assert got == tuple(tuple(map(add, exps, s)) for s, _ in rho_terms(m, l))
+        for e in got:
+            assert seen.setdefault(e, e) is e
+    assert _shifted.cache_info().misses == len(asked)
+
+
+def test_shift_memo_is_keyed_on_exponents_and_level_only():
+    # 20 float lambdas and coefficients over one head add no entry
+    ctx = AlgebraContext(3)
+    head = _radial_levels(ctx, False)[0][1]
+    r = random.Random(7)
+
+    def levels(c, lam):
+        return [(l, head * TimeFunction.term(ctx, c * (l + 1), lam=lam))
+                for l in range(4)]
+
+    radial_series(ctx, [levels(1.0, -1.0)])
+    size = _shifted.cache_info().currsize
+    for _ in range(20):
+        radial_series(ctx, [levels(r.uniform(-2, 2), r.uniform(-2, 2))])
+    assert _shifted.cache_info().currsize == size
 
 
 def test_truncate_degree():

@@ -1093,3 +1093,118 @@ def test_changed_metadata_drops_the_profile_form(field, value):
     assert not sol._dirac[2] and comp.passed
     assert report_text(dirac_residual(sol)) == report_text(
         dirac_residual(dataclasses.replace(sol)))
+
+
+# -- cross_check: radial forms first, the bodies as the fallback ---------------
+
+
+def _cross_and_subtractions(a, b):
+    """cross_check(a, b), and how many body subtractions it made."""
+    calls = []
+    sub = SpaceTimeFunction.__sub__
+
+    def spy(self, other):
+        calls.append(1)
+        return sub(self, other)
+
+    with mock.patch.object(SpaceTimeFunction, "__sub__", spy):
+        same = cross_check(a, b)
+    return same, len(calls)
+
+
+SERIES_MODES = ("gen-monogenic", "gen-factored", "gen-invertible", "helmholtz")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_cross_check_by_forms_agrees_with_the_bodies(data):
+    m = data.draw(st.integers(1, 4), label="m")
+    kind = data.draw(st.sampled_from(("rational", "gaussian", "det0",
+                                      "defective")), label="zeta kind")
+    z = ZetaElement(*data.draw(ZETAS[kind], label="zeta"))
+    modes = [mode for mode in SERIES_MODES
+             if mode != "gen-invertible" or z.det()]
+    k = data.draw(st.sampled_from(
+        [k for k in range(4) if _heads(m, k, False)]), label="k")
+    index = data.draw(st.integers(0, 3), label="head")
+    L = data.draw(st.integers(1, L_MAX[m]), label="L")
+
+    def build(label):
+        mode = data.draw(st.sampled_from(modes), label=f"mode {label}")
+        heads = _heads(m, k, mode == "helmholtz")
+        head = heads[data.draw(st.sampled_from((index, index + 1)),
+                               label=f"head {label}") % len(heads)]
+        order = data.draw(st.sampled_from((L, L + 1)), label=f"L {label}")
+        if mode == "helmholtz":
+            return build_helmholtz(head, z, L=order)
+        return build_generalized(head, z, L=order, form=mode.split("-", 1)[1])
+
+    a, b = build("a"), build("b")
+    assert a._radial is not None and b._radial is not None
+    same, subtractions = _cross_and_subtractions(a, b)
+    assert same == (a.body - b.body).is_zero()
+    forms_equal = subtractions == 0
+    assert not forms_equal or same
+
+
+def test_equal_forms_subtract_no_bodies():
+    ctx = AlgebraContext(3)
+    M = monogenic_basis(ctx, 1)[0]
+    builds = [build_generalized(M, Q, L=4, form=form)
+              for form in ("monogenic", "factored", "invertible")]
+    for a in builds:
+        for b in builds:
+            assert _cross_and_subtractions(a, b) == (True, 0)
+    helm = [build_helmholtz(harmonic_basis(ctx, 2)[0], GQ, L=3) for _ in "ab"]
+    assert _cross_and_subtractions(*helm) == (True, 0)
+
+
+def _saved_and_loaded(sol, tmp_path):
+    path = tmp_path / "sol.json"
+    save_solution(sol, str(path))
+    return load_solution(str(path))
+
+
+def _closed_and_recurrence(m, k, coeffs):
+    """A closed build, and the recurrence build of the same body: seeds
+    a0 = a and b2 = -a/(2k+m)."""
+    ctx = AlgebraContext(m)
+    M = monogenic_basis(ctx, k)[0]
+    a = TimeFunction.polynomial(ctx, list(coeffs))
+    return (build_parabolic_closed(M, a), build_parabolic_recurrence(
+        M, {"a0": a, "b2": a.scale(Fraction(-1, 2 * k + m))}), True)
+
+
+def _with_a_new_body(sol):
+    """sol, still holding the radial form of its old body, given the body
+    plus a scalar term."""
+    sol.body = sol.body + SpaceTimeFunction.monomial(sol.ctx, (1,) * sol.m, 1)
+    return sol
+
+
+NILPOTENT = ZetaElement(0, 1, 0, 0)
+# (a, b, equal bodies): pairs that cross_check must decide on the bodies
+FALLBACKS = {
+    # zeta* zeta = 0 ends the series at l = 0, so the L = 2 and L = 4 forms
+    # differ in length but make the same body
+    "forms of different lengths": lambda tmp: (
+        _gen(2, 1, NILPOTENT, 2), _gen(2, 1, NILPOTENT, 4), True),
+    "unequal forms": lambda tmp: (_gen(2, 1, Q, 3), _gen(2, 1, Q, 4), False),
+    "float": lambda tmp: (_gen(2, 1, Z, 4), _gen(2, 1, Z, 4), True),
+    "loaded": lambda tmp: (_saved_and_loaded(_gen(2, 1, Q, 4), tmp),
+                           _gen(2, 1, Q, 4, "factored"), True),
+    "mutant": lambda tmp: (perturb_component(_gen(2, 1, Q, 4), 0, (1, 1),
+                                             AlgebraContext(2).e(1)),
+                           _gen(2, 1, Q, 4), False),
+    "parabolic": lambda tmp: _closed_and_recurrence(3, 1, (1, 0, -2, 1)),
+    "new body": lambda tmp: (_with_a_new_body(_gen(2, 1, Q, 4)),
+                             _gen(2, 1, Q, 4), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACKS))
+def test_cross_check_falls_back_to_the_bodies(name, tmp_path):
+    a, b, equal = FALLBACKS[name](tmp_path)
+    assert (a.body - b.body).is_zero() == equal
+    assert _cross_and_subtractions(a, b) == (equal, 1)
+    assert _cross_and_subtractions(b, a) == (equal, 1)
