@@ -29,13 +29,16 @@ reader hands out a stored row, and no other module reads the numerators.
 
 The accumulator.  Every operator but scale and / (which change D and the
 numerators of one body), and every sum of operator results, is built by
-a Sum: a list of stages, such as a scaled body, a constant product,
-dirac, a derivative or a product, each made on its own and merged in
-order into one {key: row} dict.  The exact stages are merged at the lcm
-D of their own denominators, each made with its numerators already
-multiplied by D / (its denominator), so no row is rescaled.  From the
-first inexact stage on the rows are raw values, and each later stage is
-turned into raw values, scaled and merged, as the binary operators do.
+a Sum: stages, such as a scaled body, a constant product, dirac, a
+derivative or a product, each made when it is recorded and merged at
+once, in order, into the Sum's own {key: row} dict over one D.  While
+every stage is exact, a stage whose denominator divides D is made with
+its numerators already multiplied by D / (its denominator); one that
+needs a larger D first multiplies the accumulator's own rows, in place,
+up to the lcm.  From the first inexact stage on the rows are raw values,
+and each later stage is turned into raw values, scaled and merged, as
+the binary operators do.  value() hands the dict over as the body and
+leaves the Sum spent, so no later stage changes a body it returned.
 
 The radial expander.  Every series the builders make, float ones
 included, is sum_l rho^{2l} p_l over one small body p_l per level: w_l p
@@ -157,6 +160,12 @@ def _value(n: Numerator, D: int) -> Exact:
     return Fraction(n, D) if r else q
 
 
+def _valued(nums: Rows, D: int) -> Rows:
+    """{key: {blade: value}} of numerators over D, fresh rows."""
+    return {key: {mask: _value(n, D) for mask, n in vals.items()}
+            for key, vals in nums.items()}
+
+
 def _rounded(n: Numerator, D: int) -> Scalar:
     """n / D rounded once, as float() and complex() round its value; the
     exact value where it is beyond the float range."""
@@ -207,22 +216,25 @@ def _merge(out: Rows, key, t: Dict[int, Scalar]) -> None:
 
 
 class Sum:
-    """scale_1 op_1(body_1) + scale_2 op_2(body_2) + ..., built in one pass.
+    """scale_1 op_1(body_1) + scale_2 op_2(body_2) + ..., merged as recorded.
 
-    Each method records one stage and returns the Sum; value() makes the
-    stages in order and merges each into one accumulator (see the module
-    docstring), returning a SpaceTimeFunction, or a TimeFunction when
-    every operand is one.  A stage without a scale adds its terms as they
-    are; on raw values the int scale -1 negates each value, as unary minus
-    does, and any other scale multiplies each value, as scale() does.
+    Each method makes one stage and merges it at once into the Sum's own
+    accumulator (see the module docstring) and returns the Sum; value()
+    hands the accumulator over as a SpaceTimeFunction, or a TimeFunction
+    when every operand is one, and leaves the Sum spent: a later stage or
+    value() raises ValueError.  A stage without a scale adds its terms as
+    they are; on raw values the int scale -1 negates each value, as unary
+    minus does, and any other scale multiplies each value, as scale() does.
     """
 
-    __slots__ = ("_cls", "ctx", "_stages")
+    __slots__ = ("_cls", "ctx", "_rows", "_D")
 
     def __init__(self, ctx: AlgebraContext):
-        self._cls, self.ctx, self._stages = None, ctx, []
+        self._cls, self.ctx, self._rows, self._D = None, ctx, {}, 1
 
     def _check(self, body: "SpaceTimeFunction"):
+        if self._rows is None:
+            raise ValueError("the Sum is spent: value() was called")
         if body.ctx is not self.ctx and body.ctx != self.ctx:
             raise AlgebraMismatchError("sums over different algebra contexts")
         if type(body) is not TimeFunction:
@@ -230,24 +242,49 @@ class Sum:
         elif self._cls is None:
             self._cls = TimeFunction
 
-    def _stage(self, D: Optional[int], scale, make):
-        """Record make(exact, f), which returns {key: row} of f times the
-        stage's terms (a row may be empty), as numerators when exact, else
-        as raw values with f = 1.  D is the stage's denominator before the
-        scale, None for an inexact stage.  A zero scale records nothing:
-        its stage is zero."""
+    def _stage(self, Ds: Optional[int], scale, make):
+        """Merge make(exact, f), {key: row} of f times the stage's terms (a
+        row may be empty), as numerators when exact, else as raw values
+        with f = 1.  Ds is the stage's denominator before the scale, None
+        for an inexact stage.  A zero scale merges nothing: its stage is
+        zero."""
         if scale is None:
             p = 1
-        elif D is not None and type(scale) in _EXACT_TYPES:
-            if not scale:
-                return self
-            p, q = _ratio(scale)
-            D *= q
-        elif scale == 0:
+        elif not scale:
             return self
+        elif Ds is not None and type(scale) in _EXACT_TYPES:
+            p, q = _ratio(scale)
+            Ds *= q
         else:
-            D = p = None
-        self._stages.append((D, p, scale, make))
+            Ds = None
+        out, D = self._rows, self._D
+        try:
+            if Ds is None:
+                if D is not None:       # from here on raw values
+                    out = self._rows = _valued(out, D)
+                    self._D = None
+                made = make(False, 1)
+                if type(scale) is int and scale == -1:
+                    made = {key: {mask: -v for mask, v in vals.items()}
+                            for key, vals in made.items()}
+                elif scale is not None:
+                    made = {key: _scaled(vals, scale) for key, vals in made.items()}
+            elif D is None:
+                made = _valued(make(True, p), Ds)
+            else:
+                new = lcm(D, Ds)
+                if new != D:            # the accumulator's own rows, rescaled
+                    g = new // D
+                    for vals in out.values():
+                        for mask, n in vals.items():
+                            vals[mask] = n * g if type(n) is int else _nmul(n, g)
+                    self._D = new
+                made = make(True, _nmul(new // Ds, p))
+            for key, t in made.items():
+                _merge(out, key, t)
+        except OverflowError:   # an exact value met a float: float() overflowed
+            raise ValueError("a sum or product of an exact value and a float "
+                             "is beyond the float range") from None
         return self
 
     # -- stages ----------------------------------------------------------------
@@ -264,38 +301,27 @@ class Sum:
 
     def lmul(self, mv: Multivector, body: "SpaceTimeFunction", scale=None) -> "Sum":
         """+ scale * mv * body."""
-        self._check(body)
-        mv._check(body)
-        return self._const(mv, body._D, lambda: body, scale, True)
+        return self._const(mv, body, scale, True)
 
     def rmul(self, mv: Multivector, body: "SpaceTimeFunction", scale=None) -> "Sum":
         """+ scale * body * mv."""
-        self._check(body)
-        mv._check(body)
-        return self._const(mv, body._D, lambda: body, scale, False)
+        return self._const(mv, body, scale, False)
 
-    def _const(self, w: Multivector, D: Optional[int], get, scale,
+    def _const(self, w: Multivector, body: "SpaceTimeFunction", scale,
                left: bool) -> "Sum":
-        """w * c (left) or c * w for every coefficient c of the body get()
-        makes when the stage is made; D is that body's."""
+        """w * c (left) or c * w for every coefficient c of body."""
+        self._check(body)
+        w._check(body)
         ctx = self.ctx
         rows, q = _to_numerators({0: w.terms})
         row = rows[0]
 
         def make(exact, f):
-            body = get()
-            if exact:
-                k, nums = row, body._nums
-                if f != 1:
-                    k = {ma: _nmul(va, f) for ma, va in k.items()}
-            else:
-                k, nums = w.terms, body._values()
-            if not k:
-                return {}
+            k, nums = (_scaled(row, f), body._nums) if exact else (w.terms, body._values())
             if left:
                 return {key: _mul_into(ctx, {}, k, vals) for key, vals in nums.items()}
             return {key: _mul_into(ctx, {}, vals, k) for key, vals in nums.items()}
-        D = D * q if D is not None and q is not None else None
+        D = body._D * q if body._D is not None and q is not None else None
         return self._stage(D, scale, make)
 
     def product(self, a: "SpaceTimeFunction", b: "SpaceTimeFunction",
@@ -399,38 +425,11 @@ class Sum:
     # -- the result ------------------------------------------------------------
 
     def value(self) -> "SpaceTimeFunction":
-        """Make the stages and return their sum."""
-        stages = self._stages
-        raw = next((i for i, st in enumerate(stages) if st[0] is None), len(stages))
-        D = lcm(*(st[0] for st in stages[:raw]))
-        out: Rows = {}
-        try:
-            for i, (Ds, p, scale, make) in enumerate(stages):
-                if i == raw:        # from here on raw values
-                    out = {key: {mask: _value(n, D) for mask, n in vals.items()}
-                           for key, vals in out.items()}
-                if Ds is None:
-                    made = make(False, 1)
-                    if type(scale) is int and scale == -1:
-                        made = {key: {mask: -v for mask, v in vals.items()}
-                                for key, vals in made.items()}
-                    elif scale is not None:
-                        made = {key: _scaled(vals, scale) for key, vals in made.items()}
-                elif i > raw:
-                    made = {key: {mask: _value(n, Ds) for mask, n in vals.items()}
-                            for key, vals in make(True, p).items()}
-                else:
-                    made = make(True, _nmul(D // Ds, p))
-                if out:
-                    for key, t in made.items():
-                        _merge(out, key, t)
-                else:
-                    out = {key: t for key, t in made.items() if t}
-        except OverflowError:   # an exact value met a float: float() overflowed
-            raise ValueError("a sum or product of an exact value and a float "
-                             "is beyond the float range") from None
-        return (self._cls or SpaceTimeFunction)._make(
-            self.ctx, out, D if raw == len(stages) else None)
+        """The sum, the accumulator itself; the Sum is spent."""
+        if self._rows is None:
+            raise ValueError("the Sum is spent: value() was called")
+        rows, self._rows = self._rows, None
+        return (self._cls or SpaceTimeFunction)._make(self.ctx, rows, self._D)
 
 
 # -- bodies -----------------------------------------------------------------------
@@ -487,9 +486,7 @@ class SpaceTimeFunction:
     def _values(self) -> Rows:
         """{key: {blade: value}}: the stored raw values, or the values of the
         numerators; the rows are read, never changed."""
-        if self._D is None:
-            return self._nums
-        return {key: self.coeffs(key) for key in self._nums}
+        return self._nums if self._D is None else _valued(self._nums, self._D)
 
     # -- construction --------------------------------------------------------
 

@@ -162,6 +162,8 @@ def perturb_component(F: SeriesSolution, slot: int, exps: Sequence[int],
     F = F0 + f F1 + fdag F2 + f fdag F3, so the copy's body is
     F.body + c coeff x^exps with c = 1, f, fdag or f fdag, in one Sum.
     """
+    if slot not in range(4):
+        raise ValueError(f"slot must be 0..3, got {slot!r}")
     ctx = F.ctx
     f, fdag = witt_basis(ctx)
     c = (ctx.one(), f, fdag, f * fdag)[slot]

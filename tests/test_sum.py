@@ -13,6 +13,7 @@ while their imaginary part is nonzero.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,6 +141,50 @@ def test_an_integral_exact_part_beside_a_float_is_an_int():
         ctx, [(half, None), (one - half, None), (ones, None)])
     total = Sum(ctx).add(half).add(one - half).add(ones).value()
     assert total.coeffs(key) == {2: 1, 0: 1.0} and type(total.coeffs(key)[2]) is int
+
+
+def test_a_sum_is_rescaled_twice_then_turned_to_raw_values():
+    """An int body, a 1/3 body and a Gaussian 1/2 body take the
+    accumulator from D = 1 to 3 and then to 6, in place; a float body then
+    turns it to raw values, and an exact body after it is merged as raw
+    values."""
+    ctx = AlgebraContext(2)
+    a, b, c = ((1, 0), 0, 0), ((0, 1), 0, 0), ((0, 0), 1, 0)
+
+    def body(terms):
+        return SpaceTimeFunction(ctx, {key: Multivector(ctx, vals)
+                                       for key, vals in terms.items()})
+    ops = [body({a: {0: 2, 2: -1}, b: {4: 3}}),
+           body({a: {0: Fraction(1, 3)}, c: {2: Fraction(-2, 3), 6: 1}}),
+           body({a: {2: GaussianRational(Fraction(1, 2), 1)},
+                 b: {4: GaussianRational(-3, Fraction(-1, 2))}}),
+           body({b: {4: 0.25, 0: -1.5}, c: {6: -1.0}}),
+           body({a: {0: Fraction(-7, 3)}, c: {6: 1, 2: Fraction(2, 3)}})]
+    _assert_sum_matches_chain_and_oracle(ctx, [(F, None) for F in ops])
+
+
+def test_a_spent_sum_refuses_stages_and_keeps_its_body():
+    """value() hands the accumulator over: a stage or a second value()
+    after it raises, and the body it returned keeps its terms."""
+    ctx = AlgebraContext(2)
+    F = SpaceTimeFunction(ctx, {
+        ((1, 1), 0, 0): Multivector(ctx, {0: Fraction(1, 2), 2: 3}),
+        ((2, 0), 1, Fraction(1, 3)): Multivector(ctx, {4: -1})})
+    total = Sum(ctx).add(F).dirac(F)
+    got = total.value()
+    keys = list(got.keys())
+    coeffs = {key: got.coeffs(key) for key in keys}
+    late = [lambda: total.add(F), lambda: total.add(F, 0), lambda: total.add(F, 0.5),
+            lambda: total.lmul(ctx.e(1), F), lambda: total.rmul(ctx.e(1), F),
+            lambda: total.product(F, F), lambda: total.dirac(F),
+            lambda: total.lowered(F, 1, (0,)), lambda: total.laplacian(F),
+            lambda: total.d_dt(F), total.value]
+    for stage in late:
+        with pytest.raises(ValueError, match="spent"):
+            stage()
+    assert list(got.keys()) == keys
+    assert {key: got.coeffs(key) for key in keys} == coeffs
+    assert typed(got.terms) == typed((F + F.dirac()).terms)
 
 
 def _assert_sum_matches_chain_and_oracle(ctx, ops):

@@ -87,6 +87,14 @@ def test_perturbation_is_detected(slot):
     assert check_component_conditions(sol).passed
 
 
+@pytest.mark.parametrize("slot", [-1, 4])
+def test_perturbation_refuses_a_slot_outside_0_to_3(slot):
+    # -1 would index the f fdag part and 4 no part at all
+    sol = exact_solution()
+    with pytest.raises(ValueError, match=f"got {slot}"):
+        perturb_component(sol, slot, (1, 1), sol.ctx.e(1))
+
+
 def _perturb_base(kind):
     """A parabolic solution with exact, Gaussian or float coefficients that
     passes both checks; the float one has integral values, so that neither
