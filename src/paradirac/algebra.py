@@ -308,9 +308,6 @@ class Multivector:
     def is_exact(self) -> bool:
         return all(is_exact(v) for v in self.terms.values())
 
-    def scalar_part(self) -> Scalar:
-        return self.terms.get(0, 0)
-
     def max_abs(self) -> float:
         if not self.terms:
             return 0.0

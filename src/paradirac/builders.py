@@ -18,8 +18,10 @@ itself otherwise.  It computes every P_l and Q_l from Z^ Z, Z Z^, Z^ and
 Z^-1 by the operations both types share; the three generalized forms
 differ only in that step, and a Sylvester Helmholtz build takes its
 weights from zeta.sylvester_eval instead.  The body is expanded from
-them by poly.radial_series, and an exact "direct" build keeps them as
-its radial form, which verify checks the build's residual by.
+them by poly.radial_series, and an exact "direct" build owns them as
+its radial form, with each head M and x M, which verify checks the
+build's residual by.  A SeriesSolution is immutable, so its form is
+always that of its body and metadata.
 
 All series are truncated at the requested order L; the parabolic builds
 terminate on their own when every seed profile is a polynomial in t, in
@@ -32,7 +34,7 @@ fdag, f fdag, the profiles right of M.  One function, _parabolic_solution,
 writes the levels of both parabolic builds, each profile an exact
 multiple of one seed derivative (the closed form is the recurrence
 seeded with a0 = a and b2 = -a/(2k+m)), and expands them by
-poly.radial_series, one small body per level.  An exact build keeps that
+poly.radial_series, one small body per level.  An exact build owns that
 form.
 """
 
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .algebra import AlgebraContext, witt_basis
 from .harmonics import HarmonicPoly, MonogenicPoly
@@ -55,35 +57,20 @@ GENERALIZED_MODES = ("gen-monogenic", "gen-factored", "gen-invertible")
 ALL_MODES = PARABOLIC_MODES + ("helmholtz",) + GENERALIZED_MODES
 
 
-class RadialForm(NamedTuple):
-    """The radial form of an exact build, sum_l rho^{2l} (P_l M + Q_l x M)
-    over each head M of degree k.
-
-    heads holds (k, M, P, Q) per head, M the head's body and P and
-    Q tuples of L+1 IntMatrix values; a Helmholtz build has P_l = w_l and
-    Q None.  A parabolic build's zeta is None and its P and Q hold one
-    ProfileWeight per level, every level past the last zero.  mode, k, L
-    and zeta are the build's, so a form is read only for its solution.
-    """
-
-    mode: str
-    k: Union[int, Tuple[int, ...]]
-    L: int
-    zeta: Optional[ZetaElement]
-    heads: Tuple[Tuple[int, SpaceTimeFunction, tuple, Optional[tuple]], ...]
-
-
-@dataclass
+@dataclass(frozen=True)
 class SeriesSolution:
     """A built solution plus the metadata needed to verify and serialize it.
 
-    A solution remembers D F of its body for the parabolic operator D, so
-    dirac_residual followed by check_component_conditions applies D once.
-    The memo is (body, D body, by_ladder), read only while body is that
-    same object; it takes no part in ==, repr or serialization.  An exact
-    build keeps its RadialForm the same way, as (body, form) in _radial;
-    verify checks it by the radial ladder, which for a parabolic build
-    stands in for D F and the component conditions.
+    A solution is an immutable value: no field can be assigned, and
+    dataclasses.replace makes a copy with neither cache below.  An exact
+    build owns its radial form, sum_l rho^{2l} (P_l M + Q_l x M) over each
+    head M, in _radial: one (M, x M, P, Q) per head, P and Q tuples of L+1
+    IntMatrix values; a Helmholtz build has P_l = w_l and x M and Q None.
+    A parabolic build's P and Q hold one ProfileWeight per level, every
+    level past the last zero.  The form's k, L and zeta are the
+    solution's.  verify keeps the residual of the mode's operator in
+    _residual, as (R, by_ladder), made once; for a parabolic build that is
+    D F.  Neither cache takes part in ==, repr or serialization.
     """
 
     body: SpaceTimeFunction
@@ -94,14 +81,20 @@ class SeriesSolution:
     exact: bool
     zeta: Optional[ZetaElement] = None
     extra: Dict[str, object] = field(default_factory=dict)
-    _dirac: Optional[Tuple[SpaceTimeFunction, SpaceTimeFunction, bool]] = field(
+    _radial: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False)
-    _radial: Optional[Tuple[SpaceTimeFunction, RadialForm]] = field(
+    _residual: Optional[Tuple[SpaceTimeFunction, bool]] = field(
         default=None, init=False, repr=False, compare=False)
 
     @property
     def ctx(self) -> AlgebraContext:
         return self.body.ctx
+
+
+def _with_form(sol: SeriesSolution, heads: Optional[tuple]) -> SeriesSolution:
+    """sol, owning heads as its radial form (None: no form)."""
+    object.__setattr__(sol, "_radial", heads)
+    return sol
 
 
 def _as_list(heads, kind, L: int) -> list:
@@ -184,7 +177,7 @@ def _parabolic_solution(mode: str, M: MonogenicPoly, L: int, count: int,
     Each level sum_i c_i (M alpha_i,l + x M beta_i,l), c = 1, f, fdag,
     f fdag, is expanded by radial_series; first, the closed form's M block,
     stands for the P_l M.  The build is exact when M and the seeds are
-    exact and the seeds polynomial, and then keeps the levels as its radial
+    exact and the seeds polynomial, and then owns the levels as its radial
     form unless a seed (a level-0 profile) depends on x: the ladder takes
     each for a function of t.
     """
@@ -234,9 +227,8 @@ def _parabolic_solution(mode: str, M: MonogenicPoly, L: int, count: int,
                                       for tf in seeds)
     sol = SeriesSolution(body=body, mode=mode, m=ctx.m, k=k, L=L, exact=exact)
     if exact and not any(any(exps) for tf in seeds for exps, _, _ in tf.keys()):
-        P = tuple(ProfileWeight(parts[0::2]) for parts in levels)
-        Q = tuple(ProfileWeight(parts[1::2]) for parts in levels)
-        sol._radial = (body, RadialForm(mode, k, L, None, ((k, M.poly, P, Q),)))
+        P, Q = (tuple(ProfileWeight(parts[i::2]) for parts in levels) for i in (0, 1))
+        return _with_form(sol, ((*bases, P, Q),))
     return sol
 
 
@@ -248,19 +240,16 @@ def _radial_solution(mode: str, heads: list, L: int, z: ZetaElement,
     keeps the form."""
     ctx = heads[0].poly.ctx
     x = vector_variable(ctx)
+    form = tuple((h.poly, None if Q is None else x * h.poly, P, Q)
+                 for h, (P, Q) in zip(heads, weights))
     body = radial_series(ctx, [
-        [(l, radial_product(w, p)) for p, levels in
-         [(h.poly, P)] + ([] if Q is None else [(x * h.poly, Q)])
-         for l, w in enumerate(levels)]
-        for h, (P, Q) in zip(heads, weights)])
+        [(l, radial_product(w, p)) for p, levels in ((M, P), (xM, Q))
+         if levels is not None for l, w in enumerate(levels)]
+        for M, xM, P, Q in form])
     degrees = tuple(h.degree for h in heads)
-    sol = SeriesSolution(body=body, mode=mode, m=ctx.m,
-                         k=degrees if len(degrees) > 1 else degrees[0],
-                         L=L, exact=False, zeta=z, extra=extra)
-    if keep:
-        sol._radial = (sol.body, RadialForm(mode, sol.k, L, z, tuple(
-            (h.degree, h.poly, P, Q) for h, (P, Q) in zip(heads, weights))))
-    return sol
+    return _with_form(SeriesSolution(
+        body=body, mode=mode, m=ctx.m, k=degrees if len(degrees) > 1 else degrees[0],
+        L=L, exact=False, zeta=z, extra=extra), form if keep else None)
 
 
 def _exact(z: ZetaElement, heads: list) -> bool:

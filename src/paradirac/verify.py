@@ -11,31 +11,31 @@ build with float coefficients gets the residual's support degrees above
 roundoff scale plus an empirical convergence order from sup-norms
 sampled over spheres of shrinking radius.
 
-A solution remembers D F of its body for the parabolic operator D, so
-dirac_residual followed by check_component_conditions applies D once,
-and the component conditions are read off the split components.  A
-build fresh from its builder with exact coefficients keeps its radial
-form instead, and one ladder (_ladder_residual) checks it for every
-d_x + zeta, the parabolic D being the one with zeta = f d/dt + fdag.  A
-generalized or Helmholtz residual is read off the top level once the
-form passes.  An exact parabolic form has no top level left over: its
-D F is the zero body and its component report all true, and neither D
-nor split nor the heat operator is applied.  The operator applied to
-every monomial and the split conditions stay the path of every other
-solution and the oracle the ladder is tested against.
+A solution is immutable, so it remembers the residual of its operator,
+made once: dirac_residual and check_component_conditions read the same
+memo, and the component conditions are read off the split components.
+A build fresh from its builder with exact coefficients owns its radial
+form, and one ladder (_ladder_residual) checks it for every d_x + zeta,
+the parabolic D being the one with zeta = f d/dt + fdag.  A generalized
+or Helmholtz residual is read off the top level once the form passes.
+An exact parabolic form has no top level left over: its D F is the zero
+body and its component report all true, and neither D nor split nor the
+heat operator is applied.  The operator applied to every monomial
+(symbolic_residual) and the split conditions stay the path of every
+other solution and the oracle the ladder is tested against.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraContext, Multivector, witt_basis
 from .builders import SeriesSolution
-from .poly import Sum, radial_product, radial_series, vector_variable
+from .poly import Sum, radial_product, radial_series
 from .timefn import (PARABOLIC_ZETA, ProfileWeight, SpaceTimeFunction,
                      heat_residual, parabolic_dirac)
 from .zeta import IntMatrix
@@ -120,19 +120,19 @@ def check_component_conditions(
     cond_f1: F1 = -d_x F0;  cond_f3: F3 = d_x F2 - F0;
     heat_f0 / heat_f2: (Laplacian - d_t) applied to F0 / F2 vanishes.
     The conditions are read off the split components.  The report also
-    takes D F directly, the one a solution remembers when it has one, and
-    records whether the equivalence held (it must, whichever side is
-    true).  A parabolic solution whose radial form passes the ladder has
-    D F = 0 as an identity; the split is unique, so every condition holds
-    and the report is all true, with nothing split or applied.  A
-    SeriesSolution of a mode other than the parabolic ones raises
-    ValueError: its operator is not D.
+    takes D F directly, a solution's memoized residual (_residual) when F
+    is one, and records whether the equivalence held (it must, whichever
+    side is true).  A parabolic solution whose radial form passes the
+    ladder has D F = 0 as an identity; the split is unique, so every
+    condition holds and the report is all true, with nothing split or
+    applied.  A SeriesSolution of a mode other than the parabolic ones
+    raises ValueError: its operator is not D.
     """
     if isinstance(F, SeriesSolution):
         if _infer_operator(F.mode) != "parabolic":
             raise ValueError(f"component conditions are those of the "
                              f"parabolic operator, not of mode {F.mode!r}")
-        body, DF, by_ladder = _parabolic_residual(F)
+        body, (DF, by_ladder) = F.body, _residual(F)
     else:
         body, DF, by_ladder = F, parabolic_dirac(F), False
     if by_ladder:
@@ -169,21 +169,18 @@ def perturb_component(F: SeriesSolution, slot: int, exps: Sequence[int],
     c = (ctx.one(), f, fdag, f * fdag)[slot]
     delta = SpaceTimeFunction.monomial(ctx, exps, 1).lmul(coeff)
     body = Sum(ctx).add(F.body).lmul(c, delta).value()
-    return SeriesSolution(body=body, mode=F.mode, m=F.m, k=F.k, L=F.L,
-                          exact=F.exact, zeta=F.zeta,
-                          extra=dict(F.extra, mutated_slot=slot))
+    return replace(F, body=body, extra=dict(F.extra, mutated_slot=slot))
 
 
 # -- residual machinery ----------------------------------------------------
 
 
 def symbolic_residual(F: SeriesSolution) -> SpaceTimeFunction:
-    """Apply the operator matching F.mode to the body; a parabolic build
-    whose form passes the ladder has the zero body (_parabolic_residual)."""
+    """Apply the operator matching F.mode to every monomial of the body."""
     op = _infer_operator(F.mode)
     body = F.body
     if op == "parabolic":
-        return _parabolic_residual(F)[1]
+        return parabolic_dirac(body)
     if F.zeta is None:
         raise ValueError(f"{op} residual needs zeta metadata")
     total = Sum(F.ctx)
@@ -193,28 +190,21 @@ def symbolic_residual(F: SeriesSolution) -> SpaceTimeFunction:
     return total.laplacian(body).lmul(sz, body).value()
 
 
-def _parabolic_residual(F: SeriesSolution
-                        ) -> Tuple[SpaceTimeFunction, SpaceTimeFunction, bool]:
-    """(F.body, D F.body, by_ladder) for the parabolic D, made once per
-    body object.
-
-    D F is the zero body when F's radial form passes the ladder
-    (by_ladder), else D applied to every monomial.  Bodies are immutable
-    values, so what F remembers stands while F.body is the body it was
-    taken of; a new body is taken afresh.
-    """
-    memo = F._dirac
-    if memo is None or memo[0] is not F.body:
+def _residual(F: SeriesSolution) -> Tuple[SpaceTimeFunction, bool]:
+    """(R, by_ladder), the residual of F's operator, made once per
+    solution: the ladder's (by_ladder) when F's radial form passes it,
+    else symbolic_residual(F).  A solution is immutable, so what it
+    remembers stays its own."""
+    if F._residual is None:
         R = _ladder_residual(F)
-        memo = (F.body, parabolic_dirac(F.body) if R is None else R,
-                 R is not None)
-        F._dirac = memo
-    return memo
+        memo = (symbolic_residual(F), False) if R is None else (R, True)
+        object.__setattr__(F, "_residual", memo)
+    return F._residual
 
 
 def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
     """F's residual read off its radial form, or None when F has no form
-    for this body and metadata, or the form fails the ladder.
+    or the form fails the ladder.
 
     With d_x(rho^{2l} M) = 2l rho^{2l-2} x M and
     d_x(rho^{2l} x M) = -(2l+2k+m) rho^{2l} M for a monogenic M of degree
@@ -233,14 +223,9 @@ def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
     checked too and the residual is the zero body.  Heads of different
     degrees are left to the monomial residual.
     """
-    memo = F._radial
-    if memo is None or memo[0] is not F.body:
-        return None
-    form = memo[1]
-    if (form.mode, form.k, form.L, form.zeta) != (F.mode, F.k, F.L, F.zeta):
-        return None
-    degrees = {k for k, _, _, _ in form.heads}
-    if len(degrees) != 1:
+    heads = F._radial
+    degrees = set(F.k) if isinstance(F.k, tuple) else {F.k}
+    if heads is None or len(degrees) != 1:
         return None
     (k,) = degrees
     ctx = F.ctx
@@ -249,15 +234,15 @@ def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
     Z = PARABOLIC_ZETA if parabolic else IntMatrix.of(F.zeta)
     if F.mode == "helmholtz":
         ZZ = Z.hat() * Z
-        for _, _, w, _ in form.heads:
+        for _, _, w, _ in heads:
             if not all(ZZ * w[l]
                        == w[l + 1].scale(-2 * (l + 1) * (2 * l + 2 * k + m))
                        for l in range(L)):
                 return None
-        tops = [[(L, radial_product(ZZ * w[L], H))] for _, H, w, _ in form.heads]
+        tops = [[(L, radial_product(ZZ * w[L], H))] for H, _, w, _ in heads]
     else:
         past = (ProfileWeight.of([]),) if parabolic else ()
-        for _, _, P, Q in form.heads:
+        for _, _, P, Q in heads:
             if not (all(Z * p == q.hat().scale(2 * l + 2 * k + m)
                         for l, (p, q) in enumerate(zip(P, Q)))
                     and all(Z * q == p.hat().scale(-2 * (l + 1))
@@ -265,9 +250,7 @@ def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
                 return None
         if parabolic:
             return SpaceTimeFunction.zero(ctx)
-        x = vector_variable(ctx)
-        tops = [[(L, radial_product(Z * Q[L], x * M))]
-                for _, M, _, Q in form.heads]
+        tops = [[(L, radial_product(Z * Q[L], xM))] for _, xM, _, Q in heads]
     return radial_series(ctx, tops)
 
 
@@ -358,18 +341,17 @@ def dirac_residual(F: SeriesSolution,
     nonnegative, and every coefficient and lambda of the body must be
     finite, or ValueError is raised.
 
-    Which residual: a generalized or Helmholtz solution fresh from its
-    builder, with exact zeta and heads of one degree, keeps its radial
-    form; once the form passes the ladder identities its residual is the
-    top level zeta Q_L rho^{2L} x M (zeta* zeta w_L rho^{2L} H for
-    Helmholtz) summed over the heads (_ladder_residual), and equals
-    symbolic_residual(F) term for term.  An exact parabolic build's form
-    passes the same ladder, once per body through the D F the solution
-    remembers (_parabolic_residual); its residual is the zero body.  Every
-    other solution takes the operator applied to every monomial: inexact
-    or truncated parabolic builds, float or Sylvester weights, heads of
-    several degrees, a loaded, replaced or perturbed body, and a form that
-    fails its ladder.
+    Which residual: one path for every operator, made once per solution
+    and remembered by it (_residual).  A solution fresh from its builder
+    with exact coefficients owns its radial form; when its heads have one
+    degree and the form passes the ladder identities (_ladder_residual),
+    the residual is the top level zeta Q_L rho^{2L} x M (zeta* zeta w_L
+    rho^{2L} H for Helmholtz) summed over the heads, and equals
+    symbolic_residual(F) term for term; an exact parabolic build's is the
+    zero body.  Every other solution takes symbolic_residual, the
+    operator applied to every monomial: inexact or truncated builds, float
+    or Sylvester weights, heads of several degrees, a loaded, replaced or
+    perturbed solution, and a form that fails its ladder.
     """
     if not (all(math.isfinite(r) and r > 0 for r in radii)
             and len(set(radii)) == len(radii)):
@@ -382,13 +364,10 @@ def dirac_residual(F: SeriesSolution,
         raise ValueError(f"a truncated build needs at least two radii to "
                          f"estimate its order, got {list(radii)}")
     op = _infer_operator(F.mode)
-    # a parabolic ladder runs in symbolic_residual, once per body
-    R = None if op == "parabolic" else _ladder_residual(F)
-    by_ladder = R is not None       # then the body is exact, so finite
-    if R is None:
-        if not F.body.is_finite():
-            raise ValueError("the solution has a non-finite coefficient or lambda")
-        R = symbolic_residual(F)
+    # a body with a radial form is exact, so finite
+    if F._radial is None and not F.body.is_finite():
+        raise ValueError("the solution has a non-finite coefficient or lambda")
+    R, by_ladder = _residual(F)
     report = ResidualReport(mode=F.mode, exact_zero=False, residual_poly=R,
                             seed=seed)
     if F.exact:
@@ -465,29 +444,20 @@ def cross_check(F_a: SeriesSolution, F_b: SeriesSolution) -> bool:
     """Symbolic equality of the two bodies.
 
     The radial forms decide when both solutions are generalized or
-    Helmholtz builds fresh from their builder with exact coefficients,
-    each holding the form of its current body: such a body is
-    radial_series of its form, so equal forms (the same k and head M per
-    head, and equal P_l and Q_l, Q None on both sides or neither) mean
-    equal bodies.  The bodies decide, by subtraction, everything else:
-    forms that differ in any part (their bodies may still be equal), and
-    any side without its form (a float or parabolic build, a loaded,
-    replaced or perturbed body).  A parabolic form is not compared because
-    a closed build's body is not made from its form alone.
+    Helmholtz builds with their forms (exact builds fresh from their
+    builder): such a body is radial_series of its form, so equal forms
+    (the same heads M and x M, and equal P_l and Q_l, Q None on both
+    sides or neither) mean equal bodies.  The bodies decide, by
+    subtraction, everything else: forms that differ in any part (their
+    bodies may still be equal), and any side without its form (a float
+    or parabolic build, a loaded, replaced or perturbed solution).  A
+    parabolic form is not compared because a closed build's body is not
+    made from its form alone.
     """
     if F_a.ctx.m != F_b.ctx.m:
         raise ValueError("solutions live in different dimensions")
-    heads = _series_heads(F_a)
-    # tuple == compares the heads' k, M and IntMatrix levels in turn
-    if heads is not None and heads == _series_heads(F_b):
+    # tuple == compares the heads' M, x M and IntMatrix levels in turn
+    if (F_a.zeta is not None and F_b.zeta is not None
+            and F_a._radial is not None and F_a._radial == F_b._radial):
         return True
     return (F_a.body - F_b.body).is_zero()
-
-
-def _series_heads(F: SeriesSolution) -> Optional[tuple]:
-    """The heads of F's radial form when F is a series build that holds
-    the form of its current body, else None."""
-    memo = F._radial
-    if memo is None or memo[0] is not F.body or memo[1].zeta is None:
-        return None
-    return memo[1].heads

@@ -112,10 +112,6 @@ class ZetaElement:
         """zeta* zeta; equal to xi^2."""
         return self.involution() * self
 
-    def zeta_star(self) -> "ZetaElement":
-        """zeta zeta*; the involution image of zeta* zeta."""
-        return self * self.involution()
-
     def det(self) -> Scalar:
         return self.a * self.d - self.b * self.c
 

@@ -344,7 +344,7 @@ def stage_generalized(heads, z, L, form):
                 Fraction(1, two_g))
             radial_stages(total, b_head, weight_recurrence(sz, gamma + 1, L, ctx))
         elif form == "factored":
-            levels = weight_recurrence(z.zeta_star(), gamma + 1, L, ctx)
+            levels = weight_recurrence(z * z.involution(), gamma + 1, L, ctx)
             inner = radial_stages(Sum(ctx), (x * head.poly).scale(
                 Fraction(1, two_g)), levels).value()
             total.lmul(z.involution().to_multivector(ctx), inner)

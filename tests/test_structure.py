@@ -1,4 +1,5 @@
-"""Only poly knows how a body is stored.
+"""Only poly knows how a body is stored, and no module imports a name it
+does not use.
 
 An exact body is stored as integer numerators over one denominator; that
 format is private to paradirac.poly, so a change to it touches one
@@ -6,7 +7,8 @@ module.  Every other module reads a body through its public API: the
 operators, .terms, keys() and coeffs(key).  This test parses each other
 module and fails on a read of the storage attributes, a call of the
 storage constructors and readers, or an import of a private name from
-poly or scalars.
+poly or scalars.  It also parses every module but the package's
+__init__ and fails on an imported name that the module never reads.
 """
 
 import ast
@@ -62,3 +64,45 @@ def test_detector_sees_each_kind_of_use():
     assert sorted(found) == sorted([
         "import of _acc from poly", "import of _ratio from scalars",
         "attribute _nums", "attribute _D", "call of _new", "call of _coeffs"])
+
+
+def unused_imports(tree: ast.AST):
+    """(line, name) for every name a parsed module imports and never reads,
+    a quoted annotation counting as a read of the names in it."""
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".", 1)[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    unused = unused_imports(ast.parse(path.read_text(), str(path)))
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_unused_import_detector():
+    code = ("from __future__ import annotations\n"
+            "import math, os.path\n"
+            "from typing import NamedTuple, Optional\n"
+            "from .zeta import ZetaElement as Z, IntMatrix\n"
+            "def f(x: Optional[int]) -> \"IntMatrix\":\n"
+            "    return math.pi\n")
+    assert unused_imports(ast.parse(code)) == [(2, "os"), (3, "NamedTuple"),
+                                               (4, "Z")]

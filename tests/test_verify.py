@@ -483,7 +483,20 @@ def test_exact_coefficient_residual_is_not_sampled(name):
     assert rep.support_degrees
 
 
-# -- D F applied once per body: the memo a solution keeps ---------------------
+# -- the residual made once per solution: the memo a solution keeps -----------
+
+
+@pytest.mark.parametrize("build", [
+    lambda: exact_solution(), lambda: _gen(2, 1, Q, 4), lambda: _helm(2, 2, Q, 3),
+], ids=["parabolic", "gen-monogenic", "helmholtz"])
+def test_a_solution_refuses_every_assignment(build):
+    # its form and its residual are its own for good
+    sol = build()
+    rep = dirac_residual(sol)
+    for f in dataclasses.fields(sol):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sol, f.name, getattr(sol, f.name))
+    assert dirac_residual(sol) == rep
 
 
 def _count_dirac(monkeypatch):
@@ -520,17 +533,19 @@ def test_a_new_body_is_applied_afresh(monkeypatch, tmp_path):
     assert dirac_residual(sol).passed
     good = sol.body
     bad = perturb_component(sol, 0, (1, 0), sol.ctx.e(1)).body
-    sol.body = bad
-    rep = check_component_conditions(sol)
+    changed = dataclasses.replace(sol, body=bad)
+    rep = check_component_conditions(changed)
     assert not rep.passed and not rep.detail["dirac_zero"]
     assert rep.detail["equivalent"]
-    assert symbolic_residual(sol) == parabolic_dirac(bad)
+    assert not dirac_residual(changed).passed
+    assert changed._residual == (parabolic_dirac(bad), False)
     assert len(calls) == 2 and calls[0] is good and calls[1] is bad
     # a copy starts with nothing remembered
-    assert not dirac_residual(dataclasses.replace(sol)).passed
-    sol.body = good
-    assert dirac_residual(sol).passed
+    assert not dirac_residual(dataclasses.replace(changed)).passed
+    assert dirac_residual(dataclasses.replace(changed, body=good)).passed
     assert len(calls) == 4 and calls[2] is bad and calls[3] is good
+    # the loaded solution still has its own
+    assert dirac_residual(sol).passed and len(calls) == 4
 
 
 FRESH_PARABOLIC = {
@@ -719,7 +734,6 @@ def test_sweep_builds_verify_and_single_coefficient_mutants_fail(data):
     sol = _sweep_build(data, m, mode)
     parabolic = mode.startswith("parabolic")
     assert sol.body.is_exact()
-    # the parent first, so that it has D F remembered when it is mutated
     parent = sol.body
     rep, monomial = _residual_and_monomial_calls(sol)
     assert rep.passed
@@ -751,13 +765,13 @@ def test_sweep_builds_verify_and_single_coefficient_mutants_fail(data):
         coeff = Multivector(sol.ctx, {mask: c})
         if not _detectable(sol, exps, coeff):
             continue
-        sol.body = parent + SpaceTimeFunction.monomial(sol.ctx, exps, 1).lmul(coeff)
-        assert not dirac_residual(sol).passed, (exps, mask, c)
+        mutant = dataclasses.replace(sol, body=parent + SpaceTimeFunction.monomial(
+            sol.ctx, exps, 1).lmul(coeff))
+        assert not dirac_residual(mutant).passed, (exps, mask, c)
         if parabolic:
-            comp = check_component_conditions(sol)
+            comp = check_component_conditions(mutant)
             assert not comp.passed and comp.detail["equivalent"]
-    sol.body = parent
-    assert dirac_residual(sol) == rep
+    assert sol.body is parent and dirac_residual(sol) == rep
 
 
 # -- the radial ladder: which builds skip the monomial residual -----------------
@@ -798,6 +812,16 @@ def test_fresh_series_builds_are_judged_by_the_ladder(name):
     assert rep.residual_poly == symbolic_residual(sol)
     top = 2 * sol.L + sol.k + (sol.mode != "helmholtz")
     assert rep.support_degrees == (top,)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_a_series_ladder_runs_once_per_solution(name):
+    sol = SERIES[name]()
+    with mock.patch.object(verify, "_ladder_residual",
+                           wraps=verify._ladder_residual) as ladder:
+        first, second = dirac_residual(sol), dirac_residual(sol)
+    assert ladder.call_count == 1
+    assert first.passed and report_text(first) == report_text(second)
 
 
 @pytest.mark.parametrize("name", sorted(SERIES))
@@ -843,15 +867,15 @@ def test_a_corrupted_radial_form_falls_back_and_passes_a_correct_body(
         name, level, which):
     sol = SERIES[name]()
     want = dirac_residual(dataclasses.replace(sol))
-    body, form = sol._radial
-    ((k, M, P, Qs),) = form.heads
+    ((M, xM, P, Qs),) = sol._radial
     ladder = [list(P), Qs and list(Qs)]
     if ladder[which] is None:           # Helmholtz: w_l only
         which = 0
     ladder[which][level] = ladder[which][level].scale(2)
-    sol._radial = (body, form._replace(
-        heads=((k, M, tuple(ladder[0]), ladder[1] and tuple(ladder[1])),)))
-    rep, monomial = _residual_and_monomial_calls(sol)
+    bad = dataclasses.replace(sol)
+    object.__setattr__(bad, "_radial", (
+        (M, xM, tuple(ladder[0]), ladder[1] and tuple(ladder[1])),))
+    rep, monomial = _residual_and_monomial_calls(bad)
     assert monomial == 1 and rep.passed
     assert report_text(rep) == report_text(want)
 
@@ -860,8 +884,8 @@ def test_a_corrupted_radial_form_falls_back_and_passes_a_correct_body(
     ("zeta", ZetaElement(1, 0, 0, 1)), ("L", 3), ("k", (1,)),
     ("mode", "helmholtz")])
 def test_changed_metadata_drops_the_radial_form(field, value):
-    sol = _gen(2, 1, Q, 4)
-    setattr(sol, field, value)
+    sol = dataclasses.replace(_gen(2, 1, Q, 4), **{field: value})
+    assert sol._radial is None
     rep, monomial = _residual_and_monomial_calls(sol)
     assert monomial == 1
     assert not rep.passed or field == "k"
@@ -927,7 +951,7 @@ def _expand(form, ctx):
     """F = sum_l rho^{2l} (P_l M + Q_l x M) from a parabolic radial form:
     entry i of a weight is c_i times its profiles, c = 1, f, fdag, f fdag,
     the unit left of the spatial power and the profile right of it."""
-    ((_, M, Ps, Qs),) = form.heads
+    ((M, _, Ps, Qs),) = form
     x, rho2 = vector_variable(ctx), rho_squared(ctx)
     f, fdag = witt_basis(ctx)
     units = (ctx.one(), f, fdag, f * fdag)
@@ -958,20 +982,18 @@ def test_profile_ladder_matches_the_monomial_path(data):
                           label="seeds")
         sol = build_parabolic_recurrence(head, {
             name: _blade_profile(data, m, name) for name in sorted(names)})
-    assert sol.exact
-    body, form = sol._radial
-    assert body is sol.body and verify._ladder_residual(sol).is_zero()
-    assert _expand(form, ctx) == sol.body
+    assert sol.exact and verify._ladder_residual(sol).is_zero()
+    assert _expand(sol._radial, ctx) == sol.body
     # the ladder's reports, against a copy's from the monomial path
     rep, comp = dirac_residual(sol), check_component_conditions(sol)
-    assert sol._dirac[2]
+    assert sol._residual[1]
     slow = dataclasses.replace(sol)
     slow_comp = check_component_conditions(slow)
-    assert not slow._dirac[2]
+    assert not slow._residual[1]
     assert report_text(rep) == report_text(dirac_residual(slow))
     assert (comp.passed, comp.detail) == (slow_comp.passed, slow_comp.detail)
     assert rep.passed and comp.passed
-    levels = len(form.heads[0][2])
+    levels = len(sol._radial[0][2])
     if not levels:
         return
     # one profile plus t^N, N beyond every profile's degree, breaks an
@@ -981,7 +1003,7 @@ def test_profile_ladder_matches_the_monomial_path(data):
     bad = _bumped(sol, [(l, slot, 1, PROFILE_DEGREE_MAX[m] + 2)])
     assert bad.body is sol.body and verify._ladder_residual(bad) is None
     bad_comp = check_component_conditions(bad)
-    assert not bad._dirac[2]
+    assert not bad._residual[1]
     assert report_text(dirac_residual(bad)) == report_text(rep)
     assert (bad_comp.passed, bad_comp.detail) == (comp.passed, comp.detail)
 
@@ -990,8 +1012,7 @@ def _bumped(sol, changes):
     """A copy of sol whose radial form has factor * t^n added to entry
     slot // 2 of P_l (slot even) or Q_l (slot odd) for each
     (l, slot, factor, n): slots 0..7 are alpha_0, beta_0, ..., beta_3."""
-    form = sol._radial[1]
-    ((k, M, P, Q),) = form.heads
+    ((M, xM, P, Q),) = sol._radial
     weights = [[list(w.parts) for w in P], [list(w.parts) for w in Q]]
     for l, slot, factor, n in changes:
         parts = weights[slot % 2][l]
@@ -999,7 +1020,7 @@ def _bumped(sol, changes):
         parts[slot // 2] += ((factor, bump, False),)
     bad = dataclasses.replace(sol)
     P, Q = (tuple(ProfileWeight(parts) for parts in ws) for ws in weights)
-    bad._radial = (bad.body, form._replace(heads=((k, M, P, Q),)))
+    object.__setattr__(bad, "_radial", ((M, xM, P, Q),))
     return bad
 
 
@@ -1007,8 +1028,8 @@ def _failing_identities(sol):
     """The ladder identities, by part, that sol's parabolic form breaks:
     (identity, part, level) with identity "P" for zeta P_l = t_l Q_l^ and
     "Q" for zeta Q_l = -2(l+1) P_(l+1)^, part 0..3 for 1, f, fdag, f fdag."""
-    ((k, _, P, Q),) = sol._radial[1].heads
-    m = sol.ctx.m
+    ((_, _, P, Q),) = sol._radial
+    k, m = sol.k, sol.ctx.m
     nxt = P[1:] + (ProfileWeight.of([]),)
 
     def part(w, i):
@@ -1046,7 +1067,7 @@ PARTS = ("1", "f", "fdag", "f fdag")
 def test_each_ladder_identity_is_checked(name):
     sol = _recurrence(2, 1, {"a0": (1, 2, -1, 1), "b0": (0, 3, 1),
                              "a2": (2, -1, 0, 1), "b2": (1, 1, 1)})
-    assert len(sol._radial[1].heads[0][2]) >= 3
+    assert len(sol._radial[0][2]) >= 3
     assert _failing_identities(sol) == set()
     want = (report_text(dirac_residual(dataclasses.replace(sol))),
             check_component_conditions(dataclasses.replace(sol)).detail)
@@ -1057,7 +1078,7 @@ def test_each_ladder_identity_is_checked(name):
     # the body is the build's, and the monomial path passes it
     assert (report_text(dirac_residual(bad)),
             check_component_conditions(bad).detail) == want
-    assert _expand(bad._radial[1], sol.ctx) != sol.body
+    assert _expand(bad._radial, sol.ctx) != sol.body
 
 
 @pytest.mark.parametrize("name", ["zeta Q f", "zeta Q fdag", "zeta Q f fdag"])
@@ -1065,7 +1086,7 @@ def test_the_top_level_is_checked_against_a_zero_next_level(name):
     # on a one-level form the level-0 identity zeta Q_0 = -2 P_1^ reads
     # zeta Q_0 = 0: each of these bumps breaks only that identity
     sol = _recurrence(2, 1, {"a0": (1,), "b0": (2,), "a2": (3,), "b2": (-1,)})
-    assert len(sol._radial[1].heads[0][2]) == 1
+    assert len(sol._radial[0][2]) == 1
     bad = _bumped(sol, BROKEN_IDENTITY[name])
     ((identity, i, level),) = _failing_identities(bad)
     assert (f"zeta {identity} {PARTS[i]}", level) == (name, 0)
@@ -1084,7 +1105,7 @@ def test_a_profile_with_x_keeps_the_monomial_path(closed):
            else build_parabolic_recurrence(M, {"a0": a}))
     assert sol.exact and sol._radial is None
     rep, comp = dirac_residual(sol), check_component_conditions(sol)
-    assert not sol._dirac[2]
+    assert not sol._residual[1]
     assert not rep.passed and not comp.passed and comp.detail["equivalent"]
     assert report_text(rep) == report_text(dirac_residual(
         dataclasses.replace(sol)))
@@ -1094,11 +1115,10 @@ def test_a_profile_with_x_keeps_the_monomial_path(closed):
     ("L", 3), ("k", 1), ("mode", "parabolic-recurrence"),
     ("zeta", ZetaElement(0, 1, 1, 0))])
 def test_changed_metadata_drops_the_profile_form(field, value):
-    sol = FRESH_PARABOLIC["closed"]()
-    setattr(sol, field, value)
-    assert verify._ladder_residual(sol) is None
+    sol = dataclasses.replace(FRESH_PARABOLIC["closed"](), **{field: value})
+    assert sol._radial is None and verify._ladder_residual(sol) is None
     comp = check_component_conditions(sol)
-    assert not sol._dirac[2] and comp.passed
+    assert not sol._residual[1] and comp.passed
     assert report_text(dirac_residual(sol)) == report_text(
         dirac_residual(dataclasses.replace(sol)))
 
@@ -1184,10 +1204,9 @@ def _closed_and_recurrence(m, k, coeffs):
 
 
 def _with_a_new_body(sol):
-    """sol, still holding the radial form of its old body, given the body
-    plus a scalar term."""
-    sol.body = sol.body + SpaceTimeFunction.monomial(sol.ctx, (1,) * sol.m, 1)
-    return sol
+    """A copy of sol whose body is sol's plus a scalar term."""
+    return dataclasses.replace(sol, body=sol.body + SpaceTimeFunction.monomial(
+        sol.ctx, (1,) * sol.m, 1))
 
 
 NILPOTENT = ZetaElement(0, 1, 0, 0)

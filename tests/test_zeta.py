@@ -43,13 +43,13 @@ def test_multivector_homomorphism():
 def zeta_from_multivector(mv):
     """Inverse of to_multivector; requires a pure Cl(1,1) element."""
     parts = split(mv)
-    for comp in (parts.f0, parts.f1, parts.f2, parts.f3):
+    comps = (parts.f0, parts.f1, parts.f2, parts.f3)
+    for comp in comps:
         if any(mask for mask in comp.terms):
             raise ValueError("multivector has components outside Cl(1,1)")
-    s0 = parts.f0.scalar_part()
-    s3 = parts.f3.scalar_part()
+    s0, s1, s2, s3 = (comp.terms.get(0, 0) for comp in comps)
     # u = s0 + f s1 + fdag s2 + f fdag s3 with 1 = f fdag + fdag f
-    return ZetaElement(s0 + s3, parts.f1.scalar_part(), parts.f2.scalar_part(), s0)
+    return ZetaElement(s0 + s3, s1, s2, s0)
 
 
 def test_from_multivector_roundtrip():
