@@ -31,11 +31,10 @@ zeta with zeta = f d/dt + fdag, so a parabolic build has the same radial
 form with timefn.ProfileWeight coefficients
 P_l = sum_i c_i alpha_{i,l} and Q_l = sum_i c_i beta_{i,l}, c = 1, f,
 fdag, f fdag, the profiles right of M.  One function, _parabolic_solution,
-writes the levels of both parabolic builds, each profile an exact
-multiple of one seed derivative (the closed form is the recurrence
-seeded with a0 = a and b2 = -a/(2k+m)), and expands them by
-poly.radial_series, one small body per level.  An exact build owns that
-form.
+makes the levels of both parabolic builds from P_0 by the ladder that
+verify checks (the closed form is the recurrence seeded with a0 = a and
+b2 = -a/(2k+m)), and expands them by poly.radial_series, one small body
+per level.  An exact build owns that form.
 """
 
 from __future__ import annotations
@@ -47,14 +46,15 @@ from typing import Dict, Optional, Tuple, Union
 from .algebra import AlgebraContext, witt_basis
 from .harmonics import HarmonicPoly, MonogenicPoly
 from .poly import Sum, radial_product, radial_series, vector_variable
-from .timefn import (ProfileWeight, SpaceTimeFunction, TimeFunction, apply_0F1,
-                     derivatives)
+from .timefn import (PARABOLIC_ZETA, ProfileWeight, SpaceTimeFunction,
+                     TimeFunction, apply_0F1, derivatives)
 from .zeta import (IntMatrix, NotInvertibleError, PowerSeries, ZetaElement,
                    sylvester_eval)
 
 PARABOLIC_MODES = ("parabolic-recurrence", "parabolic-closed")
 GENERALIZED_MODES = ("gen-monogenic", "gen-factored", "gen-invertible")
 ALL_MODES = PARABOLIC_MODES + ("helmholtz",) + GENERALIZED_MODES
+SEEDS = ("a0", "b0", "a2", "b2")        # the recurrence's, in chain order
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,10 @@ def build_parabolic_closed(M: MonogenicPoly, a: TimeFunction,
                            L: int = 12) -> SeriesSolution:
     """F = 0F1(g)[M]a + 0F1(g+1)[x fdag M / (2k+m)]a + 0F1(g+1)[x f M / (2k+m)]a'.
 
-    g = k + m/2.  Together the last two blocks are the recurrence solution
-    seeded with a0 = a, b2 = -a/(2k+m), and are made so, on the a^(l) that
-    the apply_0F1 call summing the first block records (and a^(L+1) for
-    the top f level of a truncated series).
+    g = k + m/2.  This is the recurrence solution seeded with a0 = a and
+    b2 = -a/(2k+m), whose P_0 is a alone; its levels are made on the one
+    chain a^(l) that the apply_0F1 call summing the first block records
+    (and a^(L+1) for the top f level of a truncated series).
     """
     (M,) = _as_list(M, MonogenicPoly, L)
     m, k = M.poly.ctx.m, M.degree
@@ -129,8 +129,8 @@ def build_parabolic_closed(M: MonogenicPoly, a: TimeFunction,
     derivs = [d for _, d in chain]
     if derivs and not a.is_polynomial():
         derivs += derivatives(derivs[-1], 1)[1:]
-    return _parabolic_solution("parabolic-closed", M, L, len(chain), {
-        "a0": (1, derivs), "b2": (Fraction(-1, 2 * k + m), derivs)}, [a], first)
+    return _parabolic_solution("parabolic-closed", M, L, len(chain), [derivs],
+                               ({(0, 0): Fraction(1)}, {}, {}, {}), [a], first)
 
 
 def build_parabolic_recurrence(M: MonogenicPoly,
@@ -148,11 +148,12 @@ def build_parabolic_recurrence(M: MonogenicPoly,
 
     with a_{l+1} = a_l' / (4(l+1)(l+g)) and b_{l+1} = b_l' / (4(l+1)(l+g+1)).
     Polynomial seeds terminate the sum on their own; otherwise it stops at L.
-    Each level's alphas and betas, from the seeds' derivatives, are the
-    ProfileWeight coefficients P_l and Q_l of its radial form.
+    The level-0 weight P_0 = a0 + f (2k+m) b0 + fdag a2 - f fdag
+    ((2k+m) b2 + a0) is written from the seeds, and the ladder makes
+    every later level (_parabolic_solution).
     """
     (M,) = _as_list(M, MonogenicPoly, L)
-    unknown = set(seeds) - {"a0", "b0", "a2", "b2"}
+    unknown = set(seeds) - set(SEEDS)
     if unknown:
         raise ValueError(f"unknown seed keys: {sorted(unknown)}")
     given = {name: tf for name, tf in seeds.items() if tf is not None}
@@ -161,65 +162,49 @@ def build_parabolic_recurrence(M: MonogenicPoly,
     polynomial = all(tf.is_polynomial() for tf in given.values())
     stop = max([0] + [tf.max_n() for tf in given.values()]) if polynomial else L
     # level l reads an a-seed's order l+1 and a b-seed's order l
-    return _parabolic_solution("parabolic-recurrence", M, stop, stop + 1, {
-        name: (1, derivatives(tf, stop + (name[0] == "a")))
-        for name, tf in given.items()}, given.values())
+    chains = [derivatives(given[name], stop + (name[0] == "a"))
+              if name in given else [] for name in SEEDS]
+    g2 = 2 * M.degree + M.poly.ctx.m
+    P = [{(i, 0): Fraction(c) for i, c in terms if chains[i]}
+         for terms in (((0, 1),), ((1, g2),), ((2, 1),), ((3, -g2), (0, -1)))]
+    return _parabolic_solution("parabolic-recurrence", M, stop, stop + 1,
+                               chains, P, given.values())
 
 
 def _parabolic_solution(mode: str, M: MonogenicPoly, L: int, count: int,
-                        chains: dict, seeds, first=None) -> SeriesSolution:
-    """The parabolic build of the levels l < count of the recurrence's
-    F0..F3 on the seeds c s given as chains, name -> (c, [s, s', ...]) (a
-    missing name or order is zero): with a_j = c w_j(g) s^(j) for a-seeds,
-    b_j = c w_j(g+1) s^(j) for b-seeds and w_j(g) = 1 / (4^j j! (g)_j),
-    each profile of the levels P_l, Q_l is an exact multiple of one s^(j),
-    the terms on one derivative object merged by their coefficient sum.
+                        chains: list, P0, seeds, first=None) -> SeriesSolution:
+    """The parabolic build of the levels l < count from P0, the parts of
+    P_0 on the seed chains [s_i, s_i', ...] (timefn.ProfileWeight): the
+    ladder identities of d_x + zeta, zeta = f d/dt + fdag, make
+    Q_l = (zeta P_l)^ / (2l+2k+m) and P_{l+1} = -(zeta Q_l)^ / (2(l+1)).
     Each level sum_i c_i (M alpha_i,l + x M beta_i,l), c = 1, f, fdag,
-    f fdag, is expanded by radial_series; first, the closed form's M block,
-    stands for the P_l M.  The build is exact when M and the seeds are
-    exact and the seeds polynomial, and then owns the levels as its radial
-    form unless a seed (a level-0 profile) depends on x: the ladder takes
-    each for a function of t.
+    f fdag, is expanded by radial_series, entries in (seed, order) order;
+    first, the closed form's M block, stands for the P_l M.  The build is
+    exact when M and the seeds are exact and the seeds polynomial, and
+    then owns the levels as its radial form unless a seed depends on x:
+    the ladder takes each for a function of t.
     """
     ctx, k = M.poly.ctx, M.degree
+    two_g = 2 * k + ctx.m
     f, fdag = witt_basis(ctx)
     units = (None, f, fdag, f * fdag)
     bases = (M.poly, vector_variable(ctx) * M.poly)
-    # name -> [(p, q, s^(j))], c w_j = p / q; 4(j+1)(g+j) = 2(j+1)(2g+2j)
-    terms = {}
-    for name, (c, chain) in chains.items():
-        p, q, two_g = c.numerator, c.denominator, 2 * k + ctx.m + 2 * (name[0] == "b")
-        terms[name] = []
-        for j, d in enumerate(chain):
-            terms[name].append((p, q, d))
-            q *= 2 * (j + 1) * (two_g + 2 * j)
+    P = ProfileWeight(P0, [len(chain) for chain in chains])
     levels, heads, blocks = [], {}, []  # heads: c_i M and c_i x M, when used
     for l in range(count):
-        t, u = 2 * l + 2 * k + ctx.m, 2 * (l + 1)
-        # (slot, j - l, factor): factor seed_j is in entry slot // 2 of P_l
-        # (slot even) or of Q_l (odd), the alpha and beta of F0..F3
-        rules = {"a0": ((0, 0, 1), (3, 1, -u), (6, 0, -1)),
-                 "b0": ((1, 0, 1), (2, 0, t), (7, 0, -1)),
-                 "a2": ((4, 0, 1), (7, 1, u)), "b2": ((5, 0, 1), (6, 0, -t))}
-        slots = [{} for _ in range(8)]      # id of s^(j) -> (p, q, s^(j))
-        for name, rule in rules.items():
-            seed = terms.get(name, ())
-            for slot, dj, factor in rule:
-                if l + dj < len(seed):
-                    p, q, d = seed[l + dj]
-                    old = slots[slot].get(id(d), (0, 1))
-                    slots[slot][id(d)] = (old[0] * q + factor * p * old[1],
-                                          old[1] * q, d)
-        parts = [tuple((Fraction(p, q), d, False) for p, q, d in slot.values() if p)
-                 for slot in slots]
-        levels.append(parts)
+        if l:
+            P = (PARABOLIC_ZETA * Q).hat().scale(Fraction(-1, 2 * l))
+        Q = (PARABOLIC_ZETA * P).hat().scale(Fraction(1, 2 * l + two_g))
+        levels.append((P, Q))
         level = Sum(ctx)
-        for slot, part in enumerate(parts):
-            for c, p, _ in () if first is not None and slot % 2 == 0 else part:
-                if slot not in heads:
-                    unit, base = units[slot // 2], bases[slot % 2]
-                    heads[slot] = base if unit is None else base.lmul(unit)
-                level.product(heads[slot], p, c)
+        for i in range(4):
+            for b, w in enumerate((P, Q)):
+                if b == 0 and first is not None:
+                    continue
+                for (s, j), c in sorted(w.parts[i].items()):
+                    if (i, b) not in heads:
+                        heads[i, b] = bases[b] if i == 0 else bases[b].lmul(units[i])
+                    level.product(heads[i, b], chains[s][j], c)
         blocks.append((l, level.value()))
     body = radial_series(ctx, [blocks])
     body = body if first is None else first + body
@@ -227,8 +212,8 @@ def _parabolic_solution(mode: str, M: MonogenicPoly, L: int, count: int,
                                       for tf in seeds)
     sol = SeriesSolution(body=body, mode=mode, m=ctx.m, k=k, L=L, exact=exact)
     if exact and not any(any(exps) for tf in seeds for exps, _, _ in tf.keys()):
-        P, Q = (tuple(ProfileWeight(parts[i::2]) for parts in levels) for i in (0, 1))
-        return _with_form(sol, ((*bases, P, Q),))
+        return _with_form(sol, ((*bases, *(tuple(w[b] for w in levels)
+                                          for b in (0, 1))),))
     return sol
 
 

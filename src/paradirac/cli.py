@@ -92,6 +92,7 @@ def parse_profile(text: str, ctx: AlgebraContext, backend: str) -> TimeFunction:
             lam = _pair_to_scalar(parts[0], parts[1])
         else:
             raise ValueError("exp profile takes exp:lam or exp:re:im")
+        to_float(lam)           # a lambda beyond the float range: ValueError
         return TimeFunction.term(ctx, conv(1), n=0, lam=conv(lam))
     raise ValueError(f"cannot parse profile {text!r}")
 
@@ -110,7 +111,9 @@ def _profile_from_json(rows, ctx: AlgebraContext, backend: str) -> TimeFunction:
                                    for lab, pair in coeff.items()})
         else:
             mv = ctx.scalar(conv(decode_scalar(coeff)))
-        lam = conv(decode_scalar(row.get("lambda", [0, 0])))
+        lam = decode_scalar(row.get("lambda", [0, 0]))
+        to_float(lam)           # a lambda beyond the float range: ValueError
+        lam = conv(lam)
         n = row.get("n", 0)
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"profile term exponent n must be an integer, got {n!r}")

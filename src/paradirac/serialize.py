@@ -214,6 +214,7 @@ def solution_from_dict(data: dict) -> SeriesSolution:
         if n < 0:
             raise ValueError(f"t exponent n={n} is negative")
         lam = decode_scalar(_get(row, "lambda", (list,), "term row"))
+        to_float(lam)           # a lambda beyond the float range: ValueError
         vals = {}
         for blade in _get(row, "blades", (list,), "term row"):
             if not (isinstance(blade, list) and len(blade) == 2

@@ -15,8 +15,9 @@ whose levels poly.radial_series expands for exact and float input alike,
 from derivatives(), the one place a seed profile is differentiated.
 TimeFunction is the x-independent slice.
 D is d_x + zeta with zeta = f d/dt + fdag (ParabolicZeta), acting on
-Cl(1,1) coefficients with time-profile entries (ProfileWeight), so an
-exact parabolic build's radial form takes the generalized builds' ladder.
+Cl(1,1) coefficients whose entries are exact combinations of seed
+derivatives (ProfileWeight), so an exact parabolic build's radial form
+takes the generalized builds' ladder, in rational arithmetic alone.
 """
 
 from __future__ import annotations
@@ -52,61 +53,59 @@ class ProfileWeight:
     """A Cl(1,1) coefficient with time-profile entries,
     w = w_1 + f w_f + fdag w_fdag + f fdag w_ffdag, the units left of the
     head M and the profiles right of it.  parts holds the four entries,
-    each a tuple of terms (c, p, d): the exact c times the profile p, or
-    times p' when d; a zero entry is empty.  == sums each entry of the
-    difference in one Sum, with the derivative terms as d_dt stages.
+    each a dict {(i, j): c}: the exact c, never zero, times s_i^(j), the
+    j-th derivative of seed chain i.  lengths holds the chains' lengths,
+    s_i^(lengths[i]) being zero, so d/dt maps (i, j) to (i, j + 1) and
+    drops it past the chain's end.  hat, scale, zeta * and == are
+    rational dict arithmetic; == compares weights on the same chains.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "lengths")
 
-    def __init__(self, parts):
+    def __init__(self, parts, lengths=()):
         self.parts = tuple(parts)
-
-    @classmethod
-    def of(cls, profiles) -> "ProfileWeight":
-        """The profiles (w_1, w_f, w_fdag, w_ffdag); a missing, None or zero
-        profile is an empty entry."""
-        parts = [() if p is None or p.is_zero() else ((1, p, False),)
-                 for p in profiles]
-        return cls(parts + [()] * (4 - len(parts)))
+        self.lengths = tuple(lengths)
 
     def hat(self) -> "ProfileWeight":
         """The main involution: the f and fdag entries negated."""
         one, f, fdag, ffdag = self.parts
-        return ProfileWeight((one, _times(f, -1), _times(fdag, -1), ffdag))
+        return ProfileWeight((one, *({key: -c for key, c in part.items()}
+                                     for part in (f, fdag)), ffdag), self.lengths)
 
     def scale(self, n) -> "ProfileWeight":
-        return ProfileWeight([_times(part, n) for part in self.parts])
+        return self if n == 1 else ProfileWeight(
+            [{key: c * n for key, c in part.items()} if n else {}
+             for part in self.parts], self.lengths)
 
     def __eq__(self, other):
         if not isinstance(other, ProfileWeight):
             return NotImplemented
-        for mine, theirs in zip(self.parts, other.parts):
-            if mine or theirs:
-                total = Sum((mine or theirs)[0][1].ctx)
-                for sign, part in ((1, mine), (-1, theirs)):
-                    for c, p, d in part:
-                        (total.d_dt if d else total.add)(p, c if sign == 1 else -c)
-                if not total.value().is_zero():
-                    return False
-        return True
+        return self.parts == other.parts
 
 
-def _times(part: tuple, n) -> tuple:
-    return part if n == 1 or not part else tuple([
-        (-c if n == -1 else c * n, p, d) for c, p, d in part])
+def _plus(a: dict, b: dict, sign: int) -> dict:
+    """a + sign * b, zero coefficients dropped."""
+    out = dict(a)
+    for key, c in b.items():
+        c = out.get(key, 0) + sign * c
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return out
 
 
 class ParabolicZeta:
-    """zeta = f d/dt + fdag on a ProfileWeight without derivative terms: by
-    f^2 = 0, fdag f = 1 - f fdag and fdag f fdag = fdag,
+    """zeta = f d/dt + fdag on a ProfileWeight: by f^2 = 0,
+    fdag f = 1 - f fdag and fdag f fdag = fdag,
     zeta w = w_f + f w_1' + fdag (w_1 + w_ffdag) + f fdag (w_fdag' - w_f)."""
 
     def __mul__(self, w: ProfileWeight) -> ProfileWeight:
         one, f, fdag, ffdag = w.parts
-        one_d, fdag_d = (tuple([(c, p, True) for c, p, _ in part])
+        n = w.lengths
+        one_d, fdag_d = ({(i, j + 1): c for (i, j), c in part.items() if j + 1 < n[i]}
                          for part in (one, fdag))
-        return ProfileWeight((f, one_d, one + ffdag, fdag_d + _times(f, -1)))
+        return ProfileWeight((f, one_d, _plus(one, ffdag, 1), _plus(fdag_d, f, -1)), n)
 
 
 PARABOLIC_ZETA = ParabolicZeta()

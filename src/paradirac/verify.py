@@ -220,8 +220,10 @@ def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
     by radial_series.  A parabolic form's zeta = f d/dt + fdag acts on
     ProfileWeight coefficients, whose profiles depend on t alone and sit
     right of M; its levels past the last are zero, so zeta Q_top = 0 is
-    checked too and the residual is the zero body.  Heads of different
-    degrees are left to the monomial residual.
+    checked too and the residual is the zero body; its entries are exact
+    coefficients on seed derivatives, so no profile is summed or
+    differentiated.  Heads of different degrees are left to the monomial
+    residual.
     """
     heads = F._radial
     degrees = set(F.k) if isinstance(F.k, tuple) else {F.k}
@@ -241,7 +243,7 @@ def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
                 return None
         tops = [[(L, radial_product(ZZ * w[L], H))] for H, _, w, _ in heads]
     else:
-        past = (ProfileWeight.of([]),) if parabolic else ()
+        past = (ProfileWeight(({},) * 4),) if parabolic else ()
         for _, _, P, Q in heads:
             if not (all(Z * p == q.hat().scale(2 * l + 2 * k + m)
                         for l, (p, q) in enumerate(zip(P, Q)))

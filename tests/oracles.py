@@ -8,7 +8,9 @@ spatial degrees read straight off a body's keys, and the sparse term
 engine's operators computed term by term on Multivector coefficients
 instead of stored integer numerators, every series body summed as a
 chain of Sum stages on the powers rho^{2l} M instead of expanded from
-its levels (the stage constructions), the exponential-profile parabolic
+its levels (the stage constructions), the parabolic levels by the
+recurrence's F0..F3 rule table next to the builders' ladder
+(rule_table_levels), the exponential-profile parabolic
 solution recovered from the generalized series (parabolic_from_generalized),
 a mutant made by splitting a body and assembling it again, and a solution
 file read row by row into Multivectors and summed by the body constructor.
@@ -20,11 +22,11 @@ from fractions import Fraction
 from paradirac.algebra import AlgebraContext, Multivector, split, witt_basis
 from paradirac.builders import ALL_MODES, SeriesSolution, build_generalized
 from paradirac.poly import (SpaceTimeFunction, Sum, TimeFunction,
-                           rho_squared, vector_variable)
+                           radial_series, rho_squared, vector_variable)
 from paradirac.scalars import GaussianRational, to_float
 from paradirac.serialize import (MAX_M, SCHEMA_VERSION, _check_series_degrees,
                                  _decode_part, _decode_zeta, _get, _int_list)
-from paradirac.timefn import assemble_split
+from paradirac.timefn import assemble_split, derivatives
 from paradirac.verify import T_SAMPLES, estimate_order, unit_directions
 from paradirac.zeta import PowerSeries, ZetaElement, sylvester_eval
 
@@ -418,6 +420,77 @@ def chain_parabolic_recurrence(M, seeds, L=None):
         b0 = b0.d_dt().scale(1 / (4 * (l + 1) * (gamma + 1 + l)))
         b2 = b2.d_dt().scale(1 / (4 * (l + 1) * (gamma + 1 + l)))
     return assemble_split(*(G.value() for G in Gs))
+
+
+def rule_table_levels(k, m, chains, count):
+    """The parabolic levels l < count by the F0..F3 rule table of the
+    recurrence, on the seeds c s given as chains, name -> (c, [s, s', ...])
+    (a missing name or order is zero): with a_j = c w_j(g) s^(j) for
+    a-seeds, b_j = c w_j(g+1) s^(j) for b-seeds and
+    w_j(g) = 1 / (4^j j! (g)_j), each level is eight slots, the entries
+    0..3 (1, f, fdag, f fdag) of P_l (even slot 2i) and Q_l (odd slot
+    2i+1), each a list of (c, s^(j)), the terms on one derivative object
+    merged by their coefficient sum and zero ones dropped."""
+    terms = {}
+    for name, (c, chain) in chains.items():
+        two_g = 2 * k + m + 2 * (name[0] == "b")
+        terms[name], w = [], Fraction(c)
+        for j, d in enumerate(chain):
+            terms[name].append((w, d))
+            w /= 2 * (j + 1) * (two_g + 2 * j)     # 4(j+1)(g+j)
+    levels = []
+    for l in range(count):
+        t, u = 2 * l + 2 * k + m, 2 * (l + 1)
+        # (slot, j - l, factor): factor seed_j is in slot
+        rules = {"a0": ((0, 0, 1), (3, 1, -u), (6, 0, -1)),
+                 "b0": ((1, 0, 1), (2, 0, t), (7, 0, -1)),
+                 "a2": ((4, 0, 1), (7, 1, u)), "b2": ((5, 0, 1), (6, 0, -t))}
+        slots = [{} for _ in range(8)]      # id of s^(j) -> [c, s^(j)]
+        for name, rule in rules.items():
+            seed = terms.get(name, ())
+            for slot, dj, factor in rule:
+                if l + dj < len(seed):
+                    w, d = seed[l + dj]
+                    slots[slot].setdefault(id(d), [0, d])[0] += factor * w
+        levels.append([[(c, d) for c, d in slot.values() if c] for slot in slots])
+    return levels
+
+
+def rule_table_body(M, levels, first=None):
+    """sum_l rho^{2l} sum_i c_i (M alpha_i,l + x M beta_i,l) over the
+    rule-table levels, c = 1, f, fdag, f fdag, one Sum of product stages
+    per level in slot order; first, a closed form's M block, stands for
+    the P_l M."""
+    ctx = M.poly.ctx
+    f, fdag = witt_basis(ctx)
+    units = (None, f, fdag, f * fdag)
+    bases = (M.poly, vector_variable(ctx) * M.poly)
+    blocks = []
+    for l, slots in enumerate(levels):
+        level = Sum(ctx)
+        for slot, part in enumerate(slots):
+            unit, base = units[slot // 2], bases[slot % 2]
+            for c, d in () if first is not None and slot % 2 == 0 else part:
+                level.product(base if unit is None else base.lmul(unit), d, c)
+        blocks.append((l, level.value()))
+    body = radial_series(ctx, [blocks])
+    return body if first is None else first + body
+
+
+def form_chains(sol, profiles):
+    """The chains [s, s', ...] that sol's parabolic radial form is written
+    on, made again from its profiles (the seeds in SEEDS order, None for
+    a missing one, or the closed build's a) to the form's lengths."""
+    ((_, _, P, _),) = sol._radial
+    lengths = P[0].lengths if P else ()
+    return [derivatives(p, n - 1) if n else [] for p, n in zip(profiles, lengths)]
+
+
+def weight_profiles(ctx, w, chains):
+    """The four entries of a ProfileWeight as profiles, each
+    sum c s_i^(j) over its (i, j): c on the chains."""
+    return tuple(sum((chains[i][j].scale(c) for (i, j), c in part.items()),
+                     TimeFunction.zero(ctx)) for part in w.parts)
 
 
 def parabolic_from_generalized(M, lam, L=12):

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (chain_parabolic_closed, chain_parabolic_recurrence,
-                     parabolic_from_generalized, spatial_degrees,
-                     stage_generalized, stage_helmholtz, typed,
+                     form_chains, parabolic_from_generalized, rule_table_body,
+                     rule_table_levels, spatial_degrees, stage_generalized,
+                     stage_helmholtz, typed, weight_profiles,
                      weight_recurrence)
-from paradirac import builders
+from paradirac import builders, verify
 from paradirac.algebra import AlgebraContext, Multivector, witt_basis
-from paradirac.builders import (build_generalized, build_helmholtz,
+from paradirac.builders import (SEEDS, build_generalized, build_helmholtz,
                                 build_parabolic_closed,
                                 build_parabolic_recurrence)
 from paradirac.harmonics import harmonic_basis, monogenic_basis
@@ -20,8 +21,8 @@ from paradirac.poly import (SpaceTimeFunction, _to_numerators, radial_level,
                             radial_series, rho_squared, vector_variable)
 from paradirac.scalars import GaussianRational
 from paradirac.serialize import residual_report_to_dict, solution_to_dict
-from paradirac.timefn import (ProfileWeight, SpaceTimeFunction, TimeFunction,
-                              parabolic_dirac)
+from paradirac.timefn import (SpaceTimeFunction, TimeFunction, apply_0F1,
+                              derivatives, parabolic_dirac)
 from paradirac.verify import (check_component_conditions, cross_check,
                               dirac_residual)
 from paradirac.zeta import IntMatrix, ZetaElement
@@ -579,27 +580,35 @@ def test_a_recurrence_build_makes_no_profile_body(monkeypatch):
     assert sol.body == chain_parabolic_recurrence(M, seeds, L)
 
 
-def _pad(weights, n):
-    return weights + (ProfileWeight.of([]),) * (n - len(weights))
+def _form_profiles(sol, seeds):
+    """sol's parabolic form as profiles: per level, the four entries of
+    P_l and of Q_l, on the chains that the build read (seeds in
+    builders.SEEDS order, one for a closed build)."""
+    ((_, _, P, Q),) = sol._radial
+    chains = form_chains(sol, seeds)
+    return [tuple(weight_profiles(sol.ctx, w, chains) for w in pair)
+            for pair in zip(P, Q)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_a_closed_form_is_the_recurrence_form_of_its_two_seeds(data):
     # the closed build is the recurrence seeded with a0 = a and
-    # b2 = -a/(2k+m), level for level; a zero profile has no closed level
-    # and one empty recurrence level
+    # b2 = -a/(2k+m), level for level: the same profiles on other chains;
+    # a zero profile has no closed level and one empty recurrence level
     m = data.draw(st.integers(1, 4), label="m")
     k = data.draw(st.sampled_from([k for k in range(4) if _basis("monogenic", m, k)]),
                   label="k")
     M = data.draw(st.sampled_from(_basis("monogenic", m, k)), label="head")
     a = _parabolic_profile(data, M.poly.ctx, "a")
-    closed = build_parabolic_closed(M, a)
-    rec = build_parabolic_recurrence(
-        M, {"a0": a, "b2": a.scale(Fraction(-1, 2 * k + m))})
-    ((_, _, Pc, Qc),), ((_, _, Pr, Qr),) = (sol._radial for sol in (closed, rec))
-    n = max(len(Pc), len(Pr))
-    assert _pad(Pc, n) == _pad(Pr, n) and _pad(Qc, n) == _pad(Qr, n)
+    b2 = a.scale(Fraction(-1, 2 * k + m))
+    closed = _form_profiles(build_parabolic_closed(M, a), [a])
+    rec = _form_profiles(build_parabolic_recurrence(M, {"a0": a, "b2": b2}),
+                         [a, None, None, b2])
+    zero = (TimeFunction.zero(M.poly.ctx),) * 4
+    n = max(len(closed), len(rec))
+    assert closed + [(zero, zero)] * (n - len(closed)) == rec + [
+        (zero, zero)] * (n - len(rec))
 
 
 @pytest.mark.parametrize("m,k", [(1, 0), (2, 1), (3, 2)])
@@ -625,8 +634,8 @@ def _degenerate_builds(ctx, M):
 
 
 def test_a_parabolic_form_stores_zero_profiles_as_empty_parts():
-    # a zero profile is an empty part of its weight, whichever builder
-    # made it
+    # a zero coefficient is no key of its entry, and every key is on its
+    # chain, whichever builder made the weight
     ctx = AlgebraContext(2)
     M = monogenic_basis(ctx, 1)[0]
     t2 = TimeFunction.polynomial(ctx, [0, 0, 1])
@@ -640,16 +649,76 @@ def test_a_parabolic_form_stores_zero_profiles_as_empty_parts():
         assert sol.zeta is None
         ((H, xH, P, Q),) = sol._radial
         assert (H, xH) == (M.poly, vector_variable(ctx) * M.poly)
-        assert all(not p.is_zero() for w in P + Q for part in w.parts
-                   for _, p, _ in part)
+        assert all(c and j < w.lengths[i] for w in P + Q for part in w.parts
+                   for (i, j), c in part.items())
         weights.append((P, Q))
     assert weights[0] == ((), ())
     # the constant profile has one level and no a^(l+1): Q_0 has no f part
     (P,), (Q,) = weights[1]
-    assert [bool(part) for part in P.parts] == [True, False, False, False]
+    assert P.lengths == (1,) and P.parts == ({(0, 0): 1}, {}, {}, {})
     assert [bool(part) for part in Q.parts] == [False, False, True, False]
+    # empty seeds: four empty chains and one level of empty parts
     (P,), (Q,) = weights[2]
-    assert P.parts == Q.parts == ((),) * 4
+    assert P.lengths == (0,) * 4 and P.parts == Q.parts == ({},) * 4
+    # t^2 as b0 only: chain 1, orders 0..2
+    assert weights[5][0][0].lengths == (0, 3, 0, 0)
+
+
+def _level_maps(levels, index):
+    """The rule-table levels as (P_l, Q_l) parts, {(i, j): c} per entry:
+    index maps the id of each chain profile to its (i, j)."""
+    return [tuple(tuple({index[id(d)]: c for c, d in slots[2 * i + side]}
+                        for i in range(4)) for side in (0, 1))
+            for slots in levels]
+
+
+@pytest.mark.parametrize("names", [None] + [
+    [name for i, name in enumerate(SEEDS) if subset >> i & 1]
+    for subset in range(16)], ids=lambda names: "closed" if names is None
+    else "+".join(names) or "no-seeds")
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_the_ladder_makes_the_rule_table_levels(names, data):
+    """The levels that the ladder generates from P_0, against the F0..F3
+    rule table run on the same chains: level by level, the same exact
+    coefficient on every seed derivative, for the closed build (names
+    None) and every subset of the four seeds; a truncated build on
+    exponential seeds keeps no form and has the rule table's body."""
+    m = data.draw(st.integers(1, 4), label="m")
+    k = data.draw(st.sampled_from([k for k in range(4) if _basis("monogenic", m, k)]),
+                  label="k")
+    M = data.draw(st.sampled_from(_basis("monogenic", m, k)), label="head")
+    ctx = M.poly.ctx
+    L = data.draw(st.integers(0, 4), label="L")
+    lambdas = (0,) + EXP_LAMBDAS if data.draw(st.booleans(), label="exp") else (0,)
+    first = None
+    if names is None:
+        a = _parabolic_profile(data, ctx, "a", lambdas)
+        sol = build_parabolic_closed(M, a, L)
+        count = len(derivatives(a, a.max_n() if a.is_polynomial() else L))
+        derivs = derivatives(a, count if count and not a.is_polynomial()
+                             else count - 1)
+        chains = {"a0": (1, derivs), "b2": (Fraction(-1, 2 * k + m), derivs)}
+        index = {id(d): (0, j) for j, d in enumerate(derivs)}
+        first = apply_0F1(Fraction(2 * k + m, 2), M.poly, a, L)
+    else:
+        seeds = {name: _parabolic_profile(data, ctx, name, lambdas)
+                 for name in names}
+        sol = build_parabolic_recurrence(M, seeds, L)
+        stop = sol.L
+        count = stop + 1
+        chains = {name: (1, derivatives(tf, stop + (name[0] == "a")))
+                  for name, tf in seeds.items()}
+        index = {id(d): (SEEDS.index(name), j)
+                 for name, (_, chain) in chains.items() for j, d in enumerate(chain)}
+    levels = rule_table_levels(k, m, chains, count)
+    if sol._radial is None:
+        assert not sol.exact and lambdas != (0,)
+        assert sol.body == rule_table_body(M, levels, first)
+        return
+    ((_, _, P, Q),) = sol._radial
+    assert [(p.parts, q.parts) for p, q in zip(P, Q)] == _level_maps(levels, index)
+    assert verify._ladder_residual(sol).is_zero()
 
 
 # -- generalized operator -------------------------------------------------------

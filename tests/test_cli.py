@@ -728,6 +728,43 @@ def test_build_rejects_profile_part_beyond_float_range(capsys, tmp_path, profile
     assert "float range" in err
 
 
+@pytest.mark.parametrize("profile", ["exp:1e400", '[{"lambda": ["1e400", 0]}]'])
+def test_build_rejects_an_exact_lambda_beyond_float_range(capsys, tmp_path,
+                                                          profile):
+    # the writer orders terms by complex(lambda), and eval evaluates
+    # e^(lambda t): the lambda is refused where it comes in
+    out = tmp_path / "s.json"
+    code, _, err = run(capsys, "build", "--mode", "parabolic-closed", "--m", "2",
+                       "--k", "0", "--profile", profile, "--out", str(out))
+    assert code == 2 and not out.exists()
+    assert err == "error: a value of about 1e400 is outside the float range\n"
+
+
+def _file_with_lambda_beyond_float_range(capsys, tmp_path):
+    data = _solution_dict(capsys, tmp_path)
+    data["terms"][0]["lambda"] = ["1e400", 0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    return bad
+
+
+def test_verify_rejects_a_file_lambda_beyond_float_range(capsys, tmp_path):
+    bad = _file_with_lambda_beyond_float_range(capsys, tmp_path)
+    out = tmp_path / "rep.json"
+    code, _, err = run(capsys, "verify", "--solution", str(bad), "--out", str(out))
+    assert code == 2 and not out.exists()
+    assert err == "error: a value of about 1e400 is outside the float range\n"
+
+
+def test_eval_rejects_a_file_lambda_beyond_float_range(capsys, tmp_path):
+    bad = _file_with_lambda_beyond_float_range(capsys, tmp_path)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,t\n0.5,0.5,0\n")
+    code, out, err = run(capsys, "eval", "--solution", str(bad), "--points", str(pts))
+    assert code == 2 and out == ""
+    assert err == "error: a value of about 1e400 is outside the float range\n"
+
+
 # an exact term beyond the float range and a float term at another key
 SPLIT_BEYOND_FLOAT = [{"coeff": ["1e400", 0]}, {"coeff": [0.5, 0], "n": 1}]
 

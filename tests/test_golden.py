@@ -25,14 +25,17 @@ float builds included, on fixed points with zero coordinates and t = 0.
 A change to how values are computed or written shows here.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 import paradirac
+from paradirac import verify
 from paradirac.cli import _build_from_args, main, make_parser
 from paradirac.serialize import check_report_to_dict, residual_report_to_dict
+from paradirac.timefn import ProfileWeight
 from paradirac.verify import check_component_conditions, dirac_residual
 
 DIGESTS = {
@@ -582,6 +585,27 @@ def test_report_output_is_pinned(argv):
     out = {"residual": residual_report_to_dict(dirac_residual(sol))}
     if sol.mode.startswith("parabolic"):
         out["components"] = check_report_to_dict(check_component_conditions(sol))
+    text = json.dumps(out, indent=1)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(
+    argv for argv in REPORT_DIGESTS if "parabolic-closed" in argv and "poly:" in argv))
+def test_a_form_with_a_shortened_chain_fails_the_ladder(argv):
+    # the planted form claims a'' = 0 for a degree-2 profile a: the
+    # derivative that the ladder drops leaves a coefficient on a'' that
+    # the next weight still holds, so the ladder refuses the form and the
+    # monomial path reports the same bytes as the fresh build's ladder
+    sol = _build_from_args(make_parser().parse_args(["build", *argv.split(" ")]))
+    ((M, xM, P, Q),) = sol._radial
+    assert P[0].lengths == (3,)
+    short = [tuple(ProfileWeight(w.parts, (2,)) for w in ws) for ws in (P, Q)]
+    bad = dataclasses.replace(sol)
+    object.__setattr__(bad, "_radial", ((M, xM, *short),))
+    assert verify._ladder_residual(bad) is None
+    out = {"residual": residual_report_to_dict(dirac_residual(bad)),
+           "components": check_report_to_dict(check_component_conditions(bad))}
+    assert not bad._residual[1]
     text = json.dumps(out, indent=1)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[argv]
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import (assert_matches, exact_values, o_add, o_d_dt, o_dirac,
                      o_div, o_evaluate, o_laplacian, o_lmul, o_mul, o_neg,
                      o_partial, o_rmul, o_scale, o_split, spatial,
-                     spatial_degrees, termwise)
+                     spatial_degrees, termwise, weight_profiles)
 from paradirac.algebra import AlgebraContext, Multivector, witt_basis
 from paradirac.builders import build_generalized, build_parabolic_closed
 from paradirac.harmonics import monogenic_basis
@@ -19,7 +19,7 @@ from paradirac.poly import rho_squared
 from paradirac.scalars import GaussianRational
 from paradirac.timefn import (PARABOLIC_ZETA, ProfileWeight, SpaceTimeFunction,
                               TimeFunction, apply_0F1, assemble_split,
-                              heat_residual, parabolic_dirac)
+                              derivatives, heat_residual, parabolic_dirac)
 from paradirac.verify import check_component_conditions, dirac_residual
 from paradirac.zeta import ZetaElement
 
@@ -579,27 +579,35 @@ def _profile(data, ctx, label):
     return total
 
 
-def _profile_weight(data, ctx, label):
-    """A ProfileWeight with up to two undifferentiated terms per entry."""
+def _chains(data, ctx):
+    """Up to three seed chains [p, p', ...] of drawn profiles, each cut
+    after the third derivative: a polynomial chain ends where its
+    derivative is zero, so its length is its own; an exponential one
+    does not, so weights take no term on its last entry."""
+    chains = [derivatives(_profile(data, ctx, f"seed {i}"), 3)
+              for i in range(data.draw(st.integers(1, 3), label="chains"))]
+    usable = [[(i, j) for j in range(len(chain) - (not chain[0].is_polynomial()))]
+              for i, chain in enumerate(chains) if chain]
+    return chains, [key for keys in usable for key in keys]
+
+
+def _profile_weight(data, chains, keys, label):
+    """A ProfileWeight with up to two terms per entry on the usable keys."""
     factor = st.sampled_from((1, -1, 3, Fraction(-2, 5)))
-    return ProfileWeight(
-        tuple((data.draw(factor, label=f"{label} c"),
-               _profile(data, ctx, f"{label} p"), False)
-              for _ in range(data.draw(st.integers(0, 2), label=label)))
-        for _ in range(4))
+    parts = [{} for _ in range(4)]
+    for part in parts:
+        for _ in range(data.draw(st.integers(0, 2), label=label) if keys else 0):
+            key = data.draw(st.sampled_from(keys), label=f"{label} key")
+            part[key] = part.get(key, 0) + data.draw(factor, label=f"{label} c")
+    return ProfileWeight([{key: c for key, c in part.items() if c}
+                          for part in parts], [len(chain) for chain in chains])
 
 
-def _entries(w, ctx):
-    """The four entries of w, each summed to one profile."""
-    return tuple(sum(((p.d_dt() if d else p).scale(c) for c, p, d in part),
-                     TimeFunction.zero(ctx)) for part in w.parts)
-
-
-def _body(w, ctx):
+def _body(w, ctx, chains):
     """w as one body: sum_i c_i entry_i, c = 1, f, fdag, f fdag."""
     f, fdag = witt_basis(ctx)
     return sum((e.lmul(c) for c, e in zip((ctx.one(), f, fdag, f * fdag),
-                                          _entries(w, ctx))),
+                                          weight_profiles(ctx, w, chains))),
                TimeFunction.zero(ctx))
 
 
@@ -609,26 +617,43 @@ def test_parabolic_zeta_is_the_clifford_product(data):
     m = data.draw(st.integers(1, 3), label="m")
     ctx = AlgebraContext(m)
     f, fdag = witt_basis(ctx)
-    w = _profile_weight(data, ctx, "w")
-    W = _body(w, ctx)
+    chains, keys = _chains(data, ctx)
+    w = _profile_weight(data, chains, keys, "w")
+    W = _body(w, ctx, chains)
     # zeta w = f w' + fdag w, by Multivector products of the bodies
     zw = PARABOLIC_ZETA * w
-    assert _body(zw, ctx) == W.d_dt().lmul(f) + W.lmul(fdag)
+    assert _body(zw, ctx, chains) == W.d_dt().lmul(f) + W.lmul(fdag)
     # hat() is the main involution on the units, scale(n) scales
     units = (ctx.one(), f, fdag, f * fdag)
-    assert _body(w.hat(), ctx) == sum(
-        (e.lmul(c.involution()) for c, e in zip(units, _entries(w, ctx))),
+    assert _body(w.hat(), ctx, chains) == sum(
+        (e.lmul(c.involution())
+         for c, e in zip(units, weight_profiles(ctx, w, chains))),
         TimeFunction.zero(ctx))
-    n = data.draw(st.integers(-3, 3), label="n")
-    assert _body(w.scale(n), ctx) == W.scale(n)
-    # == compares the weights entry by entry, derivative terms included
+    n = data.draw(st.sampled_from((-3, -1, 0, 2, Fraction(1, 3))), label="n")
+    assert _body(w.scale(n), ctx, chains) == W.scale(n)
+    # == compares the exact coefficients entry by entry; equal weights
+    # are equal profiles
     for u in (w, zw):
-        assert u == ProfileWeight.of(_entries(u, ctx))
+        assert u == ProfileWeight([dict(part) for part in u.parts], u.lengths)
         assert u == u.scale(1) and u.hat().hat() == u
-    v = _profile_weight(data, ctx, "v")
-    assert (zw == v) == (_entries(zw, ctx) == _entries(v, ctx))
-    bump = TimeFunction.term(ctx, 1, n=5)
-    i = data.draw(st.integers(0, 3), label="entry")
-    bumped = ProfileWeight(part + ((1, bump, False),) if j == i else part
-                           for j, part in enumerate(zw.parts))
-    assert bumped != zw and zw != bumped
+        assert all(c for part in u.parts for c in part.values())
+    v = _profile_weight(data, chains, keys, "v")
+    if zw == v:
+        assert weight_profiles(ctx, zw, chains) == weight_profiles(ctx, v, chains)
+    if keys:
+        i = data.draw(st.integers(0, 3), label="entry")
+        key = data.draw(st.sampled_from(keys), label="bump")
+        # a new coefficient, or a doubled one: never zero
+        bumped = ProfileWeight([part if j != i else
+                                {**part, key: 2 * part[key] if key in part else 1}
+                                for j, part in enumerate(zw.parts)], zw.lengths)
+        assert bumped != zw and zw != bumped
+
+
+def test_a_derivative_past_the_chain_end_is_dropped():
+    # s_0 = t^2 has the chain t^2, 2t, 2: d/dt moves (0, j) to (0, j + 1)
+    # and drops (0, 2); the f entry of zeta w is w_1'.  On a chain of
+    # length 1, (0, 0) is the last entry too
+    w = ProfileWeight(({(0, 0): 1, (0, 2): Fraction(1, 2)}, {}, {}, {}), (3,))
+    assert (PARABOLIC_ZETA * w).parts[1] == {(0, 1): 1}
+    assert (PARABOLIC_ZETA * ProfileWeight(w.parts, (1,))).parts[1] == {}

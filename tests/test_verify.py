@@ -10,14 +10,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import sampled_order, sampled_sup_norms, split_perturbed, typed
+from oracles import (form_chains, sampled_order, sampled_sup_norms,
+                     split_perturbed, typed, weight_profiles)
 from paradirac import verify
 from paradirac.algebra import AlgebraContext, Multivector, witt_basis
-from paradirac.builders import (ALL_MODES, SeriesSolution, build_generalized,
-                                build_helmholtz, build_parabolic_closed,
+from paradirac.builders import (ALL_MODES, SEEDS, SeriesSolution,
+                                build_generalized, build_helmholtz,
+                                build_parabolic_closed,
                                 build_parabolic_recurrence)
 from paradirac.harmonics import harmonic_basis, monogenic_basis
-from paradirac.poly import integer_rescale, rho_squared, vector_variable
+from paradirac.poly import Sum, integer_rescale, rho_squared, vector_variable
 from paradirac.scalars import GaussianRational
 from paradirac.serialize import (load_solution, residual_report_to_dict,
                                  save_solution, solution_to_dict)
@@ -555,11 +557,15 @@ FRESH_PARABOLIC = {
 }
 
 
+def _seeds(m, seeds):
+    """name -> the polynomial with coefficients c, from name -> c."""
+    ctx = CONTEXTS[m]
+    return {name: TimeFunction.polynomial(ctx, list(c)) for name, c in seeds.items()}
+
+
 def _recurrence(m, k, seeds):
-    ctx = AlgebraContext(m)
-    return build_parabolic_recurrence(
-        monogenic_basis(ctx, k)[0],
-        {name: TimeFunction.polynomial(ctx, list(c)) for name, c in seeds.items()})
+    return build_parabolic_recurrence(monogenic_basis(CONTEXTS[m], k)[0],
+                                      _seeds(m, seeds))
 
 
 @pytest.mark.parametrize("name", sorted(FRESH_PARABOLIC))
@@ -947,11 +953,20 @@ def _blade_profile(data, m, label):
                               for n, vals in rows.items()})
 
 
-def _expand(form, ctx):
-    """F = sum_l rho^{2l} (P_l M + Q_l x M) from a parabolic radial form:
-    entry i of a weight is c_i times its profiles, c = 1, f, fdag, f fdag,
-    the unit left of the spatial power and the profile right of it."""
-    ((M, _, Ps, Qs),) = form
+# the chain planted beside a form's own: t^9 and its derivatives, so that
+# (planted, 9 - n) is a multiple of t^n and its derivative one of t^(n-1)
+PLANTED = 9
+
+
+def _expand(sol, profiles):
+    """F = sum_l rho^{2l} (P_l M + Q_l x M) from sol's parabolic radial
+    form: entry i of a weight is c_i times its profiles, c = 1, f, fdag,
+    f fdag, the unit left of the spatial power and the profile right of
+    it."""
+    ctx = sol.ctx
+    # the planted chain follows the build's own when the form has it
+    chains = form_chains(sol, [*profiles, TimeFunction.term(ctx, 1, n=PLANTED)])
+    ((M, _, Ps, Qs),) = sol._radial
     x, rho2 = vector_variable(ctx), rho_squared(ctx)
     f, fdag = witt_basis(ctx)
     units = (ctx.one(), f, fdag, f * fdag)
@@ -959,10 +974,8 @@ def _expand(form, ctx):
     F = SpaceTimeFunction.zero(ctx)
     for Pl, Ql in zip(Ps, Qs):
         for spatial, w in ((P, Pl), (Q, Ql)):
-            for unit, part in zip(units, w.parts):
-                for c, p, d in part:
-                    assert not d
-                    F = F + spatial.lmul(unit) * p.scale(c)
+            for unit, p in zip(units, weight_profiles(ctx, w, chains)):
+                F = F + spatial.lmul(unit) * p
         P, Q = rho2 * P, rho2 * Q
     return F
 
@@ -976,14 +989,15 @@ def test_profile_ladder_matches_the_monomial_path(data):
         [k for k in range(4) if _heads(m, k, False)]), label="k")
     head = data.draw(st.sampled_from(_heads(m, k, False)), label="head")
     if data.draw(st.booleans(), label="closed"):
-        sol = build_parabolic_closed(head, _blade_profile(data, m, "a"))
+        profiles = [_blade_profile(data, m, "a")]
+        sol = build_parabolic_closed(head, profiles[0])
     else:
-        names = data.draw(st.sets(st.sampled_from(("a0", "b0", "a2", "b2"))),
-                          label="seeds")
-        sol = build_parabolic_recurrence(head, {
-            name: _blade_profile(data, m, name) for name in sorted(names)})
+        names = data.draw(st.sets(st.sampled_from(SEEDS)), label="seeds")
+        seeds = {name: _blade_profile(data, m, name) for name in sorted(names)}
+        sol = build_parabolic_recurrence(head, seeds)
+        profiles = [seeds.get(name) for name in SEEDS]
     assert sol.exact and verify._ladder_residual(sol).is_zero()
-    assert _expand(sol._radial, ctx) == sol.body
+    assert _expand(sol, profiles) == sol.body
     # the ladder's reports, against a copy's from the monomial path
     rep, comp = dirac_residual(sol), check_component_conditions(sol)
     assert sol._residual[1]
@@ -1009,17 +1023,22 @@ def test_profile_ladder_matches_the_monomial_path(data):
 
 
 def _bumped(sol, changes):
-    """A copy of sol whose radial form has factor * t^n added to entry
-    slot // 2 of P_l (slot even) or Q_l (slot odd) for each
-    (l, slot, factor, n): slots 0..7 are alpha_0, beta_0, ..., beta_3."""
+    """A copy of sol whose radial form has factor * (planted, 9 - n), a
+    multiple of t^n, added to entry slot // 2 of P_l (slot even) or Q_l
+    (slot odd) for each (l, slot, factor, n): slots 0..7 are alpha_0,
+    beta_0, ..., beta_3.  Every weight of the copy also has the planted
+    chain."""
     ((M, xM, P, Q),) = sol._radial
-    weights = [[list(w.parts) for w in P], [list(w.parts) for w in Q]]
+    planted = len(P[0].lengths)
+    weights = [[[dict(part) for part in w.parts] for w in P],
+               [[dict(part) for part in w.parts] for w in Q]]
     for l, slot, factor, n in changes:
-        parts = weights[slot % 2][l]
-        bump = TimeFunction.term(sol.ctx, 1, n=n)
-        parts[slot // 2] += ((factor, bump, False),)
+        part = weights[slot % 2][l][slot // 2]
+        key = (planted, PLANTED - n)
+        part[key] = part.get(key, 0) + factor
+    lengths = P[0].lengths + (PLANTED + 1,)
     bad = dataclasses.replace(sol)
-    P, Q = (tuple(ProfileWeight(parts) for parts in ws) for ws in weights)
+    P, Q = (tuple(ProfileWeight(parts, lengths) for parts in ws) for ws in weights)
     object.__setattr__(bad, "_radial", ((M, xM, P, Q),))
     return bad
 
@@ -1030,10 +1049,10 @@ def _failing_identities(sol):
     "Q" for zeta Q_l = -2(l+1) P_(l+1)^, part 0..3 for 1, f, fdag, f fdag."""
     ((_, _, P, Q),) = sol._radial
     k, m = sol.k, sol.ctx.m
-    nxt = P[1:] + (ProfileWeight.of([]),)
+    nxt = P[1:] + (ProfileWeight(({},) * 4),)
 
     def part(w, i):
-        return ProfileWeight(p if j == i else () for j, p in enumerate(w.parts))
+        return ProfileWeight(p if j == i else {} for j, p in enumerate(w.parts))
 
     out = set()
     for l in range(len(P)):
@@ -1063,10 +1082,13 @@ BROKEN_IDENTITY = {
 PARTS = ("1", "f", "fdag", "f fdag")
 
 
+SEED_COEFFS = {"a0": (1, 2, -1, 1), "b0": (0, 3, 1), "a2": (2, -1, 0, 1),
+               "b2": (1, 1, 1)}
+
+
 @pytest.mark.parametrize("name", sorted(BROKEN_IDENTITY))
 def test_each_ladder_identity_is_checked(name):
-    sol = _recurrence(2, 1, {"a0": (1, 2, -1, 1), "b0": (0, 3, 1),
-                             "a2": (2, -1, 0, 1), "b2": (1, 1, 1)})
+    sol = _recurrence(2, 1, SEED_COEFFS)
     assert len(sol._radial[0][2]) >= 3
     assert _failing_identities(sol) == set()
     want = (report_text(dirac_residual(dataclasses.replace(sol))),
@@ -1078,7 +1100,9 @@ def test_each_ladder_identity_is_checked(name):
     # the body is the build's, and the monomial path passes it
     assert (report_text(dirac_residual(bad)),
             check_component_conditions(bad).detail) == want
-    assert _expand(bad._radial, sol.ctx) != sol.body
+    seeds = _seeds(2, SEED_COEFFS)
+    assert _expand(sol, [seeds[name] for name in SEEDS]) == sol.body
+    assert _expand(bad, [seeds[name] for name in SEEDS]) != sol.body
 
 
 @pytest.mark.parametrize("name", ["zeta Q f", "zeta Q fdag", "zeta Q f fdag"])
@@ -1109,6 +1133,28 @@ def test_a_profile_with_x_keeps_the_monomial_path(closed):
     assert not rep.passed and not comp.passed and comp.detail["equivalent"]
     assert report_text(rep) == report_text(dirac_residual(
         dataclasses.replace(sol)))
+
+
+@pytest.mark.parametrize("name", sorted(FRESH_PARABOLIC))
+def test_the_profile_ladder_makes_no_sum_and_no_derivative(name):
+    # the ladder on a fresh exact parabolic form is rational arithmetic
+    # on the weights' coefficients: no profile is summed or differentiated
+    sol = FRESH_PARABOLIC[name]()
+    calls = []
+    init, d_dt = Sum.__init__, SpaceTimeFunction.d_dt
+
+    def spy_init(self, ctx):
+        calls.append("Sum")
+        init(self, ctx)
+
+    def spy_d_dt(self):
+        calls.append("d_dt")
+        return d_dt(self)
+
+    with mock.patch.object(Sum, "__init__", spy_init), \
+            mock.patch.object(SpaceTimeFunction, "d_dt", spy_d_dt):
+        R = verify._ladder_residual(sol)
+    assert R is not None and R.is_zero() and calls == []
 
 
 @pytest.mark.parametrize("field, value", [
