@@ -18,7 +18,7 @@ from .timefn import (SpaceTimeFunction, TimeFunction, apply_0F1,
                      assemble_split, heat_residual, parabolic_dirac)
 from .verify import (CheckReport, ResidualReport, check_component_conditions,
                      check_factorization, cross_check, dirac_residual,
-                     estimate_order, perturb_component, symbolic_residual)
+                     perturb_component, symbolic_residual)
 from .zeta import NotInvertibleError, PowerSeries, ZetaElement, sylvester_eval
 
 __version__ = "0.1.0"
@@ -37,7 +37,7 @@ __all__ = [
     "build_parabolic_recurrence", "build_helmholtz", "build_generalized",
     "CheckReport", "ResidualReport", "check_factorization",
     "check_component_conditions", "dirac_residual", "cross_check",
-    "estimate_order", "perturb_component", "symbolic_residual",
+    "perturb_component", "symbolic_residual",
     "solution_to_dict", "solution_from_dict", "save_solution",
     "load_solution", "residual_report_to_dict", "save_report",
     "__version__",

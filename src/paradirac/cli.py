@@ -2,7 +2,7 @@
 
     paradirac algebra-check [--m 3] [--trials 500] [--seed 0] [--out report.json]
     paradirac build --mode parabolic-closed --m 2 --k 0 --profile t --out sol.json
-    paradirac verify --solution sol.json [--radii 1,0.5,0.25] [--seed 0] [--out report.json]
+    paradirac verify --solution sol.json [--out report.json]
     paradirac eval --solution sol.json --points pts.csv [--out vals.csv]
 
 Exit code 0 means every requested check passed; 1 means a check failed;
@@ -212,9 +212,9 @@ def _build_from_args(args) -> SeriesSolution:
 def cmd_build(args) -> int:
     if args.m is not None and args.m > MAX_M:  # the largest m a file may hold
         raise ValueError(f"spatial dimension m={args.m} outside 1..{MAX_M}")
-    sol = _build_from_args(args)
     if not args.out:
         raise ValueError("build requires --out")
+    sol = _build_from_args(args)
     if not sol.body.is_finite():
         raise ValueError("the build has a non-finite coefficient or lambda")
     save_solution(sol, args.out)
@@ -235,9 +235,7 @@ def cmd_verify(args) -> int:
         sol = load_solution(args.solution)
     else:
         sol = _build_from_args(args)
-    radii = [float(tok) for tok in args.radii.split(",")]
-    report = dirac_residual(sol, radii=radii, seed=args.seed,
-                            order_tol=args.order_tol)
+    report = dirac_residual(sol)
     out = _residual_report_fields(report)
     passed = report.passed
     if sol.mode.startswith("parabolic") and sol.exact:
@@ -251,17 +249,12 @@ def cmd_verify(args) -> int:
     if report.exact_zero:
         print(f"{sol.mode}: residual identically zero "
               f"({'PASS' if passed else 'FAIL'})")
-    elif sol.exact or sol.body.is_exact():
-        # judged on the exact residual alone, with nothing sampled
-        print(f"{sol.mode}: symbolic residual nonzero at spatial degrees "
-              f"{report.support_degrees} "
-              f"({'PASS' if passed else 'FAIL'})")
     else:
-        est = (f"{report.estimated_order:.3f}"
-               if report.estimated_order is not None else "n/a")
-        print(f"{sol.mode}: estimated order {est} "
-              f"(expected {report.expected_order}), "
-              f"support degrees {report.support_degrees} "
+        # a float body's support is read above roundoff scale
+        where = ("nonzero" if sol.exact or sol.body.is_exact()
+                 else "above roundoff")
+        print(f"{sol.mode}: symbolic residual {where} at spatial degrees "
+              f"{report.support_degrees or ()} "
               f"({'PASS' if passed else 'FAIL'})")
     return 0 if passed else 1
 
@@ -419,9 +412,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify a solution file or a fresh build")
     p_verify.add_argument("--solution", help="solution JSON produced by build")
     _add_build_flags(p_verify)
-    p_verify.add_argument("--radii", default="1,0.5,0.25")
-    p_verify.add_argument("--order-tol", type=float, default=0.2)
-    p_verify.add_argument("--seed", type=int, default=0)
 
     p_eval = sub.add_parser("eval", help="evaluate a solution on a CSV of points")
     p_eval.add_argument("--solution", required=True)

@@ -35,6 +35,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
@@ -468,7 +469,8 @@ def write_eval_csv(sol: SeriesSolution,
     """Evaluate the solution at each point and write one row per point.
 
     The points are evaluated in one batch, and each row is written as soon
-    as its value is computed.
+    as its value is computed.  A file that a failing point leaves half
+    written is removed before the error propagates.
 
     out is a file path or an open text stream such as sys.stdout.
     Columns: x1..xm, t, then <blade>_re,<blade>_im for every blade that
@@ -484,15 +486,21 @@ def write_eval_csv(sol: SeriesSolution,
     # CSV's "\r\n" and a text stream into the platform line ending
     with (open(out, "w", newline="\r\n") if isinstance(out, str)
           else contextlib.nullcontext(out)) as fh:
-        fh.write(",".join(header) + "\n")
-        for (point, t), mv in zip(points, body.evaluate_many(points)):
-            row = [repr(float(c)) for c in point] + [repr(float(t))]
-            for mask in masks:
-                val = mv.terms.get(mask, 0)
-                if type(val) is float:
-                    row += [repr(val), "0.0"]
-                else:
-                    val = complex(val)
-                    row += [repr(val.real), repr(val.imag)]
-            fh.write(",".join(row) + "\n")
+        try:
+            fh.write(",".join(header) + "\n")
+            for (point, t), mv in zip(points, body.evaluate_many(points)):
+                row = [repr(float(c)) for c in point] + [repr(float(t))]
+                for mask in masks:
+                    val = mv.terms.get(mask, 0)
+                    if type(val) is float:
+                        row += [repr(val), "0.0"]
+                    else:
+                        val = complex(val)
+                        row += [repr(val.real), repr(val.imag)]
+                fh.write(",".join(row) + "\n")
+        except BaseException:
+            if fh is not out:           # the file this call opened
+                fh.close()
+                os.remove(out)
+            raise
     return header

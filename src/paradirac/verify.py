@@ -6,10 +6,9 @@ F3 = d_x F2 - F0, and the heat condition on F0 and F2, which together
 are equivalent to D F = 0), and residual measurement.  Exact builds get
 a symbolic residual that must vanish identically.  A truncated build
 with exact coefficients is judged on its exact residual alone, which
-must sit wholly at the top degrees; nothing is sampled.  A truncated
-build with float coefficients gets the residual's support degrees above
-roundoff scale plus an empirical convergence order from sup-norms
-sampled over spheres of shrinking radius.
+must sit wholly at the top degrees.  A truncated build with float
+coefficients is judged the same way on the spatial degrees of its
+residual's terms above roundoff scale.  Nothing is sampled.
 
 A solution is immutable, so it remembers the residual of its operator,
 made once: dirac_residual and check_component_conditions read the same
@@ -27,10 +26,8 @@ other solution and the oracle the ladder is tested against.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraContext, Multivector, witt_basis
@@ -40,17 +37,11 @@ from .timefn import (PARABOLIC_ZETA, ProfileWeight, SpaceTimeFunction,
                      heat_residual, parabolic_dirac)
 from .zeta import IntMatrix
 
-# sup-norms below this are treated as zero when estimating orders
-UNDERFLOW_GUARD = 1e-14
 # relative weight under which a symbolic coefficient counts as roundoff junk
 JUNK_REL = 1e-12
 # float builds cancel body-sized coefficients, so their residuals carry
 # junk at eps * |body| regardless of how small the true tail is
 NOISE_REL = 1e-13
-
-T_SAMPLES = (0.0, 0.5)
-# seeded gaussian directions sampled beside the axes and the diagonal
-N_RANDOM = 6
 
 
 @dataclass
@@ -266,82 +257,37 @@ def _infer_operator(mode: str) -> str:
     raise ValueError(f"cannot infer operator for mode {mode!r}")
 
 
-def unit_directions(m: int, seed: int = 0) -> List[Tuple[float, ...]]:
-    """Axis directions, the diagonal, and N_RANDOM seeded gaussian directions."""
-    dirs: List[Tuple[float, ...]] = []
-    for i in range(m):
-        axis = [0.0] * m
-        axis[i] = 1.0
-        dirs.append(tuple(axis))
-        axis = [0.0] * m
-        axis[i] = -1.0
-        dirs.append(tuple(axis))
-    dirs.append(tuple(1.0 / math.sqrt(m) for _ in range(m)))
-    rng = random.Random(seed)
-    while len(dirs) < 2 * m + 1 + N_RANDOM:
-        v = [rng.gauss(0.0, 1.0) for _ in range(m)]
-        norm = math.sqrt(sum(c * c for c in v))
-        if norm > 1e-6:
-            dirs.append(tuple(c / norm for c in v))
-    return dirs
-
-
-def estimate_order(sup_by_radius: Sequence[Tuple[float, float]]) -> Optional[float]:
-    """Mean log-ratio slope over consecutive radii, skipping underflowed ones."""
-    pts = sorted(sup_by_radius, key=lambda rv: -rv[0])
-    slopes = []
-    for (r1, s1), (r2, s2) in zip(pts, pts[1:]):
-        if s1 < UNDERFLOW_GUARD or s2 < UNDERFLOW_GUARD:
-            continue
-        slopes.append(math.log(s1 / s2) / math.log(r1 / r2))
-    if not slopes:
-        return None
-    return sum(slopes) / len(slopes)
-
-
 def _degrees(R: SpaceTimeFunction) -> Tuple[int, ...]:
     """The spatial degrees of every term of R, sorted."""
     return tuple(sorted({sum(exps) for exps, _, _ in R.keys()}))
 
 
-def _sift(R: SpaceTimeFunction, noise_floor: float
-          ) -> Tuple[SpaceTimeFunction, float, Tuple[int, ...]]:
-    """R less its roundoff junk, R's largest coefficient size, and the
-    spatial degrees of R's terms above roundoff scale, from one scan.
+def _sift(R: SpaceTimeFunction, noise_floor: float) -> Tuple[int, ...]:
+    """The spatial degrees of R's terms above roundoff scale, sorted.
 
     A term is above roundoff scale when its largest coefficient exceeds
     JUNK_REL times R's largest and noise_floor.
     """
-    sizes = [(key, R.term_max_abs(key)) for key in R.keys()]
-    top = max((size for _, size in sizes), default=0.0)
-    cut = max(JUNK_REL * top, noise_floor)
-    loud = [key for key, size in sizes if size > cut]
-    degrees = tuple(sorted({sum(key[0]) for key in loud}))
-    return (SpaceTimeFunction(R.ctx, {key: Multivector(R.ctx, R.coeffs(key))
-                                      for key in loud}), top, degrees)
+    sizes = [(sum(key[0]), R.term_max_abs(key)) for key in R.keys()]
+    cut = max(JUNK_REL * max((size for _, size in sizes), default=0.0),
+              noise_floor)
+    return tuple(sorted({degree for degree, size in sizes if size > cut}))
 
 
-def dirac_residual(F: SeriesSolution,
-                   radii: Sequence[float] = (1.0, 0.5, 0.25),
-                   seed: int = 0, order_tol: float = 0.2) -> ResidualReport:
+def dirac_residual(F: SeriesSolution) -> ResidualReport:
     """Residual of the mode's operator applied to F.
 
     Exact builds: the symbolic residual must be identically zero.
     Truncated builds: the residual must live only at the top spatial
     degrees 2L+k for the Helmholtz side and 2L+k+1 for the first-order
     operators.  With exact coefficients that is decided on the exact
-    residual alone, every coefficient however small, and nothing is
-    sampled: the report has the support and the expected order, no
-    sup-norms and no estimated order, as an exact build's has.  With
-    float coefficients the support is read above roundoff scale, and the
-    order of the sup-norms sampled over the radii must match the
-    truncation order within order_tol (a parabolic build needs only
-    support at degree 2L+k or above).  A residual without t is sampled
-    once per point and that value stands for every T_SAMPLES entry.  For
-    every build the radii must be finite, positive and distinct, and at
-    least two for a truncated build, order_tol must be finite and
-    nonnegative, and every coefficient and lambda of the body must be
-    finite, or ValueError is raised.
+    residual alone, every coefficient however small.  With float
+    coefficients it is decided on the terms above roundoff scale (_sift):
+    none, or all at a top degree (a parabolic build needs only degree
+    2L+k or above).  Nothing is sampled: every report has the support and
+    the expected order, no sup-norms and no estimated order.  Every
+    coefficient and lambda of the body must be finite, or ValueError is
+    raised.
 
     Which residual: one path for every operator, made once per solution
     and remembered by it (_residual).  A solution fresh from its builder
@@ -355,23 +301,14 @@ def dirac_residual(F: SeriesSolution,
     or Sylvester weights, heads of several degrees, a loaded, replaced or
     perturbed solution, and a form that fails its ladder.
     """
-    if not (all(math.isfinite(r) and r > 0 for r in radii)
-            and len(set(radii)) == len(radii)):
-        raise ValueError(f"radii must be finite, positive and distinct, "
-                         f"got {list(radii)}")
-    if not (math.isfinite(order_tol) and order_tol >= 0):
-        raise ValueError(f"order_tol must be finite and nonnegative, "
-                         f"got {order_tol}")
-    if not F.exact and len(radii) < 2:
-        raise ValueError(f"a truncated build needs at least two radii to "
-                         f"estimate its order, got {list(radii)}")
     op = _infer_operator(F.mode)
     # a body with a radial form is exact, so finite
     if F._radial is None and not F.body.is_finite():
         raise ValueError("the solution has a non-finite coefficient or lambda")
     R, by_ladder = _residual(F)
+    # report format 1 has a seed key; nothing is sampled, so it is 0
     report = ResidualReport(mode=F.mode, exact_zero=False, residual_poly=R,
-                            seed=seed)
+                            seed=0)
     if F.exact:
         report.exact_zero = R.is_zero()
         report.passed = report.exact_zero
@@ -390,55 +327,21 @@ def dirac_residual(F: SeriesSolution,
 
     if by_ladder or F.body.is_exact():
         # exact coefficients: the residual itself decides, with no
-        # threshold and no sample; every coefficient must sit at a top degree
+        # threshold; every coefficient must sit at a top degree
         report.support_degrees = _degrees(R)
         report.passed = set(report.support_degrees) <= tops
         return report
 
     # a float-coefficient build leaves cancellation junk scaled to the
-    # body, which can dwarf a genuinely tiny truncation tail; one scan
-    # gives the kept residual, its scale and its support; the scale is
-    # R_sig's own largest coefficient whenever R_sig is nonzero
-    R_sig, scale, support = _sift(R, NOISE_REL * F.body.max_abs())
-    if R_sig.is_zero():
-        report.passed = True          # pure rounding noise, no real tail
-        return report
-
-    dirs = unit_directions(F.ctx.m, seed=seed)
-    # a residual without t has the same value, bit for bit, at every t
-    ts = T_SAMPLES[:1] if R_sig.is_polynomial() and R_sig.max_n() == 0 else T_SAMPLES
-    values = R_sig.evaluate_many([(tuple(r * c for c in d), t) for r in radii
-                                  for d in dirs for t in ts])
-    sups: List[Tuple[float, float]] = []
-    for r in radii:
-        sup = 0.0
-        for mv in islice(values, len(dirs) * len(ts)):
-            val = mv.max_abs()
-            if val > sup:
-                sup = val
-        sups.append((float(r), sup))
-    report.sup_norm_by_radius = sups
-    # the underflow guard protects against float noise, which lives at the
-    # residual's own coefficient scale; fit slopes on the normalized values
-    scaled = [(r, s / scale) for r, s in sups] if scale > 0 else sups
-    report.estimated_order = estimate_order(scaled)
-    report.support_degrees = support
-
-    if all(s < UNDERFLOW_GUARD for _, s in sups):
-        # truncation tail vanished identically up to rounding
-        report.passed = True
-        return report
-
-    expected = report.expected_order
-    if expected is not None:
-        support_ok = bool(support) and set(support) <= tops
-        order_ok = (report.estimated_order is not None
-                    and abs(report.estimated_order - expected) <= order_tol)
-        report.passed = support_ok and order_ok
-    else:
+    # body, which can dwarf a genuinely tiny truncation tail, so only the
+    # terms above roundoff scale are read; with none, no tail is left
+    support = _sift(R, NOISE_REL * F.body.max_abs())
+    report.support_degrees = support or None
+    if op == "parabolic":
         # truncated parabolic build: residual allowed only at top degrees
-        floor = 2 * F.L + min(ks)
-        report.passed = bool(support) and min(support) >= floor
+        report.passed = not support or min(support) >= 2 * F.L + min(ks)
+    else:
+        report.passed = set(support) <= tops
     return report
 
 

@@ -303,7 +303,11 @@ def sylvester_eval(psi: PowerSeries, z: ZetaElement) -> ZetaElement:
     Distinct branch:  psi(l+^2) (xi - l-)/(l+ - l-) + psi(l-^2) (xi - l+)/(l- - l+).
     Repeated branch (relative gap below BRANCH_TOL): the confluent limit
     psi(l^2) + 2 l psi'(l^2) (xi - l).
+    A constant series is that constant times the identity, exactly.
     """
+    c0, *rest = psi.coeffs or [0]
+    if not any(rest):
+        return ZetaElement.identity().scale(complex(c0))
     lp, lm = z.eigenvalues_xi()
     xi = ZetaElement(*(complex(v) for v in z.xi().entries()))
     ident = ZetaElement.identity()

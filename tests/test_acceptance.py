@@ -218,7 +218,7 @@ def test_07_helmholtz_truncation_order():
         H = harmonic_basis(ctx, k)[0]
         for L in (6, 10):
             sol = build_helmholtz(H, z, L=L)
-            rep = dirac_residual(sol, radii=(1.0, 0.5, 0.25))
+            rep = dirac_residual(sol)
             assert rep.support_degrees == (2 * L + k,), rep.support_degrees
             # exact coefficients: the report samples nothing, so the order
             # is fitted to the sampled sup-norms of its exact residual
@@ -261,7 +261,7 @@ def test_08_generalized_forms_agree_and_residual_order():
         assert mono.body == fact.body
         assert mono.body == inv.body
         if trial % 5 == 0:
-            rep = dirac_residual(mono, radii=(1.0, 0.5, 0.25))
+            rep = dirac_residual(mono)
             if rep.exact_zero:
                 continue                     # tail vanished for this zeta
             order = sampled_order(rep.residual_poly, (1.0, 0.5, 0.25), seed=0)

@@ -117,6 +117,14 @@ def test_float_series_builds_of_the_pinned_grid_are_within_the_bound():
                 check_series(mode, [basis(AlgebraContext(m), k)[-1]], z, L)
 
 
+def test_a_one_level_sylvester_build_is_within_the_bound():
+    # psi_0 is the constant 1: through the spectral formula it rounds to
+    # 1 + 4.5e-16 on this zeta, past the bound's 4.4e-16
+    z = ZetaElement(complex(-1.08, 1.08), -0.55, complex(1.08, 1.08),
+                    complex(-1.08, 1.08))
+    check_series("sylvester", harmonic_basis(AlgebraContext(1), 0), z, 0)
+
+
 # parabolic profiles: a float polynomial, a float exponential, or both
 LAMBDAS = (-1.0, 0.5, -2.0, 1j, complex(-0.5, 1))
 

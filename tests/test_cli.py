@@ -72,19 +72,19 @@ def test_verify_from_build_flags(capsys):
     # that residual decays at order 17 when it is sampled
     flags = ["--mode", "gen-monogenic", "--m", "2", "--k", "0",
              "--zeta", "1,0,0,1", "--trunc", "8"]
-    code, stdout, _ = run(capsys, "verify", *flags, "--radii", "1,0.5,0.25")
+    code, stdout, _ = run(capsys, "verify", *flags)
     assert code == 0
     assert stdout == ("gen-monogenic: symbolic residual nonzero at spatial "
                       "degrees (17,) (PASS)\n")
     sol = _build_from_args(make_parser().parse_args(["build", *flags]))
     order = sampled_order(dirac_residual(sol).residual_poly, (1.0, 0.5, 0.25), 0)
     assert f"{order:.3f}" == "17.000"
-    # float coefficients: the order is fitted to sampled sup-norms (at L = 8
-    # the float tail sits under the roundoff cut, so at L = 4)
-    code, stdout, _ = run(capsys, "verify", *flags[:-1], "4", "--backend",
-                          "float", "--radii", "1,0.5,0.25")
+    # float coefficients: the support is read above the roundoff cut (at
+    # L = 8 the float tail sits under it, so at L = 4)
+    code, stdout, _ = run(capsys, "verify", *flags[:-1], "4", "--backend", "float")
     assert code == 0
-    assert "estimated order 9.000" in stdout
+    assert stdout == ("gen-monogenic: symbolic residual above roundoff at "
+                      "spatial degrees (9,) (PASS)\n")
 
 
 def test_verify_detects_tampering(capsys, tmp_path):
@@ -322,8 +322,8 @@ def test_float_residual_under_the_roundoff_cut_keeps_its_expected_order(
                           "--k", "0", "--zeta", "1,0,0,1", "--trunc", "8",
                           "--backend", "float", "--out", str(rep_path))
     assert code == 0
-    assert stdout == ("gen-monogenic: estimated order n/a (expected 17.0), "
-                      "support degrees None (PASS)\n")
+    assert stdout == ("gen-monogenic: symbolic residual above roundoff at "
+                      "spatial degrees () (PASS)\n")
     rep = json.loads(rep_path.read_text())
     assert rep["expected_order"] == 17.0 and rep["sup_norm_by_radius"] == []
 
@@ -347,7 +347,7 @@ def test_helmholtz_and_float_backend(capsys, tmp_path):
     assert code == 0
     code, stdout, _ = run(capsys, "verify", "--solution", str(sol_path))
     assert code == 0
-    assert "estimated order 13" in stdout
+    assert "at spatial degrees (13,) (PASS)" in stdout
 
 
 def test_exponential_profile_cli(capsys, tmp_path):
@@ -565,36 +565,43 @@ def test_eval_rejects_point_it_cannot_evaluate(capsys, tmp_path, build, row):
     assert "error:" in err and "Traceback" not in err
 
 
-def test_verify_exact_build_accepts_one_radius(capsys):
-    code, stdout, _ = run(capsys, "verify", "--mode", "parabolic-closed",
-                          "--m", "2", "--k", "0", "--profile", "t",
-                          "--radii", "1")
-    assert code == 0
-    assert "residual identically zero" in stdout
-
-
-@pytest.mark.parametrize("radii", ["1,1", "1e200,1", "1,0", "nan,1", "1,-0.5",
-                                   "inf,1", "1"])
-def test_verify_rejects_bad_radii(capsys, radii):
-    # the radii are checked for every build; a radius whose sampled values
-    # overflow shows only where sampling happens, on float coefficients
-    # with a tail above the roundoff cut
-    backend = ["--trunc", "4", "--backend", "float"] if radii == "1e200,1" \
-        else ["--trunc", "8"]
-    code, _, err = run(capsys, "verify", "--mode", "gen-monogenic", "--m", "2",
-                       "--k", "0", "--zeta", "1,0,0,1", *backend,
-                       "--radii", radii)
+@pytest.mark.parametrize("flag", ["--radii=1,0.5", "--order-tol=0.2", "--seed=0"])
+def test_verify_takes_no_sampling_flag(capsys, flag):
+    # a float residual is judged by its support alone: nothing is sampled,
+    # so there are no radii, order tolerance or direction seed to give
+    # (argparse reads --seed as an abbreviation of --seeds, which the mode
+    # refuses)
+    try:
+        code = main(["verify", "--mode", "gen-monogenic", "--m", "2", "--k", "0",
+                     "--zeta", "1,0,0,1", "--trunc", "4", "--backend", "float",
+                     flag])
+    except SystemExit as exc:
+        code = exc.code
     assert code == 2
-    assert "error:" in err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "does not take --seeds" in err
 
 
-@pytest.mark.parametrize("order_tol", ["nan", "-1", "inf", "-inf"])
-def test_verify_rejects_bad_order_tol(capsys, order_tol):
-    code, _, err = run(capsys, "verify", "--mode", "gen-monogenic", "--m", "2",
-                       "--k", "0", "--zeta", "1,0,0,1", "--trunc", "8",
-                       "--backend", "float", f"--order-tol={order_tol}")
-    assert code == 2
-    assert "order_tol" in err
+def test_eval_leaves_no_partial_file(capsys, tmp_path):
+    sol_path, out = tmp_path / "sol.json", tmp_path / "v.csv"
+    assert run(capsys, "build", "--mode", "gen-monogenic", "--m", "2", "--k", "1",
+               "--zeta", "1,1/2,-1,2", "--trunc", "3", "--out", str(sol_path))[0] == 0
+    pts = tmp_path / "pts.csv"
+    # the first point is written before the second overflows
+    pts.write_text("x1,x2,t\n0.5,0.5,0\n1e200,1e200,0\n")
+    code, _, err = run(capsys, "eval", "--solution", str(sol_path),
+                       "--points", str(pts), "--out", str(out))
+    assert code == 2 and "outside the float range" in err
+    assert not out.exists()
+
+
+def test_build_checks_out_before_building(capsys, monkeypatch):
+    def build(args):
+        raise AssertionError("built without --out")
+    monkeypatch.setattr(cli, "_build_from_args", build)
+    code, _, err = run(capsys, "build", "--mode", "gen-monogenic", "--m", "2",
+                       "--k", "0", "--zeta", "1,0,0,1")
+    assert code == 2 and "build requires --out" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -671,7 +678,7 @@ def test_solution_file_rejects_non_finite_scalars(capsys, tmp_path, where, value
                      *OVERFLOWING[8:], "--out", str(sol_path))
     assert code == 0
     code, stdout, _ = run(capsys, "verify", "--solution", str(sol_path))
-    assert code == 0 and "order 10.000" in stdout
+    assert code == 0 and "at spatial degrees (10,) (PASS)" in stdout
     data = json.loads(sol_path.read_text())
     row = data["terms"][0]
     if where == "lambda":

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (form_chains, sampled_order, sampled_sup_norms,
-                     split_perturbed, typed, weight_profiles)
+from oracles import (dyadic_zeta, estimate_order, form_chains, sampled_order,
+                     split_perturbed, typed, unit_directions, weight_profiles)
 from paradirac import verify
 from paradirac.algebra import AlgebraContext, Multivector, witt_basis
 from paradirac.builders import (ALL_MODES, SEEDS, SeriesSolution,
@@ -25,11 +25,9 @@ from paradirac.serialize import (load_solution, residual_report_to_dict,
                                  save_solution, solution_to_dict)
 from paradirac.timefn import (PARABOLIC_ZETA, ProfileWeight, SpaceTimeFunction,
                               TimeFunction, parabolic_dirac)
-from paradirac.verify import (NOISE_REL, T_SAMPLES, _sift,
-                              check_component_conditions, check_factorization,
-                              cross_check, dirac_residual, estimate_order,
-                              perturb_component, random_spacetime_poly,
-                              symbolic_residual, unit_directions)
+from paradirac.verify import (check_component_conditions, check_factorization,
+                              cross_check, dirac_residual, perturb_component,
+                              random_spacetime_poly, symbolic_residual)
 from paradirac.zeta import ZetaElement
 
 rng = random.Random(40999)
@@ -245,17 +243,6 @@ def test_dirac_residual_truncated_parabolic_floor():
     assert min(rep.support_degrees) >= 2 * 6
 
 
-def test_dirac_residual_custom_radii():
-    # float coefficients: the residual is sampled at the radii given
-    ctx = AlgebraContext(2)
-    sol = build_helmholtz(harmonic_basis(ctx, 0)[0],
-                          ZetaElement(0.0, 1.0, 1.0, 0.0), L=4)
-    rep = dirac_residual(sol, radii=(1.0, 0.8, 0.6, 0.4))
-    assert len(rep.sup_norm_by_radius) == 4
-    assert [r for r, _ in rep.sup_norm_by_radius] == [1.0, 0.8, 0.6, 0.4]
-    assert rep.passed
-
-
 def test_cross_check_symbolic():
     a = exact_solution(coeffs=(1, 2))
     b = exact_solution(coeffs=(1, 2))
@@ -340,7 +327,7 @@ def test_parabolic_mutants_that_sampling_passed(m, k, L):
     assert not dirac_residual(bad).passed
 
 
-def test_float_truncated_build_keeps_the_sampled_test():
+def test_float_truncated_build_is_judged_above_roundoff():
     # float coefficients: roundoff junk below JUNK_REL is still dropped
     ctx = AlgebraContext(2)
     sol = build_generalized(monogenic_basis(ctx, 1)[0],
@@ -348,15 +335,6 @@ def test_float_truncated_build_keeps_the_sampled_test():
     assert not sol.body.is_exact()
     assert dirac_residual(sol).passed
     assert dirac_residual(with_scalar_term(sol, (3, 0), 1e-3)).passed is False
-
-
-@pytest.mark.parametrize("order_tol", [math.nan, -1.0, math.inf, -math.inf])
-def test_dirac_residual_rejects_bad_order_tol(order_tol):
-    ctx = AlgebraContext(2)
-    sol = build_generalized(monogenic_basis(ctx, 0)[0],
-                            ZetaElement(1.0, 0.0, 0.0, 1.0), L=4)
-    with pytest.raises(ValueError, match="order_tol"):
-        dirac_residual(sol, order_tol=order_tol)
 
 
 def test_dirac_residual_rejects_non_finite_bodies():
@@ -378,7 +356,7 @@ def test_dirac_residual_rejects_non_finite_bodies():
         residual.assert_not_called()
 
 
-# -- sampling: a float residual without t once per point, exact ones never ------
+# -- nothing is sampled, float or exact ------------------------------------------
 
 
 def _with_t(sol):
@@ -406,7 +384,7 @@ def _exp_profile(m, k, lam, L):
 
 Q = ZetaElement(Fraction(1, 2), -1, Fraction(3, 4), 2)
 Z = ZetaElement(0.5, -1.2, 0.3, 1.1)
-# truncated builds with float coefficients, whose residuals are sampled
+# truncated builds with float coefficients, judged above roundoff scale
 TIME_FREE = {
     "gen-invertible float": lambda: _gen(2, 1, Z, 4, "invertible"),
     "gen-monogenic float": lambda: _gen(3, 1, Z, 3),
@@ -427,62 +405,52 @@ EXACT_TRUNCATED = {
 }
 
 
-def _sampling(sol, seed=3):
-    """dirac_residual's report, the batch sizes it evaluated, and the
-    residual it sampled (the symbolic one, less junk for a float body)."""
-    batches = []
-    evaluate_many = SpaceTimeFunction.evaluate_many
-
-    def spy(self, points):
-        points = list(points)
-        batches.append(len(points))
-        return evaluate_many(self, points)
-
-    with mock.patch.object(SpaceTimeFunction, "evaluate_many", spy):
-        rep = dirac_residual(sol, seed=seed)
-    R = rep.residual_poly
-    if not sol.body.is_exact():
-        R = _sift(R, NOISE_REL * sol.body.max_abs())[0]
-    return rep, batches, R
-
-
-def _bits(sups):
-    return [(repr(r), repr(s)) for r, s in sups]
-
-
-@pytest.mark.parametrize("name", sorted(TIME_FREE))
-def test_time_free_residual_is_sampled_once_per_point(name):
-    rep, batches, R = _sampling(TIME_FREE[name]())
-    assert R.is_polynomial() and R.max_n() == 0
-    assert batches == [3 * len(unit_directions(R.ctx.m, seed=3))]
-    want = sampled_sup_norms(R, (1.0, 0.5, 0.25), seed=3)
-    assert _bits(rep.sup_norm_by_radius) == _bits(want)
-    assert any(s > 0 for _, s in want)
-
-
-@pytest.mark.parametrize("name", sorted(TIMED))
-def test_residual_with_t_is_sampled_at_every_pair(name):
-    rep, batches, R = _sampling(TIMED[name]())
-    assert not (R.is_polynomial() and R.max_n() == 0)
-    dirs = unit_directions(R.ctx.m, seed=3)
-    assert batches == [3 * len(dirs) * len(T_SAMPLES)]
-    want = sampled_sup_norms(R, (1.0, 0.5, 0.25), seed=3)
-    assert _bits(rep.sup_norm_by_radius) == _bits(want)
-
-
-@pytest.mark.parametrize("name", sorted(EXACT_TRUNCATED))
-def test_exact_coefficient_residual_is_not_sampled(name):
-    sol = EXACT_TRUNCATED[name]()
-    assert not sol.exact and sol.body.is_exact()
-    with mock.patch.object(verify, "unit_directions") as dirs, \
-            mock.patch.object(verify, "estimate_order") as order:
-        rep, batches, R = _sampling(sol)
-    assert batches == []
-    dirs.assert_not_called()
-    order.assert_not_called()
-    assert rep.passed and not rep.exact_zero and not R.is_zero()
+@pytest.mark.parametrize("name", sorted({**TIME_FREE, **TIMED, **EXACT_TRUNCATED}))
+def test_dirac_residual_evaluates_nothing(name):
+    sol = {**TIME_FREE, **TIMED, **EXACT_TRUNCATED}[name]()
+    assert not sol.exact
+    with mock.patch.object(SpaceTimeFunction, "evaluate_many") as evaluate:
+        rep = dirac_residual(sol)
+    evaluate.assert_not_called()
+    assert rep.passed and not rep.exact_zero
     assert rep.sup_norm_by_radius == [] and rep.estimated_order is None
-    assert rep.support_degrees
+    assert rep.seed == 0
+
+
+# -- a float build and its exact twin get one verdict ------------------------------
+
+TWIN_ZETAS = (ZetaElement(0.5, -1.2, 0.3, 1.1), ZetaElement(3.0, 2.0, -2.0, 4.0),
+              ZetaElement(0.25, 0.0, 0.0, 0.5))
+
+
+@pytest.mark.parametrize("mode", ["gen-monogenic", "helmholtz"])
+@pytest.mark.parametrize("m", [2, 3])
+# basis index 1 of every degree but 0, whose basis has one element
+@pytest.mark.parametrize("ks, index", [
+    pytest.param(ks, index, id=f"k{ks[0]},{ks[1]}-index{index}")
+    for index in (0, 1) for ks in ((0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3))
+    if not (index and 0 in ks)])
+@pytest.mark.parametrize("L", [2, 4, 6])
+def test_a_float_build_passes_as_its_exact_twin_does(mode, m, ks, index, L):
+    # the residual of two head degrees sits at both top degrees, so no
+    # single decay order fits it
+    ctx = AlgebraContext(m)
+    basis = harmonic_basis if mode == "helmholtz" else monogenic_basis
+    heads = [basis(ctx, k)[index] for k in ks]
+    build = build_helmholtz if mode == "helmholtz" else build_generalized
+    for z in TWIN_ZETAS:
+        verdicts = [dirac_residual(build(heads, zeta, L=L)).passed
+                    for zeta in (z, dyadic_zeta(z))]
+        assert verdicts == [True, True], z
+
+
+def test_a_float_tail_too_small_to_sample_passes_by_its_support():
+    # sampled at radii 0.5 and 0.25 this degree-41 tail is below 1e-14
+    # times its largest coefficient
+    sol = _gen(2, 0, ZetaElement(20.0, 5.0, -7.0, 11.0), 20)
+    rep = dirac_residual(sol)
+    assert rep.passed and rep.support_degrees == (41,)
+    assert dirac_residual(_gen(2, 0, dyadic_zeta(sol.zeta), 20)).passed
 
 
 # -- the residual made once per solution: the memo a solution keeps -----------

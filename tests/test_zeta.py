@@ -183,6 +183,18 @@ def test_sylvester_defective_branch():
         assert max_entry_diff(syl, ser) / scale < 1e-10
 
 
+@pytest.mark.parametrize("coeffs", [[1.0], [0.75, 0.0, 0.0], [2], []])
+def test_sylvester_of_a_constant_series_is_exact(coeffs):
+    # the spectral formula rounds even a constant: on this zeta it gave
+    # 1.0000000000000004 - 5.55e-17j for the constant 1
+    z = ZetaElement(complex(-1.08, 1.08), -0.55, complex(1.08, 1.08),
+                    complex(-1.08, 1.08))
+    c = complex(coeffs[0]) if coeffs else 0j
+    got = sylvester_eval(PowerSeries(coeffs), z).entries()
+    assert got == (c, 0j, 0j, c)
+    assert all(type(v) is complex for v in got)
+
+
 def test_series_eval_identity_argument():
     # psi applied to the zero quadruple is psi(0) * identity
     psi = exp_series()
