@@ -454,33 +454,26 @@ def _split_blades(ctx: AlgebraContext, terms: Dict[int, Scalar]
     """
     top_bit = 1 << (ctx.m + 1)
     parts: Tuple[Dict[int, Scalar], ...] = ({}, {}, {}, {})
-
-    def put(which: int, mask: int, v: Scalar):
-        d = parts[which]
-        s = _nadd(d.get(mask, 0), v)
-        if s:
-            d[mask] = s
-        else:
-            d.pop(mask, None)
-
+    f0, f1, f2, f3 = parts
     for mask, v in terms.items():
         has_eps = mask & 1
         has_top = mask & top_bit
         body = mask & ~(top_bit | 1)
         if has_top and body.bit_count() & 1:
             v = _nneg(v)
-        if not has_eps and not has_top:
-            put(0, body, v)
-        elif has_eps and not has_top:
-            # eps = -(f + fdag)
-            put(1, body, _nneg(v))
-            put(2, body, _nneg(v))
-        elif has_top and not has_eps:
-            # e_{m+1} = f - fdag
-            put(1, body, v)
-            put(2, body, _nneg(v))
-        else:
-            # eps e_{m+1} = 2 f fdag - 1
-            put(3, body, _nmul(2, v))
-            put(0, body, _nneg(v))
+        if not has_top:
+            if has_eps:         # eps = -(f + fdag)
+                puts = ((f1, _nneg(v)), (f2, _nneg(v)))
+            else:
+                puts = ((f0, v),)
+        elif not has_eps:       # e_{m+1} = f - fdag
+            puts = ((f1, v), (f2, _nneg(v)))
+        else:                   # eps e_{m+1} = 2 f fdag - 1
+            puts = ((f3, _nmul(2, v)), (f0, _nneg(v)))
+        for d, v in puts:
+            s = _nadd(d.get(body, 0), v)
+            if s:
+                d[body] = s
+            else:
+                d.pop(body, None)
     return parts

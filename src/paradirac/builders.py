@@ -41,11 +41,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Optional, Tuple, Union
 
 from .algebra import AlgebraContext, witt_basis
 from .harmonics import HarmonicPoly, MonogenicPoly
-from .poly import Sum, radial_product, radial_series, vector_variable
+from .poly import (Sum, products, radial_product, radial_series,
+                   vector_variable, witt_multiples)
 from .timefn import (PARABOLIC_ZETA, ProfileWeight, SpaceTimeFunction,
                      TimeFunction, apply_0F1, derivatives)
 from .zeta import (IntMatrix, NotInvertibleError, PowerSeries, ZetaElement,
@@ -186,28 +188,39 @@ def _parabolic_solution(mode: str, M: MonogenicPoly, L: int, count: int,
     """
     ctx, k = M.poly.ctx, M.degree
     two_g = 2 * k + ctx.m
-    f, fdag = witt_basis(ctx)
-    units = (None, f, fdag, f * fdag)
     bases = (M.poly, vector_variable(ctx) * M.poly)
     P = ProfileWeight(P0, [len(chain) for chain in chains])
     levels, heads, blocks = [], {}, []  # heads: c_i M and c_i x M, when used
+
+    def head(i, b):
+        if (i, b) not in heads:
+            multiples = witt_multiples(bases[b])
+            if multiples is None:       # raw values
+                f, fdag = witt_basis(ctx)
+                multiples = [bases[b].lmul(c) for c in (f, fdag, f * fdag)]
+            heads.update(((j + 1, b), w) for j, w in enumerate(multiples))
+            heads[0, b] = bases[b]
+        return heads[i, b]
+
     for l in range(count):
         if l:
-            P = (PARABOLIC_ZETA * Q).hat().scale(Fraction(-1, 2 * l))
-        Q = (PARABOLIC_ZETA * P).hat().scale(Fraction(1, 2 * l + two_g))
+            P = (PARABOLIC_ZETA * Q).hat().scale(-1, 2 * l).reduced()
+        Q = (PARABOLIC_ZETA * P).hat().scale(1, 2 * l + two_g).reduced()
         levels.append((P, Q))
-        level = Sum(ctx)
-        for i in range(4):
-            for b, w in enumerate((P, Q)):
-                if b == 0 and first is not None:
-                    continue
+        used = [(i, b, w) for i in range(4) for b, w in enumerate((P, Q))
+                if w.nums[i] and (b or first is None)]
+        q = lcm(P.q, Q.q)
+        level = products(ctx, [(head(i, b), [(n * (q // w.q), chains[s][j])
+                                             for (s, j), n in w.nums[i].items()])
+                               for i, b, w in used], q)
+        if level is None:       # raw values: one Sum product per entry
+            level = Sum(ctx)
+            for i, b, w in used:
                 for (s, j), c in sorted(w.parts[i].items()):
-                    if (i, b) not in heads:
-                        heads[i, b] = bases[b] if i == 0 else bases[b].lmul(units[i])
-                    level.product(heads[i, b], chains[s][j], c)
-        blocks.append((l, level.value()))
-    body = radial_series(ctx, [blocks])
-    body = body if first is None else first + body
+                    level.product(head(i, b), chains[s][j], c)
+            level = level.value()
+        blocks.append((l, level))
+    body = radial_series(ctx, [blocks], first)
     exact = M.poly.is_exact() and all(tf.is_polynomial() and tf.is_exact()
                                       for tf in seeds)
     sol = SeriesSolution(body=body, mode=mode, m=ctx.m, k=k, L=L, exact=exact)

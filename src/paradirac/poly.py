@@ -82,6 +82,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb, gcd, lcm, perm
 from operator import add
 from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple
@@ -193,6 +194,11 @@ def _scaled(vals: Dict[int, Scalar], f) -> Dict[int, Scalar]:
     return out
 
 
+def _has_pairs(rows: Rows) -> bool:
+    """Whether some numerator of rows is an integer pair."""
+    return tuple in map(type, chain.from_iterable(map(dict.values, rows.values())))
+
+
 def _merge(out: Rows, key, t: Dict[int, Scalar]) -> None:
     """out[key] += t in place, dropping blades and the key when they vanish;
     t itself becomes the row of a new key."""
@@ -280,8 +286,11 @@ class Sum:
                             vals[mask] = n * g if type(n) is int else _nmul(n, g)
                     self._D = new
                 made = make(True, _nmul(new // Ds, p))
-            for key, t in made.items():
-                _merge(out, key, t)
+            if out:
+                for key, t in made.items():
+                    _merge(out, key, t)
+            else:               # a first stage becomes the accumulator
+                self._rows = {key: t for key, t in made.items() if t}
         except OverflowError:   # an exact value met a float: float() overflowed
             raise ValueError("a sum or product of an exact value and a float "
                              "is beyond the float range") from None
@@ -400,15 +409,12 @@ class Sum:
         """
         self._check(body)
         lams = {lam for _, _, lam in body._nums if lam != 0}
-        D = None
-        if body._D is not None and all(type(lam) in _EXACT_TYPES for lam in lams):
-            ratios = {lam: _ratio(lam) for lam in lams}
-            Q = lcm(*(q for _, q in ratios.values()))
-            lam_factor = {lam: _nmul(p, Q // q) for lam, (p, q) in ratios.items()}
-            D = body._D * Q
+        exact = body.time_numerators()
+        D = None if exact is None else body._D * exact[0]
 
-        def make(exact, f):
-            if exact:
+        def make(exact_stage, f):
+            if exact_stage:
+                Q, lam_factor = exact
                 rows, nq = body._nums, _nmul(Q, f)
                 lf = {lam: _nmul(c, f) for lam, c in lam_factor.items()}
             else:
@@ -430,6 +436,198 @@ class Sum:
             raise ValueError("the Sum is spent: value() was called")
         rows, self._rows = self._rows, None
         return (self._cls or SpaceTimeFunction)._make(self.ctx, rows, self._D)
+
+
+# -- one-pass kernels ----------------------------------------------------------
+#
+# D = d_x + f d/dt + fdag, the heat operator Delta - d/dt that D squares to
+# the negative of, the four split-form conditions and the Witt multiples, on
+# exact bodies: each reads the rows once and writes numerators straight into
+# its results.  2 f = e_{m+1} - eps and 2 fdag = -(e_{m+1} + eps), and left
+# multiplication by a blade is a signed permutation of the blades (mul_row),
+# so every image of a term is an integer multiple of a permuted row: no
+# Fraction, no Witt Multivector and no intermediate body is made.  d/dt of
+# c t^n e^{lt} is n c t^{n-1} + l c, l = p / Q over the lcm Q of the
+# lambdas' denominators (time_numerators).  Each accumulate function adds
+# to out[new]; its _pairs twin takes integer pairs too.
+
+
+def _acc(out: Rows, new, row, k, src: Dict[int, Scalar]) -> None:
+    """out[new] += k e src, row the mul_row of the blade e (None: e = 1),
+    on ints."""
+    t = out.get(new)
+    if t is None:
+        t = out[new] = {}
+    if row is None:
+        for mb, v in src.items():
+            r = t.get(mb, 0) + v * k
+            if r:
+                t[mb] = r
+            else:
+                t.pop(mb, None)
+        return
+    for mb, v in src.items():
+        mask, sign = row[mb]
+        r = t.get(mask, 0) + (v * k if sign > 0 else -v * k)
+        if r:
+            t[mask] = r
+        else:
+            t.pop(mask, None)
+
+
+def _acc_pairs(out: Rows, new, row, k, src: Dict[int, Scalar]) -> None:
+    if row is None:
+        _merge(out, new, _scaled(src, k))
+    else:
+        _mul_blade_into(out.setdefault(new, {}), row, k, src)
+
+
+def _acc2(out: Rows, new, row, k, row2, k2, src: Dict[int, Scalar]) -> None:
+    """out[new] += k e src + k2 e2 src, rows those of e and e2, on ints."""
+    t = out.get(new)
+    if t is None:
+        t = out[new] = {}
+    for mb, v in src.items():
+        mask, sign = row[mb]
+        r = t.get(mask, 0) + (v * k if sign > 0 else -v * k)
+        if r:
+            t[mask] = r
+        else:
+            t.pop(mask, None)
+        mask, sign = row2[mb]
+        r = t.get(mask, 0) + (v * k2 if sign > 0 else -v * k2)
+        if r:
+            t[mask] = r
+        else:
+            t.pop(mask, None)
+
+
+def _acc2_pairs(out: Rows, new, row, k, row2, k2, src: Dict[int, Scalar]) -> None:
+    t = out.setdefault(new, {})
+    _mul_blade_into(t, row, k, src)
+    _mul_blade_into(t, row2, k2, src)
+
+
+def _kernel(F: "SpaceTimeFunction"):
+    """(Q, {lambda: p}, plain) of an exact body with exact lambdas, plain
+    when every numerator and p is an int; else None."""
+    t = F.time_numerators()
+    if t is None:
+        return None
+    return (*t, all(type(p) is int for p in t[1].values()) and not _has_pairs(F._nums))
+
+
+def _heat_into(out: Rows, key, src, Q: int, lam_num, acc) -> None:
+    """out += Q (Delta - d/dt) src x^a t^n e^{lt}, key = (a, n, l)."""
+    exps, n, lam = key
+    for i, e in enumerate(exps):
+        if e > 1:
+            acc(out, (exps[:i] + (e - 2,) + exps[i + 1:], n, lam), None,
+                e * (e - 1) * Q, src)
+    if n:
+        acc(out, (exps, n - 1, lam), None, -n * Q, src)
+    if lam != 0:
+        acc(out, key, None, _nneg(lam_num[lam]), src)
+
+
+def _body(F: "SpaceTimeFunction", out: Rows, D: int) -> "SpaceTimeFunction":
+    return F._new({key: t for key, t in out.items() if t}, D)
+
+
+def parabolic_rows(F: "SpaceTimeFunction") -> Optional["SpaceTimeFunction"]:
+    """D F of an exact body, over 2 D Q, or None: 2 fdag c + 2 f l c at a
+    term's own key, 2 f n c at t^{n-1} and 2 a_i e_i c at x^{a - e_i}."""
+    setup = _kernel(F)
+    if setup is None:
+        return None
+    Q, lam_num, plain = setup
+    acc, acc2 = (_acc, _acc2) if plain else (_acc_pairs, _acc2_pairs)
+    ctx = F.ctx
+    top, eps = ctx.mul_row(1 << (ctx.m + 1)), ctx.mul_row(1)
+    rows = [ctx.mul_row(2 << i) for i in range(ctx.m)]
+    own = {lam: (_nadd(p, -Q), _nneg(_nadd(p, Q))) for lam, p in lam_num.items()}
+    own[0] = (-Q, -Q)
+    out: Rows = {}
+    for key, vals in F._nums.items():
+        exps, n, lam = key
+        k_top, k_eps = own[lam]
+        acc2(out, key, top, k_top, eps, k_eps, vals)
+        if n:
+            acc2(out, (exps, n - 1, lam), top, n * Q, eps, -n * Q, vals)
+        for i, e in enumerate(exps):
+            if e:
+                acc(out, (exps[:i] + (e - 1,) + exps[i + 1:], n, lam), rows[i],
+                    2 * Q * e, vals)
+    return _body(F, out, F._D * 2 * Q)
+
+
+def heat_rows(F: "SpaceTimeFunction") -> Optional["SpaceTimeFunction"]:
+    """(Delta - d/dt) F of an exact body, over D Q, or None."""
+    setup = _kernel(F)
+    if setup is None:
+        return None
+    Q, lam_num, plain = setup
+    out: Rows = {}
+    for key, vals in F._nums.items():
+        _heat_into(out, key, vals, Q, lam_num, _acc if plain else _acc_pairs)
+    return _body(F, out, F._D * Q)
+
+
+def condition_rows(F: "SpaceTimeFunction") -> Optional[list]:
+    """F1 + d_x F0, F3 + F0 - d_x F2, (Delta - d/dt) F0 and
+    (Delta - d/dt) F2 of an exact body F = F0 + f F1 + fdag F2 + f fdag F3,
+    each over D Q, or None.  Each term is split once (as split() splits
+    it) and its components are mapped into the four bodies; no component
+    body is made."""
+    setup = _kernel(F)
+    if setup is None:
+        return None
+    Q, lam_num, plain = setup
+    acc = _acc if plain else _acc_pairs
+    ctx = F.ctx
+    rows = [ctx.mul_row(2 << i) for i in range(ctx.m)]
+    c1, c3, h0, h2 = outs = ({}, {}, {}, {})
+    for key, vals in F._nums.items():
+        exps, n, lam = key
+        f0, f1, f2, f3 = _split_blades(ctx, vals)
+        if f1:
+            acc(c1, key, None, Q, f1)
+        if f3:
+            acc(c3, key, None, Q, f3)
+        if f0:
+            acc(c3, key, None, Q, f0)
+            _heat_into(h0, key, f0, Q, lam_num, acc)
+        if f2:
+            _heat_into(h2, key, f2, Q, lam_num, acc)
+        if f0 or f2:
+            for i, e in enumerate(exps):
+                if e:
+                    new = (exps[:i] + (e - 1,) + exps[i + 1:], n, lam)
+                    if f0:
+                        acc(c1, new, rows[i], e * Q, f0)
+                    if f2:
+                        acc(c3, new, rows[i], -e * Q, f2)
+    return [_body(F, out, F._D * Q) for out in outs]
+
+
+def witt_multiples(F: "SpaceTimeFunction") -> Optional[tuple]:
+    """(f F, fdag F, f fdag F) of an exact body, each over 2 D, or None:
+    2 f = e_{m+1} - eps, 2 fdag = -(e_{m+1} + eps) and
+    2 f fdag = 1 + eps e_{m+1}."""
+    if F._D is None:
+        return None
+    acc2 = _acc2_pairs if _has_pairs(F._nums) else _acc2
+    ctx = F.ctx
+    top = 1 << (ctx.m + 1)
+    out = []
+    for (r1, k1), (r2, k2) in (((top, 1), (1, -1)), ((top, -1), (1, -1)),
+                               ((0, 1), (top | 1, 1))):
+        rows: Rows = {}
+        row1, row2 = ctx.mul_row(r1), ctx.mul_row(r2)
+        for key, vals in F._nums.items():
+            acc2(rows, key, row1, k1, row2, k2, vals)
+        out.append(_body(F, rows, 2 * F._D))
+    return tuple(out)
 
 
 # -- bodies -----------------------------------------------------------------------
@@ -561,14 +759,32 @@ class SpaceTimeFunction:
         return max((n for _, n, _ in self._nums), default=0)
 
     def __eq__(self, other):
+        """Equal values.  Exact bodies hold no zero, so they are equal when
+        their keys and blades are and each numerator pair cross-multiplies
+        to equal products, which builds no body; raw values subtract."""
         if not isinstance(other, SpaceTimeFunction):
             return NotImplemented
         if self.ctx != other.ctx:
             return False
-        if self._D == other._D and self._nums == other._nums:
+        a, b, Da, Db = self._nums, other._nums, self._D, other._D
+        if Da == Db and a == b:
             return True
-        # equal values may be stored over another D
-        return (self - other).is_zero()
+        if Da is None or Db is None:
+            return (self - other).is_zero()
+        if Da == Db or a.keys() != b.keys():
+            return False
+        g = gcd(Da, Db)
+        fa, fb = Db // g, Da // g
+        for key, va in a.items():
+            vb = b[key]
+            if va.keys() != vb.keys():
+                return False
+            for mask, n in va.items():
+                x = vb[mask]
+                if (n * fa != x * fb if type(n) is int and type(x) is int
+                        else _nmul(n, fa) != _nmul(x, fb)):
+                    return False
+        return True
 
     def __repr__(self):
         if not self._nums:
@@ -680,6 +896,18 @@ class SpaceTimeFunction:
     def d_dt(self) -> "SpaceTimeFunction":
         """Exact derivative: c t^n e^{lt} -> c n t^{n-1} e^{lt} + c l t^n e^{lt}."""
         return Sum(self.ctx).d_dt(self).value()
+
+    def time_numerators(self) -> Optional[Tuple[int, Dict[Scalar, Numerator]]]:
+        """(Q, {lambda: lambda Q}) for an exact body whose lambdas are exact:
+        Q is the lcm of the lambdas' denominators, so d/dt of the body has
+        numerators over D Q, n contributing n Q and lambda its numerator
+        lambda Q.  None for raw values or an inexact lambda."""
+        lams = {lam for _, _, lam in self._nums if lam != 0}
+        if self._D is None or not all(type(lam) in _EXACT_TYPES for lam in lams):
+            return None
+        ratios = {lam: _ratio(lam) for lam in lams}
+        Q = lcm(*(q for _, q in ratios.values()))
+        return Q, {lam: _nmul(p, Q // q) for lam, (p, q) in ratios.items()}
 
     def split(self):
         """Four component functions (F0, F1, F2, F3), coefficients in Cl(0,m)."""
@@ -898,10 +1126,57 @@ def radial_product(w, p: SpaceTimeFunction) -> SpaceTimeFunction:
     return SpaceTimeFunction._make(ctx, out, p._D * q)
 
 
-def radial_series(ctx: AlgebraContext, heads) -> SpaceTimeFunction:
+def products(ctx: AlgebraContext, terms, q: int = 1) -> Optional[SpaceTimeFunction]:
+    """sum over (a, combination) in terms of a * sum(k p for k, p in
+    combination) / q, the coefficient of a on the left: the exact bodies
+    a and p, the int or pair numerators k, or None when some body holds
+    raw values.
+
+    Each combination is summed first into one row per key of its p (for
+    the parabolic levels, a time row), then multiplied out against a's
+    rows in one pass, a scalar row by scaling and any other by blade
+    products; the result's numerators are over q times the lcm of the
+    a's denominators times that of the p's.
+    """
+    bodies = [a for a, _ in terms] + [p for _, combo in terms for _, p in combo]
+    if any(b._D is None for b in bodies):
+        return None
+    acc = _acc_pairs if any(type(k) is tuple for _, combo in terms for k, _ in combo) \
+        or any(_has_pairs(b._nums) for b in bodies) else _acc
+    Da = lcm(*(a._D for a, _ in terms))
+    Dp = lcm(*(p._D for _, combo in terms for _, p in combo))
+    out: Rows = {}
+    for a, combo in terms:
+        row: Rows = {}
+        for k, p in combo:
+            f = _nmul(k, Dp // p._D)
+            for key, vals in p._nums.items():
+                acc(row, key, None, f, vals)
+        fa = Da // a._D
+        for (eb, nb, lb), tb in row.items():
+            if not tb:
+                continue
+            c = _nmul(tb[0], fa) if len(tb) == 1 and 0 in tb else None
+            for (ea, na, la), ta in a._nums.items():
+                lam = la + lb
+                key = (tuple(map(add, ea, eb)) if any(eb) else ea, na + nb,
+                       lam if lam else 0)
+                if c is not None:
+                    acc(out, key, None, c, ta)
+                    continue
+                t = out.get(key)
+                if t is None:
+                    t = out[key] = {}
+                _mul_into(ctx, t, ta if fa == 1 else _scaled(ta, fa), tb)
+    return SpaceTimeFunction._make(ctx, {key: t for key, t in out.items() if t},
+                                   Da * Dp * q)
+
+
+def radial_series(ctx: AlgebraContext, heads, into=None) -> SpaceTimeFunction:
     """sum over the heads, and over the (l, p) levels of a head, of
     rho^{2l} p: small bodies p, such as the products w_l p of
-    radial_product.
+    radial_product; into, a body nothing else holds, is taken as a head
+    already summed, its rows the result's.
 
     rho^{2l} is a scalar with integer terms (rho_terms), so each term of a
     level is added under every shift x^{2j}, |j| = l, of its spatial
@@ -912,28 +1187,54 @@ def radial_series(ctx: AlgebraContext, heads) -> SpaceTimeFunction:
     level is exact (also one that keeps its exact values raw), every level
     of every head is written at one denominator; when any level is
     inexact, every level's values are summed raw (D = None) by the same
-    loop.  A head is summed on its own and the heads are merged in order,
+    loop.  Exact levels are summed straight into one accumulator; on raw
+    values a head is summed on its own and the heads are merged in order,
     as a Sum merges its stages.
     """
     groups = [[(l, *(_to_numerators(p._nums) if p._D is None
                      else (p._nums, p._D))) for l, p in head] for head in heads]
-    if any(Dp is None for parts in groups for _, _, Dp in parts):
+    total: Rows = {} if into is None else into._nums
+    if into is not None and into._D is None or any(
+            Dp is None for parts in groups for _, _, Dp in parts):
         D = None
         groups = [[(l, p._values(), 1) for l, p in head] for head in heads]
+        if into is not None:
+            total = into._values()
     else:
-        D = lcm(*(Dp for parts in groups for _, _, Dp in parts))
+        D = lcm(*(Dp for parts in groups for _, _, Dp in parts),
+                *(() if into is None else (into._D,)))
+        if total and D != into._D:     # into's own rows, rescaled in place
+            g = D // into._D
+            for vals in total.values():
+                for mask, n in vals.items():
+                    vals[mask] = n * g if type(n) is int else _nmul(n, g)
     m = ctx.m
-    total: Rows = {}
+    # exact levels are written straight into total; pairs anywhere take
+    # pair arithmetic throughout (raw values are never pairs)
+    pairs = D is not None and any(_has_pairs(rows) for rows in [total] + [
+        nums for parts in groups for _, nums, _ in parts])
     for parts in groups:
-        out: Rows = {}
-        # int numerators and raw values take the plain loop; pairs anywhere
-        # in the head take pair arithmetic throughout it
-        pairs = any(type(n) is tuple for _, nums, _ in parts
-                    for vals in nums.values() for n in vals.values())
+        out: Rows = {} if D is None else total
         for l, nums, Dp in parts:
             f = 1 if D is None else D // Dp
             cs = [c * f for _, c in rho_terms(m, l)]
             for (exps, n, lam), vals in nums.items():
+                if len(vals) == 1 and not pairs:    # one blade: no row loop
+                    ((mask, v),) = vals.items()
+                    for e, c in zip(_shifted(exps, l), cs):
+                        new = (e, n, lam)
+                        o = out.get(new)
+                        if o is None:
+                            out[new] = {mask: v * c}
+                            continue
+                        r = o.get(mask, 0) + v * c
+                        if r:
+                            o[mask] = r
+                        else:
+                            del o[mask]
+                            if not o:
+                                del out[new]
+                    continue
                 items = tuple(vals.items())
                 for e, c in zip(_shifted(exps, l), cs):
                     new = (e, n, lam)
@@ -951,6 +1252,9 @@ def radial_series(ctx: AlgebraContext, heads) -> SpaceTimeFunction:
                             del o[mask]
                     if not o:
                         del out[new]
+        if D is not None:
+            continue
+        # raw values: a head is summed on its own and merged in order
         if total:
             for key, t in out.items():
                 _merge(total, key, t)

@@ -23,10 +23,12 @@ takes the generalized builds' ladder, in rational arithmetic alone.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
-from .algebra import witt_basis
-from .poly import SpaceTimeFunction, Sum, TimeFunction, radial_series
+from .algebra import _ratio, witt_basis
+from .poly import (SpaceTimeFunction, Sum, TimeFunction, heat_rows,
+                   parabolic_rows, products, radial_series)
 from .scalars import Scalar
 
 
@@ -39,48 +41,87 @@ def assemble_split(f0, f1, f2, f3) -> SpaceTimeFunction:
 
 
 def parabolic_dirac(F: SpaceTimeFunction) -> SpaceTimeFunction:
-    """D F = d_x F + f d_t F + fdag F, in one sum."""
+    """D F = d_x F + f d_t F + fdag F: an exact body's rows read once
+    (poly.parabolic_rows), raw values in one Sum."""
+    DF = parabolic_rows(F)
+    if DF is not None:
+        return DF
     f, fdag = witt_basis(F.ctx)
     return Sum(F.ctx).dirac(F).lmul(f, F.d_dt()).lmul(fdag, F).value()
 
 
 def heat_residual(F: SpaceTimeFunction) -> SpaceTimeFunction:
-    """(Delta - d_t) F; D squares to the negative of this operator."""
+    """(Delta - d_t) F; D squares to the negative of this operator.  An
+    exact body's rows are read once (poly.heat_rows), raw values in one
+    Sum."""
+    R = heat_rows(F)
+    if R is not None:
+        return R
     return Sum(F.ctx).laplacian(F).d_dt(F, -1).value()
 
 
 class ProfileWeight:
     """A Cl(1,1) coefficient with time-profile entries,
     w = w_1 + f w_f + fdag w_fdag + f fdag w_ffdag, the units left of the
-    head M and the profiles right of it.  parts holds the four entries,
-    each a dict {(i, j): c}: the exact c, never zero, times s_i^(j), the
-    j-th derivative of seed chain i.  lengths holds the chains' lengths,
+    head M and the profiles right of it.  nums holds the four entries,
+    each a dict {(i, j): n}: the integer n, never zero, over the one
+    denominator q > 0, times s_i^(j), the j-th derivative of seed chain
+    i; parts holds their values.  lengths holds the chains' lengths,
     s_i^(lengths[i]) being zero, so d/dt maps (i, j) to (i, j + 1) and
-    drops it past the chain's end.  hat, scale, zeta * and == are
-    rational dict arithmetic; == compares weights on the same chains.
+    drops it past the chain's end.  hat, scale, zeta * and == are integer
+    arithmetic on the numerators, == cross-multiplied, and compares
+    weights on the same chains.
     """
 
-    __slots__ = ("parts", "lengths")
+    __slots__ = ("nums", "q", "lengths")
 
     def __init__(self, parts, lengths=()):
-        self.parts = tuple(parts)
-        self.lengths = tuple(lengths)
+        parts = tuple(parts)
+        q = lcm(*(Fraction(c).denominator for part in parts for c in part.values()))
+        self.nums = tuple({key: int(c * q) for key, c in part.items()}
+                          for part in parts)
+        self.q, self.lengths = q, tuple(lengths)
+
+    @classmethod
+    def _of(cls, nums, q: int, lengths) -> "ProfileWeight":
+        w = cls.__new__(cls)
+        w.nums, w.q, w.lengths = tuple(nums), q, lengths
+        return w
+
+    @property
+    def parts(self) -> tuple:
+        """The four entries' values, {(i, j): c}, c a Fraction."""
+        return tuple({key: Fraction(n, self.q) for key, n in part.items()}
+                     for part in self.nums)
 
     def hat(self) -> "ProfileWeight":
         """The main involution: the f and fdag entries negated."""
-        one, f, fdag, ffdag = self.parts
-        return ProfileWeight((one, *({key: -c for key, c in part.items()}
-                                     for part in (f, fdag)), ffdag), self.lengths)
+        one, f, fdag, ffdag = self.nums
+        return ProfileWeight._of((one, *({key: -n for key, n in part.items()}
+                                         for part in (f, fdag)), ffdag),
+                                 self.q, self.lengths)
 
-    def scale(self, n) -> "ProfileWeight":
-        return self if n == 1 else ProfileWeight(
-            [{key: c * n for key, c in part.items()} if n else {}
-             for part in self.parts], self.lengths)
+    def scale(self, n, d: int = 1) -> "ProfileWeight":
+        """Times n / d, n rational and d > 0."""
+        p, r = _ratio(n)
+        return ProfileWeight._of([{key: c * p for key, c in part.items()} if p else {}
+                                  for part in self.nums], self.q * r * d, self.lengths)
+
+    def reduced(self) -> "ProfileWeight":
+        """The same value with the common factor of q and the numerators
+        divided out."""
+        g = gcd(self.q, *(n for part in self.nums for n in part.values()))
+        return self if g == 1 else ProfileWeight._of(
+            [{key: n // g for key, n in part.items()} for part in self.nums],
+            self.q // g, self.lengths)
 
     def __eq__(self, other):
         if not isinstance(other, ProfileWeight):
             return NotImplemented
-        return self.parts == other.parts
+        p, q = self.q, other.q
+        return all(a.keys() == b.keys() and all(n * q == b[key] * p
+                                                for key, n in a.items())
+                   for a, b in zip(self.nums, other.nums))
 
 
 def _plus(a: dict, b: dict, sign: int) -> dict:
@@ -101,11 +142,12 @@ class ParabolicZeta:
     zeta w = w_f + f w_1' + fdag (w_1 + w_ffdag) + f fdag (w_fdag' - w_f)."""
 
     def __mul__(self, w: ProfileWeight) -> ProfileWeight:
-        one, f, fdag, ffdag = w.parts
+        one, f, fdag, ffdag = w.nums
         n = w.lengths
         one_d, fdag_d = ({(i, j + 1): c for (i, j), c in part.items() if j + 1 < n[i]}
                          for part in (one, fdag))
-        return ProfileWeight((f, one_d, _plus(one, ffdag, 1), _plus(fdag_d, f, -1)), n)
+        return ProfileWeight._of((f, one_d, _plus(one, ffdag, 1), _plus(fdag_d, f, -1)),
+                                 w.q, n)
 
 
 PARABOLIC_ZETA = ParabolicZeta()
@@ -150,6 +192,12 @@ def apply_0F1(gamma, base: SpaceTimeFunction, a: TimeFunction, L: int,
     if levels is not None:
         levels.extend(chain)
     ctx = base.ctx
-    return radial_series(ctx, [[
-        (l, Sum(ctx).product(base, d, w).value())
-        for l, (w, d) in enumerate(chain)]])
+    return radial_series(ctx, [[(l, _level(ctx, base, d, w)) for l, (w, d) in enumerate(chain)]])
+
+
+def _level(ctx, base, d, w) -> SpaceTimeFunction:
+    """base * d * w: poly.products on an exact weight and exact bodies,
+    else one Sum product."""
+    level = (products(ctx, [(base, [(w.numerator, d)])], w.denominator)
+             if type(w) is Fraction else None)
+    return Sum(ctx).product(base, d, w).value() if level is None else level

@@ -382,8 +382,12 @@ def test_fused_parabolic_residual(data):
     F = data.draw(bodies(ctx, data.draw(KINDS), timed=True))
     f, fdag = witt_basis(ctx)
     got = parabolic_dirac(F)
-    assert_same_body(got, F.dirac() + F.d_dt().lmul(f) + F.lmul(fdag))
-    if exact_body(F.terms):
+    chain = F.dirac() + F.d_dt().lmul(f) + F.lmul(fdag)
+    if not exact_body(F.terms):
+        assert_same_body(got, chain)
+    else:
+        # an exact body is read once, in an order and over a D of its own
+        assert type(got) is type(chain) and typed(got.terms) == typed(chain.terms)
         a = F.terms
         assert_matches(got.terms, o_add(o_add(o_dirac(ctx, a), o_lmul(o_d_dt(a), f)),
                                         o_lmul(a, fdag)), True)

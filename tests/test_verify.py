@@ -540,33 +540,28 @@ def _recurrence(m, k, seeds):
 def test_a_fresh_exact_build_applies_neither_D_nor_split_nor_heat(
         monkeypatch, name):
     calls = _count_dirac(monkeypatch)
-    split, heat = [], []
-    split_of, heat_of = SpaceTimeFunction.split, verify.heat_residual
+    split, split_of = [], verify.condition_rows
 
     def counted_split(F):
         split.append(F)
         return split_of(F)
 
-    def counted_heat(F):
-        heat.append(F)
-        return heat_of(F)
-
-    monkeypatch.setattr(SpaceTimeFunction, "split", counted_split)
-    monkeypatch.setattr(verify, "heat_residual", counted_heat)
+    # an exact body's conditions are read off one pass that splits it
+    monkeypatch.setattr(verify, "condition_rows", counted_split)
     sol = FRESH_PARABOLIC[name]()
     with mock.patch.object(verify, "_ladder_residual",
                            wraps=verify._ladder_residual) as ladder:
         rep, comp = dirac_residual(sol), check_component_conditions(sol)
     assert rep.passed and rep.exact_zero and rep.residual_poly.is_zero()
     assert comp.passed and all(comp.detail.values())
-    assert (calls, split, heat, ladder.call_count) == ([], [], [], 1)
-    # the same body without its form takes D, the split and the heat
-    # operator, and reports the same
+    assert (calls, split, ladder.call_count) == ([], [], 1)
+    # the same body without its form takes D and the split conditions,
+    # each once, and reports the same
     slow = dataclasses.replace(sol)
     assert report_text(dirac_residual(slow)) == report_text(rep)
     slow_comp = check_component_conditions(slow)
     assert (slow_comp.passed, slow_comp.detail) == (comp.passed, comp.detail)
-    assert len(calls) == 1 and len(split) == 1 and len(heat) == 2
+    assert calls == [slow.body] and split == [slow.body]
 
 
 def test_verifying_changes_no_visible_part_of_a_solution():
@@ -1140,6 +1135,21 @@ def test_changed_metadata_drops_the_profile_form(field, value):
 # -- cross_check: radial forms first, the bodies as the fallback ---------------
 
 
+def _cross_and_comparisons(a, b):
+    """cross_check(a, b), and how many times it compared the two bodies."""
+    calls = []
+    eq = SpaceTimeFunction.__eq__
+
+    def spy(self, other):
+        if {id(self), id(other)} == {id(a.body), id(b.body)}:
+            calls.append(1)
+        return eq(self, other)
+
+    with mock.patch.object(SpaceTimeFunction, "__eq__", spy):
+        same = cross_check(a, b)
+    return same, len(calls)
+
+
 def _cross_and_subtractions(a, b):
     """cross_check(a, b), and how many body subtractions it made."""
     calls = []
@@ -1183,9 +1193,9 @@ def test_cross_check_by_forms_agrees_with_the_bodies(data):
 
     a, b = build("a"), build("b")
     assert a._radial is not None and b._radial is not None
-    same, subtractions = _cross_and_subtractions(a, b)
+    same, comparisons = _cross_and_comparisons(a, b)
     assert same == (a.body - b.body).is_zero()
-    forms_equal = subtractions == 0
+    forms_equal = comparisons == 0
     assert not forms_equal or same
 
 
@@ -1196,9 +1206,9 @@ def test_equal_forms_subtract_no_bodies():
               for form in ("monogenic", "factored", "invertible")]
     for a in builds:
         for b in builds:
-            assert _cross_and_subtractions(a, b) == (True, 0)
+            assert _cross_and_comparisons(a, b) == (True, 0)
     helm = [build_helmholtz(harmonic_basis(ctx, 2)[0], GQ, L=3) for _ in "ab"]
-    assert _cross_and_subtractions(*helm) == (True, 0)
+    assert _cross_and_comparisons(*helm) == (True, 0)
 
 
 def _saved_and_loaded(sol, tmp_path):
@@ -1247,5 +1257,8 @@ FALLBACKS = {
 def test_cross_check_falls_back_to_the_bodies(name, tmp_path):
     a, b, equal = FALLBACKS[name](tmp_path)
     assert (a.body - b.body).is_zero() == equal
-    assert _cross_and_subtractions(a, b) == (equal, 1)
-    assert _cross_and_subtractions(b, a) == (equal, 1)
+    assert _cross_and_comparisons(a, b) == (equal, 1)
+    assert _cross_and_comparisons(b, a) == (equal, 1)
+    # exact bodies compare numerators: only raw values are subtracted
+    if a.body.is_exact() and b.body.is_exact():
+        assert _cross_and_subtractions(a, b) == (equal, 0)
