@@ -444,6 +444,22 @@ def split(u: Multivector) -> SplitForm:
     return SplitForm(*(Multivector(u.ctx, d) for d in parts))
 
 
+def _split_entry(top_bit: int, mask: int) -> Tuple[Tuple[int, int, int], ...]:
+    """The share of split in the blade mask, ((component, blade, factor), ...):
+    mask = eps^a B e_{m+1}^b, B in the e_1..e_m subalgebra, adds factor
+    times its coefficient to B in the component, factor 1, -1, 2 or -2."""
+    body = mask & ~(top_bit | 1)
+    s = -1 if mask & top_bit and body.bit_count() & 1 else 1
+    if not mask & top_bit:
+        # eps = -(f + fdag)
+        return ((1, body, -1), (2, body, -1)) if mask & 1 else ((0, body, 1),)
+    if not mask & 1:
+        # e_{m+1} = f - fdag
+        return ((1, body, s), (2, body, -s))
+    # eps e_{m+1} = 2 f fdag - 1
+    return ((3, body, 2 * s), (0, body, -s))
+
+
 def _split_blades(ctx: AlgebraContext, terms: Dict[int, Scalar]
                   ) -> Tuple[Dict[int, Scalar], ...]:
     """The four {blade: scalar} components of split over a coefficient dict.
@@ -454,24 +470,13 @@ def _split_blades(ctx: AlgebraContext, terms: Dict[int, Scalar]
     """
     top_bit = 1 << (ctx.m + 1)
     parts: Tuple[Dict[int, Scalar], ...] = ({}, {}, {}, {})
-    f0, f1, f2, f3 = parts
     for mask, v in terms.items():
-        has_eps = mask & 1
-        has_top = mask & top_bit
-        body = mask & ~(top_bit | 1)
-        if has_top and body.bit_count() & 1:
-            v = _nneg(v)
-        if not has_top:
-            if has_eps:         # eps = -(f + fdag)
-                puts = ((f1, _nneg(v)), (f2, _nneg(v)))
-            else:
-                puts = ((f0, v),)
-        elif not has_eps:       # e_{m+1} = f - fdag
-            puts = ((f1, v), (f2, _nneg(v)))
-        else:                   # eps e_{m+1} = 2 f fdag - 1
-            puts = ((f3, _nmul(2, v)), (f0, _nneg(v)))
-        for d, v in puts:
-            s = _nadd(d.get(body, 0), v)
+        for which, body, f in _split_entry(top_bit, mask):
+            w = _nneg(v) if f < 0 else v
+            if f * f == 4:
+                w = _nmul(2, w)
+            d = parts[which]
+            s = _nadd(d.get(body, 0), w)
             if s:
                 d[body] = s
             else:

@@ -394,26 +394,29 @@ def _add_build_flags(p: argparse.ArgumentParser) -> None:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    # a flag is read only when spelled out: a prefix such as --seed for
+    # --seeds or --ou for --out is refused, not guessed
     parser = argparse.ArgumentParser(
-        prog="paradirac",
+        prog="paradirac", allow_abbrev=False,
         description="Build and verify null-solutions of the parabolic "
                     "Dirac operator and its Cl(1,1)-parameter generalization.")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_alg = sub.add_parser("algebra-check", help="run algebra invariant suites")
+    p_alg = add("algebra-check", help="run algebra invariant suites")
     p_alg.add_argument("--m", type=int, default=3)
     p_alg.add_argument("--trials", type=int, default=500)
     p_alg.add_argument("--seed", type=int, default=0)
     p_alg.add_argument("--out", help="JSON report path")
 
-    p_build = sub.add_parser("build", help="build a solution and save it")
+    p_build = add("build", help="build a solution and save it")
     _add_build_flags(p_build)
 
-    p_verify = sub.add_parser("verify", help="verify a solution file or a fresh build")
+    p_verify = add("verify", help="verify a solution file or a fresh build")
     p_verify.add_argument("--solution", help="solution JSON produced by build")
     _add_build_flags(p_verify)
 
-    p_eval = sub.add_parser("eval", help="evaluate a solution on a CSV of points")
+    p_eval = add("eval", help="evaluate a solution on a CSV of points")
     p_eval.add_argument("--solution", required=True)
     p_eval.add_argument("--points", required=True, help="CSV with header x1..xm[,t]")
     p_eval.add_argument("--out", help="output CSV (default stdout)")

@@ -89,7 +89,7 @@ from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
 from .algebra import (AlgebraContext, AlgebraMismatchError, Multivector,
                       Numerator, _mul_blade_into, _mul_into, _nadd, _nmul,
-                      _nneg, _ratio, _split_blades)
+                      _nneg, _ratio, _split_blades, _split_entry)
 from .scalars import Exact, GaussianRational, Scalar, is_exact
 from .zeta import ZetaElement
 
@@ -587,9 +587,24 @@ def condition_rows(F: "SpaceTimeFunction") -> Optional[list]:
     ctx = F.ctx
     rows = [ctx.mul_row(2 << i) for i in range(ctx.m)]
     c1, c3, h0, h2 = outs = ({}, {}, {}, {})
+    top_bit, shares = 1 << (ctx.m + 1), {}      # blade -> _split_entry
     for key, vals in F._nums.items():
         exps, n, lam = key
-        f0, f1, f2, f3 = _split_blades(ctx, vals)
+        if plain:
+            f0, f1, f2, f3 = parts = ({}, {}, {}, {})
+            for mask, v in vals.items():
+                share = shares.get(mask)
+                if share is None:
+                    share = shares[mask] = _split_entry(top_bit, mask)
+                for which, body, f in share:
+                    d = parts[which]
+                    r = d.get(body, 0) + f * v
+                    if r:
+                        d[body] = r
+                    else:
+                        d.pop(body, None)
+        else:
+            f0, f1, f2, f3 = _split_blades(ctx, vals)
         if f1:
             acc(c1, key, None, Q, f1)
         if f3:

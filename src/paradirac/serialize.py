@@ -20,8 +20,8 @@ dict per term, the JSON values that the text stands for.
 
 Reading.  load_solution decodes the rows in one pass, each row into one
 Multivector of its nonzero values, and the body is made from them by the
-SpaceTimeFunction constructor; a repeated key is added to its first row
-with Multivector +.  Every value goes through decode_scalar, which takes
+SpaceTimeFunction constructor; a repeated label adds its value to the
+first, and a repeated key is added to its first row with Multivector +.  Every value goes through decode_scalar, which takes
 an [int, 0] pair or a finite [float, 0] pair, most of a file, as its
 real part before any other check; every other value, and every field,
 meets the checks it always met, so a damaged file is refused with the
@@ -224,7 +224,9 @@ def solution_from_dict(data: dict) -> SeriesSolution:
             mask = masks.get(blade[0])
             if mask is None:
                 mask = masks[blade[0]] = ctx.blade_from_label(blade[0])
-            vals[mask] = decode_scalar(blade[1])
+            v = decode_scalar(blade[1])
+            # a repeated label adds its value, as a repeated key adds its row
+            vals[mask] = vals[mask] + v if mask in vals else v
         if not all(vals.values()):
             vals = {mask: v for mask, v in vals.items() if v}
         if vals:

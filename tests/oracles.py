@@ -12,7 +12,11 @@ Multivector coefficients instead of stored integer numerators, every series body
 chain of Sum stages on the powers rho^{2l} M instead of expanded from
 its levels (the stage constructions), the parabolic levels by the
 recurrence's F0..F3 rule table next to the builders' ladder
-(rule_table_levels), the exponential-profile parabolic
+(rule_table_levels), the parabolic levels summed by one Sum product per
+seed derivative (ladder_body), D, the heat operator and the split
+conditions as chains of Sum stages next to their one-pass kernels
+(sum_parabolic_dirac, sum_heat_residual, sum_conditions), the
+exponential-profile parabolic
 solution recovered from the generalized series (parabolic_from_generalized),
 a mutant made by splitting a body and assembling it again, and a solution
 file read row by row into Multivectors and summed by the body constructor.
@@ -513,6 +517,61 @@ def rule_table_body(M, levels, first=None):
     return body if first is None else first + body
 
 
+def ladder_body(M, P, Q, chains, first=None):
+    """sum_l rho^{2l} sum_i c_i (M alpha_i,l + x M beta_i,l) over the
+    ProfileWeight levels P and Q of a parabolic form on its chains, one
+    Sum product stage per seed derivative, entries in (seed, order) order,
+    and first + body for a closed form's M block first: the Sum chain the
+    builders ran before each level became one product of integer rows."""
+    ctx = M.poly.ctx
+    f, fdag = witt_basis(ctx)
+    units = (None, f, fdag, f * fdag)
+    bases = (M.poly, vector_variable(ctx) * M.poly)
+    blocks = []
+    for l, (p, q) in enumerate(zip(P, Q)):
+        level = Sum(ctx)
+        for i in range(4):
+            for b, w in enumerate((p, q)):
+                if b == 0 and first is not None:
+                    continue
+                head = bases[b] if i == 0 else bases[b].lmul(units[i])
+                for (s, j), c in sorted(w.parts[i].items()):
+                    level.product(head, chains[s][j], c)
+        blocks.append((l, level.value()))
+    body = radial_series(ctx, [blocks])
+    return body if first is None else first + body
+
+
+# -- the Sum chains of the one-pass parabolic kernels --------------------------
+#
+# D, the heat operator and the split conditions as chains of Sum stages on
+# the Witt Multivectors f and fdag and on the split component bodies: what
+# timefn and verify ran on every body before an exact one was read in one
+# pass (poly.parabolic_rows, heat_rows, condition_rows), and still run on
+# raw values.
+
+
+def sum_parabolic_dirac(F):
+    """D F = d_x F + f d_t F + fdag F, one Sum."""
+    f, fdag = witt_basis(F.ctx)
+    return Sum(F.ctx).dirac(F).lmul(f, F.d_dt()).lmul(fdag, F).value()
+
+
+def sum_heat_residual(F):
+    """(Laplacian - d_t) F, one Sum."""
+    return Sum(F.ctx).laplacian(F).d_dt(F, -1).value()
+
+
+def sum_conditions(F):
+    """F1 + d_x F0, F3 - d_x F2 + F0, (Laplacian - d_t) F0 and
+    (Laplacian - d_t) F2, from the split component bodies."""
+    f0, f1, f2, f3 = F.split()
+    ctx = F.ctx
+    return [Sum(ctx).add(f1).dirac(f0).value(),
+            Sum(ctx).add(f3).dirac(f2, -1).add(f0).value(),
+            sum_heat_residual(f0), sum_heat_residual(f2)]
+
+
 def form_chains(sol, profiles):
     """The chains [s, s', ...] that sol's parabolic radial form is written
     on, made again from its profiles (the seeds in SEEDS order, None for
@@ -627,8 +686,8 @@ def decode_scalar_reference(pair):
 def solution_from_dict_reference(data):
     """A solution dict read as the loader read it before its fast paths:
     every value through decode_scalar_reference, one Multivector per row, a
-    repeated key added with Multivector +, and the terms made a body by
-    the SpaceTimeFunction constructor."""
+    repeated label added with +, a repeated key added with Multivector +,
+    and the terms made a body by the SpaceTimeFunction constructor."""
     if not isinstance(data, dict):
         raise ValueError("a solution file holds one JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
@@ -659,7 +718,8 @@ def solution_from_dict_reference(data):
             mask = masks.get(blade[0])
             if mask is None:
                 mask = masks[blade[0]] = ctx.blade_from_label(blade[0])
-            coeffs[mask] = decode_scalar_reference(blade[1])
+            v = decode_scalar_reference(blade[1])
+            coeffs[mask] = coeffs[mask] + v if mask in coeffs else v
         mv = Multivector(ctx, {m_: v for m_, v in coeffs.items() if v != 0})
         if not mv.is_zero():
             key = (exps, n, lam)

@@ -173,6 +173,29 @@ def test_build_refuses_a_flag_the_mode_does_not_read(capsys, tmp_path, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--mode", "gen-monogenic", "--m", "2", "--k", "1", "--zeta",
+     "1,1/2,-1,2", "--trunc", "2", "--ou", "OUT"],
+    ["verify", "--mode", "parabolic-recurrence", "--m", "2", "--k", "0",
+     "--seed", '{"a0":"t"}'],
+    ["verify", "--mode", "parabolic-closed", "--m", "2", "--k", "0",
+     "--prof", "t"],
+    ["eval", "--sol", "OUT", "--points", "OUT"],
+    ["algebra-check", "--tri", "1"],
+], ids=["build --ou", "verify --seed", "verify --prof", "eval --sol",
+        "algebra-check --tri"])
+def test_a_flag_prefix_is_refused(capsys, tmp_path, argv):
+    # argparse once read a unique prefix as the whole flag: --ou as --out
+    # (the build was written) and --seed as --seeds (verify exited 0)
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main([str(out) if a == "OUT" else a for a in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "paradirac" in captured.err and "error:" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--mode", "gen-monogenic"), ("--m", "2"), ("--k", "0"),
     ("--basis-index", "0"), ("--zeta", "1,0,0,1"), ("--profile", "t"),

@@ -132,6 +132,29 @@ def test_save_load_file(tmp_path):
     assert back.zeta == sol.zeta
 
 
+def test_a_repeated_label_adds_as_a_repeated_key_does(tmp_path):
+    # one coefficient of an exact parabolic file split into two halves,
+    # under one label or across two rows of one key, reads back as the
+    # same body, which verify passes; the repeated label was once read as
+    # its last half alone, and verify failed
+    path = tmp_path / "sol.json"
+    assert cli.main(["build", "--mode", "parabolic-closed", "--m", "2", "--k", "1",
+                     "--profile", "poly:1,-2,1/2", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    sol = solution_from_dict(data)
+    label, value = data["terms"][0]["blades"][0]
+    half = encode_scalar(decode_scalar(value) / 2)
+    by_label, by_key = json.loads(path.read_text()), json.loads(path.read_text())
+    by_label["terms"][0]["blades"][:1] = [[label, half], [label, half]]
+    row = by_key["terms"][0]
+    row["blades"][0] = [label, half]
+    by_key["terms"].append(dict(row, blades=[[label, half]]))
+    for changed in (by_label, by_key):
+        back = solution_from_dict(changed)
+        assert back.body == sol.body and dirac_residual(back).passed
+        _loads_like_reference(changed)
+
+
 def test_solution_from_dict_rejects_alien_schema():
     data = solution_to_dict(build_samples()[0])
     data["schema_version"] = 99
@@ -223,10 +246,19 @@ def _negated(part):
 def damaged_solutions(draw):
     """A valid solution dict with one field, top-level or in a term row,
     replaced by an arbitrary JSON value (or removed), with one part of a
-    term's lambda or blade value replaced by a JSON leaf, or with a term
-    row repeated, some of its values negated."""
+    term's lambda or blade value replaced by a JSON leaf, or with a blade
+    entry or a term row repeated, some of its values negated."""
     data = _valid_dict()
     target = data
+    if draw(st.integers(0, 5)) == 0:
+        # a repeated label, whose value may cancel the first one's
+        row = data["terms"][draw(st.integers(0, len(data["terms"]) - 1))]
+        if row["blades"]:
+            blade = json.loads(json.dumps(draw(st.sampled_from(row["blades"]))))
+            if draw(st.booleans()):
+                blade[1] = [_negated(part) for part in blade[1]]
+            row["blades"].insert(draw(st.integers(0, len(row["blades"]))), blade)
+        return data
     if draw(st.integers(0, 3)) == 0:
         # a repeated key, whose values may cancel the first row's
         rows = data["terms"]
