@@ -34,7 +34,9 @@ fdag, f fdag, the profiles right of M.  One function, _parabolic_solution,
 makes the levels of both parabolic builds from P_0 by the ladder that
 verify checks (the closed form is the recurrence seeded with a0 = a and
 b2 = -a/(2k+m)), and expands them by poly.radial_series, one small body
-per level.  An exact build owns that form.
+per level: on exact input one poly.products of the heads' rows and
+integer time rows, on raw values one Sum product per seed derivative.
+An exact build owns that form.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Dict, Optional, Tuple, Union
 from .algebra import AlgebraContext, witt_basis
 from .harmonics import HarmonicPoly, MonogenicPoly
 from .poly import (Sum, products, radial_product, radial_series,
-                   vector_variable, witt_multiples)
+                   vector_variable)
 from .timefn import (PARABOLIC_ZETA, ProfileWeight, SpaceTimeFunction,
                      TimeFunction, apply_0F1, derivatives)
 from .zeta import (IntMatrix, NotInvertibleError, PowerSeries, ZetaElement,
@@ -180,26 +182,26 @@ def _parabolic_solution(mode: str, M: MonogenicPoly, L: int, count: int,
     ladder identities of d_x + zeta, zeta = f d/dt + fdag, make
     Q_l = (zeta P_l)^ / (2l+2k+m) and P_{l+1} = -(zeta Q_l)^ / (2(l+1)).
     Each level sum_i c_i (M alpha_i,l + x M beta_i,l), c = 1, f, fdag,
-    f fdag, is expanded by radial_series, entries in (seed, order) order;
-    first, the closed form's M block, stands for the P_l M.  The build is
+    f fdag, is one poly.products of the head rows c_i M and c_i x M,
+    made once per build, and the levels' integer time rows; on raw values
+    it is one Sum product per entry, in (seed, order) order.  The levels
+    are expanded by radial_series; first, the closed form's M block,
+    stands for the P_l M and receives the other blocks in place.  The build is
     exact when M and the seeds are exact and the seeds polynomial, and
     then owns the levels as its radial form unless a seed depends on x:
     the ladder takes each for a function of t.
     """
     ctx, k = M.poly.ctx, M.degree
     two_g = 2 * k + ctx.m
+    f, fdag = witt_basis(ctx)
+    units = (None, f, fdag, f * fdag)
     bases = (M.poly, vector_variable(ctx) * M.poly)
     P = ProfileWeight(P0, [len(chain) for chain in chains])
     levels, heads, blocks = [], {}, []  # heads: c_i M and c_i x M, when used
 
     def head(i, b):
         if (i, b) not in heads:
-            multiples = witt_multiples(bases[b])
-            if multiples is None:       # raw values
-                f, fdag = witt_basis(ctx)
-                multiples = [bases[b].lmul(c) for c in (f, fdag, f * fdag)]
-            heads.update(((j + 1, b), w) for j, w in enumerate(multiples))
-            heads[0, b] = bases[b]
+            heads[i, b] = bases[b] if i == 0 else bases[b].lmul(units[i])
         return heads[i, b]
 
     for l in range(count):

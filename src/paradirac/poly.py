@@ -28,10 +28,11 @@ afresh; .terms, {key: Multivector}, is made afresh on every read.  No
 reader hands out a stored row, and no other module reads the numerators.
 
 The accumulator.  Every operator but scale and / (which change D and the
-numerators of one body), and every sum of operator results, is built by
-a Sum: stages, such as a scaled body, a constant product, dirac, a
-derivative or a product, each made when it is recorded and merged at
-once, in order, into the Sum's own {key: row} dict over one D.  While
+numerators of one body) and the one-pass kernels below, and every sum of
+operator results, is built by a Sum: stages, such as a scaled body, a
+constant product, dirac, a derivative or a product, each made when it is
+recorded and merged at once, in order, into the Sum's own {key: row}
+dict over one D; the first stage becomes that dict.  While
 every stage is exact, a stage whose denominator divides D is made with
 its numerators already multiplied by D / (its denominator); one that
 needs a larger D first multiplies the accumulator's own rows, in place,
@@ -40,25 +41,40 @@ and each later stage is turned into raw values, scaled and merged, as
 the binary operators do.  value() hands the dict over as the body and
 leaves the Sum spent, so no later stage changes a body it returned.
 
+The one-pass kernels.  The exact parabolic jobs make no Sum and no
+intermediate body: D = d_x + f d/dt + fdag, the heat operator and the
+four split-form conditions read an exact body's rows once and write
+integer numerators straight into their results (parabolic_rows,
+heat_rows, condition_rows), f and fdag acting as signed blade
+permutations over 2 D; products sums a parabolic level, each head's rows times one integer
+time row; and == cross-multiplies the numerators of two exact bodies
+over different denominators.  Raw values take the Sum chains.
+
 The radial expander.  Every series the builders make, float ones
 included, is sum_l rho^{2l} p_l over one small body p_l per level: w_l p
 with a Cl(1,1) weight w_l (radial_product; a zeta.IntMatrix for exact
 input, a zeta.ZetaElement otherwise) for a generalized or Helmholtz
-series, and the level's heads times its time profiles for a parabolic
-one.  radial_series adds each term of p_l under every shift x^{2j},
+series, and for a parabolic one the level's heads c_i M and c_i x M
+times their integer time rows, one products call per level on exact
+input.  radial_series adds each term of p_l under every shift x^{2j},
 |j| = l, of its spatial exponents, times the integer multinomial
 l!/prod j_i! (rho_terms): rho^{2l} is a scalar, so no output term needs
 a Clifford product and no power of rho^2 is made.  The shifted exponent
 tuples come from a memo, _shifted, keyed on (exponents, l) alone, never
 on a coefficient, n or lambda; it lists them in rho_terms order and holds
 each distinct tuple once, so a warm call makes the body a cold one makes,
-term order included.  Exact levels are written at one denominator; a
-series with any inexact level is summed on raw values by the same loop.
+term order included.  Exact levels are written at one denominator,
+straight into one accumulator, which can be a body nothing else holds
+(the closed parabolic build's M block); a series with any inexact level
+is summed on raw values by the same loop, head by head.
 
 Order guarantee.  A body built by a Sum has the values, the term order
 and the blade order of the left-to-right chain of binary operators it
 stands for, and on raw values the same float operations in the same
-order.  A body from radial_series of exact levels has the values, and
+order.  A body from a one-pass kernel has the values, and the scalar
+type of each, of the Sum chain it replaced (tests/oracles.py keeps
+those chains), in a term order, blade order and D of its own.  A body
+from radial_series of exact levels has the values, and
 the scalar type of each, of the chain that multiplies each level by the
 powers rho^{2l}, in a term order, blade order and D of its own.  No
 pinned output reads these of an exact body: the solution JSON sorts
@@ -441,8 +457,8 @@ class Sum:
 # -- one-pass kernels ----------------------------------------------------------
 #
 # D = d_x + f d/dt + fdag, the heat operator Delta - d/dt that D squares to
-# the negative of, the four split-form conditions and the Witt multiples, on
-# exact bodies: each reads the rows once and writes numerators straight into
+# the negative of and the four split-form conditions, on exact bodies: each
+# reads the rows once and writes numerators straight into
 # its results.  2 f = e_{m+1} - eps and 2 fdag = -(e_{m+1} + eps), and left
 # multiplication by a blade is a signed permutation of the blades (mul_row),
 # so every image of a term is an integer multiple of a permuted row: no
@@ -482,32 +498,6 @@ def _acc_pairs(out: Rows, new, row, k, src: Dict[int, Scalar]) -> None:
         _mul_blade_into(out.setdefault(new, {}), row, k, src)
 
 
-def _acc2(out: Rows, new, row, k, row2, k2, src: Dict[int, Scalar]) -> None:
-    """out[new] += k e src + k2 e2 src, rows those of e and e2, on ints."""
-    t = out.get(new)
-    if t is None:
-        t = out[new] = {}
-    for mb, v in src.items():
-        mask, sign = row[mb]
-        r = t.get(mask, 0) + (v * k if sign > 0 else -v * k)
-        if r:
-            t[mask] = r
-        else:
-            t.pop(mask, None)
-        mask, sign = row2[mb]
-        r = t.get(mask, 0) + (v * k2 if sign > 0 else -v * k2)
-        if r:
-            t[mask] = r
-        else:
-            t.pop(mask, None)
-
-
-def _acc2_pairs(out: Rows, new, row, k, row2, k2, src: Dict[int, Scalar]) -> None:
-    t = out.setdefault(new, {})
-    _mul_blade_into(t, row, k, src)
-    _mul_blade_into(t, row2, k2, src)
-
-
 def _kernel(F: "SpaceTimeFunction"):
     """(Q, {lambda: p}, plain) of an exact body with exact lambdas, plain
     when every numerator and p is an int; else None."""
@@ -541,7 +531,7 @@ def parabolic_rows(F: "SpaceTimeFunction") -> Optional["SpaceTimeFunction"]:
     if setup is None:
         return None
     Q, lam_num, plain = setup
-    acc, acc2 = (_acc, _acc2) if plain else (_acc_pairs, _acc2_pairs)
+    acc = _acc if plain else _acc_pairs
     ctx = F.ctx
     top, eps = ctx.mul_row(1 << (ctx.m + 1)), ctx.mul_row(1)
     rows = [ctx.mul_row(2 << i) for i in range(ctx.m)]
@@ -551,9 +541,12 @@ def parabolic_rows(F: "SpaceTimeFunction") -> Optional["SpaceTimeFunction"]:
     for key, vals in F._nums.items():
         exps, n, lam = key
         k_top, k_eps = own[lam]
-        acc2(out, key, top, k_top, eps, k_eps, vals)
+        acc(out, key, top, k_top, vals)
+        acc(out, key, eps, k_eps, vals)
         if n:
-            acc2(out, (exps, n - 1, lam), top, n * Q, eps, -n * Q, vals)
+            new = (exps, n - 1, lam)
+            acc(out, new, top, n * Q, vals)
+            acc(out, new, eps, -n * Q, vals)
         for i, e in enumerate(exps):
             if e:
                 acc(out, (exps[:i] + (e - 1,) + exps[i + 1:], n, lam), rows[i],
@@ -623,26 +616,6 @@ def condition_rows(F: "SpaceTimeFunction") -> Optional[list]:
                     if f2:
                         acc(c3, new, rows[i], -e * Q, f2)
     return [_body(F, out, F._D * Q) for out in outs]
-
-
-def witt_multiples(F: "SpaceTimeFunction") -> Optional[tuple]:
-    """(f F, fdag F, f fdag F) of an exact body, each over 2 D, or None:
-    2 f = e_{m+1} - eps, 2 fdag = -(e_{m+1} + eps) and
-    2 f fdag = 1 + eps e_{m+1}."""
-    if F._D is None:
-        return None
-    acc2 = _acc2_pairs if _has_pairs(F._nums) else _acc2
-    ctx = F.ctx
-    top = 1 << (ctx.m + 1)
-    out = []
-    for (r1, k1), (r2, k2) in (((top, 1), (1, -1)), ((top, -1), (1, -1)),
-                               ((0, 1), (top | 1, 1))):
-        rows: Rows = {}
-        row1, row2 = ctx.mul_row(r1), ctx.mul_row(r2)
-        for key, vals in F._nums.items():
-            acc2(rows, key, row1, k1, row2, k2, vals)
-        out.append(_body(F, rows, 2 * F._D))
-    return tuple(out)
 
 
 # -- bodies -----------------------------------------------------------------------

@@ -21,11 +21,11 @@ dict per term, the JSON values that the text stands for.
 Reading.  load_solution decodes the rows in one pass, each row into one
 Multivector of its nonzero values, and the body is made from them by the
 SpaceTimeFunction constructor; a repeated label adds its value to the
-first, and a repeated key is added to its first row with Multivector +.  Every value goes through decode_scalar, which takes
-an [int, 0] pair or a finite [float, 0] pair, most of a file, as its
-real part before any other check; every other value, and every field,
-meets the checks it always met, so a damaged file is refused with the
-message it always was.
+first, and a repeated key is added to its first row with Multivector +.
+Every value goes through decode_scalar, which takes an [int, 0] pair or
+a finite [float, 0] pair, most of a file, as its real part before any
+other check; every other value, and every field, meets the checks it
+always met, so a damaged file is refused with the message it always was.
 """
 
 from __future__ import annotations

@@ -9,15 +9,20 @@ nonnegative powers of s to the profile.
 SpaceTimeFunction (in poly, the one body class) combines spatial
 polynomials with that time class: terms are indexed by (exponents, n,
 lambda) with a left Multivector coefficient, and d/dt is exact.  This
-module builds the parabolic operator D = d_x + f d_t + fdag from those
-operators, and the operator series 0F1 on a time profile,
-whose levels poly.radial_series expands for exact and float input alike,
-from derivatives(), the one place a seed profile is differentiated.
-TimeFunction is the x-independent slice.
+module holds the parabolic operator D = d_x + f d_t + fdag and the heat
+operator Laplacian - d_t that D squares to the negative of: an exact
+body's rows are read once by poly's one-pass kernels, where f and fdag
+act as signed blade permutations on integer numerators over 2 D, and
+raw values take one Sum of those operators.  It also holds the
+operator series 0F1 on a time profile, whose levels are one
+poly.products each on exact input (one Sum product otherwise) and which
+poly.radial_series expands, from derivatives(), the one place a seed
+profile is differentiated.  TimeFunction is the x-independent slice.
 D is d_x + zeta with zeta = f d/dt + fdag (ParabolicZeta), acting on
-Cl(1,1) coefficients whose entries are exact combinations of seed
-derivatives (ProfileWeight), so an exact parabolic build's radial form
-takes the generalized builds' ladder, in rational arithmetic alone.
+Cl(1,1) coefficients whose entries are integer combinations of seed
+derivatives over one denominator (ProfileWeight), so an exact parabolic
+build's radial form takes the generalized builds' ladder, in integer
+arithmetic alone.
 """
 
 from __future__ import annotations
@@ -146,8 +151,8 @@ class ParabolicZeta:
         n = w.lengths
         one_d, fdag_d = ({(i, j + 1): c for (i, j), c in part.items() if j + 1 < n[i]}
                          for part in (one, fdag))
-        return ProfileWeight._of((f, one_d, _plus(one, ffdag, 1), _plus(fdag_d, f, -1)),
-                                 w.q, n)
+        return ProfileWeight._of(
+            (f, one_d, _plus(one, ffdag, 1), _plus(fdag_d, f, -1)), w.q, n)
 
 
 PARABOLIC_ZETA = ParabolicZeta()
@@ -173,8 +178,10 @@ def apply_0F1(gamma, base: SpaceTimeFunction, a: TimeFunction, L: int,
     derivative dies); otherwise it is truncated at l = L.  The derivatives
     come from derivatives(), and a levels list receives (weight, a^{(l)})
     for each level summed.  Each level is made once as the small product
-    base * a^{(l)} * weight and expanded by poly.radial_series, on
-    numerators when every level is exact and on raw values otherwise.  A
+    base * a^{(l)} * weight, by poly.products on an exact weight and
+    exact bodies and by one Sum product otherwise, and expanded by
+    poly.radial_series, on numerators when every level is exact and on
+    raw values otherwise.  A
     nonpositive integral gamma of any real type is a pole of 0F1:
     ValueError.
     """
@@ -192,7 +199,8 @@ def apply_0F1(gamma, base: SpaceTimeFunction, a: TimeFunction, L: int,
     if levels is not None:
         levels.extend(chain)
     ctx = base.ctx
-    return radial_series(ctx, [[(l, _level(ctx, base, d, w)) for l, (w, d) in enumerate(chain)]])
+    return radial_series(ctx, [[(l, _level(ctx, base, d, w))
+                                for l, (w, d) in enumerate(chain)]])
 
 
 def _level(ctx, base, d, w) -> SpaceTimeFunction:

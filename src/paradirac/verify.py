@@ -13,6 +13,9 @@ residual's terms above roundoff scale.  Nothing is sampled.
 A solution is immutable, so it remembers the residual of its operator,
 made once: dirac_residual and check_component_conditions read the same
 memo, and the component conditions are read off the split components.
+On an exact body, D F and the four conditions are each one pass over its
+integer rows (poly.parabolic_rows and condition_rows), the conditions
+with each term split once; raw values take chains of Sum stages.
 A build fresh from its builder with exact coefficients owns its radial
 form, and one ladder (_ladder_residual) checks it for every d_x + zeta,
 the parabolic D being the one with zeta = f d/dt + fdag.  A generalized
@@ -110,7 +113,9 @@ def check_component_conditions(
 
     cond_f1: F1 = -d_x F0;  cond_f3: F3 = d_x F2 - F0;
     heat_f0 / heat_f2: (Laplacian - d_t) applied to F0 / F2 vanishes.
-    The conditions are read off the split components.  The report also
+    The conditions are read off the split components, computed apart
+    from D F: one pass over an exact body's rows, each term split once,
+    and the split bodies on raw values (_conditions).  The report also
     takes D F directly, a solution's memoized residual (_residual) when F
     is one, and records whether the equivalence held (it must, whichever
     side is true).  A parabolic solution whose radial form passes the
@@ -144,10 +149,9 @@ def check_component_conditions(
 
 def _conditions(body: SpaceTimeFunction) -> list:
     """F1 + d_x F0, F3 - d_x F2 + F0, (Laplacian - d_t) F0 and
-    (Laplacian - d_t) F2.  An exact body is read once: each term is split
-    once and its components mapped into the four bodies, over D Q (the
-    first two times Q, which leaves their zeros where they were); raw
-    values take the split bodies and four Sums."""
+    (Laplacian - d_t) F2.  An exact body is read once, each term split
+    once (poly.condition_rows); raw values take the split bodies and four
+    Sums."""
     R = condition_rows(body)
     if R is not None:
         return R
@@ -364,11 +368,13 @@ def cross_check(F_a: SeriesSolution, F_b: SeriesSolution) -> bool:
     Helmholtz builds with their forms (exact builds fresh from their
     builder): such a body is radial_series of its form, so equal forms
     (the same heads M and x M, and equal P_l and Q_l, Q None on both
-    sides or neither) mean equal bodies.  The bodies decide, by
-    subtraction, everything else: forms that differ in any part (their
-    bodies may still be equal), and any side without its form (a float
-    or parabolic build, a loaded, replaced or perturbed solution).  A
-    parabolic form is not compared because a closed build's body is not
+    sides or neither) mean equal bodies.  The bodies decide, by ==,
+    everything else: forms that differ in any part (their bodies may
+    still be equal), and any side without its form (a float or parabolic
+    build, a loaded, replaced or perturbed solution).  Two exact bodies
+    over different denominators compare their cross-multiplied
+    numerators key by key, and build no body; raw values are subtracted.
+    A parabolic form is not compared because a closed build's body is not
     made from its form alone.
     """
     if F_a.ctx.m != F_b.ctx.m:

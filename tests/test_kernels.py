@@ -113,8 +113,8 @@ def test_component_flags_of_mutants_are_the_sum_chains(data):
         exps[data.draw(st.integers(0, m - 1), label="axis")] += 1
     coeff = data.draw(st.one_of(st.integers(-3, 3), small_q), label="coeff")
     blade = 2 * data.draw(st.integers(0, (1 << m) - 1), label="blade")
-    mutant = perturb_component(sol, data.draw(st.integers(0, 3), label="slot"),
-                               exps, Multivector(CONTEXTS[m], {blade: coeff} if coeff else {}))
+    mutant = perturb_component(sol, data.draw(st.integers(0, 3), label="slot"), exps,
+                               Multivector(CONTEXTS[m], {blade: coeff} if coeff else {}))
     rep = check_component_conditions(mutant)
     flags = [R.is_zero() for R in sum_conditions(mutant.body)]
     dirac_zero = sum_parabolic_dirac(mutant.body).is_zero()
