@@ -42,13 +42,16 @@ the binary operators do.  value() hands the dict over as the body and
 leaves the Sum spent, so no later stage changes a body it returned.
 
 The one-pass kernels.  The exact parabolic jobs make no Sum and no
-intermediate body: D = d_x + f d/dt + fdag, the heat operator and the
+intermediate body.  D = d_x + f d/dt + fdag, the heat operator and the
 four split-form conditions read an exact body's rows once and write
 integer numerators straight into their results (parabolic_rows,
-heat_rows, condition_rows), f and fdag acting as signed blade
-permutations over 2 D; products sums a parabolic level, each head's rows times one integer
-time row; and == cross-multiplies the numerators of two exact bodies
-over different denominators.  Raw values take the Sum chains.
+heat_rows, condition_rows): 2 f = e_{m+1} - eps and
+2 fdag = -(e_{m+1} + eps), and left multiplication by a blade is a
+signed permutation of the blades (mul_row), so every image of a term is
+an integer multiple of a permuted row, over 2 D.  products sums a
+parabolic level, each head's rows times one integer time row, and ==
+cross-multiplies the numerators of two exact bodies over different
+denominators.  Raw values take the Sum chains.
 
 The radial expander.  Every series the builders make, float ones
 included, is sum_l rho^{2l} p_l over one small body p_l per level: w_l p
@@ -456,16 +459,9 @@ class Sum:
 
 # -- one-pass kernels ----------------------------------------------------------
 #
-# D = d_x + f d/dt + fdag, the heat operator Delta - d/dt that D squares to
-# the negative of and the four split-form conditions, on exact bodies: each
-# reads the rows once and writes numerators straight into
-# its results.  2 f = e_{m+1} - eps and 2 fdag = -(e_{m+1} + eps), and left
-# multiplication by a blade is a signed permutation of the blades (mul_row),
-# so every image of a term is an integer multiple of a permuted row: no
-# Fraction, no Witt Multivector and no intermediate body is made.  d/dt of
-# c t^n e^{lt} is n c t^{n-1} + l c, l = p / Q over the lcm Q of the
-# lambdas' denominators (time_numerators).  Each accumulate function adds
-# to out[new]; its _pairs twin takes integer pairs too.
+# See the module docstring.  d/dt of c t^n e^{lt} is n c t^{n-1} + l c, with
+# l = p / Q over the lcm Q of the lambdas' denominators (time_numerators).
+# An accumulate function adds to out[new]; its _pairs twin takes pairs too.
 
 
 def _acc(out: Rows, new, row, k, src: Dict[int, Scalar]) -> None:

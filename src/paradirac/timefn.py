@@ -181,9 +181,8 @@ def apply_0F1(gamma, base: SpaceTimeFunction, a: TimeFunction, L: int,
     base * a^{(l)} * weight, by poly.products on an exact weight and
     exact bodies and by one Sum product otherwise, and expanded by
     poly.radial_series, on numerators when every level is exact and on
-    raw values otherwise.  A
-    nonpositive integral gamma of any real type is a pole of 0F1:
-    ValueError.
+    raw values otherwise.  A nonpositive integral gamma of any real type
+    is a pole of 0F1: ValueError.
     """
     if gamma <= 0 and gamma % 1 == 0:     # a pole of any real type
         raise ValueError(f"0F1 pole: gamma = {gamma} is a nonpositive integer")
