@@ -186,10 +186,11 @@ def _parabolic_solution(mode: str, M: MonogenicPoly, L: int, count: int,
     made once per build, and the levels' integer time rows; on raw values
     it is one Sum product per entry, in (seed, order) order.  The levels
     are expanded by radial_series; first, the closed form's M block,
-    stands for the P_l M and receives the other blocks in place.  The
-    build is exact when M and the seeds are exact and the seeds
-    polynomial, and then owns the levels as its radial form unless a seed
-    depends on x: the ladder takes each for a function of t.
+    stands for the P_l M and is given up to radial_series, which adds the
+    other blocks into its rows.  The build is exact when M and the seeds
+    are exact and the seeds polynomial, and then owns the levels as its
+    radial form unless a seed depends on x: the ladder takes each for a
+    function of t.
     """
     ctx, k = M.poly.ctx, M.degree
     two_g = 2 * k + ctx.m

@@ -42,10 +42,11 @@ the binary operators do.  value() hands the dict over as the body and
 leaves the Sum spent, so no later stage changes a body it returned.
 
 The one-pass kernels.  The exact parabolic jobs make no Sum and no
-intermediate body.  D = d_x + f d/dt + fdag, the heat operator and the
-four split-form conditions read an exact body's rows once and write
-integer numerators straight into their results (parabolic_rows,
-heat_rows, condition_rows): 2 f = e_{m+1} - eps and
+intermediate body.  D = d_x + f d/dt + fdag and the four split-form
+conditions read an exact body's rows once and write integer numerators
+straight into their results (parabolic_rows, condition_rows; the heat
+operator alone keeps its Sum, as the independent side of verify's
+factorization check): 2 f = e_{m+1} - eps and
 2 fdag = -(e_{m+1} + eps), and left multiplication by a blade is a
 signed permutation of the blades (mul_row), so every image of a term is
 an integer multiple of a permuted row, over 2 D.  products sums a
@@ -67,8 +68,8 @@ tuples come from a memo, _shifted, keyed on (exponents, l) alone, never
 on a coefficient, n or lambda; it lists them in rho_terms order and holds
 each distinct tuple once, so a warm call makes the body a cold one makes,
 term order included.  Exact levels are written at one denominator,
-straight into one accumulator, which can be a body nothing else holds
-(the closed parabolic build's M block); a series with any inexact level
+straight into one accumulator, which can be a body its caller gives
+up (the closed parabolic build's M block); a series with any inexact level
 is summed on raw values by the same loop, head by head.
 
 Order guarantee.  A body built by a Sum has the values, the term order
@@ -108,7 +109,7 @@ from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
 from .algebra import (AlgebraContext, AlgebraMismatchError, Multivector,
                       Numerator, _mul_blade_into, _mul_into, _nadd, _nmul,
-                      _nneg, _ratio, _split_blades, _split_entry)
+                      _nneg, _ratio, _split_blades)
 from .scalars import Exact, GaussianRational, Scalar, is_exact
 from .zeta import ZetaElement
 
@@ -550,18 +551,6 @@ def parabolic_rows(F: "SpaceTimeFunction") -> Optional["SpaceTimeFunction"]:
     return _body(F, out, F._D * 2 * Q)
 
 
-def heat_rows(F: "SpaceTimeFunction") -> Optional["SpaceTimeFunction"]:
-    """(Delta - d/dt) F of an exact body, over D Q, or None."""
-    setup = _kernel(F)
-    if setup is None:
-        return None
-    Q, lam_num, plain = setup
-    out: Rows = {}
-    for key, vals in F._nums.items():
-        _heat_into(out, key, vals, Q, lam_num, _acc if plain else _acc_pairs)
-    return _body(F, out, F._D * Q)
-
-
 def condition_rows(F: "SpaceTimeFunction") -> Optional[list]:
     """F1 + d_x F0, F3 + F0 - d_x F2, (Delta - d/dt) F0 and
     (Delta - d/dt) F2 of an exact body F = F0 + f F1 + fdag F2 + f fdag F3,
@@ -576,24 +565,9 @@ def condition_rows(F: "SpaceTimeFunction") -> Optional[list]:
     ctx = F.ctx
     rows = [ctx.mul_row(2 << i) for i in range(ctx.m)]
     c1, c3, h0, h2 = outs = ({}, {}, {}, {})
-    top_bit, shares = 1 << (ctx.m + 1), {}      # blade -> _split_entry
     for key, vals in F._nums.items():
         exps, n, lam = key
-        if plain:
-            f0, f1, f2, f3 = parts = ({}, {}, {}, {})
-            for mask, v in vals.items():
-                share = shares.get(mask)
-                if share is None:
-                    share = shares[mask] = _split_entry(top_bit, mask)
-                for which, body, f in share:
-                    d = parts[which]
-                    r = d.get(body, 0) + f * v
-                    if r:
-                        d[body] = r
-                    else:
-                        d.pop(body, None)
-        else:
-            f0, f1, f2, f3 = _split_blades(ctx, vals)
+        f0, f1, f2, f3 = _split_blades(ctx, vals)
         if f1:
             acc(c1, key, None, Q, f1)
         if f3:
@@ -1159,8 +1133,9 @@ def products(ctx: AlgebraContext, terms, q: int = 1) -> Optional[SpaceTimeFuncti
 def radial_series(ctx: AlgebraContext, heads, into=None) -> SpaceTimeFunction:
     """sum over the heads, and over the (l, p) levels of a head, of
     rho^{2l} p: small bodies p, such as the products w_l p of
-    radial_product; into, a body nothing else holds, is taken as a head
-    already summed, its rows the result's.
+    radial_product.  into, a body the caller gives up, is taken as a head
+    already summed: its rows become the result's, and into is left with
+    no storage, so any later use of it raises AttributeError.
 
     rho^{2l} is a scalar with integer terms (rho_terms), so each term of a
     level is added under every shift x^{2j}, |j| = l, of its spatial
@@ -1175,20 +1150,22 @@ def radial_series(ctx: AlgebraContext, heads, into=None) -> SpaceTimeFunction:
     values a head is summed on its own and the heads are merged in order,
     as a Sum merges its stages.
     """
+    total: Rows = {}
+    D0: Optional[int] = 1
+    if into is not None:        # consumed: its rows become the result's
+        total, D0 = into._nums, into._D
+        del into._nums, into._D
     groups = [[(l, *(_to_numerators(p._nums) if p._D is None
                      else (p._nums, p._D))) for l, p in head] for head in heads]
-    total: Rows = {} if into is None else into._nums
-    if into is not None and into._D is None or any(
-            Dp is None for parts in groups for _, _, Dp in parts):
+    if D0 is None or any(Dp is None for parts in groups for _, _, Dp in parts):
         D = None
         groups = [[(l, p._values(), 1) for l, p in head] for head in heads]
-        if into is not None:
-            total = into._values()
+        if D0 is not None:
+            total = _valued(total, D0)
     else:
-        D = lcm(*(Dp for parts in groups for _, _, Dp in parts),
-                *(() if into is None else (into._D,)))
-        if total and D != into._D:     # into's own rows, rescaled in place
-            g = D // into._D
+        D = lcm(D0, *(Dp for parts in groups for _, _, Dp in parts))
+        if D != D0:             # into's own rows, rescaled in place
+            g = D // D0
             for vals in total.values():
                 for mask, n in vals.items():
                     vals[mask] = n * g if type(n) is int else _nmul(n, g)
@@ -1203,22 +1180,6 @@ def radial_series(ctx: AlgebraContext, heads, into=None) -> SpaceTimeFunction:
             f = 1 if D is None else D // Dp
             cs = [c * f for _, c in rho_terms(m, l)]
             for (exps, n, lam), vals in nums.items():
-                if len(vals) == 1 and not pairs:    # one blade: no row loop
-                    ((mask, v),) = vals.items()
-                    for e, c in zip(_shifted(exps, l), cs):
-                        new = (e, n, lam)
-                        o = out.get(new)
-                        if o is None:
-                            out[new] = {mask: v * c}
-                            continue
-                        r = o.get(mask, 0) + v * c
-                        if r:
-                            o[mask] = r
-                        else:
-                            del o[mask]
-                            if not o:
-                                del out[new]
-                    continue
                 items = tuple(vals.items())
                 for e, c in zip(_shifted(exps, l), cs):
                     new = (e, n, lam)

@@ -192,6 +192,18 @@ def _int_list(raw, what: str) -> Tuple[int, ...]:
     return tuple(raw)
 
 
+def _repeat_sum(a: Scalar, b: Scalar) -> Scalar:
+    """a + b of two entries of one coefficient, a repeated blade label or
+    term key: a sum beyond the float range is refused."""
+    try:
+        s = a + b
+    except OverflowError:       # an exact value met a float: float() overflowed
+        raise ValueError("a repeated coefficient sums beyond the float range") from None
+    if type(s) in (float, complex) and not cmath.isfinite(s):
+        raise ValueError("a repeated coefficient sums beyond the float range")
+    return s
+
+
 def solution_from_dict(data: dict) -> SeriesSolution:
     if not isinstance(data, dict):
         raise ValueError("a solution file holds one JSON object")
@@ -203,7 +215,7 @@ def solution_from_dict(data: dict) -> SeriesSolution:
     if not 1 <= m <= MAX_M:
         raise ValueError(f"spatial dimension m={m} outside 1..{MAX_M}")
     ctx = AlgebraContext(m)
-    rows: Dict[tuple, Multivector] = {}
+    rows: Dict[tuple, Dict[int, Scalar]] = {}
     masks: Dict[str, int] = {}      # blade label -> mask, each parsed once
     for row in _get(data, "terms", (list,)):
         if not isinstance(row, dict):
@@ -226,16 +238,24 @@ def solution_from_dict(data: dict) -> SeriesSolution:
                 mask = masks[blade[0]] = ctx.blade_from_label(blade[0])
             v = decode_scalar(blade[1])
             # a repeated label adds its value, as a repeated key adds its row
-            vals[mask] = vals[mask] + v if mask in vals else v
+            vals[mask] = _repeat_sum(vals[mask], v) if mask in vals else v
         if not all(vals.values()):
             vals = {mask: v for mask, v in vals.items() if v}
         if vals:
             # a repeated key adds its row; one that cancels keeps its place
             key = (exps, n, lam)
             prev = rows.get(key)
-            rows[key] = (Multivector(ctx, vals) if prev is None
-                         else prev + Multivector(ctx, vals))
-    body = SpaceTimeFunction(ctx, rows)
+            if prev is None:
+                rows[key] = vals
+            else:
+                for mask, v in vals.items():
+                    s = _repeat_sum(prev[mask], v) if mask in prev else v
+                    if s:
+                        prev[mask] = s
+                    else:
+                        del prev[mask]
+    body = SpaceTimeFunction(ctx, {key: Multivector(ctx, vals)
+                                   for key, vals in rows.items()})
     mode = _get(data, "mode", (str,))
     if mode not in ALL_MODES:
         raise ValueError(f"solution field 'mode' is {mode!r}, not one of {ALL_MODES}")

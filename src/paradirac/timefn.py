@@ -9,11 +9,13 @@ nonnegative powers of s to the profile.
 SpaceTimeFunction (in poly, the one body class) combines spatial
 polynomials with that time class: terms are indexed by (exponents, n,
 lambda) with a left Multivector coefficient, and d/dt is exact.  This
-module holds the parabolic operator D = d_x + f d_t + fdag and the heat
-operator Laplacian - d_t that D squares to the negative of: an exact
-body's rows are read once by poly's one-pass kernels, where f and fdag
-act as signed blade permutations on integer numerators over 2 D, and
-raw values take one Sum of those operators.  It also holds the
+module holds the parabolic operator D = d_x + f d_t + fdag, whose
+exact bodies' rows are read once by poly.parabolic_rows, f and fdag
+acting as signed blade permutations on integer numerators over 2 D
+(raw values take one Sum of those operators), and the heat operator
+Laplacian - d_t that D squares to the negative of, one Sum on every
+body, so that verify's factorization check compares two independent
+paths.  It also holds the
 operator series 0F1 on a time profile, whose levels are one
 poly.products each on exact input (one Sum product otherwise) and which
 poly.radial_series expands, from derivatives(), the one place a seed
@@ -32,8 +34,8 @@ from math import gcd, lcm
 from typing import Optional
 
 from .algebra import _ratio, witt_basis
-from .poly import (SpaceTimeFunction, Sum, TimeFunction, heat_rows,
-                   parabolic_rows, products, radial_series)
+from .poly import (SpaceTimeFunction, Sum, TimeFunction, parabolic_rows,
+                   products, radial_series)
 from .scalars import Scalar
 
 
@@ -56,12 +58,7 @@ def parabolic_dirac(F: SpaceTimeFunction) -> SpaceTimeFunction:
 
 
 def heat_residual(F: SpaceTimeFunction) -> SpaceTimeFunction:
-    """(Delta - d_t) F; D squares to the negative of this operator.  An
-    exact body's rows are read once (poly.heat_rows), raw values in one
-    Sum."""
-    R = heat_rows(F)
-    if R is not None:
-        return R
+    """(Delta - d_t) F; D squares to the negative of this operator."""
     return Sum(F.ctx).laplacian(F).d_dt(F, -1).value()
 
 

@@ -544,11 +544,10 @@ def ladder_body(M, P, Q, chains, first=None):
 
 # -- the Sum chains of the one-pass parabolic kernels --------------------------
 #
-# D, the heat operator and the split conditions as chains of Sum stages on
-# the Witt Multivectors f and fdag and on the split component bodies: what
-# timefn and verify ran on every body before an exact one was read in one
-# pass (poly.parabolic_rows, heat_rows, condition_rows), and still run on
-# raw values.
+# D and the split conditions as chains of Sum stages on the Witt
+# Multivectors f and fdag and on the split component bodies: what timefn
+# and verify ran on every body before an exact one was read in one pass
+# (poly.parabolic_rows, condition_rows), and still run on raw values.
 
 
 def sum_parabolic_dirac(F):
@@ -683,11 +682,27 @@ def decode_scalar_reference(pair):
     return re if im == 0 else GaussianRational(re, im)
 
 
+def _finite(add):
+    """add(), a sum of repeated entries, refused as the loader refuses one
+    beyond the float range (an exact value and a float whose sum
+    overflows, or floats whose sum is not finite)."""
+    message = "a repeated coefficient sums beyond the float range"
+    try:
+        s = add()
+    except OverflowError:
+        raise ValueError(message) from None
+    values = s.terms.values() if isinstance(s, Multivector) else (s,)
+    if any(isinstance(v, (float, complex)) and not cmath.isfinite(v) for v in values):
+        raise ValueError(message)
+    return s
+
+
 def solution_from_dict_reference(data):
     """A solution dict read as the loader read it before its fast paths:
     every value through decode_scalar_reference, one Multivector per row, a
-    repeated label added with +, a repeated key added with Multivector +,
-    and the terms made a body by the SpaceTimeFunction constructor."""
+    repeated label added with +, a repeated key added with Multivector +
+    (either refused when the sum is beyond the float range), and the terms
+    made a body by the SpaceTimeFunction constructor."""
     if not isinstance(data, dict):
         raise ValueError("a solution file holds one JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
@@ -719,12 +734,12 @@ def solution_from_dict_reference(data):
             if mask is None:
                 mask = masks[blade[0]] = ctx.blade_from_label(blade[0])
             v = decode_scalar_reference(blade[1])
-            coeffs[mask] = coeffs[mask] + v if mask in coeffs else v
+            coeffs[mask] = _finite(lambda: coeffs[mask] + v) if mask in coeffs else v
         mv = Multivector(ctx, {m_: v for m_, v in coeffs.items() if v != 0})
         if not mv.is_zero():
             key = (exps, n, lam)
             prev = terms.get(key)
-            terms[key] = mv if prev is None else prev + mv
+            terms[key] = mv if prev is None else _finite(lambda: prev + mv)
     body = SpaceTimeFunction(ctx, terms)
     mode = _get(data, "mode", (str,))
     if mode not in ALL_MODES:

@@ -425,10 +425,19 @@ def _mangle_negative_L(data):
     return data
 
 
+def _mangle_repeated_label_overflow(data):
+    # an exact value and a float under one label, whose sum overflows
+    row = data["terms"][0]
+    label = row["blades"][0][0]
+    row["blades"] = [[label, ["1e400", 0]], [label, [1.5, 0]]]
+    return data
+
+
 @pytest.mark.parametrize("mangle", [_mangle_no_m, _mangle_terms_int,
                                     _mangle_row_no_lambda,
                                     _mangle_top_level_list,
-                                    _mangle_negative_L])
+                                    _mangle_negative_L,
+                                    _mangle_repeated_label_overflow])
 def test_verify_rejects_malformed_solution(capsys, tmp_path, mangle):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(mangle(_solution_dict(capsys, tmp_path))))

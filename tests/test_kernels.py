@@ -1,10 +1,9 @@
 """The one-pass kernels of exact parabolic jobs against their Sum chains.
 
-An exact body's D F, (Laplacian - d_t) F and split conditions are read off
-its integer rows in one pass (poly.parabolic_rows, heat_rows and
-condition_rows), and a parabolic level is one product of integer rows
-(poly.products).  Each is checked here against the chain of Sum stages
-it replaced (oracles.sum_parabolic_dirac, sum_heat_residual,
+An exact body's D F and split conditions are read off its integer rows in
+one pass (poly.parabolic_rows and condition_rows), and a parabolic level
+is one product of integer rows (poly.products).  Each is checked here
+against the chain of Sum stages it replaced (oracles.sum_parabolic_dirac,
 sum_conditions and ladder_body): equal values, each of the type the
 chain gives it.  Exact equality of bodies over different denominators
 is checked against the subtraction it replaced.
@@ -15,14 +14,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (form_chains, ladder_body, sum_conditions, sum_heat_residual,
-                     sum_parabolic_dirac, typed)
+from oracles import (form_chains, ladder_body, sum_conditions, sum_parabolic_dirac,
+                     typed)
 from paradirac.algebra import AlgebraContext, Multivector
 from paradirac.builders import build_parabolic_closed, build_parabolic_recurrence
 from paradirac.harmonics import monogenic_basis
 from paradirac.poly import SpaceTimeFunction, TimeFunction
 from paradirac.scalars import GaussianRational
-from paradirac.timefn import heat_residual, parabolic_dirac
+from paradirac.timefn import parabolic_dirac
 from paradirac.verify import (_conditions, check_component_conditions,
                               check_factorization, perturb_component)
 
@@ -65,12 +64,11 @@ def assert_same_values(got, want):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_one_pass_D_and_heat_are_their_sum_chains(data):
+def test_one_pass_D_is_its_sum_chain(data):
     F = data.draw(bodies(data.draw(st.integers(1, 4), label="m")), label="F")
     assert_same_values(parabolic_dirac(F), sum_parabolic_dirac(F))
-    assert_same_values(heat_residual(F), sum_heat_residual(F))
-    # D squares to -(Laplacian - d_t): the two kernels checked against
-    # each other, one sample at a time
+    # D squares to -(Laplacian - d_t): the one-pass D checked against the
+    # heat operator's Sum, one sample at a time
     assert check_factorization(F.ctx, [F]).passed
 
 

@@ -178,6 +178,22 @@ def test_a_warm_shift_memo_expands_as_a_cold_one(m, raw):
     assert (cold._D is None) == raw
 
 
+@pytest.mark.parametrize("into_raw", [False, True], ids=["exact-into", "float-into"])
+@pytest.mark.parametrize("raw", [False, True], ids=["exact", "float"])
+def test_a_body_given_as_into_is_summed_and_consumed(raw, into_raw):
+    # into is taken as a head already summed, its rows the result's: the
+    # result is into plus the series, and into is left with no storage,
+    # so a later read of it fails at once instead of seeing changed rows
+    ctx = AlgebraContext(2)
+    first = _radial_levels(ctx, into_raw)[2][1]
+    want = first + radial_series(ctx, [_radial_levels(ctx, raw)])
+    got = radial_series(ctx, [_radial_levels(ctx, raw)], first)
+    assert got == want and (got._D is None) == (raw or into_raw)
+    for read in (lambda: first.terms, first.is_zero, lambda: first + first):
+        with pytest.raises(AttributeError):
+            read()
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_shift_memo_entries_are_the_shifted_exponents(m):
     # every entry the expansion makes: exps + 2j over rho_terms(m, l), in

@@ -155,6 +155,28 @@ def test_a_repeated_label_adds_as_a_repeated_key_does(tmp_path):
         _loads_like_reference(changed)
 
 
+@pytest.mark.parametrize("values", [
+    [[1e308, 0], [1e308, 0]],           # floats whose sum is not finite
+    [["1e400", 0], [1.5, 0]],           # an exact value beyond a float's range
+    [[1.5, 0], ["1e400", 0]],
+    [[1e308, 1e308], [1e308, 0]],
+], ids=["floats", "exact-then-float", "float-then-exact", "complex"])
+@pytest.mark.parametrize("repeat", ["label", "key"])
+def test_a_repeated_entry_beyond_the_float_range_is_refused(values, repeat):
+    # such a sum once ended in an OverflowError or an infinite coefficient
+    data = _valid_dict()
+    row = data["terms"][0]
+    label = row["blades"][0][0]
+    if repeat == "label":
+        row["blades"] = [[label, v] for v in values]
+    else:
+        row["blades"] = [[label, values[0]]]
+        data["terms"].append(dict(row, blades=[[label, values[1]]]))
+    with pytest.raises(ValueError, match="beyond the float range"):
+        solution_from_dict(data)
+    _loads_like_reference(data)
+
+
 def test_solution_from_dict_rejects_alien_schema():
     data = solution_to_dict(build_samples()[0])
     data["schema_version"] = 99
@@ -235,6 +257,9 @@ json_leaves = (st.none() | st.booleans() | st.integers() | st.floats()
                | st.sampled_from(["1/2", "1/0", "-0", "x"]))
 
 
+HUGE = (["1e400", 0], ["-1e400", 0], [1e308, 0], [-1e308, 0], [1e308, 1e308])
+
+
 def _negated(part):
     """-part of a JSON scalar part: an int, a float or a "p/q" string."""
     if isinstance(part, str):
@@ -258,6 +283,12 @@ def damaged_solutions(draw):
             if draw(st.booleans()):
                 blade[1] = [_negated(part) for part in blade[1]]
             row["blades"].insert(draw(st.integers(0, len(row["blades"]))), blade)
+            if draw(st.integers(0, 2)) == 0:
+                # values near or past the float range, exact or float, under
+                # the same label: their sum may overflow
+                for value in draw(st.lists(st.sampled_from(HUGE), min_size=1, max_size=2)):
+                    row["blades"].insert(draw(st.integers(0, len(row["blades"]))),
+                                         [blade[0], list(value)])
         return data
     if draw(st.integers(0, 3)) == 0:
         # a repeated key, whose values may cancel the first row's
