@@ -31,12 +31,13 @@ zeta with zeta = f d/dt + fdag, so a parabolic build has the same radial
 form with timefn.ProfileWeight coefficients
 P_l = sum_i c_i alpha_{i,l} and Q_l = sum_i c_i beta_{i,l}, c = 1, f,
 fdag, f fdag, the profiles right of M.  One function, _parabolic_solution,
-makes the levels of both parabolic builds from P_0 by the ladder that
-verify checks (the closed form is the recurrence seeded with a0 = a and
-b2 = -a/(2k+m)), and expands them by poly.radial_series, one small body
-per level: on exact input one poly.products of the heads' rows and
-integer time rows, on raw values one Sum product per seed derivative.
-An exact build owns that form.
+makes the levels of both parabolic builds by the ladder that verify
+checks, from the recurrence's P_0 or from every P_l of the closed form
+(the recurrence seeded with a0 = a and b2 = -a/(2k+m)), its apply_0F1
+weights, and expands them by poly.radial_series, one small body per
+level: on exact input one poly.products of the heads' rows and integer
+time rows, on raw values one Sum product per seed derivative.  An exact
+build owns that form.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .poly import (Sum, products, radial_product, radial_series,
 from .timefn import (PARABOLIC_ZETA, ProfileWeight, SpaceTimeFunction,
                      TimeFunction, apply_0F1, derivatives)
 from .zeta import (IntMatrix, NotInvertibleError, PowerSeries, ZetaElement,
-                   sylvester_eval)
+                   radial_weights, sylvester_eval)
 
 PARABOLIC_MODES = ("parabolic-recurrence", "parabolic-closed")
 GENERALIZED_MODES = ("gen-monogenic", "gen-factored", "gen-invertible")
@@ -122,9 +123,10 @@ def build_parabolic_closed(M: MonogenicPoly, a: TimeFunction,
     """F = 0F1(g)[M]a + 0F1(g+1)[x fdag M / (2k+m)]a + 0F1(g+1)[x f M / (2k+m)]a'.
 
     g = k + m/2.  This is the recurrence solution seeded with a0 = a and
-    b2 = -a/(2k+m), whose P_0 is a alone; its levels are made on the one
-    chain a^(l) that the apply_0F1 call summing the first block records
-    (and a^(L+1) for the top f level of a truncated series).
+    b2 = -a/(2k+m), on the one chain a^(l) that the apply_0F1 call summing
+    the first block records (and a^(L+1) for the top f level of a
+    truncated series).  Its P levels are that call's own weights, so the
+    ladder that makes its Q levels from them also checks them.
     """
     (M,) = _as_list(M, MonogenicPoly, L)
     m, k = M.poly.ctx.m, M.degree
@@ -133,8 +135,10 @@ def build_parabolic_closed(M: MonogenicPoly, a: TimeFunction,
     derivs = [d for _, d in chain]
     if derivs and not a.is_polynomial():
         derivs += derivatives(derivs[-1], 1)[1:]
+    P = [ProfileWeight._of(({(0, l): w.numerator}, {}, {}, {}), w.denominator,
+                           (len(derivs),)) for l, (w, _) in enumerate(chain)]
     return _parabolic_solution("parabolic-closed", M, L, len(chain), [derivs],
-                               ({(0, 0): Fraction(1)}, {}, {}, {}), [a], first)
+                               P, [a], first)
 
 
 def build_parabolic_recurrence(M: MonogenicPoly,
@@ -169,18 +173,19 @@ def build_parabolic_recurrence(M: MonogenicPoly,
     chains = [derivatives(given[name], stop + (name[0] == "a"))
               if name in given else [] for name in SEEDS]
     g2 = 2 * M.degree + M.poly.ctx.m
-    P = [{(i, 0): Fraction(c) for i, c in terms if chains[i]}
-         for terms in (((0, 1),), ((1, g2),), ((2, 1),), ((3, -g2), (0, -1)))]
+    P0 = ProfileWeight(({(i, 0): Fraction(c) for i, c in terms if chains[i]} for terms
+                        in (((0, 1),), ((1, g2),), ((2, 1),), ((3, -g2), (0, -1)))),
+                       map(len, chains))
     return _parabolic_solution("parabolic-recurrence", M, stop, stop + 1,
-                               chains, P, given.values())
+                               chains, [P0], given.values())
 
 
-def _parabolic_solution(mode: str, M: MonogenicPoly, L: int, count: int,
-                        chains: list, P0, seeds, first=None) -> SeriesSolution:
-    """The parabolic build of the levels l < count from P0, the parts of
-    P_0 on the seed chains [s_i, s_i', ...] (timefn.ProfileWeight): the
-    ladder identities of d_x + zeta, zeta = f d/dt + fdag, make
-    Q_l = (zeta P_l)^ / (2l+2k+m) and P_{l+1} = -(zeta Q_l)^ / (2(l+1)).
+def _parabolic_solution(mode: str, M: MonogenicPoly, L: int, count: int, chains: list,
+                        given: list, seeds, first=None) -> SeriesSolution:
+    """The parabolic build of the levels l < count from the given P_l on
+    the seed chains [s_i, s_i', ...] (timefn.ProfileWeight): the ladder
+    identities of d_x + zeta, zeta = f d/dt + fdag, make
+    Q_l = (zeta P_l)^ / (2l+2k+m) and the later P_{l+1} = -(zeta Q_l)^ / (2(l+1)).
     Each level sum_i c_i (M alpha_i,l + x M beta_i,l), c = 1, f, fdag,
     f fdag, is one poly.products of the head rows c_i M and c_i x M,
     made once per build, and the levels' integer time rows; on raw values
@@ -197,7 +202,6 @@ def _parabolic_solution(mode: str, M: MonogenicPoly, L: int, count: int,
     f, fdag = witt_basis(ctx)
     units = (None, f, fdag, f * fdag)
     bases = (M.poly, vector_variable(ctx) * M.poly)
-    P = ProfileWeight(P0, [len(chain) for chain in chains])
     levels, heads, blocks = [], {}, []  # heads: c_i M and c_i x M, when used
 
     def head(i, b):
@@ -206,8 +210,8 @@ def _parabolic_solution(mode: str, M: MonogenicPoly, L: int, count: int,
         return heads[i, b]
 
     for l in range(count):
-        if l:
-            P = (PARABOLIC_ZETA * Q).hat().scale(-1, 2 * l).reduced()
+        P = given[l] if l < len(given) else (
+            PARABOLIC_ZETA * Q).hat().scale(-1, 2 * l).reduced()
         Q = (PARABOLIC_ZETA * P).hat().scale(1, 2 * l + two_g).reduced()
         levels.append((P, Q))
         used = [(i, b, w) for i in range(4) for b, w in enumerate((P, Q))
@@ -281,10 +285,10 @@ def build_helmholtz(H, z: ZetaElement, L: int = 12,
 
 def _helmholtz_weights(Z, z: ZetaElement, gamma: Fraction, L: int,
                        radial: str) -> list:
-    """w_n = (-1/4 zeta* zeta)^n / (n! (gamma)_n), n = 0..L: Z^ Z's
-    radial_weights, or psi_n(zeta* zeta) by zeta.sylvester_eval."""
+    """w_n = (-1/4 zeta* zeta)^n / (n! (gamma)_n), n = 0..L: the
+    radial_weights of Z^ Z, or psi_n(zeta* zeta) by zeta.sylvester_eval."""
     if radial == "direct":
-        return (Z.hat() * Z).radial_weights(gamma, L)
+        return radial_weights(Z.hat() * Z, gamma, L)
     out = []
     coeff = 1.0
     for n in range(L + 1):
@@ -307,21 +311,21 @@ def _generalized_weights(form: str, Z, k: int, m: int, L: int) -> tuple:
     if form == "monogenic":
         # P_l = w_l(gamma) and Q_l = w_l(gamma+1) zeta^ / (2k+m)
         s = Zh * Z
-        return (tuple(s.radial_weights(gamma, L)),
+        return (tuple(radial_weights(s, gamma, L)),
                 tuple(wl.scale(1, two_g) * Zh
-                      for wl in s.radial_weights(gamma + 1, L)))
+                      for wl in radial_weights(s, gamma + 1, L)))
     if form == "factored":
         # g = (zeta* - d_x) applied to the inner series with the starred
         # weights I_l over (2k+m): P_l = (2l+2k+m) I_l^ and Q_l = zeta^ I_l
         inner = [wl.scale(1, two_g)
-                 for wl in (Z * Zh).radial_weights(gamma + 1, L)]
+                 for wl in radial_weights(Z * Zh, gamma + 1, L)]
         return (tuple(il.hat().scale(2 * l + two_g)
                       for l, il in enumerate(inner)),
                 tuple(Zh * il for il in inner))
     # g = (1 - zeta^-1 d_x) applied to the series carried one order further
     # and cut back to degree 2L+k+1, which keeps all of d_x of it; so
     # P_l = w_l and Q_l = -2(l+1) zeta^-1 w_{l+1}^
-    w = (Zh * Z).radial_weights(gamma, L + 1)
+    w = radial_weights(Zh * Z, gamma, L + 1)
     zinv = Z.inverse()
     return (tuple(w[:L + 1]),
             tuple(zinv * w[l + 1].hat().scale(-2 * (l + 1))

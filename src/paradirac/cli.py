@@ -190,7 +190,7 @@ def _build_from_args(args) -> SeriesSolution:
     if args.mode in ("parabolic-closed", "parabolic-recurrence"):
         if len(ks) != 1:
             raise ValueError("parabolic modes take a single --k")
-        (head,) = _heads(ctx, ks, idxs[:1], "monogenic")
+        (head,) = _heads(ctx, ks, idxs, "monogenic")
         if args.mode == "parabolic-closed":
             return build_parabolic_closed(
                 head, parse_profile(args.profile, ctx, args.backend), L=L)

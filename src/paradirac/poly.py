@@ -56,21 +56,22 @@ denominators.  Raw values take the Sum chains.
 
 The radial expander.  Every series the builders make, float ones
 included, is sum_l rho^{2l} p_l over one small body p_l per level: w_l p
-with a Cl(1,1) weight w_l (radial_product; a zeta.IntMatrix for exact
-input, a zeta.ZetaElement otherwise) for a generalized or Helmholtz
-series, and for a parabolic one the level's heads c_i M and c_i x M
-times their integer time rows, one products call per level on exact
-input.  radial_series adds each term of p_l under every shift x^{2j},
-|j| = l, of its spatial exponents, times the integer multinomial
-l!/prod j_i! (rho_terms): rho^{2l} is a scalar, so no output term needs
-a Clifford product and no power of rho^2 is made.  The shifted exponent
-tuples come from a memo, _shifted, keyed on (exponents, l) alone, never
-on a coefficient, n or lambda; it lists them in rho_terms order and holds
-each distinct tuple once, so a warm call makes the body a cold one makes,
-term order included.  Exact levels are written at one denominator,
-straight into one accumulator, which can be a body its caller gives
-up (the closed parabolic build's M block); a series with any inexact level
-is summed on raw values by the same loop, head by head.
+with a Cl(1,1) weight w_l (radial_product; a zeta.IntMatrix, laid out on
+the blades by its own blades(), for exact input, a zeta.ZetaElement
+otherwise) for a generalized or Helmholtz series, and for a parabolic
+one the level's heads c_i M and c_i x M times their integer time rows,
+one products call per level on exact input.  radial_series adds each term
+of p_l under every shift x^{2j}, |j| = l, of its spatial exponents,
+times the integer multinomial l!/prod j_i! (rho_terms): rho^{2l} is a
+scalar, so no output term needs a Clifford product and no power of rho^2
+is made.  The shifted exponent tuples come from a memo, _shifted, keyed
+on (exponents, l) alone, never on a coefficient, n or lambda; it lists
+them in rho_terms order and holds each distinct tuple once, so a warm
+call makes the body a cold one makes, term order included.  Exact levels
+are written at one denominator, straight into one accumulator, which can
+be a body its caller gives up (the closed parabolic build's M block); a
+series with any inexact level is summed on raw values by the same loop,
+head by head.
 
 Order guarantee.  A body built by a Sum has the values, the term order
 and the blade order of the left-to-right chain of binary operators it
@@ -1025,26 +1026,6 @@ def rho_squared(ctx: AlgebraContext) -> SpaceTimeFunction:
     return SpaceTimeFunction(ctx, terms)
 
 
-def radial_level(w, ctx: AlgebraContext) -> Tuple[Dict[int, Numerator], int]:
-    """The blade numerators and denominator of an exact Cl(1,1) weight w, a
-    zeta.IntMatrix: what _to_numerators makes of the weight's
-    to_multivector(ctx), blade order included.
-
-    to_multivector puts +-entry/2 on the blades 1, eps e (a, d) and e, eps
-    (b, c), so the level's numerators over 2 q are a+d, a-d, b-c and
-    -(b+c), each dropped when it vanishes, the blades of a first exactly
-    when a is nonzero.
-    """
-    top = 1 << (ctx.m + 1)
-    a, b, c, d = w.entries
-    nb, nc = _nneg(b), _nneg(c)
-    ad = ((0, _nadd(a, d)), (top | 1, _nadd(a, _nneg(d))))
-    bc = ((top, _nadd(b, nc)), (1, _nadd(nb, nc)))
-    rows, D = _reduced({0: {mask: v for mask, v in (ad + bc if a else bc + ad)
-                            if v}}, 2 * w.q)
-    return rows[0], D
-
-
 @lru_cache(maxsize=None)
 def rho_terms(m: int, l: int) -> Tuple[Tuple[Exponents, int], ...]:
     """The terms of rho^{2l} = (x_1^2 + ... + x_m^2)^l: (2j, l!/prod j_i!)
@@ -1070,12 +1051,12 @@ def _shifted(exps: Exponents, l: int) -> Tuple[Exponents, ...]:
 def radial_product(w, p: SpaceTimeFunction) -> SpaceTimeFunction:
     """The small body w p of a Cl(1,1) weight w and a body p.  An
     exact weight, a zeta.IntMatrix, on an exact p takes one blade product
-    per term of p, over p's denominator times the weight's; a
-    zeta.ZetaElement weight is p.lmul of its Multivector."""
+    of its blades(ctx) per term of p, over p's denominator times the
+    weight's; a zeta.ZetaElement weight is p.lmul of its Multivector."""
     ctx = p.ctx
     if isinstance(w, ZetaElement):
         return p.lmul(w.to_multivector(ctx))
-    row, q = radial_level(w, ctx)
+    row, q = w.blades(ctx)
     out: Rows = {}
     for key, vals in p._nums.items():
         t = _mul_into(ctx, {}, row, vals)

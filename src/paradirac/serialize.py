@@ -326,7 +326,9 @@ def parse_json(text: str, what: str):
 
 def _residual_report_fields(rep: ResidualReport) -> dict:
     """The report's fields, with the residual body itself as its "terms"
-    (when it has 1 to MAX_REPORT_TERMS terms); save_report writes it."""
+    (when it has 1 to MAX_REPORT_TERMS terms); save_report writes it.
+    Schema 1 keeps the keys of the sampled report, with the constants
+    that nothing sampled writes: no sup-norms, no estimated order, seed 0."""
     residual = None
     if rep.residual_poly is not None:
         R = rep.residual_poly
@@ -339,11 +341,11 @@ def _residual_report_fields(rep: ResidualReport) -> dict:
         "mode": rep.mode,
         "exact_zero": rep.exact_zero,
         "passed": rep.passed,
-        "sup_norm_by_radius": [[r, v] for r, v in rep.sup_norm_by_radius],
-        "estimated_order": rep.estimated_order,
+        "sup_norm_by_radius": [],
+        "estimated_order": None,
         "expected_order": rep.expected_order,
         "support_degrees": list(rep.support_degrees or ()) or None,
-        "seed": rep.seed,
+        "seed": 0,
         "residual_poly": residual,
     }
 

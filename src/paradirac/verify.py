@@ -17,8 +17,9 @@ On an exact body, D F and the four conditions are each one pass over its
 integer rows (poly.parabolic_rows and condition_rows), the conditions
 with each term split once; raw values take chains of Sum stages.
 A build fresh from its builder with exact coefficients owns its radial
-form, and one ladder (_ladder_residual) checks it for every d_x + zeta,
-the parabolic D being the one with zeta = f d/dt + fdag.  A generalized
+form, the one that built its body, and one ladder (_ladder_residual)
+checks it for every d_x + zeta, the parabolic D being the one with
+zeta = f d/dt + fdag, each head at its own degree.  A generalized
 or Helmholtz residual is read off the top level once the form passes.
 An exact parabolic form has no top level left over: its D F is the zero
 body and its component report all true, and neither D nor split nor the
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraContext, Multivector, witt_basis
 from .builders import SeriesSolution
@@ -61,12 +62,9 @@ class ResidualReport:
     mode: str
     exact_zero: bool
     residual_poly: Optional[SpaceTimeFunction] = None
-    sup_norm_by_radius: List[Tuple[float, float]] = field(default_factory=list)
-    estimated_order: Optional[float] = None
     expected_order: Optional[float] = None
     support_degrees: Optional[Tuple[int, ...]] = None
     passed: bool = False
-    seed: Optional[int] = None
 
 
 # -- operator identities -----------------------------------------------------
@@ -229,21 +227,20 @@ def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
     right of M; its levels past the last are zero, so zeta Q_top = 0 is
     checked too and the residual is the zero body; its entries are exact
     coefficients on seed derivatives, so no profile is summed or
-    differentiated.  Heads of different degrees are left to the monomial
-    residual.
+    differentiated.  Each head is checked at its own degree k, read from
+    F.k in head order, and the residual sums the heads' top levels.
     """
     heads = F._radial
-    degrees = set(F.k) if isinstance(F.k, tuple) else {F.k}
-    if heads is None or len(degrees) != 1:
+    if heads is None:
         return None
-    (k,) = degrees
+    ks = F.k if isinstance(F.k, tuple) else (F.k,)
     ctx = F.ctx
     m, L = ctx.m, F.L
     parabolic = F.zeta is None
     Z = PARABOLIC_ZETA if parabolic else IntMatrix.of(F.zeta)
     if F.mode == "helmholtz":
         ZZ = Z.hat() * Z
-        for _, _, w, _ in heads:
+        for (_, _, w, _), k in zip(heads, ks):
             if not all(ZZ * w[l]
                        == w[l + 1].scale(-2 * (l + 1) * (2 * l + 2 * k + m))
                        for l in range(L)):
@@ -251,7 +248,7 @@ def _ladder_residual(F: SeriesSolution) -> Optional[SpaceTimeFunction]:
         tops = [[(L, radial_product(ZZ * w[L], H))] for H, _, w, _ in heads]
     else:
         past = (ProfileWeight(({},) * 4),) if parabolic else ()
-        for _, _, P, Q in heads:
+        for (_, _, P, Q), k in zip(heads, ks):
             if not (all(Z * p == q.hat().scale(2 * l + 2 * k + m)
                         for l, (p, q) in enumerate(zip(P, Q)))
                     and all(Z * q == p.hat().scale(-2 * (l + 1))
@@ -307,24 +304,22 @@ def dirac_residual(F: SeriesSolution) -> ResidualReport:
 
     Which residual: one path for every operator, made once per solution
     and remembered by it (_residual).  A solution fresh from its builder
-    with exact coefficients owns its radial form; when its heads have one
-    degree and the form passes the ladder identities (_ladder_residual),
-    the residual is the top level zeta Q_L rho^{2L} x M (zeta* zeta w_L
+    with exact coefficients owns its radial form; when the form passes the
+    ladder identities (_ladder_residual), each head at its own degree, the
+    residual is the top level zeta Q_L rho^{2L} x M (zeta* zeta w_L
     rho^{2L} H for Helmholtz) summed over the heads, and equals
     symbolic_residual(F) term for term; an exact parabolic build's is the
     zero body.  Every other solution takes symbolic_residual, the
-    operator applied to every monomial: inexact or truncated builds, float
-    or Sylvester weights, heads of several degrees, a loaded, replaced or
-    perturbed solution, and a form that fails its ladder.
+    operator applied to every monomial: inexact or truncated parabolic
+    builds, float or Sylvester weights, a loaded, replaced or perturbed
+    solution, and a form that fails its ladder.
     """
     op = _infer_operator(F.mode)
     # a body with a radial form is exact, so finite
     if F._radial is None and not F.body.is_finite():
         raise ValueError("the solution has a non-finite coefficient or lambda")
     R, by_ladder = _residual(F)
-    # report format 1 has a seed key; nothing is sampled, so it is 0
-    report = ResidualReport(mode=F.mode, exact_zero=False, residual_poly=R,
-                            seed=0)
+    report = ResidualReport(mode=F.mode, exact_zero=False, residual_poly=R)
     if F.exact:
         report.exact_zero = R.is_zero()
         report.passed = report.exact_zero
@@ -374,8 +369,8 @@ def cross_check(F_a: SeriesSolution, F_b: SeriesSolution) -> bool:
     build, a loaded, replaced or perturbed solution).  Two exact bodies
     over different denominators compare their cross-multiplied
     numerators key by key, and build no body; raw values are subtracted.
-    A parabolic form is not compared because a closed build's body is not
-    made from its form alone.
+    A parabolic form is not compared: its entries are coefficients on
+    each build's own seed chains, which two builds need not share.
     """
     if F_a.ctx.m != F_b.ctx.m:
         raise ValueError("solutions live in different dimensions")

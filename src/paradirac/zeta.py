@@ -14,8 +14,9 @@ numerators over one positive denominator, integer pairs (re, im) for
 entries that are not real.  The exact series builds get every Cl(1,1)
 weight from IntMatrix arithmetic, and the ladder identities verify checks
 them by run on those numerators alone.  ZetaElement has the same
-operations under the same names (hat, scale, inverse, radial_weights), so
-a float build computes its weights by the same code on its own entries.
+operations under the same names (hat, scale, inverse, reduced, identity),
+so one recurrence, radial_weights, makes the weights of both types.
+IntMatrix.blades lays an element out on the blades, as to_multivector.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .algebra import (AlgebraContext, Multivector, Numerator, _nadd, _nmul,
                       _nneg, _ratio)
@@ -129,17 +130,9 @@ class ZetaElement:
 
     inverse = invert        # the name IntMatrix uses
 
-    def radial_weights(self, gamma: Fraction, L: int) -> List["ZetaElement"]:
-        """w_n = (-s/4)^n / (n! (gamma)_n), n = 0..L, of s = self, gamma a
-        half-integer: w_n = w_{n-1} s times -1 / (2n(2 gamma + 2n - 2)),
-        as IntMatrix.radial_weights, on the entries' own arithmetic."""
-        two_gamma = int(2 * gamma)
-        w = ZetaElement.identity()
-        out = [w]
-        for n in range(1, L + 1):
-            w = (w * self).scale(-1, 2 * n * (two_gamma + 2 * n - 2))
-            out.append(w)
-        return out
+    def reduced(self) -> "ZetaElement":
+        """Itself: its entries carry no common denominator to divide out."""
+        return self
 
     # -- spectral data -----------------------------------------------------
 
@@ -204,6 +197,10 @@ class IntMatrix:
         self.entries, self.q = tuple(entries), q
 
     @classmethod
+    def identity(cls) -> "IntMatrix":
+        return cls((1, 0, 0, 1))
+
+    @classmethod
     def of(cls, z: ZetaElement) -> "IntMatrix":
         """The matrix of an exact z over the lcm of its entries' denominators."""
         ratios = [_ratio(v) for v in z.entries()]
@@ -261,22 +258,38 @@ class IntMatrix:
         return IntMatrix([n // g if type(n) is int else (n[0] // g, n[1] // g)
                           for n in self.entries], self.q // g)
 
-    def radial_weights(self, gamma: Fraction, L: int) -> List["IntMatrix"]:
-        """w_n = (-s/4)^n / (n! (gamma)_n), n = 0..L, of s = self, gamma a
-        half-integer.
+    def blades(self, ctx: AlgebraContext) -> Tuple[Dict[int, Numerator], int]:
+        """to_multivector's values in ctx as blade numerators over one
+        denominator, in lowest terms: over 2 q, a+d on 1, a-d on eps e,
+        b-c on e and -(b+c) on eps (e = e_{m+1}), each kept where nonzero.
+        The common factor is divided out as reduced does, with no matrix
+        made."""
+        top = 1 << (ctx.m + 1)
+        a, b, c, d = self.entries
+        row, g = {}, 2 * self.q
+        for mask, n in ((0, _nadd(a, d)), (top | 1, _nadd(a, _nneg(d))),
+                        (top, _nadd(b, _nneg(c))), (1, _nneg(_nadd(b, c)))):
+            if n:
+                row[mask] = n
+                g = gcd(g, n) if type(n) is int else gcd(g, *n)
+        if g > 1:
+            row = {mask: n // g if type(n) is int else (n[0] // g, n[1] // g)
+                   for mask, n in row.items()}
+        return row, 2 * self.q // g
 
-        With s = S / sigma: w_n = W_n / q_n, W_{n+1} = -W_n S and
-        q_{n+1} = q_n sigma 2(n+1)(2 gamma + 2n), since
-        4 (n+1)(gamma+n) = 2(n+1)(2 gamma + 2n), reduced by one gcd per
-        level.
-        """
-        two_gamma = int(2 * gamma)
-        w = IntMatrix((1, 0, 0, 1))
-        out = [w]
-        for n in range(1, L + 1):
-            w = (w * self).scale(-1, 2 * n * (two_gamma + 2 * n - 2)).reduced()
-            out.append(w)
-        return out
+
+def radial_weights(s, gamma: Fraction, L: int) -> list:
+    """w_n = (-s/4)^n / (n! (gamma)_n), n = 0..L, of s an IntMatrix or a
+    ZetaElement, gamma a half-integer: w_n = w_{n-1} s times
+    -1 / (2n(2 gamma + 2n - 2)), reduced (an IntMatrix by one gcd), on the
+    entries' own arithmetic."""
+    two_gamma = int(2 * gamma)
+    w = s.identity()
+    out = [w]
+    for n in range(1, L + 1):
+        w = (w * s).scale(-1, 2 * n * (two_gamma + 2 * n - 2)).reduced()
+        out.append(w)
+    return out
 
 
 class PowerSeries:

@@ -174,6 +174,22 @@ def test_build_refuses_a_flag_the_mode_does_not_read(capsys, tmp_path, argv,
 
 
 @pytest.mark.parametrize("argv", [
+    ["--mode", "parabolic-closed", "--profile", "t"],
+    ["--mode", "parabolic-recurrence", "--seeds", '{"a0":"t"}'],
+    ["--mode", "gen-monogenic", "--zeta", "1,1/2,-1,2"],
+], ids=["closed", "recurrence", "gen-monogenic"])
+def test_build_refuses_more_basis_indices_than_degrees(capsys, tmp_path, argv):
+    # a parabolic build once read the first index alone and built basis
+    # element 0, exiting 0
+    out = tmp_path / "sol.json"
+    code, stdout, err = run(capsys, "build", "--m", "2", "--k", "1",
+                            "--basis-index", "0,99", *argv, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert "--basis-index list must match --k list" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["build", "--mode", "gen-monogenic", "--m", "2", "--k", "1", "--zeta",
      "1,1/2,-1,2", "--trunc", "2", "--ou", "OUT"],
     ["verify", "--mode", "parabolic-recurrence", "--m", "2", "--k", "0",

@@ -191,8 +191,9 @@ def test_residual_report_dict():
     assert data["schema_version"] == SCHEMA_VERSION
     assert data["mode"] == "helmholtz"
     assert data["passed"] == rep.passed
-    assert [tuple(rv) for rv in data["sup_norm_by_radius"]] \
-        == [(r, v) for r, v in rep.sup_norm_by_radius]
+    # schema 1 keeps the sampling keys, with nothing sampled
+    assert (data["sup_norm_by_radius"], data["estimated_order"],
+            data["seed"]) == ([], None, 0)
     json.dumps(data)        # fully JSON-serializable
 
 
@@ -447,12 +448,9 @@ def report_dicts(draw):
     rep = ResidualReport(
         mode="gen-monogenic", exact_zero=body.is_zero(),
         residual_poly=draw(st.sampled_from((None, body))),
-        sup_norm_by_radius=draw(st.lists(st.tuples(FLOAT_PARTS, FLOAT_PARTS),
-                                         max_size=3)),
-        estimated_order=draw(st.none() | FLOAT_PARTS),
         expected_order=draw(st.none() | FLOAT_PARTS),
         support_degrees=draw(st.none() | st.tuples(st.integers(0, 9))),
-        passed=draw(st.booleans()), seed=draw(st.none() | st.integers()))
+        passed=draw(st.booleans()))
     out = residual_report_to_dict(rep)
     if draw(st.booleans()):
         out["component_conditions"] = check_report_to_dict(CheckReport(
@@ -549,12 +547,9 @@ def test_verify_out_writes_json_dumps_of_the_report_dict(files, data):
     rep = ResidualReport(
         mode="gen-monogenic", exact_zero=body is not None and body.is_zero(),
         residual_poly=body,
-        sup_norm_by_radius=data.draw(st.lists(st.tuples(FLOAT_PARTS, FLOAT_PARTS),
-                                              max_size=3)),
-        estimated_order=data.draw(st.none() | FLOAT_PARTS),
         expected_order=data.draw(st.none() | FLOAT_PARTS),
         support_degrees=data.draw(st.none() | st.tuples(st.integers(0, 9))),
-        passed=data.draw(st.booleans()), seed=data.draw(st.none() | st.integers()))
+        passed=data.draw(st.booleans()))
     comp = CheckReport("component-conditions", data.draw(st.booleans()),
                        data.draw(st.dictionaries(st.text(max_size=6), st.booleans(),
                                                  max_size=5)))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (dyadic_zeta, estimate_order, form_chains, sampled_order,
                      split_perturbed, typed, unit_directions, weight_profiles)
-from paradirac import verify
+from paradirac import builders, verify
 from paradirac.algebra import AlgebraContext, Multivector, witt_basis
 from paradirac.builders import (ALL_MODES, SEEDS, SeriesSolution,
                                 build_generalized, build_helmholtz,
@@ -185,12 +185,19 @@ def test_estimate_order_synthetic():
     assert estimate_order([(1.0, 0.0), (0.5, 0.0)]) is None
 
 
+def assert_nothing_sampled(rep):
+    """The report as written: the sampling keys hold no sup-norms, no
+    estimated order and seed 0."""
+    data = residual_report_to_dict(rep)
+    assert (data["sup_norm_by_radius"], data["estimated_order"],
+            data["seed"]) == ([], None, 0)
+
+
 def test_dirac_residual_exact_build():
     rep = dirac_residual(exact_solution())
     assert rep.exact_zero and rep.passed
     assert rep.residual_poly.is_zero()
-    assert rep.sup_norm_by_radius == []
-    assert rep.estimated_order is None
+    assert_nothing_sampled(rep)
 
 
 def test_dirac_residual_rejects_fake_exact():
@@ -214,7 +221,7 @@ def test_dirac_residual_helmholtz_order():
     assert rep.expected_order == 2 * 6 + 1
     # exact coefficients: judged on the exact residual, nothing sampled;
     # the residual the report holds still decays at the expected order
-    assert rep.sup_norm_by_radius == [] and rep.estimated_order is None
+    assert_nothing_sampled(rep)
     order = sampled_order(rep.residual_poly, (1.0, 0.5, 0.25), seed=0)
     assert abs(order - rep.expected_order) <= 0.2
     assert rep.support_degrees == (2 * 6 + 1,)
@@ -227,7 +234,7 @@ def test_dirac_residual_generalized_order():
     rep = dirac_residual(sol)
     assert rep.passed
     assert rep.expected_order == 2 * 5 + 1 + 1
-    assert rep.sup_norm_by_radius == [] and rep.estimated_order is None
+    assert_nothing_sampled(rep)
     order = sampled_order(rep.residual_poly, (1.0, 0.5, 0.25), seed=0)
     assert abs(order - rep.expected_order) <= 0.2
 
@@ -300,7 +307,7 @@ def test_truncated_mutant_fails_on_its_exact_residual(mode, c):
     assert not bad.passed
     # decided on the exact residual alone: nothing is sampled
     for r in (rep, bad):
-        assert r.sup_norm_by_radius == [] and r.estimated_order is None
+        assert_nothing_sampled(r)
 
 
 @pytest.mark.parametrize("L", [8, 12, 16])
@@ -413,8 +420,7 @@ def test_dirac_residual_evaluates_nothing(name):
         rep = dirac_residual(sol)
     evaluate.assert_not_called()
     assert rep.passed and not rep.exact_zero
-    assert rep.sup_norm_by_radius == [] and rep.estimated_order is None
-    assert rep.seed == 0
+    assert_nothing_sampled(rep)
 
 
 # -- a float build and its exact twin get one verdict ------------------------------
@@ -861,17 +867,65 @@ def test_changed_metadata_drops_the_radial_form(field, value):
 
 
 @pytest.mark.parametrize("form", ["monogenic", "factored", "invertible"])
-@pytest.mark.parametrize("degrees, ladder", [((1, 1), True), ((2, 0), False)])
-def test_several_heads(form, degrees, ladder):
+@pytest.mark.parametrize("degrees", [(1, 1), (2, 0)])
+def test_several_heads(form, degrees):
+    # heads of one degree or several: the ladder checks each at its own
     ctx = AlgebraContext(2)
     bases = [monogenic_basis(ctx, k) for k in degrees]
     heads = [basis[i % len(basis)] for i, basis in enumerate(bases)]
     assert heads[0] != heads[1]
     sol = build_generalized(heads, GQ, L=3, form=form)
     rep, monomial = _residual_and_monomial_calls(sol)
-    assert rep.passed and monomial == (0 if ladder else 1)
+    assert rep.passed and monomial == 0
     slow = dirac_residual(dataclasses.replace(sol))
     assert report_text(rep) == report_text(slow)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fresh_builds_of_several_heads_take_the_ladder(data):
+    # two or three heads, of one degree or several: the ladder checks
+    # each at its own degree, and the report is the one a copy without
+    # the radial form gets from the monomial residual
+    m = data.draw(st.integers(1, 3), label="m")
+    mode = data.draw(st.sampled_from(
+        ["gen-monogenic", "gen-factored", "gen-invertible", "helmholtz"]),
+        label="mode")
+    harmonic = mode == "helmholtz"
+    degrees = data.draw(st.lists(st.sampled_from(
+        [k for k in range(4) if _heads(m, k, harmonic)]), min_size=2,
+        max_size=3), label="degrees")
+    heads = [data.draw(st.sampled_from(_heads(m, k, harmonic)), label="head")
+             for k in degrees]
+    L = data.draw(st.integers(0, 5), label="L")
+    kinds = ["rational", "gaussian", "det0", "defective"]
+    z = ZetaElement(*data.draw(ZETAS[data.draw(st.sampled_from(kinds))],
+                               label="zeta"))
+    if harmonic:
+        sol = build_helmholtz(heads, z, L=L)
+    else:
+        assume(mode != "gen-invertible" or z.det())
+        sol = build_generalized(heads, z, L=L, form=mode.split("-", 1)[1])
+    rep, monomial = _residual_and_monomial_calls(sol)
+    assert monomial == 0 and rep.passed
+    assert report_text(rep) == report_text(dirac_residual(dataclasses.replace(sol)))
+
+
+def test_a_closed_build_on_wrong_0F1_weights_fails(monkeypatch):
+    # apply_0F1 run at gamma + 1 sums a wrong M block and records its
+    # wrong weights; the build's form holds those weights, so the ladder
+    # rejects the form and the monomial residual the body
+    real = builders.apply_0F1
+    monkeypatch.setattr(builders, "apply_0F1",
+                        lambda gamma, *args: real(gamma + 1, *args))
+    ctx = AlgebraContext(2)
+    a = TimeFunction.polynomial(ctx, [1, -2, Fraction(1, 2), 3])
+    sol = build_parabolic_closed(monogenic_basis(ctx, 1)[0], a)
+    assert sol.exact and sol._radial is not None
+    rep = dirac_residual(sol)
+    assert not rep.passed and not rep.exact_zero
+    assert not symbolic_residual(sol).is_zero()
+    assert not check_component_conditions(sol).passed
 
 
 @pytest.mark.parametrize("name", sorted(SERIES))
